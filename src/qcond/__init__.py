@@ -1,184 +1,25 @@
 """Finite-dimensional quantum effects, observables, channels, instruments
 and measurement models, with every structural identity executable as a
-tolerance-checked test."""
+tolerance-checked test.
 
-from .channels import (
-    Channel,
-    LinearMap,
-    Operation,
-    QuantumMap,
-    complete_subnormalized,
-    condition_effect,
-    condition_observable,
-    map_deviation,
-    map_sum,
-    sequential_product,
-)
-from .checks import (
-    CheckReport,
-    IdentityCheck,
-    IdentityResult,
-    REGISTRY,
-    registered_identities,
-    resolve_suite,
-    run_checks,
-)
-from .effects import (
-    BiObservable,
-    Effect,
-    Observable,
-    OutcomeMap,
-    State,
-    StochasticMatrix,
-    affine_combination,
-    bi_observable_deviation,
-    born_probability,
-    certify_coexistence,
-    marginals,
-    observable_deviation,
-    observable_distribution,
-    outcome_probabilities,
-    part,
-    post_process,
-)
-from .errors import InvariantViolation, OutcomeNotObserved, ScenarioError
-from .instruments import (
-    BiInstrument,
-    HolevoSpec,
-    Instrument,
-    bi_instrument_deviation,
-    condition_instrument,
-    given_distribution,
-    given_instrument,
-    given_observable,
-    holevo_compose,
-    holevo_instrument,
-    holevo_operation,
-    instrument_deviation,
-)
-from .linalg import (
-    DEFAULT_ATOL,
-    adjoint,
-    as_complex_matrix,
-    hermitian_part,
-    hermitized_matrix_units,
-    is_effect_matrix,
-    is_hermitian,
-    is_psd,
-    kron,
-    max_abs_diff,
-    partial_trace_right,
-)
-from .measurement import (
-    HolevoModelQuantities,
-    HolevoSeparableSpec,
-    KrausSeparableChannel,
-    MeasurementModel,
-    holevo_model_quantities,
-)
-from .rand import (
-    as_rng,
-    random_channel,
-    random_effect,
-    random_holevo_spec,
-    random_instrument,
-    random_observable,
-    random_pure_state,
-    random_state,
-    random_stochastic_matrix,
-    random_surjection,
-    random_unitary,
-)
-from .scenario import Scenario, load_scenario, save_scenario
+The package namespace re-exports each submodule's ``__all__``.
+"""
+
+from . import channels, checks, effects, errors, instruments, linalg, measurement, rand, scenario
+from .channels import *  # noqa: F401,F403
+from .checks import *  # noqa: F401,F403
+from .effects import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .instruments import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .measurement import *  # noqa: F401,F403
+from .rand import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ATOL",
-    "__version__",
-    # kernel
-    "adjoint",
-    "as_complex_matrix",
-    "hermitian_part",
-    "hermitized_matrix_units",
-    "is_effect_matrix",
-    "is_hermitian",
-    "is_psd",
-    "kron",
-    "max_abs_diff",
-    "partial_trace_right",
-    # effects
-    "BiObservable",
-    "Effect",
-    "Observable",
-    "OutcomeMap",
-    "State",
-    "StochasticMatrix",
-    "affine_combination",
-    "bi_observable_deviation",
-    "born_probability",
-    "certify_coexistence",
-    "marginals",
-    "observable_deviation",
-    "observable_distribution",
-    "outcome_probabilities",
-    "part",
-    "post_process",
-    # channels
-    "Channel",
-    "LinearMap",
-    "Operation",
-    "QuantumMap",
-    "complete_subnormalized",
-    "condition_effect",
-    "condition_observable",
-    "map_deviation",
-    "map_sum",
-    "sequential_product",
-    # instruments
-    "BiInstrument",
-    "HolevoSpec",
-    "Instrument",
-    "bi_instrument_deviation",
-    "condition_instrument",
-    "given_distribution",
-    "given_instrument",
-    "given_observable",
-    "holevo_compose",
-    "holevo_instrument",
-    "holevo_operation",
-    "instrument_deviation",
-    # measurement models
-    "HolevoModelQuantities",
-    "HolevoSeparableSpec",
-    "KrausSeparableChannel",
-    "MeasurementModel",
-    "holevo_model_quantities",
-    # randomness
-    "as_rng",
-    "random_channel",
-    "random_effect",
-    "random_holevo_spec",
-    "random_instrument",
-    "random_observable",
-    "random_pure_state",
-    "random_state",
-    "random_stochastic_matrix",
-    "random_surjection",
-    "random_unitary",
-    # scenarios and checks
-    "Scenario",
-    "load_scenario",
-    "save_scenario",
-    "CheckReport",
-    "IdentityCheck",
-    "IdentityResult",
-    "REGISTRY",
-    "registered_identities",
-    "resolve_suite",
-    "run_checks",
-    # errors
-    "InvariantViolation",
-    "OutcomeNotObserved",
-    "ScenarioError",
+__all__ = ["__version__"] + [
+    name
+    for module in (linalg, errors, effects, channels, instruments, measurement, rand, scenario, checks)
+    for name in module.__all__
 ]

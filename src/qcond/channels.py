@@ -82,6 +82,11 @@ class QuantumMap:
             raise ValueError(f"dimension mismatch: expected {self.dim_out}, got {m.shape}")
         return Effect(hermitian_part(self.dual_matrix(m)), atol)
 
+    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
+        """Symmetrized dual images of a stack of matrices on the output space,
+        one ``dual_matrix`` call per matrix and no validation."""
+        return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
+
     def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
         """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
         return self.dual_apply(np.eye(self.dim_out), atol)
@@ -189,9 +194,9 @@ class Channel(Operation):
 class LinearMap(QuantumMap):
     """Map on matrices stored as a superoperator (row-major vectorization).
 
-    ``dual_matrix`` applies the conjugate-transposed superoperator, which for
-    the completely positive maps built in this package is exactly the
-    Heisenberg-picture dual.
+    ``dual_matrix`` applies the conjugate-transposed superoperator. That is
+    the Hilbert–Schmidt dual, ``tr[a† L(m)] == tr[L*(a)† m]``, of every
+    linear map, completely positive or not: the Heisenberg-picture dual.
     """
 
     def __init__(self, superoperator: np.ndarray, dim_in: int, dim_out: int):
@@ -256,11 +261,8 @@ def map_deviation(p: QuantumMap, q: QuantumMap) -> float:
     """
     if (p.dim_in, p.dim_out) != (q.dim_in, q.dim_out):
         raise ValueError("maps must share dimensions")
-    diff = p.superoperator() - q.superoperator()
-    dev = 0.0
-    for b in hermitized_matrix_units(p.dim_in):
-        dev = max(dev, float(np.max(np.abs(diff @ b.reshape(-1)))))
-    return dev
+    basis = np.stack([b.reshape(-1) for b in hermitized_matrix_units(p.dim_in)], axis=1)
+    return float(np.max(np.abs((p.superoperator() - q.superoperator()) @ basis)))
 
 
 def sequential_product(first: QuantumMap, second: QuantumMap) -> QuantumMap:
@@ -286,7 +288,9 @@ def condition_effect(ch: QuantumMap, b: Effect | np.ndarray, atol: float = DEFAU
 def condition_observable(ch: QuantumMap, obs: Observable, atol: float = DEFAULT_ATOL) -> Observable:
     """Condition every effect of an observable by a channel."""
     _require_channel(ch, atol)
-    return Observable(obs.outcomes, tuple(ch.dual_apply(e, atol) for e in obs.effects), atol)
+    if obs.dim != ch.dim_out:
+        raise ValueError(f"dimension mismatch: expected {ch.dim_out}, got {obs.dim}")
+    return Observable(obs.outcomes, ch._dual_images(obs.effect_stack), atol)
 
 
 def complete_subnormalized(
@@ -308,10 +312,10 @@ def complete_subnormalized(
         raise ValueError("need at least one effect to complete")
     if any(m.shape != (ch.dim_out, ch.dim_out) for m in mats):
         raise ValueError("effects must live on the channel's output space")
-    residual = np.eye(ch.dim_out) - sum(mats)
+    stack = np.stack(mats)
+    residual = np.eye(ch.dim_out) - stack.sum(axis=0)
     if not is_psd(residual, atol):
         raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
-    share = residual / len(mats)
     if labels is None:
         labels = tuple(f"x{i}" for i in range(len(mats)))
-    return Observable(tuple(labels), tuple(m + share for m in mats), atol)
+    return Observable(tuple(labels), stack + residual / len(mats), atol)

@@ -11,6 +11,7 @@ assembles a deterministic report: identical inputs give byte-identical JSON
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .instruments import (
     holevo_instrument,
     instrument_deviation,
 )
-from .linalg import DEFAULT_ATOL, kron, max_abs_diff
+from .linalg import DEFAULT_ATOL, kron, max_abs_diff, require_tolerance
 from .measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
@@ -149,6 +150,11 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+def _worst(*devs: float) -> float:
+    """The largest deviation; NaN when any is NaN (``max`` would drop it)."""
+    return math.nan if any(d != d for d in devs) else max(devs)
+
+
 def _subsets(labels: Sequence[str]) -> list[tuple[str, ...]]:
     return list(chain.from_iterable(combinations(labels, k) for k in range(len(labels) + 1)))
 
@@ -168,7 +174,7 @@ def _run_postprocess_part_compose(rng: np.random.Generator, dim: int, atol: floa
     )
     f = random_surjection(obs.outcomes, ("u0", "u1", "u2"), rng)
     g = random_surjection(f.targets, ("v0", "v1"), rng)
-    return max(dev, observable_deviation(part(part(obs, f), g), part(obs, f.then(g))))
+    return _worst(dev, observable_deviation(part(part(obs, f), g), part(obs, f.then(g))))
 
 
 def _run_dual_map(rng: np.random.Generator, dim: int, atol: float) -> float:
@@ -180,8 +186,8 @@ def _run_dual_map(rng: np.random.Generator, dim: int, atol: float) -> float:
     )
     b_obs = random_observable(dim + 1, 3, rng)
     e0, e1 = b_obs.effects[0].matrix, b_obs.effects[1].matrix
-    dev = max(dev, max_abs_diff(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1)))
-    return max(dev, max_abs_diff(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim)))
+    dev = _worst(dev, max_abs_diff(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1)))
+    return _worst(dev, max_abs_diff(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim)))
 
 
 def _run_contravariance(rng: np.random.Generator, dim: int, atol: float) -> float:
@@ -221,7 +227,7 @@ def _run_subnormalized_completion(rng: np.random.Generator, dim: int, atol: floa
     completed2 = complete_subnormalized(lifted, bs)
     conditioned = condition_observable(lifted, completed2)
     for label, b in zip(completed2.outcomes, bs):
-        dev = max(
+        dev = _worst(
             dev,
             max_abs_diff(conditioned.effect(label).matrix, lifted.dual_apply(b).matrix),
         )
@@ -234,7 +240,7 @@ def _run_given_marginals(rng: np.random.Generator, dim: int, atol: float) -> flo
     grid = given_observable(b_obs, ins)
     m1, m2 = marginals(grid)
     dev = observable_deviation(m1, ins.measured_observable())
-    dev = max(dev, observable_deviation(m2, condition_observable(ins.total_channel(), b_obs)))
+    dev = _worst(dev, observable_deviation(m2, condition_observable(ins.total_channel(), b_obs)))
     rho = random_state(dim, rng)
     branch = {x: ins.op(x).apply(rho) for x in ins.outcomes}
     for s1 in _subsets(ins.outcomes):
@@ -245,7 +251,7 @@ def _run_given_marginals(rng: np.random.Generator, dim: int, atol: float) -> flo
                 for x in s1
                 for y in s2
             )
-            dev = max(dev, abs(factored - double))
+            dev = _worst(dev, abs(factored - double))
     return dev
 
 
@@ -258,7 +264,7 @@ def _run_closure(rng: np.random.Generator, dim: int, atol: float) -> float:
         post_process(condition_observable(ch, a_obs), lam),
     )
     f = random_surjection(a_obs.outcomes, ("u0", "u1"), rng)
-    return max(
+    return _worst(
         dev,
         observable_deviation(
             part(condition_observable(ch, a_obs), f),
@@ -277,9 +283,9 @@ def _run_holevo_composition(rng: np.random.Generator, dim: int, atol: float) -> 
     for x, op in zip(first.observable.outcomes, ins_first.ops):
         coeff = float(np.trace(first.state(x).matrix @ b.matrix).real)
         formula = coeff * first.observable.effect(x).matrix
-        dev = max(dev, max_abs_diff(op.dual_matrix(b.matrix), formula))
+        dev = _worst(dev, max_abs_diff(op.dual_matrix(b.matrix), formula))
     composed = holevo_compose(second, first)
-    dev = max(dev, bi_instrument_deviation(composed, given_instrument(ins_first, ins_second)))
+    dev = _worst(dev, bi_instrument_deviation(composed, given_instrument(ins_first, ins_second)))
     rho = random_state(dim, rng)
     m1 = composed.marginal1()
     m2 = composed.marginal2()
@@ -291,14 +297,14 @@ def _run_holevo_composition(rng: np.random.Generator, dim: int, atol: float) -> 
             float(np.trace(alpha.matrix @ b_obs.effect(y).matrix).real) * second.state(y).matrix
             for y in b_obs.outcomes
         )
-        dev = max(dev, max_abs_diff(m1.op(x).apply(rho), expected))
+        dev = _worst(dev, max_abs_diff(m1.op(x).apply(rho), expected))
     for y in b_obs.outcomes:
         weight = sum(
             float(np.trace(rho.matrix @ first.observable.effect(x).matrix).real)
             * float(np.trace(first.state(x).matrix @ b_obs.effect(y).matrix).real)
             for x in first.observable.outcomes
         )
-        dev = max(dev, max_abs_diff(m2.op(y).apply(rho), weight * second.state(y).matrix))
+        dev = _worst(dev, max_abs_diff(m2.op(y).apply(rho), weight * second.state(y).matrix))
     return dev
 
 
@@ -312,7 +318,7 @@ def _run_measurement_pointer(rng: np.random.Generator, dim: int, atol: float) ->
     meas_ins = model.measured_instrument()
     dev = 0.0
     for y in probe.outcomes:
-        dev = max(
+        dev = _worst(
             dev,
             max_abs_diff(pointer.effect(y).matrix, meas_ins.op(y).measured_effect().matrix),
         )
@@ -321,19 +327,19 @@ def _run_measurement_pointer(rng: np.random.Generator, dim: int, atol: float) ->
     for y in probe.outcomes:
         lifted = kron(eye, probe.effect(y).matrix)
         formula = sum(k.conj().T @ lifted @ k for k in total.kraus)
-        dev = max(dev, max_abs_diff(pointer.effect(y).matrix, formula))
-    dev = max(dev, observable_deviation(bi_obs.marginal1(), ins.measured_observable()))
+        dev = _worst(dev, max_abs_diff(pointer.effect(y).matrix, formula))
+    dev = _worst(dev, observable_deviation(bi_obs.marginal1(), ins.measured_observable()))
     probe2 = random_observable(dim_probe, 3, rng)
     bi_obs2 = MeasurementModel(dim, dim_probe, ins, probe2).measured_bi_observable()
-    dev = max(dev, observable_deviation(bi_obs2.marginal1(), bi_obs.marginal1()))
+    dev = _worst(dev, observable_deviation(bi_obs2.marginal1(), bi_obs.marginal1()))
     rho = random_state(dim, rng)
     bi_ins = model.measured_bi_instrument()
     for x in ins.outcomes:
         for y in probe.outcomes:
             lhs = float(np.trace(rho.matrix @ bi_obs.effect(x, y).matrix).real)
             rhs = float(np.trace(bi_ins.op(x, y).apply(rho)).real)
-            dev = max(dev, abs(lhs - rhs))
-    return max(dev, instrument_deviation(meas_ins, bi_ins.marginal2()))
+            dev = _worst(dev, abs(lhs - rhs))
+    return _worst(dev, instrument_deviation(meas_ins, bi_ins.marginal2()))
 
 
 def _run_kraus_separable(rng: np.random.Generator, dim: int, atol: float) -> float:
@@ -354,7 +360,7 @@ def _run_kraus_separable(rng: np.random.Generator, dim: int, atol: float) -> flo
     dev = map_deviation(total, formula_map)
     a = random_effect(dim, rng)
     b = random_effect(dim_probe, rng)
-    dev = max(
+    dev = _worst(
         dev,
         max_abs_diff(
             ks.dual_on_product(a, b).matrix,
@@ -363,16 +369,16 @@ def _run_kraus_separable(rng: np.random.Generator, dim: int, atol: float) -> flo
     )
     probe = random_observable(dim_probe, 2, rng)
     model = ks.model(probe)
-    dev = max(dev, instrument_deviation(ks.measured_instrument(probe), model.measured_instrument()))
-    dev = max(
+    dev = _worst(dev, instrument_deviation(ks.measured_instrument(probe), model.measured_instrument()))
+    dev = _worst(
         dev,
         observable_deviation(ks.pointer_observable(probe), model.measured_pointer_observable()),
     )
     w = ks.outcome_weights(probe)
-    dev = max(dev, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
+    dev = _worst(dev, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
     base_obs = ks.base_observable()
     kernel = StochasticMatrix(base_obs.outcomes, probe.outcomes, w)
-    return max(dev, observable_deviation(ks.pointer_observable(probe), post_process(base_obs, kernel)))
+    return _worst(dev, observable_deviation(ks.pointer_observable(probe), post_process(base_obs, kernel)))
 
 
 def _run_simple_separable(rng: np.random.Generator, dim: int, atol: float) -> float:
@@ -392,7 +398,7 @@ def _run_simple_separable(rng: np.random.Generator, dim: int, atol: float) -> fl
     for a, v in zip(base.kraus, vecs):
         k = kron(a, v.reshape(-1, 1))
         expected = np.vdot(v, phi2) * (a.conj().T @ phi1)
-        dev = max(dev, float(np.max(np.abs(k.conj().T @ product - expected))))
+        dev = _worst(dev, float(np.max(np.abs(k.conj().T @ product - expected))))
     return dev
 
 
@@ -410,25 +416,25 @@ def _run_holevo_separable(rng: np.random.Generator, dim: int, atol: float) -> fl
     a = random_effect(dim * dim_probe, rng)
     dev = 0.0
     for x in spec.observable.outcomes:
-        dev = max(
+        dev = _worst(
             dev,
             max_abs_diff(
                 quantities.dual_effect(x, a).matrix,
                 model.interaction.op(x).dual_apply(a).matrix,
             ),
         )
-    dev = max(dev, bi_instrument_deviation(quantities.bi_instrument, model.measured_bi_instrument()))
-    dev = max(dev, instrument_deviation(quantities.instrument, model.measured_instrument()))
-    dev = max(dev, instrument_deviation(quantities.reduced_instrument, model.reduced_instrument()))
-    dev = max(
+    dev = _worst(dev, bi_instrument_deviation(quantities.bi_instrument, model.measured_bi_instrument()))
+    dev = _worst(dev, instrument_deviation(quantities.instrument, model.measured_instrument()))
+    dev = _worst(dev, instrument_deviation(quantities.reduced_instrument, model.reduced_instrument()))
+    dev = _worst(
         dev,
         bi_observable_deviation(quantities.bi_observable, model.measured_bi_observable()),
     )
-    dev = max(
+    dev = _worst(
         dev,
         observable_deviation(quantities.pointer_observable, model.measured_pointer_observable()),
     )
-    return max(dev, float(np.max(np.abs(quantities.outcome_weights.sum(axis=1) - 1.0))))
+    return _worst(dev, float(np.max(np.abs(quantities.outcome_weights.sum(axis=1) - 1.0))))
 
 
 REGISTRY: dict[str, IdentityCheck] = {
@@ -538,9 +544,11 @@ def run_checks(
     Instances are seeded independently from ``(seed, identity, dim, trial)``,
     so reports are deterministic and order-independent. Results are sorted by
     identity name. ``trials=0`` yields an empty (vacuously passing) report.
+    An instance that violates a construction invariant or yields a
+    non-finite deviation counts as failed, with deviation ``inf``; ``tol``
+    must be finite and positive.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = require_tolerance(tol)
     names = resolve_suite(suite)
     dims = list(dims)
     if any(d < 1 for d in dims):
@@ -560,8 +568,8 @@ def run_checks(
                         dev = float(check.runner(rng, dim, tol))
                     except InvariantViolation:
                         # a violated construction invariant is a failed identity
-                        dev = float("inf")
-                    max_dev = max(max_dev, dev)
+                        dev = math.inf
+                    max_dev = max(max_dev, dev if math.isfinite(dev) else math.inf)
                     count += 1
             elapsed = time.perf_counter() - start
             results.append(

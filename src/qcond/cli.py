@@ -27,33 +27,26 @@ import numpy as np
 from .checks import registered_identities, run_checks
 from .effects import State, outcome_probabilities
 from .errors import ScenarioError
-from .linalg import DEFAULT_ATOL
+from .linalg import DEFAULT_ATOL, require_tolerance
 from .scenario import load_scenario, matrix_to_json
 
 ENV_TOL = "QCOND_TOL"
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return None
+def _tolerance_or_exit(value: object, what: str) -> float:
     try:
-        value = float(raw)
-    except ValueError:
-        raise SystemExit(f"{ENV_TOL} must be a number, got {raw!r}")
-    if value <= 0:
-        raise SystemExit(f"{ENV_TOL} must be positive, got {value}")
-    return value
+        return require_tolerance(value, what)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _resolve_tol(arg: float | None, fallback: float | None = None) -> float | None:
-    """Explicit ``--tol`` wins, then ``QCOND_TOL``, then the fallback."""
+    """Explicit ``--tol`` wins, then ``QCOND_TOL``, then the fallback; each
+    must be finite and positive."""
     if arg is not None:
-        if arg <= 0:
-            raise SystemExit(f"--tol must be positive, got {arg}")
-        return arg
-    env = _env_tol()
-    return env if env is not None else fallback
+        return _tolerance_or_exit(arg, "--tol")
+    raw = os.environ.get(ENV_TOL)
+    return fallback if raw is None else _tolerance_or_exit(raw, ENV_TOL)
 
 
 def _parse_dims(spec: str) -> list[int]:

@@ -9,6 +9,7 @@ deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -111,21 +112,64 @@ class Effect:
     def identity(cls, dim: int) -> "Effect":
         return cls(np.eye(dim))
 
+    @classmethod
+    def _view(cls, matrix: np.ndarray) -> "Effect":
+        """Wrap one row of an already validated read-only family stack."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "matrix", matrix)
+        return view
+
     def complement(self, atol: float = DEFAULT_ATOL) -> "Effect":
         """The complementary effect ``I - a``."""
         return Effect(np.eye(self.dim) - self.matrix, atol)
 
 
-def _coerce_effects(effects: Sequence, atol: float) -> tuple[Effect, ...]:
-    return tuple(e if isinstance(e, Effect) else Effect(e, atol) for e in effects)
+def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.ndarray:
+    """The one validator of effect families; returns a read-only stack.
+
+    ``family`` is an array of shape ``grid + (d, d)`` or nested sequences of
+    shape ``grid`` holding matrices or :class:`Effect` objects. Checked once
+    for the whole family: finite square entries of one dimension, every
+    element between zero and identity (one batched eigendecomposition) and
+    the elements summing to the identity.
+    """
+    invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
+    if isinstance(family, np.ndarray):
+        stack = np.array(family, dtype=complex)
+        if stack.shape[: len(grid)] != grid:
+            raise InvariantViolation(kind, invariant, f"expected grid {grid}, got shape {stack.shape}")
+    else:
+        rows = [tuple(family)] if len(grid) == 1 else [tuple(row) for row in family]
+        if len(rows) != math.prod(grid[:-1]) or any(len(r) != grid[-1] for r in rows):
+            raise InvariantViolation(kind, invariant, f"expected grid {grid}")
+        mats = [np.asarray(getattr(m, "matrix", m), dtype=complex) for r in rows for m in r]
+        shapes = {m.shape for m in mats}
+        if len(shapes) != 1:
+            raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
+        stack = np.stack(mats).reshape(grid + mats[0].shape)
+    if stack.ndim != len(grid) + 2:
+        raise InvariantViolation(kind, "two-dimensional")
+    dim = stack.shape[-1]
+    if stack.shape[-2] != dim:
+        raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
+    if not np.all(np.isfinite(stack)):
+        raise InvariantViolation(kind, "finite entries")
+    if not is_effect_matrix(stack, atol):
+        raise InvariantViolation(kind, "between zero and identity")
+    if max_abs_diff(stack.reshape(-1, dim, dim).sum(axis=0), np.eye(dim)) > atol:
+        raise InvariantViolation(kind, "normalization", "effects must sum to I")
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Labeled family of effects summing to the identity (a POVM).
 
-    ``effects`` may be given as :class:`Effect` objects or raw matrices;
-    raw matrices are validated on the way in.
+    ``effects`` may be given as :class:`Effect` objects, raw matrices or one
+    ``(n, d, d)`` array. The family is stored as one read-only stack,
+    :attr:`effect_stack`, validated once; ``effects`` holds read-only
+    :class:`Effect` views of its rows.
     """
 
     outcomes: tuple[str, ...]
@@ -134,21 +178,19 @@ class Observable:
 
     def __post_init__(self, atol: float):
         outcomes = _distinct_labels(self.outcomes, "Observable")
-        effects = _coerce_effects(self.effects, atol)
-        if len(effects) != len(outcomes):
-            raise InvariantViolation("Observable", "one effect per outcome")
-        dims = {e.dim for e in effects}
-        if len(dims) != 1:
-            raise InvariantViolation("Observable", "uniform dimension", f"dims {sorted(dims)}")
-        total = sum(e.matrix for e in effects)
-        if max_abs_diff(total, np.eye(effects[0].dim)) > atol:
-            raise InvariantViolation("Observable", "normalization", "effects must sum to I")
+        stack = _effect_family("Observable", self.effects, (len(outcomes),), atol)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "effects", tuple(map(Effect._view, stack)))
+
+    @property
+    def effect_stack(self) -> np.ndarray:
+        """All effects as one read-only ``(n, d, d)`` array."""
+        return self._stack
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self._stack.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -166,22 +208,21 @@ class Observable:
     def effect_over(self, subset: Iterable[str], atol: float = DEFAULT_ATOL) -> Effect:
         """The effect of an outcome subset, ``sum_{x in subset} A_x``."""
         idx = sorted({self.index(x) for x in subset})
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in idx:
-            total = total + self.effects[i].matrix
-        return Effect(total, atol)
+        return Effect(self._stack[idx].sum(axis=0), atol)
 
     @classmethod
     def trivial(cls, dim: int, label: str = "x0") -> "Observable":
         """Single-outcome observable {I}."""
-        return cls((label,), (Effect.identity(dim),))
+        return cls((label,), np.eye(dim)[None])
 
 
 @dataclass(frozen=True, eq=False)
 class BiObservable:
     """Observable on a product outcome set, stored as an effects grid.
 
-    ``effects[i][j]`` is the effect for ``(outcomes1[i], outcomes2[j])``.
+    ``effects[i][j]`` is the effect for ``(outcomes1[i], outcomes2[j])``;
+    the grid is one read-only ``(n1, n2, d, d)`` array, :attr:`effect_stack`,
+    validated once like an :class:`Observable`.
     """
 
     outcomes1: tuple[str, ...]
@@ -192,23 +233,20 @@ class BiObservable:
     def __post_init__(self, atol: float):
         o1 = _distinct_labels(self.outcomes1, "BiObservable")
         o2 = _distinct_labels(self.outcomes2, "BiObservable")
-        rows = tuple(_coerce_effects(row, atol) for row in self.effects)
-        if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
-            raise InvariantViolation("BiObservable", "grid shape", "one effect per outcome pair")
-        dims = {e.dim for row in rows for e in row}
-        if len(dims) != 1:
-            raise InvariantViolation("BiObservable", "uniform dimension")
-        dim = next(iter(dims))
-        total = sum(e.matrix for row in rows for e in row)
-        if max_abs_diff(total, np.eye(dim)) > atol:
-            raise InvariantViolation("BiObservable", "normalization", "effects must sum to I")
+        stack = _effect_family("BiObservable", self.effects, (len(o1), len(o2)), atol)
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
-        object.__setattr__(self, "effects", rows)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "effects", tuple(tuple(map(Effect._view, row)) for row in stack))
+
+    @property
+    def effect_stack(self) -> np.ndarray:
+        """The effects grid as one read-only ``(n1, n2, d, d)`` array."""
+        return self._stack
 
     @property
     def dim(self) -> int:
-        return self.effects[0][0].dim
+        return self._stack.shape[-1]
 
     def effect(self, x: str, y: str) -> Effect:
         try:
@@ -221,21 +259,15 @@ class BiObservable:
     def flatten(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The same observable on flat labels ``"x⊗y"`` in grid order."""
         labels = tuple(f"{x}⊗{y}" for x in self.outcomes1 for y in self.outcomes2)
-        flat = tuple(e for row in self.effects for e in row)
-        return Observable(labels, flat, atol)
+        return Observable(labels, self._stack.reshape(-1, self.dim, self.dim), atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Observable:
         """Sum out the second outcome index."""
-        sums = [sum(e.matrix for e in row) for row in self.effects]
-        return Observable(self.outcomes1, tuple(sums), atol)
+        return Observable(self.outcomes1, self._stack.sum(axis=1), atol)
 
     def marginal2(self, atol: float = DEFAULT_ATOL) -> Observable:
         """Sum out the first outcome index."""
-        sums = [
-            sum(self.effects[i][j].matrix for i in range(len(self.outcomes1)))
-            for j in range(len(self.outcomes2))
-        ]
-        return Observable(self.outcomes2, tuple(sums), atol)
+        return Observable(self.outcomes2, self._stack.sum(axis=0), atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +292,8 @@ class StochasticMatrix:
             raise InvariantViolation(
                 "StochasticMatrix", "shape", f"expected {(len(sources), len(targets))}, got {w.shape}"
             )
+        if not np.all(np.isfinite(w)):
+            raise InvariantViolation("StochasticMatrix", "finite entries")
         if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
             raise InvariantViolation("StochasticMatrix", "entries in [0, 1]")
         if float(np.max(np.abs(w.sum(axis=1) - 1.0))) > atol:
@@ -375,9 +409,7 @@ def post_process(obs: Observable, kernel: StochasticMatrix, atol: float = DEFAUL
     """Classically randomize outcomes: ``B_y = sum_x w[x, y] A_x``."""
     if kernel.sources != obs.outcomes:
         raise ValueError("kernel rows must be indexed by the observable's outcomes")
-    mats = [m.matrix for m in obs.effects]
-    new = [sum(kernel.weights[i, j] * mats[i] for i in range(len(mats))) for j in range(len(kernel.targets))]
-    return Observable(kernel.targets, tuple(new), atol)
+    return Observable(kernel.targets, np.tensordot(kernel.weights, obs.effect_stack, axes=(0, 0)), atol)
 
 
 def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observable:
@@ -391,13 +423,7 @@ def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observab
     if set(f.domain) != set(obs.outcomes):
         missing = sorted(set(obs.outcomes) ^ set(f.domain))
         raise ValueError(f"outcome map must be total on the observable's outcomes (mismatch: {missing})")
-    sums = []
-    for y in f.targets:
-        total = np.zeros((obs.dim, obs.dim), dtype=complex)
-        for x in f.preimage(y):
-            total = total + obs.effect(x).matrix
-        sums.append(total)
-    return Observable(f.targets, tuple(sums), atol)
+    return post_process(obs, f.to_stochastic(obs.outcomes), atol)
 
 
 def marginals(grid: BiObservable, atol: float = DEFAULT_ATOL) -> tuple[Observable, Observable]:
@@ -418,15 +444,14 @@ def affine_combination(
         if obs.dim != first.dim:
             raise ValueError("observables must share the same dimension")
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise InvariantViolation("affine combination", "finite entries")
     if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
         raise InvariantViolation("affine combination", "weights in [0, 1]")
     if abs(float(w.sum()) - 1.0) > atol:
         raise InvariantViolation("affine combination", "weights sum to 1", f"sum {w.sum():.6g}")
-    mixed = [
-        sum(w[i] * observables[i].effects[k].matrix for i in range(len(observables)))
-        for k in range(first.n_outcomes)
-    ]
-    return Observable(first.outcomes, tuple(mixed), atol)
+    stacks = np.stack([obs.effect_stack for obs in observables])
+    return Observable(first.outcomes, np.tensordot(w, stacks, axes=(0, 0)), atol)
 
 
 def certify_coexistence(
@@ -450,15 +475,11 @@ def observable_deviation(a: Observable, b: Observable) -> float:
     """Largest entrywise deviation between two observables on equal outcomes."""
     if a.outcomes != b.outcomes:
         raise ValueError("observables must share the same ordered outcome labels")
-    return max(max_abs_diff(x.matrix, y.matrix) for x, y in zip(a.effects, b.effects))
+    return float(np.max(np.abs(a.effect_stack - b.effect_stack)))
 
 
 def bi_observable_deviation(a: BiObservable, b: BiObservable) -> float:
     """Largest entrywise deviation between two bi-observables on equal grids."""
     if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
         raise ValueError("bi-observables must share the same ordered outcome labels")
-    return max(
-        max_abs_diff(x.matrix, y.matrix)
-        for row_a, row_b in zip(a.effects, b.effects)
-        for x, y in zip(row_a, row_b)
-    )
+    return float(np.max(np.abs(a.effect_stack - b.effect_stack)))

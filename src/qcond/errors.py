@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["InvariantViolation", "OutcomeNotObserved", "ScenarioError"]
+
 
 class InvariantViolation(ValueError):
     """A domain object failed one of its defining constraints.

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import Channel, Operation, QuantumMap, map_deviation, map_sum
-from .effects import BiObservable, Effect, Observable, State
+from .effects import BiObservable, Effect, Observable, State, _distinct_labels
 from .errors import InvariantViolation, OutcomeNotObserved
-from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh
+from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh, hermitian_part
 
 __all__ = [
     "Instrument",
@@ -35,11 +35,18 @@ __all__ = [
 ]
 
 
-def _check_uniform_dims(ops: Sequence[QuantumMap], kind: str) -> tuple[int, int]:
+def _check_operation_family(kind: str, ops: Sequence[QuantumMap], atol: float) -> None:
+    """The one validator of operation families: uniform dimensions and a
+    total map that is a channel."""
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    return next(iter(dims))
+    try:
+        trace_preserving = map_sum(ops, atol).is_trace_preserving(atol)
+    except InvariantViolation as exc:
+        raise InvariantViolation(kind, "total channel", str(exc)) from None
+    if not trace_preserving:
+        raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,19 +58,11 @@ class Instrument:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        outcomes = tuple(str(x) for x in self.outcomes)
+        outcomes = _distinct_labels(self.outcomes, "Instrument")
         ops = tuple(self.ops)
-        if not outcomes or len(set(outcomes)) != len(outcomes):
-            raise InvariantViolation("Instrument", "distinct outcome labels")
         if len(ops) != len(outcomes):
             raise InvariantViolation("Instrument", "one operation per outcome")
-        _check_uniform_dims(ops, "Instrument")
-        try:
-            trace_preserving = map_sum(ops, atol).is_trace_preserving(atol)
-        except InvariantViolation as exc:
-            raise InvariantViolation("Instrument", "total channel", str(exc)) from None
-        if not trace_preserving:
-            raise InvariantViolation("Instrument", "total channel", "operations must sum to a channel")
+        _check_operation_family("Instrument", ops, atol)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "ops", ops)
 
@@ -100,7 +99,9 @@ class Instrument:
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
-        return Observable(self.outcomes, tuple(op.measured_effect(atol) for op in self.ops), atol)
+        eye = np.eye(self.dim_out)
+        duals = hermitian_part(np.stack([op.dual_matrix(eye) for op in self.ops]))
+        return Observable(self.outcomes, duals, atol)
 
     def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
         return float(np.trace(self.op(label).apply(rho)).real)
@@ -131,21 +132,12 @@ class BiInstrument:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        o1 = tuple(str(x) for x in self.outcomes1)
-        o2 = tuple(str(y) for y in self.outcomes2)
-        if not o1 or len(set(o1)) != len(o1) or not o2 or len(set(o2)) != len(o2):
-            raise InvariantViolation("BiInstrument", "distinct outcome labels")
+        o1 = _distinct_labels(self.outcomes1, "BiInstrument")
+        o2 = _distinct_labels(self.outcomes2, "BiInstrument")
         rows = tuple(tuple(row) for row in self.ops)
         if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
             raise InvariantViolation("BiInstrument", "grid shape")
-        flat = [op for row in rows for op in row]
-        _check_uniform_dims(flat, "BiInstrument")
-        try:
-            trace_preserving = map_sum(flat, atol).is_trace_preserving(atol)
-        except InvariantViolation as exc:
-            raise InvariantViolation("BiInstrument", "total channel", str(exc)) from None
-        if not trace_preserving:
-            raise InvariantViolation("BiInstrument", "total channel")
+        _check_operation_family("BiInstrument", [op for row in rows for op in row], atol)
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "ops", rows)
@@ -169,17 +161,16 @@ class BiInstrument:
     def total(self) -> QuantumMap:
         return map_sum([op for row in self.ops for op in row])
 
+    def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
+        return Instrument(outcomes, tuple(map_sum(group, atol) for group in groups), atol)
+
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the second outcome index."""
-        return Instrument(self.outcomes1, tuple(map_sum(row, atol) for row in self.ops), atol)
+        return self._marginal(self.outcomes1, self.ops, atol)
 
     def marginal2(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the first outcome index."""
-        cols = tuple(
-            map_sum([self.ops[i][j] for i in range(len(self.outcomes1))], atol)
-            for j in range(len(self.outcomes2))
-        )
-        return Instrument(self.outcomes2, cols, atol)
+        return self._marginal(self.outcomes2, zip(*self.ops), atol)
 
 
 def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATOL) -> BiObservable:
@@ -191,9 +182,7 @@ def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATO
     """
     if obs.dim != ins.dim_out:
         raise ValueError(f"dimension mismatch: observable {obs.dim} vs instrument output {ins.dim_out}")
-    grid = tuple(
-        tuple(op.dual_apply(e, atol) for e in obs.effects) for op in ins.ops
-    )
+    grid = np.stack([op._dual_images(obs.effect_stack) for op in ins.ops])
     return BiObservable(ins.outcomes, obs.outcomes, grid, atol)
 
 
@@ -337,15 +326,15 @@ def instrument_deviation(a: Instrument, b: Instrument) -> float:
     """Largest map deviation between two instruments on equal outcomes."""
     if a.outcomes != b.outcomes:
         raise ValueError("instruments must share the same ordered outcome labels")
-    return max(map_deviation(x, y) for x, y in zip(a.ops, b.ops))
+    return float(np.max([map_deviation(x, y) for x, y in zip(a.ops, b.ops)]))
 
 
 def bi_instrument_deviation(a: BiInstrument, b: BiInstrument) -> float:
     """Largest map deviation between two bi-instruments on equal grids."""
     if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
         raise ValueError("bi-instruments must share the same ordered outcome labels")
-    return max(
+    return float(np.max([
         map_deviation(x, y)
         for row_a, row_b in zip(a.ops, b.ops)
         for x, y in zip(row_a, row_b)
-    )
+    ]))

@@ -13,6 +13,7 @@ Conventions fixed here and inherited everywhere else:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Any
 
@@ -20,7 +21,32 @@ import numpy as np
 
 from .errors import InvariantViolation
 
+__all__ = [
+    "DEFAULT_ATOL",
+    "adjoint",
+    "as_complex_matrix",
+    "hermitian_part",
+    "hermitized_matrix_units",
+    "is_effect_matrix",
+    "is_hermitian",
+    "is_psd",
+    "kron",
+    "max_abs_diff",
+    "partial_trace_right",
+]
+
 DEFAULT_ATOL = 1e-9
+
+
+def require_tolerance(value: Any, what: str = "tolerance") -> float:
+    """``value`` as a float tolerance; ``ValueError`` unless finite and positive."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return tol
 
 
 def coerce_matrix(m: Any) -> np.ndarray:
@@ -83,10 +109,18 @@ def partial_trace_right(m: Any, dim_left: int, dim_right: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m.reshape(dim_left, dim_right, dim_left, dim_right))
 
 
+def _matrix_stack(m: Any) -> np.ndarray:
+    """Coerce to a complex array holding one matrix or a stack ``(..., r, c)``."""
+    arr = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    if arr.ndim < 2:
+        raise InvariantViolation("matrix", "two-dimensional", f"got ndim={arr.ndim}")
+    return arr
+
+
 def hermitian_part(m: Any) -> np.ndarray:
-    """The symmetrization ``(m + m†)/2``."""
-    m = coerce_matrix(m)
-    return (m + m.conj().T) / 2.0
+    """The symmetrization ``(m + m†)/2``, matrix-wise on a stack."""
+    m = _matrix_stack(m)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
@@ -115,12 +149,16 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
 
     For a Hermitian matrix the two positivity conditions reduce to the
     spectrum lying in ``[-atol, 1 + atol]``, which needs one
-    eigendecomposition.
+    eigendecomposition. On a stack ``(..., d, d)`` every matrix must pass,
+    and one batched eigendecomposition checks them all.
     """
-    m = coerce_matrix(m)
-    if not is_hermitian(m, atol):
+    m = _matrix_stack(m)
+    if m.shape[-1] != m.shape[-2]:
         return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    adj = m.conj().swapaxes(-1, -2)
+    if not float(np.max(np.abs(m - adj))) <= atol:  # also False on NaN
+        return False
+    evals = np.linalg.eigvalsh((m + adj) / 2.0)
     return float(evals.min()) >= -atol and float(evals.max()) <= 1.0 + atol
 
 

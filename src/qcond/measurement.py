@@ -55,11 +55,11 @@ class MeasurementModel:
         if self.probe.dim != self.dim_probe:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
-    def _readout(self, op: QuantumMap, probe_effect: Effect) -> LinearMap:
+    def _readout(self, op: QuantumMap, probe_effect: np.ndarray) -> LinearMap:
         # superoperator of m -> tr_probe[op(m) @ (I ⊗ P)]: with row-major
         # vectorization, right multiplication is I ⊗ liftedᵀ
         d = self.dim_base * self.dim_probe
-        lifted = kron(np.eye(self.dim_base), probe_effect.matrix)
+        lifted = kron(np.eye(self.dim_base), probe_effect)
         right_mult = np.kron(np.eye(d), lifted.T)
         s = _partial_trace_superop(self.dim_base, self.dim_probe) @ right_mult @ op.superoperator()
         return LinearMap(s, self.dim_base, self.dim_base)
@@ -69,7 +69,7 @@ class MeasurementModel:
         the probe. Entry ``(x, y)`` maps ``rho`` to
         ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
         grid = tuple(
-            tuple(self._readout(op, p) for p in self.probe.effects)
+            tuple(self._readout(op, p) for p in self.probe.effect_stack)
             for op in self.interaction.ops
         )
         return BiInstrument(self.interaction.outcomes, self.probe.outcomes, grid, atol)
@@ -78,13 +78,13 @@ class MeasurementModel:
         """The probe-indexed instrument the model realizes on the base space
         (the second marginal of the measured bi-instrument)."""
         total = self.interaction.total()
-        ops = tuple(self._readout(total, p) for p in self.probe.effects)
+        ops = tuple(self._readout(total, p) for p in self.probe.effect_stack)
         return Instrument(self.probe.outcomes, ops, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The interaction reduced to the base space (first marginal);
         independent of the probe observable."""
-        eye = Effect.identity(self.dim_probe)
+        eye = np.eye(self.dim_probe)
         ops = tuple(self._readout(op, eye) for op in self.interaction.ops)
         return Instrument(self.interaction.outcomes, ops, atol)
 
@@ -92,10 +92,8 @@ class MeasurementModel:
         """Joint observable of interaction outcome and probe outcome: entry
         ``(x, y)`` is the dual of the ``x``-operation at ``I ⊗ P_y``."""
         eye = np.eye(self.dim_base)
-        grid = tuple(
-            tuple(op.dual_apply(kron(eye, p.matrix), atol) for p in self.probe.effects)
-            for op in self.interaction.ops
-        )
+        lifted = np.stack([kron(eye, p) for p in self.probe.effect_stack])
+        grid = np.stack([op._dual_images(lifted) for op in self.interaction.ops])
         return BiObservable(self.interaction.outcomes, self.probe.outcomes, grid, atol)
 
     def measured_pointer_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
@@ -230,11 +228,8 @@ class KrausSeparableChannel:
         """Closed form of the model's measured observable:
         ``sum_i tr(rho_i P_y) K_i†K_i`` per probe outcome."""
         w = self.outcome_weights(probe)
-        grams = [k.conj().T @ k for k in self.factors]
-        effects = tuple(
-            sum(w[i, y] * grams[i] for i in range(len(grams))) for y in range(probe.n_outcomes)
-        )
-        return Observable(probe.outcomes, effects, atol)
+        grams = np.stack([k.conj().T @ k for k in self.factors])
+        return Observable(probe.outcomes, np.tensordot(w, grams, axes=(0, 0)), atol)
 
     def base_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable ``{K_i†K_i}``; the pointer observable is a
@@ -336,12 +331,13 @@ def holevo_model_quantities(
     if probe.dim != spec.dim_probe:
         raise ValueError("probe observable dimension mismatch")
     a_obs = spec.observable
+    a = a_obs.effect_stack
     w = np.array(
         [[_real_overlap(g.matrix, p.matrix) for p in probe.effects] for g in spec.probe_states]
     )
     grid = tuple(
         tuple(
-            holevo_operation(w[x, y] * a_obs.effects[x].matrix, spec.base_states[x], atol)
+            holevo_operation(w[x, y] * a[x], spec.base_states[x], atol)
             for y in range(probe.n_outcomes)
         )
         for x in range(a_obs.n_outcomes)
@@ -349,23 +345,8 @@ def holevo_model_quantities(
     bi_ins = BiInstrument(a_obs.outcomes, probe.outcomes, grid, atol)
     pointer_ins = bi_ins.marginal2(atol)
     reduced = holevo_instrument(HolevoSpec(a_obs, spec.base_states, atol), atol)
-    bi_obs = BiObservable(
-        a_obs.outcomes,
-        probe.outcomes,
-        tuple(
-            tuple(Effect(w[x, y] * a_obs.effects[x].matrix, atol) for y in range(probe.n_outcomes))
-            for x in range(a_obs.n_outcomes)
-        ),
-        atol,
-    )
-    pointer_obs = Observable(
-        probe.outcomes,
-        tuple(
-            sum(w[x, y] * a_obs.effects[x].matrix for x in range(a_obs.n_outcomes))
-            for y in range(probe.n_outcomes)
-        ),
-        atol,
-    )
+    bi_obs = BiObservable(a_obs.outcomes, probe.outcomes, w[:, :, None, None] * a[:, None], atol)
+    pointer_obs = Observable(probe.outcomes, np.tensordot(w, a, axes=(0, 0)), atol)
     return HolevoModelQuantities(
         spec=spec,
         probe=probe,

@@ -25,7 +25,7 @@ from .channels import Channel, Operation
 from .effects import Effect, Observable, State
 from .errors import InvariantViolation, ScenarioError
 from .instruments import Instrument
-from .linalg import DEFAULT_ATOL
+from .linalg import DEFAULT_ATOL, require_tolerance
 from .measurement import MeasurementModel
 
 __all__ = [
@@ -125,13 +125,16 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioError("scenario file must hold a JSON object")
 
-    tol = atol if atol is not None else payload.get("tolerance", DEFAULT_ATOL)
-    tol = float(tol)
-    if tol <= 0:
-        raise ScenarioError(f"tolerance must be positive, got {tol}")
+    try:
+        tol = require_tolerance(atol if atol is not None else payload.get("tolerance", DEFAULT_ATOL))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     seed = payload.get("seed")
     if seed is not None:
-        seed = int(seed)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(f"seed must be an integer, got {seed!r}") from None
 
     objects = payload.get("objects", {})
     if not isinstance(objects, dict):
@@ -179,7 +182,7 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
                 scn.instruments[ins_name],
                 scn.observables[probe_name],
             )
-        except (InvariantViolation, ValueError, TypeError) as exc:
+        except (InvariantViolation, ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(str(exc), obj=name) from None
     return scn
 
@@ -199,7 +202,7 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
         objects[name] = {
             "type": "observable",
             "outcomes": list(obs.outcomes),
-            "effects": [matrix_to_json(e.matrix) for e in obs.effects],
+            "effects": [matrix_to_json(e) for e in obs.effect_stack],
         }
     for name, op in scn.operations.items():
         objects[name] = {

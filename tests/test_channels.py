@@ -7,6 +7,7 @@ from qcond.channels import (
     Channel,
     LinearMap,
     Operation,
+    QuantumMap,
     complete_subnormalized,
     condition_effect,
     condition_observable,
@@ -276,3 +277,26 @@ def test_map_sum_promotes_mixed_representations():
 def test_map_deviation_dimension_mismatch():
     with pytest.raises(ValueError):
         map_deviation(Channel.identity(2), Channel.identity(3))
+
+
+def test_map_deviation_propagates_nan():
+    class NaNMap(QuantumMap):
+        dim_in = dim_out = 2
+
+        def superoperator(self):
+            return np.full((4, 4), np.nan)
+
+    assert np.isnan(map_deviation(NaNMap(), Channel.identity(2)))
+
+
+def test_conditioning_works_for_kraus_and_tabulated_maps_alike():
+    rng = np.random.default_rng(60)
+    ch = random_channel(2, 3, 2, rng)
+    obs = random_observable(3, 3, rng)
+    kraus = condition_observable(ch, obs)
+    tabulated = condition_observable(LinearMap.of(ch), obs)
+    assert observable_deviation(kraus, tabulated) < 1e-12
+    for label, e in zip(obs.outcomes, obs.effects):
+        np.testing.assert_allclose(kraus.effect(label).matrix, ch.dual_apply(e).matrix, atol=1e-13)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        condition_observable(ch, random_observable(2, 2, rng))

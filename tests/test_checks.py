@@ -1,10 +1,12 @@
 """Tests for the identity registry and the batch check runner."""
 
 import json
+import math
 
 import pytest
 
-from qcond.checks import REGISTRY, registered_identities, resolve_suite, run_checks
+from qcond.checks import IdentityCheck, REGISTRY, registered_identities, resolve_suite, run_checks
+from qcond.cli import main
 
 EXPECTED_IDENTITIES = {
     "postprocess-part-compose",
@@ -86,3 +88,27 @@ def test_table_report_mentions_every_identity():
     for name in REGISTRY:
         assert name in table
     assert "all passed" in table
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, "abc"])
+def test_run_checks_rejects_nonfinite_or_nonpositive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_checks("dual-map", trials=1, dims=[2], seed=0, tol=tol)
+
+
+def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
+    calls = []
+
+    def finite_then_nan(rng, dim, atol):
+        calls.append(dim)
+        return 0.0 if len(calls) == 1 else math.nan
+
+    check = IdentityCheck("nan-identity", "returns NaN after a finite instance", finite_then_nan)
+    monkeypatch.setitem(REGISTRY, check.name, check)
+    report = run_checks(check.name, trials=3, dims=[2], seed=0)
+    (result,) = report.results
+    assert result.max_deviation == math.inf
+    assert not result.passed and not report.passed
+    argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
+    assert main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out

@@ -140,3 +140,35 @@ def test_env_tolerance_rejects_garbage(monkeypatch):
     monkeypatch.setenv("QCOND_TOL", "banana")
     with pytest.raises(SystemExit):
         main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--seed", "0"])
+
+
+BAD_TOLERANCES = ["inf", "nan", "0", "abc"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_tol_flag_must_be_finite_and_positive(tol):
+    with pytest.raises(SystemExit):
+        main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--tol", tol])
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_env_tolerance_must_be_finite_and_positive(tol, monkeypatch, scenario_file):
+    monkeypatch.setenv("QCOND_TOL", tol)
+    with pytest.raises(SystemExit, match="QCOND_TOL"):
+        main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2"])
+    with pytest.raises(SystemExit, match="QCOND_TOL"):
+        main(["validate", str(scenario_file)])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tolerance", float("inf")),
+    ("tolerance", float("nan")),
+    ("tolerance", 0),
+    ("tolerance", "abc"),
+    ("seed", "abc"),
+])
+def test_validate_exits_1_on_bad_metadata(field, value, tmp_path, capsys):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({field: value, "objects": {}}))
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err

@@ -357,3 +357,131 @@ def test_post_process_of_post_process_composes():
         lhs = post_process(post_process(obs, lam), mu)
         rhs = post_process(obs, lam.then(mu))
         assert observable_deviation(lhs, rhs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked family representation and its one validator
+# ---------------------------------------------------------------------------
+
+def _as_observable(labels, effects):
+    return Observable(labels, effects)
+
+
+def _as_bi_observable(labels, effects):
+    # the whole family as the one row of a grid
+    return BiObservable(("r",), labels, (tuple(effects),))
+
+
+NAN_PROJ0 = np.array([[1.0, np.nan], [0.0, 0.0]])
+SKEW = np.array([[0.0, 0.5], [0.0, 0.0]])
+
+REJECTIONS = [
+    ("nan entry", ("a", "b"), (NAN_PROJ0, PROJ1), "finite entries"),
+    ("1-D input", ("a", "b"), (np.array([1.0, 0.0]), np.array([0.0, 1.0])), "two-dimensional"),
+    ("non-square", ("a", "b"), (np.ones((2, 3)) / 2, np.ones((2, 3)) / 2), "square"),
+    ("mixed dimensions", ("a", "b"), (np.eye(2), np.zeros((3, 3))), "uniform dimension"),
+    ("non-Hermitian", ("a", "b"), (PROJ0 + SKEW, PROJ1 - SKEW), "between zero and identity"),
+    (
+        "eigenvalue below 0",
+        ("a", "b", "c"),
+        (np.diag([-0.2, 0.3]), np.diag([0.6, 0.3]), np.diag([0.6, 0.4])),
+        "between zero and identity",
+    ),
+    (
+        "eigenvalue above 1",
+        ("a", "b"),
+        (np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])),
+        "between zero and identity",
+    ),
+    ("sum is not I", ("a", "b"), (PROJ0, 0.99 * PROJ1), "normalization"),
+    ("duplicate labels", ("a", "a"), (PROJ0, PROJ1), "distinct"),
+    ("empty labels", (), (), "nonempty"),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [_as_observable, _as_bi_observable], ids=["Observable", "BiObservable"]
+)
+@pytest.mark.parametrize("case", REJECTIONS, ids=[r[0] for r in REJECTIONS])
+def test_family_constructors_reject(build, case):
+    _, labels, effects, invariant = case
+    with pytest.raises(InvariantViolation, match=invariant) as err:
+        build(labels, effects)
+    assert err.value.kind == build(("a", "b"), (PROJ0, PROJ1)).__class__.__name__
+
+
+STACKABLE = [r for r in REJECTIONS if r[0] not in ("mixed dimensions", "empty labels")]
+
+
+@pytest.mark.parametrize("case", STACKABLE, ids=[r[0] for r in STACKABLE])
+def test_family_constructors_reject_stacked_arrays(case):
+    _, labels, effects, invariant = case
+    stack = np.stack(effects)
+    with pytest.raises(InvariantViolation, match=invariant):
+        Observable(labels, stack)
+    with pytest.raises(InvariantViolation, match=invariant):
+        BiObservable(("r",), labels, stack[None])
+
+
+def test_family_constructors_reject_a_wrong_outcome_count():
+    with pytest.raises(InvariantViolation, match="one effect per outcome"):
+        Observable(("a", "b", "c"), (PROJ0, PROJ1))
+    with pytest.raises(InvariantViolation, match="one effect per outcome"):
+        Observable(("a", "b", "c"), np.stack([PROJ0, PROJ1]))
+    with pytest.raises(InvariantViolation, match="grid shape"):
+        BiObservable(("r", "s"), ("a", "b"), ((PROJ0, PROJ1),))
+    with pytest.raises(InvariantViolation, match="grid shape"):
+        BiObservable(("r",), ("a", "b"), ((PROJ0,),))
+
+
+def test_effects_are_read_only_views_of_the_stack():
+    obs = random_observable(3, 4, 40)
+    stack = obs.effect_stack
+    assert stack.shape == (4, 3, 3) and not stack.flags.writeable
+    for i, e in enumerate(obs.effects):
+        assert isinstance(e, Effect)
+        assert np.shares_memory(e.matrix, stack[i])
+        np.testing.assert_array_equal(e.matrix, stack[i])
+        with pytest.raises(ValueError):
+            e.matrix[0, 0] = 0.5
+    assert obs.effect("x2") is obs.effects[2]
+    halves = np.stack([stack[:2], stack[2:]], axis=1)
+    grid = BiObservable(obs.outcomes[:2], ("y0", "y1"), halves)
+    assert grid.effect_stack.shape == (2, 2, 3, 3) and not grid.effect_stack.flags.writeable
+    assert np.shares_memory(grid.effect("x1", "y0").matrix, grid.effect_stack[1, 0])
+
+
+def test_effect_objects_raw_matrices_and_arrays_give_equal_stacks():
+    obs = random_observable(2, 3, 41)
+    raw = [np.array(e.matrix) for e in obs.effects]
+    from_raw = Observable(obs.outcomes, raw)
+    from_effects = Observable(obs.outcomes, tuple(Effect(m) for m in raw))
+    stacked = np.stack(raw)
+    from_array = Observable(obs.outcomes, stacked)
+    np.testing.assert_array_equal(from_raw.effect_stack, from_effects.effect_stack)
+    np.testing.assert_array_equal(from_raw.effect_stack, from_array.effect_stack)
+    stacked[0] = 0.0  # the observable owns its copy
+    np.testing.assert_array_equal(from_array.effect_stack[0], raw[0])
+
+
+def test_family_validation_is_one_batched_eigendecomposition(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+    obs = Observable(("a", "b", "c"), (PROJ0 / 2, PROJ1, PROJ0 / 2))
+    obs.effects, obs.effect("b"), obs.effect_stack
+    assert shapes == [(3, 2, 2)]
+
+
+def test_stochastic_matrix_rejects_nan():
+    with pytest.raises(InvariantViolation, match="finite entries"):
+        StochasticMatrix(("a", "b"), ("y",), np.array([[np.nan], [1.0]]))
+
+
+def test_affine_combination_rejects_nonfinite_weights():
+    rng = np.random.default_rng(42)
+    a = random_observable(2, 2, rng)
+    b = random_observable(2, 2, rng)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvariantViolation, match="finite entries"):
+            affine_combination([a, b], [bad, 1.0])

@@ -371,3 +371,16 @@ def test_bi_instrument_validation():
     BiInstrument(("x0",), ("y0", "y1"), ((half, half),))
     with pytest.raises(InvariantViolation, match="total channel"):
         BiInstrument(("x0",), ("y0", "y1"), ((half, half.scaled(0.5)),))
+
+
+def test_deviation_helpers_propagate_nan(monkeypatch):
+    import qcond.instruments as instruments
+
+    ins = random_instrument(2, 2, 3, 50)
+    grid = given_instrument(ins, ins)
+    assert instrument_deviation(ins, ins) == 0.0
+    devs = iter([0.0, float("nan")] + [0.0] * 20)
+    monkeypatch.setattr(instruments, "map_deviation", lambda p, q: next(devs))
+    assert np.isnan(instrument_deviation(ins, ins))
+    devs = iter([0.0, 0.5, float("nan")] + [0.0] * 20)
+    assert np.isnan(bi_instrument_deviation(grid, grid))

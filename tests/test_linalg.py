@@ -14,6 +14,7 @@ from qcond.linalg import (
     kron,
     max_abs_diff,
     partial_trace_right,
+    require_tolerance,
 )
 
 
@@ -166,3 +167,19 @@ def test_as_complex_matrix_rejects_bad_input():
 def test_max_abs_diff():
     assert max_abs_diff(np.eye(2), np.eye(2)) == 0.0
     assert max_abs_diff(np.eye(2), np.zeros((2, 2))) == 1.0
+
+
+def test_require_tolerance():
+    assert require_tolerance(1e-9) == 1e-9
+    assert require_tolerance("1e-3") == 1e-3
+    for bad in (float("inf"), float("-inf"), float("nan"), 0, -1e-9, "abc", None):
+        with pytest.raises(ValueError, match="tolerance"):
+            require_tolerance(bad)
+
+
+def test_is_effect_matrix_on_a_stack():
+    good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    assert is_effect_matrix(good)
+    assert not is_effect_matrix(np.stack([np.eye(2) / 2, 2.0 * np.eye(2)]))
+    assert not is_effect_matrix(np.stack([np.eye(2) / 2, [[0.5, 0.5], [0.0, 0.5]]]))
+    assert not is_effect_matrix(np.full((2, 2), np.nan))

@@ -135,3 +135,33 @@ def test_tolerance_override_allows_coarse_objects(tmp_path):
         load_scenario(path)
     scn = load_scenario(path, atol=1e-3)
     assert "povm" in scn.observables
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0, "abc"])
+def test_load_rejects_nonfinite_or_nonnumeric_tolerance(tmp_path, tol):
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps({"tolerance": tol, "objects": {}}))
+    with pytest.raises(ScenarioError, match="tolerance"):
+        load_scenario(path)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"objects": {}}))
+    with pytest.raises(ScenarioError, match="tolerance"):
+        load_scenario(good, atol=tol)
+
+
+@pytest.mark.parametrize("seed", ["abc", [1], float("inf")])
+def test_load_rejects_nonnumeric_seed(tmp_path, seed):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"seed": seed, "objects": {}}))
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(path)
+
+
+def test_load_rejects_infinite_model_dimension(tmp_path):
+    path = tmp_path / "model.json"
+    save_scenario(build_scenario(), path)
+    payload = json.loads(path.read_text())
+    payload["objects"]["meter"]["dim_base"] = float("inf")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioError, match="meter"):
+        load_scenario(path)
