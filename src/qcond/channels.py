@@ -159,10 +159,14 @@ class Operation(QuantumMap):
 
     def superoperator(self) -> np.ndarray:
         if self._superop is None:
-            s = np.einsum("kab,kcd->acbd", self._stack, self._stack.conj())
-            self._superop = frozen_copy(
-                s.reshape(self.dim_out * self.dim_out, self.dim_in * self.dim_in)
-            )
+            # S[(a, c), (b, d)] = sum_k K_k[a, b] conj(K_k[c, d]): one product
+            # of the flattened stack, then one contiguous (a, c, b, d) copy.
+            d_out, d_in = self.dim_out, self.dim_in
+            flat = self._stack.reshape(-1, d_out * d_in)
+            s = (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in)
+            s = np.ascontiguousarray(s.transpose(0, 2, 1, 3)).reshape(d_out * d_out, d_in * d_in)
+            s.setflags(write=False)
+            self._superop = s
         return self._superop
 
     def scaled(self, factor: float, atol: float = DEFAULT_ATOL) -> "Operation":

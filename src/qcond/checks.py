@@ -36,7 +36,6 @@ from .effects import (
     part,
     post_process,
 )
-from .errors import InvariantViolation
 from .instruments import (
     bi_instrument_deviation,
     given_distribution,
@@ -544,9 +543,10 @@ def run_checks(
     Instances are seeded independently from ``(seed, identity, dim, trial)``,
     so reports are deterministic and order-independent. Results are sorted by
     identity name. ``trials=0`` yields an empty (vacuously passing) report.
-    An instance that violates a construction invariant or yields a
-    non-finite deviation counts as failed, with deviation ``inf``; ``tol``
-    must be finite and positive.
+    An instance that raises any ``Exception`` (a violated construction
+    invariant included) or yields a non-finite deviation counts as failed,
+    with deviation ``inf``, and the run continues; ``tol`` must be finite
+    and positive.
     """
     tol = require_tolerance(tol)
     names = resolve_suite(suite)
@@ -566,8 +566,10 @@ def run_checks(
                     rng = np.random.default_rng([seed, key, dim, trial])
                     try:
                         dev = float(check.runner(rng, dim, tol))
-                    except InvariantViolation:
-                        # a violated construction invariant is a failed identity
+                    except Exception:
+                        # an instance that raises (a violated construction
+                        # invariant, an unobserved outcome, a failed
+                        # factorization) fails; the rest of the run goes on
                         dev = math.inf
                     max_dev = max(max_dev, dev if math.isfinite(dev) else math.inf)
                     count += 1

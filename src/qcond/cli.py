@@ -40,7 +40,7 @@ def _tolerance_or_exit(value: object, what: str) -> float:
         raise SystemExit(str(exc)) from None
 
 
-def _resolve_tol(arg: float | None, fallback: float | None = None) -> float | None:
+def _resolve_tol(arg: str | None, fallback: float | None = None) -> float | None:
     """Explicit ``--tol`` wins, then ``QCOND_TOL``, then the fallback; each
     must be finite and positive."""
     if arg is not None:
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="validate a scenario file")
     p_validate.add_argument("file", help="path to a JSON scenario file")
-    p_validate.add_argument("--tol", type=float, default=None, help="override the tolerance")
+    p_validate.add_argument("--tol", default=None, help="override the tolerance")
     p_validate.set_defaults(func=_cmd_validate)
 
     p_check = sub.add_parser("check", help="run registered identity checks")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=100, help="random instances per dimension")
     p_check.add_argument("--dims", default="2..3", help="dimension range 'A..B' or a single integer")
     p_check.add_argument("--seed", type=int, default=0, help="master seed")
-    p_check.add_argument("--tol", type=float, default=None, help="pass tolerance (default 1e-9)")
+    p_check.add_argument("--tol", default=None, help="pass tolerance (default 1e-9)")
     p_check.add_argument("--format", choices=("table", "json"), default="table")
     p_check.add_argument("--out", default=None, help="also write the JSON report to this path")
     p_check.set_defaults(func=_cmd_check)
@@ -213,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--scenario", required=True)
     p_dist.add_argument("--observable", required=True)
     p_dist.add_argument("--state", required=True)
-    p_dist.add_argument("--tol", type=float, default=None)
+    p_dist.add_argument("--tol", default=None)
     p_dist.add_argument("--format", choices=("table", "json"), default="table")
     p_dist.set_defaults(func=_cmd_distribution)
 
     p_meas = sub.add_parser("measure", help="summarize what a measurement model measures")
     p_meas.add_argument("--scenario", required=True)
     p_meas.add_argument("--model", required=True)
-    p_meas.add_argument("--tol", type=float, default=None)
+    p_meas.add_argument("--tol", default=None)
     p_meas.add_argument("--format", choices=("table", "json"), default="table")
     p_meas.set_defaults(func=_cmd_measure)
     return parser

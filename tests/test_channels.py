@@ -252,14 +252,20 @@ def test_complete_subnormalized_rejects_oversized_family():
         complete_subnormalized(ch, [np.eye(2) / 2, np.eye(2) * 0.75])
 
 
-def test_linear_map_matches_operation():
+@pytest.mark.parametrize("dim_in,dim_out,n_kraus", [(2, 3, 2), (3, 2, 1), (1, 3, 2), (4, 8, 3)])
+def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
     rng = np.random.default_rng(19)
-    op = random_channel(2, 3, 2, rng)
+    # the first n_kraus operators of a channel form an operation of any shape
+    ch = random_channel(dim_in, dim_out, n_kraus + dim_in, rng)
+    op = Operation(ch.kraus[:n_kraus])
+    s = op.superoperator()
+    assert not s.flags.writeable
+    tabulated = LinearMap.from_action(op.apply_matrix, dim_in, dim_out)
+    assert max_abs_diff(s, tabulated.superoperator()) < 1e-14
     lm = LinearMap.of(op)
     assert map_deviation(lm, op) < 1e-14
-    tabulated = LinearMap.from_action(op.apply_matrix, 2, 3)
     assert map_deviation(tabulated, op) < 1e-14
-    a = random_effect(3, rng)
+    a = random_effect(dim_out, rng)
     np.testing.assert_allclose(lm.dual_matrix(a.matrix), op.dual_matrix(a.matrix), atol=1e-13)
 
 

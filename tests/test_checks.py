@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qcond.checks import IdentityCheck, REGISTRY, registered_identities, resolve_suite, run_checks
 from qcond.cli import main
+from qcond.errors import OutcomeNotObserved
 
 EXPECTED_IDENTITIES = {
     "postprocess-part-compose",
@@ -109,6 +111,34 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
     (result,) = report.results
     assert result.max_deviation == math.inf
     assert not result.passed and not report.passed
+    argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
+    assert main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc", [
+    OutcomeNotObserved("outcome 'y' has probability 0"),
+    np.linalg.LinAlgError("eigenvalues did not converge"),
+    RuntimeError("generator gave up"),
+])
+def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys):
+    calls = []
+
+    def raise_once(rng, dim, atol):
+        calls.append(dim)
+        if len(calls) == 2:
+            raise exc
+        return 0.0
+
+    check = IdentityCheck("raising-identity", "raises on its second instance", raise_once)
+    monkeypatch.setitem(REGISTRY, check.name, check)
+    report = run_checks([check.name, "dual-map"], trials=3, dims=[2], seed=0)
+    assert len(calls) == 3
+    results = {r.name: r for r in report.results}
+    assert results[check.name].max_deviation == math.inf
+    assert not results[check.name].passed and not report.passed
+    assert results["dual-map"].passed
+    calls.clear()
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().out

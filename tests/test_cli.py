@@ -147,7 +147,9 @@ BAD_TOLERANCES = ["inf", "nan", "0", "abc"]
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_tol_flag_must_be_finite_and_positive(tol):
-    with pytest.raises(SystemExit):
+    # one rule for every bad value, unparsable ones included: exit with a
+    # message naming the flag
+    with pytest.raises(SystemExit, match="--tol"):
         main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--tol", tol])
 
 

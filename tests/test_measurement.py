@@ -1,5 +1,7 @@
 """Tests for measurement models and the separable fast paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from qcond.effects import (
     post_process,
 )
 from qcond.errors import InvariantViolation
-from qcond.instruments import bi_instrument_deviation, instrument_deviation
+from qcond.instruments import Instrument, bi_instrument_deviation, instrument_deviation
 from qcond.linalg import kron, partial_trace_right
 from qcond.measurement import (
     HolevoSeparableSpec,
@@ -56,23 +58,55 @@ def test_bi_instrument_trivial_probe_reduces():
         assert map_deviation(bi.op(x, "y"), reduced.op(x)) < 1e-12
 
 
-def test_bi_instrument_against_partial_trace_oracle():
+@pytest.mark.parametrize("dim_base,dim_probe", [(2, 2), (2, 3), (3, 2)])
+def test_bi_instrument_against_partial_trace_oracle(dim_base, dim_probe):
+    # unequal factors catch a readout that swaps the base and probe axes
     rng = np.random.default_rng(5)
-    model = random_model(2, 2, 2, 2, rng)
+    model = random_model(dim_base, dim_probe, 2, 2, rng)
     bi = model.measured_bi_instrument()
     for _ in range(5):
-        rho = random_state(2, rng)
+        rho = random_state(dim_base, rng)
         for x in model.interaction.outcomes:
             sigma = model.interaction.op(x).apply(rho)
             for y in model.probe.outcomes:
-                lifted = kron(np.eye(2), model.probe.effect(y).matrix)
+                lifted = kron(np.eye(dim_base), model.probe.effect(y).matrix)
                 prod = sigma @ lifted
-                oracle = np.zeros((2, 2), dtype=complex)
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            oracle[i, j] += prod[i * 2 + k, j * 2 + k]
+                oracle = np.zeros((dim_base, dim_base), dtype=complex)
+                for i in range(dim_base):
+                    for j in range(dim_base):
+                        for k in range(dim_probe):
+                            oracle[i, j] += prod[i * dim_probe + k, j * dim_probe + k]
                 np.testing.assert_allclose(bi.op(x, y).apply(rho), oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim_base,dim_probe", [(2, 2), (2, 3), (3, 2)])
+def test_readout_of_tabulated_interaction_matches_kraus_form(dim_base, dim_probe):
+    rng = np.random.default_rng(51)
+    model = random_model(dim_base, dim_probe, 2, 3, rng)
+    ins = model.interaction
+    tabulated_ins = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
+    tabulated = MeasurementModel(dim_base, dim_probe, tabulated_ins, model.probe)
+    assert all(isinstance(op, LinearMap) for op in tabulated.interaction.ops)
+    bi = bi_instrument_deviation(tabulated.measured_bi_instrument(), model.measured_bi_instrument())
+    assert bi < 1e-12
+    assert instrument_deviation(tabulated.measured_instrument(), model.measured_instrument()) < 1e-12
+    assert instrument_deviation(tabulated.reduced_instrument(), model.reduced_instrument()) < 1e-12
+
+
+def test_readout_memory_stays_near_one_superoperator():
+    # The superoperator of the total map at dim_base 16, dim_probe 2 is
+    # (32²×16²) complex = 4 MiB; the readout may not build a d²×d²
+    # intermediate on top of it.
+    rng = np.random.default_rng(52)
+    random_model(16, 2, 2, 2, rng).measured_instrument()
+    model = random_model(16, 2, 2, 2, rng)
+    tracemalloc.start()
+    try:
+        model.measured_instrument()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_bi_instrument_first_marginal_is_reduced_instrument():
