@@ -14,6 +14,7 @@ of scope here.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,13 +88,16 @@ class QuantumMap:
         one ``dual_matrix`` call per matrix and no validation."""
         return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
 
+    def _dual_identity(self) -> np.ndarray:
+        """The dual image of the identity, unsymmetrized and unvalidated."""
+        return self.dual_matrix(np.eye(self.dim_out))
+
     def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
         """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
-        return self.dual_apply(np.eye(self.dim_out), atol)
+        return Effect(hermitian_part(self._dual_identity()), atol)
 
     def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
-        eye_out = np.eye(self.dim_out)
-        return max_abs_diff(self.dual_matrix(eye_out), np.eye(self.dim_in)) <= atol
+        return max_abs_diff(self._dual_identity(), np.eye(self.dim_in)) <= atol
 
     def then(self, other: "QuantumMap") -> "QuantumMap":
         """Sequential product: apply ``self`` first, then ``other``."""
@@ -129,15 +133,25 @@ class Operation(QuantumMap):
             stack = np.stack(mats)
         if stack.shape[0] == 0:
             raise InvariantViolation("Operation", "nonempty Kraus list")
-        if not np.all(np.isfinite(stack.real)) or not np.all(np.isfinite(stack.imag)):
+        if not np.isfinite(stack).all():
             raise InvariantViolation("Operation", "finite entries")
-        gram = np.tensordot(stack.conj(), stack, axes=([0, 1], [0, 1]))
-        if not is_psd(np.eye(stack.shape[2]) - gram, atol):
-            raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
+        n, d_out, d_in = stack.shape
+        conj = stack.conj()
         stack.setflags(write=False)
+        conj.setflags(write=False)
+        # Views of the one conjugate copy: the stacked adjoints K_k† and the
+        # flattened adjoint (d_in, n·d_out), so that sum_k K_k† x_k is one
+        # product with the flattened x.
+        self._adj = conj.transpose(0, 2, 1)
+        self._flat_h = conj.reshape(n * d_out, d_in).T
+        gram = self._flat_h @ stack.reshape(n * d_out, d_in)
+        if not is_psd(np.eye(d_in) - gram, atol):
+            raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
+        gram.setflags(write=False)
         self._stack = stack
-        self.dim_out, self.dim_in = stack.shape[1], stack.shape[2]
-        self._gram = frozen_copy(gram)
+        self._conj = conj
+        self.dim_out, self.dim_in = d_out, d_in
+        self._gram = gram
         self._superop: np.ndarray | None = None
 
     @property
@@ -150,12 +164,13 @@ class Operation(QuantumMap):
         return self._stack
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        tmp = self._stack @ m
-        return np.tensordot(tmp, self._stack.conj(), axes=([0, 2], [0, 2]))
+        return np.matmul(self._stack @ m, self._adj).sum(axis=0)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        tmp = m @ self._stack
-        return np.tensordot(self._stack.conj(), tmp, axes=([0, 1], [0, 1]))
+        return self._flat_h @ (m @ self._stack).reshape(-1, self.dim_in)
+
+    def _dual_identity(self) -> np.ndarray:
+        return self._gram
 
     def superoperator(self) -> np.ndarray:
         if self._superop is None:
@@ -163,7 +178,7 @@ class Operation(QuantumMap):
             # of the flattened stack, then one contiguous (a, c, b, d) copy.
             d_out, d_in = self.dim_out, self.dim_in
             flat = self._stack.reshape(-1, d_out * d_in)
-            s = (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in)
+            s = (flat.T @ self._conj.reshape(-1, d_out * d_in)).reshape(d_out, d_in, d_out, d_in)
             s = np.ascontiguousarray(s.transpose(0, 2, 1, 3)).reshape(d_out * d_out, d_in * d_in)
             s.setflags(write=False)
             self._superop = s
@@ -179,7 +194,7 @@ class Channel(Operation):
 
     def __init__(self, kraus: Sequence[np.ndarray], atol: float = DEFAULT_ATOL):
         super().__init__(kraus, atol)
-        if max_abs_diff(self._gram, np.eye(self.dim_in)) > atol:
+        if not self.is_trace_preserving(atol):
             raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
 
     @classmethod
@@ -235,7 +250,8 @@ class LinearMap(QuantumMap):
         return (self._matrix @ m.reshape(-1)).reshape(self.dim_out, self.dim_out)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        return (self._matrix.conj().T @ m.reshape(-1)).reshape(self.dim_in, self.dim_in)
+        # conj(conj(v) @ S) == S† v, without a conjugated copy of S.
+        return np.conj(m.reshape(-1).conj() @ self._matrix).reshape(self.dim_in, self.dim_in)
 
     def superoperator(self) -> np.ndarray:
         return self._matrix
@@ -265,8 +281,16 @@ def map_deviation(p: QuantumMap, q: QuantumMap) -> float:
     """
     if (p.dim_in, p.dim_out) != (q.dim_in, q.dim_out):
         raise ValueError("maps must share dimensions")
-    basis = np.stack([b.reshape(-1) for b in hermitized_matrix_units(p.dim_in)], axis=1)
+    basis = _basis_columns(p.dim_in)
     return float(np.max(np.abs((p.superoperator() - q.superoperator()) @ basis)))
+
+
+@lru_cache(maxsize=None)
+def _basis_columns(dim: int) -> np.ndarray:
+    """The Hermitian matrix-unit basis flattened into read-only columns."""
+    basis = np.stack([b.reshape(-1) for b in hermitized_matrix_units(dim)], axis=1)
+    basis.setflags(write=False)
+    return basis
 
 
 def sequential_product(first: QuantumMap, second: QuantumMap) -> QuantumMap:

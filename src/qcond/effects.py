@@ -24,6 +24,7 @@ from .linalg import (
     is_psd,
     max_abs_diff,
     require_square,
+    weighted_sum,
 )
 
 __all__ = [
@@ -409,7 +410,7 @@ def post_process(obs: Observable, kernel: StochasticMatrix, atol: float = DEFAUL
     """Classically randomize outcomes: ``B_y = sum_x w[x, y] A_x``."""
     if kernel.sources != obs.outcomes:
         raise ValueError("kernel rows must be indexed by the observable's outcomes")
-    return Observable(kernel.targets, np.tensordot(kernel.weights, obs.effect_stack, axes=(0, 0)), atol)
+    return Observable(kernel.targets, weighted_sum(kernel.weights, obs.effect_stack), atol)
 
 
 def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observable:
@@ -451,7 +452,7 @@ def affine_combination(
     if abs(float(w.sum()) - 1.0) > atol:
         raise InvariantViolation("affine combination", "weights sum to 1", f"sum {w.sum():.6g}")
     stacks = np.stack([obs.effect_stack for obs in observables])
-    return Observable(first.outcomes, np.tensordot(w, stacks, axes=(0, 0)), atol)
+    return Observable(first.outcomes, weighted_sum(w, stacks), atol)
 
 
 def certify_coexistence(

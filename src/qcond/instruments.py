@@ -17,7 +17,7 @@ import numpy as np
 from .channels import Channel, Operation, QuantumMap, map_deviation, map_sum
 from .effects import BiObservable, Effect, Observable, State, _distinct_labels
 from .errors import InvariantViolation, OutcomeNotObserved
-from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh, hermitian_part
+from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh, hermitian_part, is_psd, max_abs_diff
 
 __all__ = [
     "Instrument",
@@ -37,15 +37,18 @@ __all__ = [
 
 def _check_operation_family(kind: str, ops: Sequence[QuantumMap], atol: float) -> None:
     """The one validator of operation families: uniform dimensions and a
-    total map that is a channel."""
+    total map that is a channel.
+
+    The total's dual at the identity, ``sum_x op_x*(I)``, is summed from each
+    map's own (for Kraus operations, the Gram matrix cached at construction);
+    it must lie below ``I`` and equal it entrywise, within ``atol``.
+    """
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    try:
-        trace_preserving = map_sum(ops, atol).is_trace_preserving(atol)
-    except InvariantViolation as exc:
-        raise InvariantViolation(kind, "total channel", str(exc)) from None
-    if not trace_preserving:
+    total = sum(op._dual_identity() for op in ops)
+    eye = np.eye(ops[0].dim_in)
+    if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
         raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
 
 
@@ -99,8 +102,7 @@ class Instrument:
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
-        eye = np.eye(self.dim_out)
-        duals = hermitian_part(np.stack([op.dual_matrix(eye) for op in self.ops]))
+        duals = hermitian_part(np.stack([op._dual_identity() for op in self.ops]))
         return Observable(self.outcomes, duals, atol)
 
     def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
@@ -277,16 +279,14 @@ def holevo_operation(
     s = as_complex_matrix(state)
     evals, evecs = clipped_eigh(e, atol, "effect")
     pvals, pvecs = clipped_eigh(s, atol, "state")
-    kraus = [
-        np.sqrt(a * p) * np.outer(pvecs[:, k], evecs[:, j].conj())
-        for j, a in enumerate(evals)
-        if a > 0.0
-        for k, p in enumerate(pvals)
-        if p > 0.0
-    ]
-    if not kraus:
-        kraus = [np.zeros((s.shape[0], e.shape[0]), dtype=complex)]
-    return Operation(kraus, atol)
+    on_e, on_s = evals > 0.0, pvals > 0.0
+    if not (on_e.any() and on_s.any()):
+        return Operation(np.zeros((1, s.shape[0], e.shape[0]), dtype=complex), atol)
+    # Row (j, k) of the stack is sqrt(a_j p_k) |v_k><u_j|.
+    weights = np.sqrt(evals[on_e][:, None] * pvals[on_s][None, :])
+    outers = np.einsum("rk,cj->jkrc", pvecs[:, on_s], evecs[:, on_e].conj())
+    stack = weights[:, :, None, None] * outers
+    return Operation(stack.reshape(-1, s.shape[0], e.shape[0]), atol)
 
 
 def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrument:

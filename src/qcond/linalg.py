@@ -89,8 +89,25 @@ def adjoint(m: Any) -> np.ndarray:
 
 
 def kron(a: Any, b: Any) -> np.ndarray:
-    """Kronecker product, left factor major (row-major block convention)."""
-    return np.kron(coerce_matrix(a), coerce_matrix(b))
+    """Kronecker product, left factor major (row-major block convention).
+
+    One broadcast product, entry for entry equal to ``numpy.kron``.
+    """
+    a = coerce_matrix(a)
+    b = coerce_matrix(b)
+    (r1, c1), (r2, c2) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+
+
+def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_x w[x, ...] stack[x]``: one product on the flattened stack.
+
+    ``w`` has shape ``(n,)`` or ``(n, m)``; the result has shape
+    ``w.shape[1:] + stack.shape[1:]``.
+    """
+    w = np.asarray(w)
+    out = w.T @ stack.reshape(len(stack), -1)
+    return out.reshape(w.shape[1:] + stack.shape[1:])
 
 
 def partial_trace_right(m: Any, dim_left: int, dim_right: int) -> np.ndarray:

@@ -28,7 +28,15 @@ from .channels import Channel, LinearMap, Operation, QuantumMap
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
 from .instruments import BiInstrument, HolevoSpec, Instrument, holevo_instrument, holevo_operation
-from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh, frozen_copy, kron, max_abs_diff
+from .linalg import (
+    DEFAULT_ATOL,
+    as_complex_matrix,
+    clipped_eigh,
+    frozen_copy,
+    kron,
+    max_abs_diff,
+    weighted_sum,
+)
 
 __all__ = [
     "MeasurementModel",
@@ -221,7 +229,7 @@ class KrausSeparableChannel:
         ``sum_i tr(rho_i P_y) K_i†K_i`` per probe outcome."""
         w = self.outcome_weights(probe)
         grams = np.stack([k.conj().T @ k for k in self.factors])
-        return Observable(probe.outcomes, np.tensordot(w, grams, axes=(0, 0)), atol)
+        return Observable(probe.outcomes, weighted_sum(w, grams), atol)
 
     def base_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable ``{K_i†K_i}``; the pointer observable is a
@@ -338,7 +346,7 @@ def holevo_model_quantities(
     pointer_ins = bi_ins.marginal2(atol)
     reduced = holevo_instrument(HolevoSpec(a_obs, spec.base_states, atol), atol)
     bi_obs = BiObservable(a_obs.outcomes, probe.outcomes, w[:, :, None, None] * a[:, None], atol)
-    pointer_obs = Observable(probe.outcomes, np.tensordot(w, a, axes=(0, 0)), atol)
+    pointer_obs = Observable(probe.outcomes, weighted_sum(w, a), atol)
     return HolevoModelQuantities(
         spec=spec,
         probe=probe,

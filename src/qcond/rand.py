@@ -137,7 +137,7 @@ def random_instrument(
     rng = as_rng(seed)
     ch = random_channel(dim_in, dim_out, n_outcomes * kraus_per_outcome, rng, atol)
     ops = tuple(
-        Operation(ch.kraus[i * kraus_per_outcome : (i + 1) * kraus_per_outcome], atol)
+        Operation(ch.kraus_stack[i * kraus_per_outcome : (i + 1) * kraus_per_outcome], atol)
         for i in range(n_outcomes)
     )
     labels = tuple(f"x{i}" for i in range(n_outcomes))

@@ -267,6 +267,24 @@ def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
     assert map_deviation(tabulated, op) < 1e-14
     a = random_effect(dim_out, rng)
     np.testing.assert_allclose(lm.dual_matrix(a.matrix), op.dual_matrix(a.matrix), atol=1e-13)
+    m = rng.standard_normal((dim_out, dim_out)) + 1j * rng.standard_normal((dim_out, dim_out))
+    assert max_abs_diff(lm.dual_matrix(m), op.dual_matrix(m)) <= 1e-13
+
+
+def test_linear_map_dual_does_not_copy_the_superoperator():
+    import tracemalloc
+
+    rng = np.random.default_rng(62)
+    lm = LinearMap(rng.standard_normal((576, 576)) + 1j * rng.standard_normal((576, 576)), 24, 24)
+    m = rng.standard_normal((24, 24)) + 0j
+    lm.dual_matrix(m)
+    tracemalloc.start()
+    try:
+        lm.dual_matrix(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the superoperator alone is 5.3 MB
 
 
 def test_map_sum_promotes_mixed_representations():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcond.channels import Channel, Operation, condition_observable, map_deviation
+from qcond.channels import Channel, LinearMap, Operation, condition_observable, map_deviation
 from qcond.effects import (
     Observable,
     State,
@@ -254,10 +254,42 @@ def test_holevo_operation_matches_formula():
         np.testing.assert_allclose(op.apply(rho), expected, atol=1e-12)
 
 
+def _measure_and_prepare(e: np.ndarray, sigma: np.ndarray) -> LinearMap:
+    return LinearMap.from_action(lambda m: np.trace(m @ e) * sigma, e.shape[0], sigma.shape[0])
+
+
 def test_holevo_operation_zero_effect():
-    op = holevo_operation(np.zeros((2, 2)), State.maximally_mixed(3))
+    sigma = State.maximally_mixed(3)
+    op = holevo_operation(np.zeros((2, 2)), sigma)
     rho = random_state(2, 18)
     np.testing.assert_allclose(op.apply(rho), np.zeros((3, 3)), atol=1e-15)
+    assert op.kraus_stack.shape == (1, 3, 2)
+    assert not op.kraus_stack.any()
+    assert map_deviation(op, _measure_and_prepare(np.zeros((2, 2)), sigma.matrix)) == 0.0
+
+
+def test_holevo_operation_reproduces_measure_and_prepare():
+    rng = np.random.default_rng(70)
+    u = random_unitary(3, rng)
+    rank_two = u @ np.diag([0.7, 0.2, 0.0]) @ u.conj().T
+    pure = State.pure(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    mixed = random_state(2, rng)
+    for e, sigma in [(rank_two, mixed), (random_effect(3, rng).matrix, pure), (rank_two, pure)]:
+        op = holevo_operation(e, sigma)
+        assert map_deviation(op, _measure_and_prepare(e, sigma.matrix)) <= 1e-12
+    assert holevo_operation(rank_two, pure).kraus_stack.shape == (2, 2, 3)
+
+
+def test_holevo_operation_kraus_order():
+    # effect eigenvector major, state eigenvector minor
+    e = np.diag([0.25, 0.0, 0.5]).astype(complex)
+    sigma = np.diag([0.75, 0.25]).astype(complex)
+    expected = [
+        np.sqrt(a * p) * np.outer(np.eye(2)[k], np.eye(3)[j])
+        for j, a in [(0, 0.25), (2, 0.5)]
+        for k, p in [(1, 0.25), (0, 0.75)]
+    ]
+    np.testing.assert_allclose(holevo_operation(e, sigma).kraus_stack, expected, atol=1e-15)
 
 
 def test_holevo_dual_formula():
@@ -371,6 +403,46 @@ def test_bi_instrument_validation():
     BiInstrument(("x0",), ("y0", "y1"), ((half, half),))
     with pytest.raises(InvariantViolation, match="total channel"):
         BiInstrument(("x0",), ("y0", "y1"), ((half, half.scaled(0.5)),))
+
+
+def _overfull_kraus_pair(atol: float = 1e-9) -> tuple[Operation, Operation]:
+    """Two operations, each trace non-increasing, whose Gram matrices sum to
+    ``I + eps J`` (``J`` all ones, ``eps = 0.9 atol``): within ``atol`` of
+    ``I`` entrywise, but with top eigenvalue ``1 + 2 eps > 1 + atol``."""
+    eps = 0.9 * atol
+    half = (np.eye(2) + eps * np.ones((2, 2))) / 2
+    evals, evecs = np.linalg.eigh(half)
+    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
+    return Operation([root]), Operation([root])
+
+
+def test_family_total_must_lie_below_identity():
+    atol = 1e-9
+    a, b = _overfull_kraus_pair(atol)
+    total = sum(op.kraus_stack[0].conj().T @ op.kraus_stack[0] for op in (a, b))
+    assert np.max(np.abs(total - np.eye(2))) <= atol
+    assert np.linalg.eigvalsh(total).max() > 1.0 + atol
+    with pytest.raises(InvariantViolation, match="total channel"):
+        Instrument(("x0", "x1"), (a, b), atol)
+    with pytest.raises(InvariantViolation, match="total channel"):
+        BiInstrument(("x0",), ("y0", "y1"), ((a, b),), atol)
+
+
+def test_tabulated_family_total_must_lie_below_identity():
+    atol = 1e-9
+    a, b = _overfull_kraus_pair(atol)
+    for ops in [(LinearMap.of(a), LinearMap.of(b)), (a, LinearMap.of(b))]:
+        with pytest.raises(InvariantViolation, match="total channel"):
+            Instrument(("x0", "x1"), ops, atol)
+
+
+def test_mixed_kraus_and_tabulated_family_validates():
+    rng = np.random.default_rng(71)
+    ins = random_instrument(2, 3, 3, rng, kraus_per_outcome=2)
+    mixed = (ins.ops[0], LinearMap.of(ins.ops[1]), ins.ops[2])
+    assert instrument_deviation(Instrument(ins.outcomes, mixed), ins) < 1e-13
+    grid = BiInstrument(("x0",), ins.outcomes, (mixed,))
+    assert map_deviation(grid.total(), ins.total_channel()) < 1e-13
 
 
 def test_deviation_helpers_propagate_nan(monkeypatch):

@@ -16,6 +16,7 @@ from qcond.linalg import (
     partial_trace_right,
     require_tolerance,
 )
+from qcond.rand import random_effect, random_state
 
 
 def _rand(rng, rows, cols):
@@ -46,6 +47,26 @@ def test_kron_identities():
     np.testing.assert_array_equal(
         kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
     )
+
+
+def test_kron_equals_numpy_kron():
+    rng = np.random.default_rng(5)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for a, b in [
+        (cplx(2, 3), cplx(4, 1)),
+        (cplx(1, 5), cplx(3, 2)),
+        (cplx(3, 3), cplx(2, 1)),  # operator ⊗ column vector, as in lifted Kraus factors
+        (cplx(3, 1), cplx(1, 2)),
+        (np.eye(2), np.arange(6.0).reshape(2, 3)),
+    ]:
+        out = kron(a, b)
+        assert out.dtype == complex
+        assert np.array_equal(out, np.kron(a, b))
+    rho, e = random_state(3, rng), random_effect(2, rng)
+    assert np.array_equal(kron(rho, e), np.kron(rho.matrix, e.matrix))
 
 
 def test_kron_trace_multiplicative():
