@@ -23,10 +23,12 @@ from .effects import Effect, Observable, State
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
+    _identity,
     as_complex_matrix,
     frozen_copy,
     hermitian_part,
     hermitized_matrix_units,
+    is_effect_matrix,
     is_psd,
     max_abs_diff,
 )
@@ -84,20 +86,20 @@ class QuantumMap:
         return Effect(hermitian_part(self.dual_matrix(m)), atol)
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized dual images of a stack of matrices on the output space,
-        one ``dual_matrix`` call per matrix and no validation."""
-        return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
+        """Symmetrized dual images of a stack ``(m, dim_out, dim_out)`` of
+        matrices on the output space, in one product and unvalidated."""
+        raise NotImplementedError
 
     def _dual_identity(self) -> np.ndarray:
         """The dual image of the identity, unsymmetrized and unvalidated."""
-        return self.dual_matrix(np.eye(self.dim_out))
+        return self.dual_matrix(_identity(self.dim_out))
 
     def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
         """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
         return Effect(hermitian_part(self._dual_identity()), atol)
 
     def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
-        return max_abs_diff(self._dual_identity(), np.eye(self.dim_in)) <= atol
+        return max_abs_diff(self._dual_identity(), _identity(self.dim_in)) <= atol
 
     def then(self, other: "QuantumMap") -> "QuantumMap":
         """Sequential product: apply ``self`` first, then ``other``."""
@@ -106,10 +108,7 @@ class QuantumMap:
                 f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
             )
         if isinstance(self, Operation) and isinstance(other, Operation):
-            products = np.einsum("mab,nbc->mnac", other.kraus_stack, self.kraus_stack)
-            kraus = products.reshape(-1, other.dim_out, self.dim_in)
-            cls = Channel if isinstance(self, Channel) and isinstance(other, Channel) else Operation
-            return cls(kraus)
+            return _composed_class(self, other)(_composed_kraus(self, other))
         return LinearMap(other.superoperator() @ self.superoperator(), self.dim_in, other.dim_out)
 
 
@@ -122,6 +121,12 @@ class Operation(QuantumMap):
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
+        self._build(kraus)
+        _require_trace_non_increasing(self._gram[None], atol)
+
+    def _build(self, kraus: Sequence[np.ndarray] | np.ndarray) -> None:
+        """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
+        checks shape and finiteness, not the trace condition."""
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
             stack = np.array(kraus, dtype=complex)
         else:
@@ -145,8 +150,6 @@ class Operation(QuantumMap):
         self._adj = conj.transpose(0, 2, 1)
         self._flat_h = conj.reshape(n * d_out, d_in).T
         gram = self._flat_h @ stack.reshape(n * d_out, d_in)
-        if not is_psd(np.eye(d_in) - gram, atol):
-            raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
         gram.setflags(write=False)
         self._stack = stack
         self._conj = conj
@@ -168,6 +171,10 @@ class Operation(QuantumMap):
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
         return self._flat_h @ (m @ self._stack).reshape(-1, self.dim_in)
+
+    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
+        products = (mats[:, None] @ self._stack).reshape(len(mats), -1, self.dim_in)
+        return hermitian_part(self._flat_h @ products)
 
     def _dual_identity(self) -> np.ndarray:
         return self._gram
@@ -194,8 +201,7 @@ class Channel(Operation):
 
     def __init__(self, kraus: Sequence[np.ndarray], atol: float = DEFAULT_ATOL):
         super().__init__(kraus, atol)
-        if not self.is_trace_preserving(atol):
-            raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
+        _require_trace_preserving(self._gram[None], atol)
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -253,8 +259,71 @@ class LinearMap(QuantumMap):
         # conj(conj(v) @ S) == S† v, without a conjugated copy of S.
         return np.conj(m.reshape(-1).conj() @ self._matrix).reshape(self.dim_in, self.dim_in)
 
+    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
+        flat = mats.reshape(len(mats), -1)
+        return hermitian_part(np.conj(flat.conj() @ self._matrix).reshape(-1, self.dim_in, self.dim_in))
+
     def superoperator(self) -> np.ndarray:
         return self._matrix
+
+
+def _require_trace_non_increasing(grams: np.ndarray, atol: float) -> None:
+    """``sum K†K <= I`` for every Gram matrix of a stack ``(n, d, d)``."""
+    if not is_psd(_identity(grams.shape[-1]) - grams, atol):
+        raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
+
+
+def _require_trace_preserving(grams: np.ndarray, atol: float) -> None:
+    """``sum K†K == I`` entrywise within ``atol`` for every Gram matrix of a stack."""
+    if np.abs(grams - _identity(grams.shape[-1])).max() > atol:
+        raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
+
+
+def _operation_family(
+    stacks: Sequence[np.ndarray], atol: float, classes: Sequence[type] | None = None
+) -> tuple[Operation, ...]:
+    """One operation per Kraus stack, of class ``classes[i]`` (default
+    :class:`Operation`), validated together.
+
+    The members share their dimensions and skip ``__init__``: their Gram
+    matrices are checked for ``sum K†K <= I`` (and, for channels, ``== I``)
+    by one batched eigendecomposition, with the errors of one-by-one
+    construction.
+    """
+    classes = classes or [Operation] * len(stacks)
+    ops = tuple(object.__new__(cls) for cls in classes)
+    for op, stack in zip(ops, stacks):
+        op._build(stack)
+    grams = np.stack([op._gram for op in ops])
+    _require_trace_non_increasing(grams, atol)
+    channels = [issubclass(cls, Channel) for cls in classes]
+    if any(channels):
+        _require_trace_preserving(grams[channels], atol)
+    return ops
+
+
+def _composed_class(first: Operation, second: Operation) -> type:
+    """The class of ``first.then(second)`` for Kraus operations."""
+    return Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
+
+
+def _composed_kraus(first: Operation, second: Operation) -> np.ndarray:
+    """The Kraus stack ``{L_b K_a}`` of running ``first``, then ``second``."""
+    products = np.einsum("mab,nbc->mnac", second.kraus_stack, first.kraus_stack)
+    return products.reshape(-1, second.dim_out, first.dim_in)
+
+
+def _then_family(pairs: Sequence[tuple[QuantumMap, QuantumMap]]) -> tuple[QuantumMap, ...]:
+    """``first.then(second)`` for every pair of composable maps.
+
+    When every map is in Kraus form the products are built as one family,
+    validated at the default tolerance as ``then`` validates them.
+    """
+    if all(isinstance(m, Operation) for pair in pairs for m in pair):
+        stacks = [_composed_kraus(first, second) for first, second in pairs]
+        classes = [_composed_class(first, second) for first, second in pairs]
+        return _operation_family(stacks, DEFAULT_ATOL, classes)
+    return tuple(first.then(second) for first, second in pairs)
 
 
 def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:
@@ -341,7 +410,9 @@ def complete_subnormalized(
     if any(m.shape != (ch.dim_out, ch.dim_out) for m in mats):
         raise ValueError("effects must live on the channel's output space")
     stack = np.stack(mats)
-    residual = np.eye(ch.dim_out) - stack.sum(axis=0)
+    if not is_effect_matrix(stack, atol):
+        raise InvariantViolation("completion", "between zero and identity", "each b_x must satisfy 0 <= b_x <= I")
+    residual = _identity(ch.dim_out) - stack.sum(axis=0)
     if not is_psd(residual, atol):
         raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
     if labels is None:

@@ -542,13 +542,16 @@ def run_checks(
 
     Instances are seeded independently from ``(seed, identity, dim, trial)``,
     so reports are deterministic and order-independent. Results are sorted by
-    identity name. ``trials=0`` yields an empty (vacuously passing) report.
+    identity name. ``trials=0`` yields an empty (vacuously passing) report;
+    a negative ``trials`` raises ``ValueError``.
     An instance that raises any ``Exception`` (a violated construction
     invariant included) or yields a non-finite deviation counts as failed,
     with deviation ``inf``, and the run continues; ``tol`` must be finite
     and positive.
     """
     tol = require_tolerance(tol)
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     names = resolve_suite(suite)
     dims = list(dims)
     if any(d < 1 for d in dims):

@@ -18,11 +18,11 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
+    _identity,
     as_complex_matrix,
     frozen_copy,
     is_effect_matrix,
     is_psd,
-    max_abs_diff,
     require_square,
     weighted_sum,
 )
@@ -122,7 +122,7 @@ class Effect:
 
     def complement(self, atol: float = DEFAULT_ATOL) -> "Effect":
         """The complementary effect ``I - a``."""
-        return Effect(np.eye(self.dim) - self.matrix, atol)
+        return Effect(_identity(self.dim) - self.matrix, atol)
 
 
 def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.ndarray:
@@ -153,11 +153,11 @@ def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.
     dim = stack.shape[-1]
     if stack.shape[-2] != dim:
         raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise InvariantViolation(kind, "finite entries")
     if not is_effect_matrix(stack, atol):
         raise InvariantViolation(kind, "between zero and identity")
-    if max_abs_diff(stack.reshape(-1, dim, dim).sum(axis=0), np.eye(dim)) > atol:
+    if np.abs(stack.reshape(-1, dim, dim).sum(axis=0) - _identity(dim)).max() > atol:
         raise InvariantViolation(kind, "normalization", "effects must sum to I")
     stack.setflags(write=False)
     return stack

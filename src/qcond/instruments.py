@@ -14,10 +14,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, Operation, QuantumMap, map_deviation, map_sum
+from .channels import (
+    Channel,
+    Operation,
+    QuantumMap,
+    _operation_family,
+    _then_family,
+    map_deviation,
+    map_sum,
+)
 from .effects import BiObservable, Effect, Observable, State, _distinct_labels
 from .errors import InvariantViolation, OutcomeNotObserved
-from .linalg import DEFAULT_ATOL, as_complex_matrix, clipped_eigh, hermitian_part, is_psd, max_abs_diff
+from .linalg import (
+    DEFAULT_ATOL,
+    _identity,
+    as_complex_matrix,
+    clipped_eigh,
+    hermitian_part,
+    is_psd,
+    max_abs_diff,
+)
 
 __all__ = [
     "Instrument",
@@ -46,8 +62,8 @@ def _check_operation_family(kind: str, ops: Sequence[QuantumMap], atol: float) -
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    total = sum(op._dual_identity() for op in ops)
-    eye = np.eye(ops[0].dim_in)
+    total = np.stack([op._dual_identity() for op in ops]).sum(axis=0)
+    eye = _identity(ops[0].dim_in)
     if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
         raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
 
@@ -164,7 +180,12 @@ class BiInstrument:
         return map_sum([op for row in self.ops for op in row])
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
-        return Instrument(outcomes, tuple(map_sum(group, atol) for group in groups), atol)
+        if all(isinstance(op, Operation) for row in self.ops for op in row):
+            stacks = [np.concatenate([op.kraus_stack for op in group]) for group in groups]
+            ops = _operation_family(stacks, atol)
+        else:
+            ops = tuple(map_sum(group, atol) for group in groups)
+        return Instrument(outcomes, ops, atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the second outcome index."""
@@ -226,14 +247,17 @@ def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_
         raise InvariantViolation("conditioning", "channel", "map must be trace preserving")
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
-    return Instrument(ins.outcomes, tuple(ch.then(op) for op in ins.ops), atol)
+    return Instrument(ins.outcomes, _then_family([(ch, op) for op in ins.ops]), atol)
 
 
 def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
-    """The joint bi-instrument of running ``ins`` first, then ``jns``."""
+    """The joint bi-instrument of running ``ins`` first, then ``jns``:
+    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``."""
     if ins.dim_out != jns.dim_in:
         raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
-    grid = tuple(tuple(iop.then(jop) for jop in jns.ops) for iop in ins.ops)
+    flat = _then_family([(iop, jop) for iop in ins.ops for jop in jns.ops])
+    n = len(jns.ops)
+    grid = tuple(flat[i : i + n] for i in range(0, len(flat), n))
     return BiInstrument(ins.outcomes, jns.outcomes, grid, atol)
 
 
@@ -266,6 +290,51 @@ class HolevoSpec:
         return self.states[self.observable.index(label)]
 
 
+def _holevo_stack(
+    evals: np.ndarray, evecs: np.ndarray, pvals: np.ndarray, pvecs: np.ndarray
+) -> np.ndarray:
+    """Kraus stack of ``rho -> tr(rho e) sigma`` from clipped eigenpairs
+    ``e = sum_j a_j |u_j><u_j|`` and ``sigma = sum_k p_k |v_k><v_k|``.
+
+    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|`` over the positive
+    weights; one zero operator when there are none.
+    """
+    on_e, on_s = evals > 0.0, pvals > 0.0
+    if not (on_e.any() and on_s.any()):
+        return np.zeros((1, len(pvals), len(evals)), dtype=complex)
+    weights = np.sqrt(evals[on_e][:, None] * pvals[on_s][None, :])
+    outers = np.einsum("rk,cj->jkrc", pvecs[:, on_s], evecs[:, on_e].conj())
+    stack = weights[:, :, None, None] * outers
+    return stack.reshape(-1, len(pvals), len(evals))
+
+
+def _holevo_family(
+    effects: np.ndarray,
+    states: np.ndarray,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    coeffs: np.ndarray,
+    atol: float,
+) -> tuple[Operation, ...]:
+    """Measure-and-prepare operations ``rho -> tr(rho c_i e_{rows[i]}) sigma_{cols[i]}``
+    for ``c = coeffs``, validated as one family.
+
+    Each effect of the stack ``effects`` and each state of ``states`` is
+    decomposed once (one batched ``eigh`` per stack); an entry's effect
+    spectrum is the scaled spectrum of its row's effect.
+    """
+    evals, evecs = clipped_eigh(effects, atol, "effect")
+    pvals, pvecs = clipped_eigh(states, atol, "state")
+    scaled = np.asarray(coeffs, dtype=float)[:, None] * evals[rows]
+    if float(scaled.min()) < -atol:
+        raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
+    scaled = np.clip(scaled, 0.0, None)
+    stacks = [
+        _holevo_stack(a, evecs[i], pvals[j], pvecs[j]) for a, i, j in zip(scaled, rows, cols)
+    ]
+    return _operation_family(stacks, atol)
+
+
 def holevo_operation(
     effect: Effect | np.ndarray, state: State | np.ndarray, atol: float = DEFAULT_ATOL
 ) -> Operation:
@@ -275,26 +344,18 @@ def holevo_operation(
     ``sigma = sum_k p_k |v_k><v_k|`` the Kraus operators are
     ``sqrt(a_j p_k) |v_k><u_j|``, which reproduces the map exactly.
     """
-    e = as_complex_matrix(effect)
-    s = as_complex_matrix(state)
-    evals, evecs = clipped_eigh(e, atol, "effect")
-    pvals, pvecs = clipped_eigh(s, atol, "state")
-    on_e, on_s = evals > 0.0, pvals > 0.0
-    if not (on_e.any() and on_s.any()):
-        return Operation(np.zeros((1, s.shape[0], e.shape[0]), dtype=complex), atol)
-    # Row (j, k) of the stack is sqrt(a_j p_k) |v_k><u_j|.
-    weights = np.sqrt(evals[on_e][:, None] * pvals[on_s][None, :])
-    outers = np.einsum("rk,cj->jkrc", pvecs[:, on_s], evecs[:, on_e].conj())
-    stack = weights[:, :, None, None] * outers
-    return Operation(stack.reshape(-1, s.shape[0], e.shape[0]), atol)
+    evals, evecs = clipped_eigh(as_complex_matrix(effect), atol, "effect")
+    pvals, pvecs = clipped_eigh(as_complex_matrix(state), atol, "state")
+    return Operation(_holevo_stack(evals, evecs, pvals, pvecs), atol)
 
 
 def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrument:
     """The measure-and-prepare instrument of the given data: outcome ``x``
     acts as ``rho -> tr(rho A_x) alpha_x``."""
-    ops = tuple(
-        holevo_operation(e, s, atol) for e, s in zip(spec.observable.effects, spec.states)
-    )
+    n = spec.observable.n_outcomes
+    states = np.stack([s.matrix for s in spec.states])
+    idx = np.arange(n)
+    ops = _holevo_family(spec.observable.effect_stack, states, idx, idx, np.ones(n), atol)
     return Instrument(spec.observable.outcomes, ops, atol)
 
 
@@ -311,15 +372,14 @@ def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_
         raise ValueError(f"dimension mismatch: {first.dim_out} -> {second.dim_in}")
     a_obs = first.observable
     b_obs = second.observable
-    grid = []
-    for x, ax in zip(a_obs.outcomes, a_obs.effects):
-        alpha = first.state(x)
-        row = []
-        for y, by in zip(b_obs.outcomes, b_obs.effects):
-            coeff = float(np.trace(alpha.matrix @ by.matrix).real)
-            row.append(holevo_operation(coeff * ax.matrix, second.state(y), atol))
-        grid.append(tuple(row))
-    return BiInstrument(a_obs.outcomes, b_obs.outcomes, tuple(grid), atol)
+    n1, n2 = a_obs.n_outcomes, b_obs.n_outcomes
+    alphas = np.stack([s.matrix for s in first.states])
+    betas = np.stack([s.matrix for s in second.states])
+    coeff = np.trace(alphas[:, None] @ b_obs.effect_stack, axis1=-2, axis2=-1).real
+    rows, cols = np.divmod(np.arange(n1 * n2), n2)
+    ops = _holevo_family(a_obs.effect_stack, betas, rows, cols, coeff.reshape(-1), atol)
+    grid = tuple(ops[i : i + n2] for i in range(0, n1 * n2, n2))
+    return BiInstrument(a_obs.outcomes, b_obs.outcomes, grid, atol)
 
 
 def instrument_deviation(a: Instrument, b: Instrument) -> float:

@@ -65,7 +65,7 @@ def coerce_matrix(m: Any) -> np.ndarray:
 def as_complex_matrix(m: Any) -> np.ndarray:
     """Coerce ``m`` to a finite 2-D complex array (construction boundary)."""
     arr = coerce_matrix(m)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvariantViolation("matrix", "finite entries")
     return arr
 
@@ -148,17 +148,36 @@ def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= atol
 
 
+def _spectral_range(m: Any, atol: float) -> tuple[float, float] | None:
+    """Lowest and highest eigenvalue of the symmetrized ``(m + m†)/2`` over a
+    matrix or a stack ``(..., d, d)``; ``None`` unless every matrix is square
+    and Hermitian within ``atol`` (also ``None`` on NaN or infinite entries).
+
+    The shared kernel of the positivity tests: one coercion, one
+    Hermiticity pass and one batched eigendecomposition, whose ascending
+    output gives the ends of each spectrum.
+    """
+    m = _matrix_stack(m)
+    if m.shape[-1] != m.shape[-2]:
+        return None
+    adj = m.conj().swapaxes(-1, -2)
+    if not np.abs(m - adj).max() <= atol:
+        return None
+    evals = np.linalg.eigvalsh((m + adj) / 2.0).reshape(-1, m.shape[-1])
+    if len(evals) == 1:
+        return evals[0, 0], evals[0, -1]
+    return evals[:, 0].min(), evals[:, -1].max()
+
+
 def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``m`` is Hermitian within ``atol`` and its spectrum is ≥ -atol.
 
     The eigenvalue test runs on the symmetrized ``(m + m†)/2`` so rounding
-    asymmetry cannot flip the verdict on exact inputs.
+    asymmetry cannot flip the verdict on exact inputs. On a stack
+    ``(..., d, d)`` every matrix must pass.
     """
-    m = coerce_matrix(m)
-    if not is_hermitian(m, atol):
-        return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return float(evals.min()) >= -atol
+    ends = _spectral_range(m, atol)
+    return ends is not None and bool(ends[0] >= -atol)
 
 
 def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
@@ -169,19 +188,13 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     eigendecomposition. On a stack ``(..., d, d)`` every matrix must pass,
     and one batched eigendecomposition checks them all.
     """
-    m = _matrix_stack(m)
-    if m.shape[-1] != m.shape[-2]:
-        return False
-    adj = m.conj().swapaxes(-1, -2)
-    if not float(np.max(np.abs(m - adj))) <= atol:  # also False on NaN
-        return False
-    evals = np.linalg.eigvalsh((m + adj) / 2.0)
-    return float(evals.min()) >= -atol and float(evals.max()) <= 1.0 + atol
+    ends = _spectral_range(m, atol)
+    return ends is not None and bool(ends[0] >= -atol and ends[1] <= 1.0 + atol)
 
 
 def max_abs_diff(a: Any, b: Any) -> float:
     """Largest entrywise absolute deviation between two matrices."""
-    return float(np.max(np.abs(coerce_matrix(a) - coerce_matrix(b))))
+    return float(np.abs(coerce_matrix(a) - coerce_matrix(b)).max())
 
 
 @lru_cache(maxsize=None)
@@ -210,11 +223,21 @@ def hermitized_matrix_units(dim: int) -> tuple[np.ndarray, ...]:
     return tuple(basis)
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only complex identity of one dimension, cached; validation
+    compares against it instead of building ``np.eye`` on every call."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
 def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):
     """Hermitian eigendecomposition with tiny negative eigenvalues clipped to 0.
 
     Eigenvalues in ``[-atol, 0)`` are rounding noise on PSD inputs and are
-    set to zero; anything below ``-atol`` raises.
+    set to zero; anything below ``-atol`` raises. On a stack ``(..., d, d)``
+    one batched decomposition covers every matrix.
     """
     evals, evecs = np.linalg.eigh(hermitian_part(m))
     if float(evals.min()) < -atol:

@@ -24,12 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, LinearMap, Operation, QuantumMap
+from .channels import Channel, LinearMap, QuantumMap, _operation_family
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
-from .instruments import BiInstrument, HolevoSpec, Instrument, holevo_instrument, holevo_operation
+from .instruments import BiInstrument, HolevoSpec, Instrument, _holevo_family, holevo_instrument
 from .linalg import (
     DEFAULT_ATOL,
+    _identity,
     as_complex_matrix,
     clipped_eigh,
     frozen_copy,
@@ -141,7 +142,7 @@ class KrausSeparableChannel:
         if len({s.dim for s in states}) != 1:
             raise InvariantViolation("KrausSeparableChannel", "uniform probe dimension")
         gram = sum(k.conj().T @ k for k in ks)
-        if max_abs_diff(gram, np.eye(ks[0].shape[0])) > atol:
+        if max_abs_diff(gram, _identity(ks[0].shape[0])) > atol:
             raise InvariantViolation("KrausSeparableChannel", "normalization", "sum K†K must equal I")
         object.__setattr__(self, "factors", tuple(frozen_copy(k) for k in ks))
         object.__setattr__(self, "probe_states", states)
@@ -179,12 +180,13 @@ class KrausSeparableChannel:
     def lifted_kraus(self, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, ...]:
         """Kraus operators of the total channel on base ⊗ probe.
 
-        Spectral-decomposing each probe state gives
-        ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
+        Spectral-decomposing each probe state (one batched decomposition of
+        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
         """
+        states = np.stack([s.matrix for s in self.probe_states])
+        all_pvals, all_pvecs = clipped_eigh(states, atol, "state")
         out = []
-        for k, s in zip(self.factors, self.probe_states):
-            pvals, pvecs = clipped_eigh(s.matrix, atol, "state")
+        for k, pvals, pvecs in zip(self.factors, all_pvals, all_pvecs):
             for j, p in enumerate(pvals):
                 if p > 0.0:
                     out.append(np.sqrt(p) * kron(k, pvecs[:, j].reshape(-1, 1)))
@@ -218,11 +220,8 @@ class KrausSeparableChannel:
         """Closed form of the model's probe-indexed instrument:
         outcome ``y`` acts as ``rho -> sum_i tr(rho_i P_y) K_i rho K_i†``."""
         w = np.clip(self.outcome_weights(probe), 0.0, None)
-        ops = tuple(
-            Operation(tuple(np.sqrt(w[i, y]) * k for i, k in enumerate(self.factors)), atol)
-            for y in range(probe.n_outcomes)
-        )
-        return Instrument(probe.outcomes, ops, atol)
+        stacks = np.sqrt(w.T)[:, :, None, None] * np.stack(self.factors)
+        return Instrument(probe.outcomes, _operation_family(stacks, atol), atol)
 
     def pointer_observable(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Observable:
         """Closed form of the model's measured observable:
@@ -335,16 +334,17 @@ def holevo_model_quantities(
     w = np.array(
         [[_real_overlap(g.matrix, p.matrix) for p in probe.effects] for g in spec.probe_states]
     )
-    grid = tuple(
-        tuple(
-            holevo_operation(w[x, y] * a[x], spec.base_states[x], atol)
-            for y in range(probe.n_outcomes)
-        )
-        for x in range(a_obs.n_outcomes)
-    )
+    # One family: grid entries (x, y) with effect w[x, y] A_x and state
+    # beta_x, then the reduced instrument's entries x with A_x and beta_x.
+    n1, n2 = a_obs.n_outcomes, probe.n_outcomes
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.arange(n1)])
+    coeffs = np.concatenate([w.reshape(-1), np.ones(n1)])
+    betas = np.stack([b.matrix for b in spec.base_states])
+    ops = _holevo_family(a, betas, rows, rows, coeffs, atol)
+    grid = tuple(ops[i : i + n2] for i in range(0, n1 * n2, n2))
     bi_ins = BiInstrument(a_obs.outcomes, probe.outcomes, grid, atol)
     pointer_ins = bi_ins.marginal2(atol)
-    reduced = holevo_instrument(HolevoSpec(a_obs, spec.base_states, atol), atol)
+    reduced = Instrument(a_obs.outcomes, ops[n1 * n2 :], atol)
     bi_obs = BiObservable(a_obs.outcomes, probe.outcomes, w[:, :, None, None] * a[:, None], atol)
     pointer_obs = Observable(probe.outcomes, weighted_sum(w, a), atol)
     return HolevoModelQuantities(

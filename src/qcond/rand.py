@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, Operation
+from .channels import Channel, _operation_family
 from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix
 from .instruments import HolevoSpec, Instrument
 from .linalg import DEFAULT_ATOL
@@ -87,18 +87,18 @@ def random_observable(
         raise ValueError("need at least one outcome")
     rng = as_rng(seed)
     for _ in range(_RETRIES + 1):
-        gs = []
-        for _ in range(n_outcomes):
-            g = _ginibre(rng, dim, dim)
-            gs.append(g @ g.conj().T)
+        # One draw in the order of n successive _ginibre calls (real, then
+        # imaginary part of each G_x).
+        parts = rng.standard_normal((n_outcomes, 2, dim, dim))
+        g = parts[:, 0] + 1j * parts[:, 1]
+        gs = g @ g.conj().swapaxes(-1, -2)
         total = sum(gs)
         evals, evecs = np.linalg.eigh(total)
         if float(evals.min()) <= atol:
             continue
         inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-        effects = tuple(inv_sqrt @ g @ inv_sqrt for g in gs)
         labels = tuple(f"x{i}" for i in range(n_outcomes))
-        return Observable(labels, effects, atol)
+        return Observable(labels, inv_sqrt @ gs @ inv_sqrt, atol)
     raise RuntimeError("random observable generation kept hitting a singular normalizer")
 
 
@@ -136,10 +136,8 @@ def random_instrument(
     Kraus operators, partitioned evenly into the outcome operations."""
     rng = as_rng(seed)
     ch = random_channel(dim_in, dim_out, n_outcomes * kraus_per_outcome, rng, atol)
-    ops = tuple(
-        Operation(ch.kraus_stack[i * kraus_per_outcome : (i + 1) * kraus_per_outcome], atol)
-        for i in range(n_outcomes)
-    )
+    k = kraus_per_outcome
+    ops = _operation_family([ch.kraus_stack[i * k : (i + 1) * k] for i in range(n_outcomes)], atol)
     labels = tuple(f"x{i}" for i in range(n_outcomes))
     return Instrument(labels, ops, atol)
 

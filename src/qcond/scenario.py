@@ -105,6 +105,8 @@ def _load_instrument(payload: dict, atol: float) -> Instrument:
     operations = payload.get("operations")
     if not isinstance(outcomes, list) or not isinstance(operations, list):
         raise ScenarioError("instrument needs 'outcomes' and 'operations' lists")
+    if not all(isinstance(op_kraus, list) for op_kraus in operations):
+        raise ScenarioError("each instrument operation must be a list of Kraus matrices")
     ops = tuple(
         Operation(tuple(matrix_from_json(k) for k in op_kraus), atol) for op_kraus in operations
     )

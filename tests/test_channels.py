@@ -15,6 +15,7 @@ from qcond.channels import (
     map_sum,
     sequential_product,
 )
+from qcond.checks import run_checks
 from qcond.effects import Effect, Observable, observable_deviation
 from qcond.errors import InvariantViolation
 from qcond.linalg import max_abs_diff
@@ -250,6 +251,20 @@ def test_complete_subnormalized_rejects_oversized_family():
     ch = random_channel(2, 2, 2, 18)
     with pytest.raises(InvariantViolation, match="sub-normalized"):
         complete_subnormalized(ch, [np.eye(2) / 2, np.eye(2) * 0.75])
+
+
+def test_complete_subnormalized_rejects_a_non_effect_member():
+    # the sum diag(0.1, 0.2) lies below I, but b_0 is not positive
+    family = [np.diag([-0.1, 0.0]), np.diag([0.2, 0.2])]
+    with pytest.raises(InvariantViolation, match="completion"):
+        complete_subnormalized(Channel.identity(2), family)
+    with pytest.raises(InvariantViolation, match="completion"):
+        complete_subnormalized(Channel.identity(2), [np.diag([1.2, 0.0]), np.zeros((2, 2))])
+
+
+def test_subnormalized_completion_identity_still_passes():
+    report = run_checks("subnormalized-completion", trials=20, dims=[2, 3], seed=3)
+    assert report.passed
 
 
 @pytest.mark.parametrize("dim_in,dim_out,n_kraus", [(2, 3, 2), (3, 2, 1), (1, 3, 2), (4, 8, 3)])

@@ -56,6 +56,13 @@ def test_run_checks_zero_trials_is_empty_report():
     assert report.passed
 
 
+def test_run_checks_rejects_negative_trials():
+    # a negative count must not pass as the vacuous trials=0 report
+    for trials in (-1, -3):
+        with pytest.raises(ValueError, match="trials"):
+            run_checks("all", trials=trials, dims=[2], seed=0)
+
+
 def test_run_checks_rejects_bad_inputs():
     with pytest.raises(ValueError):
         run_checks("all", trials=1, dims=[2], seed=0, tol=-1.0)

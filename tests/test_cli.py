@@ -174,3 +174,19 @@ def test_validate_exits_1_on_bad_metadata(field, value, tmp_path, capsys):
     path.write_text(json.dumps({field: value, "objects": {}}))
     assert main(["validate", str(path)]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_check_rejects_negative_trials(capsys):
+    assert main(["check", "--suite", "dual-map", "--trials", "-3", "--dims", "2..3"]) == 2
+    captured = capsys.readouterr()
+    assert "trials" in captured.err
+    assert '"passed"' not in captured.out
+
+
+def test_validate_exits_1_on_non_list_instrument_operation(tmp_path, capsys):
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps({"objects": {
+        "ins": {"type": "instrument", "outcomes": ["x0"], "operations": [5]},
+    }}))
+    assert main(["validate", str(path)]) == 1
+    assert "operation" in capsys.readouterr().err

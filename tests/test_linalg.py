@@ -204,3 +204,12 @@ def test_is_effect_matrix_on_a_stack():
     assert not is_effect_matrix(np.stack([np.eye(2) / 2, 2.0 * np.eye(2)]))
     assert not is_effect_matrix(np.stack([np.eye(2) / 2, [[0.5, 0.5], [0.0, 0.5]]]))
     assert not is_effect_matrix(np.full((2, 2), np.nan))
+
+
+def test_is_psd_on_a_stack():
+    good = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))])
+    assert is_psd(good)
+    assert not is_psd(np.stack([np.eye(2), np.diag([1.0, -1e-3])]))
+    assert not is_psd(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    assert not is_psd(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    assert not is_psd(np.ones((2, 2, 3)))

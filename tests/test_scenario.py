@@ -108,6 +108,16 @@ def test_load_rejects_unknown_type(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("operations", [[5], [None], ["kraus"], [[[[[1.0, 0.0]]]], {"k": 1}]])
+def test_load_rejects_non_list_instrument_operations(tmp_path, operations):
+    path = tmp_path / "ops.json"
+    payload = {"type": "instrument", "outcomes": ["x0", "x1"][: len(operations)],
+               "operations": operations}
+    path.write_text(json.dumps({"objects": {"ins": payload}}))
+    with pytest.raises(ScenarioError, match="object 'ins'"):
+        load_scenario(path)
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
