@@ -86,9 +86,10 @@ class QuantumMap:
         return Effect(hermitian_part(self.dual_matrix(m)), atol)
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized dual images of a stack ``(m, dim_out, dim_out)`` of
-        matrices on the output space, in one product and unvalidated."""
-        raise NotImplementedError
+        """Symmetrized dual images of a stack of matrices on the output space,
+        one ``dual_matrix`` call per matrix and no validation; ``Operation``
+        and ``LinearMap`` override it with one product."""
+        return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
 
     def _dual_identity(self) -> np.ndarray:
         """The dual image of the identity, unsymmetrized and unvalidated."""

@@ -23,6 +23,7 @@ from .linalg import (
     frozen_copy,
     is_effect_matrix,
     is_psd,
+    max_abs_diff,
     require_square,
     weighted_sum,
 )
@@ -153,11 +154,11 @@ def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.
     dim = stack.shape[-1]
     if stack.shape[-2] != dim:
         raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
-    if not np.isfinite(stack).all():
+    if not np.all(np.isfinite(stack)):
         raise InvariantViolation(kind, "finite entries")
     if not is_effect_matrix(stack, atol):
         raise InvariantViolation(kind, "between zero and identity")
-    if np.abs(stack.reshape(-1, dim, dim).sum(axis=0) - _identity(dim)).max() > atol:
+    if max_abs_diff(stack.reshape(-1, dim, dim).sum(axis=0), _identity(dim)) > atol:
         raise InvariantViolation(kind, "normalization", "effects must sum to I")
     stack.setflags(write=False)
     return stack

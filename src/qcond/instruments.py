@@ -62,7 +62,7 @@ def _check_operation_family(kind: str, ops: Sequence[QuantumMap], atol: float) -
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    total = np.stack([op._dual_identity() for op in ops]).sum(axis=0)
+    total = sum(op._dual_identity() for op in ops)
     eye = _identity(ops[0].dim_in)
     if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
         raise InvariantViolation(kind, "total channel", "operations must sum to a channel")

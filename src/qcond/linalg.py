@@ -65,7 +65,7 @@ def coerce_matrix(m: Any) -> np.ndarray:
 def as_complex_matrix(m: Any) -> np.ndarray:
     """Coerce ``m`` to a finite 2-D complex array (construction boundary)."""
     arr = coerce_matrix(m)
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise InvariantViolation("matrix", "finite entries")
     return arr
 
@@ -148,14 +148,14 @@ def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= atol
 
 
-def _spectral_range(m: Any, atol: float) -> tuple[float, float] | None:
-    """Lowest and highest eigenvalue of the symmetrized ``(m + m†)/2`` over a
-    matrix or a stack ``(..., d, d)``; ``None`` unless every matrix is square
+def _symmetrized_spectra(m: Any, atol: float) -> np.ndarray | None:
+    """Eigenvalues of the symmetrized ``(m + m†)/2`` of a matrix or of every
+    matrix of a stack ``(..., d, d)``; ``None`` unless every matrix is square
     and Hermitian within ``atol`` (also ``None`` on NaN or infinite entries).
 
     The shared kernel of the positivity tests: one coercion, one
-    Hermiticity pass and one batched eigendecomposition, whose ascending
-    output gives the ends of each spectrum.
+    Hermiticity pass and one batched eigendecomposition, whose callers
+    reduce the whole eigenvalue array at once.
     """
     m = _matrix_stack(m)
     if m.shape[-1] != m.shape[-2]:
@@ -163,10 +163,7 @@ def _spectral_range(m: Any, atol: float) -> tuple[float, float] | None:
     adj = m.conj().swapaxes(-1, -2)
     if not np.abs(m - adj).max() <= atol:
         return None
-    evals = np.linalg.eigvalsh((m + adj) / 2.0).reshape(-1, m.shape[-1])
-    if len(evals) == 1:
-        return evals[0, 0], evals[0, -1]
-    return evals[:, 0].min(), evals[:, -1].max()
+    return np.linalg.eigvalsh((m + adj) / 2.0)
 
 
 def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
@@ -176,8 +173,8 @@ def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     asymmetry cannot flip the verdict on exact inputs. On a stack
     ``(..., d, d)`` every matrix must pass.
     """
-    ends = _spectral_range(m, atol)
-    return ends is not None and bool(ends[0] >= -atol)
+    evals = _symmetrized_spectra(m, atol)
+    return evals is not None and bool(evals.min() >= -atol)
 
 
 def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
@@ -188,13 +185,13 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     eigendecomposition. On a stack ``(..., d, d)`` every matrix must pass,
     and one batched eigendecomposition checks them all.
     """
-    ends = _spectral_range(m, atol)
-    return ends is not None and bool(ends[0] >= -atol and ends[1] <= 1.0 + atol)
+    evals = _symmetrized_spectra(m, atol)
+    return evals is not None and bool(evals.min() >= -atol and evals.max() <= 1.0 + atol)
 
 
 def max_abs_diff(a: Any, b: Any) -> float:
     """Largest entrywise absolute deviation between two matrices."""
-    return float(np.abs(coerce_matrix(a) - coerce_matrix(b)).max())
+    return float(np.max(np.abs(coerce_matrix(a) - coerce_matrix(b))))
 
 
 @lru_cache(maxsize=None)

@@ -87,18 +87,18 @@ def random_observable(
         raise ValueError("need at least one outcome")
     rng = as_rng(seed)
     for _ in range(_RETRIES + 1):
-        # One draw in the order of n successive _ginibre calls (real, then
-        # imaginary part of each G_x).
-        parts = rng.standard_normal((n_outcomes, 2, dim, dim))
-        g = parts[:, 0] + 1j * parts[:, 1]
-        gs = g @ g.conj().swapaxes(-1, -2)
+        gs = []
+        for _ in range(n_outcomes):
+            g = _ginibre(rng, dim, dim)
+            gs.append(g @ g.conj().T)
         total = sum(gs)
         evals, evecs = np.linalg.eigh(total)
         if float(evals.min()) <= atol:
             continue
         inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+        effects = tuple(inv_sqrt @ g @ inv_sqrt for g in gs)
         labels = tuple(f"x{i}" for i in range(n_outcomes))
-        return Observable(labels, inv_sqrt @ gs @ inv_sqrt, atol)
+        return Observable(labels, effects, atol)
     raise RuntimeError("random observable generation kept hitting a singular normalizer")
 
 

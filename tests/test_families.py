@@ -5,7 +5,16 @@ each effect and each state."""
 import numpy as np
 import pytest
 
-from qcond.channels import Channel, LinearMap, Operation, _operation_family, map_deviation
+from qcond.channels import (
+    Channel,
+    LinearMap,
+    Operation,
+    QuantumMap,
+    _operation_family,
+    _then_family,
+    condition_observable,
+    map_deviation,
+)
 from qcond.effects import Observable, State
 from qcond.errors import InvariantViolation
 from qcond.instruments import (
@@ -40,6 +49,32 @@ def test_dual_images_match_per_matrix_duals(tabulated):
         mats = _complex_stack(rng, 4, dim_out)  # neither Hermitian nor positive
         expected = hermitian_part(np.stack([qmap.dual_matrix(m) for m in mats]))
         np.testing.assert_allclose(qmap._dual_images(mats), expected, rtol=0, atol=1e-13)
+
+
+class _DelegatingMap(QuantumMap):
+    """A map that provides only the three methods the base class requires."""
+
+    def __init__(self, inner: QuantumMap):
+        self._inner = inner
+        self.dim_in, self.dim_out = inner.dim_in, inner.dim_out
+
+    def apply_matrix(self, m):
+        return self._inner.apply_matrix(m)
+
+    def dual_matrix(self, m):
+        return self._inner.dual_matrix(m)
+
+    def superoperator(self):
+        return self._inner.superoperator()
+
+
+def test_a_minimal_quantum_map_subclass_conditions_observables():
+    rng = np.random.default_rng(6)
+    ch = random_channel(2, 3, 2, rng)
+    obs = Observable(("a", "b"), np.stack([np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0])]))
+    got = condition_observable(_DelegatingMap(ch), obs)
+    ref = condition_observable(ch, obs)
+    np.testing.assert_allclose(got.effect_stack, ref.effect_stack, rtol=0, atol=1e-13)
 
 
 def _rank_deficient_spec(dim: int, states) -> HolevoSpec:
@@ -130,12 +165,9 @@ def test_composed_and_marginal_families_reject_an_over_scaled_member():
     # from it at the default tolerance must reject it.
     loose = 0.5
     big = Operation([1.1 * np.eye(2)], loose)
-    ins = Instrument(("x0",), (big,), loose)
-    ident = Instrument(("y0",), (Channel.identity(2),))
+    ident = Channel.identity(2)
     with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        given_instrument(ins, ident, loose)
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        condition_instrument(Channel.identity(2), ins, loose)
+        _then_family([(ident, ident), (ident, big)])
     grid = BiInstrument(("x0",), ("y0", "y1"), ((big, big.scaled(0.01, loose)),), loose)
     with pytest.raises(InvariantViolation, match="trace non-increasing"):
         grid.marginal1()
