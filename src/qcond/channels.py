@@ -7,9 +7,11 @@ decided by comparing Kraus lists (they are not canonical): use
 basis.
 
 :class:`LinearMap` stores a map by its superoperator with respect to
-row-major vectorization. It backs maps that arise without a natural Kraus
-form (partial-trace pipelines); extracting Kraus operators from one is out
-of scope here.
+row-major vectorization. It backs maps given by their action
+(:meth:`LinearMap.from_action`), compositions involving such maps, and the
+map comparisons of the checks. :meth:`Operation.of` admits a tabulated map
+as an operation: one eigendecomposition of its Choi matrix either proves it
+completely positive and yields Kraus operators, or rejects it.
 """
 
 from __future__ import annotations
@@ -102,14 +104,15 @@ class QuantumMap:
     def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
         return max_abs_diff(self._dual_identity(), _identity(self.dim_in)) <= atol
 
-    def then(self, other: "QuantumMap") -> "QuantumMap":
-        """Sequential product: apply ``self`` first, then ``other``."""
+    def then(self, other: "QuantumMap", atol: float = DEFAULT_ATOL) -> "QuantumMap":
+        """Sequential product: apply ``self`` first, then ``other`` (Kraus
+        operations compose to an operation validated at ``atol``)."""
         if self.dim_out != other.dim_in:
             raise ValueError(
                 f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
             )
         if isinstance(self, Operation) and isinstance(other, Operation):
-            return _composed_class(self, other)(_composed_kraus(self, other))
+            return _composed_class(self, other)(_composed_kraus(self, other), atol)
         return LinearMap(other.superoperator() @ self.superoperator(), self.dim_in, other.dim_out)
 
 
@@ -124,6 +127,31 @@ class Operation(QuantumMap):
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
         self._build(kraus)
         _require_trace_non_increasing(self._gram[None], atol)
+
+    @classmethod
+    def of(cls, qmap: QuantumMap, atol: float = DEFAULT_ATOL) -> "Operation":
+        """Kraus form of a completely positive map (an instance of ``cls`` is
+        returned as is).
+
+        The Choi matrix ``C = sum_k vec(K_k) vec(K_k)†``, reshuffled from the
+        superoperator, must be Hermitian and positive semidefinite within
+        ``atol``; ``C = sum_j l_j v_j v_j†`` gives the Kraus operators
+        ``sqrt(l_j) v_j`` over the positive ``l_j`` (one zero operator when
+        there are none).
+        """
+        if isinstance(qmap, cls):
+            return qmap
+        d_out, d_in = qmap.dim_out, qmap.dim_in
+        s = qmap.superoperator().reshape(d_out, d_out, d_in, d_in)
+        choi = s.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in)
+        evals, evecs = np.linalg.eigh(hermitian_part(choi))
+        if max_abs_diff(choi, choi.conj().T) > atol or evals.min() < -atol:
+            raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
+        positive = evals > 0.0
+        if not positive.any():
+            return cls(np.zeros((1, d_out, d_in), dtype=complex), atol)
+        stack = (evecs[:, positive] * np.sqrt(evals[positive])).T
+        return cls(stack.reshape(-1, d_out, d_in), atol)
 
     def _build(self, kraus: Sequence[np.ndarray] | np.ndarray) -> None:
         """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
@@ -314,17 +342,14 @@ def _composed_kraus(first: Operation, second: Operation) -> np.ndarray:
     return products.reshape(-1, second.dim_out, first.dim_in)
 
 
-def _then_family(pairs: Sequence[tuple[QuantumMap, QuantumMap]]) -> tuple[QuantumMap, ...]:
-    """``first.then(second)`` for every pair of composable maps.
-
-    When every map is in Kraus form the products are built as one family,
-    validated at the default tolerance as ``then`` validates them.
-    """
-    if all(isinstance(m, Operation) for pair in pairs for m in pair):
-        stacks = [_composed_kraus(first, second) for first, second in pairs]
-        classes = [_composed_class(first, second) for first, second in pairs]
-        return _operation_family(stacks, DEFAULT_ATOL, classes)
-    return tuple(first.then(second) for first, second in pairs)
+def _then_family(
+    pairs: Sequence[tuple[Operation, Operation]], atol: float = DEFAULT_ATOL
+) -> tuple[Operation, ...]:
+    """``first.then(second, atol)`` for every pair of composable operations,
+    built and validated as one family."""
+    stacks = [_composed_kraus(first, second) for first, second in pairs]
+    classes = [_composed_class(first, second) for first, second in pairs]
+    return _operation_family(stacks, atol, classes)
 
 
 def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:

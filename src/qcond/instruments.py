@@ -2,9 +2,11 @@
 
 An instrument is a labeled family of operations whose sum is a channel; it
 measures an observable (duals applied to the identity) and updates states
-outcome-by-outcome. Families may hold Kraus-form operations or tabulated
-linear maps interchangeably; ``total_channel`` is the one surface that
-insists on Kraus form.
+outcome-by-outcome. Every member of a family is a Kraus-form
+:class:`~qcond.channels.Operation`: a member given as another quantum map
+(a tabulated :class:`~qcond.channels.LinearMap`, say) is admitted through
+:meth:`Operation.of <qcond.channels.Operation.of>`, which rejects a map that
+is not completely positive.
 """
 
 from __future__ import annotations
@@ -51,21 +53,24 @@ __all__ = [
 ]
 
 
-def _check_operation_family(kind: str, ops: Sequence[QuantumMap], atol: float) -> None:
-    """The one validator of operation families: uniform dimensions and a
-    total map that is a channel.
+def _admit_family(kind: str, ops: Iterable[QuantumMap], atol: float) -> tuple[Operation, ...]:
+    """The one validator of operation families: every member in Kraus form
+    (admitted through ``Operation.of``), uniform dimensions and a total map
+    that is a channel.
 
-    The total's dual at the identity, ``sum_x op_x*(I)``, is summed from each
-    map's own (for Kraus operations, the Gram matrix cached at construction);
-    it must lie below ``I`` and equal it entrywise, within ``atol``.
+    The total's dual at the identity, ``sum_x op_x*(I)``, is the sum of the
+    members' cached Gram matrices; it must lie below ``I`` and equal it
+    entrywise, within ``atol``.
     """
+    ops = tuple(Operation.of(op, atol) for op in ops)
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    total = sum(op._dual_identity() for op in ops)
+    total = sum(op._gram for op in ops)
     eye = _identity(ops[0].dim_in)
     if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
         raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +78,14 @@ class Instrument:
     """Labeled family of operations summing to a channel."""
 
     outcomes: tuple[str, ...]
-    ops: tuple[QuantumMap, ...]
+    ops: tuple[Operation, ...]
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
         outcomes = _distinct_labels(self.outcomes, "Instrument")
-        ops = tuple(self.ops)
-        if len(ops) != len(outcomes):
+        if len(self.ops) != len(outcomes):
             raise InvariantViolation("Instrument", "one operation per outcome")
-        _check_operation_family("Instrument", ops, atol)
+        ops = _admit_family("Instrument", self.ops, atol)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "ops", ops)
 
@@ -99,7 +103,7 @@ class Instrument:
         except ValueError:
             raise ValueError(f"unknown outcome label {label!r}") from None
 
-    def op(self, label: str) -> QuantumMap:
+    def op(self, label: str) -> Operation:
         return self.ops[self.index(label)]
 
     def total(self) -> QuantumMap:
@@ -107,14 +111,8 @@ class Instrument:
         return map_sum(self.ops)
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
-        """The summed channel with concatenated Kraus lists.
-
-        Only available when every operation is in Kraus form.
-        """
-        if not all(isinstance(op, Operation) for op in self.ops):
-            raise TypeError("total_channel requires Kraus-form operations")
-        kraus = np.concatenate([op.kraus_stack for op in self.ops])  # type: ignore[attr-defined]
-        return Channel(kraus, atol)
+        """The summed channel with concatenated Kraus lists."""
+        return Channel(np.concatenate([op.kraus_stack for op in self.ops]), atol)
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
@@ -146,16 +144,18 @@ class BiInstrument:
 
     outcomes1: tuple[str, ...]
     outcomes2: tuple[str, ...]
-    ops: tuple[tuple[QuantumMap, ...], ...]
+    ops: tuple[tuple[Operation, ...], ...]
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
         o1 = _distinct_labels(self.outcomes1, "BiInstrument")
         o2 = _distinct_labels(self.outcomes2, "BiInstrument")
         rows = tuple(tuple(row) for row in self.ops)
-        if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
+        n = len(o2)
+        if len(rows) != len(o1) or any(len(r) != n for r in rows):
             raise InvariantViolation("BiInstrument", "grid shape")
-        _check_operation_family("BiInstrument", [op for row in rows for op in row], atol)
+        flat = _admit_family("BiInstrument", [op for row in rows for op in row], atol)
+        rows = tuple(flat[i : i + n] for i in range(0, len(flat), n))
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "ops", rows)
@@ -168,7 +168,7 @@ class BiInstrument:
     def dim_out(self) -> int:
         return self.ops[0][0].dim_out
 
-    def op(self, x: str, y: str) -> QuantumMap:
+    def op(self, x: str, y: str) -> Operation:
         try:
             i = self.outcomes1.index(x)
             j = self.outcomes2.index(y)
@@ -180,12 +180,8 @@ class BiInstrument:
         return map_sum([op for row in self.ops for op in row])
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
-        if all(isinstance(op, Operation) for row in self.ops for op in row):
-            stacks = [np.concatenate([op.kraus_stack for op in group]) for group in groups]
-            ops = _operation_family(stacks, atol)
-        else:
-            ops = tuple(map_sum(group, atol) for group in groups)
-        return Instrument(outcomes, ops, atol)
+        stacks = [np.concatenate([op.kraus_stack for op in group]) for group in groups]
+        return Instrument(outcomes, _operation_family(stacks, atol), atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the second outcome index."""
@@ -242,12 +238,14 @@ def given_distribution(
 
 
 def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
-    """Pre-compose every operation of ``ins`` with the channel ``ch``."""
+    """Pre-compose every operation of ``ins`` with the channel ``ch``
+    (a tabulated ``ch`` is admitted once through ``Operation.of``)."""
     if not ch.is_trace_preserving(atol):
         raise InvariantViolation("conditioning", "channel", "map must be trace preserving")
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
-    return Instrument(ins.outcomes, _then_family([(ch, op) for op in ins.ops]), atol)
+    ch = Operation.of(ch, atol)
+    return Instrument(ins.outcomes, _then_family([(ch, op) for op in ins.ops], atol), atol)
 
 
 def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -255,7 +253,7 @@ def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATO
     entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``."""
     if ins.dim_out != jns.dim_in:
         raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
-    flat = _then_family([(iop, jop) for iop in ins.ops for jop in jns.ops])
+    flat = _then_family([(iop, jop) for iop in ins.ops for jop in jns.ops], atol)
     n = len(jns.ops)
     grid = tuple(flat[i : i + n] for i in range(0, len(flat), n))
     return BiInstrument(ins.outcomes, jns.outcomes, grid, atol)

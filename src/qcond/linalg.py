@@ -239,4 +239,4 @@ def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):
     evals, evecs = np.linalg.eigh(hermitian_part(m))
     if float(evals.min()) < -atol:
         raise InvariantViolation(kind, "positive", f"eigenvalue {evals.min():.3e}")
-    return np.clip(evals, 0.0, None), evecs
+    return np.maximum(evals, 0.0), evecs

@@ -5,12 +5,14 @@ instrument into the tensor product (base left, probe right), then reads a
 probe observable. Everything measurable about the model is extracted by
 partial trace over the probe factor.
 
-The generic extraction produces tabulated linear maps (no Kraus lists are
-ever needed for them). Each is one contraction of the operation's
-superoperator, reshaped to ``(db, dp, db, dp, db·db)``, whose two probe
-indices are summed against the probe effect: O(db⁴·dp²) for base dimension
-``db`` and probe dimension ``dp``, with no d²×d² intermediate
-(d = db·dp), for Kraus and tabulated operations alike.
+The generic extraction stays in Kraus form. Each probe effect is factored
+as ``P = B B†`` (one batched eigendecomposition of the probe stack), and
+``tr_probe[X (I ⊗ P)] = sum_j (I ⊗ b_j†) X (I ⊗ b_j)`` over the columns
+``b_j`` of ``B``, so an interaction Kraus operator ``K`` yields the readout
+Kraus operators ``(I ⊗ b_j†) K``. They come from one contraction of the
+interaction's Kraus stack, read as ``(n, db, dp, db)`` for base dimension
+``db`` and probe dimension ``dp``, at O(n·db²·dp²) per probe effect; no
+superoperator is built.
 
 The Kraus-separable and Holevo-separable classes provide closed-form
 shortcuts as *separate* code paths; their agreement with the generic
@@ -20,11 +22,12 @@ pipeline is a test target, not an internal substitution.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, LinearMap, QuantumMap, _operation_family
+from .channels import Channel, Operation, _operation_family
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
 from .instruments import BiInstrument, HolevoSpec, Instrument, _holevo_family, holevo_instrument
@@ -69,37 +72,55 @@ class MeasurementModel:
         if self.probe.dim != self.dim_probe:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
-    def _readout(self, op: QuantumMap, probe_effect: np.ndarray) -> LinearMap:
-        # Rows of the superoperator index the output matrix entry
-        # ((a, y), (c, w)) of base ⊗ probe; tr_probe[op(m) (I ⊗ P)] sums
-        # op(m)[(a, y), (c, w)] P[w, y] over y and w.
+    def _probe_factors(self, atol: float) -> np.ndarray:
+        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for the probe effects:
+        the eigenvectors scaled by the square roots of the clipped eigenvalues."""
+        evals, evecs = clipped_eigh(self.probe.effect_stack, atol, "effect")
+        return evecs * np.sqrt(evals)[:, None, :]
+
+    def _readout(
+        self, stacks: Sequence[np.ndarray], factors: np.ndarray, atol: float
+    ) -> tuple[Operation, ...]:
+        """The operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]`` for every
+        Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe) and every
+        ``B`` of the stack ``factors``, ``K``-major, validated as one family.
+
+        A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
+        base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
+        column ``j`` of ``B``: one contraction of all the stacks at once.
+        """
         db, dp = self.dim_base, self.dim_probe
-        s = op.superoperator().reshape(db, dp, db, dp, db * db)
-        out = np.einsum("aycwk,wy->ack", s, probe_effect)
-        return LinearMap(out.reshape(db * db, db * db), db, db)
+        sizes = [len(k) for k in stacks]
+        kraus = np.concatenate(stacks).reshape(-1, db, dp, db)
+        out = np.einsum("ywj,nawb->ynjab", factors.conj(), kraus)
+        return _operation_family([
+            out[y, end - size : end].reshape(-1, db, db)
+            for size, end in zip(sizes, accumulate(sizes))
+            for y in range(len(factors))
+        ], atol)
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
         """Joint outcome grid: interact, project on a probe effect, trace out
         the probe. Entry ``(x, y)`` maps ``rho`` to
         ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
-        grid = tuple(
-            tuple(self._readout(op, p) for p in self.probe.effect_stack)
-            for op in self.interaction.ops
-        )
+        stacks = [op.kraus_stack for op in self.interaction.ops]
+        ops = self._readout(stacks, self._probe_factors(atol), atol)
+        n = self.probe.n_outcomes
+        grid = tuple(ops[i : i + n] for i in range(0, len(ops), n))
         return BiInstrument(self.interaction.outcomes, self.probe.outcomes, grid, atol)
 
     def measured_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The probe-indexed instrument the model realizes on the base space
         (the second marginal of the measured bi-instrument)."""
-        total = self.interaction.total()
-        ops = tuple(self._readout(total, p) for p in self.probe.effect_stack)
+        total = np.concatenate([op.kraus_stack for op in self.interaction.ops])
+        ops = self._readout([total], self._probe_factors(atol), atol)
         return Instrument(self.probe.outcomes, ops, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The interaction reduced to the base space (first marginal);
         independent of the probe observable."""
-        eye = np.eye(self.dim_probe)
-        ops = tuple(self._readout(op, eye) for op in self.interaction.ops)
+        stacks = [op.kraus_stack for op in self.interaction.ops]
+        ops = self._readout(stacks, _identity(self.dim_probe)[None], atol)
         return Instrument(self.interaction.outcomes, ops, atol)
 
     def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> BiObservable:

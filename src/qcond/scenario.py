@@ -46,7 +46,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(data: Any) -> np.ndarray:
     try:
         rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+    except (TypeError, LookupError) as exc:
         raise ScenarioError(f"malformed matrix payload: {exc}") from None
     arr = np.array(rows, dtype=complex)
     if arr.ndim != 2:
@@ -173,6 +173,8 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
     for name, obj in deferred:
         ins_name = obj.get("interaction")
         probe_name = obj.get("probe")
+        if not isinstance(ins_name, str) or not isinstance(probe_name, str):
+            raise ScenarioError("'interaction' and 'probe' must be object names", obj=name)
         if ins_name not in scn.instruments:
             raise ScenarioError(f"references unknown instrument {ins_name!r}", obj=name)
         if probe_name not in scn.observables:
@@ -192,8 +194,9 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
 def save_scenario(scn: Scenario, path: str | Path) -> None:
     """Write a scenario back to JSON; inverse of :func:`load_scenario`.
 
-    Only Kraus-form instruments serialize (tabulated linear maps have no
-    file representation).
+    Every instrument member is a Kraus-form operation (tabulated maps are
+    converted when an instrument admits them), so every instrument
+    serializes as one Kraus list per outcome.
     """
     objects: dict[str, Any] = {}
     for name, state in scn.states.items():
@@ -212,12 +215,10 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
             "kraus": [matrix_to_json(k) for k in op.kraus],
         }
     for name, ins in scn.instruments.items():
-        if not all(isinstance(op, Operation) for op in ins.ops):
-            raise ScenarioError("only Kraus-form instruments can be serialized", obj=name)
         objects[name] = {
             "type": "instrument",
             "outcomes": list(ins.outcomes),
-            "operations": [[matrix_to_json(k) for k in op.kraus] for op in ins.ops],  # type: ignore[attr-defined]
+            "operations": [[matrix_to_json(k) for k in op.kraus] for op in ins.ops],
         }
     for name, model in scn.models.items():
         ins_name = _name_of(scn.instruments, model.interaction, name, "interaction instrument")

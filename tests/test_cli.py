@@ -190,3 +190,17 @@ def test_validate_exits_1_on_non_list_instrument_operation(tmp_path, capsys):
     }}))
     assert main(["validate", str(path)]) == 1
     assert "operation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    ("mixed", "matrix", [[{"a": 1}]]),
+    ("meter", "interaction", ["interact"]),
+    ("meter", "probe", ["probe"]),
+])
+def test_validate_exits_1_on_malformed_entry_or_reference(scenario_file, capsys, edit):
+    name, key, value = edit
+    payload = json.loads(scenario_file.read_text())
+    payload["objects"][name][key] = value
+    scenario_file.write_text(json.dumps(payload))
+    assert main(["validate", str(scenario_file)]) == 1
+    assert f"object '{name}'" in capsys.readouterr().err

@@ -445,6 +445,65 @@ def test_mixed_kraus_and_tabulated_family_validates():
     assert map_deviation(grid.total(), ins.total_channel()) < 1e-13
 
 
+def _partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose of the right factor of C² ⊗ C²."""
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+_Z = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("qmap", [
+    LinearMap.from_action(_partial_transpose, 4, 4),
+    LinearMap.from_action(lambda m: m.T, 2, 2),
+    # The identity plus i·(a trace-annihilating map): the Hermitian part of
+    # its Choi matrix is the identity channel's, the matrix is not Hermitian.
+    LinearMap.from_action(lambda m: m + 1j * np.trace(_Z @ m) * _Z, 2, 2),
+])
+def test_trace_preserving_map_that_is_not_completely_positive_is_rejected(qmap):
+    # Every map is trace preserving, so only the Choi check can tell that
+    # it is not an operation.
+    assert qmap.is_trace_preserving()
+    with pytest.raises(InvariantViolation, match="completely positive"):
+        Instrument(("x",), (qmap,))
+    with pytest.raises(InvariantViolation, match="completely positive"):
+        BiInstrument(("x",), ("y",), ((qmap,),))
+
+
+def test_zero_tabulated_member_is_admitted():
+    ch = random_channel(2, 3, 2, 72)
+    ins = Instrument(("x0", "x1"), (ch, LinearMap(np.zeros((9, 4)), 2, 3)))
+    zero = ins.op("x1")
+    assert isinstance(zero, Operation)
+    assert zero.kraus_stack.shape == (1, 3, 2)
+    assert not zero.kraus_stack.any()
+
+
+def test_tabulated_members_are_stored_in_kraus_form():
+    ins = random_instrument(2, 3, 3, 73, kraus_per_outcome=2)
+    tabulated = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
+    assert all(isinstance(op, Operation) for op in tabulated.ops)
+    assert instrument_deviation(tabulated, ins) < 1e-12
+    assert map_deviation(tabulated.total_channel(), ins.total_channel()) < 1e-12
+
+
+def test_condition_instrument_by_tabulated_channel_matches_kraus_channel():
+    rng = np.random.default_rng(74)
+    ch = random_channel(2, 3, 2, rng)
+    ins = random_instrument(3, 2, 3, rng)
+    tabulated = condition_instrument(LinearMap.of(ch), ins)
+    assert instrument_deviation(tabulated, condition_instrument(ch, ins)) < 1e-12
+
+
+def test_composition_validates_at_the_callers_tolerance():
+    loose = 0.5
+    ins = Instrument(("x",), (Operation((np.sqrt(1.2) * np.eye(2),), loose),), loose)
+    grid = given_instrument(ins, ins, atol=loose)
+    np.testing.assert_allclose(grid.op("x", "x").kraus_stack[0], 1.2 * np.eye(2), atol=1e-15)
+    conditioned = condition_instrument(Channel.identity(2), ins, atol=loose)
+    assert map_deviation(conditioned.op("x"), ins.op("x")) < 1e-15
+
+
 def test_deviation_helpers_propagate_nan(monkeypatch):
     import qcond.instruments as instruments
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcond.channels import Channel, LinearMap, map_deviation
+from qcond.channels import Channel, LinearMap, Operation, map_deviation
 from qcond.effects import (
     Observable,
     State,
@@ -86,7 +86,7 @@ def test_readout_of_tabulated_interaction_matches_kraus_form(dim_base, dim_probe
     ins = model.interaction
     tabulated_ins = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
     tabulated = MeasurementModel(dim_base, dim_probe, tabulated_ins, model.probe)
-    assert all(isinstance(op, LinearMap) for op in tabulated.interaction.ops)
+    assert all(isinstance(op, Operation) for op in tabulated.interaction.ops)
     bi = bi_instrument_deviation(tabulated.measured_bi_instrument(), model.measured_bi_instrument())
     assert bi < 1e-12
     assert instrument_deviation(tabulated.measured_instrument(), model.measured_instrument()) < 1e-12
@@ -107,6 +107,11 @@ def test_readout_memory_stays_near_one_superoperator():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+    # The readout works on Kraus operators: no interaction member builds
+    # its superoperator.
+    model.measured_bi_instrument()
+    model.reduced_instrument()
+    assert all(op._superop is None for op in model.interaction.ops)
 
 
 def test_bi_instrument_first_marginal_is_reduced_instrument():

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from qcond.channels import LinearMap
 from qcond.effects import Effect, Observable, State
 from qcond.errors import ScenarioError
+from qcond.instruments import Instrument, instrument_deviation
 from qcond.measurement import MeasurementModel
 from qcond.rand import random_channel, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, matrix_from_json, matrix_to_json, save_scenario
@@ -46,6 +48,16 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert loaded.models["meter"].dim_base == 2
     assert loaded.seed == 7
+
+
+def test_tabulated_instrument_round_trips(tmp_path):
+    scn = build_scenario()
+    ins = scn.instruments["interact"]
+    scn.instruments["tabulated"] = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
+    path = tmp_path / "scn.json"
+    save_scenario(scn, path)
+    loaded = load_scenario(path)
+    assert instrument_deviation(loaded.instruments["tabulated"], ins) < 1e-12
 
 
 def test_save_of_loaded_scenario_is_stable(tmp_path):
@@ -115,6 +127,24 @@ def test_load_rejects_non_list_instrument_operations(tmp_path, operations):
                "operations": operations}
     path.write_text(json.dumps({"objects": {"ins": payload}}))
     with pytest.raises(ScenarioError, match="object 'ins'"):
+        load_scenario(path)
+
+
+def test_load_rejects_object_matrix_entry(tmp_path):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"objects": {"rho": {"type": "state", "matrix": [[{"a": 1}]]}}}))
+    with pytest.raises(ScenarioError, match="object 'rho': malformed matrix payload"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("role", ["interaction", "probe"])
+def test_load_rejects_non_string_model_reference(tmp_path, role):
+    path = tmp_path / "model.json"
+    save_scenario(build_scenario(), path)
+    payload = json.loads(path.read_text())
+    payload["objects"]["meter"][role] = ["interact"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioError, match="object 'meter': 'interaction' and 'probe' must be object names"):
         load_scenario(path)
 
 
