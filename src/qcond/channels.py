@@ -12,6 +12,9 @@ row-major vectorization. It backs maps given by their action
 map comparisons of the checks. :meth:`Operation.of` admits a tabulated map
 as an operation: one eigendecomposition of its Choi matrix either proves it
 completely positive and yields Kraus operators, or rejects it.
+
+Every map here is single and checked on its own; families of operations
+are built, and checked from their total, in :mod:`qcond.instruments`.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class Operation(QuantumMap):
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
         self._build(kraus)
-        _require_trace_non_increasing(self._gram[None], atol)
+        _require_trace_non_increasing(self._gram, atol)
 
     @classmethod
     def of(cls, qmap: QuantumMap, atol: float = DEFAULT_ATOL) -> "Operation":
@@ -230,7 +233,7 @@ class Channel(Operation):
 
     def __init__(self, kraus: Sequence[np.ndarray], atol: float = DEFAULT_ATOL):
         super().__init__(kraus, atol)
-        _require_trace_preserving(self._gram[None], atol)
+        _require_trace_preserving(self._gram, atol)
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -296,39 +299,16 @@ class LinearMap(QuantumMap):
         return self._matrix
 
 
-def _require_trace_non_increasing(grams: np.ndarray, atol: float) -> None:
-    """``sum K†K <= I`` for every Gram matrix of a stack ``(n, d, d)``."""
-    if not is_psd(_identity(grams.shape[-1]) - grams, atol):
+def _require_trace_non_increasing(gram: np.ndarray, atol: float) -> None:
+    """``sum K†K <= I`` for one Gram matrix."""
+    if not is_psd(_identity(len(gram)) - gram, atol):
         raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
 
 
-def _require_trace_preserving(grams: np.ndarray, atol: float) -> None:
-    """``sum K†K == I`` entrywise within ``atol`` for every Gram matrix of a stack."""
-    if np.abs(grams - _identity(grams.shape[-1])).max() > atol:
+def _require_trace_preserving(gram: np.ndarray, atol: float) -> None:
+    """``sum K†K == I`` entrywise within ``atol`` for one Gram matrix."""
+    if np.abs(gram - _identity(len(gram))).max() > atol:
         raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
-
-
-def _operation_family(
-    stacks: Sequence[np.ndarray], atol: float, classes: Sequence[type] | None = None
-) -> tuple[Operation, ...]:
-    """One operation per Kraus stack, of class ``classes[i]`` (default
-    :class:`Operation`), validated together.
-
-    The members share their dimensions and skip ``__init__``: their Gram
-    matrices are checked for ``sum K†K <= I`` (and, for channels, ``== I``)
-    by one batched eigendecomposition, with the errors of one-by-one
-    construction.
-    """
-    classes = classes or [Operation] * len(stacks)
-    ops = tuple(object.__new__(cls) for cls in classes)
-    for op, stack in zip(ops, stacks):
-        op._build(stack)
-    grams = np.stack([op._gram for op in ops])
-    _require_trace_non_increasing(grams, atol)
-    channels = [issubclass(cls, Channel) for cls in classes]
-    if any(channels):
-        _require_trace_preserving(grams[channels], atol)
-    return ops
 
 
 def _composed_class(first: Operation, second: Operation) -> type:
@@ -340,16 +320,6 @@ def _composed_kraus(first: Operation, second: Operation) -> np.ndarray:
     """The Kraus stack ``{L_b K_a}`` of running ``first``, then ``second``."""
     products = np.einsum("mab,nbc->mnac", second.kraus_stack, first.kraus_stack)
     return products.reshape(-1, second.dim_out, first.dim_in)
-
-
-def _then_family(
-    pairs: Sequence[tuple[Operation, Operation]], atol: float = DEFAULT_ATOL
-) -> tuple[Operation, ...]:
-    """``first.then(second, atol)`` for every pair of composable operations,
-    built and validated as one family."""
-    stacks = [_composed_kraus(first, second) for first, second in pairs]
-    classes = [_composed_class(first, second) for first, second in pairs]
-    return _operation_family(stacks, atol, classes)
 
 
 def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:

@@ -7,6 +7,10 @@ outcome-by-outcome. Every member of a family is a Kraus-form
 (a tabulated :class:`~qcond.channels.LinearMap`, say) is admitted through
 :meth:`Operation.of <qcond.channels.Operation.of>`, which rejects a map that
 is not completely positive.
+
+A family's trace condition is checked once, on its total: with every Gram
+matrix positive, ``sum_x op_x*(I) = I`` gives each member's ``sum K†K <= I``,
+so the members that ``_from_kraus`` builds skip that check.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from .channels import (
     Channel,
     Operation,
     QuantumMap,
-    _operation_family,
-    _then_family,
+    _composed_class,
+    _composed_kraus,
+    _require_trace_preserving,
     map_deviation,
-    map_sum,
 )
 from .effects import BiObservable, Effect, Observable, State, _distinct_labels
 from .errors import InvariantViolation, OutcomeNotObserved
@@ -53,16 +57,11 @@ __all__ = [
 ]
 
 
-def _admit_family(kind: str, ops: Iterable[QuantumMap], atol: float) -> tuple[Operation, ...]:
-    """The one validator of operation families: every member in Kraus form
-    (admitted through ``Operation.of``), uniform dimensions and a total map
-    that is a channel.
-
-    The total's dual at the identity, ``sum_x op_x*(I)``, is the sum of the
-    members' cached Gram matrices; it must lie below ``I`` and equal it
-    entrywise, within ``atol``.
-    """
-    ops = tuple(Operation.of(op, atol) for op in ops)
+def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
+    """The one check of a family's trace condition: uniform dimensions, and
+    the total's dual at the identity, ``sum_x op_x*(I)`` (the sum of the
+    members' cached Gram matrices), below ``I`` and equal to it entrywise,
+    within ``atol``."""
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
@@ -70,7 +69,27 @@ def _admit_family(kind: str, ops: Iterable[QuantumMap], atol: float) -> tuple[Op
     eye = _identity(ops[0].dim_in)
     if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
         raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
+
+
+def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
+    """One operation per Kraus stack, of class ``classes[i]`` (default
+    :class:`Operation`), built without ``__init__`` for a family whose total
+    is checked next. A ``Channel`` member is checked for ``sum K†K == I``
+    entrywise, which the total does not give for one member of several."""
+    ops = tuple(object.__new__(cls) for cls in classes or [Operation] * len(stacks))
+    for op, stack in zip(ops, stacks):
+        op._build(stack)
+        if isinstance(op, Channel):
+            _require_trace_preserving(op._gram, atol)
     return ops
+
+
+def _summed(ops: Iterable[Operation]) -> Operation:
+    """The summed map of a checked family, with concatenated Kraus lists
+    and no second check."""
+    total = object.__new__(Operation)
+    total._build(np.concatenate([op.kraus_stack for op in ops]))
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +100,18 @@ class Instrument:
     ops: tuple[Operation, ...]
     atol: InitVar[float] = DEFAULT_ATOL
 
+    @classmethod
+    def _from_kraus(cls, outcomes, stacks, atol: float, classes=None) -> "Instrument":
+        """One operation per Kraus stack (of class ``classes[i]``), checked
+        once, from the total."""
+        return cls(outcomes, _members(stacks, atol, classes), atol)
+
     def __post_init__(self, atol: float):
         outcomes = _distinct_labels(self.outcomes, "Instrument")
         if len(self.ops) != len(outcomes):
             raise InvariantViolation("Instrument", "one operation per outcome")
-        ops = _admit_family("Instrument", self.ops, atol)
+        ops = tuple(Operation.of(op, atol) for op in self.ops)
+        _admit_family("Instrument", ops, atol)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "ops", ops)
 
@@ -106,9 +132,9 @@ class Instrument:
     def op(self, label: str) -> Operation:
         return self.ops[self.index(label)]
 
-    def total(self) -> QuantumMap:
+    def total(self) -> Operation:
         """The summed map (a channel, by the construction invariant)."""
-        return map_sum(self.ops)
+        return _summed(self.ops)
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The summed channel with concatenated Kraus lists."""
@@ -147,15 +173,22 @@ class BiInstrument:
     ops: tuple[tuple[Operation, ...], ...]
     atol: InitVar[float] = DEFAULT_ATOL
 
+    @classmethod
+    def _from_kraus(cls, outcomes1, outcomes2, stacks, atol: float, classes=None) -> "BiInstrument":
+        """One grid operation per Kraus stack (row-major, of class
+        ``classes[i]``), checked once, from the total."""
+        ops = _members(stacks, atol, classes)
+        n = len(outcomes2)
+        return cls(outcomes1, outcomes2, tuple(ops[i : i + n] for i in range(0, len(ops), n)), atol)
+
     def __post_init__(self, atol: float):
         o1 = _distinct_labels(self.outcomes1, "BiInstrument")
         o2 = _distinct_labels(self.outcomes2, "BiInstrument")
         rows = tuple(tuple(row) for row in self.ops)
-        n = len(o2)
-        if len(rows) != len(o1) or any(len(r) != n for r in rows):
+        if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
             raise InvariantViolation("BiInstrument", "grid shape")
-        flat = _admit_family("BiInstrument", [op for row in rows for op in row], atol)
-        rows = tuple(flat[i : i + n] for i in range(0, len(flat), n))
+        rows = tuple(tuple(Operation.of(op, atol) for op in row) for row in rows)
+        _admit_family("BiInstrument", [op for row in rows for op in row], atol)
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "ops", rows)
@@ -176,12 +209,13 @@ class BiInstrument:
             raise ValueError(f"unknown outcome pair ({x!r}, {y!r})") from None
         return self.ops[i][j]
 
-    def total(self) -> QuantumMap:
-        return map_sum([op for row in self.ops for op in row])
+    def total(self) -> Operation:
+        """The summed map (a channel, by the construction invariant)."""
+        return _summed(op for row in self.ops for op in row)
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
         stacks = [np.concatenate([op.kraus_stack for op in group]) for group in groups]
-        return Instrument(outcomes, _operation_family(stacks, atol), atol)
+        return Instrument._from_kraus(outcomes, stacks, atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the second outcome index."""
@@ -245,7 +279,9 @@ def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
     ch = Operation.of(ch, atol)
-    return Instrument(ins.outcomes, _then_family([(ch, op) for op in ins.ops], atol), atol)
+    stacks = [_composed_kraus(ch, op) for op in ins.ops]
+    classes = [_composed_class(ch, op) for op in ins.ops]
+    return Instrument._from_kraus(ins.outcomes, stacks, atol, classes)
 
 
 def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -253,10 +289,10 @@ def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATO
     entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``."""
     if ins.dim_out != jns.dim_in:
         raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
-    flat = _then_family([(iop, jop) for iop in ins.ops for jop in jns.ops], atol)
-    n = len(jns.ops)
-    grid = tuple(flat[i : i + n] for i in range(0, len(flat), n))
-    return BiInstrument(ins.outcomes, jns.outcomes, grid, atol)
+    pairs = [(iop, jop) for iop in ins.ops for jop in jns.ops]
+    stacks = [_composed_kraus(iop, jop) for iop, jop in pairs]
+    classes = [_composed_class(iop, jop) for iop, jop in pairs]
+    return BiInstrument._from_kraus(ins.outcomes, jns.outcomes, stacks, atol, classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +349,9 @@ def _holevo_family(
     cols: Sequence[int],
     coeffs: np.ndarray,
     atol: float,
-) -> tuple[Operation, ...]:
-    """Measure-and-prepare operations ``rho -> tr(rho c_i e_{rows[i]}) sigma_{cols[i]}``
-    for ``c = coeffs``, validated as one family.
+) -> list[np.ndarray]:
+    """Kraus stacks of the measure-and-prepare operations
+    ``rho -> tr(rho c_i e_{rows[i]}) sigma_{cols[i]}`` for ``c = coeffs``.
 
     Each effect of the stack ``effects`` and each state of ``states`` is
     decomposed once (one batched ``eigh`` per stack); an entry's effect
@@ -327,10 +363,7 @@ def _holevo_family(
     if float(scaled.min()) < -atol:
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
     scaled = np.clip(scaled, 0.0, None)
-    stacks = [
-        _holevo_stack(a, evecs[i], pvals[j], pvecs[j]) for a, i, j in zip(scaled, rows, cols)
-    ]
-    return _operation_family(stacks, atol)
+    return [_holevo_stack(a, evecs[i], pvals[j], pvecs[j]) for a, i, j in zip(scaled, rows, cols)]
 
 
 def holevo_operation(
@@ -353,8 +386,8 @@ def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrumen
     n = spec.observable.n_outcomes
     states = np.stack([s.matrix for s in spec.states])
     idx = np.arange(n)
-    ops = _holevo_family(spec.observable.effect_stack, states, idx, idx, np.ones(n), atol)
-    return Instrument(spec.observable.outcomes, ops, atol)
+    stacks = _holevo_family(spec.observable.effect_stack, states, idx, idx, np.ones(n), atol)
+    return Instrument._from_kraus(spec.observable.outcomes, stacks, atol)
 
 
 def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -375,9 +408,8 @@ def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_
     betas = np.stack([s.matrix for s in second.states])
     coeff = np.trace(alphas[:, None] @ b_obs.effect_stack, axis1=-2, axis2=-1).real
     rows, cols = np.divmod(np.arange(n1 * n2), n2)
-    ops = _holevo_family(a_obs.effect_stack, betas, rows, cols, coeff.reshape(-1), atol)
-    grid = tuple(ops[i : i + n2] for i in range(0, n1 * n2, n2))
-    return BiInstrument(a_obs.outcomes, b_obs.outcomes, grid, atol)
+    stacks = _holevo_family(a_obs.effect_stack, betas, rows, cols, coeff.reshape(-1), atol)
+    return BiInstrument._from_kraus(a_obs.outcomes, b_obs.outcomes, stacks, atol)
 
 
 def instrument_deviation(a: Instrument, b: Instrument) -> float:

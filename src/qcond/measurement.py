@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, Operation, _operation_family
+from .channels import Channel
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
 from .instruments import BiInstrument, HolevoSpec, Instrument, _holevo_family, holevo_instrument
@@ -78,12 +78,10 @@ class MeasurementModel:
         evals, evecs = clipped_eigh(self.probe.effect_stack, atol, "effect")
         return evecs * np.sqrt(evals)[:, None, :]
 
-    def _readout(
-        self, stacks: Sequence[np.ndarray], factors: np.ndarray, atol: float
-    ) -> tuple[Operation, ...]:
-        """The operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]`` for every
-        Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe) and every
-        ``B`` of the stack ``factors``, ``K``-major, validated as one family.
+    def _readout(self, stacks: Sequence[np.ndarray], factors: np.ndarray) -> list[np.ndarray]:
+        """Kraus stacks of the operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]``
+        for every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe)
+        and every ``B`` of the stack ``factors``, ``K``-major.
 
         A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
         base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
@@ -93,35 +91,33 @@ class MeasurementModel:
         sizes = [len(k) for k in stacks]
         kraus = np.concatenate(stacks).reshape(-1, db, dp, db)
         out = np.einsum("ywj,nawb->ynjab", factors.conj(), kraus)
-        return _operation_family([
+        return [
             out[y, end - size : end].reshape(-1, db, db)
             for size, end in zip(sizes, accumulate(sizes))
             for y in range(len(factors))
-        ], atol)
+        ]
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
         """Joint outcome grid: interact, project on a probe effect, trace out
         the probe. Entry ``(x, y)`` maps ``rho`` to
         ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
         stacks = [op.kraus_stack for op in self.interaction.ops]
-        ops = self._readout(stacks, self._probe_factors(atol), atol)
-        n = self.probe.n_outcomes
-        grid = tuple(ops[i : i + n] for i in range(0, len(ops), n))
-        return BiInstrument(self.interaction.outcomes, self.probe.outcomes, grid, atol)
+        readout = self._readout(stacks, self._probe_factors(atol))
+        return BiInstrument._from_kraus(self.interaction.outcomes, self.probe.outcomes, readout, atol)
 
     def measured_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The probe-indexed instrument the model realizes on the base space
         (the second marginal of the measured bi-instrument)."""
         total = np.concatenate([op.kraus_stack for op in self.interaction.ops])
-        ops = self._readout([total], self._probe_factors(atol), atol)
-        return Instrument(self.probe.outcomes, ops, atol)
+        readout = self._readout([total], self._probe_factors(atol))
+        return Instrument._from_kraus(self.probe.outcomes, readout, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The interaction reduced to the base space (first marginal);
         independent of the probe observable."""
         stacks = [op.kraus_stack for op in self.interaction.ops]
-        ops = self._readout(stacks, _identity(self.dim_probe)[None], atol)
-        return Instrument(self.interaction.outcomes, ops, atol)
+        readout = self._readout(stacks, _identity(self.dim_probe)[None])
+        return Instrument._from_kraus(self.interaction.outcomes, readout, atol)
 
     def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> BiObservable:
         """Joint observable of interaction outcome and probe outcome: entry
@@ -242,7 +238,7 @@ class KrausSeparableChannel:
         outcome ``y`` acts as ``rho -> sum_i tr(rho_i P_y) K_i rho K_i†``."""
         w = np.clip(self.outcome_weights(probe), 0.0, None)
         stacks = np.sqrt(w.T)[:, :, None, None] * np.stack(self.factors)
-        return Instrument(probe.outcomes, _operation_family(stacks, atol), atol)
+        return Instrument._from_kraus(probe.outcomes, stacks, atol)
 
     def pointer_observable(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Observable:
         """Closed form of the model's measured observable:
@@ -355,17 +351,16 @@ def holevo_model_quantities(
     w = np.array(
         [[_real_overlap(g.matrix, p.matrix) for p in probe.effects] for g in spec.probe_states]
     )
-    # One family: grid entries (x, y) with effect w[x, y] A_x and state
-    # beta_x, then the reduced instrument's entries x with A_x and beta_x.
+    # One decomposition of A and beta for two families: grid entries (x, y)
+    # with effect w[x, y] A_x and state beta_x, then reduced entries x.
     n1, n2 = a_obs.n_outcomes, probe.n_outcomes
     rows = np.concatenate([np.repeat(np.arange(n1), n2), np.arange(n1)])
     coeffs = np.concatenate([w.reshape(-1), np.ones(n1)])
     betas = np.stack([b.matrix for b in spec.base_states])
-    ops = _holevo_family(a, betas, rows, rows, coeffs, atol)
-    grid = tuple(ops[i : i + n2] for i in range(0, n1 * n2, n2))
-    bi_ins = BiInstrument(a_obs.outcomes, probe.outcomes, grid, atol)
+    stacks = _holevo_family(a, betas, rows, rows, coeffs, atol)
+    bi_ins = BiInstrument._from_kraus(a_obs.outcomes, probe.outcomes, stacks[: n1 * n2], atol)
     pointer_ins = bi_ins.marginal2(atol)
-    reduced = Instrument(a_obs.outcomes, ops[n1 * n2 :], atol)
+    reduced = Instrument._from_kraus(a_obs.outcomes, stacks[n1 * n2 :], atol)
     bi_obs = BiObservable(a_obs.outcomes, probe.outcomes, w[:, :, None, None] * a[:, None], atol)
     pointer_obs = Observable(probe.outcomes, weighted_sum(w, a), atol)
     return HolevoModelQuantities(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, _operation_family
+from .channels import Channel
 from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix
 from .instruments import HolevoSpec, Instrument
 from .linalg import DEFAULT_ATOL
@@ -136,10 +136,8 @@ def random_instrument(
     Kraus operators, partitioned evenly into the outcome operations."""
     rng = as_rng(seed)
     ch = random_channel(dim_in, dim_out, n_outcomes * kraus_per_outcome, rng, atol)
-    k = kraus_per_outcome
-    ops = _operation_family([ch.kraus_stack[i * k : (i + 1) * k] for i in range(n_outcomes)], atol)
-    labels = tuple(f"x{i}" for i in range(n_outcomes))
-    return Instrument(labels, ops, atol)
+    stacks = ch.kraus_stack.reshape(n_outcomes, kraus_per_outcome, dim_out, dim_in)
+    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n_outcomes)), stacks, atol)
 
 
 def random_holevo_spec(

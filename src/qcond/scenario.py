@@ -85,6 +85,14 @@ class Scenario:
         }
 
 
+def _integer(value: Any, field: str, obj: str | None = None) -> int:
+    """``value`` as an ``int``, rejecting any value ``int()`` would change
+    (a fraction, a boolean, a string, a non-finite number)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise ScenarioError(f"{field} must be an integer, got {value!r}", obj=obj)
+
+
 def _load_observable(payload: dict, atol: float) -> Observable:
     outcomes = payload.get("outcomes")
     effects = payload.get("effects")
@@ -107,10 +115,8 @@ def _load_instrument(payload: dict, atol: float) -> Instrument:
         raise ScenarioError("instrument needs 'outcomes' and 'operations' lists")
     if not all(isinstance(op_kraus, list) for op_kraus in operations):
         raise ScenarioError("each instrument operation must be a list of Kraus matrices")
-    ops = tuple(
-        Operation(tuple(matrix_from_json(k) for k in op_kraus), atol) for op_kraus in operations
-    )
-    return Instrument(tuple(outcomes), ops, atol)
+    stacks = [tuple(matrix_from_json(k) for k in op_kraus) for op_kraus in operations]
+    return Instrument._from_kraus(tuple(outcomes), stacks, atol)
 
 
 def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
@@ -133,10 +139,7 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
         raise ScenarioError(str(exc)) from None
     seed = payload.get("seed")
     if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"seed must be an integer, got {seed!r}") from None
+        seed = _integer(seed, "seed")
 
     objects = payload.get("objects", {})
     if not isinstance(objects, dict):
@@ -181,12 +184,12 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
             raise ScenarioError(f"references unknown observable {probe_name!r}", obj=name)
         try:
             scn.models[name] = MeasurementModel(
-                int(obj.get("dim_base")),
-                int(obj.get("dim_probe")),
+                _integer(obj.get("dim_base"), "dim_base", name),
+                _integer(obj.get("dim_probe"), "dim_probe", name),
                 scn.instruments[ins_name],
                 scn.observables[probe_name],
             )
-        except (InvariantViolation, ValueError, TypeError, OverflowError) as exc:
+        except InvariantViolation as exc:
             raise ScenarioError(str(exc), obj=name) from None
     return scn
 

@@ -176,6 +176,14 @@ def test_validate_exits_1_on_bad_metadata(field, value, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+def test_validate_exits_1_on_fractional_model_dimension(scenario_file, capsys):
+    payload = json.loads(scenario_file.read_text())
+    payload["objects"]["meter"]["dim_base"] = 2.7
+    scenario_file.write_text(json.dumps(payload))
+    assert main(["validate", str(scenario_file)]) == 1
+    assert "dim_base" in capsys.readouterr().err
+
+
 def test_check_rejects_negative_trials(capsys):
     assert main(["check", "--suite", "dual-map", "--trials", "-3", "--dims", "2..3"]) == 2
     captured = capsys.readouterr()

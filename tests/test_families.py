@@ -1,6 +1,8 @@
-"""Batched family construction: operation families validated together, dual
-images in one product, and Holevo grids built from one decomposition of
-each effect and each state."""
+"""Batched family construction: operation families checked once, from their
+total, dual images in one product, and Holevo grids built from one
+decomposition of each effect and each state."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from qcond.channels import (
     LinearMap,
     Operation,
     QuantumMap,
-    _operation_family,
-    _then_family,
     condition_observable,
     map_deviation,
 )
@@ -29,8 +29,9 @@ from qcond.instruments import (
     holevo_operation,
 )
 from qcond.linalg import hermitian_part
-from qcond.measurement import HolevoSeparableSpec, holevo_model_quantities
+from qcond.measurement import HolevoSeparableSpec, MeasurementModel, holevo_model_quantities
 from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_state
+from qcond.scenario import Scenario, load_scenario, save_scenario
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -143,21 +144,27 @@ def test_family_members_keep_their_class():
 
 def test_operation_family_rejects_an_over_scaled_member():
     good = random_channel(2, 2, 2, 15).kraus_stack / np.sqrt(2)
-    assert len(_operation_family([good, good], 1e-9)) == 2
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        _operation_family([good, 1.5 * good], 1e-9)
+    assert len(Instrument._from_kraus(("a", "b"), [good, good], 1e-9).ops) == 2
+    assert len(BiInstrument._from_kraus(("x",), ("a", "b"), [good, good], 1e-9).ops[0]) == 2
+    with pytest.raises(InvariantViolation, match="total channel"):
+        Instrument._from_kraus(("a", "b"), [good, 1.5 * good], 1e-9)
+    with pytest.raises(InvariantViolation, match="total channel"):
+        BiInstrument._from_kraus(("x",), ("a", "b"), [good, 1.5 * good], 1e-9)
     with pytest.raises(InvariantViolation, match="trace preservation"):
-        _operation_family([good * np.sqrt(2), good], 1e-9, [Channel, Channel])
+        Instrument._from_kraus(("a", "b"), [good * np.sqrt(2), good], 1e-9, [Channel, Channel])
+    with pytest.raises(InvariantViolation, match="trace preservation"):
+        BiInstrument._from_kraus(("x",), ("a", "b"), [good * np.sqrt(2), good], 1e-9, [Channel, Channel])
 
 
 def test_holevo_family_rejects_an_over_scaled_member():
     effects = np.stack([PROJ0, 1.5 * PROJ1])
     states = np.stack([PROJ0, PROJ1])
     idx = np.arange(2)
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        _holevo_family(effects, states, idx, idx, np.ones(2), 1e-9)
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        _holevo_family(effects[:1], states, [0, 0], idx, np.array([1.0, 1.5]), 1e-9)
+    with pytest.raises(InvariantViolation, match="total channel"):
+        Instrument._from_kraus(("a", "b"), _holevo_family(effects, states, idx, idx, np.ones(2), 1e-9), 1e-9)
+    with pytest.raises(InvariantViolation, match="total channel"):
+        stacks = _holevo_family(effects[:1], states, [0, 0], idx, np.array([1.0, 1.5]), 1e-9)
+        BiInstrument._from_kraus(("x",), ("a", "b"), stacks, 1e-9)
 
 
 def test_composed_and_marginal_families_reject_an_over_scaled_member():
@@ -166,11 +173,21 @@ def test_composed_and_marginal_families_reject_an_over_scaled_member():
     loose = 0.5
     big = Operation([1.1 * np.eye(2)], loose)
     ident = Channel.identity(2)
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
-        _then_family([(ident, ident), (ident, big)])
+    with pytest.raises(InvariantViolation, match="total channel"):
+        condition_instrument(ident, Instrument(("x",), (big,), loose))
+    with pytest.raises(InvariantViolation, match="total channel"):
+        given_instrument(Instrument(("u",), (ident,)), Instrument(("x",), (big,), loose))
     grid = BiInstrument(("x0",), ("y0", "y1"), ((big, big.scaled(0.01, loose)),), loose)
-    with pytest.raises(InvariantViolation, match="trace non-increasing"):
+    with pytest.raises(InvariantViolation, match="total channel"):
         grid.marginal1()
+
+
+def test_total_keeps_the_family_tolerance():
+    loose = 0.5
+    big = Operation([np.sqrt(1.2) * np.eye(2)], loose)
+    for total in (Instrument(("x",), (big,), loose).total(),
+                  BiInstrument(("x",), ("y",), ((big,),), loose).total()):
+        np.testing.assert_allclose(total.kraus_stack, big.kraus_stack, rtol=0, atol=0)
 
 
 @pytest.fixture()
@@ -205,3 +222,46 @@ def test_random_instrument_spectral_checks_do_not_grow_with_outcomes(spectral_ca
         random_instrument(2, 3, n_outcomes, 17)
         totals.append(spectral_calls["eigh"] + spectral_calls["eigvalsh"])
     assert totals[0] == totals[1] == totals[2]
+
+
+LOOSE = 0.5
+
+
+def _model(ins: Instrument) -> MeasurementModel:
+    return MeasurementModel(2, 2, ins, Observable(("p0", "p1"), (PROJ0, PROJ1)))
+
+
+def _saved(ins: Instrument, path) -> str:
+    save_scenario(Scenario(instruments={"ins": ins}), path)
+    return path
+
+
+# Each entry: the output dimension of the instrument it starts from, and a
+# function that prepares everything from that instrument and returns the
+# family's construction as a call with no arguments.
+FAMILY_PATHS = {
+    "measured_instrument": (4, lambda ins, path: _model(ins).measured_instrument),
+    "measured_bi_instrument": (4, lambda ins, path: _model(ins).measured_bi_instrument),
+    "reduced_instrument": (4, lambda ins, path: _model(ins).reduced_instrument),
+    "given_instrument": (2, lambda ins, path: partial(given_instrument, ins, ins)),
+    "marginal1": (2, lambda ins, path: BiInstrument(
+        ins.outcomes, ("y",), tuple((op,) for op in ins.ops), LOOSE).marginal1),
+    "holevo_instrument": (2, lambda ins, path: partial(holevo_instrument, HolevoSpec(
+        ins.measured_observable(LOOSE), (State(PROJ0), State(PROJ1)), LOOSE))),
+    "loaded_instrument": (2, lambda ins, path: partial(load_scenario, _saved(ins, path))),
+}
+
+
+@pytest.mark.parametrize("path_name", FAMILY_PATHS)
+def test_each_family_checks_its_trace_condition_with_one_eigvalsh(path_name, spectral_calls, tmp_path):
+    dim_out, prepare = FAMILY_PATHS[path_name]
+    ins = random_instrument(2, dim_out, 2, 18, kraus_per_outcome=2)
+    build = prepare(ins, tmp_path / "good.json")
+    spectral_calls["eigvalsh"] = 0
+    build()
+    assert spectral_calls["eigvalsh"] == 1
+    # every operation scaled by 1.1, admitted at a loose tolerance: the
+    # family built from it at the default tolerance rejects it
+    big = Instrument(ins.outcomes, tuple(op.scaled(1.1, LOOSE) for op in ins.ops), LOOSE)
+    with pytest.raises(ValueError, match="total channel"):
+        prepare(big, tmp_path / "big.json")()

@@ -197,6 +197,26 @@ def test_load_rejects_nonnumeric_seed(tmp_path, seed):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", 7.9), ("seed", True), ("seed", "7"),
+    ("dim_base", 2.7), ("dim_base", True), ("dim_probe", 2.5), ("dim_probe", "2"),
+])
+def test_load_rejects_integer_fields_that_int_would_change(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_scenario(build_scenario(), path)
+    payload = json.loads(path.read_text())
+    target = payload if field == "seed" else payload["objects"]["meter"]
+    target[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+    target[field] = 7 if field == "seed" else 2
+    path.write_text(json.dumps(payload))
+    scn = load_scenario(path)
+    assert (scn.seed, scn.models["meter"].dim_base, scn.models["meter"].dim_probe) == (
+        payload["seed"], 2, 2)
+
+
 def test_load_rejects_infinite_model_dimension(tmp_path):
     path = tmp_path / "model.json"
     save_scenario(build_scenario(), path)
