@@ -4,7 +4,8 @@ Verbs:
 
 * ``validate <file>`` — load a scenario file, report its contents.
 * ``check --suite <names> --trials N --dims A..B --seed S [--tol T]`` — run
-  registered identity checks; exit code 0 iff every check passes.
+  registered identity checks; exit code 0 iff every check passes, 1 if one
+  fails, 2 on bad arguments or an unwritable ``--out`` path.
 * ``distribution --scenario <file> --observable <name> --state <name>`` —
   outcome probabilities of an observable in a state.
 * ``measure --scenario <file> --model <name>`` — pointer observable and
@@ -93,7 +94,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rendered = report.to_json() if args.format == "json" else report.to_table()
     sys.stdout.write(rendered)
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

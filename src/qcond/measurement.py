@@ -277,6 +277,10 @@ class HolevoSeparableSpec:
             raise InvariantViolation("HolevoSeparableSpec", "one state pair per outcome")
         if len({s.dim for s in base}) != 1 or len({s.dim for s in probe}) != 1:
             raise InvariantViolation("HolevoSeparableSpec", "uniform state dimensions")
+        if base[0].dim != self.observable.dim:
+            raise InvariantViolation(
+                "HolevoSeparableSpec", "base dimension", "base states must match the observable"
+            )
         object.__setattr__(self, "base_states", base)
         object.__setattr__(self, "probe_states", probe)
 

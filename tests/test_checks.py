@@ -35,6 +35,11 @@ def test_registry_is_complete_and_described():
 
 def test_resolve_suite():
     assert resolve_suite("all") == list(REGISTRY)
+    assert resolve_suite("all,all") == list(REGISTRY)
+    assert resolve_suite("dual-map,holevo-composition,dual-map") == [
+        "dual-map",
+        "holevo-composition",
+    ]
     assert resolve_suite("dual-map,holevo-composition") == ["dual-map", "holevo-composition"]
     with pytest.raises(ValueError, match="unknown identity"):
         resolve_suite("dual-map,not-a-check")
@@ -48,6 +53,16 @@ def test_run_checks_all_pass_smoke():
     for r in report.results:
         assert r.instances == 2
         assert r.max_deviation <= 1e-9
+
+
+def test_repeated_names_and_dims_collapse_to_their_first_occurrence():
+    report = run_checks("dual-map,dual-map", trials=2, dims=[3, 2, 3, 2], seed=4)
+    (result,) = report.results
+    assert report.suite == ["dual-map"]
+    assert report.dims == result.dims == [3, 2]
+    assert result.instances == 4
+    single = run_checks("dual-map", trials=2, dims=[3, 2], seed=4)
+    assert report.to_json() == single.to_json()
 
 
 def test_run_checks_zero_trials_is_empty_report():
@@ -108,9 +123,9 @@ def test_run_checks_rejects_nonfinite_or_nonpositive_tolerance(tol):
 def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
     calls = []
 
-    def finite_then_nan(rng, dim, atol):
+    def finite_then_nan(rng, dim):
         calls.append(dim)
-        return 0.0 if len(calls) == 1 else math.nan
+        yield 0.0 if len(calls) == 1 else math.nan
 
     check = IdentityCheck("nan-identity", "returns NaN after a finite instance", finite_then_nan)
     monkeypatch.setitem(REGISTRY, check.name, check)
@@ -131,11 +146,11 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
 def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys):
     calls = []
 
-    def raise_once(rng, dim, atol):
+    def raise_once(rng, dim):
         calls.append(dim)
         if len(calls) == 2:
             raise exc
-        return 0.0
+        yield 0.0
 
     check = IdentityCheck("raising-identity", "raises on its second instance", raise_once)
     monkeypatch.setitem(REGISTRY, check.name, check)
@@ -149,3 +164,39 @@ def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys)
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _fake_check(monkeypatch, runner):
+    check = IdentityCheck("fake-identity", "yields fixed deviations", runner)
+    monkeypatch.setitem(REGISTRY, check.name, check)
+    (result,) = run_checks(check.name, trials=2, dims=[2], seed=0).results
+    return result
+
+
+def test_nan_after_a_finite_part_fails_the_instance(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: the fold must not drop a later NaN
+    def finite_then_nan(rng, dim):
+        yield 0.0
+        yield math.nan
+
+    result = _fake_check(monkeypatch, finite_then_nan)
+    assert result.max_deviation == math.inf and not result.passed
+
+
+def test_runner_that_yields_nothing_fails(monkeypatch):
+    def silent(rng, dim):
+        return
+        yield
+
+    result = _fake_check(monkeypatch, silent)
+    assert result.max_deviation == math.inf and not result.passed
+
+
+def test_runner_with_sub_tolerance_parts_passes_with_their_maximum(monkeypatch):
+    def small(rng, dim):
+        yield 1e-12
+        yield 3e-12
+        yield 0.0
+
+    result = _fake_check(monkeypatch, small)
+    assert result.max_deviation == 3e-12 and result.passed

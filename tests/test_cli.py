@@ -79,6 +79,16 @@ def test_check_writes_report_file(tmp_path, capsys):
     assert payload["results"][0]["name"] == "dual-map"
 
 
+def test_check_unwritable_out_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    args = ["check", "--suite", "dual-map", "--trials", "1", "--dims", "2",
+            "--seed", "3", "--out", str(out_path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--out" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_distribution_table_and_json(scenario_file, capsys):
     args = ["distribution", "--scenario", str(scenario_file),
             "--observable", "basis", "--state", "mixed"]

@@ -346,6 +346,16 @@ def separable_spec(rng, dim_base=2, dim_probe=2, n=2) -> HolevoSeparableSpec:
     )
 
 
+def test_holevo_separable_rejects_base_states_of_another_dimension():
+    rng = np.random.default_rng(24)
+    with pytest.raises(InvariantViolation, match="base dimension"):
+        HolevoSeparableSpec(
+            random_observable(3, 2, rng),
+            tuple(random_state(2, rng) for _ in range(2)),
+            tuple(random_state(2, rng) for _ in range(2)),
+        )
+
+
 def test_holevo_separable_trivial_probe():
     rng = np.random.default_rng(25)
     spec = separable_spec(rng)
