@@ -15,6 +15,12 @@ completely positive and yields Kraus operators, or rejects it.
 
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
+
+The Kraus kernels broadcast over leading batch axes: a private
+``Operation._checked`` over a stack ``(..., n, d_out, d_in)`` holds a batch
+of operations, each checked by the rule its class's constructor applies,
+and ``apply_matrix``, ``dual_matrix``, ``_dual_images`` and ``then`` act
+member by member. The seeded identity checks run their trials that way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .effects import Effect, Observable, State
+from .effects import Effect, Observable, State, _require_effects
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
@@ -88,17 +94,24 @@ class QuantumMap:
         m = as_complex_matrix(a)
         if m.shape != (self.dim_out, self.dim_out):
             raise ValueError(f"dimension mismatch: expected {self.dim_out}, got {m.shape}")
-        return Effect(hermitian_part(self.dual_matrix(m)), atol)
+        return Effect._view(frozen_copy(self._dual_effects(m, atol)))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized dual images of a stack of matrices on the output space,
-        one ``dual_matrix`` call per matrix and no validation; ``Operation``
-        and ``LinearMap`` override it with one product."""
+        """Symmetrized dual images of a stack ``(m, d_out, d_out)`` of
+        matrices on the output space, with no validation; one
+        ``dual_matrix`` call per matrix here, one product in ``Operation``
+        (which also broadcasts over batch axes) and ``LinearMap``."""
         return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
 
     def _dual_identity(self) -> np.ndarray:
         """The dual image of the identity, unsymmetrized and unvalidated."""
         return self.dual_matrix(_identity(self.dim_out))
+
+    def _dual_effects(self, a: np.ndarray, atol: float) -> np.ndarray:
+        """The symmetrized dual image of an effect, checked as an effect."""
+        image = hermitian_part(self.dual_matrix(a))
+        _require_effects(image, atol)
+        return image
 
     def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
         """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
@@ -115,7 +128,7 @@ class QuantumMap:
                 f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
             )
         if isinstance(self, Operation) and isinstance(other, Operation):
-            return _composed_class(self, other)(_composed_kraus(self, other), atol)
+            return _composed_class(self, other)._checked(_composed_kraus(self, other), atol)
         return LinearMap(other.superoperator() @ self.superoperator(), self.dim_in, other.dim_out)
 
 
@@ -129,7 +142,21 @@ class Operation(QuantumMap):
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
         self._build(kraus)
+        self._check(atol)
+
+    def _check(self, atol: float) -> None:
+        """The trace condition of the class, on every member of a batch."""
         _require_trace_non_increasing(self._gram, atol)
+
+    @classmethod
+    def _checked(cls, stack: np.ndarray, atol: float) -> "Operation":
+        """An operation of this class from a Kraus stack ``(n, d_out, d_in)``,
+        checked as the constructor checks it; leading axes of ``stack`` make
+        a batch of operations, every member checked."""
+        op = object.__new__(cls)
+        op._build(stack, stack.ndim - 3)
+        op._check(atol)
+        return op
 
     @classmethod
     def of(cls, qmap: QuantumMap, atol: float = DEFAULT_ATOL) -> "Operation":
@@ -156,10 +183,11 @@ class Operation(QuantumMap):
         stack = (evecs[:, positive] * np.sqrt(evals[positive])).T
         return cls(stack.reshape(-1, d_out, d_in), atol)
 
-    def _build(self, kraus: Sequence[np.ndarray] | np.ndarray) -> None:
+    def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
         """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
-        checks shape and finiteness, not the trace condition."""
-        if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
+        checks shape and finiteness, not the trace condition. An array
+        ``kraus`` may carry ``batch`` leading batch axes."""
+        if isinstance(kraus, np.ndarray) and kraus.ndim == 3 + batch:
             stack = np.array(kraus, dtype=complex)
         else:
             mats = [as_complex_matrix(k) for k in kraus]
@@ -168,20 +196,21 @@ class Operation(QuantumMap):
             if len({m.shape for m in mats}) != 1:
                 raise InvariantViolation("Operation", "uniform Kraus shape")
             stack = np.stack(mats)
-        if stack.shape[0] == 0:
+        if stack.shape[-3] == 0:
             raise InvariantViolation("Operation", "nonempty Kraus list")
         if not np.isfinite(stack).all():
             raise InvariantViolation("Operation", "finite entries")
-        n, d_out, d_in = stack.shape
+        n, d_out, d_in = stack.shape[-3:]
         conj = stack.conj()
         stack.setflags(write=False)
         conj.setflags(write=False)
         # Views of the one conjugate copy: the stacked adjoints K_k† and the
         # flattened adjoint (d_in, n·d_out), so that sum_k K_k† x_k is one
         # product with the flattened x.
-        self._adj = conj.transpose(0, 2, 1)
-        self._flat_h = conj.reshape(n * d_out, d_in).T
-        gram = self._flat_h @ stack.reshape(n * d_out, d_in)
+        flat = stack.shape[:-3] + (n * d_out, d_in)
+        self._adj = conj.mT
+        self._flat_h = conj.reshape(flat).mT
+        gram = self._flat_h @ stack.reshape(flat)
         gram.setflags(write=False)
         self._stack = stack
         self._conj = conj
@@ -198,15 +227,21 @@ class Operation(QuantumMap):
         """All Kraus operators as one read-only ``(n, dim_out, dim_in)`` array."""
         return self._stack
 
+    # The products below broadcast over the leading axes of a batch (see
+    # ``_checked``): the argument of ``apply_matrix`` and ``dual_matrix``
+    # broadcasts against the Kraus stack ``(..., n, d, d)``, so a batch of
+    # matrices carries a unit axis for the Kraus index.
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return np.matmul(self._stack @ m, self._adj).sum(axis=0)
+        return np.matmul(self._stack @ m, self._adj).sum(axis=-3)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        return self._flat_h @ (m @ self._stack).reshape(-1, self.dim_in)
+        products = m @ self._stack
+        return self._flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        products = (mats[:, None] @ self._stack).reshape(len(mats), -1, self.dim_in)
-        return hermitian_part(self._flat_h @ products)
+        products = mats[..., None, :, :] @ self._stack[..., None, :, :, :]
+        products = products.reshape(products.shape[:-3] + (-1, self.dim_in))
+        return hermitian_part(self._flat_h[..., None, :, :] @ products)
 
     def _dual_identity(self) -> np.ndarray:
         return self._gram
@@ -224,15 +259,21 @@ class Operation(QuantumMap):
         return self._superop
 
     def scaled(self, factor: float, atol: float = DEFAULT_ATOL) -> "Operation":
-        """The operation with every Kraus operator multiplied by ``factor``."""
-        return Operation(factor * self._stack, atol)
+        """The operation with every Kraus operator multiplied by ``factor``
+        (for a batch, one factor per member)."""
+        return Operation._checked(np.asarray(factor)[..., None, None, None] * self._stack, atol)
 
 
 class Channel(Operation):
     """Trace-preserving operation (``sum K†K == I``)."""
 
-    def __init__(self, kraus: Sequence[np.ndarray], atol: float = DEFAULT_ATOL):
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
+        """Checks ``sum K†K <= I`` and ``sum K†K == I`` within ``atol``
+        (the rule of ``_check``, which batches share)."""
         super().__init__(kraus, atol)
+
+    def _check(self, atol: float) -> None:
+        super()._check(atol)
         _require_trace_preserving(self._gram, atol)
 
     @classmethod
@@ -300,14 +341,15 @@ class LinearMap(QuantumMap):
 
 
 def _require_trace_non_increasing(gram: np.ndarray, atol: float) -> None:
-    """``sum K†K <= I`` for one Gram matrix."""
-    if not is_psd(_identity(len(gram)) - gram, atol):
+    """``sum K†K <= I`` for one Gram matrix or every matrix of a stack."""
+    if not is_psd(_identity(gram.shape[-1]) - gram, atol):
         raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
 
 
 def _require_trace_preserving(gram: np.ndarray, atol: float) -> None:
-    """``sum K†K == I`` entrywise within ``atol`` for one Gram matrix."""
-    if np.abs(gram - _identity(len(gram))).max() > atol:
+    """``sum K†K == I`` entrywise within ``atol`` for one Gram matrix or
+    every matrix of a stack."""
+    if np.abs(gram - _identity(gram.shape[-1])).max() > atol:
         raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
 
 
@@ -317,9 +359,10 @@ def _composed_class(first: Operation, second: Operation) -> type:
 
 
 def _composed_kraus(first: Operation, second: Operation) -> np.ndarray:
-    """The Kraus stack ``{L_b K_a}`` of running ``first``, then ``second``."""
-    products = np.einsum("mab,nbc->mnac", second.kraus_stack, first.kraus_stack)
-    return products.reshape(-1, second.dim_out, first.dim_in)
+    """The Kraus stack ``{L_b K_a}`` of running ``first``, then ``second``
+    (member by member for batches)."""
+    products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
+    return products.reshape(products.shape[:-4] + (-1, second.dim_out, first.dim_in))
 
 
 def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:
@@ -380,10 +423,16 @@ def condition_effect(ch: QuantumMap, b: Effect | np.ndarray, atol: float = DEFAU
 
 def condition_observable(ch: QuantumMap, obs: Observable, atol: float = DEFAULT_ATOL) -> Observable:
     """Condition every effect of an observable by a channel."""
+    return Observable(obs.outcomes, _conditioned(ch, obs.effect_stack, atol), atol)
+
+
+def _conditioned(ch: QuantumMap, stack: np.ndarray, atol: float) -> np.ndarray:
+    """The dual images of an effect stack ``(..., n, d, d)`` under a checked
+    channel (or a batch of them), unvalidated."""
     _require_channel(ch, atol)
-    if obs.dim != ch.dim_out:
-        raise ValueError(f"dimension mismatch: expected {ch.dim_out}, got {obs.dim}")
-    return Observable(obs.outcomes, ch._dual_images(obs.effect_stack), atol)
+    if stack.shape[-1] != ch.dim_out:
+        raise ValueError(f"dimension mismatch: expected {ch.dim_out}, got {stack.shape[-1]}")
+    return ch._dual_images(stack)
 
 
 def complete_subnormalized(
@@ -405,12 +454,17 @@ def complete_subnormalized(
         raise ValueError("need at least one effect to complete")
     if any(m.shape != (ch.dim_out, ch.dim_out) for m in mats):
         raise ValueError("effects must live on the channel's output space")
-    stack = np.stack(mats)
-    if not is_effect_matrix(stack, atol):
-        raise InvariantViolation("completion", "between zero and identity", "each b_x must satisfy 0 <= b_x <= I")
-    residual = _identity(ch.dim_out) - stack.sum(axis=0)
-    if not is_psd(residual, atol):
-        raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
     if labels is None:
         labels = tuple(f"x{i}" for i in range(len(mats)))
-    return Observable(tuple(labels), stack + residual / len(mats), atol)
+    return Observable(tuple(labels), _completed(np.stack(mats), atol), atol)
+
+
+def _completed(stack: np.ndarray, atol: float) -> np.ndarray:
+    """``b_x + (I - sum b)/n`` for a sub-normalized family ``(..., n, d, d)``
+    (or a stack of them), after checking it; the result is unvalidated."""
+    if not is_effect_matrix(stack, atol):
+        raise InvariantViolation("completion", "between zero and identity", "each b_x must satisfy 0 <= b_x <= I")
+    residual = _identity(stack.shape[-1]) - stack.sum(axis=-3)
+    if not is_psd(residual, atol):
+        raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
+    return stack + residual[..., None, :, :] / stack.shape[-3]

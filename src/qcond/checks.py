@@ -1,13 +1,26 @@
 """Registry of executable identities and the batch check runner.
 
 Every structural identity the library guarantees is registered here once,
-under a descriptive name, with a one-line statement and a runner: a
-generator that evaluates the identity on one seeded random instance and
-yields the absolute deviation of each part it compares. ``run_checks`` sweeps
-the registry over dimensions and trials, folds the yielded deviations once
-(an instance that raises, yields a non-finite value or yields nothing fails)
-and assembles a deterministic report: identical inputs give byte-identical
-JSON (elapsed times are kept out of the JSON for that reason).
+under a descriptive name, with a one-line statement and a runner. A runner
+evaluates the identity on a batch of seeded random instances, one generator
+per instance, and yields, for each part it compares, an array with one
+absolute deviation per instance. ``run_checks`` sweeps the registry over
+dimensions and trials, runs the trials of one identity at one dimension as
+batches of at most ``BATCH_SIZE`` instances, folds the yielded deviations
+once per instance (an instance that raises, yields a non-finite value or
+yields nothing fails) and assembles a deterministic report: identical
+inputs give byte-identical JSON (elapsed times are kept out of the JSON for
+that reason).
+
+A batched runner draws each object of a batch through ``qcond.rand``'s raw
+``_draw_*`` functions, from the same stream as the public constructors,
+checks each stack with the library's own validators (every member, at the
+library's default tolerance, with the constructors' messages) and computes
+through the library's own kernels, which broadcast over the batch axis. An
+instance's deviations do not depend on its batch: a batch of one gives the
+same bits. A batch that raises is rerun instance by instance, so one bad
+instance fails alone. Identities not batched yet keep a per-instance body
+behind ``_per_instance``.
 """
 
 from __future__ import annotations
@@ -22,32 +35,32 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    LinearMap,
-    condition_observable,
-    complete_subnormalized,
-    map_deviation,
-)
+from .channels import Channel, LinearMap, _completed, _conditioned, _require_channel, map_deviation
 from .effects import (
     StochasticMatrix,
-    affine_combination,
+    _effect_family,
+    _indicator,
+    _kernel_weights,
+    _mixture,
+    _require_effects,
+    _require_mixture_weights,
+    _require_states,
+    _require_surjective,
     bi_observable_deviation,
-    marginals,
     observable_deviation,
-    part,
     post_process,
 )
 from .instruments import (
+    Instrument,
+    _factored_probability,
+    _given_grid,
     bi_instrument_deviation,
-    given_distribution,
     given_instrument,
-    given_observable,
     holevo_compose,
     holevo_instrument,
     instrument_deviation,
 )
-from .linalg import DEFAULT_ATOL, kron, max_abs_diff, require_tolerance
+from .linalg import DEFAULT_ATOL, kron, max_abs_diff, require_tolerance, weighted_sum
 from .measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
@@ -55,14 +68,18 @@ from .measurement import (
     holevo_model_quantities,
 )
 from .rand import (
+    _draw_channels,
+    _draw_effects,
+    _draw_observables,
+    _draw_states,
+    _draw_stochastic,
+    _draw_surjections,
     random_channel,
     random_effect,
     random_holevo_spec,
     random_instrument,
     random_observable,
     random_state,
-    random_stochastic_matrix,
-    random_surjection,
 )
 
 __all__ = [
@@ -75,8 +92,13 @@ __all__ = [
     "run_checks",
 ]
 
-# (generator seeded for one instance, dimension) -> each part's deviation
-Runner = Callable[[np.random.Generator, int], Iterator[float]]
+# (one generator per instance of a batch, dimension) -> for each compared
+# part, an array with one deviation per instance
+Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
+
+# Most instances one runner call holds: the memory of a batch is bounded
+# whatever the trial count.
+BATCH_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -144,7 +166,7 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _subsets(labels: Sequence[str]) -> list[tuple[str, ...]]:
+def _subsets(labels: Sequence) -> list[tuple]:
     return list(chain.from_iterable(combinations(labels, k) for k in range(len(labels) + 1)))
 
 
@@ -154,104 +176,182 @@ def _embed_square(m: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _run_postprocess_part_compose(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    obs = random_observable(dim, 4, rng)
-    lam = random_stochastic_matrix(obs.outcomes, ("y0", "y1", "y2"), rng)
-    mu = random_stochastic_matrix(lam.targets, ("z0", "z1"), rng)
-    yield observable_deviation(
-        post_process(post_process(obs, lam), mu), post_process(obs, lam.then(mu))
+# The batched runners below evaluate one identity on a batch of instances:
+# each draw takes one object per generator, each stack is checked by the
+# rule of the object it stands for (through the library's own validators,
+# at the library's default tolerance, as the objects would be), and each
+# part yields one deviation per instance.
+
+
+def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each instance's largest entrywise deviation between two stacks."""
+    diff = np.abs(a - b)
+    return diff.reshape(len(diff), -1).max(axis=1)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> np.ndarray:
+    return np.array([rng.uniform(low, high) for rng in rngs])
+
+
+def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    rho = _draw_states(rngs, dim)
+    _require_states(rho, DEFAULT_ATOL)
+    return rho
+
+
+def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    a = _draw_effects(rngs, dim)
+    _require_effects(a, DEFAULT_ATOL)
+    return a
+
+
+def _observables(stack: np.ndarray) -> np.ndarray:
+    """A batch ``(b, n, d, d)`` of observables, checked as ``Observable``s."""
+    return _effect_family("Observable", stack, stack.shape[1:2], DEFAULT_ATOL, stack.shape[:1])
+
+
+def _random_observables(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
+    return _observables(_draw_observables(rngs, dim, n))
+
+
+def _channels(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Channel:
+    return Channel._checked(_draw_channels(rngs, dim_in, dim_out, n), DEFAULT_ATOL)
+
+
+def _kernels(w: np.ndarray) -> np.ndarray:
+    return _kernel_weights(w, DEFAULT_ATOL)
+
+
+def _post_processed(obs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _observables(weighted_sum(w, obs))
+
+
+def _parted(obs: np.ndarray, f: np.ndarray, targets: tuple[str, ...]) -> np.ndarray:
+    """Coarse-graining along surjections given by target positions ``f``."""
+    _require_surjective(f, targets)
+    return _post_processed(obs, _kernels(_indicator(f, len(targets))))
+
+
+def _conditioned_observables(ch: Channel, obs: np.ndarray) -> np.ndarray:
+    return _observables(_conditioned(ch, obs, DEFAULT_ATOL))
+
+
+def _run_postprocess_part_compose(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    obs = _random_observables(rngs, dim, 4)
+    lam = _kernels(_draw_stochastic(rngs, 4, 3))
+    mu = _kernels(_draw_stochastic(rngs, 3, 2))
+    yield _dev(
+        _post_processed(_post_processed(obs, lam), mu), _post_processed(obs, _kernels(lam @ mu))
     )
-    f = random_surjection(obs.outcomes, ("u0", "u1", "u2"), rng)
-    g = random_surjection(f.targets, ("v0", "v1"), rng)
-    yield observable_deviation(part(part(obs, f), g), part(obs, f.then(g)))
+    u_labels, v_labels = ("u0", "u1", "u2"), ("v0", "v1")
+    f = _draw_surjections(rngs, 4, 3)
+    g = _draw_surjections(rngs, 3, 2)
+    f_then_g = np.take_along_axis(g, f, axis=-1)
+    yield _dev(_parted(_parted(obs, f, u_labels), g, v_labels), _parted(obs, f_then_g, v_labels))
 
 
-def _run_dual_map(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    ch = random_channel(dim, dim + 1, 2, rng)
-    rho = random_state(dim, rng)
-    a = random_effect(dim + 1, rng)
-    yield abs(
-        np.trace(rho.matrix @ ch.dual_apply(a).matrix) - np.trace(ch.apply(rho) @ a.matrix)
-    )
-    b_obs = random_observable(dim + 1, 3, rng)
-    e0, e1 = b_obs.effects[0].matrix, b_obs.effects[1].matrix
-    yield max_abs_diff(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1))
-    yield max_abs_diff(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim))
+def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    ch = _channels(rngs, dim, dim + 1, 2)
+    rho = _states(rngs, dim)
+    a = _effects(rngs, dim + 1)
+    # a batch's matrices carry a unit axis for the Kraus index (see Operation)
+    image = ch._dual_effects(a[:, None], DEFAULT_ATOL)
+    yield np.abs(_trace(rho @ image) - _trace(ch.apply_matrix(rho[:, None]) @ a))
+    b_obs = _random_observables(rngs, dim + 1, 3)
+    e0, e1 = b_obs[:, :1], b_obs[:, 1:2]
+    yield _dev(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1))
+    yield _dev(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim))
 
 
-def _run_contravariance(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    first = random_channel(dim, dim + 1, 2, rng).scaled(float(rng.uniform(0.7, 1.0)))
-    second = random_channel(dim + 1, dim, 2, rng).scaled(float(rng.uniform(0.7, 1.0)))
-    b = random_effect(dim, rng)
-    yield max_abs_diff(
-        first.then(second).dual_matrix(b.matrix),
-        first.dual_matrix(second.dual_matrix(b.matrix)),
-    )
+def _run_contravariance(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    first = _channels(rngs, dim, dim + 1, 2).scaled(_uniforms(rngs, 0.7, 1.0))
+    second = _channels(rngs, dim + 1, dim, 2).scaled(_uniforms(rngs, 0.7, 1.0))
+    b = _effects(rngs, dim)[:, None]
+    yield _dev(first.then(second).dual_matrix(b), first.dual_matrix(second.dual_matrix(b)[:, None]))
 
 
-def _run_conditioning_affine(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    ch = random_channel(dim, dim + 1, 2, rng)
-    a1 = random_observable(dim + 1, 3, rng)
-    a2 = random_observable(dim + 1, 3, rng)
-    w = float(rng.uniform(0.0, 1.0))
-    lhs = condition_observable(ch, affine_combination([a1, a2], [w, 1.0 - w]))
-    rhs = affine_combination(
-        [condition_observable(ch, a1), condition_observable(ch, a2)], [w, 1.0 - w]
-    )
-    yield observable_deviation(lhs, rhs)
+def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    ch = _channels(rngs, dim, dim + 1, 2)
+    a1 = _random_observables(rngs, dim + 1, 3)
+    a2 = _random_observables(rngs, dim + 1, 3)
+    w = _uniforms(rngs, 0.0, 1.0)
+    weights = _require_mixture_weights(np.stack([w, 1.0 - w], axis=-1), DEFAULT_ATOL)
+    lhs = _conditioned_observables(ch, _observables(_mixture(weights, np.stack([a1, a2], axis=1))))
+    conditioned = [_conditioned_observables(ch, a) for a in (a1, a2)]
+    rhs = _observables(_mixture(weights, np.stack(conditioned, axis=1)))
+    yield _dev(lhs, rhs)
 
 
-def _run_subnormalized_completion(rng: np.random.Generator, dim: int) -> Iterator[float]:
+def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim2 = dim + 1
-    ch = random_channel(dim, dim2, 2, rng)
-    family = random_observable(dim2, 3, rng).effects[:2]
-    completed = complete_subnormalized(ch, family)
-    yield max_abs_diff(sum(e.matrix for e in completed.effects), np.eye(dim2))
+    ch = _channels(rngs, dim, dim2, 2)
+    family = _random_observables(rngs, dim2, 3)[:, :2]
+    _require_channel(ch, DEFAULT_ATOL)
+    completed = _observables(_completed(family, DEFAULT_ATOL))
+    yield _dev(completed.sum(axis=1), np.eye(dim2))
     # engineered instance: channel range inside a proper subspace, residual
     # supported on its complement, so the residual's dual vanishes exactly
-    small = random_channel(dim, dim, 2, rng)
-    lifted = Channel(tuple(np.vstack([k, np.zeros((1, dim))]) for k in small.kraus))
-    sub = random_observable(dim, 2, rng)
-    bs = [_embed_square(e.matrix, dim2) for e in sub.effects]
-    completed2 = complete_subnormalized(lifted, bs)
-    conditioned = condition_observable(lifted, completed2)
-    for label, b in zip(completed2.outcomes, bs):
-        yield max_abs_diff(conditioned.effect(label).matrix, lifted.dual_apply(b).matrix)
+    small = _channels(rngs, dim, dim, 2).kraus_stack
+    zero_row = np.zeros(small.shape[:2] + (1, dim))
+    lifted = Channel._checked(np.concatenate([small, zero_row], axis=-2), DEFAULT_ATOL)
+    sub = _random_observables(rngs, dim, 2)
+    bs = np.zeros(sub.shape[:2] + (dim2, dim2), dtype=complex)
+    bs[..., :dim, :dim] = sub
+    _require_channel(lifted, DEFAULT_ATOL)
+    conditioned = _conditioned_observables(lifted, _observables(_completed(bs, DEFAULT_ATOL)))
+    for i in range(bs.shape[1]):
+        yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i : i + 1], DEFAULT_ATOL))
 
 
-def _run_given_marginals(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    ins = random_instrument(dim, dim + 1, 3, rng)
-    b_obs = random_observable(dim + 1, 2, rng)
-    grid = given_observable(b_obs, ins)
-    m1, m2 = marginals(grid)
-    yield observable_deviation(m1, ins.measured_observable())
-    yield observable_deviation(m2, condition_observable(ins.total_channel(), b_obs))
-    rho = random_state(dim, rng)
-    branch = {x: ins.op(x).apply(rho) for x in ins.outcomes}
-    for s1 in _subsets(ins.outcomes):
-        for s2 in _subsets(b_obs.outcomes):
-            factored = given_distribution(b_obs, ins, rho, s1, s2)
-            double = sum(
-                float(np.trace(branch[x] @ b_obs.effect(y).matrix).real)
-                for x in s1
-                for y in s2
-            )
-            yield abs(factored - double)
+def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    kraus = _channels(rngs, dim, dim + 1, 3).kraus_stack.reshape(len(rngs), 3, 1, dim + 1, dim)
+    ins = Instrument._from_kraus(("x0", "x1", "x2"), list(kraus.swapaxes(0, 1)), DEFAULT_ATOL)
+    b_obs = _random_observables(rngs, dim + 1, 2)
+    grid = _effect_family("BiObservable", _given_grid(ins, b_obs), (3, 2), DEFAULT_ATOL, (len(rngs),))
+    m1, m2 = _observables(grid.sum(axis=2)), _observables(grid.sum(axis=1))
+    yield _dev(m1, _observables(ins._measured_stack()))
+    yield _dev(m2, _conditioned_observables(ins.total_channel(), b_obs))
+    rho = _states(rngs, dim)
+    branch = np.stack([op.apply_matrix(rho[:, None]) for op in ins.ops], axis=1)
+    overlaps = _trace(branch[:, :, None] @ b_obs[:, None]).real
+    for s1 in _subsets(range(3)):
+        for s2 in _subsets(range(2)):
+            if not (s1 and s2):
+                yield np.zeros(len(rngs))
+                continue
+            sigma = branch[:, list(s1)].sum(axis=1)
+            factored = _factored_probability(sigma, b_obs[:, list(s2)].sum(axis=1), DEFAULT_ATOL)
+            double = overlaps[:, list(s1)][:, :, list(s2)].reshape(len(rngs), -1).sum(axis=1)
+            yield np.abs(factored - double)
 
 
-def _run_closure(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    ch = random_channel(dim, dim + 1, 2, rng)
-    a_obs = random_observable(dim + 1, 3, rng)
-    lam = random_stochastic_matrix(a_obs.outcomes, ("y0", "y1"), rng)
-    yield observable_deviation(
-        condition_observable(ch, post_process(a_obs, lam)),
-        post_process(condition_observable(ch, a_obs), lam),
+def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    ch = _channels(rngs, dim, dim + 1, 2)
+    a_obs = _random_observables(rngs, dim + 1, 3)
+    lam = _kernels(_draw_stochastic(rngs, 3, 2))
+    conditioned = _conditioned_observables(ch, a_obs)
+    yield _dev(
+        _conditioned_observables(ch, _post_processed(a_obs, lam)), _post_processed(conditioned, lam)
     )
-    f = random_surjection(a_obs.outcomes, ("u0", "u1"), rng)
-    yield observable_deviation(
-        part(condition_observable(ch, a_obs), f),
-        condition_observable(ch, part(a_obs, f)),
-    )
+    u_labels = ("u0", "u1")
+    f = _draw_surjections(rngs, 3, 2)
+    yield _dev(_parted(conditioned, f, u_labels), _conditioned_observables(ch, _parted(a_obs, f, u_labels)))
+
+
+def _per_instance(body: Callable[[np.random.Generator, int], Iterator[float]]) -> Runner:
+    """A runner over a batch from the body of an identity not batched yet:
+    ``body`` evaluates one instance from its generator and yields each
+    part's deviation; the runner yields each instance's largest (NaN kept;
+    ``inf`` for an instance whose body yields nothing)."""
+
+    def runner(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+        yield np.array([np.max(list(body(rng, dim)) or [math.inf]) for rng in rngs])
+
+    return runner
 
 
 def _run_holevo_composition(rng: np.random.Generator, dim: int) -> Iterator[float]:
@@ -442,33 +542,33 @@ REGISTRY: dict[str, IdentityCheck] = {
             "holevo-composition",
             "two measure-and-prepare stages compose to a measure-and-prepare grid with "
             "effects tr(alpha_x B_y) A_x and prepared states beta_y",
-            _run_holevo_composition,
+            _per_instance(_run_holevo_composition),
         ),
         IdentityCheck(
             "measurement-pointer",
             "the pointer observable equals the outcome-wise measured effect of the "
             "measured instrument and sum_i K_i†(I⊗P_y)K_i; the interaction marginal "
             "is probe-independent",
-            _run_measurement_pointer,
+            _per_instance(_run_measurement_pointer),
         ),
         IdentityCheck(
             "kraus-separable",
             "separable-channel shortcuts (dual on product effects, measured instrument, "
             "pointer observable) match the partial-trace pipeline; tr(rho_i P_y) is "
             "row-stochastic",
-            _run_kraus_separable,
+            _per_instance(_run_kraus_separable),
         ),
         IdentityCheck(
             "simple-kraus-separable",
             "lifted operators phi -> A_i phi ⊗ psi_i realize the separable channel with "
             "pure probe states",
-            _run_simple_separable,
+            _per_instance(_run_simple_separable),
         ),
         IdentityCheck(
             "holevo-separable",
             "all six closed-form quantities of a product-state measure-and-prepare model "
             "match the partial-trace pipeline; tr(gamma_x P_y) is row-stochastic",
-            _run_holevo_separable,
+            _per_instance(_run_holevo_separable),
         ),
     ]
 }
@@ -479,17 +579,46 @@ def registered_identities() -> tuple[str, ...]:
 
 
 def resolve_suite(names: str | Sequence[str]) -> list[str]:
-    """Expand a suite spec: the keyword ``all`` or explicit identity names
-    (a repeated name is kept at its first occurrence only)."""
+    """Expand a suite spec: identity names and the keyword ``all``, which
+    stands for the whole registry wherever it appears (a repeated name is
+    kept at its first occurrence only; an empty spec means ``all``)."""
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
-    names = list(dict.fromkeys(names))
-    if names in (["all"], []):
+    names = list(dict.fromkeys(names or ["all"]))
+    if "all" in names:
         return list(REGISTRY)
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(sorted(unknown))}")
     return names
+
+
+def _instance_deviations(runner: Runner, seeds: Sequence[tuple[int, ...]], dim: int) -> np.ndarray:
+    """Each instance's deviation: the largest of its parts, ``inf`` when one
+    is not finite or there are none.
+
+    The instances run as one batch, each on a generator seeded from its
+    seed tuple. If the batch raises (a violated construction invariant, an
+    unobserved outcome, a failed factorization, ...), each instance reruns
+    alone from a fresh generator on the same tuple, and only those that
+    raise alone count as ``inf``.
+    """
+    worst = np.zeros(len(seeds))
+    parts = 0
+    try:
+        for part in runner([np.random.default_rng(s) for s in seeds], dim):
+            part = np.asarray(part, dtype=float)
+            if part.shape != worst.shape:
+                raise ValueError(f"a part has shape {part.shape}, expected {worst.shape}")
+            worst = np.maximum(worst, part)
+            parts += 1
+    except Exception:
+        if len(seeds) == 1:
+            return np.array([math.inf])
+        return np.concatenate([_instance_deviations(runner, [s], dim) for s in seeds])
+    if not parts:
+        return np.full(len(seeds), math.inf)
+    return np.where(np.isfinite(worst), worst, math.inf)
 
 
 def run_checks(
@@ -528,18 +657,12 @@ def run_checks(
             max_dev = 0.0
             count = 0
             for dim in dims:
-                for trial in range(trials):
-                    rng = np.random.default_rng([seed, key, dim, trial])
-                    try:
-                        devs = [float(d) for d in check.runner(rng, dim)]
-                    except Exception:
-                        # an instance that raises (a violated construction
-                        # invariant, an unobserved outcome, a failed
-                        # factorization) fails; the rest of the run goes on
-                        devs = []
-                    finite = devs and all(map(math.isfinite, devs))
-                    max_dev = max(max_dev, max(devs) if finite else math.inf)
-                    count += 1
+                for first in range(0, trials, BATCH_SIZE):
+                    last = min(first + BATCH_SIZE, trials)
+                    seeds = [(seed, key, dim, trial) for trial in range(first, last)]
+                    devs = _instance_deviations(check.runner, seeds, dim)
+                    max_dev = max(max_dev, float(devs.max()))
+                    count += len(devs)
             elapsed = time.perf_counter() - start
             results.append(
                 IdentityResult(

@@ -51,6 +51,8 @@ def _resolve_tol(arg: str | None, fallback: float | None = None) -> float | None
 
 
 def _parse_dims(spec: str) -> list[int]:
+    """The dimensions of ``--dims``; ``ValueError`` naming ``--dims`` when
+    ``spec`` is malformed or describes no positive dimension."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -58,9 +60,9 @@ def _parse_dims(spec: str) -> list[int]:
         else:
             dims = [int(spec)]
     except ValueError:
-        raise SystemExit(f"--dims expects 'A..B' or a single integer, got {spec!r}")
+        raise ValueError(f"--dims expects 'A..B' or a single integer, got {spec!r}") from None
     if not dims or any(d < 1 for d in dims):
-        raise SystemExit(f"--dims must describe positive dimensions, got {spec!r}")
+        raise ValueError(f"--dims must describe positive dimensions, got {spec!r}")
     return dims
 
 

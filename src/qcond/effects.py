@@ -20,11 +20,11 @@ from .linalg import (
     DEFAULT_ATOL,
     _identity,
     as_complex_matrix,
+    coerce_matrix,
     frozen_copy,
     is_effect_matrix,
     is_psd,
     max_abs_diff,
-    require_square,
     weighted_sum,
 )
 
@@ -65,12 +65,8 @@ class State:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        m = as_complex_matrix(self.matrix)
-        require_square(m, "State")
-        if not is_psd(m, atol):
-            raise InvariantViolation("State", "positive")
-        if abs(np.trace(m) - 1.0) > atol:
-            raise InvariantViolation("State", "unit trace", f"trace {np.trace(m):.6g}")
+        m = coerce_matrix(self.matrix)
+        _require_states(m, atol)
         object.__setattr__(self, "matrix", frozen_copy(m))
 
     @property
@@ -100,10 +96,8 @@ class Effect:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        m = as_complex_matrix(self.matrix)
-        require_square(m, "Effect")
-        if not is_effect_matrix(m, atol):
-            raise InvariantViolation("Effect", "between zero and identity")
+        m = coerce_matrix(self.matrix)
+        _require_effects(m, atol)
         object.__setattr__(self, "matrix", frozen_copy(m))
 
     @property
@@ -116,7 +110,8 @@ class Effect:
 
     @classmethod
     def _view(cls, matrix: np.ndarray) -> "Effect":
-        """Wrap one row of an already validated read-only family stack."""
+        """Wrap an already validated read-only matrix (a row of a family
+        stack, say) without checking it again."""
         view = object.__new__(cls)
         object.__setattr__(view, "matrix", matrix)
         return view
@@ -126,19 +121,52 @@ class Effect:
         return Effect(_identity(self.dim) - self.matrix, atol)
 
 
-def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.ndarray:
+def _require_finite(m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise InvariantViolation("matrix", "finite entries")
+
+
+def _require_states(m: np.ndarray, atol: float) -> None:
+    """The state rule, for one matrix or every matrix of a stack
+    ``(..., d, d)``: finite, square, positive and of unit trace."""
+    _require_finite(m)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvariantViolation("State", "square", f"shape {m.shape[-2:]}")
+    if not is_psd(m, atol):
+        raise InvariantViolation("State", "positive")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    off = abs(trace - 1.0)
+    if max(off.flat) > atol:
+        first = np.argmax(np.ravel(off) > atol)
+        raise InvariantViolation("State", "unit trace", f"trace {np.ravel(trace)[first]:.6g}")
+
+
+def _require_effects(m: np.ndarray, atol: float) -> None:
+    """The effect rule, for one matrix or every matrix of a stack
+    ``(..., d, d)``: finite, square and between zero and identity."""
+    _require_finite(m)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvariantViolation("Effect", "square", f"shape {m.shape[-2:]}")
+    if not is_effect_matrix(m, atol):
+        raise InvariantViolation("Effect", "between zero and identity")
+
+
+def _effect_family(
+    kind: str, family, grid: tuple[int, ...], atol: float, batch: tuple[int, ...] = ()
+) -> np.ndarray:
     """The one validator of effect families; returns a read-only stack.
 
-    ``family`` is an array of shape ``grid + (d, d)`` or nested sequences of
-    shape ``grid`` holding matrices or :class:`Effect` objects. Checked once
-    for the whole family: finite square entries of one dimension, every
-    element between zero and identity (one batched eigendecomposition) and
-    the elements summing to the identity.
+    ``family`` is an array of shape ``batch + grid + (d, d)`` or nested
+    sequences of shape ``grid`` holding matrices or :class:`Effect` objects.
+    Checked once for all the families of a batch: finite square entries of
+    one dimension, every element between zero and identity (one batched
+    eigendecomposition) and each family's elements summing to the identity.
     """
     invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
+    lead = batch + grid
     if isinstance(family, np.ndarray):
         stack = np.array(family, dtype=complex)
-        if stack.shape[: len(grid)] != grid:
+        if stack.shape[: len(lead)] != lead:
             raise InvariantViolation(kind, invariant, f"expected grid {grid}, got shape {stack.shape}")
     else:
         rows = [tuple(family)] if len(grid) == 1 else [tuple(row) for row in family]
@@ -149,7 +177,7 @@ def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.
         if len(shapes) != 1:
             raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
         stack = np.stack(mats).reshape(grid + mats[0].shape)
-    if stack.ndim != len(grid) + 2:
+    if stack.ndim != len(lead) + 2:
         raise InvariantViolation(kind, "two-dimensional")
     dim = stack.shape[-1]
     if stack.shape[-2] != dim:
@@ -158,7 +186,8 @@ def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.
         raise InvariantViolation(kind, "finite entries")
     if not is_effect_matrix(stack, atol):
         raise InvariantViolation(kind, "between zero and identity")
-    if max_abs_diff(stack.reshape(-1, dim, dim).sum(axis=0), _identity(dim)) > atol:
+    totals = stack.reshape(batch + (-1, dim, dim)).sum(axis=-3)
+    if max_abs_diff(totals, _identity(dim)) > atol:
         raise InvariantViolation(kind, "normalization", "effects must sum to I")
     stack.setflags(write=False)
     return stack
@@ -272,6 +301,22 @@ class BiObservable:
         return Observable(self.outcomes2, self._stack.sum(axis=0), atol)
 
 
+def _kernel_weights(w: np.ndarray, atol: float) -> np.ndarray:
+    """The stochastic-kernel rule, for one weight matrix ``(n_sources,
+    n_targets)`` or a stack of them: finite entries within ``atol`` of
+    ``[0, 1]`` and rows summing to 1 within ``atol``. Returns the entries
+    clamped into ``[0, 1]``, read-only."""
+    if not np.all(np.isfinite(w)):
+        raise InvariantViolation("StochasticMatrix", "finite entries")
+    if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
+        raise InvariantViolation("StochasticMatrix", "entries in [0, 1]")
+    if float(np.max(np.abs(w.sum(axis=-1) - 1.0))) > atol:
+        raise InvariantViolation("StochasticMatrix", "row normalization")
+    w = np.clip(w, 0.0, 1.0)
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic kernel from source outcomes to target outcomes.
@@ -294,17 +339,9 @@ class StochasticMatrix:
             raise InvariantViolation(
                 "StochasticMatrix", "shape", f"expected {(len(sources), len(targets))}, got {w.shape}"
             )
-        if not np.all(np.isfinite(w)):
-            raise InvariantViolation("StochasticMatrix", "finite entries")
-        if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
-            raise InvariantViolation("StochasticMatrix", "entries in [0, 1]")
-        if float(np.max(np.abs(w.sum(axis=1) - 1.0))) > atol:
-            raise InvariantViolation("StochasticMatrix", "row normalization")
-        w = np.clip(w, 0.0, 1.0)
-        w.setflags(write=False)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _kernel_weights(w, atol))
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "StochasticMatrix":
@@ -321,6 +358,23 @@ class StochasticMatrix:
         if self.targets != other.sources:
             raise ValueError("kernel composition requires matching intermediate outcomes")
         return StochasticMatrix(self.sources, other.targets, self.weights @ other.weights, atol)
+
+
+def _indicator(index: np.ndarray, n_targets: int) -> np.ndarray:
+    """0/1 weights ``w[..., i, j] = [index[..., i] == j]`` of the maps that
+    send source ``i`` to target position ``index[..., i]``."""
+    return (index[..., :, None] == np.arange(n_targets)).astype(float)
+
+
+def _require_surjective(index: np.ndarray, targets: tuple[str, ...]) -> None:
+    """The surjection rule, for one map or a stack of maps given by target
+    positions ``index[..., i]`` (−1 for a value outside ``targets``): every
+    value is a target and every target is hit."""
+    hit = _indicator(index, len(targets)).any(axis=-2).reshape(-1, len(targets))
+    if (index < 0).any() or not hit.all():
+        first = hit[np.argmin(hit.all(axis=-1))]
+        missing = sorted(t for t, h in zip(targets, first) if not h)
+        raise InvariantViolation("OutcomeMap", "surjective", f"targets {missing} never hit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +397,9 @@ class OutcomeMap:
             targets = tuple(dict.fromkeys(mapping.values()))
         else:
             targets = _distinct_labels(targets, "OutcomeMap")
-        hit = set(mapping.values())
-        if hit != set(targets):
-            raise InvariantViolation(
-                "OutcomeMap", "surjective", f"targets {sorted(set(targets) - hit)} never hit"
-            )
+        _require_surjective(
+            np.array([targets.index(v) if v in targets else -1 for v in mapping.values()]), targets
+        )
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "targets", targets)
 
@@ -371,10 +423,8 @@ class OutcomeMap:
     def to_stochastic(self, sources: Sequence[str]) -> StochasticMatrix:
         """The 0/1 kernel with ``w[x, y] = 1`` iff ``f(x) == y``."""
         sources = tuple(sources)
-        w = np.zeros((len(sources), len(self.targets)))
-        for i, x in enumerate(sources):
-            w[i, self.targets.index(self(x))] = 1.0
-        return StochasticMatrix(sources, self.targets, w)
+        index = np.array([self.targets.index(self(x)) for x in sources])
+        return StochasticMatrix(sources, self.targets, _indicator(index, len(self.targets)))
 
 
 def born_probability(rho: State, a: Effect, atol: float = DEFAULT_ATOL) -> float:
@@ -445,15 +495,30 @@ def affine_combination(
             raise ValueError("observables must share the same ordered outcome labels")
         if obs.dim != first.dim:
             raise ValueError("observables must share the same dimension")
-    w = np.asarray(weights, dtype=float)
+    w = _require_mixture_weights(np.asarray(weights, dtype=float), atol)
+    stacks = np.stack([obs.effect_stack for obs in observables])
+    return Observable(first.outcomes, _mixture(w, stacks), atol)
+
+
+def _require_mixture_weights(w: np.ndarray, atol: float) -> np.ndarray:
+    """The mixture-weight rule, for one weight vector or a stack of them:
+    finite weights in ``[0, 1]`` summing to 1, within ``atol``."""
     if not np.all(np.isfinite(w)):
         raise InvariantViolation("affine combination", "finite entries")
     if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
         raise InvariantViolation("affine combination", "weights in [0, 1]")
-    if abs(float(w.sum()) - 1.0) > atol:
-        raise InvariantViolation("affine combination", "weights sum to 1", f"sum {w.sum():.6g}")
-    stacks = np.stack([obs.effect_stack for obs in observables])
-    return Observable(first.outcomes, weighted_sum(w, stacks), atol)
+    sums = w.sum(axis=-1)
+    off = abs(sums - 1.0)
+    if max(off.flat) > atol:
+        first = np.argmax(np.ravel(off) > atol)
+        raise InvariantViolation("affine combination", "weights sum to 1", f"sum {np.ravel(sums)[first]:.6g}")
+    return w
+
+
+def _mixture(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """``sum_k w[..., k] stacks[..., k, :, :, :]``: the outcome-wise mixture
+    of effect stacks ``batch + (k, n, d, d)`` with weights ``batch + (k,)``."""
+    return weighted_sum(w[..., None], stacks)[..., 0, :, :, :]
 
 
 def certify_coexistence(

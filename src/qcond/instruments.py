@@ -75,10 +75,12 @@ def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> t
     """One operation per Kraus stack, of class ``classes[i]`` (default
     :class:`Operation`), built without ``__init__`` for a family whose total
     is checked next. A ``Channel`` member is checked for ``sum K†K == I``
-    entrywise, which the total does not give for one member of several."""
+    entrywise, which the total does not give for one member of several.
+    Array stacks ``(..., n, d_out, d_in)`` may carry leading batch axes,
+    which give a batch of families."""
     ops = tuple(object.__new__(cls) for cls in classes or [Operation] * len(stacks))
     for op, stack in zip(ops, stacks):
-        op._build(stack)
+        op._build(stack, getattr(stack, "ndim", 3) - 3)
         if isinstance(op, Channel):
             _require_trace_preserving(op._gram, atol)
     return ops
@@ -138,12 +140,15 @@ class Instrument:
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The summed channel with concatenated Kraus lists."""
-        return Channel(np.concatenate([op.kraus_stack for op in self.ops]), atol)
+        return Channel._checked(np.concatenate([op.kraus_stack for op in self.ops], axis=-3), atol)
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
-        duals = hermitian_part(np.stack([op._dual_identity() for op in self.ops]))
-        return Observable(self.outcomes, duals, atol)
+        return Observable(self.outcomes, self._measured_stack(), atol)
+
+    def _measured_stack(self) -> np.ndarray:
+        """The measured effects ``(..., n, d_in, d_in)``, unvalidated."""
+        return hermitian_part(np.stack([op._dual_identity() for op in self.ops], axis=-3))
 
     def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
         return float(np.trace(self.op(label).apply(rho)).real)
@@ -235,8 +240,12 @@ def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATO
     """
     if obs.dim != ins.dim_out:
         raise ValueError(f"dimension mismatch: observable {obs.dim} vs instrument output {ins.dim_out}")
-    grid = np.stack([op._dual_images(obs.effect_stack) for op in ins.ops])
-    return BiObservable(ins.outcomes, obs.outcomes, grid, atol)
+    return BiObservable(ins.outcomes, obs.outcomes, _given_grid(ins, obs.effect_stack), atol)
+
+
+def _given_grid(ins: Instrument, stack: np.ndarray) -> np.ndarray:
+    """The grid ``(..., n1, n2, d, d)`` of duals ``I_x*(B_y)``, unvalidated."""
+    return np.stack([op._dual_images(stack) for op in ins.ops], axis=-4)
 
 
 def given_distribution(
@@ -263,12 +272,18 @@ def given_distribution(
     if not labels1 or not labels2:
         return 0.0
     sigma = sum(ins.op(x).apply(rho) for x in labels1)
-    prob1 = float(np.trace(sigma).real)
-    if prob1 <= atol:
-        return 0.0
-    updated = sigma / prob1
-    inner = sum(float(np.trace(updated @ obs.effect(y).matrix).real) for y in labels2)
-    return prob1 * inner
+    effect = sum(obs.effect(y).matrix for y in labels2)
+    return float(_factored_probability(sigma, effect, atol))
+
+
+def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) -> np.ndarray:
+    """``tr(sigma) tr(sigma / tr(sigma) b)`` for the summed branch ``sigma``
+    and the effect ``b`` of the outcome subset (or stacks of both); 0 where
+    ``tr(sigma) <= atol``."""
+    prob1 = np.trace(sigma, axis1=-2, axis2=-1).real
+    observed = prob1 > atol
+    updated = sigma / np.where(observed, prob1, 1.0)[..., None, None]
+    return observed * (prob1 * np.trace(updated @ effect, axis1=-2, axis2=-1).real)
 
 
 def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:

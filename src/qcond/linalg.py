@@ -77,12 +77,6 @@ def frozen_copy(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_square(m: np.ndarray, kind: str = "matrix") -> int:
-    if m.shape[0] != m.shape[1]:
-        raise InvariantViolation(kind, "square", f"shape {m.shape}")
-    return m.shape[0]
-
-
 def adjoint(m: Any) -> np.ndarray:
     """Conjugate transpose. An exact involution: ``adjoint(adjoint(m)) == m``."""
     return coerce_matrix(m).conj().T
@@ -100,14 +94,16 @@ def kron(a: Any, b: Any) -> np.ndarray:
 
 
 def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``sum_x w[x, ...] stack[x]``: one product on the flattened stack.
+    """``out[y] = sum_x w[x, y] stack[x]``: one product on the flattened stack.
 
-    ``w`` has shape ``(n,)`` or ``(n, m)``; the result has shape
-    ``w.shape[1:] + stack.shape[1:]``.
+    ``w`` has shape ``batch + (n, m)`` and ``stack`` shape ``batch + (n,) +
+    item``, for leading batch axes ``batch`` (none for one family); the
+    result has shape ``batch + (m,) + item``.
     """
     w = np.asarray(w)
-    out = w.T @ stack.reshape(len(stack), -1)
-    return out.reshape(w.shape[1:] + stack.shape[1:])
+    lead = w.ndim - 1
+    out = np.swapaxes(w, -1, -2) @ stack.reshape(stack.shape[:lead] + (-1,))
+    return out.reshape(w.shape[:-2] + w.shape[-1:] + stack.shape[lead:])
 
 
 def partial_trace_right(m: Any, dim_left: int, dim_right: int) -> np.ndarray:
@@ -190,8 +186,9 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
 
 
 def max_abs_diff(a: Any, b: Any) -> float:
-    """Largest entrywise absolute deviation between two matrices."""
-    return float(np.max(np.abs(coerce_matrix(a) - coerce_matrix(b))))
+    """Largest entrywise absolute deviation between two matrices, or over
+    two (broadcastable) stacks of matrices."""
+    return float(np.max(np.abs(_matrix_stack(a) - _matrix_stack(b))))
 
 
 @lru_cache(maxsize=None)

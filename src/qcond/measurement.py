@@ -72,13 +72,17 @@ class MeasurementModel:
         if self.probe.dim != self.dim_probe:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
-    def _probe_factors(self, atol: float) -> np.ndarray:
-        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for the probe effects:
-        the eigenvectors scaled by the square roots of the clipped eigenvalues."""
+    def _probe_factors(self, atol: float) -> tuple[np.ndarray, list[int]]:
+        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for the probe effects
+        (the eigenvectors scaled by the square roots of the clipped
+        eigenvalues), and how many leading columns of each ``B_y`` are zero:
+        those of clipped eigenvalues equal to 0, which sort first."""
         evals, evecs = clipped_eigh(self.probe.effect_stack, atol, "effect")
-        return evecs * np.sqrt(evals)[:, None, :]
+        return evecs * np.sqrt(evals)[:, None, :], [row.count(0.0) for row in evals.tolist()]
 
-    def _readout(self, stacks: Sequence[np.ndarray], factors: np.ndarray) -> list[np.ndarray]:
+    def _readout(
+        self, stacks: Sequence[np.ndarray], factors: np.ndarray, zero_columns: Sequence[int]
+    ) -> list[np.ndarray]:
         """Kraus stacks of the operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]``
         for every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe)
         and every ``B`` of the stack ``factors``, ``K``-major.
@@ -86,15 +90,19 @@ class MeasurementModel:
         A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
         base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
         column ``j`` of ``B``: one contraction of all the stacks at once.
+        The first ``zero_columns[y]`` columns of ``factors[y]`` are zero and
+        would give zero operators, so they are left out; a family with no
+        other column gets one zero operator.
         """
         db, dp = self.dim_base, self.dim_probe
         sizes = [len(k) for k in stacks]
         kraus = np.concatenate(stacks).reshape(-1, db, dp, db)
         out = np.einsum("ywj,nawb->ynjab", factors.conj(), kraus)
+        zero = np.zeros((1, db, db), dtype=complex)
         return [
-            out[y, end - size : end].reshape(-1, db, db)
+            out[y, end - size : end, skip:].reshape(-1, db, db) if skip < dp else zero
             for size, end in zip(sizes, accumulate(sizes))
-            for y in range(len(factors))
+            for y, skip in enumerate(zero_columns)
         ]
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -102,21 +110,21 @@ class MeasurementModel:
         the probe. Entry ``(x, y)`` maps ``rho`` to
         ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
         stacks = [op.kraus_stack for op in self.interaction.ops]
-        readout = self._readout(stacks, self._probe_factors(atol))
+        readout = self._readout(stacks, *self._probe_factors(atol))
         return BiInstrument._from_kraus(self.interaction.outcomes, self.probe.outcomes, readout, atol)
 
     def measured_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The probe-indexed instrument the model realizes on the base space
         (the second marginal of the measured bi-instrument)."""
         total = np.concatenate([op.kraus_stack for op in self.interaction.ops])
-        readout = self._readout([total], self._probe_factors(atol))
+        readout = self._readout([total], *self._probe_factors(atol))
         return Instrument._from_kraus(self.probe.outcomes, readout, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The interaction reduced to the base space (first marginal);
         independent of the probe observable."""
         stacks = [op.kraus_stack for op in self.interaction.ops]
-        readout = self._readout(stacks, _identity(self.dim_probe)[None])
+        readout = self._readout(stacks, _identity(self.dim_probe)[None], [0])
         return Instrument._from_kraus(self.interaction.outcomes, readout, atol)
 
     def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> BiObservable:

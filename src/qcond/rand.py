@@ -5,6 +5,17 @@ All generators accept either an integer seed or a ``numpy.random.Generator``
 and are deterministic given the seed. The generator family is PCG64 (numpy's
 default): 64-bit seedable, with independent per-instance streams derived by
 seeding from integer tuples.
+
+Each public constructor draws through a raw ``_draw_*`` function, which
+takes a sequence of generators and returns the unvalidated arrays of one
+object per generator, stacked on a leading axis. The stream contract: from
+each generator a ``_draw_*`` function consumes exactly what the matching
+public constructor consumes from it (all the Gaussian entries of one object
+come from one ``standard_normal((n, 2, rows, cols))`` call, real parts
+before imaginary parts, matrix by matrix), and each generator's arrays equal
+the constructor's whatever the other generators are. Retries are per
+generator. The seeded identity checks draw a batch of trials this way, one
+generator per trial, and validate the stacks with the constructors' rules.
 """
 
 from __future__ import annotations
@@ -42,38 +53,118 @@ def as_rng(seed: int | Sequence[int] | np.random.Generator) -> np.random.Generat
     return np.random.default_rng(seed)
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _draw_ginibre(rngs: Sequence[np.random.Generator], n: int, rows: int, cols: int) -> np.ndarray:
+    """``n`` Ginibre matrices per generator, as one ``(len(rngs), n, rows, cols)`` stack."""
+    z = np.empty((len(rngs), n, 2, rows, cols))
+    for out, rng in zip(z, rngs):
+        rng.standard_normal(out=out)
+    return z[:, :, 0] + 1j * z[:, :, 1]
+
+
+def _retrying(rngs: Sequence[np.random.Generator], draw, accept, failure: str) -> tuple:
+    """``draw(rngs)``, a tuple of stacks with one entry per generator,
+    redrawn per generator until ``accept(*stacks)`` holds for its entries
+    (at most ``_RETRIES`` redraws; then ``RuntimeError(failure)``)."""
+    out = draw(rngs)
+    pending = np.flatnonzero(~accept(*out))
+    for _ in range(_RETRIES):
+        if not len(pending):
+            break
+        for whole, redrawn in zip(out, draw([rngs[i] for i in pending])):
+            whole[pending] = redrawn
+        pending = pending[~accept(*(whole[pending] for whole in out))]
+    if len(pending):
+        raise RuntimeError(failure)
+    return out
+
+
+def _draw_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    g = _draw_ginibre(rngs, 1, dim, dim)[:, 0]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _draw_effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    z = np.empty((len(rngs), 2, dim, dim))
+    u = np.empty(len(rngs))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=z[i])
+        u[i] = rng.uniform(0.0, 1.0)
+    g = z[:, 0] + 1j * z[:, 1]
+    pos = g @ g.conj().swapaxes(-1, -2)
+    return (u / np.linalg.eigvalsh(pos).max(axis=-1))[:, None, None] * pos
+
+
+def _draw_observables(
+    rngs: Sequence[np.random.Generator], dim: int, n_outcomes: int, atol: float = DEFAULT_ATOL
+) -> np.ndarray:
+    if n_outcomes < 1:
+        raise ValueError("need at least one outcome")
+
+    def draw(rngs):
+        g = _draw_ginibre(rngs, n_outcomes, dim, dim)
+        gs = g @ g.conj().swapaxes(-1, -2)
+        return (gs, *np.linalg.eigh(gs.sum(axis=1)))
+
+    gs, evals, evecs = _retrying(
+        rngs,
+        draw,
+        lambda gs, evals, evecs: evals.min(axis=-1) > atol,
+        "random observable generation kept hitting a singular normalizer",
+    )
+    inv_sqrt = evecs @ (np.eye(dim) * evals[:, None, :] ** -0.5) @ evecs.conj().swapaxes(-1, -2)
+    return inv_sqrt[:, None] @ gs @ inv_sqrt[:, None]
+
+
+def _draw_channels(
+    rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n_kraus: int
+) -> np.ndarray:
+    if n_kraus * dim_out < dim_in:
+        raise ValueError("need n_kraus * dim_out >= dim_in for a trace-preserving map")
+    (stacked,) = _retrying(
+        rngs,
+        lambda rngs: (_draw_ginibre(rngs, 1, n_kraus * dim_out, dim_in)[:, 0],),
+        lambda m: np.linalg.matrix_rank(m) >= dim_in,
+        "random channel generation kept hitting a rank-deficient stack",
+    )
+    return np.linalg.qr(stacked).Q.reshape(len(rngs), n_kraus, dim_out, dim_in)
+
+
+def _draw_stochastic(rngs: Sequence[np.random.Generator], n_sources: int, n_targets: int) -> np.ndarray:
+    return np.stack([rng.dirichlet(np.ones(n_targets), size=n_sources) for rng in rngs])
+
+
+def _draw_surjections(rngs: Sequence[np.random.Generator], n_sources: int, n_targets: int) -> np.ndarray:
+    """Target positions ``(len(rngs), n_sources)`` of uniform random surjections."""
+    if n_sources < n_targets:
+        raise ValueError("a surjection needs at least as many sources as targets")
+    out = []
+    for rng in rngs:
+        while True:
+            picks = rng.integers(0, n_targets, size=n_sources)
+            if set(picks.tolist()) == set(range(n_targets)):
+                out.append(picks)
+                break
+    return np.stack(out)
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> State:
     """Ginibre-ensemble density operator: ``G G† / tr(G G†)``."""
-    rng = as_rng(seed)
-    g = _ginibre(rng, dim, dim)
-    rho = g @ g.conj().T
-    return State(rho / np.trace(rho).real)
+    return State(_draw_states([as_rng(seed)], dim)[0])
 
 
 def random_pure_state(dim: int, seed: int | np.random.Generator) -> State:
-    rng = as_rng(seed)
-    v = _ginibre(rng, dim, 1).reshape(-1)
-    return State.pure(v)
+    return State.pure(_draw_ginibre([as_rng(seed)], 1, dim, 1).reshape(-1))
 
 
 def random_effect(dim: int, seed: int | np.random.Generator) -> Effect:
     """Random effect: a Ginibre PSD matrix scaled into ``[0, I]``."""
-    rng = as_rng(seed)
-    g = _ginibre(rng, dim, dim)
-    pos = g @ g.conj().T
-    top = float(np.linalg.eigvalsh(pos).max())
-    scale = rng.uniform(0.0, 1.0) / top
-    return Effect(scale * pos)
+    return Effect(_draw_effects([as_rng(seed)], dim)[0])
 
 
 def random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-ish unitary via QR of a Ginibre matrix with phase fixing."""
-    rng = as_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
+    q, r = np.linalg.qr(_draw_ginibre([as_rng(seed)], 1, dim, dim)[0, 0])
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
 
@@ -83,23 +174,8 @@ def random_observable(
 ) -> Observable:
     """Random POVM: draw PSD ``G_x`` and whiten by the inverse square root
     of their sum, ``A_x = S^{-1/2} G_x S^{-1/2}``."""
-    if n_outcomes < 1:
-        raise ValueError("need at least one outcome")
-    rng = as_rng(seed)
-    for _ in range(_RETRIES + 1):
-        gs = []
-        for _ in range(n_outcomes):
-            g = _ginibre(rng, dim, dim)
-            gs.append(g @ g.conj().T)
-        total = sum(gs)
-        evals, evecs = np.linalg.eigh(total)
-        if float(evals.min()) <= atol:
-            continue
-        inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-        effects = tuple(inv_sqrt @ g @ inv_sqrt for g in gs)
-        labels = tuple(f"x{i}" for i in range(n_outcomes))
-        return Observable(labels, effects, atol)
-    raise RuntimeError("random observable generation kept hitting a singular normalizer")
+    effects = _draw_observables([as_rng(seed)], dim, n_outcomes, atol)[0]
+    return Observable(tuple(f"x{i}" for i in range(n_outcomes)), effects, atol)
 
 
 def random_channel(
@@ -111,17 +187,7 @@ def random_channel(
 ) -> Channel:
     """Random channel: orthonormalize a stacked Ginibre matrix and slice it
     into ``n_kraus`` blocks of shape ``dim_out × dim_in``."""
-    if n_kraus * dim_out < dim_in:
-        raise ValueError("need n_kraus * dim_out >= dim_in for a trace-preserving map")
-    rng = as_rng(seed)
-    for _ in range(_RETRIES + 1):
-        stacked = _ginibre(rng, n_kraus * dim_out, dim_in)
-        if np.linalg.matrix_rank(stacked) < dim_in:
-            continue
-        q, _ = np.linalg.qr(stacked)
-        kraus = tuple(q[i * dim_out : (i + 1) * dim_out, :] for i in range(n_kraus))
-        return Channel(kraus, atol)
-    raise RuntimeError("random channel generation kept hitting a rank-deficient stack")
+    return Channel(_draw_channels([as_rng(seed)], dim_in, dim_out, n_kraus)[0], atol)
 
 
 def random_instrument(
@@ -157,8 +223,7 @@ def random_stochastic_matrix(
     sources: Sequence[str], targets: Sequence[str], seed: int | np.random.Generator
 ) -> StochasticMatrix:
     """Row-stochastic kernel with Dirichlet-uniform rows."""
-    rng = as_rng(seed)
-    w = rng.dirichlet(np.ones(len(targets)), size=len(sources))
+    w = _draw_stochastic([as_rng(seed)], len(sources), len(targets))[0]
     return StochasticMatrix(tuple(sources), tuple(targets), w)
 
 
@@ -168,10 +233,5 @@ def random_surjection(
     """Uniform random surjection from sources onto targets."""
     sources = tuple(sources)
     targets = tuple(targets)
-    if len(sources) < len(targets):
-        raise ValueError("a surjection needs at least as many sources as targets")
-    rng = as_rng(seed)
-    while True:
-        picks = rng.integers(0, len(targets), size=len(sources))
-        if set(picks.tolist()) == set(range(len(targets))):
-            return OutcomeMap({s: targets[p] for s, p in zip(sources, picks)}, targets)
+    picks = _draw_surjections([as_rng(seed)], len(sources), len(targets))[0]
+    return OutcomeMap({s: targets[p] for s, p in zip(sources, picks)}, targets)

@@ -2,13 +2,51 @@
 
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from qcond.checks import IdentityCheck, REGISTRY, registered_identities, resolve_suite, run_checks
+import qcond.checks as checks
+import qcond.linalg as linalg
+from qcond.channels import Channel, Operation, _completed
+from qcond.checks import (
+    IdentityCheck,
+    REGISTRY,
+    _instance_deviations,
+    registered_identities,
+    resolve_suite,
+    run_checks,
+)
 from qcond.cli import main
-from qcond.errors import OutcomeNotObserved
+from qcond.effects import (
+    BiObservable,
+    Effect,
+    Observable,
+    OutcomeMap,
+    State,
+    StochasticMatrix,
+    _effect_family,
+    _kernel_weights,
+    _require_effects,
+    _require_mixture_weights,
+    _require_states,
+    _require_surjective,
+    affine_combination,
+)
+from qcond.errors import InvariantViolation, OutcomeNotObserved
+from qcond.instruments import Instrument
+from qcond.rand import random_channel, random_observable, random_state
+
+BATCHED = [
+    "postprocess-part-compose",
+    "dual-map",
+    "sequential-dual-contravariance",
+    "conditioning-affine",
+    "subnormalized-completion",
+    "conditioned-set-closure",
+    "given-observable-marginals",
+]
 
 EXPECTED_IDENTITIES = {
     "postprocess-part-compose",
@@ -36,6 +74,8 @@ def test_registry_is_complete_and_described():
 def test_resolve_suite():
     assert resolve_suite("all") == list(REGISTRY)
     assert resolve_suite("all,all") == list(REGISTRY)
+    assert resolve_suite("all,dual-map") == list(REGISTRY)
+    assert resolve_suite("dual-map,all") == list(REGISTRY)
     assert resolve_suite("dual-map,holevo-composition,dual-map") == [
         "dual-map",
         "holevo-composition",
@@ -120,19 +160,31 @@ def test_run_checks_rejects_nonfinite_or_nonpositive_tolerance(tol):
         run_checks("dual-map", trials=1, dims=[2], seed=0, tol=tol)
 
 
+def _first_draws(name, seed, dim, trials):
+    """Each instance's first ``random()`` draw, from its seed tuple."""
+    key = zlib.crc32(name.encode("utf-8"))
+    return [np.random.default_rng([seed, key, dim, t]).random() for t in range(trials)]
+
+
 def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
-    calls = []
+    # instance-determined: NaN exactly for the instances whose first draw
+    # is above a threshold that splits the three instances
+    name = "nan-identity"
+    draws = sorted(_first_draws(name, 0, 2, 3))
+    threshold = (draws[0] + draws[1]) / 2
 
-    def finite_then_nan(rng, dim):
-        calls.append(dim)
-        yield 0.0 if len(calls) == 1 else math.nan
+    def finite_then_nan(rngs, dim):
+        yield np.array([0.0 if rng.random() < threshold else math.nan for rng in rngs])
 
-    check = IdentityCheck("nan-identity", "returns NaN after a finite instance", finite_then_nan)
+    check = IdentityCheck(name, "returns NaN for some instances", finite_then_nan)
     monkeypatch.setitem(REGISTRY, check.name, check)
     report = run_checks(check.name, trials=3, dims=[2], seed=0)
     (result,) = report.results
     assert result.max_deviation == math.inf
     assert not result.passed and not report.passed
+    seeds = [(0, zlib.crc32(name.encode()), 2, t) for t in range(3)]
+    devs = _instance_deviations(finite_then_nan, seeds, 2)
+    assert np.isinf(devs).sum() == 2 and np.sum(devs == 0.0) == 1
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -144,26 +196,160 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
     RuntimeError("generator gave up"),
 ])
 def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys):
-    calls = []
+    # instance-determined: the one instance whose first draw is the largest
+    # raises, in a batch and alone alike
+    name = "raising-identity"
+    draws = _first_draws(name, 0, 2, 3)
+    threshold = (max(draws) + sorted(draws)[1]) / 2
 
-    def raise_once(rng, dim):
-        calls.append(dim)
-        if len(calls) == 2:
+    def raise_once(rngs, dim):
+        if any(rng.random() > threshold for rng in rngs):
             raise exc
-        yield 0.0
+        yield np.zeros(len(rngs))
 
-    check = IdentityCheck("raising-identity", "raises on its second instance", raise_once)
+    check = IdentityCheck(name, "raises on one seed-determined instance", raise_once)
     monkeypatch.setitem(REGISTRY, check.name, check)
     report = run_checks([check.name, "dual-map"], trials=3, dims=[2], seed=0)
-    assert len(calls) == 3
     results = {r.name: r for r in report.results}
     assert results[check.name].max_deviation == math.inf
     assert not results[check.name].passed and not report.passed
     assert results["dual-map"].passed
-    calls.clear()
+    seeds = [(0, zlib.crc32(name.encode()), 2, t) for t in range(3)]
+    devs = _instance_deviations(raise_once, seeds, 2)
+    assert devs.tolist() == [math.inf if d > threshold else 0.0 for d in draws]
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_a_raising_batch_fails_only_its_raising_instances():
+    # a batch of 20 where the instances whose first integer draw is 0 raise:
+    # only those count as inf, the others keep their deviation
+    def some_raise(rngs, dim):
+        picks = np.array([rng.integers(0, 4) for rng in rngs])
+        if (picks == 0).any():
+            raise InvariantViolation("fake", "nonzero pick")
+        yield picks * 1e-12
+
+    seeds = [(5, 11, 2, t) for t in range(20)]
+    expected = np.array([np.random.default_rng(s).integers(0, 4) for s in seeds]) * 1e-12
+    expected[expected == 0] = math.inf
+    assert 0 < np.isinf(expected).sum() < 20
+    np.testing.assert_array_equal(_instance_deviations(some_raise, seeds, 2), expected)
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_a_batch_of_one_gives_each_instance_the_full_batch_deviations(name):
+    # bit for bit: the result of an instance does not depend on its batch
+    runner = REGISTRY[name].runner
+    key = zlib.crc32(name.encode("utf-8"))
+    for dim in (2, 3):
+        seeds = [(7, key, dim, t) for t in range(5)]
+        full = list(runner([np.random.default_rng(s) for s in seeds], dim))
+        assert full and all(p.shape == (5,) for p in full)
+        for i, s in enumerate(seeds):
+            alone = list(runner([np.random.default_rng(s)], dim))
+            assert len(alone) == len(full)
+            for whole, single in zip(full, alone):
+                assert whole[i].tobytes() == single.tobytes()
+
+
+def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
+    suite = BATCHED + ["holevo-composition"]
+    whole = run_checks(suite, trials=5, dims=[2, 3], seed=3).to_json()
+    monkeypatch.setattr(checks, "BATCH_SIZE", 2)
+    assert run_checks(suite, trials=5, dims=[2, 3], seed=3).to_json() == whole
+
+
+def test_batched_identity_construction_does_not_grow_with_the_trial_count(monkeypatch):
+    calls = []
+    spectra = linalg._symmetrized_spectra
+
+    def counted(m, atol):
+        calls.append(1)
+        return spectra(m, atol)
+
+    monkeypatch.setattr(linalg, "_symmetrized_spectra", counted)
+    counts = []
+    for trials in (3, 30):
+        calls.clear()
+        assert run_checks("conditioning-affine", trials=trials, dims=[2], seed=1).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _message(fn, *args):
+    with pytest.raises(InvariantViolation) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _last_bad(good: np.ndarray, bad: np.ndarray, n: int = 4) -> np.ndarray:
+    """A stack of ``n - 1`` copies of ``good`` followed by ``bad``."""
+    return np.stack([good] * (n - 1) + [bad])
+
+
+ATOL = 1e-9
+
+
+def test_batched_state_and_effect_rules_reject_only_a_bad_last_member():
+    rho = random_state(2, 0).matrix
+    not_psd = np.diag([1.5, -0.5]).astype(complex)
+    half = rho / 2
+    for bad, single in [(not_psd, State), (half, State)]:
+        assert _message(_require_states, _last_bad(rho, bad), ATOL) == _message(single, bad)
+    _require_states(_last_bad(rho, rho), ATOL)
+    a = np.diag([0.3, 0.6]).astype(complex)
+    for bad in (np.diag([1.2, 0.0]), np.diag([np.nan, 0.0])):
+        bad = bad.astype(complex)
+        assert _message(_require_effects, _last_bad(a, bad), ATOL) == _message(Effect, bad)
+    _require_effects(_last_bad(a, a), ATOL)
+
+
+def test_batched_family_rules_reject_only_a_bad_last_member():
+    obs = random_observable(2, 3, 0).effect_stack
+    scaled = obs * 0.9
+    grid = obs[:, None] * np.array([0.5, 0.5])[:, None, None]
+    for bad in (scaled, np.stack([obs[0] + obs[1], obs[2] - 0.2 * np.eye(2), 0.2 * np.eye(2)])):
+        stack = _last_bad(obs, bad)
+        batched = _message(_effect_family, "Observable", stack, (3,), ATOL, (4,))
+        assert batched == _message(Observable, ("a", "b", "c"), bad)
+    _effect_family("Observable", _last_bad(obs, obs), (3,), ATOL, (4,))
+    bad_grid = grid * 1.1
+    batched = _message(_effect_family, "BiObservable", _last_bad(grid, bad_grid), (3, 2), ATOL, (4,))
+    assert batched == _message(BiObservable, ("a", "b", "c"), ("p", "q"), bad_grid)
+
+
+def test_batched_weight_rules_reject_only_a_bad_last_member():
+    w = np.array([[0.25, 0.75], [1.0, 0.0]])
+    for bad in (np.array([[0.5, 0.6], [1.0, 0.0]]), np.array([[1.2, -0.2], [1.0, 0.0]])):
+        single = _message(StochasticMatrix, ("a", "b"), ("p", "q"), bad)
+        assert _message(_kernel_weights, _last_bad(w, bad), ATOL) == single
+    mix = np.array([0.3, 0.7])
+    bad = np.array([0.3, 0.6])
+    observables = [random_observable(2, 2, s) for s in (1, 2)]
+    single = _message(affine_combination, observables, bad)
+    assert _message(_require_mixture_weights, _last_bad(mix, bad), ATOL) == single
+    f = np.array([0, 1, 1])
+    bad_f = np.array([0, 0, 0])
+    single = _message(OutcomeMap, {"x": "u", "y": "u", "z": "u"}, ("u", "v"))
+    assert _message(_require_surjective, _last_bad(f, bad_f), ("u", "v")) == single
+
+
+def test_batched_operation_rules_reject_only_a_bad_last_member():
+    kraus = random_channel(2, 3, 2, 0).kraus_stack
+    for cls, bad in [(Channel, 0.9 * kraus), (Operation, 1.1 * kraus)]:
+        stack = _last_bad(kraus, bad)
+        assert _message(cls._checked, stack, ATOL) == _message(cls, bad)
+    Channel._checked(_last_bad(kraus, kraus), ATOL)
+    # an instrument batch checks the total of every member family
+    first, second = kraus[:1], kraus[1:]
+    members = [_last_bad(first, first), _last_bad(second, 1.2 * second)]
+    single = _message(Instrument._from_kraus, ("a", "b"), [first, 1.2 * second], ATOL)
+    assert _message(Instrument._from_kraus, ("a", "b"), members, ATOL) == single
+    Instrument._from_kraus(("a", "b"), [_last_bad(first, first), _last_bad(second, second)], ATOL)
+    family = random_observable(3, 3, 0).effect_stack[:2]
+    assert _message(_completed, _last_bad(family, family * 2.0), ATOL).startswith("completion")
 
 
 def _fake_check(monkeypatch, runner):
@@ -175,16 +361,16 @@ def _fake_check(monkeypatch, runner):
 
 def test_nan_after_a_finite_part_fails_the_instance(monkeypatch):
     # Python's max(0.0, nan) is 0.0: the fold must not drop a later NaN
-    def finite_then_nan(rng, dim):
-        yield 0.0
-        yield math.nan
+    def finite_then_nan(rngs, dim):
+        yield np.zeros(len(rngs))
+        yield np.full(len(rngs), math.nan)
 
     result = _fake_check(monkeypatch, finite_then_nan)
     assert result.max_deviation == math.inf and not result.passed
 
 
 def test_runner_that_yields_nothing_fails(monkeypatch):
-    def silent(rng, dim):
+    def silent(rngs, dim):
         return
         yield
 
@@ -193,10 +379,10 @@ def test_runner_that_yields_nothing_fails(monkeypatch):
 
 
 def test_runner_with_sub_tolerance_parts_passes_with_their_maximum(monkeypatch):
-    def small(rng, dim):
-        yield 1e-12
-        yield 3e-12
-        yield 0.0
+    def small(rngs, dim):
+        yield np.full(len(rngs), 1e-12)
+        yield np.full(len(rngs), 3e-12)
+        yield np.zeros(len(rngs))
 
     result = _fake_check(monkeypatch, small)
     assert result.max_deviation == 3e-12 and result.passed

@@ -222,3 +222,11 @@ def test_validate_exits_1_on_malformed_entry_or_reference(scenario_file, capsys,
     scenario_file.write_text(json.dumps(payload))
     assert main(["validate", str(scenario_file)]) == 1
     assert f"object '{name}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["0..2", "3..2", "2,x", "x", "0"])
+def test_bad_dims_exit_2_with_an_error_naming_dims(dims, capsys):
+    code = main(["check", "--suite", "dual-map", "--trials", "1", "--dims", dims])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--dims" in err

@@ -414,3 +414,34 @@ def test_holevo_separable_pointer_is_post_processing_of_interaction_observable()
     assert (
         observable_deviation(q.pointer_observable, post_process(spec.observable, kernel)) < 1e-11
     )
+
+
+def test_projective_probe_readout_drops_zero_kraus_operators():
+    # each projector's factor has one zero column; the readout keeps one
+    # operator per interaction Kraus operator and nonzero column only
+    ins = random_instrument(2, 4, 2, 11)
+    probe = Observable(("p0", "p1"), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    model = MeasurementModel(2, 2, ins, probe)
+    measured = model.measured_instrument()
+    kraus = ins.total_channel().kraus_stack
+    eye = np.eye(2)
+    for y, p in zip(probe.outcomes, probe.effect_stack):
+        evals, evecs = np.linalg.eigh(p)
+        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        # one readout operator per eigenvector, zero ones included
+        every_column = np.stack(
+            [kron(eye, factor[:, j].conj()[None, :]) @ k for k in kraus for j in range(2)]
+        )
+        op = measured.op(y)
+        assert len(op.kraus_stack) * 2 == len(every_column)
+        assert np.all(np.abs(op.kraus_stack).reshape(len(op.kraus_stack), -1).max(axis=1) > 0)
+        assert map_deviation(op, Operation(every_column)) <= 1e-12
+
+
+def test_zero_probe_effect_keeps_one_zero_readout_operator():
+    ins = random_instrument(2, 4, 2, 12)
+    probe = Observable(("p0", "p1"), [np.eye(2), np.zeros((2, 2))])
+    measured = MeasurementModel(2, 2, ins, probe).measured_instrument()
+    (zero,) = measured.op("p1").kraus_stack
+    assert not zero.any()
+    assert len(measured.op("p0").kraus_stack) == 2 * len(ins.total_channel().kraus_stack)

@@ -5,6 +5,7 @@ import pytest
 
 from qcond.linalg import is_effect_matrix, max_abs_diff
 from qcond.rand import (
+    _draw_observables,
     random_channel,
     random_effect,
     random_instrument,
@@ -104,3 +105,66 @@ def test_random_surjection_hits_all_targets():
         assert set(f.mapping.values()) == {"u", "v"}
     with pytest.raises(ValueError):
         random_surjection(("a",), ("u", "v"), 13)
+
+
+# Reference draws: each object drawn matrix by matrix, real part then
+# imaginary part, as the generators drew them before they went through the
+# batched ``_draw_*`` functions. The stream contract is equality, bit for bit.
+def _ginibre(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _reference_state(dim, rng):
+    g = _ginibre(rng, dim, dim)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _reference_effect(dim, rng):
+    g = _ginibre(rng, dim, dim)
+    pos = g @ g.conj().T
+    return rng.uniform(0.0, 1.0) / float(np.linalg.eigvalsh(pos).max()) * pos
+
+
+def _reference_observable(dim, n, rng, atol=1e-9):
+    while True:
+        gs = [g @ g.conj().T for g in (_ginibre(rng, dim, dim) for _ in range(n))]
+        evals, evecs = np.linalg.eigh(sum(gs))
+        if float(evals.min()) > atol:
+            inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+            return np.stack([inv_sqrt @ g @ inv_sqrt for g in gs])
+
+
+def _reference_channel(dim_in, dim_out, n, rng):
+    q, _ = np.linalg.qr(_ginibre(rng, n * dim_out, dim_in))
+    return q.reshape(n, dim_out, dim_in)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draws_equal_the_matrix_by_matrix_reference(seed):
+    def both(draw, reference):
+        got = draw(np.random.default_rng(seed))
+        want = reference(np.random.default_rng(seed))
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+    both(lambda r: random_state(3, r).matrix, lambda r: _reference_state(3, r))
+    both(lambda r: random_effect(3, r).matrix, lambda r: _reference_effect(3, r))
+    both(lambda r: random_observable(3, 4, r).effect_stack, lambda r: _reference_observable(3, 4, r))
+    both(lambda r: random_channel(2, 3, 2, r).kraus_stack, lambda r: _reference_channel(2, 3, 2, r))
+
+
+def test_batched_draws_retry_per_generator():
+    # with a large atol some first attempts are rejected; each member of the
+    # batch still equals its generator's own draw
+    atol = 1.0
+    seeds = range(12)
+    batch = _draw_observables([np.random.default_rng(s) for s in seeds], 2, 2, atol)
+    retried = 0
+    for s, member in zip(seeds, batch):
+        assert member.tobytes() == _reference_observable(2, 2, np.random.default_rng(s), atol).tobytes()
+        first = np.random.default_rng(s).standard_normal((2, 2, 2, 2))
+        g = first[:, 0] + 1j * first[:, 1]
+        retried += np.linalg.eigh((g @ g.conj().swapaxes(-1, -2)).sum(axis=0))[0].min() <= atol
+    assert 0 < retried < len(seeds)
+    with pytest.raises(RuntimeError, match="singular normalizer"):
+        _draw_observables([np.random.default_rng(0)], 2, 2, atol=1e6)
