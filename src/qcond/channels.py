@@ -19,8 +19,10 @@ are built, and checked from their total, in :mod:`qcond.instruments`.
 The Kraus kernels broadcast over leading batch axes: a private
 ``Operation._checked`` over a stack ``(..., n, d_out, d_in)`` holds a batch
 of operations, each checked by the rule its class's constructor applies,
-and ``apply_matrix``, ``dual_matrix``, ``_dual_images`` and ``then`` act
-member by member. The seeded identity checks run their trials that way.
+and ``apply_matrix``, ``dual_matrix``, ``_dual_images``, ``then`` and
+``superoperator`` act member by member; :func:`map_deviation` of two
+batches gives one deviation per member. The seeded identity checks run
+their trials that way.
 """
 
 from __future__ import annotations
@@ -210,6 +212,14 @@ class Operation(QuantumMap):
         flat = stack.shape[:-3] + (n * d_out, d_in)
         self._adj = conj.mT
         self._flat_h = conj.reshape(flat).mT
+        # The stack and the flattened adjoint as ``_dual_images`` broadcasts
+        # them against a stack of matrices: a batch's with a unit axis for
+        # the matrix index, made here once instead of on every call.
+        if batch:
+            self._stack_m = stack[..., None, :, :, :]
+            self._flat_h_m = self._flat_h[..., None, :, :]
+        else:
+            self._stack_m, self._flat_h_m = stack, self._flat_h
         gram = self._flat_h @ stack.reshape(flat)
         gram.setflags(write=False)
         self._stack = stack
@@ -239,9 +249,9 @@ class Operation(QuantumMap):
         return self._flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        products = mats[..., None, :, :] @ self._stack[..., None, :, :, :]
+        products = mats[..., None, :, :] @ self._stack_m
         products = products.reshape(products.shape[:-3] + (-1, self.dim_in))
-        return hermitian_part(self._flat_h[..., None, :, :] @ products)
+        return hermitian_part(self._flat_h_m @ products)
 
     def _dual_identity(self) -> np.ndarray:
         return self._gram
@@ -249,11 +259,13 @@ class Operation(QuantumMap):
     def superoperator(self) -> np.ndarray:
         if self._superop is None:
             # S[(a, c), (b, d)] = sum_k K_k[a, b] conj(K_k[c, d]): one product
-            # of the flattened stack, then one contiguous (a, c, b, d) copy.
+            # of the flattened stack (per member of a batch), then one
+            # contiguous (a, c, b, d) copy.
             d_out, d_in = self.dim_out, self.dim_in
-            flat = self._stack.reshape(-1, d_out * d_in)
-            s = (flat.T @ self._conj.reshape(-1, d_out * d_in)).reshape(d_out, d_in, d_out, d_in)
-            s = np.ascontiguousarray(s.transpose(0, 2, 1, 3)).reshape(d_out * d_out, d_in * d_in)
+            lead = self._stack.shape[:-3]
+            flat = self._stack.reshape(lead + (-1, d_out * d_in))
+            s = (flat.mT @ self._conj.reshape(flat.shape)).reshape(lead + (d_out, d_in, d_out, d_in))
+            s = np.ascontiguousarray(s.swapaxes(-3, -2)).reshape(lead + (d_out * d_out, d_in * d_in))
             s.setflags(write=False)
             self._superop = s
         return self._superop
@@ -380,17 +392,28 @@ def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMa
     return LinearMap(total, maps[0].dim_in, maps[0].dim_out)
 
 
-def map_deviation(p: QuantumMap, q: QuantumMap) -> float:
+def map_deviation(p: QuantumMap, q: QuantumMap) -> float | np.ndarray:
     """Largest entrywise deviation of two maps' actions on a Hermitian basis.
 
     Zero (up to rounding) iff the maps are equal as linear maps. The actions
     are evaluated through the cached superoperators, which is the same
-    comparison at a fraction of the cost for long Kraus lists.
+    comparison at a fraction of the cost for long Kraus lists. For batches
+    of operations (see ``Operation._checked``), one deviation per member.
     """
     if (p.dim_in, p.dim_out) != (q.dim_in, q.dim_out):
         raise ValueError("maps must share dimensions")
-    basis = _basis_columns(p.dim_in)
-    return float(np.max(np.abs((p.superoperator() - q.superoperator()) @ basis)))
+    return _superoperator_deviation(p.superoperator() - q.superoperator(), p.dim_in)
+
+
+def _superoperator_deviation(diff: np.ndarray, dim_in: int) -> float | np.ndarray:
+    """:func:`map_deviation` from the difference of two superoperators (or
+    of two stacks of them)."""
+    return _per_member(np.abs(diff @ _basis_columns(dim_in)).max(axis=(-2, -1)))
+
+
+def _per_member(dev: np.ndarray) -> float | np.ndarray:
+    """A float for one map's deviation, the array for a batch's."""
+    return float(dev) if dev.ndim == 0 else dev
 
 
 @lru_cache(maxsize=None)

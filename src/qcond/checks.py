@@ -6,7 +6,8 @@ evaluates the identity on a batch of seeded random instances, one generator
 per instance, and yields, for each part it compares, an array with one
 absolute deviation per instance. ``run_checks`` sweeps the registry over
 dimensions and trials, runs the trials of one identity at one dimension as
-batches of at most ``BATCH_SIZE`` instances, folds the yielded deviations
+batches of at most ``BATCH_SIZE`` instances (fewer where the identity's
+``batch_size`` says so), folds the yielded deviations
 once per instance (an instance that raises, yields a non-finite value or
 yields nothing fails) and assembles a deterministic report: identical
 inputs give byte-identical JSON (elapsed times are kept out of the JSON for
@@ -19,8 +20,7 @@ library's default tolerance, with the constructors' messages) and computes
 through the library's own kernels, which broadcast over the batch axis. An
 instance's deviations do not depend on its batch: a batch of one gives the
 same bits. A batch that raises is rerun instance by instance, so one bad
-instance fails alone. Identities not batched yet keep a per-instance body
-behind ``_per_instance``.
+instance fails alone. Every registered identity runs this way.
 """
 
 from __future__ import annotations
@@ -35,9 +35,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channels import Channel, LinearMap, _completed, _conditioned, _require_channel, map_deviation
+from .channels import (
+    Channel,
+    _completed,
+    _conditioned,
+    _require_channel,
+    _superoperator_deviation,
+    map_deviation,
+)
 from .effects import (
-    StochasticMatrix,
     _effect_family,
     _indicator,
     _kernel_weights,
@@ -46,26 +52,32 @@ from .effects import (
     _require_mixture_weights,
     _require_states,
     _require_surjective,
-    bi_observable_deviation,
-    observable_deviation,
-    post_process,
 )
 from .instruments import (
     Instrument,
     _factored_probability,
     _given_grid,
+    _holevo_composed,
+    _holevo_instrument,
     bi_instrument_deviation,
     given_instrument,
-    holevo_compose,
-    holevo_instrument,
     instrument_deviation,
 )
-from .linalg import DEFAULT_ATOL, kron, max_abs_diff, require_tolerance, weighted_sum
+from .linalg import DEFAULT_ATOL, kron, require_tolerance, weighted_sum
 from .measurement import (
-    HolevoSeparableSpec,
-    KrausSeparableChannel,
-    MeasurementModel,
-    holevo_model_quantities,
+    _bi_readout,
+    _dual_on_product,
+    _grams,
+    _holevo_dual_effects,
+    _holevo_model,
+    _lifted_kraus,
+    _outcome_weights,
+    _pointer_grid,
+    _probe_readout,
+    _pure_probe_states,
+    _reduced_readout,
+    _require_normalized_factors,
+    _separable_instrument,
 )
 from .rand import (
     _draw_channels,
@@ -74,12 +86,6 @@ from .rand import (
     _draw_states,
     _draw_stochastic,
     _draw_surjections,
-    random_channel,
-    random_effect,
-    random_holevo_spec,
-    random_instrument,
-    random_observable,
-    random_state,
 )
 
 __all__ = [
@@ -97,8 +103,9 @@ __all__ = [
 Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 
 # Most instances one runner call holds: the memory of a batch is bounded
-# whatever the trial count.
-BATCH_SIZE = 100
+# whatever the trial count. Past about 50 instances a batch saves little
+# time and the peak memory of a run grows.
+BATCH_SIZE = 50
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,10 @@ class IdentityCheck:
     name: str
     statement: str
     runner: Runner
+    # Most instances of one batch of this identity (never more than
+    # BATCH_SIZE): smaller for identities whose instances hold long Kraus
+    # lists, so that no batch holds much more memory than the others.
+    batch_size: int = BATCH_SIZE
 
 
 @dataclass
@@ -170,12 +181,6 @@ def _subsets(labels: Sequence) -> list[tuple]:
     return list(chain.from_iterable(combinations(labels, k) for k in range(len(labels) + 1)))
 
 
-def _embed_square(m: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: m.shape[0], : m.shape[1]] = m
-    return out
-
-
 # The batched runners below evaluate one identity on a batch of instances:
 # each draw takes one object per generator, each stack is checked by the
 # rule of the object it stands for (through the library's own validators,
@@ -197,21 +202,44 @@ def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> n
     return np.array([rng.uniform(low, high) for rng in rngs])
 
 
+def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A complex Gaussian vector: the real parts, then the imaginary parts."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = _normal(rng, n)
+    return v / np.linalg.norm(v)
+
+
 def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     rho = _draw_states(rngs, dim)
     _require_states(rho, DEFAULT_ATOL)
     return rho
 
 
-def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    a = _draw_effects(rngs, dim)
+def _state_stack(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
+    """``n`` states per generator, drawn one after the other: ``(b, n, d, d)``."""
+    return np.stack([_states(rngs, dim) for _ in range(n)], axis=1)
+
+
+def _checked_effects(a: np.ndarray) -> np.ndarray:
     _require_effects(a, DEFAULT_ATOL)
     return a
+
+
+def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    return _checked_effects(_draw_effects(rngs, dim))
 
 
 def _observables(stack: np.ndarray) -> np.ndarray:
     """A batch ``(b, n, d, d)`` of observables, checked as ``Observable``s."""
     return _effect_family("Observable", stack, stack.shape[1:2], DEFAULT_ATOL, stack.shape[:1])
+
+
+def _bi_observables(grid: np.ndarray) -> np.ndarray:
+    """A batch ``(b, n1, n2, d, d)`` of grids, checked as ``BiObservable``s."""
+    return _effect_family("BiObservable", grid, grid.shape[1:3], DEFAULT_ATOL, grid.shape[:1])
 
 
 def _random_observables(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
@@ -220,6 +248,17 @@ def _random_observables(rngs: Sequence[np.random.Generator], dim: int, n: int) -
 
 def _channels(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Channel:
     return Channel._checked(_draw_channels(rngs, dim_in, dim_out, n), DEFAULT_ATOL)
+
+
+# the outcome labels of ``random_observable`` and ``random_instrument``
+_LABELS = ("x0", "x1")
+
+
+def _instruments(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Instrument:
+    """A batch of ``random_instrument``s with one Kraus operator per outcome."""
+    kraus = _channels(rngs, dim_in, dim_out, n).kraus_stack
+    stacks = kraus.reshape(len(rngs), n, 1, dim_out, dim_in).swapaxes(0, 1)
+    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n)), list(stacks), DEFAULT_ATOL)
 
 
 def _kernels(w: np.ndarray) -> np.ndarray:
@@ -308,8 +347,7 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
 
 
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-    kraus = _channels(rngs, dim, dim + 1, 3).kraus_stack.reshape(len(rngs), 3, 1, dim + 1, dim)
-    ins = Instrument._from_kraus(("x0", "x1", "x2"), list(kraus.swapaxes(0, 1)), DEFAULT_ATOL)
+    ins = _instruments(rngs, dim, dim + 1, 3)
     b_obs = _random_observables(rngs, dim + 1, 2)
     grid = _effect_family("BiObservable", _given_grid(ins, b_obs), (3, 2), DEFAULT_ATOL, (len(rngs),))
     m1, m2 = _observables(grid.sum(axis=2)), _observables(grid.sum(axis=1))
@@ -342,158 +380,132 @@ def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.n
     yield _dev(_parted(conditioned, f, u_labels), _conditioned_observables(ch, _parted(a_obs, f, u_labels)))
 
 
-def _per_instance(body: Callable[[np.random.Generator, int], Iterator[float]]) -> Runner:
-    """A runner over a batch from the body of an identity not batched yet:
-    ``body`` evaluates one instance from its generator and yields each
-    part's deviation; the runner yields each instance's largest (NaN kept;
-    ``inf`` for an instance whose body yields nothing)."""
-
-    def runner(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-        yield np.array([np.max(list(body(rng, dim)) or [math.inf]) for rng in rngs])
-
-    return runner
-
-
-def _run_holevo_composition(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    first = random_holevo_spec(dim, dim + 1, 2, rng)
-    second = random_holevo_spec(dim + 1, dim, 2, rng)
-    ins_first = holevo_instrument(first)
-    ins_second = holevo_instrument(second)
-    yield observable_deviation(ins_first.measured_observable(), first.observable)
-    b = random_effect(dim + 1, rng)
-    for x, op in zip(first.observable.outcomes, ins_first.ops):
-        coeff = float(np.trace(first.state(x).matrix @ b.matrix).real)
-        formula = coeff * first.observable.effect(x).matrix
-        yield max_abs_diff(op.dual_matrix(b.matrix), formula)
-    composed = holevo_compose(second, first)
-    yield bi_instrument_deviation(composed, given_instrument(ins_first, ins_second))
-    rho = random_state(dim, rng)
-    m1 = composed.marginal1()
-    m2 = composed.marginal2()
-    b_obs = second.observable
-    for x in first.observable.outcomes:
-        px = float(np.trace(rho.matrix @ first.observable.effect(x).matrix).real)
-        alpha = first.state(x)
-        expected = px * sum(
-            float(np.trace(alpha.matrix @ b_obs.effect(y).matrix).real) * second.state(y).matrix
-            for y in b_obs.outcomes
-        )
-        yield max_abs_diff(m1.op(x).apply(rho), expected)
-    for y in b_obs.outcomes:
-        weight = sum(
-            float(np.trace(rho.matrix @ first.observable.effect(x).matrix).real)
-            * float(np.trace(first.state(x).matrix @ b_obs.effect(y).matrix).real)
-            for x in first.observable.outcomes
-        )
-        yield max_abs_diff(m2.op(y).apply(rho), weight * second.state(y).matrix)
+def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    a, alphas = _random_observables(rngs, dim, 2), _state_stack(rngs, dim + 1, 2)
+    b, betas = _random_observables(rngs, dim + 1, 2), _state_stack(rngs, dim, 2)
+    first = _holevo_instrument(_LABELS, a, alphas, DEFAULT_ATOL)
+    second = _holevo_instrument(_LABELS, b, betas, DEFAULT_ATOL)
+    yield _dev(_observables(first._measured_stack()), a)
+    e = _effects(rngs, dim + 1)
+    coeff = _trace(alphas @ e[:, None]).real
+    for x, op in enumerate(first.ops):
+        yield _dev(op.dual_matrix(e[:, None]), coeff[:, x, None, None] * a[:, x])
+    composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
+    yield bi_instrument_deviation(composed, given_instrument(first, second))
+    rho = _states(rngs, dim)
+    px = _trace(rho[:, None] @ a).real
+    overlaps = _trace(alphas[:, :, None] @ b[:, None]).real
+    for x, op in enumerate(composed.marginal1().ops):
+        expected = px[:, x, None, None] * (overlaps[:, x, :, None, None] * betas).sum(axis=1)
+        yield _dev(op.apply_matrix(rho[:, None]), expected)
+    weights = (px[:, :, None] * overlaps).sum(axis=1)
+    for y, op in enumerate(composed.marginal2().ops):
+        yield _dev(op.apply_matrix(rho[:, None]), weights[:, y, None, None] * betas[:, y])
 
 
-def _run_measurement_pointer(rng: np.random.Generator, dim: int) -> Iterator[float]:
+def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    ins = _instruments(rngs, dim, 2 * dim, 2)
+    probe = _random_observables(rngs, 2, 2)
+    probe3 = _random_observables(rngs, 2, 3)
+    rho = _states(rngs, dim)
+    grid = _bi_observables(_pointer_grid(ins, probe))
+    pointer = _observables(grid.sum(axis=1))
+    measured = _probe_readout(ins, _LABELS, probe, DEFAULT_ATOL)
+    yield _dev(pointer, _checked_effects(measured._measured_stack()))
+    kraus = ins.total_channel().kraus_stack[:, None]
+    lifted = kron(np.eye(dim), probe)[:, :, None]
+    yield _dev(pointer, (kraus.conj().mT @ lifted @ kraus).sum(axis=2))
+    marginal = _observables(grid.sum(axis=2))
+    yield _dev(marginal, _observables(ins._measured_stack()))
+    grid3 = _bi_observables(_pointer_grid(ins, probe3))
+    yield _dev(_observables(grid3.sum(axis=2)), marginal)
+    bi_ins = _bi_readout(ins, _LABELS, probe, DEFAULT_ATOL)
+    for x, row in enumerate(bi_ins.ops):
+        for y, op in enumerate(row):
+            lhs = _trace(rho @ grid[:, x, y]).real
+            yield np.abs(lhs - _trace(op.apply_matrix(rho[:, None])).real)
+    yield instrument_deviation(measured, bi_ins.marginal2())
+
+
+def _run_kraus_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    """Each instance draws its Kraus count first; the instances of one count
+    run as one batch, and their deviations go back to their places."""
+    counts = np.array([rng.integers(1, 4) for rng in rngs])
+    parts: list[np.ndarray] = []
+    for n in np.unique(counts):
+        members = np.flatnonzero(counts == n)
+        group = list(_kraus_separable_parts([rngs[i] for i in members], dim, int(n)))
+        parts = parts or [np.empty(len(rngs)) for _ in group]
+        for whole, part in zip(parts, group):
+            whole[members] = part
+    yield from parts
+
+
+def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int) -> Iterator[np.ndarray]:
     dim_probe = 2
-    ins = random_instrument(dim, dim * dim_probe, 2, rng)
-    probe = random_observable(dim_probe, 2, rng)
-    model = MeasurementModel(dim, dim_probe, ins, probe)
-    bi_obs = model.measured_bi_observable()
-    pointer = model.measured_pointer_observable()
-    meas_ins = model.measured_instrument()
-    for y in probe.outcomes:
-        yield max_abs_diff(pointer.effect(y).matrix, meas_ins.op(y).measured_effect().matrix)
-    total = ins.total_channel()
-    eye = np.eye(dim)
-    for y in probe.outcomes:
-        lifted = kron(eye, probe.effect(y).matrix)
-        formula = sum(k.conj().T @ lifted @ k for k in total.kraus)
-        yield max_abs_diff(pointer.effect(y).matrix, formula)
-    yield observable_deviation(bi_obs.marginal1(), ins.measured_observable())
-    probe2 = random_observable(dim_probe, 3, rng)
-    bi_obs2 = MeasurementModel(dim, dim_probe, ins, probe2).measured_bi_observable()
-    yield observable_deviation(bi_obs2.marginal1(), bi_obs.marginal1())
-    rho = random_state(dim, rng)
-    bi_ins = model.measured_bi_instrument()
-    for x in ins.outcomes:
-        for y in probe.outcomes:
-            lhs = float(np.trace(rho.matrix @ bi_obs.effect(x, y).matrix).real)
-            rhs = float(np.trace(bi_ins.op(x, y).apply(rho)).real)
-            yield abs(lhs - rhs)
-    yield instrument_deviation(meas_ins, bi_ins.marginal2())
+    factors = _channels(rngs, dim, dim, n).kraus_stack
+    states = _state_stack(rngs, dim_probe, n)
+    _require_normalized_factors(factors, DEFAULT_ATOL)
+    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL)[0], DEFAULT_ATOL)
+    # the superoperator of rho -> sum_i K_i rho K_i† ⊗ rho_i, entry by entry
+    formula = np.einsum("...iab,...icd,...ipq->...apcqbd", factors, factors.conj(), states)
+    superop = total.superoperator()
+    yield _superoperator_deviation(superop - formula.reshape(superop.shape), dim)
+    a = _effects(rngs, dim)
+    b = _effects(rngs, dim_probe)
+    closed = _checked_effects(_dual_on_product(factors, states, a, b))
+    yield _dev(closed, total._dual_effects(kron(a, b)[:, None], DEFAULT_ATOL))
+    probe = _random_observables(rngs, dim_probe, 2)
+    interaction = Instrument(("u",), (total,))
+    w = _outcome_weights(states, probe)
+    closed_ins = _separable_instrument(_LABELS, factors, w, DEFAULT_ATOL)
+    yield instrument_deviation(closed_ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    pointer = _observables(weighted_sum(w, _grams(factors)))
+    yield _dev(pointer, _observables(_bi_observables(_pointer_grid(interaction, probe)).sum(axis=1)))
+    yield np.abs(w.sum(axis=-1) - 1.0).max(axis=-1)
+    yield _dev(pointer, _post_processed(_observables(_grams(factors)), _kernels(w)))
 
 
-def _run_kraus_separable(rng: np.random.Generator, dim: int) -> Iterator[float]:
+def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim_probe = 2
-    n = int(rng.integers(1, 4))
-    base = random_channel(dim, dim, n, rng)
-    ks = KrausSeparableChannel(
-        base.kraus, tuple(random_state(dim_probe, rng) for _ in range(n))
-    )
-    total = ks.total_channel()
-    formula_map = LinearMap.from_action(
-        lambda m: sum(
-            kron(k @ m @ k.conj().T, s.matrix) for k, s in zip(ks.factors, ks.probe_states)
-        ),
-        dim,
-        dim * dim_probe,
-    )
-    yield map_deviation(total, formula_map)
-    a = random_effect(dim, rng)
-    b = random_effect(dim_probe, rng)
-    yield max_abs_diff(
-        ks.dual_on_product(a, b).matrix,
-        total.dual_apply(kron(a.matrix, b.matrix)).matrix,
-    )
-    probe = random_observable(dim_probe, 2, rng)
-    model = ks.model(probe)
-    yield instrument_deviation(ks.measured_instrument(probe), model.measured_instrument())
-    yield observable_deviation(ks.pointer_observable(probe), model.measured_pointer_observable())
-    w = ks.outcome_weights(probe)
-    yield float(np.max(np.abs(w.sum(axis=1) - 1.0)))
-    base_obs = ks.base_observable()
-    kernel = StochasticMatrix(base_obs.outcomes, probe.outcomes, w)
-    yield observable_deviation(ks.pointer_observable(probe), post_process(base_obs, kernel))
+    factors = _channels(rngs, dim, dim, 2).kraus_stack
+    vecs = np.array([[_unit_vector(rng, dim_probe) for _ in range(2)] for rng in rngs])
+    states = _pure_probe_states(vecs, DEFAULT_ATOL)
+    _require_states(states, DEFAULT_ATOL)
+    _require_normalized_factors(factors, DEFAULT_ATOL)
+    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL)[0], DEFAULT_ATOL)
+    lifted = Channel._checked(kron(factors, vecs[..., None]), DEFAULT_ATOL)
+    yield map_deviation(total, lifted)
+    phi1, phi2 = map(np.array, zip(*[(_normal(rng, dim), _normal(rng, dim_probe)) for rng in rngs]))
+    product = (phi1[:, :, None] * phi2[:, None, :]).reshape(len(rngs), 1, -1, 1)
+    overlaps = (vecs.conj() * phi2[:, None]).sum(axis=-1)
+    expected = overlaps[..., None] * (factors.conj().mT @ phi1[:, None, :, None])[..., 0]
+    yield _dev(lifted.kraus_stack.conj().mT @ product, expected[..., None])
 
 
-def _run_simple_separable(rng: np.random.Generator, dim: int) -> Iterator[float]:
+def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim_probe = 2
-    n = 2
-    base = random_channel(dim, dim, n, rng)
-    vecs = []
-    for _ in range(n):
-        v = rng.standard_normal(dim_probe) + 1j * rng.standard_normal(dim_probe)
-        vecs.append(v / np.linalg.norm(v))
-    ks = KrausSeparableChannel.simple(base.kraus, vecs)
-    lifted = Channel(tuple(kron(a, v.reshape(-1, 1)) for a, v in zip(base.kraus, vecs)))
-    yield map_deviation(ks.total_channel(), lifted)
-    phi1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    phi2 = rng.standard_normal(dim_probe) + 1j * rng.standard_normal(dim_probe)
-    product = np.kron(phi1, phi2)
-    for a, v in zip(base.kraus, vecs):
-        k = kron(a, v.reshape(-1, 1))
-        expected = np.vdot(v, phi2) * (a.conj().T @ phi1)
-        yield float(np.max(np.abs(k.conj().T @ product - expected)))
-
-
-def _run_holevo_separable(rng: np.random.Generator, dim: int) -> Iterator[float]:
-    dim_probe = 2
-    n = 2
-    spec = HolevoSeparableSpec(
-        random_observable(dim, n, rng),
-        tuple(random_state(dim, rng) for _ in range(n)),
-        tuple(random_state(dim_probe, rng) for _ in range(n)),
+    a = _random_observables(rngs, dim, 2)
+    betas = _state_stack(rngs, dim, 2)
+    gammas = _state_stack(rngs, dim_probe, 2)
+    probe = _random_observables(rngs, dim_probe, 2)
+    e = _effects(rngs, dim * dim_probe)
+    w, bi_ins, ins, reduced, grid, pointer = _holevo_model(
+        _LABELS, _LABELS, a, betas, gammas, probe, DEFAULT_ATOL
     )
-    probe = random_observable(dim_probe, 2, rng)
-    quantities = holevo_model_quantities(spec, probe)
-    model = spec.model(probe)
-    a = random_effect(dim * dim_probe, rng)
-    for x in spec.observable.outcomes:
-        yield max_abs_diff(
-            quantities.dual_effect(x, a).matrix,
-            model.interaction.op(x).dual_apply(a).matrix,
-        )
-    yield bi_instrument_deviation(quantities.bi_instrument, model.measured_bi_instrument())
-    yield instrument_deviation(quantities.instrument, model.measured_instrument())
-    yield instrument_deviation(quantities.reduced_instrument, model.reduced_instrument())
-    yield bi_observable_deviation(quantities.bi_observable, model.measured_bi_observable())
-    yield observable_deviation(quantities.pointer_observable, model.measured_pointer_observable())
-    yield float(np.max(np.abs(quantities.outcome_weights.sum(axis=1) - 1.0)))
+    products = kron(betas, gammas)
+    _require_states(products, DEFAULT_ATOL)
+    interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
+    closed = _checked_effects(_holevo_dual_effects(a, products, e[:, None]))
+    generic = [op._dual_effects(e[:, None], DEFAULT_ATOL) for op in interaction.ops]
+    yield _dev(closed, np.stack(generic, axis=1))
+    yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    yield instrument_deviation(reduced, _reduced_readout(interaction, dim_probe, DEFAULT_ATOL))
+    model_grid = _bi_observables(_pointer_grid(interaction, probe))
+    yield _dev(_bi_observables(grid), model_grid)
+    yield _dev(_observables(pointer), _observables(model_grid.sum(axis=1)))
+    yield np.abs(w.sum(axis=-1) - 1.0).max(axis=-1)
 
 
 REGISTRY: dict[str, IdentityCheck] = {
@@ -542,33 +554,37 @@ REGISTRY: dict[str, IdentityCheck] = {
             "holevo-composition",
             "two measure-and-prepare stages compose to a measure-and-prepare grid with "
             "effects tr(alpha_x B_y) A_x and prepared states beta_y",
-            _per_instance(_run_holevo_composition),
+            _run_holevo_composition,
+            # the composed grid holds up to 144 Kraus operators per member
+            batch_size=4,
         ),
         IdentityCheck(
             "measurement-pointer",
             "the pointer observable equals the outcome-wise measured effect of the "
             "measured instrument and sum_i K_i†(I⊗P_y)K_i; the interaction marginal "
             "is probe-independent",
-            _per_instance(_run_measurement_pointer),
+            _run_measurement_pointer,
         ),
         IdentityCheck(
             "kraus-separable",
             "separable-channel shortcuts (dual on product effects, measured instrument, "
             "pointer observable) match the partial-trace pipeline; tr(rho_i P_y) is "
             "row-stochastic",
-            _per_instance(_run_kraus_separable),
+            _run_kraus_separable,
         ),
         IdentityCheck(
             "simple-kraus-separable",
             "lifted operators phi -> A_i phi ⊗ psi_i realize the separable channel with "
             "pure probe states",
-            _per_instance(_run_simple_separable),
+            _run_simple_separable,
         ),
         IdentityCheck(
             "holevo-separable",
             "all six closed-form quantities of a product-state measure-and-prepare model "
             "match the partial-trace pipeline; tr(gamma_x P_y) is row-stochastic",
-            _per_instance(_run_holevo_separable),
+            _run_holevo_separable,
+            # the interaction and its readouts hold 18 to 36 operators per member
+            batch_size=10,
         ),
     ]
 }
@@ -657,8 +673,9 @@ def run_checks(
             max_dev = 0.0
             count = 0
             for dim in dims:
-                for first in range(0, trials, BATCH_SIZE):
-                    last = min(first + BATCH_SIZE, trials)
+                size = min(BATCH_SIZE, check.batch_size)
+                for first in range(0, trials, size):
+                    last = min(first + size, trials)
                     seeds = [(seed, key, dim, trial) for trial in range(first, last)]
                     devs = _instance_deviations(check.runner, seeds, dim)
                     max_dev = max(max_dev, float(devs.max()))

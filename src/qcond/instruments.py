@@ -11,6 +11,18 @@ is not completely positive.
 A family's trace condition is checked once, on its total: with every Gram
 matrix positive, ``sum_x op_x*(I) = I`` gives each member's ``sum K†K <= I``,
 so the members that ``_from_kraus`` builds skip that check.
+
+Batches: ``_from_kraus`` over Kraus stacks ``(..., n, d_out, d_in)`` with
+leading axes builds a batch of families whose members are batches of
+operations (see ``Operation._checked``), each family's total checked.
+``marginal1``/``marginal2``, ``given_instrument`` and the deviations act on
+them member by member, and the Holevo kernels (``_holevo_family``,
+``_holevo_instrument``, ``_holevo_composed``) take leading batch axes on
+their effect, state and coefficient stacks. A batch keeps the full
+(effect-eigenvector × state-eigenvector) grid of each measure-and-prepare
+operation, so that every member has as many Kraus operators: a weight whose
+clipped eigenvalue is 0 gives an exactly-zero operator. The single-object
+builders leave those operators out (one zero operator when all are zero).
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .channels import (
     QuantumMap,
     _composed_class,
     _composed_kraus,
+    _per_member,
     _require_trace_preserving,
     map_deviation,
 )
@@ -89,8 +102,9 @@ def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> t
 def _summed(ops: Iterable[Operation]) -> Operation:
     """The summed map of a checked family, with concatenated Kraus lists
     and no second check."""
+    stack = np.concatenate([op.kraus_stack for op in ops], axis=-3)
     total = object.__new__(Operation)
-    total._build(np.concatenate([op.kraus_stack for op in ops]))
+    total._build(stack, stack.ndim - 3)
     return total
 
 
@@ -219,7 +233,7 @@ class BiInstrument:
         return _summed(op for row in self.ops for op in row)
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
-        stacks = [np.concatenate([op.kraus_stack for op in group]) for group in groups]
+        stacks = [np.concatenate([op.kraus_stack for op in group], axis=-3) for group in groups]
         return Instrument._from_kraus(outcomes, stacks, atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
@@ -342,19 +356,25 @@ class HolevoSpec:
 def _holevo_stack(
     evals: np.ndarray, evecs: np.ndarray, pvals: np.ndarray, pvecs: np.ndarray
 ) -> np.ndarray:
-    """Kraus stack of ``rho -> tr(rho e) sigma`` from clipped eigenpairs
-    ``e = sum_j a_j |u_j><u_j|`` and ``sigma = sum_k p_k |v_k><v_k|``.
+    """Kraus stack ``(..., dj * dk, D, d)`` of ``rho -> tr(rho e) sigma`` from
+    clipped eigenpairs ``e = sum_j a_j |u_j><u_j|`` and
+    ``sigma = sum_k p_k |v_k><v_k|`` (or stacks of them).
 
-    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|`` over the positive
-    weights; one zero operator when there are none.
+    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, so that
+    every member of a batch has as many operators; a row whose ``a_j`` or
+    ``p_k`` is 0 is an exactly-zero operator.
     """
-    on_e, on_s = evals > 0.0, pvals > 0.0
-    if not (on_e.any() and on_s.any()):
-        return np.zeros((1, len(pvals), len(evals)), dtype=complex)
-    weights = np.sqrt(evals[on_e][:, None] * pvals[on_s][None, :])
-    outers = np.einsum("rk,cj->jkrc", pvecs[:, on_s], evecs[:, on_e].conj())
-    stack = weights[:, :, None, None] * outers
-    return stack.reshape(-1, len(pvals), len(evals))
+    weights = np.sqrt(evals[..., :, None] * pvals[..., None, :])
+    outers = np.einsum("...rk,...cj->...jkrc", pvecs, evecs.conj())
+    stack = weights[..., None, None] * outers
+    return stack.reshape(stack.shape[:-4] + (-1,) + stack.shape[-2:])
+
+
+def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
+    """The operators of one Kraus stack that are not exactly zero; one zero
+    operator when all of them are."""
+    nonzero = stack.any(axis=(-2, -1))
+    return stack[nonzero] if nonzero.any() else np.zeros_like(stack[:1])
 
 
 def _holevo_family(
@@ -370,15 +390,21 @@ def _holevo_family(
 
     Each effect of the stack ``effects`` and each state of ``states`` is
     decomposed once (one batched ``eigh`` per stack); an entry's effect
-    spectrum is the scaled spectrum of its row's effect.
+    spectrum is the scaled spectrum of its row's effect. Leading batch axes
+    of ``effects``, ``states`` and ``coeffs`` give a batch of families whose
+    members keep the full grid of :func:`_holevo_stack`; a single family
+    leaves out its zero operators.
     """
     evals, evecs = clipped_eigh(effects, atol, "effect")
     pvals, pvecs = clipped_eigh(states, atol, "state")
-    scaled = np.asarray(coeffs, dtype=float)[:, None] * evals[rows]
+    scaled = np.asarray(coeffs, dtype=float)[..., None] * evals[..., rows, :]
     if float(scaled.min()) < -atol:
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
     scaled = np.clip(scaled, 0.0, None)
-    return [_holevo_stack(a, evecs[i], pvals[j], pvecs[j]) for a, i, j in zip(scaled, rows, cols)]
+    stacks = _holevo_stack(scaled, evecs[..., rows, :, :], pvals[..., cols, :], pvecs[..., cols, :, :])
+    if effects.ndim > 3:
+        return list(np.moveaxis(stacks, -4, 0))
+    return [_without_zero_operators(stack) for stack in stacks]
 
 
 def holevo_operation(
@@ -392,17 +418,35 @@ def holevo_operation(
     """
     evals, evecs = clipped_eigh(as_complex_matrix(effect), atol, "effect")
     pvals, pvecs = clipped_eigh(as_complex_matrix(state), atol, "state")
-    return Operation(_holevo_stack(evals, evecs, pvals, pvecs), atol)
+    return Operation(_without_zero_operators(_holevo_stack(evals, evecs, pvals, pvecs)), atol)
+
+
+def _holevo_instrument(outcomes, effects: np.ndarray, states: np.ndarray, atol: float) -> Instrument:
+    """The measure-and-prepare instrument of an effect stack ``(..., n, d, d)``
+    and a state stack ``(..., n, D, D)`` (leading axes: a batch)."""
+    idx = np.arange(effects.shape[-3])
+    stacks = _holevo_family(effects, states, idx, idx, np.ones(len(idx)), atol)
+    return Instrument._from_kraus(outcomes, stacks, atol)
 
 
 def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrument:
     """The measure-and-prepare instrument of the given data: outcome ``x``
     acts as ``rho -> tr(rho A_x) alpha_x``."""
-    n = spec.observable.n_outcomes
     states = np.stack([s.matrix for s in spec.states])
-    idx = np.arange(n)
-    stacks = _holevo_family(spec.observable.effect_stack, states, idx, idx, np.ones(n), atol)
-    return Instrument._from_kraus(spec.observable.outcomes, stacks, atol)
+    return _holevo_instrument(spec.observable.outcomes, spec.observable.effect_stack, states, atol)
+
+
+def _holevo_composed(
+    outcomes1, outcomes2, a: np.ndarray, alphas: np.ndarray, b: np.ndarray, betas: np.ndarray, atol: float
+) -> BiInstrument:
+    """The closed form of :func:`holevo_compose` from stacks: effects ``a``
+    and states ``alphas`` of the first stage, ``b`` and ``betas`` of the
+    second (leading axes: a batch)."""
+    coeff = np.trace(alphas[..., :, None, :, :] @ b[..., None, :, :, :], axis1=-2, axis2=-1).real
+    n1, n2 = coeff.shape[-2:]
+    rows, cols = np.divmod(np.arange(n1 * n2), n2)
+    stacks = _holevo_family(a, betas, rows, cols, coeff.reshape(coeff.shape[:-2] + (-1,)), atol)
+    return BiInstrument._from_kraus(outcomes1, outcomes2, stacks, atol)
 
 
 def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -416,30 +460,30 @@ def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_
     """
     if first.dim_out != second.dim_in:
         raise ValueError(f"dimension mismatch: {first.dim_out} -> {second.dim_in}")
-    a_obs = first.observable
-    b_obs = second.observable
-    n1, n2 = a_obs.n_outcomes, b_obs.n_outcomes
-    alphas = np.stack([s.matrix for s in first.states])
-    betas = np.stack([s.matrix for s in second.states])
-    coeff = np.trace(alphas[:, None] @ b_obs.effect_stack, axis1=-2, axis2=-1).real
-    rows, cols = np.divmod(np.arange(n1 * n2), n2)
-    stacks = _holevo_family(a_obs.effect_stack, betas, rows, cols, coeff.reshape(-1), atol)
-    return BiInstrument._from_kraus(a_obs.outcomes, b_obs.outcomes, stacks, atol)
+    a_obs, b_obs = first.observable, second.observable
+    return _holevo_composed(
+        a_obs.outcomes,
+        b_obs.outcomes,
+        a_obs.effect_stack,
+        np.stack([s.matrix for s in first.states]),
+        b_obs.effect_stack,
+        np.stack([s.matrix for s in second.states]),
+        atol,
+    )
 
 
-def instrument_deviation(a: Instrument, b: Instrument) -> float:
-    """Largest map deviation between two instruments on equal outcomes."""
+def instrument_deviation(a: Instrument, b: Instrument) -> float | np.ndarray:
+    """Largest map deviation between two instruments on equal outcomes (for
+    batches of instruments, one per member)."""
     if a.outcomes != b.outcomes:
         raise ValueError("instruments must share the same ordered outcome labels")
-    return float(np.max([map_deviation(x, y) for x, y in zip(a.ops, b.ops)]))
+    return _per_member(np.max([map_deviation(x, y) for x, y in zip(a.ops, b.ops)], axis=0))
 
 
-def bi_instrument_deviation(a: BiInstrument, b: BiInstrument) -> float:
-    """Largest map deviation between two bi-instruments on equal grids."""
+def bi_instrument_deviation(a: BiInstrument, b: BiInstrument) -> float | np.ndarray:
+    """Largest map deviation between two bi-instruments on equal grids (for
+    batches, one per member)."""
     if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
         raise ValueError("bi-instruments must share the same ordered outcome labels")
-    return float(np.max([
-        map_deviation(x, y)
-        for row_a, row_b in zip(a.ops, b.ops)
-        for x, y in zip(row_a, row_b)
-    ]))
+    devs = [map_deviation(x, y) for row_a, row_b in zip(a.ops, b.ops) for x, y in zip(row_a, row_b)]
+    return _per_member(np.max(devs, axis=0))

@@ -85,12 +85,15 @@ def adjoint(m: Any) -> np.ndarray:
 def kron(a: Any, b: Any) -> np.ndarray:
     """Kronecker product, left factor major (row-major block convention).
 
-    One broadcast product, entry for entry equal to ``numpy.kron``.
+    One broadcast product, entry for entry equal to ``numpy.kron``; on
+    stacks ``(..., r, c)`` matrix by matrix, with the leading axes
+    broadcast.
     """
-    a = coerce_matrix(a)
-    b = coerce_matrix(b)
-    (r1, c1), (r2, c2) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+    a = _matrix_stack(a)
+    b = _matrix_stack(b)
+    (r1, c1), (r2, c2) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (r1 * r2, c1 * c2))
 
 
 def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:

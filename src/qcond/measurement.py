@@ -14,9 +14,19 @@ interaction's Kraus stack, read as ``(n, db, dp, db)`` for base dimension
 ``db`` and probe dimension ``dp``, at O(n·db²·dp²) per probe effect; no
 superoperator is built.
 
+The readout takes leading batch axes: an interaction instrument whose
+members are batches of operations (see ``Operation._checked``) and a probe
+stack ``(b, m, dp, dp)`` are read out member by member, through the same
+kernels as one model (``_bi_readout``, ``_probe_readout``,
+``_reduced_readout``, ``_pointer_grid``). A batch keeps every column of its
+probe factors, so that every member has as many operators: a column of a
+clipped eigenvalue 0 gives exactly-zero operators. One model leaves those
+out (one zero operator for a zero probe effect).
+
 The Kraus-separable and Holevo-separable classes provide closed-form
 shortcuts as *separate* code paths; their agreement with the generic
-pipeline is a test target, not an internal substitution.
+pipeline is a test target, not an internal substitution. The closed forms
+are stack functions that the classes wrap and that take batch axes too.
 """
 
 from __future__ import annotations
@@ -30,7 +40,14 @@ import numpy as np
 from .channels import Channel
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
-from .instruments import BiInstrument, HolevoSpec, Instrument, _holevo_family, holevo_instrument
+from .instruments import (
+    BiInstrument,
+    HolevoSpec,
+    Instrument,
+    _given_grid,
+    _holevo_family,
+    holevo_instrument,
+)
 from .linalg import (
     DEFAULT_ATOL,
     _identity,
@@ -38,7 +55,6 @@ from .linalg import (
     clipped_eigh,
     frozen_copy,
     kron,
-    max_abs_diff,
     weighted_sum,
 )
 
@@ -72,35 +88,43 @@ class MeasurementModel:
         if self.probe.dim != self.dim_probe:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
-    def _probe_factors(self, atol: float) -> tuple[np.ndarray, list[int]]:
-        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for the probe effects
-        (the eigenvectors scaled by the square roots of the clipped
-        eigenvalues), and how many leading columns of each ``B_y`` are zero:
-        those of clipped eigenvalues equal to 0, which sort first."""
-        evals, evecs = clipped_eigh(self.probe.effect_stack, atol, "effect")
-        return evecs * np.sqrt(evals)[:, None, :], [row.count(0.0) for row in evals.tolist()]
+    @staticmethod
+    def _probe_factors(probe: np.ndarray, atol: float) -> tuple[np.ndarray, list[int]]:
+        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for a probe stack
+        ``(..., m, dp, dp)`` (the eigenvectors scaled by the square roots of
+        the clipped eigenvalues), and how many leading columns of each
+        ``B_y`` the readout leaves out: for one probe, the zero columns of
+        clipped eigenvalues equal to 0, which sort first; for a batch, none."""
+        evals, evecs = clipped_eigh(probe, atol, "effect")
+        factors = evecs * np.sqrt(evals)[..., None, :]
+        if probe.ndim > 3:
+            return factors, [0] * probe.shape[-3]
+        return factors, [row.count(0.0) for row in evals.tolist()]
 
+    @staticmethod
     def _readout(
-        self, stacks: Sequence[np.ndarray], factors: np.ndarray, zero_columns: Sequence[int]
+        stacks: Sequence[np.ndarray], factors: np.ndarray, zero_columns: Sequence[int]
     ) -> list[np.ndarray]:
         """Kraus stacks of the operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]``
         for every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe)
-        and every ``B`` of the stack ``factors``, ``K``-major.
+        and every ``B`` of the stack ``factors``, ``K``-major; leading axes
+        of both are a batch.
 
         A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
         base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
         column ``j`` of ``B``: one contraction of all the stacks at once.
-        The first ``zero_columns[y]`` columns of ``factors[y]`` are zero and
-        would give zero operators, so they are left out; a family with no
-        other column gets one zero operator.
+        The first ``zero_columns[y]`` columns of ``factors[y]`` are left out;
+        a family with no other column gets one zero operator.
         """
-        db, dp = self.dim_base, self.dim_probe
-        sizes = [len(k) for k in stacks]
-        kraus = np.concatenate(stacks).reshape(-1, db, dp, db)
-        out = np.einsum("ywj,nawb->ynjab", factors.conj(), kraus)
+        db, dp = stacks[0].shape[-1], factors.shape[-1]
+        sizes = [k.shape[-3] for k in stacks]
+        kraus = np.concatenate(stacks, axis=-3)
+        kraus = kraus.reshape(kraus.shape[:-2] + (db, dp, db))
+        out = np.einsum("...ywj,...nawb->...ynjab", factors.conj(), kraus)
+        lead = out.shape[:-5]
         zero = np.zeros((1, db, db), dtype=complex)
         return [
-            out[y, end - size : end, skip:].reshape(-1, db, db) if skip < dp else zero
+            out[..., y, end - size : end, skip:, :, :].reshape(lead + (-1, db, db)) if skip < dp else zero
             for size, end in zip(sizes, accumulate(sizes))
             for y, skip in enumerate(zero_columns)
         ]
@@ -109,30 +133,22 @@ class MeasurementModel:
         """Joint outcome grid: interact, project on a probe effect, trace out
         the probe. Entry ``(x, y)`` maps ``rho`` to
         ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
-        stacks = [op.kraus_stack for op in self.interaction.ops]
-        readout = self._readout(stacks, *self._probe_factors(atol))
-        return BiInstrument._from_kraus(self.interaction.outcomes, self.probe.outcomes, readout, atol)
+        return _bi_readout(self.interaction, self.probe.outcomes, self.probe.effect_stack, atol)
 
     def measured_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The probe-indexed instrument the model realizes on the base space
         (the second marginal of the measured bi-instrument)."""
-        total = np.concatenate([op.kraus_stack for op in self.interaction.ops])
-        readout = self._readout([total], *self._probe_factors(atol))
-        return Instrument._from_kraus(self.probe.outcomes, readout, atol)
+        return _probe_readout(self.interaction, self.probe.outcomes, self.probe.effect_stack, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The interaction reduced to the base space (first marginal);
         independent of the probe observable."""
-        stacks = [op.kraus_stack for op in self.interaction.ops]
-        readout = self._readout(stacks, _identity(self.dim_probe)[None], [0])
-        return Instrument._from_kraus(self.interaction.outcomes, readout, atol)
+        return _reduced_readout(self.interaction, self.dim_probe, atol)
 
     def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> BiObservable:
         """Joint observable of interaction outcome and probe outcome: entry
         ``(x, y)`` is the dual of the ``x``-operation at ``I ⊗ P_y``."""
-        eye = np.eye(self.dim_base)
-        lifted = np.stack([kron(eye, p) for p in self.probe.effect_stack])
-        grid = np.stack([op._dual_images(lifted) for op in self.interaction.ops])
+        grid = _pointer_grid(self.interaction, self.probe.effect_stack)
         return BiObservable(self.interaction.outcomes, self.probe.outcomes, grid, atol)
 
     def measured_pointer_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
@@ -141,8 +157,88 @@ class MeasurementModel:
         return self.measured_bi_observable(atol).marginal2(atol)
 
 
-def _real_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.trace(a @ b).real)
+# The model's quantities from an interaction instrument and a probe stack
+# ``(..., m, dp, dp)``: the methods above pass one model's, the batched
+# checks a batch of interactions (see ``Operation._checked``) and of probes.
+
+
+def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> BiInstrument:
+    stacks = [op.kraus_stack for op in interaction.ops]
+    readout = MeasurementModel._readout(stacks, *MeasurementModel._probe_factors(probe, atol))
+    return BiInstrument._from_kraus(interaction.outcomes, outcomes, readout, atol)
+
+
+def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
+    total = np.concatenate([op.kraus_stack for op in interaction.ops], axis=-3)
+    readout = MeasurementModel._readout([total], *MeasurementModel._probe_factors(probe, atol))
+    return Instrument._from_kraus(outcomes, readout, atol)
+
+
+def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> Instrument:
+    stacks = [op.kraus_stack for op in interaction.ops]
+    readout = MeasurementModel._readout(stacks, _identity(dim_probe)[None], [0])
+    return Instrument._from_kraus(interaction.outcomes, readout, atol)
+
+
+def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:
+    """The grid ``(..., n_x, m, db, db)`` of duals of ``I ⊗ P_y``, unvalidated;
+    the lifted effects are one broadcast product."""
+    return _given_grid(interaction, kron(_identity(interaction.dim_in), probe))
+
+
+# The closed forms of a Kraus-separable channel, from its factor stack
+# ``(..., n, d, d)`` and probe-state stack ``(..., n, dp, dp)``; the class
+# wraps them, and leading axes are a batch.
+
+
+def _require_normalized_factors(factors: np.ndarray, atol: float) -> None:
+    """``sum K†K == I`` entrywise within ``atol``, for one factor stack or
+    every stack of a batch."""
+    gram = (factors.conj().mT @ factors).sum(axis=-3)
+    if np.abs(gram - _identity(factors.shape[-1])).max() > atol:
+        raise InvariantViolation("KrausSeparableChannel", "normalization", "sum K†K must equal I")
+
+
+def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus stack ``(..., n * dp, d * dp, d)`` of ``L_{ik} =
+    sqrt(p_ik) (K_i ⊗ |v_ik>)`` over the spectral decompositions of the probe
+    states (one batched decomposition), and the clipped ``p``; an ``L_{ik}``
+    with ``p_ik = 0`` is an exactly-zero operator."""
+    pvals, pvecs = clipped_eigh(states, atol, "state")
+    lifted = np.sqrt(pvals)[..., None, None] * kron(factors[..., None, :, :], pvecs.mT[..., None])
+    return lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:]), pvals
+
+
+def _dual_on_product(factors: np.ndarray, states: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_i tr(rho_i b) K_i† a K_i``, unvalidated."""
+    w = np.trace(states @ b[..., None, :, :], axis1=-2, axis2=-1).real
+    return (w[..., None, None] * (factors.conj().mT @ a[..., None, :, :] @ factors)).sum(axis=-3)
+
+
+def _outcome_weights(states: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """``w[..., i, y] = tr(rho_i P_y)`` for states ``(..., n, dp, dp)`` and a
+    probe stack ``(..., m, dp, dp)``."""
+    products = states[..., :, None, :, :] @ probe[..., None, :, :, :]
+    return np.trace(products, axis1=-2, axis2=-1).real
+
+
+def _separable_instrument(outcomes, factors: np.ndarray, w: np.ndarray, atol: float) -> Instrument:
+    """Outcome ``y`` acts as ``rho -> sum_i w[i, y] K_i rho K_i†`` (negative
+    rounding noise in ``w`` clipped)."""
+    stacks = np.sqrt(np.clip(w, 0.0, None)).swapaxes(-1, -2)[..., None, None] * factors[..., None, :, :, :]
+    return Instrument._from_kraus(outcomes, list(np.moveaxis(stacks, -4, 0)), atol)
+
+
+def _pure_probe_states(vecs: np.ndarray, atol: float) -> np.ndarray:
+    """``|psi_i><psi_i|`` for unit vectors ``(..., n, dp)``, unvalidated."""
+    if np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max() > atol:
+        raise InvariantViolation("KrausSeparableChannel", "unit probe vectors")
+    return vecs[..., :, None] * vecs.conj()[..., None, :]
+
+
+def _grams(factors: np.ndarray) -> np.ndarray:
+    """The effects ``K_i†K_i``, unvalidated."""
+    return factors.conj().mT @ factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +262,12 @@ class KrausSeparableChannel:
             raise InvariantViolation("KrausSeparableChannel", "square factors of equal dimension")
         if len({s.dim for s in states}) != 1:
             raise InvariantViolation("KrausSeparableChannel", "uniform probe dimension")
-        gram = sum(k.conj().T @ k for k in ks)
-        if max_abs_diff(gram, _identity(ks[0].shape[0])) > atol:
-            raise InvariantViolation("KrausSeparableChannel", "normalization", "sum K†K must equal I")
-        object.__setattr__(self, "factors", tuple(frozen_copy(k) for k in ks))
+        stack = frozen_copy(np.stack(ks))
+        _require_normalized_factors(stack, atol)
+        object.__setattr__(self, "factors", tuple(stack))
         object.__setattr__(self, "probe_states", states)
+        object.__setattr__(self, "_factors", stack)
+        object.__setattr__(self, "_states", np.stack([s.matrix for s in states]))
 
     @property
     def dim_base(self) -> int:
@@ -196,26 +293,18 @@ class KrausSeparableChannel:
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in probe_vectors]
         if len(ops) != len(vecs):
             raise InvariantViolation("KrausSeparableChannel", "one probe vector per operator")
-        for v in vecs:
-            if abs(np.linalg.norm(v) - 1.0) > atol:
-                raise InvariantViolation("KrausSeparableChannel", "unit probe vectors")
-        states = tuple(State(np.outer(v, v.conj()), atol) for v in vecs)
+        states = tuple(State(_pure_probe_states(v, atol), atol) for v in vecs)
         return cls(tuple(ops), states, atol)
 
     def lifted_kraus(self, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, ...]:
         """Kraus operators of the total channel on base ⊗ probe.
 
         Spectral-decomposing each probe state (one batched decomposition of
-        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
+        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)`` over the
+        positive ``p_k``.
         """
-        states = np.stack([s.matrix for s in self.probe_states])
-        all_pvals, all_pvecs = clipped_eigh(states, atol, "state")
-        out = []
-        for k, pvals, pvecs in zip(self.factors, all_pvals, all_pvecs):
-            for j, p in enumerate(pvals):
-                if p > 0.0:
-                    out.append(np.sqrt(p) * kron(k, pvecs[:, j].reshape(-1, 1)))
-        return tuple(out)
+        lifted, pvals = _lifted_kraus(self._factors, self._states, atol)
+        return tuple(lifted[pvals.reshape(-1) > 0.0])
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The separable channel as a Kraus-form channel into base ⊗ probe."""
@@ -226,40 +315,31 @@ class KrausSeparableChannel:
     ) -> Effect:
         """Closed form of the total dual on a product effect:
         ``sum_i tr(rho_i b) K_i† a K_i``."""
-        am = as_complex_matrix(a)
-        bm = as_complex_matrix(b)
-        total = np.zeros((self.dim_base, self.dim_base), dtype=complex)
-        for k, s in zip(self.factors, self.probe_states):
-            total += _real_overlap(s.matrix, bm) * (k.conj().T @ am @ k)
-        return Effect(total, atol)
+        image = _dual_on_product(self._factors, self._states, as_complex_matrix(a), as_complex_matrix(b))
+        return Effect(image, atol)
 
     def outcome_weights(self, probe: Observable) -> np.ndarray:
         """Matrix ``w[i, y] = tr(rho_i P_y)``; each row sums to 1."""
         if probe.dim != self.dim_probe:
             raise ValueError("probe observable dimension mismatch")
-        return np.array(
-            [[_real_overlap(s.matrix, p.matrix) for p in probe.effects] for s in self.probe_states]
-        )
+        return _outcome_weights(self._states, probe.effect_stack)
 
     def measured_instrument(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Instrument:
         """Closed form of the model's probe-indexed instrument:
         outcome ``y`` acts as ``rho -> sum_i tr(rho_i P_y) K_i rho K_i†``."""
-        w = np.clip(self.outcome_weights(probe), 0.0, None)
-        stacks = np.sqrt(w.T)[:, :, None, None] * np.stack(self.factors)
-        return Instrument._from_kraus(probe.outcomes, stacks, atol)
+        return _separable_instrument(probe.outcomes, self._factors, self.outcome_weights(probe), atol)
 
     def pointer_observable(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Observable:
         """Closed form of the model's measured observable:
         ``sum_i tr(rho_i P_y) K_i†K_i`` per probe outcome."""
         w = self.outcome_weights(probe)
-        grams = np.stack([k.conj().T @ k for k in self.factors])
-        return Observable(probe.outcomes, weighted_sum(w, grams), atol)
+        return Observable(probe.outcomes, weighted_sum(w, _grams(self._factors)), atol)
 
     def base_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable ``{K_i†K_i}``; the pointer observable is a
         post-processing of it by the outcome-weight kernel."""
         labels = tuple(f"k{i}" for i in range(len(self.factors)))
-        return Observable(labels, tuple(k.conj().T @ k for k in self.factors), atol)
+        return Observable(labels, _grams(self._factors), atol)
 
     def model(self, probe: Observable, atol: float = DEFAULT_ATOL) -> MeasurementModel:
         """Wrap the separable channel as a single-outcome measurement model."""
@@ -338,8 +418,33 @@ class HolevoModelQuantities:
         ``a -> tr((beta_x ⊗ gamma_x) a) A_x``."""
         i = self.spec.observable.index(label)
         product = kron(self.spec.base_states[i].matrix, self.spec.probe_states[i].matrix)
-        coeff = _real_overlap(product, as_complex_matrix(a))
-        return Effect(coeff * self.spec.observable.effects[i].matrix, atol)
+        image = _holevo_dual_effects(self.spec.observable.effect_stack[i], product, as_complex_matrix(a))
+        return Effect(image, atol)
+
+
+def _holevo_dual_effects(effects: np.ndarray, products: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``tr((beta_x ⊗ gamma_x) a) A_x`` for effects ``A``, product states
+    ``beta ⊗ gamma`` and ``a`` (or broadcasting stacks), unvalidated."""
+    return np.trace(products @ a, axis1=-2, axis2=-1).real[..., None, None] * effects
+
+
+def _holevo_model(outcomes1, outcomes2, a, betas, gammas, probe, atol: float) -> tuple:
+    """The closed forms of :func:`holevo_model_quantities` from stacks: the
+    effects ``a``, base states ``betas`` and probe states ``gammas`` of the
+    spec and the probe stack (leading axes: a batch). Returns the outcome
+    weights, the three instruments, and the bi-observable grid and pointer
+    effects unvalidated."""
+    w = _outcome_weights(gammas, probe)
+    # One decomposition of A and beta for two families: grid entries (x, y)
+    # with effect w[x, y] A_x and state beta_x, then reduced entries x.
+    n1, n2 = w.shape[-2:]
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.arange(n1)])
+    coeffs = np.concatenate([w.reshape(w.shape[:-2] + (-1,)), np.ones(w.shape[:-2] + (n1,))], axis=-1)
+    stacks = _holevo_family(a, betas, rows, rows, coeffs, atol)
+    bi_ins = BiInstrument._from_kraus(outcomes1, outcomes2, stacks[: n1 * n2], atol)
+    reduced = Instrument._from_kraus(outcomes1, stacks[n1 * n2 :], atol)
+    grid = w[..., None, None] * a[..., :, None, :, :]
+    return w, bi_ins, bi_ins.marginal2(atol), reduced, grid, weighted_sum(w, a)
 
 
 def holevo_model_quantities(
@@ -359,22 +464,15 @@ def holevo_model_quantities(
     if probe.dim != spec.dim_probe:
         raise ValueError("probe observable dimension mismatch")
     a_obs = spec.observable
-    a = a_obs.effect_stack
-    w = np.array(
-        [[_real_overlap(g.matrix, p.matrix) for p in probe.effects] for g in spec.probe_states]
+    w, bi_ins, pointer_ins, reduced, grid, pointer = _holevo_model(
+        a_obs.outcomes,
+        probe.outcomes,
+        a_obs.effect_stack,
+        np.stack([b.matrix for b in spec.base_states]),
+        np.stack([g.matrix for g in spec.probe_states]),
+        probe.effect_stack,
+        atol,
     )
-    # One decomposition of A and beta for two families: grid entries (x, y)
-    # with effect w[x, y] A_x and state beta_x, then reduced entries x.
-    n1, n2 = a_obs.n_outcomes, probe.n_outcomes
-    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.arange(n1)])
-    coeffs = np.concatenate([w.reshape(-1), np.ones(n1)])
-    betas = np.stack([b.matrix for b in spec.base_states])
-    stacks = _holevo_family(a, betas, rows, rows, coeffs, atol)
-    bi_ins = BiInstrument._from_kraus(a_obs.outcomes, probe.outcomes, stacks[: n1 * n2], atol)
-    pointer_ins = bi_ins.marginal2(atol)
-    reduced = Instrument._from_kraus(a_obs.outcomes, stacks[n1 * n2 :], atol)
-    bi_obs = BiObservable(a_obs.outcomes, probe.outcomes, w[:, :, None, None] * a[:, None], atol)
-    pointer_obs = Observable(probe.outcomes, weighted_sum(w, a), atol)
     return HolevoModelQuantities(
         spec=spec,
         probe=probe,
@@ -382,6 +480,6 @@ def holevo_model_quantities(
         bi_instrument=bi_ins,
         instrument=pointer_ins,
         reduced_instrument=reduced,
-        bi_observable=bi_obs,
-        pointer_observable=pointer_obs,
+        bi_observable=BiObservable(a_obs.outcomes, probe.outcomes, grid, atol),
+        pointer_observable=Observable(probe.outcomes, pointer, atol),
     )

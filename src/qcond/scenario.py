@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -44,14 +45,21 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data: Any) -> np.ndarray:
+    """The matrix of row-major nested lists whose entries are ``[re, im]``
+    pairs of two real numbers."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, LookupError) as exc:
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(data))))
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed matrix payload: {exc}") from None
-    arr = np.array(rows, dtype=complex)
-    if arr.ndim != 2:
-        raise ScenarioError("matrix payload must be two-dimensional")
-    return arr
+    if not all(issubclass(k, (int, float)) and k is not bool for k in kinds):
+        names = sorted(k.__name__ for k in kinds)
+        raise ScenarioError(f"malformed matrix payload: entries must hold real numbers, got {names}")
+    if pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise ScenarioError(
+            f"malformed matrix payload: expected rows of [re, im] pairs, got shape {pairs.shape}"
+        )
+    return pairs.view(complex)[..., 0]
 
 
 @dataclass
@@ -133,8 +141,13 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioError("scenario file must hold a JSON object")
 
+    if atol is None:
+        atol = payload.get("tolerance", DEFAULT_ATOL)
+        # JSON's true and false are not numbers
+        if isinstance(atol, bool) or not isinstance(atol, (int, float)):
+            raise ScenarioError(f"tolerance must be a JSON number, got {atol!r}")
     try:
-        tol = require_tolerance(atol if atol is not None else payload.get("tolerance", DEFAULT_ATOL))
+        tol = require_tolerance(atol)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     seed = payload.get("seed")

@@ -3,6 +3,7 @@
 import json
 import math
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,18 +36,14 @@ from qcond.effects import (
     affine_combination,
 )
 from qcond.errors import InvariantViolation, OutcomeNotObserved
-from qcond.instruments import Instrument
+from qcond.instruments import Instrument, _holevo_family, holevo_operation
+from qcond.measurement import (
+    KrausSeparableChannel,
+    MeasurementModel,
+    _pure_probe_states,
+    _require_normalized_factors,
+)
 from qcond.rand import random_channel, random_observable, random_state
-
-BATCHED = [
-    "postprocess-part-compose",
-    "dual-map",
-    "sequential-dual-contravariance",
-    "conditioning-affine",
-    "subnormalized-completion",
-    "conditioned-set-closure",
-    "given-observable-marginals",
-]
 
 EXPECTED_IDENTITIES = {
     "postprocess-part-compose",
@@ -62,6 +59,9 @@ EXPECTED_IDENTITIES = {
     "simple-kraus-separable",
     "holevo-separable",
 }
+
+# every identity runs as a batch
+BATCHED = sorted(EXPECTED_IDENTITIES)
 
 
 def test_registry_is_complete_and_described():
@@ -255,13 +255,26 @@ def test_a_batch_of_one_gives_each_instance_the_full_batch_deviations(name):
 
 
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
-    suite = BATCHED + ["holevo-composition"]
-    whole = run_checks(suite, trials=5, dims=[2, 3], seed=3).to_json()
+    whole = run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json()
     monkeypatch.setattr(checks, "BATCH_SIZE", 2)
-    assert run_checks(suite, trials=5, dims=[2, 3], seed=3).to_json() == whole
+    assert run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json() == whole
 
 
-def test_batched_identity_construction_does_not_grow_with_the_trial_count(monkeypatch):
+def _batches(name: str, trials: int, seed: int, dim: int) -> int:
+    """How many batches the instances of one run make: ``run_checks`` splits
+    the trials into batches of the identity's size, and ``kraus-separable``
+    runs one sub-batch per Kraus count that its instances draw first."""
+    size = min(checks.BATCH_SIZE, REGISTRY[name].batch_size)
+    firsts = range(0, trials, size)
+    if name != "kraus-separable":
+        return len(firsts)
+    key = zlib.crc32(name.encode("utf-8"))
+    draws = [int(np.random.default_rng([seed, key, dim, t]).integers(1, 4)) for t in range(trials)]
+    return sum(len(set(draws[first : first + size])) for first in firsts)
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, monkeypatch):
     calls = []
     spectra = linalg._symmetrized_spectra
 
@@ -270,12 +283,12 @@ def test_batched_identity_construction_does_not_grow_with_the_trial_count(monkey
         return spectra(m, atol)
 
     monkeypatch.setattr(linalg, "_symmetrized_spectra", counted)
-    counts = []
+    per_batch = []
     for trials in (3, 30):
         calls.clear()
-        assert run_checks("conditioning-affine", trials=trials, dims=[2], seed=1).passed
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert run_checks(name, trials=trials, dims=[2], seed=1).passed
+        per_batch.append(len(calls) / _batches(name, trials, 1, 2))
+    assert per_batch[0] == per_batch[1] > 0
 
 
 def _message(fn, *args):
@@ -350,6 +363,50 @@ def test_batched_operation_rules_reject_only_a_bad_last_member():
     Instrument._from_kraus(("a", "b"), [_last_bad(first, first), _last_bad(second, second)], ATOL)
     family = random_observable(3, 3, 0).effect_stack[:2]
     assert _message(_completed, _last_bad(family, family * 2.0), ATOL).startswith("completion")
+
+
+def test_batched_holevo_family_rejects_only_a_bad_last_member():
+    obs = random_observable(2, 2, 0).effect_stack
+    states = np.stack([random_state(3, s).matrix for s in (1, 2)])
+    idx = np.arange(2)
+    family = partial(_holevo_family, rows=idx, cols=idx, coeffs=np.ones(2), atol=ATOL)
+    # a member that is not an effect (a negative eigenvalue) ...
+    bad = np.stack([obs[0], np.diag([1.5, -0.5]).astype(complex)])
+    batched = _message(family, _last_bad(obs, bad), _last_bad(states, states))
+    assert batched == _message(holevo_operation, bad[1], states[1])
+    # ... and a family that sums to more than a channel
+    over = np.stack([obs[0], 1.5 * obs[1]])
+    members = family(_last_bad(obs, over), _last_bad(states, states))
+    single = _message(Instrument._from_kraus, ("a", "b"), family(over, states), ATOL)
+    assert _message(Instrument._from_kraus, ("a", "b"), members, ATOL) == single
+    # rank-one effects: a batch keeps the full 2 x 3 grid of each member,
+    # zero operators included; a single family leaves them out
+    proj = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    members = family(_last_bad(proj, proj), _last_bad(states, states))
+    assert [m.shape for m in members] == [(4, 6, 3, 2)] * 2
+    assert [m.shape for m in family(proj, states)] == [(3, 3, 2)] * 2
+
+
+def test_batched_separable_rules_reject_only_a_bad_last_member():
+    factors = random_channel(2, 2, 2, 0).kraus_stack
+    states = np.stack([random_state(2, s).matrix for s in (1, 2)])
+    bad = 0.9 * factors
+    single = _message(KrausSeparableChannel, tuple(bad), tuple(states))
+    assert _message(_require_normalized_factors, _last_bad(factors, bad), ATOL) == single
+    _require_normalized_factors(_last_bad(factors, factors), ATOL)
+    vecs = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    single = _message(KrausSeparableChannel.simple, tuple(factors), tuple(1.1 * vecs))
+    assert _message(_pure_probe_states, _last_bad(vecs, 1.1 * vecs), ATOL) == single
+    assert _pure_probe_states(_last_bad(vecs, vecs), ATOL).shape == (4, 2, 2, 2)
+
+
+def test_batched_readout_probe_rejects_only_a_bad_last_member():
+    probe = random_observable(2, 2, 0).effect_stack
+    bad = np.stack([probe[0], np.diag([1.2, -0.2]).astype(complex)])
+    single = _message(MeasurementModel._probe_factors, bad, ATOL)
+    assert _message(MeasurementModel._probe_factors, _last_bad(probe, bad), ATOL) == single
+    factors, skipped = MeasurementModel._probe_factors(_last_bad(probe, probe), ATOL)
+    assert factors.shape == (4, 2, 2, 2) and skipped == [0, 0]
 
 
 def _fake_check(monkeypatch, runner):

@@ -1,6 +1,10 @@
 """CLI tests: verbs, exit codes, report determinism, env tolerance."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,8 @@ def test_env_tolerance_must_be_finite_and_positive(tol, monkeypatch, scenario_fi
     ("tolerance", float("nan")),
     ("tolerance", 0),
     ("tolerance", "abc"),
+    ("tolerance", True),
+    ("tolerance", "1e-3"),
     ("seed", "abc"),
 ])
 def test_validate_exits_1_on_bad_metadata(field, value, tmp_path, capsys):
@@ -212,6 +218,7 @@ def test_validate_exits_1_on_non_list_instrument_operation(tmp_path, capsys):
 
 @pytest.mark.parametrize("edit", [
     ("mixed", "matrix", [[{"a": 1}]]),
+    ("mixed", "matrix", [[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]),
     ("meter", "interaction", ["interact"]),
     ("meter", "probe", ["probe"]),
 ])
@@ -230,3 +237,12 @@ def test_bad_dims_exit_2_with_an_error_naming_dims(dims, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--dims" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "qcond", "check", "--suite", "dual-map", "--trials", "1", "--dims", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "all passed" in done.stdout

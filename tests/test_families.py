@@ -22,11 +22,13 @@ from qcond.instruments import (
     HolevoSpec,
     Instrument,
     _holevo_family,
+    bi_instrument_deviation,
     condition_instrument,
     given_instrument,
     holevo_compose,
     holevo_instrument,
     holevo_operation,
+    instrument_deviation,
 )
 from qcond.linalg import hermitian_part
 from qcond.measurement import HolevoSeparableSpec, MeasurementModel, holevo_model_quantities
@@ -265,3 +267,26 @@ def test_each_family_checks_its_trace_condition_with_one_eigvalsh(path_name, spe
     big = Instrument(ins.outcomes, tuple(op.scaled(1.1, LOOSE) for op in ins.ops), LOOSE)
     with pytest.raises(ValueError, match="total channel"):
         prepare(big, tmp_path / "big.json")()
+
+
+def test_batched_superoperators_and_map_deviations_are_per_member():
+    rng = np.random.default_rng(19)
+    kraus = np.stack([random_channel(2, 3, 2, rng).kraus_stack for _ in range(3)])
+    other = np.stack([random_channel(2, 3, 2, rng).kraus_stack for _ in range(3)])
+    p, q = Channel._checked(kraus, 1e-9), Channel._checked(other, 1e-9)
+    for member, k in zip(p.superoperator(), kraus):
+        assert member.tobytes() == Channel(k).superoperator().tobytes()
+    devs = map_deviation(p, q)
+    assert devs.tolist() == [map_deviation(Channel(a), Channel(b)) for a, b in zip(kraus, other)]
+    assert map_deviation(p, p).tolist() == [0.0] * 3
+    ins_p = Instrument._from_kraus(("a", "b"), [kraus[:, :1], kraus[:, 1:]], 1e-9)
+    ins_q = Instrument._from_kraus(("a", "b"), [other[:, :1], other[:, 1:]], 1e-9)
+    single = [
+        instrument_deviation(Instrument._from_kraus(("a", "b"), [a[:1], a[1:]], 1e-9),
+                             Instrument._from_kraus(("a", "b"), [b[:1], b[1:]], 1e-9))
+        for a, b in zip(kraus, other)
+    ]
+    assert instrument_deviation(ins_p, ins_q).tolist() == single
+    grid_p = BiInstrument._from_kraus(("x",), ("a", "b"), [kraus[:, :1], kraus[:, 1:]], 1e-9)
+    grid_q = BiInstrument._from_kraus(("x",), ("a", "b"), [other[:, :1], other[:, 1:]], 1e-9)
+    assert bi_instrument_deviation(grid_p, grid_q).tolist() == single

@@ -69,6 +69,17 @@ def test_kron_equals_numpy_kron():
     assert np.array_equal(kron(rho, e), np.kron(rho.matrix, e.matrix))
 
 
+def test_kron_on_stacks_is_matrix_by_matrix_with_broadcast_leading_axes():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 2, 3, 2)) + 1j * rng.standard_normal((4, 2, 3, 2))
+    b = rng.standard_normal((2, 2, 1)) + 1j * rng.standard_normal((2, 2, 1))
+    out = kron(a, b)
+    assert out.shape == (4, 2, 6, 2)
+    for i in range(4):
+        for j in range(2):
+            assert np.array_equal(out[i, j], np.kron(a[i, j], b[j]))
+
+
 def test_kron_trace_multiplicative():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -21,6 +21,7 @@ from qcond.measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
     MeasurementModel,
+    _bi_readout,
     holevo_model_quantities,
 )
 from qcond.rand import (
@@ -445,3 +446,20 @@ def test_zero_probe_effect_keeps_one_zero_readout_operator():
     (zero,) = measured.op("p1").kraus_stack
     assert not zero.any()
     assert len(measured.op("p0").kraus_stack) == 2 * len(ins.total_channel().kraus_stack)
+
+
+def test_a_batched_readout_matches_each_model_and_keeps_its_zero_columns():
+    # a projective probe: one zero factor column per effect, which one model
+    # leaves out and a batch keeps, so every member has as many operators
+    probe = Observable(("p0", "p1"), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    instruments = [random_instrument(2, 4, 2, seed) for seed in (21, 22, 23)]
+    kraus = [np.stack([ins.ops[x].kraus_stack for ins in instruments]) for x in range(2)]
+    batch = Instrument._from_kraus(("x0", "x1"), kraus, 1e-9)
+    stacks = np.stack([probe.effect_stack] * 3)
+    grid = _bi_readout(batch, probe.outcomes, stacks, 1e-9)
+    for i, ins in enumerate(instruments):
+        single = MeasurementModel(2, 2, ins, probe).measured_bi_instrument()
+        for row, single_row in zip(grid.ops, single.ops):
+            for op, ref in zip(row, single_row):
+                assert op.kraus_stack.shape[1:] == (2 * len(ref.kraus_stack), 2, 2)
+                assert map_deviation(Operation(op.kraus_stack[i]), ref) <= 1e-12

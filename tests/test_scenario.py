@@ -34,6 +34,25 @@ def test_matrix_json_round_trip():
     np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
 
 
+@pytest.mark.parametrize("payload", [
+    [[[1, 0, 5]]],
+    [[[1]]],
+    [[[True, False]]],
+    [[[1.0, "0"]]],
+    [[[None, 0]]],
+    [[1.0]],
+    [["10"]],
+])
+def test_matrix_entries_must_be_pairs_of_two_real_numbers(payload):
+    with pytest.raises(ScenarioError, match="malformed matrix payload"):
+        matrix_from_json(payload)
+
+
+def test_matrix_entries_accept_integers_and_floats():
+    m = matrix_from_json([[[1, 0], [0.5, -2]], [[0, 0], [3, 1e-3]]])
+    np.testing.assert_array_equal(m, np.array([[1, 0.5 - 2j], [0, 3 + 1e-3j]]))
+
+
 def test_save_load_round_trip(tmp_path):
     scn = build_scenario()
     path = tmp_path / "scn.json"
@@ -177,16 +196,26 @@ def test_tolerance_override_allows_coarse_objects(tmp_path):
     assert "povm" in scn.observables
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0, "abc"])
-def test_load_rejects_nonfinite_or_nonnumeric_tolerance(tmp_path, tol):
+# True and "1e-3" are bad only as the file's field: the CLI parses --tol and
+# QCOND_TOL strings before they reach the loader as ``atol``
+@pytest.mark.parametrize("tol,bad_override", [
+    pytest.param(float("inf"), True, id="inf"),
+    pytest.param(float("nan"), True, id="nan"),
+    pytest.param(0, True, id="0"),
+    pytest.param("abc", True, id="abc"),
+    pytest.param(True, False, id="True"),
+    pytest.param("1e-3", False, id="1e-3"),
+])
+def test_load_rejects_nonfinite_or_nonnumeric_tolerance(tmp_path, tol, bad_override):
     path = tmp_path / "tol.json"
     path.write_text(json.dumps({"tolerance": tol, "objects": {}}))
     with pytest.raises(ScenarioError, match="tolerance"):
         load_scenario(path)
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"objects": {}}))
-    with pytest.raises(ScenarioError, match="tolerance"):
-        load_scenario(good, atol=tol)
+    if bad_override:
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"objects": {}}))
+        with pytest.raises(ScenarioError, match="tolerance"):
+            load_scenario(good, atol=tol)
 
 
 @pytest.mark.parametrize("seed", ["abc", [1], float("inf")])
