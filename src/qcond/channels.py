@@ -143,7 +143,8 @@ class Operation(QuantumMap):
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
-        self._build(kraus)
+        # The operation keeps its own copy of a caller's array.
+        self._build(np.array(kraus, dtype=complex) if isinstance(kraus, np.ndarray) else kraus)
         self._check(atol)
 
     def _check(self, atol: float) -> None:
@@ -188,9 +189,10 @@ class Operation(QuantumMap):
     def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
         """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
         checks shape and finiteness, not the trace condition. An array
-        ``kraus`` may carry ``batch`` leading batch axes."""
+        ``kraus`` may carry ``batch`` leading batch axes; a contiguous complex
+        one is stored as given (made read-only), not copied."""
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3 + batch:
-            stack = np.array(kraus, dtype=complex)
+            stack = np.ascontiguousarray(kraus, dtype=complex)
         else:
             mats = [as_complex_matrix(k) for k in kraus]
             if not mats:

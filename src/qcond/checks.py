@@ -6,8 +6,7 @@ evaluates the identity on a batch of seeded random instances, one generator
 per instance, and yields, for each part it compares, an array with one
 absolute deviation per instance. ``run_checks`` sweeps the registry over
 dimensions and trials, runs the trials of one identity at one dimension as
-batches of at most ``BATCH_SIZE`` instances (fewer where the identity's
-``batch_size`` says so), folds the yielded deviations
+batches of at most ``BATCH_SIZE`` instances, folds the yielded deviations
 once per instance (an instance that raises, yields a non-finite value or
 yields nothing fails) and assembles a deterministic report: identical
 inputs give byte-identical JSON (elapsed times are kept out of the JSON for
@@ -103,9 +102,11 @@ __all__ = [
 Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 
 # Most instances one runner call holds: the memory of a batch is bounded
-# whatever the trial count. Past about 50 instances a batch saves little
-# time and the peak memory of a run grows.
-BATCH_SIZE = 50
+# whatever the trial count. The largest batches are holevo-composition's,
+# whose composed grid holds 4 x 144 Kraus operators per instance at
+# dimension 3. At 16 instances they already raise the peak memory of a
+# canonical run by about 9%, for about 12% less time than at 10.
+BATCH_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,6 @@ class IdentityCheck:
     name: str
     statement: str
     runner: Runner
-    # Most instances of one batch of this identity (never more than
-    # BATCH_SIZE): smaller for identities whose instances hold long Kraus
-    # lists, so that no batch holds much more memory than the others.
-    batch_size: int = BATCH_SIZE
 
 
 @dataclass
@@ -555,8 +552,6 @@ REGISTRY: dict[str, IdentityCheck] = {
             "two measure-and-prepare stages compose to a measure-and-prepare grid with "
             "effects tr(alpha_x B_y) A_x and prepared states beta_y",
             _run_holevo_composition,
-            # the composed grid holds up to 144 Kraus operators per member
-            batch_size=4,
         ),
         IdentityCheck(
             "measurement-pointer",
@@ -583,8 +578,6 @@ REGISTRY: dict[str, IdentityCheck] = {
             "all six closed-form quantities of a product-state measure-and-prepare model "
             "match the partial-trace pipeline; tr(gamma_x P_y) is row-stochastic",
             _run_holevo_separable,
-            # the interaction and its readouts hold 18 to 36 operators per member
-            batch_size=10,
         ),
     ]
 }
@@ -673,9 +666,8 @@ def run_checks(
             max_dev = 0.0
             count = 0
             for dim in dims:
-                size = min(BATCH_SIZE, check.batch_size)
-                for first in range(0, trials, size):
-                    last = min(first + size, trials)
+                for first in range(0, trials, BATCH_SIZE):
+                    last = min(first + BATCH_SIZE, trials)
                     seeds = [(seed, key, dim, trial) for trial in range(first, last)]
                     devs = _instance_deviations(check.runner, seeds, dim)
                     max_dev = max(max_dev, float(devs.max()))

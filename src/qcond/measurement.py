@@ -266,8 +266,6 @@ class KrausSeparableChannel:
         _require_normalized_factors(stack, atol)
         object.__setattr__(self, "factors", tuple(stack))
         object.__setattr__(self, "probe_states", states)
-        object.__setattr__(self, "_factors", stack)
-        object.__setattr__(self, "_states", np.stack([s.matrix for s in states]))
 
     @property
     def dim_base(self) -> int:
@@ -276,6 +274,9 @@ class KrausSeparableChannel:
     @property
     def dim_probe(self) -> int:
         return self.probe_states[0].dim
+
+    def _state_stack(self) -> np.ndarray:
+        return np.stack([s.matrix for s in self.probe_states])
 
     @classmethod
     def simple(
@@ -303,7 +304,7 @@ class KrausSeparableChannel:
         all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)`` over the
         positive ``p_k``.
         """
-        lifted, pvals = _lifted_kraus(self._factors, self._states, atol)
+        lifted, pvals = _lifted_kraus(np.stack(self.factors), self._state_stack(), atol)
         return tuple(lifted[pvals.reshape(-1) > 0.0])
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
@@ -315,31 +316,34 @@ class KrausSeparableChannel:
     ) -> Effect:
         """Closed form of the total dual on a product effect:
         ``sum_i tr(rho_i b) K_i† a K_i``."""
-        image = _dual_on_product(self._factors, self._states, as_complex_matrix(a), as_complex_matrix(b))
+        image = _dual_on_product(
+            np.stack(self.factors), self._state_stack(), as_complex_matrix(a), as_complex_matrix(b)
+        )
         return Effect(image, atol)
 
     def outcome_weights(self, probe: Observable) -> np.ndarray:
         """Matrix ``w[i, y] = tr(rho_i P_y)``; each row sums to 1."""
         if probe.dim != self.dim_probe:
             raise ValueError("probe observable dimension mismatch")
-        return _outcome_weights(self._states, probe.effect_stack)
+        return _outcome_weights(self._state_stack(), probe.effect_stack)
 
     def measured_instrument(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Instrument:
         """Closed form of the model's probe-indexed instrument:
         outcome ``y`` acts as ``rho -> sum_i tr(rho_i P_y) K_i rho K_i†``."""
-        return _separable_instrument(probe.outcomes, self._factors, self.outcome_weights(probe), atol)
+        w = self.outcome_weights(probe)
+        return _separable_instrument(probe.outcomes, np.stack(self.factors), w, atol)
 
     def pointer_observable(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Observable:
         """Closed form of the model's measured observable:
         ``sum_i tr(rho_i P_y) K_i†K_i`` per probe outcome."""
         w = self.outcome_weights(probe)
-        return Observable(probe.outcomes, weighted_sum(w, _grams(self._factors)), atol)
+        return Observable(probe.outcomes, weighted_sum(w, _grams(np.stack(self.factors))), atol)
 
     def base_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable ``{K_i†K_i}``; the pointer observable is a
         post-processing of it by the outcome-weight kernel."""
         labels = tuple(f"k{i}" for i in range(len(self.factors)))
-        return Observable(labels, _grams(self._factors), atol)
+        return Observable(labels, _grams(np.stack(self.factors)), atol)
 
     def model(self, probe: Observable, atol: float = DEFAULT_ATOL) -> MeasurementModel:
         """Wrap the separable channel as a single-outcome measurement model."""

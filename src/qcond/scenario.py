@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from numbers import Real
 from pathlib import Path
 from typing import Any
 
@@ -44,22 +44,26 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _is_real(kind: type) -> bool:
+    """Real numbers, Python's and numpy's, but not booleans."""
+    return issubclass(kind, Real) and not issubclass(kind, (bool, np.bool_))
+
+
 def matrix_from_json(data: Any) -> np.ndarray:
     """The matrix of row-major nested lists whose entries are ``[re, im]``
     pairs of two real numbers."""
     try:
-        kinds = set(map(type, chain.from_iterable(chain.from_iterable(data))))
-        pairs = np.array(data, dtype=float)
+        rows = [[complex(re, im) for re, im in row] for row in data]
+        kinds = {type(x) for row in data for entry in row for x in entry}
+        arr = np.array(rows, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed matrix payload: {exc}") from None
-    if not all(issubclass(k, (int, float)) and k is not bool for k in kinds):
-        names = sorted(k.__name__ for k in kinds)
-        raise ScenarioError(f"malformed matrix payload: entries must hold real numbers, got {names}")
-    if pairs.ndim != 3 or pairs.shape[-1] != 2:
-        raise ScenarioError(
-            f"malformed matrix payload: expected rows of [re, im] pairs, got shape {pairs.shape}"
-        )
-    return pairs.view(complex)[..., 0]
+    bad = sorted(k.__name__ for k in kinds if not _is_real(k))
+    if bad:
+        raise ScenarioError(f"malformed matrix payload: entries must hold real numbers, got {bad}")
+    if arr.ndim != 2:
+        raise ScenarioError("malformed matrix payload: expected rows of [re, im] pairs")
+    return arr
 
 
 @dataclass

@@ -260,19 +260,6 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
     assert run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json() == whole
 
 
-def _batches(name: str, trials: int, seed: int, dim: int) -> int:
-    """How many batches the instances of one run make: ``run_checks`` splits
-    the trials into batches of the identity's size, and ``kraus-separable``
-    runs one sub-batch per Kraus count that its instances draw first."""
-    size = min(checks.BATCH_SIZE, REGISTRY[name].batch_size)
-    firsts = range(0, trials, size)
-    if name != "kraus-separable":
-        return len(firsts)
-    key = zlib.crc32(name.encode("utf-8"))
-    draws = [int(np.random.default_rng([seed, key, dim, t]).integers(1, 4)) for t in range(trials)]
-    return sum(len(set(draws[first : first + size])) for first in firsts)
-
-
 @pytest.mark.parametrize("name", BATCHED)
 def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, monkeypatch):
     calls = []
@@ -283,12 +270,16 @@ def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, 
         return spectra(m, atol)
 
     monkeypatch.setattr(linalg, "_symmetrized_spectra", counted)
-    per_batch = []
+    # Both runs fit in one batch. At seed 3 the first three instances of
+    # kraus-separable already draw all three Kraus counts, so both runs of
+    # it make the same three sub-batches.
+    monkeypatch.setattr(checks, "BATCH_SIZE", 30)
+    counts = []
     for trials in (3, 30):
         calls.clear()
-        assert run_checks(name, trials=trials, dims=[2], seed=1).passed
-        per_batch.append(len(calls) / _batches(name, trials, 1, 2))
-    assert per_batch[0] == per_batch[1] > 0
+        assert run_checks(name, trials=trials, dims=[2], seed=3).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _message(fn, *args):

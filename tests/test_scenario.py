@@ -42,6 +42,9 @@ def test_matrix_json_round_trip():
     [[[None, 0]]],
     [[1.0]],
     [["10"]],
+    [[[1j, 0]]],
+    [[[np.True_, 0]]],
+    [[[1, 0]], [[1, 0], [0, 0]]],
 ])
 def test_matrix_entries_must_be_pairs_of_two_real_numbers(payload):
     with pytest.raises(ScenarioError, match="malformed matrix payload"):
@@ -51,6 +54,8 @@ def test_matrix_entries_must_be_pairs_of_two_real_numbers(payload):
 def test_matrix_entries_accept_integers_and_floats():
     m = matrix_from_json([[[1, 0], [0.5, -2]], [[0, 0], [3, 1e-3]]])
     np.testing.assert_array_equal(m, np.array([[1, 0.5 - 2j], [0, 3 + 1e-3j]]))
+    m = matrix_from_json([[[np.int64(1), np.float64(0.5)], [np.int32(0), np.float32(-2)]]])
+    np.testing.assert_array_equal(m, np.array([[1 + 0.5j, -2j]]))
 
 
 def test_save_load_round_trip(tmp_path):
