@@ -169,8 +169,7 @@ class Operation(QuantumMap):
         The Choi matrix ``C = sum_k vec(K_k) vec(K_k)†``, reshuffled from the
         superoperator, must be Hermitian and positive semidefinite within
         ``atol``; ``C = sum_j l_j v_j v_j†`` gives the Kraus operators
-        ``sqrt(l_j) v_j`` over the positive ``l_j`` (one zero operator when
-        there are none).
+        ``sqrt(l_j) v_j`` (negative rounding noise in ``l`` clipped).
         """
         if isinstance(qmap, cls):
             return qmap
@@ -180,11 +179,8 @@ class Operation(QuantumMap):
         evals, evecs = np.linalg.eigh(hermitian_part(choi))
         if max_abs_diff(choi, choi.conj().T) > atol or evals.min() < -atol:
             raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
-        positive = evals > 0.0
-        if not positive.any():
-            return cls(np.zeros((1, d_out, d_in), dtype=complex), atol)
-        stack = (evecs[:, positive] * np.sqrt(evals[positive])).T
-        return cls(stack.reshape(-1, d_out, d_in), atol)
+        stack = (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
+        return cls(_without_zero_operators(stack.reshape(-1, d_out, d_in)), atol)
 
     def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
         """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
@@ -215,13 +211,10 @@ class Operation(QuantumMap):
         self._adj = conj.mT
         self._flat_h = conj.reshape(flat).mT
         # The stack and the flattened adjoint as ``_dual_images`` broadcasts
-        # them against a stack of matrices: a batch's with a unit axis for
-        # the matrix index, made here once instead of on every call.
-        if batch:
-            self._stack_m = stack[..., None, :, :, :]
-            self._flat_h_m = self._flat_h[..., None, :, :]
-        else:
-            self._stack_m, self._flat_h_m = stack, self._flat_h
+        # them against a stack of matrices, with a unit axis for the matrix
+        # index, made here once instead of on every call.
+        self._stack_m = stack[..., None, :, :, :]
+        self._flat_h_m = self._flat_h[..., None, :, :]
         gram = self._flat_h @ stack.reshape(flat)
         gram.setflags(write=False)
         self._stack = stack
@@ -365,6 +358,22 @@ def _require_trace_preserving(gram: np.ndarray, atol: float) -> None:
     every matrix of a stack."""
     if np.abs(gram - _identity(gram.shape[-1])).max() > atol:
         raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
+
+
+def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
+    """The one rule for exactly-zero Kraus operators, applied to the family
+    members that ``_from_kraus`` builds and to the Kraus lists of
+    ``Operation.of``, ``holevo_operation`` and ``lifted_kraus``: one Kraus
+    stack ``(n, d_out, d_in)`` leaves them out (one zero operator is kept
+    when all are zero); a batch, a stack with leading axes, keeps them, so
+    that every member has as many operators. A stack that loses nothing is
+    returned as is."""
+    if stack.ndim > 3:
+        return stack
+    nonzero = stack.any(axis=(-2, -1))
+    if nonzero.all():
+        return stack
+    return stack[nonzero] if nonzero.any() else np.zeros_like(stack[:1])
 
 
 def _composed_class(first: Operation, second: Operation) -> type:

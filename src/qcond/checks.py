@@ -81,6 +81,8 @@ from .measurement import (
 from .rand import (
     _draw_channels,
     _draw_effects,
+    _draw_ginibre,
+    _draw_instruments,
     _draw_observables,
     _draw_states,
     _draw_stochastic,
@@ -199,16 +201,6 @@ def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> n
     return np.array([rng.uniform(low, high) for rng in rngs])
 
 
-def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A complex Gaussian vector: the real parts, then the imaginary parts."""
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = _normal(rng, n)
-    return v / np.linalg.norm(v)
-
-
 def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     rho = _draw_states(rngs, dim)
     _require_states(rho, DEFAULT_ATOL)
@@ -253,9 +245,8 @@ _LABELS = ("x0", "x1")
 
 def _instruments(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Instrument:
     """A batch of ``random_instrument``s with one Kraus operator per outcome."""
-    kraus = _channels(rngs, dim_in, dim_out, n).kraus_stack
-    stacks = kraus.reshape(len(rngs), n, 1, dim_out, dim_in).swapaxes(0, 1)
-    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n)), list(stacks), DEFAULT_ATOL)
+    stacks = _draw_instruments(rngs, dim_in, dim_out, n)
+    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n)), stacks, DEFAULT_ATOL)
 
 
 def _kernels(w: np.ndarray) -> np.ndarray:
@@ -443,7 +434,7 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     factors = _channels(rngs, dim, dim, n).kraus_stack
     states = _state_stack(rngs, dim_probe, n)
     _require_normalized_factors(factors, DEFAULT_ATOL)
-    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL)[0], DEFAULT_ATOL)
+    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
     # the superoperator of rho -> sum_i K_i rho K_i† ⊗ rho_i, entry by entry
     formula = np.einsum("...iab,...icd,...ipq->...apcqbd", factors, factors.conj(), states)
     superop = total.superoperator()
@@ -466,14 +457,17 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
 def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim_probe = 2
     factors = _channels(rngs, dim, dim, 2).kraus_stack
-    vecs = np.array([[_unit_vector(rng, dim_probe) for _ in range(2)] for rng in rngs])
+    # one norm per vector: a batched norm rounds differently
+    pairs = _draw_ginibre(rngs, 2, dim_probe, 1)[..., 0]
+    vecs = np.array([[v / np.linalg.norm(v) for v in pair] for pair in pairs])
     states = _pure_probe_states(vecs, DEFAULT_ATOL)
     _require_states(states, DEFAULT_ATOL)
     _require_normalized_factors(factors, DEFAULT_ATOL)
-    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL)[0], DEFAULT_ATOL)
+    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
     lifted = Channel._checked(kron(factors, vecs[..., None]), DEFAULT_ATOL)
     yield map_deviation(total, lifted)
-    phi1, phi2 = map(np.array, zip(*[(_normal(rng, dim), _normal(rng, dim_probe)) for rng in rngs]))
+    phi1 = _draw_ginibre(rngs, 1, dim, 1)[:, 0, :, 0]
+    phi2 = _draw_ginibre(rngs, 1, dim_probe, 1)[:, 0, :, 0]
     product = (phi1[:, :, None] * phi2[:, None, :]).reshape(len(rngs), 1, -1, 1)
     overlaps = (vecs.conj() * phi2[:, None]).sum(axis=-1)
     expected = overlaps[..., None] * (factors.conj().mT @ phi1[:, None, :, None])[..., 0]

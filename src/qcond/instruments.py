@@ -18,11 +18,7 @@ operations (see ``Operation._checked``), each family's total checked.
 ``marginal1``/``marginal2``, ``given_instrument`` and the deviations act on
 them member by member, and the Holevo kernels (``_holevo_family``,
 ``_holevo_instrument``, ``_holevo_composed``) take leading batch axes on
-their effect, state and coefficient stacks. A batch keeps the full
-(effect-eigenvector × state-eigenvector) grid of each measure-and-prepare
-operation, so that every member has as many Kraus operators: a weight whose
-clipped eigenvalue is 0 gives an exactly-zero operator. The single-object
-builders leave those operators out (one zero operator when all are zero).
+their effect, state and coefficient stacks.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from .channels import (
     _composed_kraus,
     _per_member,
     _require_trace_preserving,
+    _without_zero_operators,
     map_deviation,
 )
 from .effects import BiObservable, Effect, Observable, State, _distinct_labels
@@ -87,13 +84,17 @@ def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
 def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
     """One operation per Kraus stack, of class ``classes[i]`` (default
     :class:`Operation`), built without ``__init__`` for a family whose total
-    is checked next. A ``Channel`` member is checked for ``sum K†K == I``
-    entrywise, which the total does not give for one member of several.
-    Array stacks ``(..., n, d_out, d_in)`` may carry leading batch axes,
-    which give a batch of families."""
+    is checked next, under the rule of ``_without_zero_operators``. A
+    ``Channel`` member is checked for ``sum K†K == I`` entrywise, which the
+    total does not give for one member of several. Array stacks
+    ``(..., n, d_out, d_in)`` may carry leading batch axes, which give a
+    batch of families."""
     ops = tuple(object.__new__(cls) for cls in classes or [Operation] * len(stacks))
     for op, stack in zip(ops, stacks):
         op._build(stack, getattr(stack, "ndim", 3) - 3)
+        kept = _without_zero_operators(op.kraus_stack)
+        if kept is not op.kraus_stack:
+            op._build(kept)
         if isinstance(op, Channel):
             _require_trace_preserving(op._gram, atol)
     return ops
@@ -360,21 +361,13 @@ def _holevo_stack(
     clipped eigenpairs ``e = sum_j a_j |u_j><u_j|`` and
     ``sigma = sum_k p_k |v_k><v_k|`` (or stacks of them).
 
-    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, so that
-    every member of a batch has as many operators; a row whose ``a_j`` or
-    ``p_k`` is 0 is an exactly-zero operator.
+    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, zero
+    weights included.
     """
     weights = np.sqrt(evals[..., :, None] * pvals[..., None, :])
     outers = np.einsum("...rk,...cj->...jkrc", pvecs, evecs.conj())
     stack = weights[..., None, None] * outers
     return stack.reshape(stack.shape[:-4] + (-1,) + stack.shape[-2:])
-
-
-def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
-    """The operators of one Kraus stack that are not exactly zero; one zero
-    operator when all of them are."""
-    nonzero = stack.any(axis=(-2, -1))
-    return stack[nonzero] if nonzero.any() else np.zeros_like(stack[:1])
 
 
 def _holevo_family(
@@ -391,9 +384,7 @@ def _holevo_family(
     Each effect of the stack ``effects`` and each state of ``states`` is
     decomposed once (one batched ``eigh`` per stack); an entry's effect
     spectrum is the scaled spectrum of its row's effect. Leading batch axes
-    of ``effects``, ``states`` and ``coeffs`` give a batch of families whose
-    members keep the full grid of :func:`_holevo_stack`; a single family
-    leaves out its zero operators.
+    of ``effects``, ``states`` and ``coeffs`` give a batch of families.
     """
     evals, evecs = clipped_eigh(effects, atol, "effect")
     pvals, pvecs = clipped_eigh(states, atol, "state")
@@ -402,9 +393,7 @@ def _holevo_family(
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
     scaled = np.clip(scaled, 0.0, None)
     stacks = _holevo_stack(scaled, evecs[..., rows, :, :], pvals[..., cols, :], pvecs[..., cols, :, :])
-    if effects.ndim > 3:
-        return list(np.moveaxis(stacks, -4, 0))
-    return [_without_zero_operators(stack) for stack in stacks]
+    return list(np.moveaxis(stacks, -4, 0))
 
 
 def holevo_operation(

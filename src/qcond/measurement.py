@@ -18,10 +18,7 @@ The readout takes leading batch axes: an interaction instrument whose
 members are batches of operations (see ``Operation._checked``) and a probe
 stack ``(b, m, dp, dp)`` are read out member by member, through the same
 kernels as one model (``_bi_readout``, ``_probe_readout``,
-``_reduced_readout``, ``_pointer_grid``). A batch keeps every column of its
-probe factors, so that every member has as many operators: a column of a
-clipped eigenvalue 0 gives exactly-zero operators. One model leaves those
-out (one zero operator for a zero probe effect).
+``_reduced_readout``, ``_pointer_grid``).
 
 The Kraus-separable and Holevo-separable classes provide closed-form
 shortcuts as *separate* code paths; their agreement with the generic
@@ -37,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, _without_zero_operators
 from .effects import BiObservable, Effect, Observable, State
 from .errors import InvariantViolation
 from .instruments import (
@@ -89,22 +86,15 @@ class MeasurementModel:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
     @staticmethod
-    def _probe_factors(probe: np.ndarray, atol: float) -> tuple[np.ndarray, list[int]]:
+    def _probe_factors(probe: np.ndarray, atol: float) -> np.ndarray:
         """A stack of ``B_y`` with ``P_y = B_y B_y†`` for a probe stack
-        ``(..., m, dp, dp)`` (the eigenvectors scaled by the square roots of
-        the clipped eigenvalues), and how many leading columns of each
-        ``B_y`` the readout leaves out: for one probe, the zero columns of
-        clipped eigenvalues equal to 0, which sort first; for a batch, none."""
+        ``(..., m, dp, dp)``: the eigenvectors scaled by the square roots of
+        the clipped eigenvalues."""
         evals, evecs = clipped_eigh(probe, atol, "effect")
-        factors = evecs * np.sqrt(evals)[..., None, :]
-        if probe.ndim > 3:
-            return factors, [0] * probe.shape[-3]
-        return factors, [row.count(0.0) for row in evals.tolist()]
+        return evecs * np.sqrt(evals)[..., None, :]
 
     @staticmethod
-    def _readout(
-        stacks: Sequence[np.ndarray], factors: np.ndarray, zero_columns: Sequence[int]
-    ) -> list[np.ndarray]:
+    def _readout(stacks: Sequence[np.ndarray], factors: np.ndarray) -> list[np.ndarray]:
         """Kraus stacks of the operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]``
         for every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe)
         and every ``B`` of the stack ``factors``, ``K``-major; leading axes
@@ -113,8 +103,6 @@ class MeasurementModel:
         A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
         base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
         column ``j`` of ``B``: one contraction of all the stacks at once.
-        The first ``zero_columns[y]`` columns of ``factors[y]`` are left out;
-        a family with no other column gets one zero operator.
         """
         db, dp = stacks[0].shape[-1], factors.shape[-1]
         sizes = [k.shape[-3] for k in stacks]
@@ -122,11 +110,10 @@ class MeasurementModel:
         kraus = kraus.reshape(kraus.shape[:-2] + (db, dp, db))
         out = np.einsum("...ywj,...nawb->...ynjab", factors.conj(), kraus)
         lead = out.shape[:-5]
-        zero = np.zeros((1, db, db), dtype=complex)
         return [
-            out[..., y, end - size : end, skip:, :, :].reshape(lead + (-1, db, db)) if skip < dp else zero
+            out[..., y, end - size : end, :, :, :].reshape(lead + (-1, db, db))
             for size, end in zip(sizes, accumulate(sizes))
-            for y, skip in enumerate(zero_columns)
+            for y in range(factors.shape[-3])
         ]
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -164,19 +151,19 @@ class MeasurementModel:
 
 def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> BiInstrument:
     stacks = [op.kraus_stack for op in interaction.ops]
-    readout = MeasurementModel._readout(stacks, *MeasurementModel._probe_factors(probe, atol))
+    readout = MeasurementModel._readout(stacks, MeasurementModel._probe_factors(probe, atol))
     return BiInstrument._from_kraus(interaction.outcomes, outcomes, readout, atol)
 
 
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
     total = np.concatenate([op.kraus_stack for op in interaction.ops], axis=-3)
-    readout = MeasurementModel._readout([total], *MeasurementModel._probe_factors(probe, atol))
+    readout = MeasurementModel._readout([total], MeasurementModel._probe_factors(probe, atol))
     return Instrument._from_kraus(outcomes, readout, atol)
 
 
 def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> Instrument:
     stacks = [op.kraus_stack for op in interaction.ops]
-    readout = MeasurementModel._readout(stacks, _identity(dim_probe)[None], [0])
+    readout = MeasurementModel._readout(stacks, _identity(dim_probe)[None])
     return Instrument._from_kraus(interaction.outcomes, readout, atol)
 
 
@@ -199,14 +186,13 @@ def _require_normalized_factors(factors: np.ndarray, atol: float) -> None:
         raise InvariantViolation("KrausSeparableChannel", "normalization", "sum K†K must equal I")
 
 
-def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> np.ndarray:
     """The Kraus stack ``(..., n * dp, d * dp, d)`` of ``L_{ik} =
     sqrt(p_ik) (K_i ⊗ |v_ik>)`` over the spectral decompositions of the probe
-    states (one batched decomposition), and the clipped ``p``; an ``L_{ik}``
-    with ``p_ik = 0`` is an exactly-zero operator."""
+    states (one batched decomposition, ``p`` clipped)."""
     pvals, pvecs = clipped_eigh(states, atol, "state")
     lifted = np.sqrt(pvals)[..., None, None] * kron(factors[..., None, :, :], pvecs.mT[..., None])
-    return lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:]), pvals
+    return lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:])
 
 
 def _dual_on_product(factors: np.ndarray, states: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,11 +287,10 @@ class KrausSeparableChannel:
         """Kraus operators of the total channel on base ⊗ probe.
 
         Spectral-decomposing each probe state (one batched decomposition of
-        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)`` over the
-        positive ``p_k``.
+        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
         """
-        lifted, pvals = _lifted_kraus(np.stack(self.factors), self._state_stack(), atol)
-        return tuple(lifted[pvals.reshape(-1) > 0.0])
+        lifted = _lifted_kraus(np.stack(self.factors), self._state_stack(), atol)
+        return tuple(_without_zero_operators(lifted))
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The separable channel as a Kraus-form channel into base ⊗ probe."""

@@ -130,6 +130,15 @@ def _draw_channels(
     return np.linalg.qr(stacked).Q.reshape(len(rngs), n_kraus, dim_out, dim_in)
 
 
+def _draw_instruments(
+    rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n_outcomes: int, n_kraus: int = 1
+) -> list[np.ndarray]:
+    """One Kraus stack ``(len(rngs), n_kraus, dim_out, dim_in)`` per outcome:
+    a random channel's operators, partitioned evenly."""
+    kraus = _draw_channels(rngs, dim_in, dim_out, n_outcomes * n_kraus)
+    return list(kraus.reshape(len(rngs), n_outcomes, n_kraus, dim_out, dim_in).swapaxes(0, 1))
+
+
 def _draw_stochastic(rngs: Sequence[np.random.Generator], n_sources: int, n_targets: int) -> np.ndarray:
     return np.stack([rng.dirichlet(np.ones(n_targets), size=n_sources) for rng in rngs])
 
@@ -199,11 +208,10 @@ def random_instrument(
     atol: float = DEFAULT_ATOL,
 ) -> Instrument:
     """Random instrument: a random channel with ``n_outcomes * kraus_per_outcome``
-    Kraus operators, partitioned evenly into the outcome operations."""
-    rng = as_rng(seed)
-    ch = random_channel(dim_in, dim_out, n_outcomes * kraus_per_outcome, rng, atol)
-    stacks = ch.kraus_stack.reshape(n_outcomes, kraus_per_outcome, dim_out, dim_in)
-    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n_outcomes)), stacks, atol)
+    Kraus operators, partitioned evenly into the outcome operations (checked
+    once, as a family)."""
+    stacks = _draw_instruments([as_rng(seed)], dim_in, dim_out, n_outcomes, kraus_per_outcome)
+    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n_outcomes)), [s[0] for s in stacks], atol)
 
 
 def random_holevo_spec(

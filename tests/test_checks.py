@@ -371,11 +371,14 @@ def test_batched_holevo_family_rejects_only_a_bad_last_member():
     single = _message(Instrument._from_kraus, ("a", "b"), family(over, states), ATOL)
     assert _message(Instrument._from_kraus, ("a", "b"), members, ATOL) == single
     # rank-one effects: a batch keeps the full 2 x 3 grid of each member,
-    # zero operators included; a single family leaves them out
+    # zero operators included; a single family's members leave them out
     proj = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     members = family(_last_bad(proj, proj), _last_bad(states, states))
     assert [m.shape for m in members] == [(4, 6, 3, 2)] * 2
-    assert [m.shape for m in family(proj, states)] == [(3, 3, 2)] * 2
+    batch = Instrument._from_kraus(("a", "b"), members, ATOL)
+    assert [op.kraus_stack.shape for op in batch.ops] == [(4, 6, 3, 2)] * 2
+    single = Instrument._from_kraus(("a", "b"), family(proj, states), ATOL)
+    assert [op.kraus_stack.shape for op in single.ops] == [(3, 3, 2)] * 2
 
 
 def test_batched_separable_rules_reject_only_a_bad_last_member():
@@ -396,8 +399,7 @@ def test_batched_readout_probe_rejects_only_a_bad_last_member():
     bad = np.stack([probe[0], np.diag([1.2, -0.2]).astype(complex)])
     single = _message(MeasurementModel._probe_factors, bad, ATOL)
     assert _message(MeasurementModel._probe_factors, _last_bad(probe, bad), ATOL) == single
-    factors, skipped = MeasurementModel._probe_factors(_last_bad(probe, probe), ATOL)
-    assert factors.shape == (4, 2, 2, 2) and skipped == [0, 0]
+    assert MeasurementModel._probe_factors(_last_bad(probe, probe), ATOL).shape == (4, 2, 2, 2)
 
 
 def _fake_check(monkeypatch, runner):

@@ -22,6 +22,8 @@ from qcond.measurement import (
     KrausSeparableChannel,
     MeasurementModel,
     _bi_readout,
+    _lifted_kraus,
+    _separable_instrument,
     holevo_model_quantities,
 )
 from qcond.rand import (
@@ -463,3 +465,23 @@ def test_a_batched_readout_matches_each_model_and_keeps_its_zero_columns():
             for op, ref in zip(row, single_row):
                 assert op.kraus_stack.shape[1:] == (2 * len(ref.kraus_stack), 2, 2)
                 assert map_deviation(Operation(op.kraus_stack[i]), ref) <= 1e-12
+
+
+def test_separable_channel_drops_zero_kraus_operators_and_a_batch_keeps_them():
+    # every weight w[i, y] is 0 or 1: each outcome's second operator is zero
+    factors = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    states = factors.copy()
+    channel = KrausSeparableChannel(tuple(factors), tuple(states))
+    probe = Observable(("p0", "p1"), tuple(factors))
+    for op in channel.measured_instrument(probe).ops:
+        assert np.abs(op.kraus_stack).reshape(len(op.kraus_stack), -1).max(axis=1).min() > 0
+    batch = _separable_instrument(probe.outcomes, np.stack([factors] * 3), np.stack([np.eye(2)] * 3), 1e-9)
+    for op in batch.ops:
+        zero = ~op.kraus_stack.any(axis=(-2, -1))
+        assert op.kraus_stack.shape == (3, 2, 2, 2) and zero.sum(axis=1).tolist() == [1, 1, 1]
+    # a zero factor lifts to zero operators at every positive probe weight
+    zero_factor = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+    lifted = KrausSeparableChannel(tuple(zero_factor), tuple(states)).lifted_kraus()
+    assert len(lifted) == 1 and np.abs(lifted[0]).max() > 0
+    batched = _lifted_kraus(np.stack([zero_factor] * 3), np.stack([states] * 3), 1e-9)
+    assert batched.shape == (3, 4, 4, 2) and not batched[:, 2:].any()
