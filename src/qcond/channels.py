@@ -11,7 +11,9 @@ row-major vectorization. It backs maps given by their action
 (:meth:`LinearMap.from_action`), compositions involving such maps, and the
 map comparisons of the checks. :meth:`Operation.of` admits a tabulated map
 as an operation: one eigendecomposition of its Choi matrix either proves it
-completely positive and yields Kraus operators, or rejects it.
+completely positive and yields Kraus operators, or rejects it. The same
+step gives a composition of operations at most ``d_out·d_in`` Kraus
+operators, where the list of products would be longer.
 
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
@@ -130,7 +132,7 @@ class QuantumMap:
                 f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
             )
         if isinstance(self, Operation) and isinstance(other, Operation):
-            return _composed_class(self, other)._checked(_composed_kraus(self, other), atol)
+            return _composed_class(self, other)._checked(_composed_kraus(self, other, atol), atol)
         return LinearMap(other.superoperator() @ self.superoperator(), self.dim_in, other.dim_out)
 
 
@@ -164,23 +166,12 @@ class Operation(QuantumMap):
     @classmethod
     def of(cls, qmap: QuantumMap, atol: float = DEFAULT_ATOL) -> "Operation":
         """Kraus form of a completely positive map (an instance of ``cls`` is
-        returned as is).
-
-        The Choi matrix ``C = sum_k vec(K_k) vec(K_k)†``, reshuffled from the
-        superoperator, must be Hermitian and positive semidefinite within
-        ``atol``; ``C = sum_j l_j v_j v_j†`` gives the Kraus operators
-        ``sqrt(l_j) v_j`` (negative rounding noise in ``l`` clipped).
-        """
+        returned as is), from one eigendecomposition of its Choi matrix (see
+        ``_choi_kraus``), which must be Hermitian and positive semidefinite
+        within ``atol``."""
         if isinstance(qmap, cls):
             return qmap
-        d_out, d_in = qmap.dim_out, qmap.dim_in
-        s = qmap.superoperator().reshape(d_out, d_out, d_in, d_in)
-        choi = s.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in)
-        evals, evecs = np.linalg.eigh(hermitian_part(choi))
-        if max_abs_diff(choi, choi.conj().T) > atol or evals.min() < -atol:
-            raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
-        stack = (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
-        return cls(_without_zero_operators(stack.reshape(-1, d_out, d_in)), atol)
+        return cls(_choi_kraus(qmap.superoperator(), qmap.dim_out, qmap.dim_in, atol), atol)
 
     def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
         """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
@@ -362,8 +353,8 @@ def _require_trace_preserving(gram: np.ndarray, atol: float) -> None:
 
 def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
     """The one rule for exactly-zero Kraus operators, applied to the family
-    members that ``_from_kraus`` builds and to the Kraus lists of
-    ``Operation.of``, ``holevo_operation`` and ``lifted_kraus``: one Kraus
+    members that ``_from_kraus`` builds from arrays and to the Kraus lists
+    of ``_choi_kraus``, ``holevo_operation`` and ``lifted_kraus``: one Kraus
     stack ``(n, d_out, d_in)`` leaves them out (one zero operator is kept
     when all are zero); a batch, a stack with leading axes, keeps them, so
     that every member has as many operators. A stack that loses nothing is
@@ -381,11 +372,36 @@ def _composed_class(first: Operation, second: Operation) -> type:
     return Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
 
 
-def _composed_kraus(first: Operation, second: Operation) -> np.ndarray:
-    """The Kraus stack ``{L_b K_a}`` of running ``first``, then ``second``
-    (member by member for batches)."""
+def _composed_kraus(first: Operation, second: Operation, atol: float) -> np.ndarray:
+    """A Kraus stack of running ``first``, then ``second`` (member by member
+    for batches): the ``n1·n2`` products ``L_b K_a`` when they are no more
+    than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
+    operators that ``_choi_kraus`` factors from the product of the two
+    cached superoperators."""
+    d_out, d_in = second.dim_out, first.dim_in
+    if first.kraus_stack.shape[-3] * second.kraus_stack.shape[-3] > d_out * d_in:
+        return _choi_kraus(second.superoperator() @ first.superoperator(), d_out, d_in, atol)
     products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
-    return products.reshape(products.shape[:-4] + (-1, second.dim_out, first.dim_in))
+    return products.reshape(products.shape[:-4] + (-1, d_out, d_in))
+
+
+def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.ndarray:
+    """The Kraus stack ``(..., d_out·d_in, d_out, d_in)`` of a superoperator
+    (or of a stack of them), the one Choi-to-Kraus step of the library: the
+    Choi matrix ``C = sum_k vec(K_k) vec(K_k)†``, reshuffled from it, must
+    be Hermitian and positive semidefinite within ``atol``, and
+    ``C = sum_j l_j v_j v_j†`` (one batched ``eigh``) gives the operators
+    ``sqrt(l_j) v_j``, negative rounding noise in ``l`` clipped, under the
+    rule of ``_without_zero_operators``."""
+    lead = superop.shape[:-2]
+    dim = d_out * d_in
+    s = superop.reshape(lead + (d_out, d_out, d_in, d_in))
+    choi = s.swapaxes(-3, -2).reshape(lead + (dim, dim))
+    evals, evecs = np.linalg.eigh(hermitian_part(choi))
+    if max_abs_diff(choi, choi.conj().mT) > atol or evals.min() < -atol:
+        raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
+    stack = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]).mT
+    return _without_zero_operators(stack.reshape(lead + (dim, d_out, d_in)))
 
 
 def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:
@@ -436,7 +452,8 @@ def _basis_columns(dim: int) -> np.ndarray:
 
 
 def sequential_product(first: QuantumMap, second: QuantumMap) -> QuantumMap:
-    """Run ``first`` then ``second``; in Kraus form the list ``{L_b K_a}``."""
+    """Run ``first`` then ``second``; Kraus operations compose to at most
+    ``d_out·d_in`` Kraus operators (see ``_composed_kraus``)."""
     return first.then(second)
 
 

@@ -84,17 +84,18 @@ def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
 def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
     """One operation per Kraus stack, of class ``classes[i]`` (default
     :class:`Operation`), built without ``__init__`` for a family whose total
-    is checked next, under the rule of ``_without_zero_operators``. A
-    ``Channel`` member is checked for ``sum K†K == I`` entrywise, which the
-    total does not give for one member of several. Array stacks
-    ``(..., n, d_out, d_in)`` may carry leading batch axes, which give a
-    batch of families."""
+    is checked next. An array stack follows the rule of
+    ``_without_zero_operators``; a sequence of matrices (a list read from a
+    scenario file) is kept as given. A ``Channel`` member is checked for
+    ``sum K†K == I`` entrywise, which the total does not give for one
+    member of several. Array stacks ``(..., n, d_out, d_in)`` may carry
+    leading batch axes, which give a batch of families."""
     ops = tuple(object.__new__(cls) for cls in classes or [Operation] * len(stacks))
     for op, stack in zip(ops, stacks):
-        op._build(stack, getattr(stack, "ndim", 3) - 3)
-        kept = _without_zero_operators(op.kraus_stack)
-        if kept is not op.kraus_stack:
-            op._build(kept)
+        if isinstance(stack, np.ndarray):
+            op._build(_without_zero_operators(stack), stack.ndim - 3)
+        else:
+            op._build(stack)
         if isinstance(op, Channel):
             _require_trace_preserving(op._gram, atol)
     return ops
@@ -303,24 +304,27 @@ def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) ->
 
 def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
     """Pre-compose every operation of ``ins`` with the channel ``ch``
-    (a tabulated ``ch`` is admitted once through ``Operation.of``)."""
+    (a tabulated ``ch`` is admitted once through ``Operation.of``); each
+    member is a composition of at most ``d_out·d_in`` Kraus operators (see
+    ``sequential_product``)."""
     if not ch.is_trace_preserving(atol):
         raise InvariantViolation("conditioning", "channel", "map must be trace preserving")
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
     ch = Operation.of(ch, atol)
-    stacks = [_composed_kraus(ch, op) for op in ins.ops]
+    stacks = [_composed_kraus(ch, op, atol) for op in ins.ops]
     classes = [_composed_class(ch, op) for op in ins.ops]
     return Instrument._from_kraus(ins.outcomes, stacks, atol, classes)
 
 
 def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
     """The joint bi-instrument of running ``ins`` first, then ``jns``:
-    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``."""
+    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``, of at most
+    ``d_out·d_in`` Kraus operators (see ``sequential_product``)."""
     if ins.dim_out != jns.dim_in:
         raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
     pairs = [(iop, jop) for iop in ins.ops for jop in jns.ops]
-    stacks = [_composed_kraus(iop, jop) for iop, jop in pairs]
+    stacks = [_composed_kraus(iop, jop, atol) for iop, jop in pairs]
     classes = [_composed_class(iop, jop) for iop, jop in pairs]
     return BiInstrument._from_kraus(ins.outcomes, jns.outcomes, stacks, atol, classes)
 

@@ -122,6 +122,60 @@ def test_sequential_unitaries_compose():
     assert map_deviation(seq, Channel.unitary(v @ u)) < 1e-13
 
 
+def _products(first: Operation, second: Operation) -> np.ndarray:
+    """All products ``L_b K_a`` of two Kraus lists, uncompressed."""
+    products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
+    return products.reshape(products.shape[:-4] + (-1, second.dim_out, first.dim_in))
+
+
+def test_long_compositions_keep_at_most_d_out_times_d_in_operators():
+    rng = np.random.default_rng(61)
+    first = random_channel(3, 2, 4, rng)
+    second = random_channel(2, 3, 3, rng)
+    seq = first.then(second)
+    assert isinstance(seq, Channel)
+    assert len(seq.kraus) == 9 < 4 * 3
+    assert map_deviation(seq, Operation(_products(first, second))) <= 1e-12
+
+
+def test_short_compositions_are_the_products_bit_for_bit():
+    rng = np.random.default_rng(62)
+    first = random_channel(2, 3, 2, rng)
+    second = random_channel(3, 2, 2, rng)
+    seq = first.then(second)
+    assert len(seq.kraus) == 4 == 2 * 2
+    assert seq.kraus_stack.tobytes() == _products(first, second).tobytes()
+
+
+@pytest.mark.parametrize("n_kraus", [1, 3])
+def test_a_batch_of_compositions_gives_each_member_its_own_bits(n_kraus):
+    # n_kraus 1: the products (1 <= 4); 3: the Choi factorization (9 > 4)
+    rng = np.random.default_rng(63)
+    firsts = [random_channel(2, 2, n_kraus, rng) for _ in range(3)]
+    seconds = [random_channel(2, 2, n_kraus, rng) for _ in range(3)]
+    batch = Channel._checked(np.stack([c.kraus_stack for c in firsts]), 1e-9).then(
+        Channel._checked(np.stack([c.kraus_stack for c in seconds]), 1e-9)
+    )
+    for i, (first, second) in enumerate(zip(firsts, seconds)):
+        assert batch.kraus_stack[i].tobytes() == first.then(second).kraus_stack.tobytes()
+
+
+def test_a_rank_deficient_composition_drops_zero_operators_unless_batched():
+    # dephasing with three Kraus operators, then a reset to |0>: the reset
+    # channel, of Kraus rank 2, where the Choi factorization gives 4
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    dephase = Channel([p0, np.sqrt(0.5) * p1, np.sqrt(0.5) * p1])
+    reset = Channel([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    single = dephase.then(reset)
+    assert len(single.kraus) == 2 and single.kraus_stack.any(axis=(1, 2)).all()
+    assert map_deviation(single, reset) <= 1e-15
+    batch = Channel._checked(dephase.kraus_stack[None], 1e-9).then(
+        Channel._checked(reset.kraus_stack[None], 1e-9)
+    )
+    assert batch.kraus_stack.shape == (1, 4, 2, 2)
+    assert batch.kraus_stack.any(axis=(2, 3)).sum() == 2
+
+
 def test_dual_contravariance():
     rng = np.random.default_rng(7)
     for _ in range(20):

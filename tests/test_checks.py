@@ -255,9 +255,17 @@ def test_a_batch_of_one_gives_each_instance_the_full_batch_deviations(name):
 
 
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
+    default = checks.BATCH_SIZE
     whole = run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json()
     monkeypatch.setattr(checks, "BATCH_SIZE", 2)
     assert run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json() == whole
+    # uneven splits (7 trials: 7; 3, 2, 2; seven of one), and dimension 4,
+    # where holevo-composition's members are factored through the Choi matrix
+    reports = set()
+    for size in (default, 3, 1):
+        monkeypatch.setattr(checks, "BATCH_SIZE", size)
+        reports.add(run_checks(BATCHED, trials=7, dims=[2, 3, 4], seed=3).to_json())
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("name", BATCHED)

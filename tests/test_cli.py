@@ -246,3 +246,21 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "all passed" in done.stdout
+
+
+def test_python_dash_m_checks_the_composed_identities_at_dimensions_5_and_6():
+    # the dimensions where composed Kraus lists would otherwise dominate,
+    # which the canonical run (dims 2..3) never reaches
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    suite = "holevo-composition,holevo-separable"
+    argv = [sys.executable, "-m", "qcond", "check", "--suite", suite]
+    argv += ["--trials", "2", "--dims", "5..6", "--format", "json"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["passed"] and report["dims"] == [5, 6]
+    assert [r["name"] for r in report["results"]] == suite.split(",")
+    for r in report["results"]:
+        assert r["instances"] == 4
+        assert np.isfinite(r["max_deviation"]) and r["max_deviation"] <= r["tolerance"]

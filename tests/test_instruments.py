@@ -342,6 +342,36 @@ def test_holevo_compose_equals_generic():
     assert bi_instrument_deviation(closed, generic) < 1e-11
 
 
+def _products(first: Operation, second: Operation) -> np.ndarray:
+    """All products ``L_b K_a`` of two Kraus lists, uncompressed."""
+    products = np.einsum("mab,nbc->mnac", second.kraus_stack, first.kraus_stack)
+    return products.reshape(-1, second.dim_out, first.dim_in)
+
+
+def test_holevo_given_instrument_members_have_d_squared_operators():
+    rng = np.random.default_rng(23)
+    first = holevo_instrument(random_holevo_spec(3, 4, 2, rng))
+    second = holevo_instrument(random_holevo_spec(4, 3, 2, rng))
+    grid = given_instrument(first, second)
+    for x, iop in zip(first.outcomes, first.ops):
+        for y, jop in zip(second.outcomes, second.ops):
+            assert len(iop.kraus) * len(jop.kraus) == 144
+            member = grid.op(x, y)
+            assert len(member.kraus) == 9
+            assert map_deviation(member, Operation(_products(iop, jop))) <= 1e-12
+
+
+def test_condition_instrument_members_have_at_most_d_out_times_d_in_operators():
+    rng = np.random.default_rng(24)
+    ch = random_channel(2, 3, 4, rng)
+    ins = holevo_instrument(random_holevo_spec(3, 2, 2, rng))
+    out = condition_instrument(ch, ins)
+    for op, member in zip(ins.ops, out.ops):
+        assert len(ch.kraus) * len(op.kraus) == 24
+        assert len(member.kraus) == 4
+        assert map_deviation(member, Operation(_products(ch, op))) <= 1e-12
+
+
 def test_holevo_compose_measures_product_grid():
     rng = np.random.default_rng(23)
     first = random_holevo_spec(2, 3, 2, rng)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qcond.channels import LinearMap
+from qcond.channels import LinearMap, Operation
 from qcond.effects import Effect, Observable, State
 from qcond.errors import ScenarioError
 from qcond.instruments import Instrument, instrument_deviation
@@ -82,6 +82,20 @@ def test_tabulated_instrument_round_trips(tmp_path):
     save_scenario(scn, path)
     loaded = load_scenario(path)
     assert instrument_deviation(loaded.instruments["tabulated"], ins) < 1e-12
+
+
+def test_instrument_round_trip_keeps_each_kraus_list_as_saved(tmp_path):
+    # exactly-zero operators included: the loaded lists keep them
+    first = Operation([np.diag([1.0, 0.0]), np.zeros((2, 2))])
+    ins = Instrument(("a", "b"), (first, Operation([np.diag([0.0, 1.0])])))
+    scn = Scenario()
+    scn.instruments["ins"] = ins
+    path = tmp_path / "scn.json"
+    save_scenario(scn, path)
+    loaded = load_scenario(path).instruments["ins"]
+    assert [len(op.kraus) for op in loaded.ops] == [2, 1]
+    for a, b in zip(loaded.ops, ins.ops):
+        assert a.kraus_stack.tobytes() == b.kraus_stack.tobytes()
 
 
 def test_save_of_loaded_scenario_is_stable(tmp_path):
