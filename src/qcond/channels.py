@@ -18,13 +18,14 @@ operators, where the list of products would be longer.
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
 
-The Kraus kernels broadcast over leading batch axes: a private
-``Operation._checked`` over a stack ``(..., n, d_out, d_in)`` holds a batch
-of operations, each checked by the rule its class's constructor applies,
-and ``apply_matrix``, ``dual_matrix``, ``_dual_images``, ``then`` and
-``superoperator`` act member by member; :func:`map_deviation` of two
-batches gives one deviation per member. The seeded identity checks run
-their trials that way.
+The Kraus kernels broadcast over leading batch axes, which is how the
+identity checks run their trials: a private ``Operation._checked`` over a
+stack ``(..., n, d_out, d_in)`` holds a batch of operations, each checked by
+the rule its class's constructor applies; ``then``, ``superoperator`` and
+:func:`map_deviation` act member by member. ``apply_matrix`` and
+``dual_matrix`` (of ``LinearMap`` too) take ``m`` as ``batch + own + (d, d)``:
+the leading axes broadcast against the batch, any further axes are ``m``'s
+own stack, and each matrix maps to its own image.
 """
 
 from __future__ import annotations
@@ -101,10 +102,8 @@ class QuantumMap:
         return Effect._view(frozen_copy(self._dual_effects(m, atol)))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized dual images of a stack ``(m, d_out, d_out)`` of
-        matrices on the output space, with no validation; one
-        ``dual_matrix`` call per matrix here, one product in ``Operation``
-        (which also broadcasts over batch axes) and ``LinearMap``."""
+        """Symmetrized, unvalidated dual images of a stack ``(m, d_out, d_out)``: one
+        ``dual_matrix`` call per matrix here, one per stack in ``Operation`` and ``LinearMap``."""
         return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
 
     def _dual_identity(self) -> np.ndarray:
@@ -195,18 +194,14 @@ class Operation(QuantumMap):
         conj = stack.conj()
         stack.setflags(write=False)
         conj.setflags(write=False)
-        # Views of the one conjugate copy: the stacked adjoints K_k† and the
-        # flattened adjoint (d_in, n·d_out), so that sum_k K_k† x_k is one
-        # product with the flattened x.
+        # The kernels' operands by ``m.ndim`` (see ``_kraus_operands``): the
+        # stack, the adjoints K_k† and the flattened adjoint (d_in, n·d_out),
+        # one product for sum_k K_k† x_k; made here for no own axis and one.
         flat = stack.shape[:-3] + (n * d_out, d_in)
-        self._adj = conj.mT
-        self._flat_h = conj.reshape(flat).mT
-        # The stack and the flattened adjoint as ``_dual_images`` broadcasts
-        # them against a stack of matrices, with a unit axis for the matrix
-        # index, made here once instead of on every call.
-        self._stack_m = stack[..., None, :, :, :]
-        self._flat_h_m = self._flat_h[..., None, :, :]
-        gram = self._flat_h @ stack.reshape(flat)
+        base = (stack, conj.mT, conj.reshape(flat).mT)
+        own = (stack[..., None, :, :, :], base[1][..., None, :, :, :], base[2][..., None, :, :])
+        self._operands = {2: base, stack.ndim - 1: base, stack.ndim: own}
+        gram = base[2] @ stack.reshape(flat)
         gram.setflags(write=False)
         self._stack = stack
         self._conj = conj
@@ -223,21 +218,27 @@ class Operation(QuantumMap):
         """All Kraus operators as one read-only ``(n, dim_out, dim_in)`` array."""
         return self._stack
 
-    # The products below broadcast over the leading axes of a batch (see
-    # ``_checked``): the argument of ``apply_matrix`` and ``dual_matrix``
-    # broadcasts against the Kraus stack ``(..., n, d, d)``, so a batch of
-    # matrices carries a unit axis for the Kraus index.
+    # ``m`` is ``batch + own + (d, d)``: the leading axes broadcast against
+    # the batch of ``_checked``, any further axes are ``m``'s own stack, and
+    # every matrix maps to its own image (the Kraus axis is inserted here;
+    # one matrix broadcasts as it is).
+    def _kraus_operands(self, m: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The operands with a unit axis per own axis of ``m``, made once per new ``m.ndim``."""
+        at = tuple(range(self._stack.ndim - 3, m.ndim - 2))
+        self._operands[m.ndim] = tuple(np.expand_dims(a, at) for a in self._operands[2])
+        return self._operands[m.ndim]
+
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return np.matmul(self._stack @ m, self._adj).sum(axis=-3)
+        stack, adj, _ = self._operands.get(m.ndim) or self._kraus_operands(m)
+        return np.matmul(stack @ (m if m.ndim == 2 else m[..., None, :, :]), adj).sum(axis=-3)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        products = m @ self._stack
-        return self._flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
+        stack, _, flat_h = self._operands.get(m.ndim) or self._kraus_operands(m)
+        products = (m if m.ndim == 2 else m[..., None, :, :]) @ stack
+        return flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        products = mats[..., None, :, :] @ self._stack_m
-        products = products.reshape(products.shape[:-3] + (-1, self.dim_in))
-        return hermitian_part(self._flat_h_m @ products)
+        return hermitian_part(self.dual_matrix(mats))
 
     def _dual_identity(self) -> np.ndarray:
         return self._gram
@@ -324,15 +325,16 @@ class LinearMap(QuantumMap):
         return cls(qmap.superoperator(), qmap.dim_in, qmap.dim_out)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return (self._matrix @ m.reshape(-1)).reshape(self.dim_out, self.dim_out)
+        flat = m.reshape(-1, self.dim_in * self.dim_in)
+        return (self._matrix @ flat.T).T.reshape(m.shape[:-2] + (self.dim_out, self.dim_out))
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
         # conj(conj(v) @ S) == S† v, without a conjugated copy of S.
-        return np.conj(m.reshape(-1).conj() @ self._matrix).reshape(self.dim_in, self.dim_in)
+        flat = m.reshape(-1, self.dim_out * self.dim_out)
+        return np.conj(flat.conj() @ self._matrix).reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        flat = mats.reshape(len(mats), -1)
-        return hermitian_part(np.conj(flat.conj() @ self._matrix).reshape(-1, self.dim_in, self.dim_in))
+        return hermitian_part(self.dual_matrix(mats))
 
     def superoperator(self) -> np.ndarray:
         return self._matrix

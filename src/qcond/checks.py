@@ -287,11 +287,10 @@ def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.
     ch = _channels(rngs, dim, dim + 1, 2)
     rho = _states(rngs, dim)
     a = _effects(rngs, dim + 1)
-    # a batch's matrices carry a unit axis for the Kraus index (see Operation)
-    image = ch._dual_effects(a[:, None], DEFAULT_ATOL)
-    yield np.abs(_trace(rho @ image) - _trace(ch.apply_matrix(rho[:, None]) @ a))
+    image = ch._dual_effects(a, DEFAULT_ATOL)
+    yield np.abs(_trace(rho @ image) - _trace(ch.apply_matrix(rho) @ a))
     b_obs = _random_observables(rngs, dim + 1, 3)
-    e0, e1 = b_obs[:, :1], b_obs[:, 1:2]
+    e0, e1 = b_obs[:, 0], b_obs[:, 1]
     yield _dev(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1))
     yield _dev(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim))
 
@@ -299,8 +298,8 @@ def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.
 def _run_contravariance(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     first = _channels(rngs, dim, dim + 1, 2).scaled(_uniforms(rngs, 0.7, 1.0))
     second = _channels(rngs, dim + 1, dim, 2).scaled(_uniforms(rngs, 0.7, 1.0))
-    b = _effects(rngs, dim)[:, None]
-    yield _dev(first.then(second).dual_matrix(b), first.dual_matrix(second.dual_matrix(b)[:, None]))
+    b = _effects(rngs, dim)
+    yield _dev(first.then(second).dual_matrix(b), first.dual_matrix(second.dual_matrix(b)))
 
 
 def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
@@ -333,7 +332,7 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
     _require_channel(lifted, DEFAULT_ATOL)
     conditioned = _conditioned_observables(lifted, _observables(_completed(bs, DEFAULT_ATOL)))
     for i in range(bs.shape[1]):
-        yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i : i + 1], DEFAULT_ATOL))
+        yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i], DEFAULT_ATOL))
 
 
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
@@ -344,7 +343,7 @@ def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Itera
     yield _dev(m1, _observables(ins._measured_stack()))
     yield _dev(m2, _conditioned_observables(ins.total_channel(), b_obs))
     rho = _states(rngs, dim)
-    branch = np.stack([op.apply_matrix(rho[:, None]) for op in ins.ops], axis=1)
+    branch = np.stack([op.apply_matrix(rho) for op in ins.ops], axis=1)
     overlaps = _trace(branch[:, :, None] @ b_obs[:, None]).real
     for s1 in _subsets(range(3)):
         for s2 in _subsets(range(2)):
@@ -379,7 +378,7 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
     e = _effects(rngs, dim + 1)
     coeff = _trace(alphas @ e[:, None]).real
     for x, op in enumerate(first.ops):
-        yield _dev(op.dual_matrix(e[:, None]), coeff[:, x, None, None] * a[:, x])
+        yield _dev(op.dual_matrix(e), coeff[:, x, None, None] * a[:, x])
     composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
     yield bi_instrument_deviation(composed, given_instrument(first, second))
     rho = _states(rngs, dim)
@@ -387,10 +386,10 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
     overlaps = _trace(alphas[:, :, None] @ b[:, None]).real
     for x, op in enumerate(composed.marginal1().ops):
         expected = px[:, x, None, None] * (overlaps[:, x, :, None, None] * betas).sum(axis=1)
-        yield _dev(op.apply_matrix(rho[:, None]), expected)
+        yield _dev(op.apply_matrix(rho), expected)
     weights = (px[:, :, None] * overlaps).sum(axis=1)
     for y, op in enumerate(composed.marginal2().ops):
-        yield _dev(op.apply_matrix(rho[:, None]), weights[:, y, None, None] * betas[:, y])
+        yield _dev(op.apply_matrix(rho), weights[:, y, None, None] * betas[:, y])
 
 
 def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
@@ -413,7 +412,7 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     for x, row in enumerate(bi_ins.ops):
         for y, op in enumerate(row):
             lhs = _trace(rho @ grid[:, x, y]).real
-            yield np.abs(lhs - _trace(op.apply_matrix(rho[:, None])).real)
+            yield np.abs(lhs - _trace(op.apply_matrix(rho)).real)
     yield instrument_deviation(measured, bi_ins.marginal2())
 
 
@@ -444,7 +443,7 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     a = _effects(rngs, dim)
     b = _effects(rngs, dim_probe)
     closed = _checked_effects(_dual_on_product(factors, states, a, b))
-    yield _dev(closed, total._dual_effects(kron(a, b)[:, None], DEFAULT_ATOL))
+    yield _dev(closed, total._dual_effects(kron(a, b), DEFAULT_ATOL))
     probe = _random_observables(rngs, dim_probe, 2)
     interaction = Instrument(("u",), (total,))
     w = _outcome_weights(states, probe)
@@ -490,7 +489,7 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     _require_states(products, DEFAULT_ATOL)
     interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
     closed = _checked_effects(_holevo_dual_effects(a, products, e[:, None]))
-    generic = [op._dual_effects(e[:, None], DEFAULT_ATOL) for op in interaction.ops]
+    generic = [op._dual_effects(e, DEFAULT_ATOL) for op in interaction.ops]
     yield _dev(closed, np.stack(generic, axis=1))
     yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
     yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))

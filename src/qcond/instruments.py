@@ -35,6 +35,7 @@ from .channels import (
     _composed_class,
     _composed_kraus,
     _per_member,
+    _require_channel,
     _require_trace_preserving,
     _without_zero_operators,
     map_deviation,
@@ -307,8 +308,7 @@ def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_
     (a tabulated ``ch`` is admitted once through ``Operation.of``); each
     member is a composition of at most ``d_out·d_in`` Kraus operators (see
     ``sequential_product``)."""
-    if not ch.is_trace_preserving(atol):
-        raise InvariantViolation("conditioning", "channel", "map must be trace preserving")
+    _require_channel(ch, atol)
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
     ch = Operation.of(ch, atol)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Channel
-from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix
+from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix, _distinct_labels
 from .instruments import HolevoSpec, Instrument
 from .linalg import DEFAULT_ATOL
 
@@ -85,12 +85,8 @@ def _draw_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
 
 
 def _draw_effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    z = np.empty((len(rngs), 2, dim, dim))
-    u = np.empty(len(rngs))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
-        u[i] = rng.uniform(0.0, 1.0)
-    g = z[:, 0] + 1j * z[:, 1]
+    g = _draw_ginibre(rngs, 1, dim, dim)[:, 0]
+    u = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
     pos = g @ g.conj().swapaxes(-1, -2)
     return (u / np.linalg.eigvalsh(pos).max(axis=-1))[:, None, None] * pos
 
@@ -238,8 +234,9 @@ def random_stochastic_matrix(
 def random_surjection(
     sources: Sequence[str], targets: Sequence[str], seed: int | np.random.Generator
 ) -> OutcomeMap:
-    """Uniform random surjection from sources onto targets."""
+    """Uniform random surjection from distinct sources onto targets."""
     sources = tuple(sources)
+    _distinct_labels(sources, "OutcomeMap")
     targets = tuple(targets)
     picks = _draw_surjections([as_rng(seed)], len(sources), len(targets))[0]
     return OutcomeMap({s: targets[p] for s, p in zip(sources, picks)}, targets)

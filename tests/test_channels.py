@@ -340,6 +340,47 @@ def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
     assert max_abs_diff(lm.dual_matrix(m), op.dual_matrix(m)) <= 1e-13
 
 
+def _complex_stack(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
+    return rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+
+
+def _each(kernel, mats: np.ndarray) -> np.ndarray:
+    """``kernel`` applied matrix by matrix over the leading axes of ``mats``."""
+    d = mats.shape[-1]
+    images = [kernel(m) for m in mats.reshape(-1, d, d)]
+    return np.stack(images).reshape(mats.shape[:-2] + images[0].shape)
+
+
+@pytest.mark.parametrize("kind", ["operation", "channel", "linear"])
+@pytest.mark.parametrize("own", [(2,), (3,), (1,), (2, 3)])
+def test_kernels_map_each_matrix_of_an_own_stack(kind, own):
+    # the channel has 2 Kraus operators: own stacks of 2 matrices must not be
+    # read as one matrix per Kraus operator
+    rng = np.random.default_rng(63)
+    ch = random_channel(2, 3, 2, rng)
+    qmap = {"operation": ch.scaled(0.8), "channel": ch, "linear": LinearMap.of(ch)}[kind]
+    for kernel, d in ((qmap.apply_matrix, 2), (qmap.dual_matrix, 3)):
+        mats = _complex_stack(rng, own, d)
+        np.testing.assert_allclose(kernel(mats), _each(kernel, mats), rtol=0, atol=1e-13)
+
+
+def test_batch_kernels_broadcast_one_matrix_and_map_member_stacks():
+    rng = np.random.default_rng(64)
+    members = [random_channel(2, 3, 2, rng) for _ in range(3)]
+    batch = Channel._checked(np.stack([c.kraus_stack for c in members]), 1e-9)
+    for name, d in (("apply_matrix", 2), ("dual_matrix", 3)):
+        kernel = getattr(batch, name)
+        per_member = _complex_stack(rng, (3,), d)
+        stacks = _complex_stack(rng, (3, 4), d)
+        one = _complex_stack(rng, (), d)
+        for got, want in (
+            (kernel(per_member), [getattr(c, name)(m) for c, m in zip(members, per_member)]),
+            (kernel(stacks), [_each(getattr(c, name), s) for c, s in zip(members, stacks)]),
+            (kernel(one), [getattr(c, name)(one) for c in members]),
+        ):
+            np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-13)
+
+
 def test_linear_map_dual_does_not_copy_the_superoperator():
     import tracemalloc
 

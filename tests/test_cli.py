@@ -264,3 +264,19 @@ def test_python_dash_m_checks_the_composed_identities_at_dimensions_5_and_6():
     for r in report["results"]:
         assert r["instances"] == 4
         assert np.isfinite(r["max_deviation"]) and r["max_deviation"] <= r["tolerance"]
+
+
+README_SCENARIO_VERBS = ("qcond validate ", "qcond distribution ", "qcond measure ")
+
+
+def test_python_dash_m_runs_the_readme_scenario_commands():
+    # the README's commands on the scenario file shipped in demos/
+    root = Path(__file__).resolve().parents[1]
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith(README_SCENARIO_VERBS)]
+    assert [c[0] for c in commands] == ["validate", "distribution", "measure"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "qcond", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr)

@@ -194,6 +194,14 @@ def test_condition_instrument_identity():
     assert instrument_deviation(out, jns) < 1e-14
 
 
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_condition_instrument_rejects_a_map_that_is_not_trace_preserving(tabulated):
+    shrunk = random_channel(2, 2, 2, 14).scaled(0.9)
+    qmap = LinearMap.of(shrunk) if tabulated else shrunk
+    with pytest.raises(InvariantViolation, match="channel"):
+        condition_instrument(qmap, random_instrument(2, 2, 2, 15))
+
+
 def test_condition_instrument_unitary_conjugation():
     rng = np.random.default_rng(13)
     u = random_unitary(2, rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qcond.errors import InvariantViolation
 from qcond.linalg import is_effect_matrix, max_abs_diff
 from qcond.rand import (
     _draw_observables,
@@ -105,6 +106,14 @@ def test_random_surjection_hits_all_targets():
         assert set(f.mapping.values()) == {"u", "v"}
     with pytest.raises(ValueError):
         random_surjection(("a",), ("u", "v"), 13)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_surjection_rejects_repeated_sources(seed):
+    # what a draw would do with the repeated label depends on the seed, so
+    # the rejection must come before the draw
+    with pytest.raises(InvariantViolation, match="distinct outcome labels"):
+        random_surjection(["a", "a", "b"], ["x", "y"], seed)
 
 
 # Reference draws: each object drawn matrix by matrix, real part then
