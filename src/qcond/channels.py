@@ -67,8 +67,9 @@ class QuantumMap:
     """Common interface of the linear maps used in this package.
 
     Subclasses provide ``apply_matrix`` (Schrödinger picture),
-    ``dual_matrix`` (Heisenberg picture) and ``superoperator``. Instances
-    are immutable after construction.
+    ``dual_matrix`` (Heisenberg picture) and ``superoperator``; the first
+    two take one matrix or a stack ``(..., d, d)`` and map each matrix to
+    its own image. Instances are immutable after construction.
     """
 
     dim_in: int
@@ -102,9 +103,9 @@ class QuantumMap:
         return Effect._view(frozen_copy(self._dual_effects(m, atol)))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized, unvalidated dual images of a stack ``(m, d_out, d_out)``: one
-        ``dual_matrix`` call per matrix here, one per stack in ``Operation`` and ``LinearMap``."""
-        return hermitian_part(np.stack([self.dual_matrix(m) for m in mats]))
+        """Symmetrized, unvalidated dual images of one matrix or a stack
+        ``(..., d_out, d_out)``: one ``dual_matrix`` call."""
+        return hermitian_part(self.dual_matrix(mats))
 
     def _dual_identity(self) -> np.ndarray:
         """The dual image of the identity, unsymmetrized and unvalidated."""
@@ -112,7 +113,7 @@ class QuantumMap:
 
     def _dual_effects(self, a: np.ndarray, atol: float) -> np.ndarray:
         """The symmetrized dual image of an effect, checked as an effect."""
-        image = hermitian_part(self.dual_matrix(a))
+        image = self._dual_images(a)
         _require_effects(image, atol)
         return image
 
@@ -150,7 +151,7 @@ class Operation(QuantumMap):
 
     def _check(self, atol: float) -> None:
         """The trace condition of the class, on every member of a batch."""
-        _require_trace_non_increasing(self._gram, atol)
+        _require_trace_non_increasing(self._gram, atol, "Operation", "trace non-increasing")
 
     @classmethod
     def _checked(cls, stack: np.ndarray, atol: float) -> "Operation":
@@ -237,9 +238,6 @@ class Operation(QuantumMap):
         products = (m if m.ndim == 2 else m[..., None, :, :]) @ stack
         return flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
-    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        return hermitian_part(self.dual_matrix(mats))
-
     def _dual_identity(self) -> np.ndarray:
         return self._gram
 
@@ -273,7 +271,7 @@ class Channel(Operation):
 
     def _check(self, atol: float) -> None:
         super()._check(atol)
-        _require_trace_preserving(self._gram, atol)
+        _require_trace_preserving(self._gram, atol, "Channel", "trace preservation")
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -333,24 +331,21 @@ class LinearMap(QuantumMap):
         flat = m.reshape(-1, self.dim_out * self.dim_out)
         return np.conj(flat.conj() @ self._matrix).reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
 
-    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        return hermitian_part(self.dual_matrix(mats))
-
     def superoperator(self) -> np.ndarray:
         return self._matrix
 
 
-def _require_trace_non_increasing(gram: np.ndarray, atol: float) -> None:
-    """``sum K†K <= I`` for one Gram matrix or every matrix of a stack."""
+def _require_trace_non_increasing(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
+    """``sum K†K <= I`` within ``atol``, for one Gram matrix or every matrix
+    of a stack; the caller names the error's kind and invariant."""
     if not is_psd(_identity(gram.shape[-1]) - gram, atol):
-        raise InvariantViolation("Operation", "trace non-increasing", "sum K†K must be <= I")
+        raise InvariantViolation(kind, invariant, "sum K†K must be <= I")
 
 
-def _require_trace_preserving(gram: np.ndarray, atol: float) -> None:
-    """``sum K†K == I`` entrywise within ``atol`` for one Gram matrix or
-    every matrix of a stack."""
+def _require_trace_preserving(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
+    """``sum K†K == I`` entrywise within ``atol``; as above."""
     if np.abs(gram - _identity(gram.shape[-1])).max() > atol:
-        raise InvariantViolation("Channel", "trace preservation", "sum K†K must equal I")
+        raise InvariantViolation(kind, invariant, "sum K†K must equal I")
 
 
 def _without_zero_operators(stack: np.ndarray) -> np.ndarray:

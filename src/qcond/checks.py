@@ -75,7 +75,6 @@ from .measurement import (
     _probe_readout,
     _pure_probe_states,
     _reduced_readout,
-    _require_normalized_factors,
     _separable_instrument,
 )
 from .rand import (
@@ -329,7 +328,6 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
     sub = _random_observables(rngs, dim, 2)
     bs = np.zeros(sub.shape[:2] + (dim2, dim2), dtype=complex)
     bs[..., :dim, :dim] = sub
-    _require_channel(lifted, DEFAULT_ATOL)
     conditioned = _conditioned_observables(lifted, _observables(_completed(bs, DEFAULT_ATOL)))
     for i in range(bs.shape[1]):
         yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i], DEFAULT_ATOL))
@@ -434,7 +432,6 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     dim_probe = 2
     factors = _channels(rngs, dim, dim, n).kraus_stack
     states = _state_stack(rngs, dim_probe, n)
-    _require_normalized_factors(factors, DEFAULT_ATOL)
     total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
     # the superoperator of rho -> sum_i K_i rho K_i† ⊗ rho_i, entry by entry
     formula = np.einsum("...iab,...icd,...ipq->...apcqbd", factors, factors.conj(), states)
@@ -463,7 +460,6 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     vecs = np.array([[v / np.linalg.norm(v) for v in pair] for pair in pairs])
     states = _pure_probe_states(vecs, DEFAULT_ATOL)
     _require_states(states, DEFAULT_ATOL)
-    _require_normalized_factors(factors, DEFAULT_ATOL)
     total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
     lifted = Channel._checked(kron(factors, vecs[..., None]), DEFAULT_ATOL)
     yield map_deviation(total, lifted)

@@ -57,8 +57,24 @@ def _distinct_labels(labels: Sequence[str], kind: str) -> tuple[str, ...]:
     return out
 
 
+class _Validated:
+    """What :class:`State` and :class:`Effect` share: a read-only ``matrix``."""
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray):
+        """Wrap an already validated read-only matrix (a row of a family
+        stack, say) without checking it again."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "matrix", matrix)
+        return view
+
+
 @dataclass(frozen=True, eq=False)
-class State:
+class State(_Validated):
     """Unit-trace positive operator (density operator)."""
 
     matrix: np.ndarray
@@ -68,10 +84,6 @@ class State:
         m = coerce_matrix(self.matrix)
         _require_states(m, atol)
         object.__setattr__(self, "matrix", frozen_copy(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def pure(cls, vector: Sequence[complex], atol: float = DEFAULT_ATOL) -> "State":
@@ -89,7 +101,7 @@ class State:
 
 
 @dataclass(frozen=True, eq=False)
-class Effect:
+class Effect(_Validated):
     """Operator ``a`` with ``0 <= a <= I``; a yes-no measurement element."""
 
     matrix: np.ndarray
@@ -100,21 +112,9 @@ class Effect:
         _require_effects(m, atol)
         object.__setattr__(self, "matrix", frozen_copy(m))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def identity(cls, dim: int) -> "Effect":
         return cls(np.eye(dim))
-
-    @classmethod
-    def _view(cls, matrix: np.ndarray) -> "Effect":
-        """Wrap an already validated read-only matrix (a row of a family
-        stack, say) without checking it again."""
-        view = object.__new__(cls)
-        object.__setattr__(view, "matrix", matrix)
-        return view
 
     def complement(self, atol: float = DEFAULT_ATOL) -> "Effect":
         """The complementary effect ``I - a``."""
@@ -139,6 +139,22 @@ def _require_states(m: np.ndarray, atol: float) -> None:
     if max(off.flat) > atol:
         first = np.argmax(np.ravel(off) > atol)
         raise InvariantViolation("State", "unit trace", f"trace {np.ravel(trace)[first]:.6g}")
+
+
+def _state_family(kind: str, states, n: int, atol: float) -> np.ndarray:
+    """The one validator of state families: ``n`` :class:`State` objects
+    (checked again, at ``atol``) or matrices of one dimension, checked by one
+    batched eigendecomposition. Returns them as a read-only ``(n, d, d)`` stack."""
+    mats = [coerce_matrix(s) for s in states]
+    if len(mats) != n:
+        raise InvariantViolation(kind, "state count", f"expected {n}, got {len(mats)}")
+    shapes = {m.shape for m in mats}
+    if len(shapes) != 1:
+        raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
+    stack = np.stack(mats)
+    _require_states(stack, atol)
+    stack.setflags(write=False)
+    return stack
 
 
 def _require_effects(m: np.ndarray, atol: float) -> None:
@@ -397,9 +413,10 @@ class OutcomeMap:
             targets = tuple(dict.fromkeys(mapping.values()))
         else:
             targets = _distinct_labels(targets, "OutcomeMap")
-        _require_surjective(
-            np.array([targets.index(v) if v in targets else -1 for v in mapping.values()]), targets
-        )
+        outside = [v for v in dict.fromkeys(mapping.values()) if v not in targets]
+        if outside:
+            raise InvariantViolation("OutcomeMap", "values in targets", f"values {outside} outside {targets}")
+        _require_surjective(np.array([targets.index(v) for v in mapping.values()]), targets)
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "targets", targets)
 

@@ -10,7 +10,8 @@ is not completely positive.
 
 A family's trace condition is checked once, on its total: with every Gram
 matrix positive, ``sum_x op_x*(I) = I`` gives each member's ``sum K†K <= I``,
-so the members that ``_from_kraus`` builds skip that check.
+so the members that ``_from_kraus`` builds skip that check, and
+``total_channel`` returns the total without checking it again.
 
 Batches: ``_from_kraus`` over Kraus stacks ``(..., n, d_out, d_in)`` with
 leading axes builds a batch of families whose members are batches of
@@ -36,20 +37,18 @@ from .channels import (
     _composed_kraus,
     _per_member,
     _require_channel,
+    _require_trace_non_increasing,
     _require_trace_preserving,
     _without_zero_operators,
     map_deviation,
 )
-from .effects import BiObservable, Effect, Observable, State, _distinct_labels
+from .effects import BiObservable, Effect, Observable, State, _distinct_labels, _state_family
 from .errors import InvariantViolation, OutcomeNotObserved
 from .linalg import (
     DEFAULT_ATOL,
-    _identity,
     as_complex_matrix,
     clipped_eigh,
     hermitian_part,
-    is_psd,
-    max_abs_diff,
 )
 
 __all__ = [
@@ -72,14 +71,13 @@ def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
     """The one check of a family's trace condition: uniform dimensions, and
     the total's dual at the identity, ``sum_x op_x*(I)`` (the sum of the
     members' cached Gram matrices), below ``I`` and equal to it entrywise,
-    within ``atol``."""
+    within ``atol``: the two trace rules of a channel."""
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
     total = sum(op._gram for op in ops)
-    eye = _identity(ops[0].dim_in)
-    if not is_psd(eye - total, atol) or max_abs_diff(total, eye) > atol:
-        raise InvariantViolation(kind, "total channel", "operations must sum to a channel")
+    _require_trace_non_increasing(total, atol, kind, "total channel")
+    _require_trace_preserving(total, atol, kind, "total channel")
 
 
 def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
@@ -98,15 +96,15 @@ def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> t
         else:
             op._build(stack)
         if isinstance(op, Channel):
-            _require_trace_preserving(op._gram, atol)
+            _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
     return ops
 
 
-def _summed(ops: Iterable[Operation]) -> Operation:
-    """The summed map of a checked family, with concatenated Kraus lists
-    and no second check."""
+def _summed(ops: Iterable[Operation]) -> Channel:
+    """The total channel of a checked family, with concatenated Kraus lists
+    and no second check: the family's check at its own tolerance covers it."""
     stack = np.concatenate([op.kraus_stack for op in ops], axis=-3)
-    total = object.__new__(Operation)
+    total = object.__new__(Channel)
     total._build(stack, stack.ndim - 3)
     return total
 
@@ -151,13 +149,10 @@ class Instrument:
     def op(self, label: str) -> Operation:
         return self.ops[self.index(label)]
 
-    def total(self) -> Operation:
-        """The summed map (a channel, by the construction invariant)."""
+    def total_channel(self) -> Channel:
+        """The summed channel, with concatenated Kraus lists; not checked
+        again, since the family was checked as a whole."""
         return _summed(self.ops)
-
-    def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
-        """The summed channel with concatenated Kraus lists."""
-        return Channel._checked(np.concatenate([op.kraus_stack for op in self.ops], axis=-3), atol)
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
@@ -231,8 +226,9 @@ class BiInstrument:
             raise ValueError(f"unknown outcome pair ({x!r}, {y!r})") from None
         return self.ops[i][j]
 
-    def total(self) -> Operation:
-        """The summed map (a channel, by the construction invariant)."""
+    def total_channel(self) -> Channel:
+        """The summed channel, with concatenated Kraus lists; not checked
+        again, since the family was checked as a whole."""
         return _summed(op for row in self.ops for op in row)
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
@@ -255,9 +251,13 @@ def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATO
     ``y``-effect. Its first marginal is the observable measured by ``ins``
     and its second is ``obs`` conditioned by the total channel.
     """
+    _require_output_dimension(obs, ins)
+    return BiObservable(ins.outcomes, obs.outcomes, _given_grid(ins, obs.effect_stack), atol)
+
+
+def _require_output_dimension(obs: Observable, ins: Instrument) -> None:
     if obs.dim != ins.dim_out:
         raise ValueError(f"dimension mismatch: observable {obs.dim} vs instrument output {ins.dim_out}")
-    return BiObservable(ins.outcomes, obs.outcomes, _given_grid(ins, obs.effect_stack), atol)
 
 
 def _given_grid(ins: Instrument, stack: np.ndarray) -> np.ndarray:
@@ -280,6 +280,7 @@ def given_distribution(
     factored form is bypassed and the value is 0. Equals the double sum
     ``sum_{x, y} tr[I_x(rho) B_y]`` over the product set.
     """
+    _require_output_dimension(obs, ins)
     labels1 = tuple(dict.fromkeys(subset1))
     labels2 = tuple(dict.fromkeys(subset2))
     for x in labels1:
@@ -332,19 +333,18 @@ def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATO
 @dataclass(frozen=True, eq=False)
 class HolevoSpec:
     """Data of a measure-and-prepare instrument: an observable plus one
-    prepared state per outcome."""
+    prepared state per outcome, held as one stack validated by
+    ``_state_family``; ``states`` holds read-only :class:`State` views of it.
+    """
 
     observable: Observable
     states: tuple[State, ...]
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        states = tuple(s if isinstance(s, State) else State(s, atol) for s in self.states)
-        if len(states) != self.observable.n_outcomes:
-            raise InvariantViolation("HolevoSpec", "one state per outcome")
-        if len({s.dim for s in states}) != 1:
-            raise InvariantViolation("HolevoSpec", "uniform state dimension")
-        object.__setattr__(self, "states", states)
+        stack = _state_family("HolevoSpec", self.states, self.observable.n_outcomes, atol)
+        object.__setattr__(self, "_states", stack)
+        object.__setattr__(self, "states", tuple(map(State._view, stack)))
 
     @property
     def dim_in(self) -> int:
@@ -352,7 +352,7 @@ class HolevoSpec:
 
     @property
     def dim_out(self) -> int:
-        return self.states[0].dim
+        return self._states.shape[-1]
 
     def state(self, label: str) -> State:
         return self.states[self.observable.index(label)]
@@ -425,8 +425,7 @@ def _holevo_instrument(outcomes, effects: np.ndarray, states: np.ndarray, atol: 
 def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrument:
     """The measure-and-prepare instrument of the given data: outcome ``x``
     acts as ``rho -> tr(rho A_x) alpha_x``."""
-    states = np.stack([s.matrix for s in spec.states])
-    return _holevo_instrument(spec.observable.outcomes, spec.observable.effect_stack, states, atol)
+    return _holevo_instrument(spec.observable.outcomes, spec.observable.effect_stack, spec._states, atol)
 
 
 def _holevo_composed(
@@ -455,13 +454,8 @@ def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_
         raise ValueError(f"dimension mismatch: {first.dim_out} -> {second.dim_in}")
     a_obs, b_obs = first.observable, second.observable
     return _holevo_composed(
-        a_obs.outcomes,
-        b_obs.outcomes,
-        a_obs.effect_stack,
-        np.stack([s.matrix for s in first.states]),
-        b_obs.effect_stack,
-        np.stack([s.matrix for s in second.states]),
-        atol,
+        a_obs.outcomes, b_obs.outcomes, a_obs.effect_stack, first._states,
+        b_obs.effect_stack, second._states, atol,
     )
 
 

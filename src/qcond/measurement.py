@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, _without_zero_operators
-from .effects import BiObservable, Effect, Observable, State
+from .channels import Channel, _require_trace_preserving, _without_zero_operators
+from .effects import BiObservable, Effect, Observable, State, _state_family
 from .errors import InvariantViolation
 from .instruments import (
     BiInstrument,
@@ -178,14 +178,6 @@ def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:
 # wraps them, and leading axes are a batch.
 
 
-def _require_normalized_factors(factors: np.ndarray, atol: float) -> None:
-    """``sum K†K == I`` entrywise within ``atol``, for one factor stack or
-    every stack of a batch."""
-    gram = (factors.conj().mT @ factors).sum(axis=-3)
-    if np.abs(gram - _identity(factors.shape[-1])).max() > atol:
-        raise InvariantViolation("KrausSeparableChannel", "normalization", "sum K†K must equal I")
-
-
 def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> np.ndarray:
     """The Kraus stack ``(..., n * dp, d * dp, d)`` of ``L_{ik} =
     sqrt(p_ik) (K_i ⊗ |v_ik>)`` over the spectral decompositions of the probe
@@ -233,6 +225,8 @@ class KrausSeparableChannel:
     ``rho -> sum_i (K_i rho K_i† ⊗ rho_i)`` with ``sum K_i†K_i = I``.
 
     ``factors`` act on the base space; ``probe_states`` live on the probe.
+    Each family is held as one read-only stack, validated once (the states by
+    ``_state_family``); the two attributes hold read-only views of its rows.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -240,29 +234,26 @@ class KrausSeparableChannel:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        ks = tuple(as_complex_matrix(k) for k in self.factors)
-        states = tuple(s if isinstance(s, State) else State(s, atol) for s in self.probe_states)
-        if not ks or len(ks) != len(states):
-            raise InvariantViolation("KrausSeparableChannel", "one probe state per factor")
+        ks = [as_complex_matrix(k) for k in self.factors]
+        if not ks:
+            raise InvariantViolation("KrausSeparableChannel", "nonempty factor list")
         if len({k.shape for k in ks}) != 1 or ks[0].shape[0] != ks[0].shape[1]:
             raise InvariantViolation("KrausSeparableChannel", "square factors of equal dimension")
-        if len({s.dim for s in states}) != 1:
-            raise InvariantViolation("KrausSeparableChannel", "uniform probe dimension")
-        stack = frozen_copy(np.stack(ks))
-        _require_normalized_factors(stack, atol)
-        object.__setattr__(self, "factors", tuple(stack))
-        object.__setattr__(self, "probe_states", states)
+        factors = frozen_copy(np.stack(ks))
+        states = _state_family("KrausSeparableChannel", self.probe_states, len(ks), atol)
+        _require_trace_preserving(_grams(factors).sum(axis=0), atol, "KrausSeparableChannel", "normalization")
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_states", states)
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "probe_states", tuple(map(State._view, states)))
 
     @property
     def dim_base(self) -> int:
-        return self.factors[0].shape[0]
+        return self._factors.shape[-1]
 
     @property
     def dim_probe(self) -> int:
-        return self.probe_states[0].dim
-
-    def _state_stack(self) -> np.ndarray:
-        return np.stack([s.matrix for s in self.probe_states])
+        return self._states.shape[-1]
 
     @classmethod
     def simple(
@@ -280,8 +271,7 @@ class KrausSeparableChannel:
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in probe_vectors]
         if len(ops) != len(vecs):
             raise InvariantViolation("KrausSeparableChannel", "one probe vector per operator")
-        states = tuple(State(_pure_probe_states(v, atol), atol) for v in vecs)
-        return cls(tuple(ops), states, atol)
+        return cls(tuple(ops), tuple(_pure_probe_states(v, atol) for v in vecs), atol)
 
     def lifted_kraus(self, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, ...]:
         """Kraus operators of the total channel on base ⊗ probe.
@@ -289,7 +279,7 @@ class KrausSeparableChannel:
         Spectral-decomposing each probe state (one batched decomposition of
         all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
         """
-        lifted = _lifted_kraus(np.stack(self.factors), self._state_stack(), atol)
+        lifted = _lifted_kraus(self._factors, self._states, atol)
         return tuple(_without_zero_operators(lifted))
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
@@ -301,34 +291,32 @@ class KrausSeparableChannel:
     ) -> Effect:
         """Closed form of the total dual on a product effect:
         ``sum_i tr(rho_i b) K_i† a K_i``."""
-        image = _dual_on_product(
-            np.stack(self.factors), self._state_stack(), as_complex_matrix(a), as_complex_matrix(b)
-        )
+        image = _dual_on_product(self._factors, self._states, as_complex_matrix(a), as_complex_matrix(b))
         return Effect(image, atol)
 
     def outcome_weights(self, probe: Observable) -> np.ndarray:
         """Matrix ``w[i, y] = tr(rho_i P_y)``; each row sums to 1."""
         if probe.dim != self.dim_probe:
             raise ValueError("probe observable dimension mismatch")
-        return _outcome_weights(self._state_stack(), probe.effect_stack)
+        return _outcome_weights(self._states, probe.effect_stack)
 
     def measured_instrument(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Instrument:
         """Closed form of the model's probe-indexed instrument:
         outcome ``y`` acts as ``rho -> sum_i tr(rho_i P_y) K_i rho K_i†``."""
         w = self.outcome_weights(probe)
-        return _separable_instrument(probe.outcomes, np.stack(self.factors), w, atol)
+        return _separable_instrument(probe.outcomes, self._factors, w, atol)
 
     def pointer_observable(self, probe: Observable, atol: float = DEFAULT_ATOL) -> Observable:
         """Closed form of the model's measured observable:
         ``sum_i tr(rho_i P_y) K_i†K_i`` per probe outcome."""
         w = self.outcome_weights(probe)
-        return Observable(probe.outcomes, weighted_sum(w, _grams(np.stack(self.factors))), atol)
+        return Observable(probe.outcomes, weighted_sum(w, _grams(self._factors)), atol)
 
     def base_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable ``{K_i†K_i}``; the pointer observable is a
         post-processing of it by the outcome-weight kernel."""
-        labels = tuple(f"k{i}" for i in range(len(self.factors)))
-        return Observable(labels, _grams(np.stack(self.factors)), atol)
+        labels = tuple(f"k{i}" for i in range(len(self._factors)))
+        return Observable(labels, _grams(self._factors), atol)
 
     def model(self, probe: Observable, atol: float = DEFAULT_ATOL) -> MeasurementModel:
         """Wrap the separable channel as a single-outcome measurement model."""
@@ -339,7 +327,9 @@ class KrausSeparableChannel:
 @dataclass(frozen=True, eq=False)
 class HolevoSeparableSpec:
     """Measure-and-prepare interaction whose prepared states factor as
-    base ⊗ probe products: ``alpha_x = beta_x ⊗ gamma_x``."""
+    base ⊗ probe products: ``alpha_x = beta_x ⊗ gamma_x``. Each state family
+    is one stack validated by ``_state_family``; ``base_states`` and
+    ``probe_states`` hold read-only :class:`State` views of its rows."""
 
     observable: Observable
     base_states: tuple[State, ...]
@@ -347,35 +337,29 @@ class HolevoSeparableSpec:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        base = tuple(s if isinstance(s, State) else State(s, atol) for s in self.base_states)
-        probe = tuple(s if isinstance(s, State) else State(s, atol) for s in self.probe_states)
         n = self.observable.n_outcomes
-        if len(base) != n or len(probe) != n:
-            raise InvariantViolation("HolevoSeparableSpec", "one state pair per outcome")
-        if len({s.dim for s in base}) != 1 or len({s.dim for s in probe}) != 1:
-            raise InvariantViolation("HolevoSeparableSpec", "uniform state dimensions")
-        if base[0].dim != self.observable.dim:
+        base = _state_family("HolevoSeparableSpec", self.base_states, n, atol)
+        probe = _state_family("HolevoSeparableSpec", self.probe_states, n, atol)
+        if base.shape[-1] != self.observable.dim:
             raise InvariantViolation(
                 "HolevoSeparableSpec", "base dimension", "base states must match the observable"
             )
-        object.__setattr__(self, "base_states", base)
-        object.__setattr__(self, "probe_states", probe)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_probe", probe)
+        object.__setattr__(self, "base_states", tuple(map(State._view, base)))
+        object.__setattr__(self, "probe_states", tuple(map(State._view, probe)))
 
     @property
     def dim_base(self) -> int:
-        return self.base_states[0].dim
+        return self._base.shape[-1]
 
     @property
     def dim_probe(self) -> int:
-        return self.probe_states[0].dim
+        return self._probe.shape[-1]
 
     def to_holevo(self, atol: float = DEFAULT_ATOL) -> HolevoSpec:
         """The underlying measure-and-prepare data with product states."""
-        states = tuple(
-            State(kron(b.matrix, g.matrix), atol)
-            for b, g in zip(self.base_states, self.probe_states)
-        )
-        return HolevoSpec(self.observable, states, atol)
+        return HolevoSpec(self.observable, kron(self._base, self._probe), atol)
 
     def interaction(self, atol: float = DEFAULT_ATOL) -> Instrument:
         return holevo_instrument(self.to_holevo(atol), atol)
@@ -406,7 +390,7 @@ class HolevoModelQuantities:
         """Dual of the interaction operation for one outcome:
         ``a -> tr((beta_x ⊗ gamma_x) a) A_x``."""
         i = self.spec.observable.index(label)
-        product = kron(self.spec.base_states[i].matrix, self.spec.probe_states[i].matrix)
+        product = kron(self.spec._base[i], self.spec._probe[i])
         image = _holevo_dual_effects(self.spec.observable.effect_stack[i], product, as_complex_matrix(a))
         return Effect(image, atol)
 
@@ -454,13 +438,7 @@ def holevo_model_quantities(
         raise ValueError("probe observable dimension mismatch")
     a_obs = spec.observable
     w, bi_ins, pointer_ins, reduced, grid, pointer = _holevo_model(
-        a_obs.outcomes,
-        probe.outcomes,
-        a_obs.effect_stack,
-        np.stack([b.matrix for b in spec.base_states]),
-        np.stack([g.matrix for g in spec.probe_states]),
-        probe.effect_stack,
-        atol,
+        a_obs.outcomes, probe.outcomes, a_obs.effect_stack, spec._base, spec._probe, probe.effect_stack, atol
     )
     return HolevoModelQuantities(
         spec=spec,

@@ -217,9 +217,11 @@ def random_holevo_spec(
     seed: int | np.random.Generator,
     atol: float = DEFAULT_ATOL,
 ) -> HolevoSpec:
+    """Random measure-and-prepare data: a random observable and one random
+    state per outcome, checked once, as a family."""
     rng = as_rng(seed)
     obs = random_observable(dim_in, n_outcomes, rng, atol)
-    states = tuple(random_state(dim_out, rng) for _ in range(n_outcomes))
+    states = [_draw_states([rng], dim_out)[0] for _ in range(n_outcomes)]
     return HolevoSpec(obs, states, atol)
 
 

@@ -2,15 +2,17 @@
 
 import json
 import math
+import re
 import zlib
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcond.checks as checks
 import qcond.linalg as linalg
-from qcond.channels import Channel, Operation, _completed
+from qcond.channels import Channel, Operation, _completed, _require_trace_preserving
 from qcond.checks import (
     IdentityCheck,
     REGISTRY,
@@ -40,8 +42,8 @@ from qcond.instruments import Instrument, _holevo_family, holevo_operation
 from qcond.measurement import (
     KrausSeparableChannel,
     MeasurementModel,
+    _grams,
     _pure_probe_states,
-    _require_normalized_factors,
 )
 from qcond.rand import random_channel, random_observable, random_state
 
@@ -394,12 +396,19 @@ def test_batched_separable_rules_reject_only_a_bad_last_member():
     states = np.stack([random_state(2, s).matrix for s in (1, 2)])
     bad = 0.9 * factors
     single = _message(KrausSeparableChannel, tuple(bad), tuple(states))
-    assert _message(_require_normalized_factors, _last_bad(factors, bad), ATOL) == single
-    _require_normalized_factors(_last_bad(factors, factors), ATOL)
+    rule = (ATOL, "KrausSeparableChannel", "normalization")
+    assert _message(_require_trace_preserving, _grams(_last_bad(factors, bad)).sum(axis=-3), *rule) == single
+    _require_trace_preserving(_grams(_last_bad(factors, factors)).sum(axis=-3), *rule)
     vecs = np.array([[1.0, 0.0], [0.6, 0.8j]])
     single = _message(KrausSeparableChannel.simple, tuple(factors), tuple(1.1 * vecs))
     assert _message(_pure_probe_states, _last_bad(vecs, 1.1 * vecs), ATOL) == single
     assert _pure_probe_states(_last_bad(vecs, vecs), ATOL).shape == (4, 2, 2, 2)
+
+
+def test_readme_lists_the_registered_identities_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Registered identities:\n", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == registered_identities()
 
 
 def test_batched_readout_probe_rejects_only_a_bad_last_member():

@@ -240,6 +240,12 @@ def test_outcome_map_requires_surjectivity():
         OutcomeMap({"x0": "a"}, ("a", "b"))
 
 
+def test_outcome_map_names_values_outside_its_targets():
+    with pytest.raises(InvariantViolation, match="values in targets") as info:
+        OutcomeMap({"a": "z", "b": "y"}, targets=("y",))
+    assert "['z']" in str(info.value)
+
+
 def test_part_requires_total_map():
     obs = qubit_basis_observable()
     with pytest.raises(ValueError, match="total"):

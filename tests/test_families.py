@@ -31,8 +31,13 @@ from qcond.instruments import (
     instrument_deviation,
 )
 from qcond.linalg import hermitian_part
-from qcond.measurement import HolevoSeparableSpec, MeasurementModel, holevo_model_quantities
-from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_state
+from qcond.measurement import (
+    HolevoSeparableSpec,
+    KrausSeparableChannel,
+    MeasurementModel,
+    holevo_model_quantities,
+)
+from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, save_scenario
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -187,9 +192,11 @@ def test_composed_and_marginal_families_reject_an_over_scaled_member():
 def test_total_keeps_the_family_tolerance():
     loose = 0.5
     big = Operation([np.sqrt(1.2) * np.eye(2)], loose)
-    for total in (Instrument(("x",), (big,), loose).total(),
-                  BiInstrument(("x",), ("y",), ((big,),), loose).total()):
+    for total in (Instrument(("x",), (big,), loose).total_channel(),
+                  BiInstrument(("x",), ("y",), ((big,),), loose).total_channel()):
         np.testing.assert_allclose(total.kraus_stack, big.kraus_stack, rtol=0, atol=0)
+        assert type(total) is Channel
+        assert total.kraus_stack.tobytes() == big.kraus_stack.tobytes()
 
 
 @pytest.fixture()
@@ -224,6 +231,58 @@ def test_random_instrument_spectral_checks_do_not_grow_with_outcomes(spectral_ca
         random_instrument(2, 3, n_outcomes, 17)
         totals.append(spectral_calls["eigh"] + spectral_calls["eigvalsh"])
     assert totals[0] == totals[1] == totals[2]
+
+
+def _specs(n: int, rng: np.random.Generator) -> tuple[list, list]:
+    """``n`` raw (writable) states on a qubit, and each spec class built from
+    them, as a call with no arguments, with the number of state families it
+    holds."""
+    obs = random_observable(2, n, rng)
+    raw = [np.array(random_state(2, rng).matrix) for _ in range(n)]
+    factors = tuple(random_channel(2, 2, n, rng).kraus_stack)
+    return raw, [(partial(HolevoSpec, obs, raw), 1),
+                 (partial(HolevoSeparableSpec, obs, raw, raw), 2),
+                 (partial(KrausSeparableChannel, factors, raw), 1)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_spec_checks_each_state_family_with_one_eigvalsh(n, spectral_calls):
+    for build, families in _specs(n, np.random.default_rng(20))[1]:
+        spectral_calls.update(eigh=0, eigvalsh=0)
+        build()
+        assert spectral_calls == {"eigh": 0, "eigvalsh": families}
+
+
+def test_specs_check_a_given_state_again_at_their_tolerance():
+    loose = State(np.diag([1.2, -0.2]), 0.5)
+    good = State(PROJ0)
+    obs = Observable(("a0", "a1"), (PROJ0, PROJ1))
+    builds = [partial(HolevoSpec, obs, (good, loose)),
+              partial(HolevoSeparableSpec, obs, (good, loose), (good, good)),
+              partial(HolevoSeparableSpec, obs, (good, good), (good, loose)),
+              partial(KrausSeparableChannel, (PROJ0, PROJ1), (good, loose))]
+    for build in builds:
+        build(atol=0.5)
+        with pytest.raises(InvariantViolation, match="State: violated invariant 'positive'"):
+            build()
+
+
+def test_spec_states_are_read_only_views_of_the_stack():
+    raw, builds = _specs(3, np.random.default_rng(21))
+    holevo, separable, kraus = (build() for build, _ in builds)
+    views = [(holevo._states, holevo.states), (separable._base, separable.base_states),
+             (separable._probe, separable.probe_states), (kraus._states, kraus.probe_states)]
+    for stack, states in views:
+        assert stack.shape == (3, 2, 2) and not stack.flags.writeable
+        assert not any(np.shares_memory(stack, r) for r in raw)
+        for i, s in enumerate(states):
+            assert isinstance(s, State)
+            assert np.shares_memory(s.matrix, stack[i])
+            np.testing.assert_array_equal(s.matrix, raw[i])
+            with pytest.raises(ValueError):
+                s.matrix[0, 0] = 0.5
+    assert holevo.state("x1") is holevo.states[1]
+    assert all(np.shares_memory(k, kraus._factors[i]) for i, k in enumerate(kraus.factors))
 
 
 LOOSE = 0.5

@@ -160,6 +160,12 @@ def test_given_distribution_normalization_and_empty():
     assert given_distribution(obs, ins, rho, (), obs.outcomes) == 0.0
 
 
+def test_given_distribution_rejects_an_observable_of_another_dimension():
+    obs, ins, rho = random_observable(3, 2, 1), random_instrument(2, 2, 2, 0), random_state(2, 2)
+    with pytest.raises(ValueError, match="dimension mismatch: observable 3 vs instrument output 2"):
+        given_distribution(obs, ins, rho, ["x0"], ["x0"])
+
+
 def test_given_distribution_matches_double_sum():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -480,7 +486,7 @@ def test_mixed_kraus_and_tabulated_family_validates():
     mixed = (ins.ops[0], LinearMap.of(ins.ops[1]), ins.ops[2])
     assert instrument_deviation(Instrument(ins.outcomes, mixed), ins) < 1e-13
     grid = BiInstrument(("x0",), ins.outcomes, (mixed,))
-    assert map_deviation(grid.total(), ins.total_channel()) < 1e-13
+    assert map_deviation(grid.total_channel(), ins.total_channel()) < 1e-13
 
 
 def _partial_transpose(m: np.ndarray) -> np.ndarray:

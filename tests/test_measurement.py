@@ -135,7 +135,7 @@ def test_measured_instrument_trivial_probe():
     model = MeasurementModel(3, 2, ins, Observable.trivial(2, "y"))
     meas = model.measured_instrument()
     assert meas.outcomes == ("y",)
-    total = ins.total()
+    total = ins.total_channel()
     expected = LinearMap.from_action(
         lambda m: partial_trace_right(total.apply_matrix(m), 3, 2), 3, 3
     )

@@ -82,7 +82,7 @@ def test_random_channel_rejects_rank_starved_request():
 
 def test_random_instrument_total_is_channel():
     ins = random_instrument(2, 3, 3, 9)
-    assert ins.total().is_trace_preserving(1e-11)
+    assert ins.total_channel().is_trace_preserving(1e-11)
     again = random_instrument(2, 3, 3, 9)
     for x, y in zip(ins.ops, again.ops):
         for k, l in zip(x.kraus, y.kraus):
