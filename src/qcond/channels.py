@@ -40,6 +40,8 @@ from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
     _identity,
+    _near_identity,
+    _require_finite,
     as_complex_matrix,
     frozen_copy,
     hermitian_part,
@@ -122,7 +124,7 @@ class QuantumMap:
         return Effect(hermitian_part(self._dual_identity()), atol)
 
     def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
-        return max_abs_diff(self._dual_identity(), _identity(self.dim_in)) <= atol
+        return _near_identity(self._dual_identity(), atol)
 
     def then(self, other: "QuantumMap", atol: float = DEFAULT_ATOL) -> "QuantumMap":
         """Sequential product: apply ``self`` first, then ``other`` (Kraus
@@ -189,8 +191,7 @@ class Operation(QuantumMap):
             stack = np.stack(mats)
         if stack.shape[-3] == 0:
             raise InvariantViolation("Operation", "nonempty Kraus list")
-        if not np.isfinite(stack).all():
-            raise InvariantViolation("Operation", "finite entries")
+        _require_finite(stack, "Operation")
         n, d_out, d_in = stack.shape[-3:]
         conj = stack.conj()
         stack.setflags(write=False)
@@ -281,7 +282,7 @@ class Channel(Operation):
     def unitary(cls, u: np.ndarray, atol: float = DEFAULT_ATOL) -> "Channel":
         """Conjugation ``rho -> U rho U†`` by a unitary (or isometry) ``U``."""
         u = as_complex_matrix(u)
-        if max_abs_diff(u.conj().T @ u, np.eye(u.shape[1])) > atol:
+        if not _near_identity(u.conj().T @ u, atol):
             raise InvariantViolation("Channel", "unitary", "U†U must equal I")
         return cls((u,), atol)
 
@@ -343,8 +344,8 @@ def _require_trace_non_increasing(gram: np.ndarray, atol: float, kind: str, inva
 
 
 def _require_trace_preserving(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
-    """``sum K†K == I`` entrywise within ``atol``; as above."""
-    if np.abs(gram - _identity(gram.shape[-1])).max() > atol:
+    """``sum K†K == I`` entrywise within ``atol`` (``_near_identity``); as above."""
+    if not _near_identity(gram, atol):
         raise InvariantViolation(kind, invariant, "sum K†K must equal I")
 
 
@@ -455,8 +456,7 @@ def sequential_product(first: QuantumMap, second: QuantumMap) -> QuantumMap:
 
 
 def _require_channel(ch: QuantumMap, atol: float) -> None:
-    if not ch.is_trace_preserving(atol):
-        raise InvariantViolation("conditioning", "channel", "map must be trace preserving")
+    _require_trace_preserving(ch._dual_identity(), atol, "conditioning", "channel")
 
 
 def condition_effect(ch: QuantumMap, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:

@@ -20,6 +20,11 @@ through the library's own kernels, which broadcast over the batch axis. An
 instance's deviations do not depend on its batch: a batch of one gives the
 same bits. A batch that raises is rerun instance by instance, so one bad
 instance fails alone. Every registered identity runs this way.
+
+Runners compare through two comparators only: ``_dev`` for arrays (each
+instance's largest entrywise deviation) and the map deviations
+(``map_deviation``, ``instrument_deviation``, ``bi_instrument_deviation``)
+for maps.
 """
 
 from __future__ import annotations
@@ -43,12 +48,12 @@ from .channels import (
     map_deviation,
 )
 from .effects import (
+    _MIXTURE_RULE,
     _effect_family,
     _indicator,
     _kernel_weights,
     _mixture,
     _require_effects,
-    _require_mixture_weights,
     _require_states,
     _require_surjective,
 )
@@ -188,8 +193,9 @@ def _subsets(labels: Sequence) -> list[tuple]:
 # part yields one deviation per instance.
 
 
-def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each instance's largest entrywise deviation between two stacks."""
+def _dev(a: np.ndarray, b: np.ndarray | float) -> np.ndarray:
+    """Each instance's largest entrywise deviation between two stacks (or a
+    stack and a scalar): the one array comparator of the runners."""
     diff = np.abs(a - b)
     return diff.reshape(len(diff), -1).max(axis=1)
 
@@ -203,9 +209,7 @@ def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> n
 
 
 def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    rho = _draw_states(rngs, dim)
-    _require_states(rho, DEFAULT_ATOL)
-    return rho
+    return _require_states(_draw_states(rngs, dim), DEFAULT_ATOL)
 
 
 def _state_stack(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
@@ -213,13 +217,8 @@ def _state_stack(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.nd
     return np.stack([_states(rngs, dim) for _ in range(n)], axis=1)
 
 
-def _checked_effects(a: np.ndarray) -> np.ndarray:
-    _require_effects(a, DEFAULT_ATOL)
-    return a
-
-
 def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    return _checked_effects(_draw_effects(rngs, dim))
+    return _require_effects(_draw_effects(rngs, dim), DEFAULT_ATOL)
 
 
 def _observables(stack: np.ndarray) -> np.ndarray:
@@ -287,7 +286,7 @@ def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.
     rho = _states(rngs, dim)
     a = _effects(rngs, dim + 1)
     image = ch._dual_effects(a, DEFAULT_ATOL)
-    yield np.abs(_trace(rho @ image) - _trace(ch.apply_matrix(rho) @ a))
+    yield _dev(_trace(rho @ image), _trace(ch.apply_matrix(rho) @ a))
     b_obs = _random_observables(rngs, dim + 1, 3)
     e0, e1 = b_obs[:, 0], b_obs[:, 1]
     yield _dev(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1))
@@ -306,7 +305,7 @@ def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> I
     a1 = _random_observables(rngs, dim + 1, 3)
     a2 = _random_observables(rngs, dim + 1, 3)
     w = _uniforms(rngs, 0.0, 1.0)
-    weights = _require_mixture_weights(np.stack([w, 1.0 - w], axis=-1), DEFAULT_ATOL)
+    weights = _kernel_weights(np.stack([w, 1.0 - w], axis=-1), DEFAULT_ATOL, *_MIXTURE_RULE)
     lhs = _conditioned_observables(ch, _observables(_mixture(weights, np.stack([a1, a2], axis=1))))
     conditioned = [_conditioned_observables(ch, a) for a in (a1, a2)]
     rhs = _observables(_mixture(weights, np.stack(conditioned, axis=1)))
@@ -343,15 +342,13 @@ def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Itera
     rho = _states(rngs, dim)
     branch = np.stack([op.apply_matrix(rho) for op in ins.ops], axis=1)
     overlaps = _trace(branch[:, :, None] @ b_obs[:, None]).real
-    for s1 in _subsets(range(3)):
-        for s2 in _subsets(range(2)):
-            if not (s1 and s2):
-                yield np.zeros(len(rngs))
-                continue
+    # every pair of nonempty outcome subsets (an empty one has probability 0)
+    for s1 in _subsets(range(3))[1:]:
+        for s2 in _subsets(range(2))[1:]:
             sigma = branch[:, list(s1)].sum(axis=1)
             factored = _factored_probability(sigma, b_obs[:, list(s2)].sum(axis=1), DEFAULT_ATOL)
             double = overlaps[:, list(s1)][:, :, list(s2)].reshape(len(rngs), -1).sum(axis=1)
-            yield np.abs(factored - double)
+            yield _dev(factored, double)
 
 
 def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
@@ -398,7 +395,7 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     grid = _bi_observables(_pointer_grid(ins, probe))
     pointer = _observables(grid.sum(axis=1))
     measured = _probe_readout(ins, _LABELS, probe, DEFAULT_ATOL)
-    yield _dev(pointer, _checked_effects(measured._measured_stack()))
+    yield _dev(pointer, _require_effects(measured._measured_stack(), DEFAULT_ATOL))
     kraus = ins.total_channel().kraus_stack[:, None]
     lifted = kron(np.eye(dim), probe)[:, :, None]
     yield _dev(pointer, (kraus.conj().mT @ lifted @ kraus).sum(axis=2))
@@ -410,7 +407,7 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     for x, row in enumerate(bi_ins.ops):
         for y, op in enumerate(row):
             lhs = _trace(rho @ grid[:, x, y]).real
-            yield np.abs(lhs - _trace(op.apply_matrix(rho)).real)
+            yield _dev(lhs, _trace(op.apply_matrix(rho)).real)
     yield instrument_deviation(measured, bi_ins.marginal2())
 
 
@@ -439,7 +436,7 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     yield _superoperator_deviation(superop - formula.reshape(superop.shape), dim)
     a = _effects(rngs, dim)
     b = _effects(rngs, dim_probe)
-    closed = _checked_effects(_dual_on_product(factors, states, a, b))
+    closed = _require_effects(_dual_on_product(factors, states, a, b), DEFAULT_ATOL)
     yield _dev(closed, total._dual_effects(kron(a, b), DEFAULT_ATOL))
     probe = _random_observables(rngs, dim_probe, 2)
     interaction = Instrument(("u",), (total,))
@@ -448,7 +445,7 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     yield instrument_deviation(closed_ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
     pointer = _observables(weighted_sum(w, _grams(factors)))
     yield _dev(pointer, _observables(_bi_observables(_pointer_grid(interaction, probe)).sum(axis=1)))
-    yield np.abs(w.sum(axis=-1) - 1.0).max(axis=-1)
+    yield _dev(w.sum(axis=-1), 1.0)
     yield _dev(pointer, _post_processed(_observables(_grams(factors)), _kernels(w)))
 
 
@@ -458,8 +455,7 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     # one norm per vector: a batched norm rounds differently
     pairs = _draw_ginibre(rngs, 2, dim_probe, 1)[..., 0]
     vecs = np.array([[v / np.linalg.norm(v) for v in pair] for pair in pairs])
-    states = _pure_probe_states(vecs, DEFAULT_ATOL)
-    _require_states(states, DEFAULT_ATOL)
+    states = _require_states(_pure_probe_states(vecs, DEFAULT_ATOL), DEFAULT_ATOL)
     total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
     lifted = Channel._checked(kron(factors, vecs[..., None]), DEFAULT_ATOL)
     yield map_deviation(total, lifted)
@@ -481,10 +477,9 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     w, bi_ins, ins, reduced, grid, pointer = _holevo_model(
         _LABELS, _LABELS, a, betas, gammas, probe, DEFAULT_ATOL
     )
-    products = kron(betas, gammas)
-    _require_states(products, DEFAULT_ATOL)
+    products = _require_states(kron(betas, gammas), DEFAULT_ATOL)
     interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
-    closed = _checked_effects(_holevo_dual_effects(a, products, e[:, None]))
+    closed = _require_effects(_holevo_dual_effects(a, products, e[:, None]), DEFAULT_ATOL)
     generic = [op._dual_effects(e, DEFAULT_ATOL) for op in interaction.ops]
     yield _dev(closed, np.stack(generic, axis=1))
     yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
@@ -493,7 +488,7 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     model_grid = _bi_observables(_pointer_grid(interaction, probe))
     yield _dev(_bi_observables(grid), model_grid)
     yield _dev(_observables(pointer), _observables(model_grid.sum(axis=1)))
-    yield np.abs(w.sum(axis=-1) - 1.0).max(axis=-1)
+    yield _dev(w.sum(axis=-1), 1.0)
 
 
 REGISTRY: dict[str, IdentityCheck] = {

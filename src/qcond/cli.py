@@ -72,15 +72,8 @@ def _format_matrix(m: np.ndarray, indent: str = "    ") -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol)
-    try:
-        scn = load_scenario(args.file, atol=tol)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-    summary = scn.summary()
-    print(f"scenario {args.file}: valid (tolerance {scn.atol:g})")
-    for kind, count in summary.items():
+    print(f"scenario {args.scenario}: valid (tolerance {args.loaded.atol:g})")
+    for kind, count in args.loaded.summary().items():
         if count:
             print(f"  {kind}: {count}")
     return 0
@@ -105,12 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol)
-    try:
-        scn = load_scenario(args.scenario, atol=tol)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
+    scn = args.loaded
     if args.observable not in scn.observables:
         print(f"error: no observable named {args.observable!r}", file=sys.stderr)
         return 2
@@ -140,12 +128,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol)
-    try:
-        scn = load_scenario(args.scenario, atol=tol)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
+    scn = args.loaded
     if args.model not in scn.models:
         print(f"error: no measurement model named {args.model!r}", file=sys.stderr)
         return 2
@@ -198,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="validate a scenario file")
-    p_validate.add_argument("file", help="path to a JSON scenario file")
+    p_validate.add_argument("scenario", metavar="file", help="path to a JSON scenario file")
     p_validate.add_argument("--tol", default=None, help="override the tolerance")
     p_validate.set_defaults(func=_cmd_validate)
 
@@ -235,6 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "scenario" in args:
+        # the one loading path of the verbs that read a scenario file
+        try:
+            args.loaded = load_scenario(args.scenario, atol=_resolve_tol(args.tol))
+        except ScenarioError as exc:
+            print(f"invalid scenario: {exc}", file=sys.stderr)
+            return 1
     return args.func(args)
 
 

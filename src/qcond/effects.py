@@ -19,12 +19,13 @@ from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
     _identity,
+    _near_identity,
+    _require_finite,
     as_complex_matrix,
     coerce_matrix,
     frozen_copy,
     is_effect_matrix,
     is_psd,
-    max_abs_diff,
     weighted_sum,
 )
 
@@ -57,6 +58,16 @@ def _distinct_labels(labels: Sequence[str], kind: str) -> tuple[str, ...]:
     return out
 
 
+def _position(labels: tuple[str, ...], label: str, pair: tuple[str, str] | None = None) -> int:
+    """The one outcome lookup of the labeled families: the position of
+    ``label`` in ``labels``; the error names ``pair`` for a grid's lookup."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        unknown = f"label {label!r}" if pair is None else f"pair {pair!r}"
+        raise ValueError(f"unknown outcome {unknown}") from None
+
+
 class _Validated:
     """What :class:`State` and :class:`Effect` share: a read-only ``matrix``."""
 
@@ -81,9 +92,7 @@ class State(_Validated):
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        m = coerce_matrix(self.matrix)
-        _require_states(m, atol)
-        object.__setattr__(self, "matrix", frozen_copy(m))
+        object.__setattr__(self, "matrix", frozen_copy(_require_states(coerce_matrix(self.matrix), atol)))
 
     @classmethod
     def pure(cls, vector: Sequence[complex], atol: float = DEFAULT_ATOL) -> "State":
@@ -108,9 +117,7 @@ class Effect(_Validated):
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        m = coerce_matrix(self.matrix)
-        _require_effects(m, atol)
-        object.__setattr__(self, "matrix", frozen_copy(m))
+        object.__setattr__(self, "matrix", frozen_copy(_require_effects(coerce_matrix(self.matrix), atol)))
 
     @classmethod
     def identity(cls, dim: int) -> "Effect":
@@ -121,24 +128,25 @@ class Effect(_Validated):
         return Effect(_identity(self.dim) - self.matrix, atol)
 
 
-def _require_finite(m: np.ndarray) -> None:
-    if not np.all(np.isfinite(m)):
-        raise InvariantViolation("matrix", "finite entries")
+def _require_ones(values: np.ndarray, atol: float, kind: str, invariant: str, what: str) -> None:
+    """Every entry of ``values`` (traces, row sums) within ``atol`` of 1; the
+    error names the first that is not, as ``what``."""
+    off = np.abs(values - 1.0)
+    if off.max() > atol:
+        first = np.argmax(np.ravel(off) > atol)
+        raise InvariantViolation(kind, invariant, f"{what} {np.ravel(values)[first]:.6g}")
 
 
-def _require_states(m: np.ndarray, atol: float) -> None:
+def _require_states(m: np.ndarray, atol: float) -> np.ndarray:
     """The state rule, for one matrix or every matrix of a stack
-    ``(..., d, d)``: finite, square, positive and of unit trace."""
+    ``(..., d, d)``: finite, square, positive and of unit trace. Returns ``m``."""
     _require_finite(m)
     if m.shape[-1] != m.shape[-2]:
         raise InvariantViolation("State", "square", f"shape {m.shape[-2:]}")
     if not is_psd(m, atol):
         raise InvariantViolation("State", "positive")
-    trace = np.trace(m, axis1=-2, axis2=-1)
-    off = abs(trace - 1.0)
-    if max(off.flat) > atol:
-        first = np.argmax(np.ravel(off) > atol)
-        raise InvariantViolation("State", "unit trace", f"trace {np.ravel(trace)[first]:.6g}")
+    _require_ones(np.trace(m, axis1=-2, axis2=-1), atol, "State", "unit trace", "trace")
+    return m
 
 
 def _state_family(kind: str, states, n: int, atol: float) -> np.ndarray:
@@ -151,20 +159,20 @@ def _state_family(kind: str, states, n: int, atol: float) -> np.ndarray:
     shapes = {m.shape for m in mats}
     if len(shapes) != 1:
         raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
-    stack = np.stack(mats)
-    _require_states(stack, atol)
+    stack = _require_states(np.stack(mats), atol)
     stack.setflags(write=False)
     return stack
 
 
-def _require_effects(m: np.ndarray, atol: float) -> None:
+def _require_effects(m: np.ndarray, atol: float) -> np.ndarray:
     """The effect rule, for one matrix or every matrix of a stack
-    ``(..., d, d)``: finite, square and between zero and identity."""
+    ``(..., d, d)``: finite, square and between zero and identity. Returns ``m``."""
     _require_finite(m)
     if m.shape[-1] != m.shape[-2]:
         raise InvariantViolation("Effect", "square", f"shape {m.shape[-2:]}")
     if not is_effect_matrix(m, atol):
         raise InvariantViolation("Effect", "between zero and identity")
+    return m
 
 
 def _effect_family(
@@ -198,12 +206,11 @@ def _effect_family(
     dim = stack.shape[-1]
     if stack.shape[-2] != dim:
         raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
-    if not np.all(np.isfinite(stack)):
-        raise InvariantViolation(kind, "finite entries")
+    _require_finite(stack, kind)
     if not is_effect_matrix(stack, atol):
         raise InvariantViolation(kind, "between zero and identity")
     totals = stack.reshape(batch + (-1, dim, dim)).sum(axis=-3)
-    if max_abs_diff(totals, _identity(dim)) > atol:
+    if not _near_identity(totals, atol):
         raise InvariantViolation(kind, "normalization", "effects must sum to I")
     stack.setflags(write=False)
     return stack
@@ -244,10 +251,7 @@ class Observable:
         return len(self.outcomes)
 
     def index(self, label: str) -> int:
-        try:
-            return self.outcomes.index(label)
-        except ValueError:
-            raise ValueError(f"unknown outcome label {label!r}") from None
+        return _position(self.outcomes, label)
 
     def effect(self, label: str) -> Effect:
         return self.effects[self.index(label)]
@@ -296,12 +300,7 @@ class BiObservable:
         return self._stack.shape[-1]
 
     def effect(self, x: str, y: str) -> Effect:
-        try:
-            i = self.outcomes1.index(x)
-            j = self.outcomes2.index(y)
-        except ValueError:
-            raise ValueError(f"unknown outcome pair ({x!r}, {y!r})") from None
-        return self.effects[i][j]
+        return self.effects[_position(self.outcomes1, x, (x, y))][_position(self.outcomes2, y, (x, y))]
 
     def flatten(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The same observable on flat labels ``"x⊗y"`` in grid order."""
@@ -317,17 +316,22 @@ class BiObservable:
         return Observable(self.outcomes2, self._stack.sum(axis=0), atol)
 
 
-def _kernel_weights(w: np.ndarray, atol: float) -> np.ndarray:
-    """The stochastic-kernel rule, for one weight matrix ``(n_sources,
+def _kernel_weights(
+    w: np.ndarray,
+    atol: float,
+    kind: str = "StochasticMatrix",
+    in_range: str = "entries in [0, 1]",
+    normalized: str = "row normalization",
+) -> np.ndarray:
+    """The probability-row rule, for one row, one weight matrix ``(n_sources,
     n_targets)`` or a stack of them: finite entries within ``atol`` of
-    ``[0, 1]`` and rows summing to 1 within ``atol``. Returns the entries
-    clamped into ``[0, 1]``, read-only."""
-    if not np.all(np.isfinite(w)):
-        raise InvariantViolation("StochasticMatrix", "finite entries")
+    ``[0, 1]`` and rows summing to 1 within ``atol``; the caller names the
+    error's kind and invariants. Returns the entries clamped into ``[0, 1]``,
+    read-only."""
+    _require_finite(w, kind)
     if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
-        raise InvariantViolation("StochasticMatrix", "entries in [0, 1]")
-    if float(np.max(np.abs(w.sum(axis=-1) - 1.0))) > atol:
-        raise InvariantViolation("StochasticMatrix", "row normalization")
+        raise InvariantViolation(kind, in_range)
+    _require_ones(w.sum(axis=-1), atol, kind, normalized, "sum")
     w = np.clip(w, 0.0, 1.0)
     w.setflags(write=False)
     return w
@@ -398,7 +402,8 @@ class OutcomeMap:
     """Total surjection from source outcome labels onto target labels.
 
     ``targets`` fixes the target label order; when omitted it is inferred
-    from first appearance in the mapping's iteration order.
+    from first appearance in the mapping's iteration order. Keys, values and
+    targets are labels, converted with ``str``.
     """
 
     mapping: Mapping[str, str]
@@ -408,6 +413,7 @@ class OutcomeMap:
         mapping = dict(self.mapping)
         if not mapping:
             raise InvariantViolation("OutcomeMap", "nonempty domain")
+        mapping = dict(zip(_distinct_labels(mapping, "OutcomeMap"), map(str, mapping.values())))
         targets = self.targets
         if targets is None:
             targets = tuple(dict.fromkeys(mapping.values()))
@@ -500,6 +506,10 @@ def marginals(grid: BiObservable, atol: float = DEFAULT_ATOL) -> tuple[Observabl
     return grid.marginal1(atol), grid.marginal2(atol)
 
 
+# the kind and invariants of the probability-row rule for mixture weights
+_MIXTURE_RULE = ("affine combination", "weights in [0, 1]", "weights sum to 1")
+
+
 def affine_combination(
     observables: Sequence[Observable], weights: Sequence[float], atol: float = DEFAULT_ATOL
 ) -> Observable:
@@ -512,24 +522,10 @@ def affine_combination(
             raise ValueError("observables must share the same ordered outcome labels")
         if obs.dim != first.dim:
             raise ValueError("observables must share the same dimension")
-    w = _require_mixture_weights(np.asarray(weights, dtype=float), atol)
+    w = np.asarray(weights, dtype=float)
+    _kernel_weights(w, atol, *_MIXTURE_RULE)
     stacks = np.stack([obs.effect_stack for obs in observables])
     return Observable(first.outcomes, _mixture(w, stacks), atol)
-
-
-def _require_mixture_weights(w: np.ndarray, atol: float) -> np.ndarray:
-    """The mixture-weight rule, for one weight vector or a stack of them:
-    finite weights in ``[0, 1]`` summing to 1, within ``atol``."""
-    if not np.all(np.isfinite(w)):
-        raise InvariantViolation("affine combination", "finite entries")
-    if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
-        raise InvariantViolation("affine combination", "weights in [0, 1]")
-    sums = w.sum(axis=-1)
-    off = abs(sums - 1.0)
-    if max(off.flat) > atol:
-        first = np.argmax(np.ravel(off) > atol)
-        raise InvariantViolation("affine combination", "weights sum to 1", f"sum {np.ravel(sums)[first]:.6g}")
-    return w
 
 
 def _mixture(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .channels import (
     _without_zero_operators,
     map_deviation,
 )
-from .effects import BiObservable, Effect, Observable, State, _distinct_labels, _state_family
+from .effects import BiObservable, Effect, Observable, State, _distinct_labels, _position, _state_family
 from .errors import InvariantViolation, OutcomeNotObserved
 from .linalg import (
     DEFAULT_ATOL,
@@ -141,10 +141,7 @@ class Instrument:
         return self.ops[0].dim_out
 
     def index(self, label: str) -> int:
-        try:
-            return self.outcomes.index(label)
-        except ValueError:
-            raise ValueError(f"unknown outcome label {label!r}") from None
+        return _position(self.outcomes, label)
 
     def op(self, label: str) -> Operation:
         return self.ops[self.index(label)]
@@ -219,12 +216,7 @@ class BiInstrument:
         return self.ops[0][0].dim_out
 
     def op(self, x: str, y: str) -> Operation:
-        try:
-            i = self.outcomes1.index(x)
-            j = self.outcomes2.index(y)
-        except ValueError:
-            raise ValueError(f"unknown outcome pair ({x!r}, {y!r})") from None
-        return self.ops[i][j]
+        return self.ops[_position(self.outcomes1, x, (x, y))][_position(self.outcomes2, y, (x, y))]
 
     def total_channel(self) -> Channel:
         """The summed channel, with concatenated Kraus lists; not checked
@@ -358,22 +350,6 @@ class HolevoSpec:
         return self.states[self.observable.index(label)]
 
 
-def _holevo_stack(
-    evals: np.ndarray, evecs: np.ndarray, pvals: np.ndarray, pvecs: np.ndarray
-) -> np.ndarray:
-    """Kraus stack ``(..., dj * dk, D, d)`` of ``rho -> tr(rho e) sigma`` from
-    clipped eigenpairs ``e = sum_j a_j |u_j><u_j|`` and
-    ``sigma = sum_k p_k |v_k><v_k|`` (or stacks of them).
-
-    Row ``(j, k)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, zero
-    weights included.
-    """
-    weights = np.sqrt(evals[..., :, None] * pvals[..., None, :])
-    outers = np.einsum("...rk,...cj->...jkrc", pvecs, evecs.conj())
-    stack = weights[..., None, None] * outers
-    return stack.reshape(stack.shape[:-4] + (-1,) + stack.shape[-2:])
-
-
 def _holevo_family(
     effects: np.ndarray,
     states: np.ndarray,
@@ -387,17 +363,22 @@ def _holevo_family(
 
     Each effect of the stack ``effects`` and each state of ``states`` is
     decomposed once (one batched ``eigh`` per stack); an entry's effect
-    spectrum is the scaled spectrum of its row's effect. Leading batch axes
-    of ``effects``, ``states`` and ``coeffs`` give a batch of families.
+    spectrum is the scaled spectrum of its row's effect. With clipped
+    eigenpairs ``c_i e = sum_j a_j |u_j><u_j|`` and
+    ``sigma = sum_k p_k |v_k><v_k|``, row ``(j, k)`` of an entry's stack
+    ``(dj * dk, D, d)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, zero
+    weights included. Leading batch axes of ``effects``, ``states`` and
+    ``coeffs`` give a batch of families.
     """
     evals, evecs = clipped_eigh(effects, atol, "effect")
     pvals, pvecs = clipped_eigh(states, atol, "state")
     scaled = np.asarray(coeffs, dtype=float)[..., None] * evals[..., rows, :]
     if float(scaled.min()) < -atol:
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
-    scaled = np.clip(scaled, 0.0, None)
-    stacks = _holevo_stack(scaled, evecs[..., rows, :, :], pvals[..., cols, :], pvecs[..., cols, :, :])
-    return list(np.moveaxis(stacks, -4, 0))
+    weights = np.sqrt(np.clip(scaled, 0.0, None)[..., :, None] * pvals[..., cols, :][..., None, :])
+    outers = np.einsum("...rk,...cj->...jkrc", pvecs[..., cols, :, :], evecs[..., rows, :, :].conj())
+    stacks = weights[..., None, None] * outers
+    return list(np.moveaxis(stacks.reshape(stacks.shape[:-4] + (-1,) + stacks.shape[-2:]), -4, 0))
 
 
 def holevo_operation(
@@ -407,11 +388,12 @@ def holevo_operation(
 
     With spectral decompositions ``e = sum_j a_j |u_j><u_j|`` and
     ``sigma = sum_k p_k |v_k><v_k|`` the Kraus operators are
-    ``sqrt(a_j p_k) |v_k><u_j|``, which reproduces the map exactly.
+    ``sqrt(a_j p_k) |v_k><u_j|``, which reproduces the map exactly: the
+    one-entry case of ``_holevo_family``.
     """
-    evals, evecs = clipped_eigh(as_complex_matrix(effect), atol, "effect")
-    pvals, pvecs = clipped_eigh(as_complex_matrix(state), atol, "state")
-    return Operation(_without_zero_operators(_holevo_stack(evals, evecs, pvals, pvecs)), atol)
+    pair = [as_complex_matrix(m)[None] for m in (effect, state)]
+    (stack,) = _holevo_family(*pair, [0], [0], np.ones(1), atol)
+    return Operation(_without_zero_operators(stack), atol)
 
 
 def _holevo_instrument(outcomes, effects: np.ndarray, states: np.ndarray, atol: float) -> Instrument:

@@ -64,10 +64,15 @@ def coerce_matrix(m: Any) -> np.ndarray:
 
 def as_complex_matrix(m: Any) -> np.ndarray:
     """Coerce ``m`` to a finite 2-D complex array (construction boundary)."""
-    arr = coerce_matrix(m)
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation("matrix", "finite entries")
-    return arr
+    return _require_finite(coerce_matrix(m))
+
+
+def _require_finite(m: np.ndarray, kind: str = "matrix") -> np.ndarray:
+    """The one finiteness rule of every construction boundary: ``m`` (an
+    array of any shape) unchanged, unless an entry is NaN or infinite."""
+    if not np.isfinite(m).all():
+        raise InvariantViolation(kind, "finite entries")
+    return m
 
 
 def frozen_copy(m: np.ndarray) -> np.ndarray:
@@ -227,6 +232,13 @@ def _identity(dim: int) -> np.ndarray:
     eye = np.eye(dim, dtype=complex)
     eye.setflags(write=False)
     return eye
+
+
+def _near_identity(m: np.ndarray, atol: float) -> bool:
+    """True iff ``m``, or every matrix of a stack ``(..., d, d)``, equals the
+    identity entrywise within ``atol``: the one comparison of the rules
+    ``sum K†K == I``, ``U†U == I`` and effects summing to ``I``."""
+    return bool(np.abs(m - _identity(m.shape[-1])).max() <= atol)
 
 
 def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):

@@ -9,7 +9,9 @@ across languages.
 Supported types: ``state``, ``effect``, ``observable``, ``operation``,
 ``channel``, ``instrument``, ``measurement_model``. Measurement models
 reference their interaction instrument and probe observable by name; every
-reference must resolve inside the same file.
+reference must resolve inside the same file. Each type's format is written
+once, in the table ``_TYPES`` (type -> scenario group, class, reader, saved
+fields), which :func:`load_scenario` and :func:`save_scenario` both follow.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .channels import Channel, Operation
 from .effects import Effect, Observable, State
-from .errors import InvariantViolation, ScenarioError
+from .errors import ScenarioError
 from .instruments import Instrument
 from .linalg import DEFAULT_ATOL, require_tolerance
 from .measurement import MeasurementModel
@@ -80,11 +82,7 @@ class Scenario:
     seed: int | None = None
 
     def object_names(self) -> list[str]:
-        names: list[str] = []
-        for group in (self.states, self.effects, self.observables, self.operations,
-                      self.instruments, self.models):
-            names.extend(group)
-        return names
+        return [name for group in _GROUPS for name in getattr(self, group)]
 
     def summary(self) -> dict[str, int]:
         return {
@@ -97,38 +95,101 @@ class Scenario:
         }
 
 
-def _integer(value: Any, field: str, obj: str | None = None) -> int:
+def _integer(value: Any, field: str) -> int:
     """``value`` as an ``int``, rejecting any value ``int()`` would change
     (a fraction, a boolean, a string, a non-finite number)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
         return int(value)
-    raise ScenarioError(f"{field} must be an integer, got {value!r}", obj=obj)
+    raise ScenarioError(f"{field} must be an integer, got {value!r}")
 
 
-def _load_observable(payload: dict, atol: float) -> Observable:
-    outcomes = payload.get("outcomes")
-    effects = payload.get("effects")
-    if not isinstance(outcomes, list) or not isinstance(effects, list):
-        raise ScenarioError("observable needs 'outcomes' and 'effects' lists")
-    return Observable(tuple(outcomes), tuple(matrix_from_json(e) for e in effects), atol)
+def _read_matrix(cls: type, payload: dict, scn: Scenario):
+    return cls(matrix_from_json(payload.get("matrix")), scn.atol)
 
 
-def _load_kraus(payload: dict) -> tuple[np.ndarray, ...]:
+def _read_kraus(cls: type, payload: dict, scn: Scenario) -> Operation:
     kraus = payload.get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise ScenarioError("expected a nonempty 'kraus' list")
-    return tuple(matrix_from_json(k) for k in kraus)
+    return cls(tuple(matrix_from_json(k) for k in kraus), scn.atol)
 
 
-def _load_instrument(payload: dict, atol: float) -> Instrument:
-    outcomes = payload.get("outcomes")
-    operations = payload.get("operations")
-    if not isinstance(outcomes, list) or not isinstance(operations, list):
-        raise ScenarioError("instrument needs 'outcomes' and 'operations' lists")
+def _labeled(payload: dict, kind: str, key: str) -> tuple[list, list]:
+    """The ``outcomes`` list and the member list ``key`` of a labeled family."""
+    outcomes, members = payload.get("outcomes"), payload.get(key)
+    if not isinstance(outcomes, list) or not isinstance(members, list):
+        raise ScenarioError(f"{kind} needs 'outcomes' and {key!r} lists")
+    return outcomes, members
+
+
+def _read_observable(cls: type, payload: dict, scn: Scenario) -> Observable:
+    outcomes, effects = _labeled(payload, "observable", "effects")
+    return cls(tuple(outcomes), tuple(matrix_from_json(e) for e in effects), scn.atol)
+
+
+def _read_instrument(cls: type, payload: dict, scn: Scenario) -> Instrument:
+    outcomes, operations = _labeled(payload, "instrument", "operations")
     if not all(isinstance(op_kraus, list) for op_kraus in operations):
         raise ScenarioError("each instrument operation must be a list of Kraus matrices")
     stacks = [tuple(matrix_from_json(k) for k in op_kraus) for op_kraus in operations]
-    return Instrument._from_kraus(tuple(outcomes), stacks, atol)
+    return cls._from_kraus(tuple(outcomes), stacks, scn.atol)
+
+
+def _read_model(cls: type, payload: dict, scn: Scenario) -> MeasurementModel:
+    ins_name = payload.get("interaction")
+    probe_name = payload.get("probe")
+    if not isinstance(ins_name, str) or not isinstance(probe_name, str):
+        raise ScenarioError("'interaction' and 'probe' must be object names")
+    if ins_name not in scn.instruments:
+        raise ScenarioError(f"references unknown instrument {ins_name!r}")
+    if probe_name not in scn.observables:
+        raise ScenarioError(f"references unknown observable {probe_name!r}")
+    dims = [_integer(payload.get(key), key) for key in ("dim_base", "dim_probe")]
+    return cls(*dims, scn.instruments[ins_name], scn.observables[probe_name])
+
+
+def _matrix_fields(value, *_) -> dict[str, Any]:
+    return {"matrix": matrix_to_json(value.matrix)}
+
+
+def _kraus_fields(op: Operation, *_) -> dict[str, Any]:
+    return {"kraus": [matrix_to_json(k) for k in op.kraus]}
+
+
+def _model_fields(model: MeasurementModel, scn: Scenario, name: str) -> dict[str, Any]:
+    return {
+        "dim_base": model.dim_base,
+        "dim_probe": model.dim_probe,
+        "interaction": _name_of(scn.instruments, model.interaction, name, "interaction instrument"),
+        "probe": _name_of(scn.observables, model.probe, name, "probe observable"),
+    }
+
+
+def _name_of(group: dict, value: Any, owner: str, role: str) -> str:
+    for name, candidate in group.items():
+        if candidate is value:
+            return name
+    raise ScenarioError(f"{role} is not a named object of this scenario", obj=owner)
+
+
+# type -> (Scenario group, class, reader, saved fields): the one statement of
+# the file format. ``read(cls, payload, scn)`` builds an object at the
+# tolerance of the scenario loaded so far; ``fields(value, scn, name)`` is
+# what follows its "type" in the file. Objects save group by group in table
+# order, each as the last type of its group whose class it is an instance of
+# (a Channel is an Operation too).
+_TYPES: dict[str, tuple] = {
+    "state": ("states", State, _read_matrix, _matrix_fields),
+    "effect": ("effects", Effect, _read_matrix, _matrix_fields),
+    "observable": ("observables", Observable, _read_observable, lambda obs, *_: {
+        "outcomes": list(obs.outcomes), "effects": [matrix_to_json(e) for e in obs.effect_stack]}),
+    "operation": ("operations", Operation, _read_kraus, _kraus_fields),
+    "channel": ("operations", Channel, _read_kraus, _kraus_fields),
+    "instrument": ("instruments", Instrument, _read_instrument, lambda ins, *_: {
+        "outcomes": list(ins.outcomes), "operations": [[matrix_to_json(k) for k in op.kraus] for op in ins.ops]}),
+    "measurement_model": ("models", MeasurementModel, _read_model, _model_fields),
+}
+_GROUPS = tuple(dict.fromkeys(group for group, *_ in _TYPES.values()))
 
 
 def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
@@ -163,50 +224,20 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
         raise ScenarioError("'objects' must be a name-keyed map")
 
     scn = Scenario(atol=tol, seed=seed)
-    deferred: list[tuple[str, dict]] = []
-    for name, obj in objects.items():
+    # file order, except that measurement models, which name other objects, come last
+    in_order = sorted(
+        objects.items(), key=lambda item: isinstance(item[1], dict) and item[1].get("type") == "measurement_model"
+    )
+    for name, obj in in_order:
         if not isinstance(obj, dict) or "type" not in obj:
             raise ScenarioError("object payload needs a 'type' discriminator", obj=name)
         kind = obj["type"]
+        if not isinstance(kind, str) or kind not in _TYPES:
+            raise ScenarioError(f"unknown object type {kind!r}", obj=name)
+        group, cls, read, _ = _TYPES[kind]
         try:
-            if kind == "state":
-                scn.states[name] = State(matrix_from_json(obj.get("matrix")), tol)
-            elif kind == "effect":
-                scn.effects[name] = Effect(matrix_from_json(obj.get("matrix")), tol)
-            elif kind == "observable":
-                scn.observables[name] = _load_observable(obj, tol)
-            elif kind == "operation":
-                scn.operations[name] = Operation(_load_kraus(obj), tol)
-            elif kind == "channel":
-                scn.operations[name] = Channel(_load_kraus(obj), tol)
-            elif kind == "instrument":
-                scn.instruments[name] = _load_instrument(obj, tol)
-            elif kind == "measurement_model":
-                deferred.append((name, obj))
-            else:
-                raise ScenarioError(f"unknown object type {kind!r}", obj=name)
-        except (InvariantViolation, ScenarioError, ValueError) as exc:
-            if isinstance(exc, ScenarioError) and exc.obj is not None:
-                raise
-            raise ScenarioError(str(exc), obj=name) from None
-
-    for name, obj in deferred:
-        ins_name = obj.get("interaction")
-        probe_name = obj.get("probe")
-        if not isinstance(ins_name, str) or not isinstance(probe_name, str):
-            raise ScenarioError("'interaction' and 'probe' must be object names", obj=name)
-        if ins_name not in scn.instruments:
-            raise ScenarioError(f"references unknown instrument {ins_name!r}", obj=name)
-        if probe_name not in scn.observables:
-            raise ScenarioError(f"references unknown observable {probe_name!r}", obj=name)
-        try:
-            scn.models[name] = MeasurementModel(
-                _integer(obj.get("dim_base"), "dim_base", name),
-                _integer(obj.get("dim_probe"), "dim_probe", name),
-                scn.instruments[ins_name],
-                scn.observables[probe_name],
-            )
-        except InvariantViolation as exc:
+            getattr(scn, group)[name] = read(cls, obj, scn)
+        except ValueError as exc:  # InvariantViolation and ScenarioError included
             raise ScenarioError(str(exc), obj=name) from None
     return scn
 
@@ -219,46 +250,13 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     serializes as one Kraus list per outcome.
     """
     objects: dict[str, Any] = {}
-    for name, state in scn.states.items():
-        objects[name] = {"type": "state", "matrix": matrix_to_json(state.matrix)}
-    for name, effect in scn.effects.items():
-        objects[name] = {"type": "effect", "matrix": matrix_to_json(effect.matrix)}
-    for name, obs in scn.observables.items():
-        objects[name] = {
-            "type": "observable",
-            "outcomes": list(obs.outcomes),
-            "effects": [matrix_to_json(e) for e in obs.effect_stack],
-        }
-    for name, op in scn.operations.items():
-        objects[name] = {
-            "type": "channel" if isinstance(op, Channel) else "operation",
-            "kraus": [matrix_to_json(k) for k in op.kraus],
-        }
-    for name, ins in scn.instruments.items():
-        objects[name] = {
-            "type": "instrument",
-            "outcomes": list(ins.outcomes),
-            "operations": [[matrix_to_json(k) for k in op.kraus] for op in ins.ops],
-        }
-    for name, model in scn.models.items():
-        ins_name = _name_of(scn.instruments, model.interaction, name, "interaction instrument")
-        probe_name = _name_of(scn.observables, model.probe, name, "probe observable")
-        objects[name] = {
-            "type": "measurement_model",
-            "dim_base": model.dim_base,
-            "dim_probe": model.dim_probe,
-            "interaction": ins_name,
-            "probe": probe_name,
-        }
+    for group in _GROUPS:
+        for name, value in getattr(scn, group).items():
+            kind = [k for k, (g, cls, *_) in _TYPES.items() if g == group and isinstance(value, cls)][-1]
+            *_, fields = _TYPES[kind]
+            objects[name] = {"type": kind, **fields(value, scn, name)}
     payload: dict[str, Any] = {"tolerance": scn.atol}
     if scn.seed is not None:
         payload["seed"] = scn.seed
     payload["objects"] = objects
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _name_of(group: dict, value: Any, owner: str, role: str) -> str:
-    for name, candidate in group.items():
-        if candidate is value:
-            return name
-    raise ScenarioError(f"{role} is not a named object of this scenario", obj=owner)

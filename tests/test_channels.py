@@ -340,6 +340,16 @@ def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
     assert max_abs_diff(lm.dual_matrix(m), op.dual_matrix(m)) <= 1e-13
 
 
+def test_then_on_a_tabulated_map_agrees_with_the_kraus_composition():
+    rng = np.random.default_rng(31)
+    a = random_channel(2, 3, 2, rng)
+    b = random_channel(3, 2, 2, rng)
+    for composed in (LinearMap.of(a).then(b), a.then(LinearMap.of(b))):
+        assert isinstance(composed, LinearMap)
+        assert (composed.dim_in, composed.dim_out) == (2, 2)
+        assert map_deviation(composed, a.then(b)) < 1e-14
+
+
 def _complex_stack(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
     return rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
 

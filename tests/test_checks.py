@@ -1,8 +1,10 @@
 """Tests for the identity registry and the batch check runner."""
 
+import inspect
 import json
 import math
 import re
+import sys
 import zlib
 from functools import partial
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcond.channels as channels
 import qcond.checks as checks
 import qcond.linalg as linalg
 from qcond.channels import Channel, Operation, _completed, _require_trace_preserving
@@ -32,13 +35,22 @@ from qcond.effects import (
     _effect_family,
     _kernel_weights,
     _require_effects,
-    _require_mixture_weights,
     _require_states,
     _require_surjective,
     affine_combination,
+    bi_observable_deviation,
+    observable_deviation,
 )
 from qcond.errors import InvariantViolation, OutcomeNotObserved
-from qcond.instruments import Instrument, _holevo_family, holevo_operation
+from qcond.channels import map_deviation
+from qcond.instruments import (
+    BiInstrument,
+    Instrument,
+    _holevo_family,
+    bi_instrument_deviation,
+    holevo_operation,
+    instrument_deviation,
+)
 from qcond.measurement import (
     KrausSeparableChannel,
     MeasurementModel,
@@ -343,7 +355,8 @@ def test_batched_weight_rules_reject_only_a_bad_last_member():
     bad = np.array([0.3, 0.6])
     observables = [random_observable(2, 2, s) for s in (1, 2)]
     single = _message(affine_combination, observables, bad)
-    assert _message(_require_mixture_weights, _last_bad(mix, bad), ATOL) == single
+    mixture_rule = ("affine combination", "weights in [0, 1]", "weights sum to 1")
+    assert _message(_kernel_weights, _last_bad(mix, bad), ATOL, *mixture_rule) == single
     f = np.array([0, 1, 1])
     bad_f = np.array([0, 0, 0])
     single = _message(OutcomeMap, {"x": "u", "y": "u", "z": "u"}, ("u", "v"))
@@ -453,3 +466,162 @@ def test_runner_with_sub_tolerance_parts_passes_with_their_maximum(monkeypatch):
 
     result = _fake_check(monkeypatch, small)
     assert result.max_deviation == 3e-12 and result.passed
+
+
+# --- the comparators, pinned on known differences computed by hand ---------
+
+I2 = np.eye(2, dtype=complex)
+X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def _stacks_apart():
+    """Two batches of two 2x2 matrices differing by 0.25 in one entry of the
+    first and by 3 - 4j (modulus 5) in one entry of the second."""
+    a = np.zeros((2, 2, 2), dtype=complex)
+    b = a.copy()
+    b[0, 1, 0] = 0.25
+    b[1, 0, 1] = 3 - 4j
+    return a, b
+
+
+def _halves(u):
+    """The operation rho -> u rho u† / 2, as two Kraus operators u / 2."""
+    return Operation((u / 2, u / 2))
+
+
+# The identity map and the bit flip rho -> X rho X differ on the Hermitian
+# basis element i|0><1| - i|1><0|, which the flip sends to its negative: an
+# entry of modulus 2. Halving both maps halves it; rho -> rho/4 differs from
+# the identity by 3/4 of an entry of modulus 1.
+COMPARATOR_PINS = {
+    "_dev": (lambda: checks._dev(*_stacks_apart()), [0.25, 5.0]),
+    # row sums against 1, as the separable runners compare them: rows of
+    # sums 0.75 and 1 in the first instance, 1 and 0.5 in the second
+    "_dev against a scalar": (
+        lambda: checks._dev(np.array([[[0.5, 0.25], [0.5, 0.5]], [[1.0, 0.0], [0.25, 0.25]]]).sum(axis=-1), 1.0),
+        [0.25, 0.5],
+    ),
+    "map_deviation": (lambda: map_deviation(Channel((I2,)), Channel((X2,))), 2.0),
+    "map_deviation, batched": (
+        lambda: map_deviation(
+            Operation._checked(np.stack([I2[None], I2[None] / 2]), ATOL),
+            Operation._checked(np.stack([X2[None], I2[None]]), ATOL),
+        ),
+        [2.0, 0.75],
+    ),
+    "instrument_deviation": (
+        lambda: instrument_deviation(
+            Instrument(("0", "1"), (_halves(I2), _halves(X2))),
+            Instrument(("0", "1"), (_halves(X2), _halves(I2))),
+        ),
+        1.0,
+    ),
+    "bi_instrument_deviation": (
+        lambda: bi_instrument_deviation(
+            BiInstrument(("r",), ("0", "1"), ((_halves(I2), _halves(X2)),)),
+            BiInstrument(("r",), ("0", "1"), ((_halves(X2), _halves(I2)),)),
+        ),
+        1.0,
+    ),
+    "observable_deviation": (
+        lambda: observable_deviation(Observable(("0", "1"), (P0, P1)), Observable(("0", "1"), (I2 / 2, I2 / 2))),
+        0.5,
+    ),
+    "bi_observable_deviation": (
+        lambda: bi_observable_deviation(
+            BiObservable(("r",), ("0", "1"), ((P0, P1),)), BiObservable(("r",), ("0", "1"), ((I2 / 2, I2 / 2),))
+        ),
+        0.5,
+    ),
+}
+# the pins that go through checks._dev or channels._superoperator_deviation
+KERNEL_PINS = [name for name in COMPARATOR_PINS if "observable" not in name]
+
+
+@pytest.mark.parametrize("name", list(COMPARATOR_PINS))
+def test_comparator_gives_the_deviation_computed_by_hand(name):
+    deviation, expected = COMPARATOR_PINS[name]
+    np.testing.assert_allclose(deviation(), expected, rtol=0, atol=1e-15)
+
+
+def test_comparator_pins_fail_when_the_kernels_return_zeros(monkeypatch):
+    monkeypatch.setattr(checks, "_dev", lambda a, b: np.zeros(len(a)))
+    monkeypatch.setattr(
+        channels, "_superoperator_deviation", lambda diff, dim_in: channels._per_member(np.zeros(diff.shape[:-2]))
+    )
+    for name in KERNEL_PINS:
+        deviation, expected = COMPARATOR_PINS[name]
+        assert not np.allclose(deviation(), expected), name
+
+
+def test_runners_compare_arrays_only_through_dev():
+    # the runners' one array comparator is _dev, their map comparators the
+    # map deviations; an inline np.abs comparison would be a third
+    sources = {name: inspect.getsource(check.runner) for name, check in REGISTRY.items()}
+    sources["kraus-separable parts"] = inspect.getsource(checks._kraus_separable_parts)
+    assert [name for name, source in sources.items() if "np.abs(" in source] == []
+
+
+# --- planted defects: each identity fails when one kernel is broken ---------
+
+
+def _unconjugated_superoperator(self):
+    k = self.kraus_stack
+    s = np.einsum("...kab,...kcd->...acbd", k, k)
+    return s.reshape(s.shape[:-4] + (self.dim_out**2, self.dim_in**2))
+
+
+def _undivided_completion(stack, atol):
+    # b_x + (I - sum b) instead of b_x + (I - sum b) / n
+    return stack + (np.eye(stack.shape[-1]) - stack.sum(axis=-3))[..., None, :, :]
+
+
+# defect -> (owner, kernel name, replacement built from the original)
+DEFECTS = {
+    "conjugated dual": (Operation, "dual_matrix", lambda f: lambda self, m: np.conj(f(self, m))),
+    "transposed apply": (Operation, "apply_matrix", lambda f: lambda self, m: f(self, m).mT),
+    "swapped kron factors": (linalg, "kron", lambda f: lambda a, b: f(b, a)),
+    "conjugated weighted_sum": (linalg, "weighted_sum", lambda f: lambda w, stack: np.conj(f(w, stack))),
+    "unconjugated superoperator": (Operation, "superoperator", lambda f: _unconjugated_superoperator),
+    "undivided completion residual": (channels, "_completed", lambda f: _undivided_completion),
+}
+
+PLANTED = {
+    "postprocess-part-compose": "conjugated weighted_sum",
+    "dual-map": "conjugated dual",
+    "sequential-dual-contravariance": "conjugated dual",
+    "conditioning-affine": "conjugated weighted_sum",
+    "subnormalized-completion": "undivided completion residual",
+    "given-observable-marginals": "conjugated dual",
+    "conditioned-set-closure": "conjugated weighted_sum",
+    "holevo-composition": "transposed apply",
+    "measurement-pointer": "swapped kron factors",
+    "kraus-separable": "unconjugated superoperator",
+    "simple-kraus-separable": "swapped kron factors",
+    "holevo-separable": "swapped kron factors",
+}
+
+
+def _plant(monkeypatch, owner, name, defect):
+    """Replace ``owner.name`` by ``defect(original)``, also in every qcond
+    module that imported it by name."""
+    original = getattr(owner, name)
+    broken = defect(original)
+    monkeypatch.setattr(owner, name, broken)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("qcond.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, broken)
+
+
+def test_every_identity_has_a_planted_defect():
+    assert sorted(PLANTED) == sorted(registered_identities())
+    assert set(PLANTED.values()) == set(DEFECTS)
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_a_planted_defect_fails_its_identity(name, monkeypatch):
+    assert run_checks(name, trials=3, dims=[2], seed=0).passed
+    _plant(monkeypatch, *DEFECTS[PLANTED[name]])
+    (result,) = run_checks(name, trials=3, dims=[2], seed=0).results
+    assert result.max_deviation > result.tolerance and not result.passed

@@ -129,6 +129,18 @@ def test_measure_unknown_model(scenario_file, capsys):
     assert main(["measure", "--scenario", str(scenario_file), "--model", "ghost"]) == 2
 
 
+@pytest.mark.parametrize("verb", [
+    ["distribution", "--observable", "basis", "--state", "mixed"],
+    ["measure", "--model", "meter"],
+])
+def test_scenario_verbs_exit_1_on_an_invalid_scenario(verb, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"objects": {"mixed": {"type": "state", "matrix": [[[2.0, 0.0]]]}}}))
+    assert main(verb[:1] + ["--scenario", str(path)] + verb[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid scenario: object 'mixed'") and captured.out == ""
+
+
 def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     # a POVM off by 1e-6 fails at the default tolerance but passes at 1e-3
     from qcond.scenario import matrix_to_json

@@ -246,6 +246,18 @@ def test_outcome_map_names_values_outside_its_targets():
     assert "['z']" in str(info.value)
 
 
+def test_outcome_map_labels_are_strings_whether_targets_are_inferred_or_given():
+    inferred = OutcomeMap({"a": 1, "b": 2})
+    given = OutcomeMap({"a": 1, "b": 2}, targets=(1, 2))
+    for f in (inferred, given):
+        assert f.mapping == {"a": "1", "b": "2"}
+        assert f.targets == ("1", "2")
+        assert f.to_stochastic(("a", "b")).targets == f.targets
+    assert OutcomeMap({0: "u", 1: "v"}).domain == ("0", "1")
+    with pytest.raises(InvariantViolation, match="distinct outcome labels"):
+        OutcomeMap({1: "u", "1": "u"})
+
+
 def test_part_requires_total_map():
     obs = qubit_basis_observable()
     with pytest.raises(ValueError, match="total"):

@@ -449,6 +449,12 @@ def test_bi_instrument_validation():
         BiInstrument(("x0",), ("y0", "y1"), ((half, half.scaled(0.5)),))
 
 
+def test_bi_instrument_dimensions_are_those_of_its_operations():
+    half = random_channel(2, 3, 2, 28).scaled(np.sqrt(0.5))
+    grid = BiInstrument(("x0",), ("y0", "y1"), ((half, half),))
+    assert (grid.dim_in, grid.dim_out) == (2, 3)
+
+
 def _overfull_kraus_pair(atol: float = 1e-9) -> tuple[Operation, Operation]:
     """Two operations, each trace non-increasing, whose Gram matrices sum to
     ``I + eps J`` (``J`` all ones, ``eps = 0.9 atol``): within ``atol`` of
