@@ -176,10 +176,13 @@ class Operation(QuantumMap):
         return cls(_choi_kraus(qmap.superoperator(), qmap.dim_out, qmap.dim_in, atol), atol)
 
     def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
-        """Store the Kraus stack, its conjugate and its Gram matrix ``sum K†K``;
-        checks shape and finiteness, not the trace condition. An array
-        ``kraus`` may carry ``batch`` leading batch axes; a contiguous complex
-        one is stored as given (made read-only), not copied."""
+        """Store the Kraus stack and its Gram matrix ``sum K†K``; checks shape
+        and finiteness, not the trace condition. An array ``kraus`` may carry
+        ``batch`` leading batch axes; a contiguous complex one is stored as
+        given (made read-only), not copied. The conjugate operands of
+        ``apply_matrix`` and ``dual_matrix`` are made on their first call, so
+        an operation read only through ``_gram`` or ``superoperator()`` holds
+        no conjugate copy."""
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3 + batch:
             stack = np.ascontiguousarray(kraus, dtype=complex)
         else:
@@ -192,24 +195,21 @@ class Operation(QuantumMap):
         if stack.shape[-3] == 0:
             raise InvariantViolation("Operation", "nonempty Kraus list")
         _require_finite(stack, "Operation")
-        n, d_out, d_in = stack.shape[-3:]
-        conj = stack.conj()
         stack.setflags(write=False)
-        conj.setflags(write=False)
-        # The kernels' operands by ``m.ndim`` (see ``_kraus_operands``): the
-        # stack, the adjoints K_k† and the flattened adjoint (d_in, n·d_out),
-        # one product for sum_k K_k† x_k; made here for no own axis and one.
-        flat = stack.shape[:-3] + (n * d_out, d_in)
-        base = (stack, conj.mT, conj.reshape(flat).mT)
-        own = (stack[..., None, :, :, :], base[1][..., None, :, :, :], base[2][..., None, :, :])
-        self._operands = {2: base, stack.ndim - 1: base, stack.ndim: own}
-        gram = base[2] @ stack.reshape(flat)
+        flat = self._flat(stack)
+        gram = flat.conj().mT @ flat
         gram.setflags(write=False)
         self._stack = stack
-        self._conj = conj
-        self.dim_out, self.dim_in = d_out, d_in
+        self._operands: dict[int, tuple[np.ndarray, ...]] = {}
+        self.dim_out, self.dim_in = stack.shape[-2:]
         self._gram = gram
         self._superop: np.ndarray | None = None
+
+    @staticmethod
+    def _flat(stack: np.ndarray) -> np.ndarray:
+        """The Kraus stack read as ``(..., n·d_out, d_in)``, a view."""
+        n, d_out, d_in = stack.shape[-3:]
+        return stack.reshape(stack.shape[:-3] + (n * d_out, d_in))
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -225,7 +225,14 @@ class Operation(QuantumMap):
     # every matrix maps to its own image (the Kraus axis is inserted here;
     # one matrix broadcasts as it is).
     def _kraus_operands(self, m: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The operands with a unit axis per own axis of ``m``, made once per new ``m.ndim``."""
+        """The kernels' operands for ``m``: the stack, the adjoints K_k† and
+        the flattened adjoint (d_in, n·d_out), one product for
+        sum_k K_k† x_k, with a unit axis per own axis of ``m``. Made once per
+        new ``m.ndim``, all from one conjugate copy, made at the first call."""
+        if 2 not in self._operands:
+            conj = self._stack.conj()
+            conj.setflags(write=False)
+            self._operands[2] = (self._stack, conj.mT, self._flat(conj).mT)
         at = tuple(range(self._stack.ndim - 3, m.ndim - 2))
         self._operands[m.ndim] = tuple(np.expand_dims(a, at) for a in self._operands[2])
         return self._operands[m.ndim]
@@ -250,7 +257,7 @@ class Operation(QuantumMap):
             d_out, d_in = self.dim_out, self.dim_in
             lead = self._stack.shape[:-3]
             flat = self._stack.reshape(lead + (-1, d_out * d_in))
-            s = (flat.mT @ self._conj.reshape(flat.shape)).reshape(lead + (d_out, d_in, d_out, d_in))
+            s = (flat.mT @ flat.conj()).reshape(lead + (d_out, d_in, d_out, d_in))
             s = np.ascontiguousarray(s.swapaxes(-3, -2)).reshape(lead + (d_out * d_out, d_in * d_in))
             s.setflags(write=False)
             self._superop = s

@@ -109,12 +109,15 @@ Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 
 # Most instances one runner call holds: the memory of a batch is bounded
 # whatever the trial count. The trials of one identity at one dimension
-# split into ceil(trials / BATCH_SIZE) batches of near-equal size (100
-# trials: 34, 33, 33), so a batch is no larger than it must be. The
-# largest batches are holevo-separable's readouts (composed operations keep
-# at most d_out·d_in Kraus operators); at 40 a canonical run's peak memory
-# is about 5% above that at 10, for about 40% less time.
-BATCH_SIZE = 40
+# split into ceil(trials / BATCH_SIZE) batches of near-equal size, so a
+# batch is no larger than it must be; the canonical 100 trials run as one
+# batch per identity and dimension. The largest batches are
+# holevo-separable's and holevo-composition's: under tracemalloc a
+# dimension-3 batch of 100 peaks at about 5.4 and 3.7 MiB (11.5 and 6.4 MiB
+# before members read only through their superoperators stopped holding a
+# conjugate copy, readouts stopped copying members out of one larger
+# result, and the two runners began to drop each family after its part).
+BATCH_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -318,6 +321,7 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
     family = _random_observables(rngs, dim2, 3)[:, :2]
     _require_channel(ch, DEFAULT_ATOL)
     completed = _observables(_completed(family, DEFAULT_ATOL))
+    yield _dev(completed, family + (np.eye(dim2) - family.sum(axis=1))[:, None] / family.shape[1])
     yield _dev(completed.sum(axis=1), np.eye(dim2))
     # engineered instance: channel range inside a proper subspace, residual
     # supported on its complement, so the residual's dual vanishes exactly
@@ -370,12 +374,18 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
     first = _holevo_instrument(_LABELS, a, alphas, DEFAULT_ATOL)
     second = _holevo_instrument(_LABELS, b, betas, DEFAULT_ATOL)
     yield _dev(_observables(first._measured_stack()), a)
+    # the stages are dropped as soon as they are read, with the
+    # superoperators that given_instrument caches on their members
+    composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
+    given = given_instrument(first, second)
+    del second
     e = _effects(rngs, dim + 1)
     coeff = _trace(alphas @ e[:, None]).real
     for x, op in enumerate(first.ops):
         yield _dev(op.dual_matrix(e), coeff[:, x, None, None] * a[:, x])
-    composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
-    yield bi_instrument_deviation(composed, given_instrument(first, second))
+    del first
+    yield bi_instrument_deviation(composed, given)
+    del given
     rho = _states(rngs, dim)
     px = _trace(rho[:, None] @ a).real
     overlaps = _trace(alphas[:, :, None] @ b[:, None]).real
@@ -468,23 +478,32 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
 
 
 def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    """Each closed-form instrument is dropped after its part (the reduced
+    one first; the probe-indexed one is made from the grid after the grid's
+    part), and the parts that read the interaction through its dual, which
+    gives it conjugate operands, come last: a batch holds one generic
+    readout at a time beside what is still to be compared."""
     dim_probe = 2
     a = _random_observables(rngs, dim, 2)
     betas = _state_stack(rngs, dim, 2)
     gammas = _state_stack(rngs, dim_probe, 2)
     probe = _random_observables(rngs, dim_probe, 2)
     e = _effects(rngs, dim * dim_probe)
-    w, bi_ins, ins, reduced, grid, pointer = _holevo_model(
+    w, bi_ins, reduced, grid, pointer = _holevo_model(
         _LABELS, _LABELS, a, betas, gammas, probe, DEFAULT_ATOL
     )
     products = _require_states(kron(betas, gammas), DEFAULT_ATOL)
     interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
+    yield instrument_deviation(reduced, _reduced_readout(interaction, dim_probe, DEFAULT_ATOL))
+    del reduced
+    yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    ins = bi_ins.marginal2(DEFAULT_ATOL)
+    del bi_ins
+    yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    del ins
     closed = _require_effects(_holevo_dual_effects(a, products, e[:, None]), DEFAULT_ATOL)
     generic = [op._dual_effects(e, DEFAULT_ATOL) for op in interaction.ops]
     yield _dev(closed, np.stack(generic, axis=1))
-    yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
-    yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
-    yield instrument_deviation(reduced, _reduced_readout(interaction, dim_probe, DEFAULT_ATOL))
     model_grid = _bi_observables(_pointer_grid(interaction, probe))
     yield _dev(_bi_observables(grid), model_grid)
     yield _dev(_observables(pointer), _observables(model_grid.sum(axis=1)))
@@ -588,20 +607,35 @@ def resolve_suite(names: str | Sequence[str]) -> list[str]:
     return names
 
 
+def _seed_words(seed: tuple[int, ...]) -> np.ndarray:
+    """The uint32 entropy words that numpy's ``SeedSequence`` makes of a
+    tuple of non-negative ints: each int split into little-endian 32-bit
+    words, 0 as one zero word. ``default_rng`` of the words has the state of
+    ``default_rng(seed)`` and skips numpy's int-by-int conversion."""
+    words = []
+    for x in seed:
+        if x < 0:
+            raise ValueError(f"seed entries must be non-negative, got {x}")
+        words.append(x & 0xFFFFFFFF)
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _instance_deviations(runner: Runner, seeds: Sequence[tuple[int, ...]], dim: int) -> np.ndarray:
     """Each instance's deviation: the largest of its parts, ``inf`` when one
     is not finite or there are none.
 
-    The instances run as one batch, each on a generator seeded from its
-    seed tuple. If the batch raises (a violated construction invariant, an
-    unobserved outcome, a failed factorization, ...), each instance reruns
-    alone from a fresh generator on the same tuple, and only those that
-    raise alone count as ``inf``.
+    The instances run as one batch, each on a generator seeded from the
+    words of its seed tuple (``_seed_words``). If the batch raises (a
+    violated construction invariant, an unobserved outcome, a failed
+    factorization, ...), each instance reruns alone from a fresh generator
+    on the same tuple, and only those that raise alone count as ``inf``.
     """
     worst = np.zeros(len(seeds))
     parts = 0
     try:
-        for part in runner([np.random.default_rng(s) for s in seeds], dim):
+        for part in runner([np.random.default_rng(_seed_words(s)) for s in seeds], dim):
             part = np.asarray(part, dtype=float)
             if part.shape != worst.shape:
                 raise ValueError(f"a part has shape {part.shape}, expected {worst.shape}")
@@ -629,7 +663,7 @@ def run_checks(
     so reports are deterministic and order-independent. Results are sorted by
     identity name; a repeated name or dimension counts once, at its first
     occurrence. ``trials=0`` gives an empty (vacuously passing) report; a
-    negative ``trials`` raises ``ValueError``.
+    negative ``trials`` or ``seed`` raises ``ValueError``.
     An instance's deviation is the largest its runner yields. An instance
     that raises any ``Exception`` (a violated construction invariant
     included), yields a non-finite deviation or yields nothing counts as
@@ -639,6 +673,8 @@ def run_checks(
     tol = require_tolerance(tol)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     names = resolve_suite(suite)
     dims = list(dict.fromkeys(dims))
     if any(d < 1 for d in dims):

@@ -9,10 +9,10 @@ The generic extraction stays in Kraus form. Each probe effect is factored
 as ``P = B B†`` (one batched eigendecomposition of the probe stack), and
 ``tr_probe[X (I ⊗ P)] = sum_j (I ⊗ b_j†) X (I ⊗ b_j)`` over the columns
 ``b_j`` of ``B``, so an interaction Kraus operator ``K`` yields the readout
-Kraus operators ``(I ⊗ b_j†) K``. They come from one contraction of the
-interaction's Kraus stack, read as ``(n, db, dp, db)`` for base dimension
-``db`` and probe dimension ``dp``, at O(n·db²·dp²) per probe effect; no
-superoperator is built.
+Kraus operators ``(I ⊗ b_j†) K``. They come from one contraction per
+probe effect and interaction Kraus stack, read as ``(n, db, dp, db)`` for
+base dimension ``db`` and probe dimension ``dp``, at O(n·db²·dp²) per probe
+effect; no superoperator is built.
 
 The readout takes leading batch axes: an interaction instrument whose
 members are batches of operations (see ``Operation._checked``) and a probe
@@ -29,13 +29,12 @@ are stack functions that the classes wrap and that take batch axes too.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .channels import Channel, _require_trace_preserving, _without_zero_operators
-from .effects import BiObservable, Effect, Observable, State, _state_family
+from .effects import BiObservable, Effect, Observable, State, _require_ones, _state_family
 from .errors import InvariantViolation
 from .instruments import (
     BiInstrument,
@@ -102,19 +101,21 @@ class MeasurementModel:
 
         A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
         base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
-        column ``j`` of ``B``: one contraction of all the stacks at once.
+        column ``j`` of ``B``: one contraction per stack and factor, written
+        straight into the returned stack, so that no member is copied out of
+        a larger result.
         """
         db, dp = stacks[0].shape[-1], factors.shape[-1]
-        sizes = [k.shape[-3] for k in stacks]
-        kraus = np.concatenate(stacks, axis=-3)
-        kraus = kraus.reshape(kraus.shape[:-2] + (db, dp, db))
-        out = np.einsum("...ywj,...nawb->...ynjab", factors.conj(), kraus)
-        lead = out.shape[:-5]
-        return [
-            out[..., y, end - size : end, :, :, :].reshape(lead + (-1, db, db))
-            for size, end in zip(sizes, accumulate(sizes))
-            for y in range(factors.shape[-3])
-        ]
+        conj = factors.conj()
+        lead = np.broadcast_shapes(conj.shape[:-3], stacks[0].shape[:-3])
+        readout = []
+        for k in stacks:
+            kraus = k.reshape(k.shape[:-2] + (db, dp, db))
+            for y in range(conj.shape[-3]):
+                out = np.empty(lead + (k.shape[-3], dp, db, db), dtype=complex)
+                np.einsum("...wj,...nawb->...njab", conj[..., y, :, :], kraus, out=out)
+                readout.append(out.reshape(lead + (-1, db, db)))
+        return readout
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
         """Joint outcome grid: interact, project on a probe effect, trace out
@@ -156,8 +157,11 @@ def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: floa
 
 
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
-    total = np.concatenate([op.kraus_stack for op in interaction.ops], axis=-3)
-    readout = MeasurementModel._readout([total], MeasurementModel._probe_factors(probe, atol))
+    # the total's Kraus stack is a temporary, freed before the members are built
+    readout = MeasurementModel._readout(
+        [np.concatenate([op.kraus_stack for op in interaction.ops], axis=-3)],
+        MeasurementModel._probe_factors(probe, atol),
+    )
     return Instrument._from_kraus(outcomes, readout, atol)
 
 
@@ -209,8 +213,7 @@ def _separable_instrument(outcomes, factors: np.ndarray, w: np.ndarray, atol: fl
 
 def _pure_probe_states(vecs: np.ndarray, atol: float) -> np.ndarray:
     """``|psi_i><psi_i|`` for unit vectors ``(..., n, dp)``, unvalidated."""
-    if np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max() > atol:
-        raise InvariantViolation("KrausSeparableChannel", "unit probe vectors")
+    _require_ones(np.linalg.norm(vecs, axis=-1), atol, "KrausSeparableChannel", "unit probe vectors", "norm")
     return vecs[..., :, None] * vecs.conj()[..., None, :]
 
 
@@ -405,8 +408,10 @@ def _holevo_model(outcomes1, outcomes2, a, betas, gammas, probe, atol: float) ->
     """The closed forms of :func:`holevo_model_quantities` from stacks: the
     effects ``a``, base states ``betas`` and probe states ``gammas`` of the
     spec and the probe stack (leading axes: a batch). Returns the outcome
-    weights, the three instruments, and the bi-observable grid and pointer
-    effects unvalidated."""
+    weights, the bi-instrument and the reduced instrument, and the
+    bi-observable grid and pointer effects unvalidated; the probe-indexed
+    instrument is the bi-instrument's ``marginal2``, which the caller makes
+    when it needs it."""
     w = _outcome_weights(gammas, probe)
     # One decomposition of A and beta for two families: grid entries (x, y)
     # with effect w[x, y] A_x and state beta_x, then reduced entries x.
@@ -417,7 +422,7 @@ def _holevo_model(outcomes1, outcomes2, a, betas, gammas, probe, atol: float) ->
     bi_ins = BiInstrument._from_kraus(outcomes1, outcomes2, stacks[: n1 * n2], atol)
     reduced = Instrument._from_kraus(outcomes1, stacks[n1 * n2 :], atol)
     grid = w[..., None, None] * a[..., :, None, :, :]
-    return w, bi_ins, bi_ins.marginal2(atol), reduced, grid, weighted_sum(w, a)
+    return w, bi_ins, reduced, grid, weighted_sum(w, a)
 
 
 def holevo_model_quantities(
@@ -437,7 +442,7 @@ def holevo_model_quantities(
     if probe.dim != spec.dim_probe:
         raise ValueError("probe observable dimension mismatch")
     a_obs = spec.observable
-    w, bi_ins, pointer_ins, reduced, grid, pointer = _holevo_model(
+    w, bi_ins, reduced, grid, pointer = _holevo_model(
         a_obs.outcomes, probe.outcomes, a_obs.effect_stack, spec._base, spec._probe, probe.effect_stack, atol
     )
     return HolevoModelQuantities(
@@ -445,7 +450,7 @@ def holevo_model_quantities(
         probe=probe,
         outcome_weights=w,
         bi_instrument=bi_ins,
-        instrument=pointer_ins,
+        instrument=bi_ins.marginal2(atol),
         reduced_instrument=reduced,
         bi_observable=BiObservable(a_obs.outcomes, probe.outcomes, grid, atol),
         pointer_observable=Observable(probe.outcomes, pointer, atol),

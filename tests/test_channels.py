@@ -407,6 +407,37 @@ def test_linear_map_dual_does_not_copy_the_superoperator():
     assert peak < 1 << 20  # the superoperator alone is 5.3 MB
 
 
+def _held_bytes(op: Operation) -> int:
+    """Bytes of the distinct arrays an operation's attributes hold (views
+    counted once, with the array they view)."""
+    bases, todo = {}, list(vars(op).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, tuple):
+            todo.extend(value)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            bases[id(value)] = value.nbytes
+    return sum(bases.values())
+
+
+def test_an_operation_read_through_its_superoperator_holds_no_conjugate_copy():
+    op = random_channel(3, 4, 2, 63)
+    op.superoperator()
+    op._dual_identity()
+    kept = op.kraus_stack.nbytes + op._gram.nbytes + op.superoperator().nbytes
+    assert _held_bytes(op) == kept
+    # the first apply or dual makes one conjugate copy, shared by every
+    # operand made later, whatever the argument's own axes
+    op.dual_matrix(np.eye(4))
+    op.apply_matrix(np.stack([np.eye(3)] * 2))
+    op.dual_matrix(np.zeros((5, 2, 4, 4)))
+    assert _held_bytes(op) == kept + op.kraus_stack.nbytes
+
+
 def test_map_sum_promotes_mixed_representations():
     rng = np.random.default_rng(20)
     op = random_channel(2, 2, 1, rng).scaled(np.sqrt(0.5))

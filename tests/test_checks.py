@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import zlib
 from functools import partial
 from pathlib import Path
@@ -130,6 +131,44 @@ def test_run_checks_rejects_negative_trials():
     for trials in (-1, -3):
         with pytest.raises(ValueError, match="trials"):
             run_checks("all", trials=trials, dims=[2], seed=0)
+
+
+def test_run_checks_rejects_a_negative_seed(capsys):
+    # a negative seed has no generator: refused up front, as a negative
+    # trial count is, not run as a report in which every instance fails
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -3$"):
+        run_checks("all", trials=1, dims=[2], seed=-3)
+    assert main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--seed", "-3"]) == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [
+    (0, 0, 0, 0),
+    (2**32, 1, 2, 3),
+    (2**64 + 5, 123, 3, 2**32 + 1),
+    (7, 2**32 - 1, 2, 99),
+])
+def test_seed_words_give_the_generator_of_the_seed_tuple(seed):
+    words = checks._seed_words(seed)
+    assert words.dtype == np.uint32
+    expected = np.random.default_rng(seed).bit_generator.state
+    assert np.random.default_rng(words).bit_generator.state == expected
+
+
+def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
+    # a seed of two words: each instance's generator is default_rng(tuple)'s
+    name = "recording-identity"
+    states = []
+
+    def record(rngs, dim):
+        states.extend(rng.bit_generator.state for rng in rngs)
+        yield np.zeros(len(rngs))
+
+    monkeypatch.setitem(REGISTRY, name, IdentityCheck(name, "records its generators", record))
+    assert run_checks(name, trials=3, dims=[2, 3], seed=2**40).passed
+    key = zlib.crc32(name.encode("utf-8"))
+    seeds = [(2**40, key, dim, t) for dim in (2, 3) for t in range(3)]
+    assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
 
 
 def test_run_checks_rejects_bad_inputs():
@@ -273,13 +312,37 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
     whole = run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json()
     monkeypatch.setattr(checks, "BATCH_SIZE", 2)
     assert run_checks(BATCHED, trials=5, dims=[2, 3], seed=3).to_json() == whole
-    # uneven splits (7 trials: 7; 3, 2, 2; seven of one), and dimension 4,
+    # uneven splits (7 trials: 7; 7; 3, 2, 2; seven of one), and dimension 4,
     # where holevo-composition's members are factored through the Choi matrix
     reports = set()
-    for size in (default, 3, 1):
+    for size in (default, 40, 3, 1):
         monkeypatch.setattr(checks, "BATCH_SIZE", size)
         reports.add(run_checks(BATCHED, trials=7, dims=[2, 3, 4], seed=3).to_json())
     assert len(reports) == 1
+
+
+@pytest.mark.parametrize("name, limit_mib", [("holevo-separable", 7), ("holevo-composition", 5)])
+def test_a_canonical_batch_of_the_heaviest_identities_stays_small(name, limit_mib):
+    # One dimension-3 batch of 100 instances, as the canonical run makes it.
+    # Members read only through their superoperators hold no conjugate copy,
+    # readouts copy no member out of a larger result, and the runners drop
+    # each family after its part: 11.5 and 6.4 MiB before all that. The
+    # runner is iterated directly, so a batch that raises cannot pass as the
+    # smaller instance-by-instance rerun.
+    runner = REGISTRY[name].runner
+    key = zlib.crc32(name.encode("utf-8"))
+    list(runner([np.random.default_rng((7, key, 3, 0))], 3))
+    rngs = [np.random.default_rng((7, key, 3, t)) for t in range(100)]
+    tracemalloc.start()
+    try:
+        worst = np.zeros(len(rngs))
+        for part in runner(rngs, 3):
+            worst = np.maximum(worst, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst.max() <= 1e-9
+    assert peak < limit_mib * 2**20
 
 
 @pytest.mark.parametrize("name", BATCHED)
@@ -422,6 +485,11 @@ def test_readme_lists_the_registered_identities_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("Registered identities:\n", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", listed)) == registered_identities()
+
+
+def test_readme_states_the_batch_size():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"`BATCH_SIZE` = (\d+)", readme) == [str(checks.BATCH_SIZE)]
 
 
 def test_batched_readout_probe_rejects_only_a_bad_last_member():
@@ -577,6 +645,14 @@ def _undivided_completion(stack, atol):
     return stack + (np.eye(stack.shape[-1]) - stack.sum(axis=-3))[..., None, :, :]
 
 
+def _first_outcome_completion(stack, atol):
+    # the whole residual I - sum b to the first outcome: still an observable,
+    # and its dual still vanishes where the residual's does
+    completed = stack.copy()
+    completed[..., 0, :, :] += np.eye(stack.shape[-1]) - stack.sum(axis=-3)
+    return completed
+
+
 # defect -> (owner, kernel name, replacement built from the original)
 DEFECTS = {
     "conjugated dual": (Operation, "dual_matrix", lambda f: lambda self, m: np.conj(f(self, m))),
@@ -585,6 +661,7 @@ DEFECTS = {
     "conjugated weighted_sum": (linalg, "weighted_sum", lambda f: lambda w, stack: np.conj(f(w, stack))),
     "unconjugated superoperator": (Operation, "superoperator", lambda f: _unconjugated_superoperator),
     "undivided completion residual": (channels, "_completed", lambda f: _undivided_completion),
+    "residual to the first outcome": (channels, "_completed", lambda f: _first_outcome_completion),
 }
 
 PLANTED = {
@@ -602,6 +679,9 @@ PLANTED = {
     "holevo-separable": "swapped kron factors",
 }
 
+# further (identity, defect) pairs: each identity fails under its defect too
+ALSO_PLANTED = [("subnormalized-completion", "residual to the first outcome")]
+
 
 def _plant(monkeypatch, owner, name, defect):
     """Replace ``owner.name`` by ``defect(original)``, also in every qcond
@@ -616,12 +696,21 @@ def _plant(monkeypatch, owner, name, defect):
 
 def test_every_identity_has_a_planted_defect():
     assert sorted(PLANTED) == sorted(registered_identities())
-    assert set(PLANTED.values()) == set(DEFECTS)
+    assert set(PLANTED.values()) | {defect for _, defect in ALSO_PLANTED} == set(DEFECTS)
+
+
+def _fails_under(name, defect, monkeypatch):
+    assert run_checks(name, trials=3, dims=[2], seed=0).passed
+    _plant(monkeypatch, *DEFECTS[defect])
+    (result,) = run_checks(name, trials=3, dims=[2], seed=0).results
+    assert result.max_deviation > result.tolerance and not result.passed
 
 
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_a_planted_defect_fails_its_identity(name, monkeypatch):
-    assert run_checks(name, trials=3, dims=[2], seed=0).passed
-    _plant(monkeypatch, *DEFECTS[PLANTED[name]])
-    (result,) = run_checks(name, trials=3, dims=[2], seed=0).results
-    assert result.max_deviation > result.tolerance and not result.passed
+    _fails_under(name, PLANTED[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name, defect", ALSO_PLANTED)
+def test_a_further_planted_defect_fails_its_identity(name, defect, monkeypatch):
+    _fails_under(name, defect, monkeypatch)

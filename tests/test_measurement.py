@@ -337,6 +337,12 @@ def test_simple_separable_rejects_unnormalized_vectors():
         KrausSeparableChannel.simple(base.kraus, [[2.0, 0.0]])
 
 
+def test_unnormalized_probe_vector_error_names_its_norm():
+    base = random_channel(2, 2, 2, 25)
+    with pytest.raises(InvariantViolation, match=r"'unit probe vectors' \(norm 1\.5\)$"):
+        KrausSeparableChannel.simple(base.kraus, [[1.0, 0.0], [0.0, 1.5j]])
+
+
 # ---------------------------------------------------------------------------
 # Holevo-separable models
 # ---------------------------------------------------------------------------
