@@ -233,8 +233,9 @@ class Operation(QuantumMap):
             conj = self._stack.conj()
             conj.setflags(write=False)
             self._operands[2] = (self._stack, conj.mT, self._flat(conj).mT)
-        at = tuple(range(self._stack.ndim - 3, m.ndim - 2))
-        self._operands[m.ndim] = tuple(np.expand_dims(a, at) for a in self._operands[2])
+        batch = self._stack.ndim - 3
+        units = (slice(None),) * batch + (None,) * (m.ndim - 2 - batch)
+        self._operands[m.ndim] = tuple(a[units] for a in self._operands[2])
         return self._operands[m.ndim]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
