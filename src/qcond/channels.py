@@ -179,10 +179,8 @@ class Operation(QuantumMap):
         """Store the Kraus stack and its Gram matrix ``sum K†K``; checks shape
         and finiteness, not the trace condition. An array ``kraus`` may carry
         ``batch`` leading batch axes; a contiguous complex one is stored as
-        given (made read-only), not copied. The conjugate operands of
-        ``apply_matrix`` and ``dual_matrix`` are made on their first call, so
-        an operation read only through ``_gram`` or ``superoperator()`` holds
-        no conjugate copy."""
+        given (made read-only), not copied. These four fields are all an
+        operation holds: every kernel is a function of them."""
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3 + batch:
             stack = np.ascontiguousarray(kraus, dtype=complex)
         else:
@@ -200,10 +198,8 @@ class Operation(QuantumMap):
         gram = flat.conj().mT @ flat
         gram.setflags(write=False)
         self._stack = stack
-        self._operands: dict[int, tuple[np.ndarray, ...]] = {}
         self.dim_out, self.dim_in = stack.shape[-2:]
         self._gram = gram
-        self._superop: np.ndarray | None = None
 
     @staticmethod
     def _flat(stack: np.ndarray) -> np.ndarray:
@@ -224,45 +220,35 @@ class Operation(QuantumMap):
     # the batch of ``_checked``, any further axes are ``m``'s own stack, and
     # every matrix maps to its own image (the Kraus axis is inserted here;
     # one matrix broadcasts as it is).
-    def _kraus_operands(self, m: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The kernels' operands for ``m``: the stack, the adjoints K_k† and
-        the flattened adjoint (d_in, n·d_out), one product for
-        sum_k K_k† x_k, with a unit axis per own axis of ``m``. Made once per
-        new ``m.ndim``, all from one conjugate copy, made at the first call."""
-        if 2 not in self._operands:
-            conj = self._stack.conj()
-            conj.setflags(write=False)
-            self._operands[2] = (self._stack, conj.mT, self._flat(conj).mT)
+    def _unit_stack(self, m: np.ndarray) -> np.ndarray:
+        """The Kraus stack with a unit axis per own axis of ``m``, a view."""
         batch = self._stack.ndim - 3
-        units = (slice(None),) * batch + (None,) * (m.ndim - 2 - batch)
-        self._operands[m.ndim] = tuple(a[units] for a in self._operands[2])
-        return self._operands[m.ndim]
+        return self._stack[(slice(None),) * batch + (None,) * (m.ndim - 2 - batch)]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        stack, adj, _ = self._operands.get(m.ndim) or self._kraus_operands(m)
-        return np.matmul(stack @ (m if m.ndim == 2 else m[..., None, :, :]), adj).sum(axis=-3)
+        stack = self._unit_stack(m)
+        return np.matmul(stack @ (m if m.ndim == 2 else m[..., None, :, :]), stack.conj().mT).sum(axis=-3)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        stack, _, flat_h = self._operands.get(m.ndim) or self._kraus_operands(m)
+        # sum_k K_k† x_k as one product with the flattened adjoint (d_in, n·d_out)
+        stack = self._unit_stack(m)
         products = (m if m.ndim == 2 else m[..., None, :, :]) @ stack
-        return flat_h @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
+        return self._flat(stack.conj()).mT @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
     def _dual_identity(self) -> np.ndarray:
         return self._gram
 
     def superoperator(self) -> np.ndarray:
-        if self._superop is None:
-            # S[(a, c), (b, d)] = sum_k K_k[a, b] conj(K_k[c, d]): one product
-            # of the flattened stack (per member of a batch), then one
-            # contiguous (a, c, b, d) copy.
-            d_out, d_in = self.dim_out, self.dim_in
-            lead = self._stack.shape[:-3]
-            flat = self._stack.reshape(lead + (-1, d_out * d_in))
-            s = (flat.mT @ flat.conj()).reshape(lead + (d_out, d_in, d_out, d_in))
-            s = np.ascontiguousarray(s.swapaxes(-3, -2)).reshape(lead + (d_out * d_out, d_in * d_in))
-            s.setflags(write=False)
-            self._superop = s
-        return self._superop
+        # S[(a, c), (b, d)] = sum_k K_k[a, b] conj(K_k[c, d]): one product of
+        # the flattened stack (per member of a batch), then one contiguous
+        # (a, c, b, d) copy.
+        d_out, d_in = self.dim_out, self.dim_in
+        lead = self._stack.shape[:-3]
+        flat = self._stack.reshape(lead + (-1, d_out * d_in))
+        s = (flat.mT @ flat.conj()).reshape(lead + (d_out, d_in, d_out, d_in))
+        s = np.ascontiguousarray(s.swapaxes(-3, -2)).reshape(lead + (d_out * d_out, d_in * d_in))
+        s.setflags(write=False)
+        return s
 
     def scaled(self, factor: float, atol: float = DEFAULT_ATOL) -> "Operation":
         """The operation with every Kraus operator multiplied by ``factor``
@@ -383,7 +369,7 @@ def _composed_kraus(first: Operation, second: Operation, atol: float) -> np.ndar
     for batches): the ``n1·n2`` products ``L_b K_a`` when they are no more
     than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
     operators that ``_choi_kraus`` factors from the product of the two
-    cached superoperators."""
+    superoperators."""
     d_out, d_in = second.dim_out, first.dim_in
     if first.kraus_stack.shape[-3] * second.kraus_stack.shape[-3] > d_out * d_in:
         return _choi_kraus(second.superoperator() @ first.superoperator(), d_out, d_in, atol)
@@ -429,8 +415,8 @@ def map_deviation(p: QuantumMap, q: QuantumMap) -> float | np.ndarray:
     """Largest entrywise deviation of two maps' actions on a Hermitian basis.
 
     Zero (up to rounding) iff the maps are equal as linear maps. The actions
-    are evaluated through the cached superoperators, which is the same
-    comparison at a fraction of the cost for long Kraus lists. For batches
+    are evaluated through the superoperators, which is the same comparison
+    at a fraction of the cost for long Kraus lists. For batches
     of operations (see ``Operation._checked``), one deviation per member.
     """
     if (p.dim_in, p.dim_out) != (q.dim_in, q.dim_out):

@@ -43,7 +43,6 @@ from .channels import (
     Channel,
     _completed,
     _conditioned,
-    _require_channel,
     _superoperator_deviation,
     map_deviation,
 )
@@ -113,10 +112,8 @@ Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 # batch is no larger than it must be; the canonical 100 trials run as one
 # batch per identity and dimension. The largest batches are
 # holevo-separable's and holevo-composition's: under tracemalloc a
-# dimension-3 batch of 100 peaks at about 5.4 and 3.7 MiB (11.5 and 6.4 MiB
-# before members read only through their superoperators stopped holding a
-# conjugate copy, readouts stopped copying members out of one larger
-# result, and the two runners began to drop each family after its part).
+# dimension-3 batch of 100 peaks at about 5.1 and 2.8 MiB, and
+# measurement-pointer's at 1.3 MiB.
 BATCH_SIZE = 100
 
 
@@ -317,9 +314,10 @@ def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> I
 
 def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim2 = dim + 1
-    ch = _channels(rngs, dim, dim2, 2)
+    # the channel complete_subnormalized takes, drawn (and checked as a
+    # channel) to keep each instance's stream; the completion does not read it
+    _channels(rngs, dim, dim2, 2)
     family = _random_observables(rngs, dim2, 3)[:, :2]
-    _require_channel(ch, DEFAULT_ATOL)
     completed = _observables(_completed(family, DEFAULT_ATOL))
     yield _dev(completed, family + (np.eye(dim2) - family.sum(axis=1))[:, None] / family.shape[1])
     yield _dev(completed.sum(axis=1), np.eye(dim2))
@@ -374,8 +372,7 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
     first = _holevo_instrument(_LABELS, a, alphas, DEFAULT_ATOL)
     second = _holevo_instrument(_LABELS, b, betas, DEFAULT_ATOL)
     yield _dev(_observables(first._measured_stack()), a)
-    # the stages are dropped as soon as they are read, with the
-    # superoperators that given_instrument caches on their members
+    # the stages are dropped as soon as they are read
     composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
     given = given_instrument(first, second)
     del second
@@ -480,9 +477,8 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
 def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     """Each closed-form instrument is dropped after its part (the reduced
     one first; the probe-indexed one is made from the grid after the grid's
-    part), and the parts that read the interaction through its dual, which
-    gives it conjugate operands, come last: a batch holds one generic
-    readout at a time beside what is still to be compared."""
+    part): a batch holds one generic readout at a time beside what is still
+    to be compared."""
     dim_probe = 2
     a = _random_observables(rngs, dim, 2)
     betas = _state_stack(rngs, dim, 2)

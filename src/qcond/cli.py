@@ -136,10 +136,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     pointer = model.measured_pointer_observable(scn.atol)
     instrument = model.measured_instrument(scn.atol)
     mixed = State.maximally_mixed(model.dim_base)
-    rows = []
+    rows, matrices = [], []
     for label in pointer.outcomes:
         effect = pointer.effect(label).matrix
         output = instrument.op(label).apply(mixed)
+        matrices.append((effect, output))
         rows.append(
             {
                 "outcome": label,
@@ -162,13 +163,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             f"model {args.model}: base dim {model.dim_base}, probe dim {model.dim_probe}, "
             f"pointer outcomes {list(pointer.outcomes)}"
         )
-        for row in rows:
+        for row, (effect, output) in zip(rows, matrices):
             print(f"outcome {row['outcome']}:")
             print("  pointer effect:")
-            print(_format_matrix(pointer.effect(row["outcome"]).matrix))
+            print(_format_matrix(effect))
             print(f"  probability on maximally mixed state: {row['probability_maximally_mixed']:.6f}")
             print("  post-measurement (unnormalized) output on maximally mixed state:")
-            print(_format_matrix(instrument.op(row["outcome"]).apply(mixed)))
+            print(_format_matrix(output))
     return 0
 
 

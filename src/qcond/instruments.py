@@ -70,7 +70,7 @@ __all__ = [
 def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
     """The one check of a family's trace condition: uniform dimensions, and
     the total's dual at the identity, ``sum_x op_x*(I)`` (the sum of the
-    members' cached Gram matrices), below ``I`` and equal to it entrywise,
+    members' Gram matrices), below ``I`` and equal to it entrywise,
     within ``atol``: the two trace rules of a channel."""
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
@@ -368,7 +368,9 @@ def _holevo_family(
     ``sigma = sum_k p_k |v_k><v_k|``, row ``(j, k)`` of an entry's stack
     ``(dj * dk, D, d)`` is ``sqrt(a_j p_k) |v_k><u_j|``: the full grid, zero
     weights included. Leading batch axes of ``effects``, ``states`` and
-    ``coeffs`` give a batch of families.
+    ``coeffs`` give a batch of families. Each entry is written as its own
+    contiguous array, which ``Operation._build`` stores without a copy and
+    which is freed with its operation.
     """
     evals, evecs = clipped_eigh(effects, atol, "effect")
     pvals, pvecs = clipped_eigh(states, atol, "state")
@@ -377,8 +379,9 @@ def _holevo_family(
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
     weights = np.sqrt(np.clip(scaled, 0.0, None)[..., :, None] * pvals[..., cols, :][..., None, :])
     outers = np.einsum("...rk,...cj->...jkrc", pvecs[..., cols, :, :], evecs[..., rows, :, :].conj())
-    stacks = weights[..., None, None] * outers
-    return list(np.moveaxis(stacks.reshape(stacks.shape[:-4] + (-1,) + stacks.shape[-2:]), -4, 0))
+    entries = [np.multiply(weights[..., i, :, :, None, None], outers[..., i, :, :, :, :], order="C")
+               for i in range(len(rows))]
+    return [e.reshape(e.shape[:-4] + (-1,) + e.shape[-2:]) for e in entries]
 
 
 def holevo_operation(

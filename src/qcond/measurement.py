@@ -207,8 +207,9 @@ def _outcome_weights(states: np.ndarray, probe: np.ndarray) -> np.ndarray:
 def _separable_instrument(outcomes, factors: np.ndarray, w: np.ndarray, atol: float) -> Instrument:
     """Outcome ``y`` acts as ``rho -> sum_i w[i, y] K_i rho K_i†`` (negative
     rounding noise in ``w`` clipped)."""
-    stacks = np.sqrt(np.clip(w, 0.0, None)).swapaxes(-1, -2)[..., None, None] * factors[..., None, :, :, :]
-    return Instrument._from_kraus(outcomes, list(np.moveaxis(stacks, -4, 0)), atol)
+    weights = np.sqrt(np.clip(w, 0.0, None))
+    stacks = [weights[..., y, None, None] * factors for y in range(w.shape[-1])]
+    return Instrument._from_kraus(outcomes, stacks, atol)
 
 
 def _pure_probe_states(vecs: np.ndarray, atol: float) -> np.ndarray:

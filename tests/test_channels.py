@@ -424,18 +424,21 @@ def _held_bytes(op: Operation) -> int:
     return sum(bases.values())
 
 
-def test_an_operation_read_through_its_superoperator_holds_no_conjugate_copy():
+def test_an_operation_holds_only_its_stack_and_gram_matrix():
+    # every kernel is a function of the four fields: no read leaves an
+    # operand or a superoperator behind, whatever the argument's own axes
     op = random_channel(3, 4, 2, 63)
-    op.superoperator()
-    op._dual_identity()
-    kept = op.kraus_stack.nbytes + op._gram.nbytes + op.superoperator().nbytes
-    assert _held_bytes(op) == kept
-    # the first apply or dual makes one conjugate copy, shared by every
-    # operand made later, whatever the argument's own axes
-    op.dual_matrix(np.eye(4))
-    op.apply_matrix(np.stack([np.eye(3)] * 2))
-    op.dual_matrix(np.zeros((5, 2, 4, 4)))
-    assert _held_bytes(op) == kept + op.kraus_stack.nbytes
+    batch = Operation._checked(np.stack([op.kraus_stack] * 3), 1e-9)
+    for each, lead in ((op, ()), (batch, (3,))):
+        each.superoperator()
+        each._dual_identity()
+        each.dual_matrix(np.eye(4))
+        each.apply_matrix(np.eye(3))
+        each.apply_matrix(np.zeros(lead + (2, 3, 3)))
+        each.dual_matrix(np.zeros(lead + (5, 2, 4, 4)))
+        each.apply_matrix(np.zeros(lead + (5, 2, 3, 3)))
+        assert sorted(vars(each)) == ["_gram", "_stack", "dim_in", "dim_out"]
+        assert _held_bytes(each) == each.kraus_stack.nbytes + each._gram.nbytes
 
 
 def test_map_sum_promotes_mixed_representations():

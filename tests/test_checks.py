@@ -324,11 +324,11 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
 @pytest.mark.parametrize("name, limit_mib", [("holevo-separable", 7), ("holevo-composition", 5)])
 def test_a_canonical_batch_of_the_heaviest_identities_stays_small(name, limit_mib):
     # One dimension-3 batch of 100 instances, as the canonical run makes it.
-    # Members read only through their superoperators hold no conjugate copy,
-    # readouts copy no member out of a larger result, and the runners drop
-    # each family after its part: 11.5 and 6.4 MiB before all that. The
-    # runner is iterated directly, so a batch that raises cannot pass as the
-    # smaller instance-by-instance rerun.
+    # An operation holds only its Kraus stack and Gram matrix, readouts copy
+    # no member out of a larger result, and the runners drop each family
+    # after its part: about 5.1 and 2.8 MiB. The runner is iterated
+    # directly, so a batch that raises cannot pass as the smaller
+    # instance-by-instance rerun.
     runner = REGISTRY[name].runner
     key = zlib.crc32(name.encode("utf-8"))
     list(runner([np.random.default_rng((7, key, 3, 0))], 3))

@@ -16,6 +16,7 @@ from qcond.instruments import (
     BiInstrument,
     HolevoSpec,
     Instrument,
+    _holevo_family,
     bi_instrument_deviation,
     condition_instrument,
     given_distribution,
@@ -304,6 +305,21 @@ def test_holevo_operation_kraus_order():
         for k, p in [(1, 0.25), (0, 0.75)]
     ]
     np.testing.assert_allclose(holevo_operation(e, sigma).kraus_stack, expected, atol=1e-15)
+
+
+def test_a_batch_of_holevo_families_is_stored_without_a_copy():
+    # every entry is its own contiguous array, which Operation._build keeps
+    # as given: no member is copied out of a larger result, and no member
+    # keeps another's memory alive
+    rng = np.random.default_rng(34)
+    specs = [random_holevo_spec(3, 4, 2, rng) for _ in range(5)]
+    effects = np.stack([spec.observable.effect_stack for spec in specs])
+    states = np.stack([np.stack([st.matrix for st in spec.states]) for spec in specs])
+    stacks = _holevo_family(effects, states, [0, 1], [0, 1], np.ones(2), 1e-9)
+    ins = Instrument._from_kraus(("x0", "x1"), stacks, 1e-9)
+    assert all(op.kraus_stack is stack and stack.flags.c_contiguous for op, stack in zip(ins.ops, stacks))
+    assert not np.shares_memory(*stacks)
+    assert map_deviation(Operation(stacks[1][2]), holevo_instrument(specs[2]).ops[1]) < 1e-12
 
 
 def test_holevo_dual_formula():
