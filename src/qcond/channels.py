@@ -364,15 +364,20 @@ def _composed_class(first: Operation, second: Operation) -> type:
     return Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
 
 
-def _composed_kraus(first: Operation, second: Operation, atol: float) -> np.ndarray:
+def _composed_kraus(
+    first: Operation, second: Operation, atol: float, superoperators: tuple[Callable, Callable] | None = None
+) -> np.ndarray:
     """A Kraus stack of running ``first``, then ``second`` (member by member
     for batches): the ``n1·n2`` products ``L_b K_a`` when they are no more
     than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
     operators that ``_choi_kraus`` factors from the product of the two
-    superoperators."""
+    superoperators. ``superoperators`` gives them on that path (default: the
+    two ``superoperator`` methods), so that a caller composing each member
+    with several others can make each member's superoperator once."""
     d_out, d_in = second.dim_out, first.dim_in
     if first.kraus_stack.shape[-3] * second.kraus_stack.shape[-3] > d_out * d_in:
-        return _choi_kraus(second.superoperator() @ first.superoperator(), d_out, d_in, atol)
+        s1, s2 = superoperators or (first.superoperator, second.superoperator)
+        return _choi_kraus(s2() @ s1(), d_out, d_in, atol)
     products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
     return products.reshape(products.shape[:-4] + (-1, d_out, d_in))
 

@@ -152,7 +152,7 @@ def _require_states(m: np.ndarray, atol: float) -> np.ndarray:
 def _state_family(kind: str, states, n: int, atol: float) -> np.ndarray:
     """The one validator of state families: ``n`` :class:`State` objects
     (checked again, at ``atol``) or matrices of one dimension, checked by one
-    batched eigendecomposition. Returns them as a read-only ``(n, d, d)`` stack."""
+    batched factorization. Returns them as a read-only ``(n, d, d)`` stack."""
     mats = [coerce_matrix(s) for s in states]
     if len(mats) != n:
         raise InvariantViolation(kind, "state count", f"expected {n}, got {len(mats)}")
@@ -184,7 +184,7 @@ def _effect_family(
     sequences of shape ``grid`` holding matrices or :class:`Effect` objects.
     Checked once for all the families of a batch: finite square entries of
     one dimension, every element between zero and identity (one batched
-    eigendecomposition) and each family's elements summing to the identity.
+    factorization) and each family's elements summing to the identity.
     """
     invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
     lead = batch + grid

@@ -25,6 +25,7 @@ their effect, state and coefficient stacks.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -305,7 +306,8 @@ def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
     ch = Operation.of(ch, atol)
-    stacks = [_composed_kraus(ch, op, atol) for op in ins.ops]
+    first = cache(ch.superoperator)
+    stacks = [_composed_kraus(ch, op, atol, (first, op.superoperator)) for op in ins.ops]
     classes = [_composed_class(ch, op) for op in ins.ops]
     return Instrument._from_kraus(ins.outcomes, stacks, atol, classes)
 
@@ -317,7 +319,9 @@ def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATO
     if ins.dim_out != jns.dim_in:
         raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
     pairs = [(iop, jop) for iop in ins.ops for jop in jns.ops]
-    stacks = [_composed_kraus(iop, jop, atol) for iop, jop in pairs]
+    # each member's superoperator is made once, by the first pair that needs it
+    made = {id(op): cache(op.superoperator) for op in ins.ops + jns.ops}
+    stacks = [_composed_kraus(iop, jop, atol, (made[id(iop)], made[id(jop)])) for iop, jop in pairs]
     classes = [_composed_class(iop, jop) for iop, jop in pairs]
     return BiInstrument._from_kraus(ins.outcomes, jns.outcomes, stacks, atol, classes)
 
@@ -378,9 +382,11 @@ def _holevo_family(
     if float(scaled.min()) < -atol:
         raise InvariantViolation("effect", "positive", f"eigenvalue {scaled.min():.3e}")
     weights = np.sqrt(np.clip(scaled, 0.0, None)[..., :, None] * pvals[..., cols, :][..., None, :])
-    outers = np.einsum("...rk,...cj->...jkrc", pvecs[..., cols, :, :], evecs[..., rows, :, :].conj())
-    entries = [np.multiply(weights[..., i, :, :, None, None], outers[..., i, :, :, :, :], order="C")
-               for i in range(len(rows))]
+    covecs = evecs.conj()
+    entries = [np.multiply(weights[..., i, :, :, None, None],
+                           np.einsum("...rk,...cj->...jkrc", pvecs[..., c, :, :], covecs[..., r, :, :]),
+                           order="C")
+               for i, (r, c) in enumerate(zip(rows, cols))]
     return [e.reshape(e.shape[:-4] + (-1,) + e.shape[-2:]) for e in entries]
 
 

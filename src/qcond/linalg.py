@@ -7,8 +7,10 @@ Conventions fixed here and inherited everywhere else:
   (the left factor's indices are the major ones);
 * composite spaces are laid out left ⊗ right and the partial trace is only
   ever taken over the *right* factor;
-* tolerances are absolute and entrywise (also applied to eigenvalues), a
-  single ``atol`` with default ``1e-9``.
+* tolerances are absolute, a single ``atol`` with default ``1e-9``:
+  entrywise on matrices, and on the spectrum in the positivity tests, where
+  one batched Cholesky factorization certifies and the eigenvalue rule
+  decides what it does not certify.
 """
 
 from __future__ import annotations
@@ -152,45 +154,71 @@ def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= atol
 
 
-def _symmetrized_spectra(m: Any, atol: float) -> np.ndarray | None:
-    """Eigenvalues of the symmetrized ``(m + m†)/2`` of a matrix or of every
-    matrix of a stack ``(..., d, d)``; ``None`` unless every matrix is square
-    and Hermitian within ``atol`` (also ``None`` on NaN or infinite entries).
+def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
+    """True iff every matrix of ``m`` (one matrix or a stack ``(..., d, d)``)
+    is square and Hermitian within ``atol`` (so never on NaN or infinite
+    entries), and its symmetrization ``h = (m + m†)/2`` has its spectrum at
+    or above ``-atol`` (and, with ``upper``, at or below ``1 + atol``).
 
-    The shared kernel of the positivity tests: one coercion, one
-    Hermiticity pass and one batched eigendecomposition, whose callers
-    reduce the whole eigenvalue array at once.
+    The shared kernel of the positivity tests: one coercion, one Hermiticity
+    pass and one batched Cholesky factorization of the shifted stack
+    ``h + atol·I`` (and ``(1 + atol)·I - h``, in the same buffer), which
+    certifies every bound strictly inside it. The eigenvalue rule decides
+    only when a factorization fails, so nothing the rule admits is rejected.
     """
     m = _matrix_stack(m)
-    if m.shape[-1] != m.shape[-2]:
-        return None
+    d = m.shape[-1]
+    if m.shape[-2] != d:
+        return False
     adj = m.conj().swapaxes(-1, -2)
     if not np.abs(m - adj).max() <= atol:
-        return None
-    return np.linalg.eigvalsh((m + adj) / 2.0)
+        return False
+    # 2h + 2·atol·I and (2 + 2·atol)·I - 2h: the shifted stacks scaled by 2,
+    # which changes no pivot's sign
+    shifted = np.empty((1 + upper,) + m.shape, dtype=complex)
+    np.add(m, adj, out=shifted[0])
+    if upper:
+        np.negative(shifted[0], out=shifted[1])
+    shifted.reshape(1 + upper, -1, d, d)[...] += _shifts(d, atol)[: 1 + upper]
+    try:
+        np.linalg.cholesky(shifted)
+        return True
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh((m + adj) / 2.0)
+    return bool(evals.min() >= -atol and (not upper or evals.max() <= 1.0 + atol))
+
+
+@lru_cache(maxsize=None)
+def _shifts(dim: int, atol: float) -> np.ndarray:
+    """``2·atol·I`` and ``(2 + 2·atol)·I`` as a read-only ``(2, 1, dim, dim)``
+    stack, cached: the diagonal shifts of ``_certified_positive``."""
+    out = np.multiply.outer([[2.0 * atol], [2.0 + 2.0 * atol]], np.eye(dim)).astype(complex)
+    out.setflags(write=False)
+    return out
 
 
 def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``m`` is Hermitian within ``atol`` and its spectrum is ≥ -atol.
 
-    The eigenvalue test runs on the symmetrized ``(m + m†)/2`` so rounding
-    asymmetry cannot flip the verdict on exact inputs. On a stack
-    ``(..., d, d)`` every matrix must pass.
+    The test runs on the symmetrized ``(m + m†)/2`` so rounding asymmetry
+    cannot flip the verdict on exact inputs. On a stack ``(..., d, d)``
+    every matrix must pass: one batched Cholesky factorization of
+    ``(m + m†)/2 + atol·I`` certifies them all, and the eigenvalue rule
+    decides what it does not certify.
     """
-    evals = _symmetrized_spectra(m, atol)
-    return evals is not None and bool(evals.min() >= -atol)
+    return _certified_positive(m, atol, upper=False)
 
 
 def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``0 <= m <= I`` within ``atol`` (both ``m`` and ``I - m`` PSD).
 
     For a Hermitian matrix the two positivity conditions reduce to the
-    spectrum lying in ``[-atol, 1 + atol]``, which needs one
-    eigendecomposition. On a stack ``(..., d, d)`` every matrix must pass,
-    and one batched eigendecomposition checks them all.
+    spectrum lying in ``[-atol, 1 + atol]``. On a stack ``(..., d, d)``
+    every matrix must pass: one batched Cholesky factorization certifies
+    both bounds of them all, and the eigenvalue rule decides what it does
+    not certify.
     """
-    evals = _symmetrized_spectra(m, atol)
-    return evals is not None and bool(evals.min() >= -atol and evals.max() <= 1.0 + atol)
+    return _certified_positive(m, atol, upper=True)
 
 
 def max_abs_diff(a: Any, b: Any) -> float:

@@ -347,24 +347,44 @@ def test_a_canonical_batch_of_the_heaviest_identities_stays_small(name, limit_mi
 
 @pytest.mark.parametrize("name", BATCHED)
 def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, monkeypatch):
-    calls = []
-    spectra = linalg._symmetrized_spectra
+    # positivity tests, and the factorizations and eigenvalue fallbacks run
+    # inside them (random draws call eigvalsh outside them)
+    calls = {"kernel": 0, "cholesky": 0, "eigvalsh": 0}
+    inside = []
+    kernel = linalg._certified_positive
 
-    def counted(m, atol):
-        calls.append(1)
-        return spectra(m, atol)
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        inside.append(True)
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(linalg, "_symmetrized_spectra", counted)
+    def counted(fn_name):
+        fn = getattr(np.linalg, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += bool(inside)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_certified_positive", counted_kernel)
+    for fn_name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
     # Both runs fit in one batch. At seed 3 the first three instances of
     # kraus-separable already draw all three Kraus counts, so both runs of
     # it make the same three sub-batches.
     monkeypatch.setattr(checks, "BATCH_SIZE", 30)
     counts = []
     for trials in (3, 30):
-        calls.clear()
+        calls.update(kernel=0, cholesky=0, eigvalsh=0)
         assert run_checks(name, trials=trials, dims=[2], seed=3).passed
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["kernel"] == counts[0]["cholesky"] > 0
+    assert counts[0]["eigvalsh"] == 0
 
 
 def _message(fn, *args):

@@ -482,13 +482,15 @@ def test_effect_objects_raw_matrices_and_arrays_give_equal_stacks():
     np.testing.assert_array_equal(from_array.effect_stack[0], raw[0])
 
 
-def test_family_validation_is_one_batched_eigendecomposition(monkeypatch):
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+def test_family_validation_is_one_batched_factorization(monkeypatch):
+    shapes = {"cholesky": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, _fn=fn, _calls=calls: _calls.append(m.shape) or _fn(m))
     obs = Observable(("a", "b", "c"), (PROJ0 / 2, PROJ1, PROJ0 / 2))
     obs.effects, obs.effect("b"), obs.effect_stack
-    assert shapes == [(3, 2, 2)]
+    # both bounds of all three effects in one call, and no eigenvalue fallback
+    assert shapes == {"cholesky": [(2, 3, 2, 2)], "eigvalsh": []}
 
 
 def test_stochastic_matrix_rejects_nan():

@@ -201,8 +201,9 @@ def test_total_keeps_the_family_tolerance():
 
 @pytest.fixture()
 def spectral_calls(monkeypatch):
-    """Counts of ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` calls."""
-    counts = {"eigh": 0, "eigvalsh": 0}
+    """Counts of ``np.linalg.eigh``, ``np.linalg.eigvalsh`` and
+    ``np.linalg.cholesky`` calls."""
+    counts = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -227,9 +228,9 @@ def test_holevo_compose_decomposes_each_effect_and_state_at_most_once(spectral_c
 def test_random_instrument_spectral_checks_do_not_grow_with_outcomes(spectral_calls):
     totals = []
     for n_outcomes in (2, 4, 7):
-        spectral_calls.update(eigh=0, eigvalsh=0)
+        spectral_calls.update(eigh=0, eigvalsh=0, cholesky=0)
         random_instrument(2, 3, n_outcomes, 17)
-        totals.append(spectral_calls["eigh"] + spectral_calls["eigvalsh"])
+        totals.append(sum(spectral_calls.values()))
     assert totals[0] == totals[1] == totals[2]
 
 
@@ -246,11 +247,12 @@ def _specs(n: int, rng: np.random.Generator) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_each_spec_checks_each_state_family_with_one_eigvalsh(n, spectral_calls):
+def test_each_spec_checks_each_state_family_with_one_factorization(n, spectral_calls):
     for build, families in _specs(n, np.random.default_rng(20))[1]:
-        spectral_calls.update(eigh=0, eigvalsh=0)
+        spectral_calls.update(eigh=0, eigvalsh=0, cholesky=0)
         build()
-        assert spectral_calls == {"eigh": 0, "eigvalsh": families}
+        # one factorization per state family; no eigenvalue fallback
+        assert spectral_calls == {"eigh": 0, "eigvalsh": 0, "cholesky": families}
 
 
 def test_specs_check_a_given_state_again_at_their_tolerance():
@@ -318,9 +320,10 @@ def test_each_family_checks_its_trace_condition_with_one_eigvalsh(path_name, spe
     dim_out, prepare = FAMILY_PATHS[path_name]
     ins = random_instrument(2, dim_out, 2, 18, kraus_per_outcome=2)
     build = prepare(ins, tmp_path / "good.json")
-    spectral_calls["eigvalsh"] = 0
+    spectral_calls.update(eigvalsh=0, cholesky=0)
     build()
-    assert spectral_calls["eigvalsh"] == 1
+    # one factorization of the family total; no eigenvalue fallback
+    assert (spectral_calls["cholesky"], spectral_calls["eigvalsh"]) == (1, 0)
     # every operation scaled by 1.1, admitted at a loose tolerance: the
     # family built from it at the default tolerance rejects it
     big = Instrument(ins.outcomes, tuple(op.scaled(1.1, LOOSE) for op in ins.ops), LOOSE)

@@ -254,6 +254,30 @@ def test_given_instrument_singleton_second_stage():
         assert map_deviation(grid.op(x, "only"), ins.op(x).then(ch)) < 1e-13
 
 
+def test_compositions_make_each_member_superoperator_once(monkeypatch):
+    # Holevo members keep d_in·d_out Kraus operators, so every pair takes the
+    # Choi path of _composed_kraus
+    rng = np.random.default_rng(19)
+    ins = holevo_instrument(random_holevo_spec(4, 5, 3, rng))
+    jns = holevo_instrument(random_holevo_spec(5, 4, 3, rng))
+    ch = random_channel(4, 4, 2, rng)
+    pairs = {(x, y): ins.op(x).then(jns.op(y)).kraus_stack for x in ins.outcomes for y in jns.outcomes}
+    conditioned = {x: ch.then(ins.op(x)).kraus_stack for x in ins.outcomes}
+    calls = []
+    superoperator = Operation.superoperator
+    monkeypatch.setattr(Operation, "superoperator", lambda op: calls.append(op) or superoperator(op))
+    grid = given_instrument(ins, jns)
+    assert len(calls) == 3 + 3
+    calls.clear()
+    out = condition_instrument(ch, ins)
+    assert len(calls) == 1 + 3
+    # the same bits as composing each pair on its own
+    for (x, y), stack in pairs.items():
+        assert grid.op(x, y).kraus_stack.tobytes() == stack.tobytes()
+    for x, stack in conditioned.items():
+        assert out.op(x).kraus_stack.tobytes() == stack.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Holevo instruments
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qcond import Effect, Instrument, Observable, Operation, State
 from qcond.errors import InvariantViolation
 from qcond.linalg import (
     adjoint,
@@ -224,3 +225,132 @@ def test_is_psd_on_a_stack():
     assert not is_psd(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
     assert not is_psd(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
     assert not is_psd(np.ones((2, 2, 3)))
+
+
+# Verdicts of the factorization certificate against the eigenvalue rule.
+
+ATOL = 1e-9
+# each bound of [-atol, 1 + atol], at it and at ±1e-4·atol and ±0.5·atol
+# from it, and the exact ends 0 and 1 of [0, I]
+PLACEMENTS = [b + f * ATOL for b in (-ATOL, 1.0 + ATOL) for f in (0.0, 1e-4, -1e-4, 0.5, -0.5)] + [0.0, 1.0]
+
+
+def _eigenvalue_rule(m: np.ndarray, upper: bool) -> bool:
+    """The exact verdict: the spectrum of ``(m + m†)/2`` at or above
+    ``-atol`` (and, with ``upper``, at or below ``1 + atol``)."""
+    evals = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return bool(evals.min() >= -ATOL and (not upper or evals.max() <= 1.0 + ATOL))
+
+
+def _unitary(rng, dim):
+    q, r = np.linalg.qr(_rand(rng, dim, dim))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _placed(rng, dim, value, rotated):
+    """A Hermitian matrix with eigenvalue ``value`` and the others drawn from
+    ``[0.05, 0.95]``. ``value`` sits exactly on a (permuted) basis vector,
+    unless ``rotated``, when a random unitary turns the whole spectrum."""
+    evals = rng.uniform(0.05, 0.95, dim)
+    evals[0] = value
+    if rotated:
+        u = _unitary(rng, dim)
+        return (u * evals) @ u.conj().T
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 0] = value
+    u = _unitary(rng, dim - 1)
+    m[1:, 1:] = (u * evals[1:]) @ u.conj().T
+    perm = rng.permutation(dim)
+    return m[perm][:, perm]
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Counts of ``np.linalg.cholesky`` calls, of those that raised, and of
+    ``np.linalg.eigvalsh`` calls."""
+    counts = {"cholesky": 0, "failed": 0, "eigvalsh": 0}
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def counted_cholesky(m):
+        counts["cholesky"] += 1
+        try:
+            return cholesky(m)
+        except np.linalg.LinAlgError:
+            counts["failed"] += 1
+            raise
+
+    def counted_eigvalsh(m):
+        counts["eigvalsh"] += 1
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return counts
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 8, 16, 32])
+def test_positivity_verdicts_equal_the_eigenvalue_rule(dim, rotated, factorizations):
+    rng = np.random.default_rng(1000 * dim + rotated)
+    # a rotated eigenvalue exactly on a bound is within rounding of it
+    placements = [v for v in PLACEMENTS if not (rotated and v in (-ATOL, 1.0 + ATOL))]
+    for value in placements:
+        m = _placed(rng, dim, value, rotated)
+        stack = np.stack([_placed(rng, dim, 0.5, True) for _ in range(5)] + [m])[rng.permutation(6)]
+        for probe in (m, stack):
+            expected = {upper: _eigenvalue_rule(probe, upper) for upper in (False, True)}
+            factorizations.update(cholesky=0, failed=0, eigvalsh=0)
+            assert is_psd(probe, ATOL) == expected[False]
+            assert is_effect_matrix(probe, ATOL) == expected[True]
+            # one factorization per test; eigenvalues only where it failed
+            assert factorizations["cholesky"] == 2
+            assert factorizations["eigvalsh"] == factorizations["failed"]
+
+
+def test_positivity_at_the_exact_bounds():
+    assert is_psd(np.diag([1.0, -ATOL]))
+    assert is_effect_matrix(np.diag([1.0 + ATOL, -ATOL]))
+    assert is_effect_matrix(np.diag([1.0 + ATOL, -ATOL]).astype(complex)[None].repeat(3, axis=0))
+    below, above = np.nextafter(-ATOL, -1.0), np.nextafter(1.0 + ATOL, 2.0)
+    assert not is_psd(np.diag([1.0, below]))
+    assert not is_effect_matrix(np.diag([1.0, below]))
+    assert not is_effect_matrix(np.diag([above, 0.0]))
+
+
+def test_a_stack_with_one_bad_matrix_is_rejected():
+    rng = np.random.default_rng(33)
+    for dim in (2, 5, 16):
+        good = [_placed(rng, dim, 0.5, True) for _ in range(49)]
+        for bad, upper in ((-1.5 * ATOL, False), (-1.5 * ATOL, True), (1.0 + 1.5 * ATOL, True)):
+            stack = np.stack(good + [_placed(rng, dim, bad, False)])[rng.permutation(50)]
+            check = is_effect_matrix if upper else is_psd
+            assert check(np.stack(good)) and not check(stack)
+
+
+def test_positivity_of_nan_or_non_hermitian_input_is_false():
+    skew = np.array([[0.5, 0.1], [-0.1, 0.5]], dtype=complex)
+    near = np.array([[0.5, 0.1 + 0.4 * ATOL], [0.1, 0.5]], dtype=complex)
+    for check in (is_psd, is_effect_matrix):
+        for i, j in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex) / 2
+            m[i, j] = np.nan
+            assert check(m) is False
+            assert check(np.stack([np.eye(2) / 2, m])) is False
+        assert check(skew) is False
+        assert check(near) is True
+
+
+def test_positivity_rejection_messages():
+    def message(fn, *args):
+        with pytest.raises(InvariantViolation) as info:
+            fn(*args)
+        return str(info.value)
+
+    assert message(State, np.diag([1.0 + 1e-3, -1e-3])) == "State: violated invariant 'positive'"
+    assert message(Effect, np.diag([1.0 + 1e-3, 0.0])) == (
+        "Effect: violated invariant 'between zero and identity'")
+    assert message(Observable, ("a", "b"), (np.diag([1.1, 0.5]), np.diag([-0.1, 0.5]))) == (
+        "Observable: violated invariant 'between zero and identity'")
+    big = Operation(np.sqrt(1.1) * np.eye(2)[None], 0.5)
+    assert message(Instrument, ("x",), (big,)) == (
+        "Instrument: violated invariant 'total channel' (sum K†K must be <= I)")
