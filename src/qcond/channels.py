@@ -31,7 +31,7 @@ own stack, and each matrix maps to its own image.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .effects import Effect, Observable, State, _require_effects
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
+    _certified_positive,
     _identity,
     _near_identity,
     _require_finite,
@@ -46,8 +47,6 @@ from .linalg import (
     frozen_copy,
     hermitian_part,
     hermitized_matrix_units,
-    is_effect_matrix,
-    is_psd,
     max_abs_diff,
 )
 
@@ -141,14 +140,13 @@ class QuantumMap:
 class Operation(QuantumMap):
     """Completely positive trace-non-increasing map in Kraus form.
 
-    ``kraus`` may be a sequence of matrices or one stacked 3-D array; the
-    operators are kept stacked internally so applications are single
+    ``kraus`` may be a sequence of matrices or one stacked 3-D array (copied);
+    the operators are kept stacked internally so applications are single
     ``numpy`` contractions regardless of how long the list is.
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
-        # The operation keeps its own copy of a caller's array.
-        self._build(np.array(kraus, dtype=complex) if isinstance(kraus, np.ndarray) else kraus)
+        self._build(_kraus_stack(kraus))
         self._check(atol)
 
     def _check(self, atol: float) -> None:
@@ -156,12 +154,19 @@ class Operation(QuantumMap):
         _require_trace_non_increasing(self._gram, atol, "Operation", "trace non-increasing")
 
     @classmethod
-    def _checked(cls, stack: np.ndarray, atol: float) -> "Operation":
-        """An operation of this class from a Kraus stack ``(n, d_out, d_in)``,
-        checked as the constructor checks it; leading axes of ``stack`` make
-        a batch of operations, every member checked."""
+    def _unchecked(cls, stack: np.ndarray) -> "Operation":
+        """An operation of this class on a Kraus stack ``(..., n, d_out, d_in)``
+        the library made (leading axes: a batch of operations), its trace
+        condition unchecked; the one way, beside ``__init__``, to make one."""
         op = object.__new__(cls)
-        op._build(stack, stack.ndim - 3)
+        op._build(stack)
+        return op
+
+    @classmethod
+    def _checked(cls, stack: np.ndarray, atol: float) -> "Operation":
+        """``_unchecked``, then checked as the constructor checks it (every
+        member of a batch)."""
+        op = cls._unchecked(stack)
         op._check(atol)
         return op
 
@@ -173,23 +178,15 @@ class Operation(QuantumMap):
         within ``atol``."""
         if isinstance(qmap, cls):
             return qmap
-        return cls(_choi_kraus(qmap.superoperator(), qmap.dim_out, qmap.dim_in, atol), atol)
+        return cls._checked(_choi_kraus(qmap.superoperator(), qmap.dim_out, qmap.dim_in, atol), atol)
 
-    def _build(self, kraus: Sequence[np.ndarray] | np.ndarray, batch: int = 0) -> None:
-        """Store the Kraus stack and its Gram matrix ``sum K†K``; checks shape
-        and finiteness, not the trace condition. An array ``kraus`` may carry
-        ``batch`` leading batch axes; a contiguous complex one is stored as
-        given (made read-only), not copied. These four fields are all an
-        operation holds: every kernel is a function of them."""
-        if isinstance(kraus, np.ndarray) and kraus.ndim == 3 + batch:
-            stack = np.ascontiguousarray(kraus, dtype=complex)
-        else:
-            mats = [as_complex_matrix(k) for k in kraus]
-            if not mats:
-                raise InvariantViolation("Operation", "nonempty Kraus list")
-            if len({m.shape for m in mats}) != 1:
-                raise InvariantViolation("Operation", "uniform Kraus shape")
-            stack = np.stack(mats)
+    def _build(self, stack: np.ndarray) -> None:
+        """Store the Kraus stack ``(..., n, d_out, d_in)`` (leading axes: the
+        batch) and its Gram matrix ``sum K†K``; checks that the operators
+        exist and are finite, not the trace condition. A contiguous complex
+        stack is stored as given (made read-only), not copied. These four
+        fields are all an operation holds: every kernel is a function of them."""
+        stack = np.ascontiguousarray(stack, dtype=complex)
         if stack.shape[-3] == 0:
             raise InvariantViolation("Operation", "nonempty Kraus list")
         _require_finite(stack, "Operation")
@@ -259,11 +256,6 @@ class Operation(QuantumMap):
 class Channel(Operation):
     """Trace-preserving operation (``sum K†K == I``)."""
 
-    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
-        """Checks ``sum K†K <= I`` and ``sum K†K == I`` within ``atol``
-        (the rule of ``_check``, which batches share)."""
-        super().__init__(kraus, atol)
-
     def _check(self, atol: float) -> None:
         super()._check(atol)
         _require_trace_preserving(self._gram, atol, "Channel", "trace preservation")
@@ -330,10 +322,30 @@ class LinearMap(QuantumMap):
         return self._matrix
 
 
+def _kraus_stack(kraus: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """A caller's Kraus operators as a new ``(n, d_out, d_in)`` stack: a 3-D
+    array is copied; anything else must be a nonempty sequence of finite
+    2-D matrices of one shape."""
+    if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
+        return np.array(kraus, dtype=complex)
+    mats = [as_complex_matrix(k) for k in kraus]
+    if not mats:
+        raise InvariantViolation("Operation", "nonempty Kraus list")
+    if len({m.shape for m in mats}) != 1:
+        raise InvariantViolation("Operation", "uniform Kraus shape")
+    return np.stack(mats)
+
+
+def _joined(ops: Iterable[Operation]) -> np.ndarray:
+    """The Kraus stacks of ``ops`` concatenated (member by member for
+    batches): a Kraus stack of their sum."""
+    return np.concatenate([op.kraus_stack for op in ops], axis=-3)
+
+
 def _require_trace_non_increasing(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
     """``sum K†K <= I`` within ``atol``, for one Gram matrix or every matrix
     of a stack; the caller names the error's kind and invariant."""
-    if not is_psd(_identity(gram.shape[-1]) - gram, atol):
+    if not _certified_positive(_identity(gram.shape[-1]) - gram, atol, upper=False):
         raise InvariantViolation(kind, invariant, "sum K†K must be <= I")
 
 
@@ -410,8 +422,7 @@ def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMa
     if len(dims) != 1:
         raise ValueError(f"summands must share dimensions, got {sorted(dims)}")
     if all(isinstance(m, Operation) for m in maps):
-        kraus = np.concatenate([m.kraus_stack for m in maps])  # type: ignore[attr-defined]
-        return Operation(kraus, atol)
+        return Operation._checked(_joined(maps), atol)  # type: ignore[arg-type]
     total = sum(m.superoperator() for m in maps)
     return LinearMap(total, maps[0].dim_in, maps[0].dim_out)
 
@@ -509,9 +520,9 @@ def complete_subnormalized(
 def _completed(stack: np.ndarray, atol: float) -> np.ndarray:
     """``b_x + (I - sum b)/n`` for a sub-normalized family ``(..., n, d, d)``
     (or a stack of them), after checking it; the result is unvalidated."""
-    if not is_effect_matrix(stack, atol):
+    if not _certified_positive(stack, atol, upper=True):
         raise InvariantViolation("completion", "between zero and identity", "each b_x must satisfy 0 <= b_x <= I")
     residual = _identity(stack.shape[-1]) - stack.sum(axis=-3)
-    if not is_psd(residual, atol):
+    if not _certified_positive(residual, atol, upper=False):
         raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
     return stack + residual[..., None, :, :] / stack.shape[-3]

@@ -1,7 +1,10 @@
 """Registry of executable identities and the batch check runner.
 
 Every structural identity the library guarantees is registered here once,
-under a descriptive name, with a one-line statement and a runner. A runner
+under a descriptive name, with a one-line statement and a runner: the
+decorator ``@_identity(name, statement)`` on the runner registers it, in
+definition order (the order of ``registered_identities()``), and a name
+registered twice raises ``ValueError``. A runner
 evaluates the identity on a batch of seeded random instances, one generator
 per instance, and yields, for each part it compares, an array with one
 absolute deviation per instance. ``run_checks`` sweeps the registry over
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -182,6 +186,23 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+REGISTRY: dict[str, IdentityCheck] = {}
+
+
+def _identity(name: str, statement: str) -> Callable[[Runner], Runner]:
+    """Register the decorated runner as the identity ``name``, stated by
+    ``statement``: the registry holds the identities in definition order,
+    and a name registered twice raises ``ValueError``."""
+
+    def register(runner: Runner) -> Runner:
+        if name in REGISTRY:
+            raise ValueError(f"identity {name!r} is registered twice")
+        REGISTRY[name] = IdentityCheck(name, statement, runner)
+        return runner
+
+    return register
+
+
 def _subsets(labels: Sequence) -> list[tuple]:
     return list(chain.from_iterable(combinations(labels, k) for k in range(len(labels) + 1)))
 
@@ -267,6 +288,8 @@ def _conditioned_observables(ch: Channel, obs: np.ndarray) -> np.ndarray:
     return _observables(_conditioned(ch, obs, DEFAULT_ATOL))
 
 
+@_identity("postprocess-part-compose", "post-processing twice equals one post-processing by the composed "
+           "kernel; coarse-graining twice equals the composed surjection")
 def _run_postprocess_part_compose(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     obs = _random_observables(rngs, dim, 4)
     lam = _kernels(_draw_stochastic(rngs, 4, 3))
@@ -281,6 +304,8 @@ def _run_postprocess_part_compose(rngs: Sequence[np.random.Generator], dim: int)
     yield _dev(_parted(_parted(obs, f, u_labels), g, v_labels), _parted(obs, f_then_g, v_labels))
 
 
+@_identity("dual-map", "tr[rho I*(a)] == tr[I(rho) a]; the dual adds over summable effects and fixes the "
+           "identity exactly when the map is trace preserving")
 def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ch = _channels(rngs, dim, dim + 1, 2)
     rho = _states(rngs, dim)
@@ -293,6 +318,7 @@ def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.
     yield _dev(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim))
 
 
+@_identity("sequential-dual-contravariance", "(I then J)*(b) == I*(J*(b)) for operations in sequence")
 def _run_contravariance(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     first = _channels(rngs, dim, dim + 1, 2).scaled(_uniforms(rngs, 0.7, 1.0))
     second = _channels(rngs, dim + 1, dim, 2).scaled(_uniforms(rngs, 0.7, 1.0))
@@ -300,6 +326,7 @@ def _run_contravariance(rngs: Sequence[np.random.Generator], dim: int) -> Iterat
     yield _dev(first.then(second).dual_matrix(b), first.dual_matrix(second.dual_matrix(b)))
 
 
+@_identity("conditioning-affine", "conditioning commutes with affine combinations of observables")
 def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ch = _channels(rngs, dim, dim + 1, 2)
     a1 = _random_observables(rngs, dim + 1, 3)
@@ -312,6 +339,8 @@ def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> I
     yield _dev(lhs, rhs)
 
 
+@_identity("subnormalized-completion", "B_x = b_x + (I - sum b)/n is an observable; conditioning B "
+           "reproduces the conditioned b_x whenever the residual's dual vanishes")
 def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim2 = dim + 1
     # the channel complete_subnormalized takes, drawn (and checked as a
@@ -334,6 +363,8 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
         yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i], DEFAULT_ATOL))
 
 
+@_identity("given-observable-marginals", "marginals of (B given I) are the measured observable and B "
+           "conditioned by the total channel; product-set probabilities factor through the updated state")
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ins = _instruments(rngs, dim, dim + 1, 3)
     b_obs = _random_observables(rngs, dim + 1, 2)
@@ -353,6 +384,7 @@ def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Itera
             yield _dev(factored, double)
 
 
+@_identity("conditioned-set-closure", "conditioning commutes with post-processing and with taking parts")
 def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ch = _channels(rngs, dim, dim + 1, 2)
     a_obs = _random_observables(rngs, dim + 1, 3)
@@ -366,6 +398,8 @@ def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.n
     yield _dev(_parted(conditioned, f, u_labels), _conditioned_observables(ch, _parted(a_obs, f, u_labels)))
 
 
+@_identity("holevo-composition", "two measure-and-prepare stages compose to a measure-and-prepare grid with "
+           "effects tr(alpha_x B_y) A_x and prepared states beta_y")
 def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     a, alphas = _random_observables(rngs, dim, 2), _state_stack(rngs, dim + 1, 2)
     b, betas = _random_observables(rngs, dim + 1, 2), _state_stack(rngs, dim, 2)
@@ -394,6 +428,8 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
         yield _dev(op.apply_matrix(rho), weights[:, y, None, None] * betas[:, y])
 
 
+@_identity("measurement-pointer", "the pointer observable equals the outcome-wise measured effect of the "
+           "measured instrument and sum_i K_i†(I⊗P_y)K_i; the interaction marginal is probe-independent")
 def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ins = _instruments(rngs, dim, 2 * dim, 2)
     probe = _random_observables(rngs, 2, 2)
@@ -418,6 +454,8 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     yield instrument_deviation(measured, bi_ins.marginal2())
 
 
+@_identity("kraus-separable", "separable-channel shortcuts (dual on product effects, measured instrument, "
+           "pointer observable) match the partial-trace pipeline; tr(rho_i P_y) is row-stochastic")
 def _run_kraus_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     """Each instance draws its Kraus count first; the instances of one count
     run as one batch, and their deviations go back to their places."""
@@ -456,6 +494,8 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     yield _dev(pointer, _post_processed(_observables(_grams(factors)), _kernels(w)))
 
 
+@_identity("simple-kraus-separable", "lifted operators phi -> A_i phi ⊗ psi_i realize the separable channel "
+           "with pure probe states")
 def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim_probe = 2
     factors = _channels(rngs, dim, dim, 2).kraus_stack
@@ -474,6 +514,8 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     yield _dev(lifted.kraus_stack.conj().mT @ product, expected[..., None])
 
 
+@_identity("holevo-separable", "all six closed-form quantities of a product-state measure-and-prepare model "
+           "match the partial-trace pipeline; tr(gamma_x P_y) is row-stochastic")
 def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     """Each closed-form instrument is dropped after its part (the reduced
     one first; the probe-indexed one is made from the grid after the grid's
@@ -506,84 +548,6 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     yield _dev(w.sum(axis=-1), 1.0)
 
 
-REGISTRY: dict[str, IdentityCheck] = {
-    check.name: check
-    for check in [
-        IdentityCheck(
-            "postprocess-part-compose",
-            "post-processing twice equals one post-processing by the composed kernel; "
-            "coarse-graining twice equals the composed surjection",
-            _run_postprocess_part_compose,
-        ),
-        IdentityCheck(
-            "dual-map",
-            "tr[rho I*(a)] == tr[I(rho) a]; the dual adds over summable effects and "
-            "fixes the identity exactly when the map is trace preserving",
-            _run_dual_map,
-        ),
-        IdentityCheck(
-            "sequential-dual-contravariance",
-            "(I then J)*(b) == I*(J*(b)) for operations in sequence",
-            _run_contravariance,
-        ),
-        IdentityCheck(
-            "conditioning-affine",
-            "conditioning commutes with affine combinations of observables",
-            _run_conditioning_affine,
-        ),
-        IdentityCheck(
-            "subnormalized-completion",
-            "B_x = b_x + (I - sum b)/n is an observable; conditioning B reproduces the "
-            "conditioned b_x whenever the residual's dual vanishes",
-            _run_subnormalized_completion,
-        ),
-        IdentityCheck(
-            "given-observable-marginals",
-            "marginals of (B given I) are the measured observable and B conditioned by "
-            "the total channel; product-set probabilities factor through the updated state",
-            _run_given_marginals,
-        ),
-        IdentityCheck(
-            "conditioned-set-closure",
-            "conditioning commutes with post-processing and with taking parts",
-            _run_closure,
-        ),
-        IdentityCheck(
-            "holevo-composition",
-            "two measure-and-prepare stages compose to a measure-and-prepare grid with "
-            "effects tr(alpha_x B_y) A_x and prepared states beta_y",
-            _run_holevo_composition,
-        ),
-        IdentityCheck(
-            "measurement-pointer",
-            "the pointer observable equals the outcome-wise measured effect of the "
-            "measured instrument and sum_i K_i†(I⊗P_y)K_i; the interaction marginal "
-            "is probe-independent",
-            _run_measurement_pointer,
-        ),
-        IdentityCheck(
-            "kraus-separable",
-            "separable-channel shortcuts (dual on product effects, measured instrument, "
-            "pointer observable) match the partial-trace pipeline; tr(rho_i P_y) is "
-            "row-stochastic",
-            _run_kraus_separable,
-        ),
-        IdentityCheck(
-            "simple-kraus-separable",
-            "lifted operators phi -> A_i phi ⊗ psi_i realize the separable channel with "
-            "pure probe states",
-            _run_simple_separable,
-        ),
-        IdentityCheck(
-            "holevo-separable",
-            "all six closed-form quantities of a product-state measure-and-prepare model "
-            "match the partial-trace pipeline; tr(gamma_x P_y) is row-stochastic",
-            _run_holevo_separable,
-        ),
-    ]
-}
-
-
 def registered_identities() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
@@ -591,16 +555,15 @@ def registered_identities() -> tuple[str, ...]:
 def resolve_suite(names: str | Sequence[str]) -> list[str]:
     """Expand a suite spec: identity names and the keyword ``all``, which
     stands for the whole registry wherever it appears (a repeated name is
-    kept at its first occurrence only; an empty spec means ``all``)."""
+    kept at its first occurrence only; an empty spec means ``all``). An
+    unknown name raises ``ValueError``, beside ``all`` too."""
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
     names = list(dict.fromkeys(names or ["all"]))
-    if "all" in names:
-        return list(REGISTRY)
-    unknown = [n for n in names if n not in REGISTRY]
+    unknown = [n for n in names if n not in REGISTRY and n != "all"]
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(sorted(unknown))}")
-    return names
+    return list(REGISTRY) if "all" in names else names
 
 
 def _seed_words(seed: tuple[int, ...]) -> np.ndarray:
@@ -646,6 +609,14 @@ def _instance_deviations(runner: Runner, seeds: Sequence[tuple[int, ...]], dim: 
     return np.where(np.isfinite(worst), worst, math.inf)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``what`` unless it is
+    an integer (of Python or numpy) and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_checks(
     suite: str | Sequence[str],
     trials: int,
@@ -659,7 +630,9 @@ def run_checks(
     so reports are deterministic and order-independent. Results are sorted by
     identity name; a repeated name or dimension counts once, at its first
     occurrence. ``trials=0`` gives an empty (vacuously passing) report; a
-    negative ``trials`` or ``seed`` raises ``ValueError``.
+    ``trials``, ``seed`` or dimension that is not an integer (a boolean
+    included), a negative ``trials`` or ``seed`` and a dimension below 1
+    raise ``ValueError``.
     An instance's deviation is the largest its runner yields. An instance
     that raises any ``Exception`` (a violated construction invariant
     included), yields a non-finite deviation or yields nothing counts as
@@ -667,12 +640,13 @@ def run_checks(
     finite and positive.
     """
     tol = require_tolerance(tol)
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     names = resolve_suite(suite)
-    dims = list(dict.fromkeys(dims))
+    dims = list(dict.fromkeys(_integer(d, "dimension") for d in dims))
     if any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive")
     results: list[IdentityResult] = []

@@ -36,6 +36,8 @@ from .channels import (
     QuantumMap,
     _composed_class,
     _composed_kraus,
+    _joined,
+    _kraus_stack,
     _per_member,
     _require_channel,
     _require_trace_non_increasing,
@@ -68,46 +70,40 @@ __all__ = [
 ]
 
 
-def _admit_family(kind: str, ops: Sequence[Operation], atol: float) -> None:
-    """The one check of a family's trace condition: uniform dimensions, and
-    the total's dual at the identity, ``sum_x op_x*(I)`` (the sum of the
-    members' Gram matrices), below ``I`` and equal to it entrywise,
-    within ``atol``: the two trace rules of a channel."""
+def _admit_family(kind: str, ops: Iterable[QuantumMap], atol: float) -> tuple[Operation, ...]:
+    """The members admitted as operations (``Operation.of``), after the one
+    check of a family's trace condition: uniform dimensions, and the total's
+    dual at the identity, ``sum_x op_x*(I)`` (the sum of the members' Gram
+    matrices), below ``I`` and equal to it entrywise, within ``atol``: the
+    two trace rules of a channel."""
+    ops = tuple(Operation.of(op, atol) for op in ops)
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
     total = sum(op._gram for op in ops)
     _require_trace_non_increasing(total, atol, kind, "total channel")
     _require_trace_preserving(total, atol, kind, "total channel")
+    return ops
 
 
 def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
     """One operation per Kraus stack, of class ``classes[i]`` (default
-    :class:`Operation`), built without ``__init__`` for a family whose total
-    is checked next. An array stack follows the rule of
+    :class:`Operation`), built unchecked for a family whose total is
+    checked next. An array stack follows the rule of
     ``_without_zero_operators``; a sequence of matrices (a list read from a
-    scenario file) is kept as given. A ``Channel`` member is checked for
-    ``sum K†K == I`` entrywise, which the total does not give for one
-    member of several. Array stacks ``(..., n, d_out, d_in)`` may carry
-    leading batch axes, which give a batch of families."""
-    ops = tuple(object.__new__(cls) for cls in classes or [Operation] * len(stacks))
-    for op, stack in zip(ops, stacks):
-        if isinstance(stack, np.ndarray):
-            op._build(_without_zero_operators(stack), stack.ndim - 3)
-        else:
-            op._build(stack)
+    scenario file) is kept as given, under the rule of ``_kraus_stack``. A
+    ``Channel`` member is checked for ``sum K†K == I`` entrywise, which the
+    total does not give for one member of several. Array stacks ``(..., n,
+    d_out, d_in)`` may carry leading batch axes, which give a batch of
+    families."""
+    ops = []
+    for cls, stack in zip(classes or [Operation] * len(stacks), stacks):
+        array = isinstance(stack, np.ndarray)
+        op = cls._unchecked(_without_zero_operators(stack) if array else _kraus_stack(stack))
         if isinstance(op, Channel):
             _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
-    return ops
-
-
-def _summed(ops: Iterable[Operation]) -> Channel:
-    """The total channel of a checked family, with concatenated Kraus lists
-    and no second check: the family's check at its own tolerance covers it."""
-    stack = np.concatenate([op.kraus_stack for op in ops], axis=-3)
-    total = object.__new__(Channel)
-    total._build(stack, stack.ndim - 3)
-    return total
+        ops.append(op)
+    return tuple(ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +124,7 @@ class Instrument:
         outcomes = _distinct_labels(self.outcomes, "Instrument")
         if len(self.ops) != len(outcomes):
             raise InvariantViolation("Instrument", "one operation per outcome")
-        ops = tuple(Operation.of(op, atol) for op in self.ops)
-        _admit_family("Instrument", ops, atol)
+        ops = _admit_family("Instrument", self.ops, atol)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "ops", ops)
 
@@ -150,7 +145,7 @@ class Instrument:
     def total_channel(self) -> Channel:
         """The summed channel, with concatenated Kraus lists; not checked
         again, since the family was checked as a whole."""
-        return _summed(self.ops)
+        return Channel._unchecked(_joined(self.ops))
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
@@ -202,8 +197,8 @@ class BiInstrument:
         rows = tuple(tuple(row) for row in self.ops)
         if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
             raise InvariantViolation("BiInstrument", "grid shape")
-        rows = tuple(tuple(Operation.of(op, atol) for op in row) for row in rows)
-        _admit_family("BiInstrument", [op for row in rows for op in row], atol)
+        admitted = iter(_admit_family("BiInstrument", [op for row in rows for op in row], atol))
+        rows = tuple(tuple(next(admitted) for _ in row) for row in rows)
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "ops", rows)
@@ -222,11 +217,10 @@ class BiInstrument:
     def total_channel(self) -> Channel:
         """The summed channel, with concatenated Kraus lists; not checked
         again, since the family was checked as a whole."""
-        return _summed(op for row in self.ops for op in row)
+        return Channel._unchecked(_joined(op for row in self.ops for op in row))
 
     def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
-        stacks = [np.concatenate([op.kraus_stack for op in group], axis=-3) for group in groups]
-        return Instrument._from_kraus(outcomes, stacks, atol)
+        return Instrument._from_kraus(outcomes, [_joined(group) for group in groups], atol)
 
     def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """Sum out the second outcome index."""
@@ -402,7 +396,7 @@ def holevo_operation(
     """
     pair = [as_complex_matrix(m)[None] for m in (effect, state)]
     (stack,) = _holevo_family(*pair, [0], [0], np.ones(1), atol)
-    return Operation(_without_zero_operators(stack), atol)
+    return Operation._checked(_without_zero_operators(stack), atol)
 
 
 def _holevo_instrument(outcomes, effects: np.ndarray, states: np.ndarray, atol: float) -> Instrument:

@@ -147,11 +147,13 @@ def hermitian_part(m: Any) -> np.ndarray:
 
 
 def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff ``max |m - m†| <= atol`` entrywise."""
+    """True iff ``max |m - m†| <= atol`` entrywise (never on NaN or infinite
+    entries)."""
     m = coerce_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m - m.conj().T))) <= atol
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(m - m.conj().T))) <= atol
 
 
 def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
@@ -160,7 +162,10 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     entries), and its symmetrization ``h = (m + m†)/2`` has its spectrum at
     or above ``-atol`` (and, with ``upper``, at or below ``1 + atol``).
 
-    The shared kernel of the positivity tests: one coercion, one Hermiticity
+    The shared kernel of the positivity tests. The construction rules call
+    it on their stacks, already checked finite; ``is_psd`` and
+    ``is_effect_matrix`` call it with the invalid-value warning of the
+    Hermiticity pass (``inf - inf``) silenced. One coercion, one Hermiticity
     pass and one batched Cholesky factorization of the shifted stack
     ``h + atol·I`` (and ``(1 + atol)·I - h``, in the same buffer), which
     certifies every bound strictly inside it. The eigenvalue rule decides
@@ -204,9 +209,10 @@ def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     cannot flip the verdict on exact inputs. On a stack ``(..., d, d)``
     every matrix must pass: one batched Cholesky factorization of
     ``(m + m†)/2 + atol·I`` certifies them all, and the eigenvalue rule
-    decides what it does not certify.
+    decides what it does not certify. NaN or infinite entries give False.
     """
-    return _certified_positive(m, atol, upper=False)
+    with np.errstate(invalid="ignore"):
+        return _certified_positive(m, atol, upper=False)
 
 
 def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
@@ -216,9 +222,10 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     spectrum lying in ``[-atol, 1 + atol]``. On a stack ``(..., d, d)``
     every matrix must pass: one batched Cholesky factorization certifies
     both bounds of them all, and the eigenvalue rule decides what it does
-    not certify.
+    not certify. NaN or infinite entries give False.
     """
-    return _certified_positive(m, atol, upper=True)
+    with np.errstate(invalid="ignore"):
+        return _certified_positive(m, atol, upper=True)
 
 
 def max_abs_diff(a: Any, b: Any) -> float:

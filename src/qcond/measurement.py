@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, _require_trace_preserving, _without_zero_operators
+from .channels import Channel, _joined, _require_trace_preserving, _without_zero_operators
 from .effects import BiObservable, Effect, Observable, State, _require_ones, _state_family
 from .errors import InvariantViolation
 from .instruments import (
@@ -159,7 +159,7 @@ def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: floa
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
     # the total's Kraus stack is a temporary, freed before the members are built
     readout = MeasurementModel._readout(
-        [np.concatenate([op.kraus_stack for op in interaction.ops], axis=-3)],
+        [_joined(interaction.ops)],
         MeasurementModel._probe_factors(probe, atol),
     )
     return Instrument._from_kraus(outcomes, readout, atol)
@@ -288,7 +288,7 @@ class KrausSeparableChannel:
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The separable channel as a Kraus-form channel into base ⊗ probe."""
-        return Channel(self.lifted_kraus(atol), atol)
+        return Channel._checked(np.stack(self.lifted_kraus(atol)), atol)
 
     def dual_on_product(
         self, a: Effect | np.ndarray, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL

@@ -13,9 +13,16 @@ each generator a ``_draw_*`` function consumes exactly what the matching
 public constructor consumes from it (all the Gaussian entries of one object
 come from one ``standard_normal((n, 2, rows, cols))`` call, real parts
 before imaginary parts, matrix by matrix), and each generator's arrays equal
-the constructor's whatever the other generators are. Retries are per
-generator. The seeded identity checks draw a batch of trials this way, one
-generator per trial, and validate the stacks with the constructors' rules.
+the constructor's whatever the other generators are. The seeded identity
+checks draw a batch of trials this way, one generator per trial, and
+validate the stacks with the constructors' rules.
+
+A random channel is the Q factor of the QR decomposition of one Ginibre
+draw: the Householder factor has orthonormal columns for every draw, so
+channels are never redrawn. A random observable whitens its draws by the
+inverse square root of their sum, and a generator whose sum is singular
+within ``atol`` draws again (at most ``_RETRIES`` times, then
+``RuntimeError``), alone: the other generators' draws stand.
 """
 
 from __future__ import annotations
@@ -61,23 +68,6 @@ def _draw_ginibre(rngs: Sequence[np.random.Generator], n: int, rows: int, cols: 
     return z[:, :, 0] + 1j * z[:, :, 1]
 
 
-def _retrying(rngs: Sequence[np.random.Generator], draw, accept, failure: str) -> tuple:
-    """``draw(rngs)``, a tuple of stacks with one entry per generator,
-    redrawn per generator until ``accept(*stacks)`` holds for its entries
-    (at most ``_RETRIES`` redraws; then ``RuntimeError(failure)``)."""
-    out = draw(rngs)
-    pending = np.flatnonzero(~accept(*out))
-    for _ in range(_RETRIES):
-        if not len(pending):
-            break
-        for whole, redrawn in zip(out, draw([rngs[i] for i in pending])):
-            whole[pending] = redrawn
-        pending = pending[~accept(*(whole[pending] for whole in out))]
-    if len(pending):
-        raise RuntimeError(failure)
-    return out
-
-
 def _draw_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     g = _draw_ginibre(rngs, 1, dim, dim)[:, 0]
     rho = g @ g.conj().swapaxes(-1, -2)
@@ -102,12 +92,16 @@ def _draw_observables(
         gs = g @ g.conj().swapaxes(-1, -2)
         return (gs, *np.linalg.eigh(gs.sum(axis=1)))
 
-    gs, evals, evecs = _retrying(
-        rngs,
-        draw,
-        lambda gs, evals, evecs: evals.min(axis=-1) > atol,
-        "random observable generation kept hitting a singular normalizer",
-    )
+    # a generator whose normalizer is singular draws again, at most _RETRIES times
+    gs, evals, evecs = draw(rngs)
+    pending = np.flatnonzero(~(evals.min(axis=-1) > atol))
+    for _ in range(_RETRIES):
+        if not len(pending):
+            break
+        gs[pending], evals[pending], evecs[pending] = draw([rngs[i] for i in pending])
+        pending = pending[~(evals[pending].min(axis=-1) > atol)]
+    if len(pending):
+        raise RuntimeError("random observable generation kept hitting a singular normalizer")
     inv_sqrt = evecs @ (np.eye(dim) * evals[:, None, :] ** -0.5) @ evecs.conj().swapaxes(-1, -2)
     return inv_sqrt[:, None] @ gs @ inv_sqrt[:, None]
 
@@ -117,13 +111,9 @@ def _draw_channels(
 ) -> np.ndarray:
     if n_kraus * dim_out < dim_in:
         raise ValueError("need n_kraus * dim_out >= dim_in for a trace-preserving map")
-    (stacked,) = _retrying(
-        rngs,
-        lambda rngs: (_draw_ginibre(rngs, 1, n_kraus * dim_out, dim_in)[:, 0],),
-        lambda m: np.linalg.matrix_rank(m) >= dim_in,
-        "random channel generation kept hitting a rank-deficient stack",
-    )
-    return np.linalg.qr(stacked).Q.reshape(len(rngs), n_kraus, dim_out, dim_in)
+    g = _draw_ginibre(rngs, 1, n_kraus * dim_out, dim_in)[:, 0]
+    # the Householder Q factor has orthonormal columns whatever the rank of g
+    return np.linalg.qr(g).Q.reshape(len(rngs), n_kraus, dim_out, dim_in)
 
 
 def _draw_instruments(
@@ -192,7 +182,7 @@ def random_channel(
 ) -> Channel:
     """Random channel: orthonormalize a stacked Ginibre matrix and slice it
     into ``n_kraus`` blocks of shape ``dim_out × dim_in``."""
-    return Channel(_draw_channels([as_rng(seed)], dim_in, dim_out, n_kraus)[0], atol)
+    return Channel._checked(_draw_channels([as_rng(seed)], dim_in, dim_out, n_kraus)[0], atol)
 
 
 def random_instrument(

@@ -1,8 +1,12 @@
 """Tests for Kraus operations, channels, duals and conditioning."""
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcond
 from qcond.channels import (
     Channel,
     LinearMap,
@@ -478,3 +482,18 @@ def test_conditioning_works_for_kraus_and_tabulated_maps_alike():
         np.testing.assert_allclose(kraus.effect(label).matrix, ch.dual_apply(e).matrix, atol=1e-13)
     with pytest.raises(ValueError, match="dimension mismatch"):
         condition_observable(ch, random_observable(2, 2, rng))
+
+
+def test_operations_are_made_only_inside_operation():
+    # library code makes an operation through Operation._checked or
+    # _unchecked; object.__new__ and _build appear nowhere else
+    inside = inspect.getsource(Operation)
+    assert inside.count("object.__new__(") == 1 and inside.count("._build(") == 2
+    for path in sorted(Path(qcond.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "channels.py":
+            assert text.count(inside) == 1
+            text = text.replace(inside, "")
+        assert "._build(" not in text, path.name
+        # the one other object.__new__ makes effect views (effects._Validated._view)
+        assert text.count("object.__new__(") == (path.name == "effects.py"), path.name

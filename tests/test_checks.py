@@ -60,7 +60,8 @@ from qcond.measurement import (
 )
 from qcond.rand import random_channel, random_observable, random_state
 
-EXPECTED_IDENTITIES = {
+# in definition order, the order of the registry
+EXPECTED_IDENTITIES = (
     "postprocess-part-compose",
     "dual-map",
     "sequential-dual-contravariance",
@@ -73,14 +74,14 @@ EXPECTED_IDENTITIES = {
     "kraus-separable",
     "simple-kraus-separable",
     "holevo-separable",
-}
+)
 
 # every identity runs as a batch
 BATCHED = sorted(EXPECTED_IDENTITIES)
 
 
 def test_registry_is_complete_and_described():
-    assert set(registered_identities()) == EXPECTED_IDENTITIES
+    assert registered_identities() == EXPECTED_IDENTITIES
     for check in REGISTRY.values():
         assert check.statement
         assert check.name == check.name.strip().lower()
@@ -96,8 +97,47 @@ def test_resolve_suite():
         "holevo-composition",
     ]
     assert resolve_suite("dual-map,holevo-composition") == ["dual-map", "holevo-composition"]
-    with pytest.raises(ValueError, match="unknown identity"):
-        resolve_suite("dual-map,not-a-check")
+    # an unknown name is rejected beside ``all`` too
+    for spec in ("dual-map,dual-mpa", "all,dual-mpa", "dual-mpa,all", ["all", "dual-mpa"]):
+        with pytest.raises(ValueError, match=r"unknown identity name\(s\): dual-mpa"):
+            resolve_suite(spec)
+
+
+def test_an_identity_name_registered_twice_raises(monkeypatch):
+    monkeypatch.setattr(checks, "REGISTRY", dict(REGISTRY))
+
+    def runner(rngs, dim):
+        yield np.zeros(len(rngs))
+
+    with pytest.raises(ValueError, match="'dual-map' is registered twice"):
+        checks._identity("dual-map", "registered again")(runner)
+    assert checks.REGISTRY["dual-map"] == REGISTRY["dual-map"]
+    assert checks._identity("fake-identity", "registered last")(runner) is runner
+    assert list(checks.REGISTRY)[-1] == "fake-identity"
+    assert checks.REGISTRY["fake-identity"] == IdentityCheck("fake-identity", "registered last", runner)
+
+
+@pytest.mark.parametrize("trials", [2.0, 1.5, True, "2", None])
+def test_run_checks_rejects_a_trial_count_that_is_not_an_integer(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_checks("dual-map", trials=trials, dims=[2], seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 7.0, False, "7"])
+def test_run_checks_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_checks("dual-map", trials=1, dims=[2], seed=seed)
+
+
+@pytest.mark.parametrize("dims", [[2.5], [True], [2, 3.0], ["2"]])
+def test_run_checks_rejects_a_dimension_that_is_not_an_integer(dims):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        run_checks("dual-map", trials=1, dims=dims, seed=0)
+
+
+def test_run_checks_takes_numpy_integers():
+    numpy_ints = run_checks("dual-map", trials=np.int64(2), dims=[np.int32(2)], seed=np.uint8(5))
+    assert numpy_ints.to_json() == run_checks("dual-map", trials=2, dims=[2], seed=5).to_json()
 
 
 def test_run_checks_all_pass_smoke():
@@ -370,7 +410,8 @@ def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, 
 
         return wrapper
 
-    monkeypatch.setattr(linalg, "_certified_positive", counted_kernel)
+    # the construction rules import the kernel by name
+    _plant(monkeypatch, linalg, "_certified_positive", lambda kernel: counted_kernel)
     for fn_name in ("cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
     # Both runs fit in one batch. At seed 3 the first three instances of

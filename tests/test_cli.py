@@ -73,6 +73,12 @@ def test_check_unknown_identity(capsys):
     assert "unknown identity" in capsys.readouterr().err
 
 
+def test_check_unknown_identity_beside_all_exits_2(capsys):
+    code = main(["check", "--suite", "all,dual-mpa", "--trials", "1", "--dims", "2", "--seed", "0"])
+    assert code == 2
+    assert "unknown identity name(s): dual-mpa" in capsys.readouterr().err
+
+
 def test_check_writes_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     args = ["check", "--suite", "dual-map", "--trials", "2", "--dims", "2",

@@ -330,12 +330,19 @@ def test_a_stack_with_one_bad_matrix_is_rejected():
 def test_positivity_of_nan_or_non_hermitian_input_is_false():
     skew = np.array([[0.5, 0.1], [-0.1, 0.5]], dtype=complex)
     near = np.array([[0.5, 0.1 + 0.4 * ATOL], [0.1, 0.5]], dtype=complex)
-    for check in (is_psd, is_effect_matrix):
-        for i, j in ((0, 0), (0, 1)):
+    # a NaN or infinite entry alone, or a Hermitian pair of them, whose
+    # Hermiticity pass meets inf - inf: False, with no warning (the suite
+    # turns warnings into errors)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf)):
+        for cells in (((0, 0),), ((0, 1),), ((0, 1), (1, 0))):
             m = np.eye(2, dtype=complex) / 2
-            m[i, j] = np.nan
-            assert check(m) is False
-            assert check(np.stack([np.eye(2) / 2, m])) is False
+            for i, j in cells:
+                m[i, j] = bad if i <= j else np.conj(bad)
+            for check in (is_psd, is_effect_matrix, is_hermitian):
+                assert check(m) is False
+            for check in (is_psd, is_effect_matrix):
+                assert check(np.stack([np.eye(2) / 2, m])) is False
+    for check in (is_psd, is_effect_matrix):
         assert check(skew) is False
         assert check(near) is True
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import qcond.rand as rand
+from qcond.channels import Channel
 from qcond.errors import InvariantViolation
-from qcond.linalg import is_effect_matrix, max_abs_diff
+from qcond.linalg import DEFAULT_ATOL, is_effect_matrix, max_abs_diff
 from qcond.rand import (
+    _draw_channels,
     _draw_observables,
     random_channel,
     random_effect,
@@ -78,6 +81,19 @@ def test_random_channel_reproducible_and_valid():
 def test_random_channel_rejects_rank_starved_request():
     with pytest.raises(ValueError, match="n_kraus"):
         random_channel(4, 1, 2, 8)
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_a_rank_deficient_draw_still_gives_a_channel(rank, monkeypatch):
+    # the Householder Q factor is an isometry whatever the rank of the draw
+    def low_rank(rngs, n, rows, cols):
+        g = rank * np.outer(np.arange(1, rows + 1), np.arange(1, cols + 1))
+        return np.broadcast_to(g.astype(complex), (len(rngs), n, rows, cols)).copy()
+
+    monkeypatch.setattr(rand, "_draw_ginibre", low_rank)
+    stack = _draw_channels([np.random.default_rng(s) for s in range(3)], 3, 2, 2)
+    assert np.linalg.matrix_rank(low_rank([None], 1, 4, 3)[0, 0]) == rank
+    assert Channel._checked(stack, DEFAULT_ATOL).is_trace_preserving(1e-12)
 
 
 def test_random_instrument_total_is_channel():
