@@ -39,7 +39,6 @@ from .effects import Effect, Observable, State, _require_effects
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
-    _certified_positive,
     _identity,
     _near_identity,
     _require_finite,
@@ -47,6 +46,8 @@ from .linalg import (
     frozen_copy,
     hermitian_part,
     hermitized_matrix_units,
+    is_effect_matrix,
+    is_psd,
     max_abs_diff,
 )
 
@@ -256,6 +257,11 @@ class Operation(QuantumMap):
 class Channel(Operation):
     """Trace-preserving operation (``sum K†K == I``)."""
 
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
+        """Checks ``sum K†K <= I`` and ``sum K†K == I`` within ``atol``
+        (the rule of ``_check``, which batches share)."""
+        super().__init__(kraus, atol)
+
     def _check(self, atol: float) -> None:
         super()._check(atol)
         _require_trace_preserving(self._gram, atol, "Channel", "trace preservation")
@@ -345,7 +351,7 @@ def _joined(ops: Iterable[Operation]) -> np.ndarray:
 def _require_trace_non_increasing(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
     """``sum K†K <= I`` within ``atol``, for one Gram matrix or every matrix
     of a stack; the caller names the error's kind and invariant."""
-    if not _certified_positive(_identity(gram.shape[-1]) - gram, atol, upper=False):
+    if not is_psd(_identity(gram.shape[-1]) - gram, atol):
         raise InvariantViolation(kind, invariant, "sum K†K must be <= I")
 
 
@@ -520,9 +526,9 @@ def complete_subnormalized(
 def _completed(stack: np.ndarray, atol: float) -> np.ndarray:
     """``b_x + (I - sum b)/n`` for a sub-normalized family ``(..., n, d, d)``
     (or a stack of them), after checking it; the result is unvalidated."""
-    if not _certified_positive(stack, atol, upper=True):
+    if not is_effect_matrix(stack, atol):
         raise InvariantViolation("completion", "between zero and identity", "each b_x must satisfy 0 <= b_x <= I")
     residual = _identity(stack.shape[-1]) - stack.sum(axis=-3)
-    if not _certified_positive(residual, atol, upper=False):
+    if not is_psd(residual, atol):
         raise InvariantViolation("completion", "sub-normalized family", "sum of effects must be <= I")
     return stack + residual[..., None, :, :] / stack.shape[-3]

@@ -18,13 +18,14 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
-    _certified_positive,
     _identity,
     _near_identity,
     _require_finite,
     as_complex_matrix,
     coerce_matrix,
     frozen_copy,
+    is_effect_matrix,
+    is_psd,
     weighted_sum,
 )
 
@@ -142,7 +143,7 @@ def _require_states(m: np.ndarray, atol: float) -> np.ndarray:
     _require_finite(m)
     if m.shape[-1] != m.shape[-2]:
         raise InvariantViolation("State", "square", f"shape {m.shape[-2:]}")
-    if not _certified_positive(m, atol, upper=False):
+    if not is_psd(m, atol):
         raise InvariantViolation("State", "positive")
     _require_ones(np.trace(m, axis1=-2, axis2=-1), atol, "State", "unit trace", "trace")
     return m
@@ -169,7 +170,7 @@ def _require_effects(m: np.ndarray, atol: float) -> np.ndarray:
     _require_finite(m)
     if m.shape[-1] != m.shape[-2]:
         raise InvariantViolation("Effect", "square", f"shape {m.shape[-2:]}")
-    if not _certified_positive(m, atol, upper=True):
+    if not is_effect_matrix(m, atol):
         raise InvariantViolation("Effect", "between zero and identity")
     return m
 
@@ -206,7 +207,7 @@ def _effect_family(
     if stack.shape[-2] != dim:
         raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
     _require_finite(stack, kind)
-    if not _certified_positive(stack, atol, upper=True):
+    if not is_effect_matrix(stack, atol):
         raise InvariantViolation(kind, "between zero and identity")
     totals = stack.reshape(batch + (-1, dim, dim)).sum(axis=-3)
     if not _near_identity(totals, atol):

@@ -162,14 +162,13 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     entries), and its symmetrization ``h = (m + m†)/2`` has its spectrum at
     or above ``-atol`` (and, with ``upper``, at or below ``1 + atol``).
 
-    The shared kernel of the positivity tests. The construction rules call
-    it on their stacks, already checked finite; ``is_psd`` and
-    ``is_effect_matrix`` call it with the invalid-value warning of the
-    Hermiticity pass (``inf - inf``) silenced. One coercion, one Hermiticity
-    pass and one batched Cholesky factorization of the shifted stack
-    ``h + atol·I`` (and ``(1 + atol)·I - h``, in the same buffer), which
-    certifies every bound strictly inside it. The eigenvalue rule decides
-    only when a factorization fails, so nothing the rule admits is rejected.
+    The shared kernel of ``is_psd`` and ``is_effect_matrix``, which silence
+    the invalid-value warning of its Hermiticity pass (``inf - inf``) on
+    non-finite input. One coercion, one Hermiticity pass and one batched
+    Cholesky factorization of the shifted stack ``h + atol·I`` (and
+    ``(1 + atol)·I - h``, in the same buffer), which certifies every bound
+    strictly inside it. The eigenvalue rule decides only when a
+    factorization fails, so nothing the rule admits is rejected.
     """
     m = _matrix_stack(m)
     d = m.shape[-1]

@@ -288,7 +288,7 @@ class KrausSeparableChannel:
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The separable channel as a Kraus-form channel into base ⊗ probe."""
-        return Channel._checked(np.stack(self.lifted_kraus(atol)), atol)
+        return Channel._checked(_without_zero_operators(_lifted_kraus(self._factors, self._states, atol)), atol)
 
     def dual_on_product(
         self, a: Effect | np.ndarray, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL

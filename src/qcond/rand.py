@@ -92,7 +92,6 @@ def _draw_observables(
         gs = g @ g.conj().swapaxes(-1, -2)
         return (gs, *np.linalg.eigh(gs.sum(axis=1)))
 
-    # a generator whose normalizer is singular draws again, at most _RETRIES times
     gs, evals, evecs = draw(rngs)
     pending = np.flatnonzero(~(evals.min(axis=-1) > atol))
     for _ in range(_RETRIES):
