@@ -15,14 +15,20 @@ value or yields nothing fails) and assembles a deterministic report:
 identical inputs give byte-identical JSON (elapsed times are kept out of
 the JSON for that reason).
 
+Each instance gets a generator whose state equals ``default_rng`` of its
+seed tuple ``(seed, crc32(name), dim, trial)``. The trials of a batch are a
+range whose bounds are computed one batch at a time (``_batches``), and
+``rand._trial_states`` hashes all the batch's tuples at once into one seed
+state per instance, from which ``rand._generators`` makes the generators.
 A batched runner draws each object of a batch through ``qcond.rand``'s raw
 ``_draw_*`` functions, from the same stream as the public constructors,
 checks each stack with the library's own validators (every member, at the
 library's default tolerance, with the constructors' messages) and computes
 through the library's own kernels, which broadcast over the batch axis. An
 instance's deviations do not depend on its batch: a batch of one gives the
-same bits. A batch that raises is rerun instance by instance, so one bad
-instance fails alone. Every registered identity runs this way.
+same bits. A batch that raises is rerun instance by instance, on fresh
+generators from the states already hashed, so one bad instance fails
+alone. Every registered identity runs this way.
 
 Runners compare through two comparators only: ``_dev`` for arrays (each
 instance's largest entrywise deviation) and the map deviations
@@ -94,6 +100,8 @@ from .rand import (
     _draw_states,
     _draw_stochastic,
     _draw_surjections,
+    _generators,
+    _trial_states,
 )
 
 __all__ = [
@@ -566,46 +574,44 @@ def resolve_suite(names: str | Sequence[str]) -> list[str]:
     return list(REGISTRY) if "all" in names else names
 
 
-def _seed_words(seed: tuple[int, ...]) -> np.ndarray:
-    """The uint32 entropy words that numpy's ``SeedSequence`` makes of a
-    tuple of non-negative ints: each int split into little-endian 32-bit
-    words, 0 as one zero word. ``default_rng`` of the words has the state of
-    ``default_rng(seed)`` and skips numpy's int-by-int conversion."""
-    words = []
-    for x in seed:
-        if x < 0:
-            raise ValueError(f"seed entries must be non-negative, got {x}")
-        words.append(x & 0xFFFFFFFF)
-        while x := x >> 32:
-            words.append(x & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
+def _batches(trials: int, size: int) -> Iterator[range]:
+    """The trials ``0, ..., trials - 1`` as ``ceil(trials / size)``
+    consecutive ranges of near-equal length, the first ``trials % count``
+    one longer (``np.array_split``'s split), made one at a time."""
+    count = -(-trials // size)
+    base, longer = divmod(trials, max(count, 1))
+    stop = 0
+    for i in range(count):
+        start, stop = stop, stop + base + (i < longer)
+        yield range(start, stop)
 
 
-def _instance_deviations(runner: Runner, seeds: Sequence[tuple[int, ...]], dim: int) -> np.ndarray:
+def _instance_deviations(runner: Runner, states: np.ndarray, dim: int) -> np.ndarray:
     """Each instance's deviation: the largest of its parts, ``inf`` when one
     is not finite or there are none.
 
-    The instances run as one batch, each on a generator seeded from the
-    words of its seed tuple (``_seed_words``). If the batch raises (a
-    violated construction invariant, an unobserved outcome, a failed
-    factorization, ...), each instance reruns alone from a fresh generator
-    on the same tuple, and only those that raise alone count as ``inf``.
+    The instances run as one batch, one per row of ``states``, each on a
+    fresh generator seeded from its row (``rand._generators``). If the batch
+    raises (a violated construction invariant, an unobserved outcome, a
+    failed factorization, ...), each instance reruns alone on a fresh
+    generator from the same row, and only those that raise alone count as
+    ``inf``.
     """
-    worst = np.zeros(len(seeds))
+    worst = np.zeros(len(states))
     parts = 0
     try:
-        for part in runner([np.random.default_rng(_seed_words(s)) for s in seeds], dim):
+        for part in runner(_generators(states), dim):
             part = np.asarray(part, dtype=float)
             if part.shape != worst.shape:
                 raise ValueError(f"a part has shape {part.shape}, expected {worst.shape}")
             worst = np.maximum(worst, part)
             parts += 1
     except Exception:
-        if len(seeds) == 1:
+        if len(states) == 1:
             return np.array([math.inf])
-        return np.concatenate([_instance_deviations(runner, [s], dim) for s in seeds])
+        return np.concatenate([_instance_deviations(runner, row, dim) for row in states[:, None]])
     if not parts:
-        return np.full(len(seeds), math.inf)
+        return np.full(len(states), math.inf)
     return np.where(np.isfinite(worst), worst, math.inf)
 
 
@@ -658,9 +664,9 @@ def run_checks(
             max_dev = 0.0
             count = 0
             for dim in dims:
-                for batch in np.array_split(range(trials), math.ceil(trials / BATCH_SIZE)):
-                    seeds = [(seed, key, dim, int(trial)) for trial in batch]
-                    devs = _instance_deviations(check.runner, seeds, dim)
+                for batch in _batches(trials, BATCH_SIZE):
+                    states = _trial_states((seed, key, dim), batch)
+                    devs = _instance_deviations(check.runner, states, dim)
                     max_dev = max(max_dev, float(devs.max()))
                     count += len(devs)
             elapsed = time.perf_counter() - start

@@ -23,6 +23,15 @@ channels are never redrawn. A random observable whitens its draws by the
 inverse square root of their sum, and a generator whose sum is singular
 within ``atol`` draws again (at most ``_RETRIES`` times, then
 ``RuntimeError``), alone: the other generators' draws stand.
+
+The generators of a batch of seed tuples ``(*prefix, t)``, one per ``t`` in
+a range, are made in two steps. ``_trial_states`` hashes the tuples' entropy
+words (``SeedSequence``'s: each int as little-endian 32-bit words) as one
+uint32 array, with numpy's ``SeedSequence`` algorithm written over its rows
+(stable under NEP 19), into one PCG64 seed state per tuple. ``_generators``
+seeds one PCG64 ``Generator`` from each state. Each generator's state equals
+``default_rng(seed tuple)``'s, and a state can seed any number of fresh
+generators without a second hash.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import Channel
 from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix, _distinct_labels
@@ -58,6 +68,131 @@ def as_rng(seed: int | Sequence[int] | np.random.Generator) -> np.random.Generat
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+# numpy's SeedSequence: a pool of 4 uint32 words, and its hash constants
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count + 1`` values of a hash constant, ``init · multᵏ``
+    mod 2³², as a uint32 column. Computed with Python ints: numpy warns when
+    a uint32 scalar product overflows."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# the constants of the pool's first fill and its pairwise mixing (16 hashes),
+# and of generate_state(4, uint64) (8 hashes); they do not depend on the words
+_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+_STATE_CYCLE = np.arange(8) % _POOL_SIZE
+
+
+def _hashed(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of the ``k`` rows of ``values`` by ``k``
+    successive steps of a hash constant (``k + 1`` values)."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_MULT_L
+    x -= y * _MIX_MULT_R
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of an
+    ``(n, L)`` uint32 array of entropy words, ``L >= 4``, as an ``(n, 4)``
+    uint64 array: numpy's algorithm, in uint32 array arithmetic over the
+    rows."""
+    words = words.T
+    pool = _hashed(words[:_POOL_SIZE], _POOL_CONSTANTS[: _POOL_SIZE + 1])
+    # each word hashed into every other one, in order: the hashes of one
+    # source word take successive constants
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        first = _POOL_SIZE + src * len(dst)
+        constants = _POOL_CONSTANTS[first : first + len(dst) + 1]
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], constants))
+    # each word past the pool's size is hashed into all of it
+    extra = len(words) - _POOL_SIZE
+    constants = _hash_constants(int(_POOL_CONSTANTS[-1, 0]), _MULT_A, _POOL_SIZE * extra)
+    for i in range(extra):
+        step = constants[i * _POOL_SIZE : (i + 1) * _POOL_SIZE + 1]
+        pool = _mixed(pool, _hashed(words[_POOL_SIZE + i], step))
+    # 8 uint32 words, paired little-endian into 4 uint64 words
+    out = _hashed(pool[_STATE_CYCLE], _STATE_CONSTANTS).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+def _int_words(x: int) -> list[int]:
+    """The entropy words SeedSequence makes of a non-negative int: its
+    little-endian 32-bit words, 0 as one zero word."""
+    if x < 0:
+        raise ValueError(f"seed entries must be non-negative, got {x}")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _trial_states(prefix: Sequence[int], trials: range) -> np.ndarray:
+    """The PCG64 seed state of ``default_rng((*prefix, t))`` for each ``t``
+    in ``trials`` (a nonempty range of step 1), as an ``(len(trials), 4)``
+    uint64 array. The prefix's words are shared by every row; rows whose
+    trials have as many words are hashed as one array."""
+    head = [w for x in prefix for w in _int_words(x)]
+    groups = []
+    start, stop = trials.start, trials.stop
+    while start < stop:
+        n_words = len(_int_words(start))
+        end = min(stop, 1 << 32 * n_words)
+        if n_words == 1:
+            column = np.arange(start, end, dtype=np.uint32)[:, None]
+        else:
+            column = np.array([_int_words(t) for t in range(start, end)], dtype=np.uint32)
+        words = np.empty((end - start, len(head) + n_words), dtype=np.uint32)
+        words[:, : len(head)] = head
+        words[:, len(head) :] = column
+        groups.append(_seed_states(words))
+        start = end
+    return np.concatenate(groups)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence that holds one precomputed PCG64 seed state. PCG64
+    reads the array ``generate_state(4, np.uint64)`` returns through its data
+    pointer, unchecked, so that is the one request it answers, always with
+    the row ``_generators`` gives it: a C-contiguous native uint64 array of
+    shape ``(4,)``."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("this seed sequence holds only the state generate_state(4, np.uint64)")
+        return self._state
+
+
+def _generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One fresh PCG64 generator per row of an ``(n, 4)`` uint64 array of
+    seed states (``_trial_states``)."""
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ValueError(f"PCG64 seed states have shape (n, 4), got {states.shape}")
+    return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
 
 
 def _draw_ginibre(rngs: Sequence[np.random.Generator], n: int, rows: int, cols: int) -> np.ndarray:

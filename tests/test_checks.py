@@ -20,6 +20,7 @@ from qcond.channels import Channel, Operation, _completed, _require_trace_preser
 from qcond.checks import (
     IdentityCheck,
     REGISTRY,
+    _batches,
     _instance_deviations,
     registered_identities,
     resolve_suite,
@@ -58,7 +59,7 @@ from qcond.measurement import (
     _grams,
     _pure_probe_states,
 )
-from qcond.rand import random_channel, random_observable, random_state
+from qcond.rand import _generators, _trial_states, random_channel, random_observable, random_state
 
 # in definition order, the order of the registry
 EXPECTED_IDENTITIES = (
@@ -189,22 +190,91 @@ def test_run_checks_rejects_a_negative_seed(capsys):
     (7, 2**32 - 1, 2, 99),
 ])
 def test_seed_words_give_the_generator_of_the_seed_tuple(seed):
-    words = checks._seed_words(seed)
-    assert words.dtype == np.uint32
-    expected = np.random.default_rng(seed).bit_generator.state
-    assert np.random.default_rng(words).bit_generator.state == expected
+    # hashed as a batch of one: the tuple's last entry is its trial
+    *prefix, trial = seed
+    (rng,) = _generators(_trial_states(prefix, range(trial, trial + 1)))
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def _recording(states, fail_batches=False):
+    """A runner that appends each generator's state to ``states`` and, with
+    ``fail_batches``, raises on a batch of more than one."""
+
+    def record(rngs, dim):
+        states.extend(rng.bit_generator.state for rng in rngs)
+        if fail_batches and len(rngs) > 1:
+            raise RuntimeError("only alone")
+        yield np.zeros(len(rngs))
+
+    return record
+
+
+def test_canonical_instances_get_the_generators_of_their_seed_tuples(monkeypatch):
+    # every instance of the canonical run: 12 identities, dimensions 2..3,
+    # 100 trials, seed 7
+    recorded = {}
+    for name in REGISTRY:
+        recorded[name] = []
+        check = IdentityCheck(name, "records its generators", _recording(recorded[name]))
+        monkeypatch.setitem(REGISTRY, name, check)
+    assert run_checks("all", trials=100, dims=[2, 3], seed=7).passed
+    assert len(recorded) == 12
+    for name, states in recorded.items():
+        key = zlib.crc32(name.encode("utf-8"))
+        seeds = [(7, key, dim, t) for dim in (2, 3) for t in range(100)]
+        assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+def test_a_rerun_instance_gets_the_generator_of_its_seed_tuple_without_a_second_hash(monkeypatch):
+    # the batch raises, so each instance reruns alone, on a fresh generator
+    # from the row hashed for the batch
+    name = "rerun-identity"
+    states = []
+    check = IdentityCheck(name, "raises in a batch", _recording(states, fail_batches=True))
+    monkeypatch.setitem(REGISTRY, name, check)
+    hashes = []
+
+    def counted(prefix, trials):
+        hashes.append(trials)
+        return _trial_states(prefix, trials)
+
+    monkeypatch.setattr(checks, "_trial_states", counted)
+    assert run_checks(name, trials=3, dims=[2], seed=2**40).passed
+    assert hashes == [range(3)]
+    key = zlib.crc32(name.encode("utf-8"))
+    expected = [np.random.default_rng((2**40, key, 2, t)).bit_generator.state for t in range(3)]
+    assert states == expected + expected
+
+
+@pytest.mark.parametrize("size", [1, 3, 40, 100])
+def test_batches_split_the_trials_as_array_split_does(size):
+    for trials in range(251):
+        bounds = [(b.start, b.stop, b.step) for b in _batches(trials, size)]
+        expected = []
+        if trials:
+            split = np.array_split(range(trials), math.ceil(trials / size))
+            expected = [(int(b[0]), int(b[-1]) + 1, 1) for b in split]
+        assert bounds == expected
+
+
+def test_the_first_batch_of_a_huge_trial_count_is_made_alone():
+    # the bounds are arithmetic: nothing the size of the run is allocated
+    tracemalloc.start()
+    try:
+        first = next(_batches(2**70, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == range(100)
+    assert peak < 64 * 1024
 
 
 def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
     # a seed of two words: each instance's generator is default_rng(tuple)'s
     name = "recording-identity"
     states = []
-
-    def record(rngs, dim):
-        states.extend(rng.bit_generator.state for rng in rngs)
-        yield np.zeros(len(rngs))
-
-    monkeypatch.setitem(REGISTRY, name, IdentityCheck(name, "records its generators", record))
+    check = IdentityCheck(name, "records its generators", _recording(states))
+    monkeypatch.setitem(REGISTRY, name, check)
     assert run_checks(name, trials=3, dims=[2, 3], seed=2**40).passed
     key = zlib.crc32(name.encode("utf-8"))
     seeds = [(2**40, key, dim, t) for dim in (2, 3) for t in range(3)]
@@ -275,8 +345,8 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
     (result,) = report.results
     assert result.max_deviation == math.inf
     assert not result.passed and not report.passed
-    seeds = [(0, zlib.crc32(name.encode()), 2, t) for t in range(3)]
-    devs = _instance_deviations(finite_then_nan, seeds, 2)
+    states = _trial_states((0, zlib.crc32(name.encode()), 2), range(3))
+    devs = _instance_deviations(finite_then_nan, states, 2)
     assert np.isinf(devs).sum() == 2 and np.sum(devs == 0.0) == 1
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
@@ -307,8 +377,8 @@ def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys)
     assert results[check.name].max_deviation == math.inf
     assert not results[check.name].passed and not report.passed
     assert results["dual-map"].passed
-    seeds = [(0, zlib.crc32(name.encode()), 2, t) for t in range(3)]
-    devs = _instance_deviations(raise_once, seeds, 2)
+    states = _trial_states((0, zlib.crc32(name.encode()), 2), range(3))
+    devs = _instance_deviations(raise_once, states, 2)
     assert devs.tolist() == [math.inf if d > threshold else 0.0 for d in draws]
     argv = ["check", "--suite", check.name, "--trials", "3", "--dims", "2", "--seed", "0"]
     assert main(argv) == 1
@@ -328,7 +398,8 @@ def test_a_raising_batch_fails_only_its_raising_instances():
     expected = np.array([np.random.default_rng(s).integers(0, 4) for s in seeds]) * 1e-12
     expected[expected == 0] = math.inf
     assert 0 < np.isinf(expected).sum() < 20
-    np.testing.assert_array_equal(_instance_deviations(some_raise, seeds, 2), expected)
+    states = _trial_states((5, 11, 2), range(20))
+    np.testing.assert_array_equal(_instance_deviations(some_raise, states, 2), expected)
 
 
 @pytest.mark.parametrize("name", BATCHED)

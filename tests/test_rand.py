@@ -193,3 +193,62 @@ def test_batched_draws_retry_per_generator():
     assert 0 < retried < len(seeds)
     with pytest.raises(RuntimeError, match="singular normalizer"):
         _draw_observables([np.random.default_rng(0)], 2, 2, atol=1e6)
+
+
+@pytest.mark.parametrize("n_words", range(4, 10))
+def test_seed_states_equal_the_seed_sequence_of_each_row(n_words):
+    # numpy's SeedSequence is the reference: each word past the fourth is
+    # hashed into the whole pool
+    rng = np.random.default_rng(n_words)
+    words = rng.integers(0, 2**32, size=(6, n_words), dtype=np.uint32)
+    words[0] = 0
+    words[1] = 2**32 - 1
+    states = rand._seed_states(words)
+    assert states.dtype == np.uint64 and states.shape == (6, 4)
+    for row, state in zip(words, states):
+        expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
+        assert state.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("prefix", [(7, 123, 2), (2**32 + 7, 123, 3)])
+def test_a_batch_across_a_word_boundary_gets_the_generators_of_its_seed_tuples(prefix):
+    # trials 2**32 - 1 and 2**32 have one and two words: two hashed groups
+    trials = range(2**32 - 2, 2**32 + 2)
+    rngs = rand._generators(rand._trial_states(prefix, trials))
+    assert len(rngs) == len(trials)
+    for t, rng in zip(trials, rngs):
+        assert rng.bit_generator.state == np.random.default_rng((*prefix, t)).bit_generator.state
+
+
+def test_pcg64_reads_a_contiguous_native_uint64_row(monkeypatch):
+    handed = []
+    generate_state = rand._SeedState.generate_state
+
+    def recording(self, n_words, dtype=np.uint32):
+        handed.append(generate_state(self, n_words, dtype))
+        return handed[-1]
+
+    monkeypatch.setattr(rand._SeedState, "generate_state", recording)
+    states = rand._trial_states((3, 1, 2), range(5))
+    expected = [np.random.default_rng((3, 1, 2, t)).bit_generator.state for t in range(5)]
+    # row-major, column-major, strided and big-endian layouts of the states
+    layouts = [states, np.asfortranarray(states), np.repeat(states, 2, axis=0)[::2], states.astype(">u8")]
+    for layout in layouts:
+        handed.clear()
+        rngs = rand._generators(layout)
+        assert [rng.bit_generator.state for rng in rngs] == expected
+        assert len(handed) == 5
+        for row in handed:
+            assert row.shape == (4,) and row.dtype == np.uint64 and row.dtype.isnative
+            assert row.flags.c_contiguous
+    seq = rand._SeedState(states[0])
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="generate_state"):
+            seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="shape"):
+        rand._generators(states[:, :3])
+
+
+def test_trial_states_reject_a_negative_seed_entry():
+    with pytest.raises(ValueError, match="non-negative"):
+        rand._trial_states((7, -1, 2), range(1))
