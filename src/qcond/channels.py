@@ -1,19 +1,14 @@
 """Operations, channels, dual maps and conditioning.
 
-Operations are kept in Kraus form; the dual (Heisenberg-picture) map is then
-``a -> sum_i K_i† a K_i`` with no conversion step. Equality of maps is never
-decided by comparing Kraus lists (they are not canonical): use
-:func:`map_deviation`, which compares actions on a Hermitian matrix-unit
-basis.
-
-:class:`LinearMap` stores a map by its superoperator with respect to
-row-major vectorization. It backs maps given by their action
-(:meth:`LinearMap.from_action`), compositions involving such maps, and the
-map comparisons of the checks. :meth:`Operation.of` admits a tabulated map
-as an operation: one eigendecomposition of its Choi matrix either proves it
-completely positive and yields Kraus operators, or rejects it. The same
-step gives a composition of operations at most ``d_out·d_in`` Kraus
-operators, where the list of products would be longer.
+Every map here is completely positive and kept in Kraus form, as an
+:class:`Operation` (a :class:`Channel` when trace preserving); the dual
+(Heisenberg-picture) map is then ``a -> sum_i K_i† a K_i`` with no
+conversion step. Equality of maps is never decided by comparing Kraus lists
+(they are not canonical): use :func:`map_deviation`, which compares
+superoperators (row-major vectorization) on a Hermitian matrix-unit basis.
+A composition of operations has at most ``d_out·d_in`` Kraus operators:
+where the list of products would be longer, one eigendecomposition of the
+composed Choi matrix gives them.
 
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
@@ -23,9 +18,9 @@ identity checks run their trials: a private ``Operation._checked`` over a
 stack ``(..., n, d_out, d_in)`` holds a batch of operations, each checked by
 the rule its class's constructor applies; ``then``, ``superoperator`` and
 :func:`map_deviation` act member by member. ``apply_matrix`` and
-``dual_matrix`` (of ``LinearMap`` too) take ``m`` as ``batch + own + (d, d)``:
-the leading axes broadcast against the batch, any further axes are ``m``'s
-own stack, and each matrix maps to its own image.
+``dual_matrix`` take ``m`` as ``batch + own + (d, d)``: the leading axes
+broadcast against the batch, any further axes are ``m``'s own stack, and
+each matrix maps to its own image.
 """
 
 from __future__ import annotations
@@ -52,10 +47,8 @@ from .linalg import (
 )
 
 __all__ = [
-    "QuantumMap",
     "Operation",
     "Channel",
-    "LinearMap",
     "map_sum",
     "map_deviation",
     "sequential_product",
@@ -65,81 +58,9 @@ __all__ = [
 ]
 
 
-class QuantumMap:
-    """Common interface of the linear maps used in this package.
-
-    Subclasses provide ``apply_matrix`` (Schrödinger picture),
-    ``dual_matrix`` (Heisenberg picture) and ``superoperator``; the first
-    two take one matrix or a stack ``(..., d, d)`` and map each matrix to
-    its own image. Instances are immutable after construction.
-    """
-
-    dim_in: int
-    dim_out: int
-
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def superoperator(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, rho: State | np.ndarray) -> np.ndarray:
-        """Apply the map to a state (or any matching square matrix)."""
-        m = as_complex_matrix(rho)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"dimension mismatch: expected {self.dim_in}, got {m.shape}")
-        return self.apply_matrix(m)
-
-    def dual_apply(self, a: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
-        """Apply the dual map to an effect; the result is again an effect.
-
-        The raw output is symmetrized before validation to suppress rounding
-        asymmetry.
-        """
-        m = as_complex_matrix(a)
-        if m.shape != (self.dim_out, self.dim_out):
-            raise ValueError(f"dimension mismatch: expected {self.dim_out}, got {m.shape}")
-        return Effect._view(frozen_copy(self._dual_effects(m, atol)))
-
-    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
-        """Symmetrized, unvalidated dual images of one matrix or a stack
-        ``(..., d_out, d_out)``: one ``dual_matrix`` call."""
-        return hermitian_part(self.dual_matrix(mats))
-
-    def _dual_identity(self) -> np.ndarray:
-        """The dual image of the identity, unsymmetrized and unvalidated."""
-        return self.dual_matrix(_identity(self.dim_out))
-
-    def _dual_effects(self, a: np.ndarray, atol: float) -> np.ndarray:
-        """The symmetrized dual image of an effect, checked as an effect."""
-        image = self._dual_images(a)
-        _require_effects(image, atol)
-        return image
-
-    def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
-        """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
-        return Effect(hermitian_part(self._dual_identity()), atol)
-
-    def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
-        return _near_identity(self._dual_identity(), atol)
-
-    def then(self, other: "QuantumMap", atol: float = DEFAULT_ATOL) -> "QuantumMap":
-        """Sequential product: apply ``self`` first, then ``other`` (Kraus
-        operations compose to an operation validated at ``atol``)."""
-        if self.dim_out != other.dim_in:
-            raise ValueError(
-                f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
-            )
-        if isinstance(self, Operation) and isinstance(other, Operation):
-            return _composed_class(self, other)._checked(_composed_kraus(self, other, atol), atol)
-        return LinearMap(other.superoperator() @ self.superoperator(), self.dim_in, other.dim_out)
-
-
-class Operation(QuantumMap):
-    """Completely positive trace-non-increasing map in Kraus form.
+class Operation:
+    """Completely positive trace-non-increasing map in Kraus form, the one
+    map type of the package.
 
     ``kraus`` may be a sequence of matrices or one stacked 3-D array (copied);
     the operators are kept stacked internally so applications are single
@@ -171,25 +92,16 @@ class Operation(QuantumMap):
         op._check(atol)
         return op
 
-    @classmethod
-    def of(cls, qmap: QuantumMap, atol: float = DEFAULT_ATOL) -> "Operation":
-        """Kraus form of a completely positive map (an instance of ``cls`` is
-        returned as is), from one eigendecomposition of its Choi matrix (see
-        ``_choi_kraus``), which must be Hermitian and positive semidefinite
-        within ``atol``."""
-        if isinstance(qmap, cls):
-            return qmap
-        return cls._checked(_choi_kraus(qmap.superoperator(), qmap.dim_out, qmap.dim_in, atol), atol)
-
     def _build(self, stack: np.ndarray) -> None:
         """Store the Kraus stack ``(..., n, d_out, d_in)`` (leading axes: the
         batch) and its Gram matrix ``sum K†K``; checks that the operators
-        exist and are finite, not the trace condition. A contiguous complex
-        stack is stored as given (made read-only), not copied. These four
-        fields are all an operation holds: every kernel is a function of them."""
+        exist, act between nonzero dimensions and are finite, not the trace
+        condition. A contiguous complex stack is stored as given (made
+        read-only), not copied. These four fields are all an operation
+        holds: every kernel is a function of them."""
         stack = np.ascontiguousarray(stack, dtype=complex)
-        if stack.shape[-3] == 0:
-            raise InvariantViolation("Operation", "nonempty Kraus list")
+        if 0 in stack.shape[-3:]:
+            raise InvariantViolation("Operation", "nonempty Kraus stack", f"shape {stack.shape[-3:]}")
         _require_finite(stack, "Operation")
         stack.setflags(write=False)
         flat = self._flat(stack)
@@ -233,9 +145,6 @@ class Operation(QuantumMap):
         products = (m if m.ndim == 2 else m[..., None, :, :]) @ stack
         return self._flat(stack.conj()).mT @ products.reshape(products.shape[:-3] + (-1, self.dim_in))
 
-    def _dual_identity(self) -> np.ndarray:
-        return self._gram
-
     def superoperator(self) -> np.ndarray:
         # S[(a, c), (b, d)] = sum_k K_k[a, b] conj(K_k[c, d]): one product of
         # the flattened stack (per member of a batch), then one contiguous
@@ -252,6 +161,52 @@ class Operation(QuantumMap):
         """The operation with every Kraus operator multiplied by ``factor``
         (for a batch, one factor per member)."""
         return Operation._checked(np.asarray(factor)[..., None, None, None] * self._stack, atol)
+
+    def apply(self, rho: State | np.ndarray) -> np.ndarray:
+        """Apply the map to a state (or any matching square matrix)."""
+        m = as_complex_matrix(rho)
+        if m.shape != (self.dim_in, self.dim_in):
+            raise ValueError(f"dimension mismatch: expected {self.dim_in}, got {m.shape}")
+        return self.apply_matrix(m)
+
+    def dual_apply(self, a: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
+        """Apply the dual map to an effect; the result is again an effect.
+
+        The raw output is symmetrized before validation to suppress rounding
+        asymmetry.
+        """
+        m = as_complex_matrix(a)
+        if m.shape != (self.dim_out, self.dim_out):
+            raise ValueError(f"dimension mismatch: expected {self.dim_out}, got {m.shape}")
+        return Effect._view(frozen_copy(self._dual_effects(m, atol)))
+
+    def _dual_images(self, mats: np.ndarray) -> np.ndarray:
+        """Symmetrized, unvalidated dual images of one matrix or a stack
+        ``(..., d_out, d_out)``: one ``dual_matrix`` call."""
+        return hermitian_part(self.dual_matrix(mats))
+
+    def _dual_effects(self, a: np.ndarray, atol: float) -> np.ndarray:
+        """The symmetrized dual image of an effect, checked as an effect."""
+        image = self._dual_images(a)
+        _require_effects(image, atol)
+        return image
+
+    def measured_effect(self, atol: float = DEFAULT_ATOL) -> Effect:
+        """The unique effect ``a`` with ``tr[map(rho)] == tr(rho a)`` for all states."""
+        return Effect(hermitian_part(self._gram), atol)
+
+    def is_trace_preserving(self, atol: float = DEFAULT_ATOL) -> bool:
+        return _near_identity(self._gram, atol)
+
+    def then(self, other: "Operation", atol: float = DEFAULT_ATOL) -> "Operation":
+        """Sequential product: apply ``self`` first, then ``other``; the
+        composition is an operation (a channel when both are) validated at
+        ``atol``."""
+        if self.dim_out != other.dim_in:
+            raise ValueError(
+                f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
+            )
+        return _composed_class(self, other)._checked(_composed_kraus(self, other, atol), atol)
 
 
 class Channel(Operation):
@@ -277,55 +232,6 @@ class Channel(Operation):
         if not _near_identity(u.conj().T @ u, atol):
             raise InvariantViolation("Channel", "unitary", "U†U must equal I")
         return cls((u,), atol)
-
-
-class LinearMap(QuantumMap):
-    """Map on matrices stored as a superoperator (row-major vectorization).
-
-    ``dual_matrix`` applies the conjugate-transposed superoperator. That is
-    the Hilbert–Schmidt dual, ``tr[a† L(m)] == tr[L*(a)† m]``, of every
-    linear map, completely positive or not: the Heisenberg-picture dual.
-    """
-
-    def __init__(self, superoperator: np.ndarray, dim_in: int, dim_out: int):
-        s = as_complex_matrix(superoperator)
-        if s.shape != (dim_out * dim_out, dim_in * dim_in):
-            raise InvariantViolation(
-                "LinearMap", "superoperator shape",
-                f"expected {(dim_out**2, dim_in**2)}, got {s.shape}",
-            )
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-        self._matrix = frozen_copy(s)
-
-    @classmethod
-    def from_action(
-        cls, action: Callable[[np.ndarray], np.ndarray], dim_in: int, dim_out: int
-    ) -> "LinearMap":
-        """Tabulate a linear action on the matrix-unit basis."""
-        s = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=complex)
-        for col in range(dim_in * dim_in):
-            unit = np.zeros(dim_in * dim_in, dtype=complex)
-            unit[col] = 1.0
-            s[:, col] = action(unit.reshape(dim_in, dim_in)).reshape(-1)
-        return cls(s, dim_in, dim_out)
-
-    @classmethod
-    def of(cls, qmap: QuantumMap) -> "LinearMap":
-        """Re-express any quantum map as a tabulated linear map."""
-        return cls(qmap.superoperator(), qmap.dim_in, qmap.dim_out)
-
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        flat = m.reshape(-1, self.dim_in * self.dim_in)
-        return (self._matrix @ flat.T).T.reshape(m.shape[:-2] + (self.dim_out, self.dim_out))
-
-    def dual_matrix(self, m: np.ndarray) -> np.ndarray:
-        # conj(conj(v) @ S) == S† v, without a conjugated copy of S.
-        flat = m.reshape(-1, self.dim_out * self.dim_out)
-        return np.conj(flat.conj() @ self._matrix).reshape(m.shape[:-2] + (self.dim_in, self.dim_in))
-
-    def superoperator(self) -> np.ndarray:
-        return self._matrix
 
 
 def _kraus_stack(kraus: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -419,21 +325,19 @@ def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.n
     return _without_zero_operators(stack.reshape(lead + (dim, d_out, d_in)))
 
 
-def map_sum(maps: Sequence[QuantumMap], atol: float = DEFAULT_ATOL) -> QuantumMap:
-    """Sum of quantum maps; stays in Kraus form when every summand is."""
+def map_sum(maps: Sequence[Operation], atol: float = DEFAULT_ATOL) -> Operation:
+    """Sum of operations: their Kraus lists concatenated, validated at ``atol``."""
     maps = list(maps)
     if not maps:
         raise ValueError("cannot sum an empty list of maps")
+    _require_operations(maps, "map_sum")
     dims = {(m.dim_in, m.dim_out) for m in maps}
     if len(dims) != 1:
         raise ValueError(f"summands must share dimensions, got {sorted(dims)}")
-    if all(isinstance(m, Operation) for m in maps):
-        return Operation._checked(_joined(maps), atol)  # type: ignore[arg-type]
-    total = sum(m.superoperator() for m in maps)
-    return LinearMap(total, maps[0].dim_in, maps[0].dim_out)
+    return Operation._checked(_joined(maps), atol)
 
 
-def map_deviation(p: QuantumMap, q: QuantumMap) -> float | np.ndarray:
+def map_deviation(p: Operation, q: Operation) -> float | np.ndarray:
     """Largest entrywise deviation of two maps' actions on a Hermitian basis.
 
     Zero (up to rounding) iff the maps are equal as linear maps. The actions
@@ -465,17 +369,25 @@ def _basis_columns(dim: int) -> np.ndarray:
     return basis
 
 
-def sequential_product(first: QuantumMap, second: QuantumMap) -> QuantumMap:
+def sequential_product(first: Operation, second: Operation) -> Operation:
     """Run ``first`` then ``second``; Kraus operations compose to at most
     ``d_out·d_in`` Kraus operators (see ``_composed_kraus``)."""
     return first.then(second)
 
 
-def _require_channel(ch: QuantumMap, atol: float) -> None:
-    _require_trace_preserving(ch._dual_identity(), atol, "conditioning", "channel")
+def _require_operations(maps: Iterable, kind: str) -> None:
+    """Every one of ``maps`` is an :class:`Operation`, the one map type."""
+    for m in maps:
+        if not isinstance(m, Operation):
+            raise TypeError(f"{kind} takes Kraus-form operations, got {type(m).__name__}")
 
 
-def condition_effect(ch: QuantumMap, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
+def _require_channel(ch: Operation, atol: float) -> None:
+    _require_operations((ch,), "conditioning")
+    _require_trace_preserving(ch._gram, atol, "conditioning", "channel")
+
+
+def condition_effect(ch: Operation, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
     """The effect ``b`` conditioned by a channel: its dual-map image.
 
     Its probability in ``rho`` equals the probability of ``b`` in the
@@ -485,12 +397,12 @@ def condition_effect(ch: QuantumMap, b: Effect | np.ndarray, atol: float = DEFAU
     return ch.dual_apply(b, atol)
 
 
-def condition_observable(ch: QuantumMap, obs: Observable, atol: float = DEFAULT_ATOL) -> Observable:
+def condition_observable(ch: Operation, obs: Observable, atol: float = DEFAULT_ATOL) -> Observable:
     """Condition every effect of an observable by a channel."""
     return Observable(obs.outcomes, _conditioned(ch, obs.effect_stack, atol), atol)
 
 
-def _conditioned(ch: QuantumMap, stack: np.ndarray, atol: float) -> np.ndarray:
+def _conditioned(ch: Operation, stack: np.ndarray, atol: float) -> np.ndarray:
     """The dual images of an effect stack ``(..., n, d, d)`` under a checked
     channel (or a batch of them), unvalidated."""
     _require_channel(ch, atol)
@@ -500,7 +412,7 @@ def _conditioned(ch: QuantumMap, stack: np.ndarray, atol: float) -> np.ndarray:
 
 
 def complete_subnormalized(
-    ch: QuantumMap,
+    ch: Operation,
     effects: Sequence[Effect | np.ndarray],
     labels: Sequence[str] | None = None,
     atol: float = DEFAULT_ATOL,

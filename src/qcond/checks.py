@@ -108,7 +108,6 @@ __all__ = [
     "IdentityCheck",
     "IdentityResult",
     "CheckReport",
-    "REGISTRY",
     "registered_identities",
     "resolve_suite",
     "run_checks",
@@ -194,7 +193,7 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-REGISTRY: dict[str, IdentityCheck] = {}
+_REGISTRY: dict[str, IdentityCheck] = {}
 
 
 def _identity(name: str, statement: str) -> Callable[[Runner], Runner]:
@@ -203,9 +202,9 @@ def _identity(name: str, statement: str) -> Callable[[Runner], Runner]:
     and a name registered twice raises ``ValueError``."""
 
     def register(runner: Runner) -> Runner:
-        if name in REGISTRY:
+        if name in _REGISTRY:
             raise ValueError(f"identity {name!r} is registered twice")
-        REGISTRY[name] = IdentityCheck(name, statement, runner)
+        _REGISTRY[name] = IdentityCheck(name, statement, runner)
         return runner
 
     return register
@@ -557,7 +556,7 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
 
 
 def registered_identities() -> tuple[str, ...]:
-    return tuple(REGISTRY)
+    return tuple(_REGISTRY)
 
 
 def resolve_suite(names: str | Sequence[str]) -> list[str]:
@@ -568,10 +567,10 @@ def resolve_suite(names: str | Sequence[str]) -> list[str]:
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
     names = list(dict.fromkeys(names or ["all"]))
-    unknown = [n for n in names if n not in REGISTRY and n != "all"]
+    unknown = [n for n in names if n not in _REGISTRY and n != "all"]
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(sorted(unknown))}")
-    return list(REGISTRY) if "all" in names else names
+    return list(_REGISTRY) if "all" in names else names
 
 
 def _batches(trials: int, size: int) -> Iterator[range]:
@@ -658,7 +657,7 @@ def run_checks(
     results: list[IdentityResult] = []
     if trials > 0:
         for name in sorted(names):
-            check = REGISTRY[name]
+            check = _REGISTRY[name]
             key = zlib.crc32(name.encode("utf-8"))
             start = time.perf_counter()
             max_dev = 0.0

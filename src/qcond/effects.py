@@ -139,9 +139,9 @@ def _require_ones(values: np.ndarray, atol: float, kind: str, invariant: str, wh
 
 def _require_states(m: np.ndarray, atol: float) -> np.ndarray:
     """The state rule, for one matrix or every matrix of a stack
-    ``(..., d, d)``: finite, square, positive and of unit trace. Returns ``m``."""
+    ``(..., d, d)``, ``d >= 1``: finite, square, positive and of unit trace. Returns ``m``."""
     _require_finite(m)
-    if m.shape[-1] != m.shape[-2]:
+    if m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvariantViolation("State", "square", f"shape {m.shape[-2:]}")
     if not is_psd(m, atol):
         raise InvariantViolation("State", "positive")
@@ -166,9 +166,9 @@ def _state_family(kind: str, states, n: int, atol: float) -> np.ndarray:
 
 def _require_effects(m: np.ndarray, atol: float) -> np.ndarray:
     """The effect rule, for one matrix or every matrix of a stack
-    ``(..., d, d)``: finite, square and between zero and identity. Returns ``m``."""
+    ``(..., d, d)``, ``d >= 1``: finite, square and between zero and identity. Returns ``m``."""
     _require_finite(m)
-    if m.shape[-1] != m.shape[-2]:
+    if m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvariantViolation("Effect", "square", f"shape {m.shape[-2:]}")
     if not is_effect_matrix(m, atol):
         raise InvariantViolation("Effect", "between zero and identity")
@@ -183,8 +183,9 @@ def _effect_family(
     ``family`` is an array of shape ``batch + grid + (d, d)`` or nested
     sequences of shape ``grid`` holding matrices or :class:`Effect` objects.
     Checked once for all the families of a batch: finite square entries of
-    one dimension, every element between zero and identity (one batched
-    factorization) and each family's elements summing to the identity.
+    one dimension ``d >= 1``, every element between zero and identity (one
+    batched factorization) and each family's elements summing to the
+    identity.
     """
     invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
     lead = batch + grid
@@ -204,7 +205,7 @@ def _effect_family(
     if stack.ndim != len(lead) + 2:
         raise InvariantViolation(kind, "two-dimensional")
     dim = stack.shape[-1]
-    if stack.shape[-2] != dim:
+    if stack.shape[-2] != dim or dim == 0:
         raise InvariantViolation(kind, "square", f"shape {stack.shape[-2:]}")
     _require_finite(stack, kind)
     if not is_effect_matrix(stack, atol):

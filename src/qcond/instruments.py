@@ -3,10 +3,8 @@
 An instrument is a labeled family of operations whose sum is a channel; it
 measures an observable (duals applied to the identity) and updates states
 outcome-by-outcome. Every member of a family is a Kraus-form
-:class:`~qcond.channels.Operation`: a member given as another quantum map
-(a tabulated :class:`~qcond.channels.LinearMap`, say) is admitted through
-:meth:`Operation.of <qcond.channels.Operation.of>`, which rejects a map that
-is not completely positive.
+:class:`~qcond.channels.Operation`; anything else is rejected with
+``TypeError``.
 
 A family's trace condition is checked once, on its total: with every Gram
 matrix positive, ``sum_x op_x*(I) = I`` gives each member's ``sum K†K <= I``,
@@ -33,13 +31,13 @@ import numpy as np
 from .channels import (
     Channel,
     Operation,
-    QuantumMap,
     _composed_class,
     _composed_kraus,
     _joined,
     _kraus_stack,
     _per_member,
     _require_channel,
+    _require_operations,
     _require_trace_non_increasing,
     _require_trace_preserving,
     _without_zero_operators,
@@ -70,13 +68,14 @@ __all__ = [
 ]
 
 
-def _admit_family(kind: str, ops: Iterable[QuantumMap], atol: float) -> tuple[Operation, ...]:
-    """The members admitted as operations (``Operation.of``), after the one
-    check of a family's trace condition: uniform dimensions, and the total's
-    dual at the identity, ``sum_x op_x*(I)`` (the sum of the members' Gram
-    matrices), below ``I`` and equal to it entrywise, within ``atol``: the
-    two trace rules of a channel."""
-    ops = tuple(Operation.of(op, atol) for op in ops)
+def _admit_family(kind: str, ops: Iterable[Operation], atol: float) -> tuple[Operation, ...]:
+    """The members, operations all, after the one check of a family's trace
+    condition: uniform dimensions, and the total's dual at the identity,
+    ``sum_x op_x*(I)`` (the sum of the members' Gram matrices), below ``I``
+    and equal to it entrywise, within ``atol``: the two trace rules of a
+    channel."""
+    ops = tuple(ops)
+    _require_operations(ops, kind)
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
@@ -153,7 +152,7 @@ class Instrument:
 
     def _measured_stack(self) -> np.ndarray:
         """The measured effects ``(..., n, d_in, d_in)``, unvalidated."""
-        return hermitian_part(np.stack([op._dual_identity() for op in self.ops], axis=-3))
+        return hermitian_part(np.stack([op._gram for op in self.ops], axis=-3))
 
     def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
         return float(np.trace(self.op(label).apply(rho)).real)
@@ -291,15 +290,13 @@ def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) ->
     return observed * (prob1 * np.trace(updated @ effect, axis1=-2, axis2=-1).real)
 
 
-def condition_instrument(ch: QuantumMap, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
-    """Pre-compose every operation of ``ins`` with the channel ``ch``
-    (a tabulated ``ch`` is admitted once through ``Operation.of``); each
+def condition_instrument(ch: Operation, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
+    """Pre-compose every operation of ``ins`` with the channel ``ch``; each
     member is a composition of at most ``d_out·d_in`` Kraus operators (see
     ``sequential_product``)."""
     _require_channel(ch, atol)
     if ch.dim_out != ins.dim_in:
         raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
-    ch = Operation.of(ch, atol)
     first = cache(ch.superoperator)
     stacks = [_composed_kraus(ch, op, atol, (first, op.superoperator)) for op in ins.ops]
     classes = [_composed_class(ch, op) for op in ins.ops]

@@ -245,8 +245,7 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
 def save_scenario(scn: Scenario, path: str | Path) -> None:
     """Write a scenario back to JSON; inverse of :func:`load_scenario`.
 
-    Every instrument member is a Kraus-form operation (tabulated maps are
-    converted when an instrument admits them), so every instrument
+    Every instrument member is a Kraus-form operation, so every instrument
     serializes as one Kraus list per outcome.
     """
     objects: dict[str, Any] = {}

@@ -1,6 +1,7 @@
 """Tests for Kraus operations, channels, duals and conditioning."""
 
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 import qcond
 from qcond.channels import (
     Channel,
-    LinearMap,
     Operation,
-    QuantumMap,
+    _superoperator_deviation,
     complete_subnormalized,
     condition_effect,
     condition_observable,
@@ -20,8 +20,8 @@ from qcond.channels import (
     sequential_product,
 )
 from qcond.checks import run_checks
-from qcond.effects import Effect, Observable, observable_deviation
-from qcond.errors import InvariantViolation
+from qcond.effects import Effect, Observable, State, observable_deviation
+from qcond.errors import InvariantViolation, ScenarioError
 from qcond.linalg import max_abs_diff
 from qcond.rand import (
     random_channel,
@@ -30,6 +30,9 @@ from qcond.rand import (
     random_state,
     random_unitary,
 )
+from qcond.scenario import load_scenario
+
+from map_oracles import remixed, tabulated
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 COLLAPSE = Operation([np.array([[1, 0], [0, 0]], complex), np.array([[0, 1], [0, 0]], complex)])
@@ -42,6 +45,30 @@ def test_operation_validation():
         Operation([])
     with pytest.raises(InvariantViolation, match="uniform"):
         Operation([np.eye(2), np.eye(3)])
+
+
+def _zero_dimensional_scenario_channel(tmp_path: Path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"objects": {"c": {"type": "channel", "kraus": [[[]]]}}}))
+    return load_scenario(path)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda _: State(np.zeros((0, 0))), "square"),
+    (lambda _: Effect(np.zeros((0, 0))), "square"),
+    (lambda _: Observable(("a",), np.zeros((1, 0, 0))), "square"),
+    (lambda _: Operation(np.zeros((1, 0, 2))), "nonempty Kraus stack"),
+    (lambda _: Operation(np.zeros((1, 2, 0))), "nonempty Kraus stack"),
+    (lambda _: Channel.identity(0), "nonempty Kraus stack"),
+    (lambda _: random_channel(0, 2, 1, 1), "nonempty Kraus stack"),
+    (_zero_dimensional_scenario_channel, "object 'c': .*nonempty Kraus stack"),
+], ids=["state", "effect", "observable", "operation-into-0", "operation-from-0", "identity", "random",
+        "scenario"])
+def test_zero_dimensions_are_rejected(make, message, tmp_path):
+    # InvariantViolation, or the ScenarioError that a scenario file's
+    # loader (and so ``qcond validate``) turns it into
+    with pytest.raises((InvariantViolation, ScenarioError), match=message):
+        make(tmp_path)
 
 
 def test_channel_validation():
@@ -327,31 +354,23 @@ def test_subnormalized_completion_identity_still_passes():
 
 @pytest.mark.parametrize("dim_in,dim_out,n_kraus", [(2, 3, 2), (3, 2, 1), (1, 3, 2), (4, 8, 3)])
 def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
+    # the superoperator, the deviation and the dual agree with the linear
+    # map tabulated from the action on the matrix units
     rng = np.random.default_rng(19)
     # the first n_kraus operators of a channel form an operation of any shape
     ch = random_channel(dim_in, dim_out, n_kraus + dim_in, rng)
     op = Operation(ch.kraus[:n_kraus])
     s = op.superoperator()
     assert not s.flags.writeable
-    tabulated = LinearMap.from_action(op.apply_matrix, dim_in, dim_out)
-    assert max_abs_diff(s, tabulated.superoperator()) < 1e-14
-    lm = LinearMap.of(op)
-    assert map_deviation(lm, op) < 1e-14
-    assert map_deviation(tabulated, op) < 1e-14
+    table = tabulated(op.apply_matrix, dim_in, dim_out)
+    assert max_abs_diff(s, table) < 1e-14
+    assert _superoperator_deviation(s - table, dim_in) < 1e-14
+    # the Hilbert–Schmidt dual of the tabulated map: S† applied to vec(m)
     a = random_effect(dim_out, rng)
-    np.testing.assert_allclose(lm.dual_matrix(a.matrix), op.dual_matrix(a.matrix), atol=1e-13)
     m = rng.standard_normal((dim_out, dim_out)) + 1j * rng.standard_normal((dim_out, dim_out))
-    assert max_abs_diff(lm.dual_matrix(m), op.dual_matrix(m)) <= 1e-13
-
-
-def test_then_on_a_tabulated_map_agrees_with_the_kraus_composition():
-    rng = np.random.default_rng(31)
-    a = random_channel(2, 3, 2, rng)
-    b = random_channel(3, 2, 2, rng)
-    for composed in (LinearMap.of(a).then(b), a.then(LinearMap.of(b))):
-        assert isinstance(composed, LinearMap)
-        assert (composed.dim_in, composed.dim_out) == (2, 2)
-        assert map_deviation(composed, a.then(b)) < 1e-14
+    for x in (a.matrix, m):
+        dual = (table.conj().T @ x.reshape(-1)).reshape(dim_in, dim_in)
+        assert max_abs_diff(op.dual_matrix(x), dual) <= 1e-13
 
 
 def _complex_stack(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
@@ -365,14 +384,14 @@ def _each(kernel, mats: np.ndarray) -> np.ndarray:
     return np.stack(images).reshape(mats.shape[:-2] + images[0].shape)
 
 
-@pytest.mark.parametrize("kind", ["operation", "channel", "linear"])
+@pytest.mark.parametrize("kind", ["operation", "channel"])
 @pytest.mark.parametrize("own", [(2,), (3,), (1,), (2, 3)])
 def test_kernels_map_each_matrix_of_an_own_stack(kind, own):
     # the channel has 2 Kraus operators: own stacks of 2 matrices must not be
     # read as one matrix per Kraus operator
     rng = np.random.default_rng(63)
     ch = random_channel(2, 3, 2, rng)
-    qmap = {"operation": ch.scaled(0.8), "channel": ch, "linear": LinearMap.of(ch)}[kind]
+    qmap = {"operation": ch.scaled(0.8), "channel": ch}[kind]
     for kernel, d in ((qmap.apply_matrix, 2), (qmap.dual_matrix, 3)):
         mats = _complex_stack(rng, own, d)
         np.testing.assert_allclose(kernel(mats), _each(kernel, mats), rtol=0, atol=1e-13)
@@ -393,22 +412,6 @@ def test_batch_kernels_broadcast_one_matrix_and_map_member_stacks():
             (kernel(one), [getattr(c, name)(one) for c in members]),
         ):
             np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-13)
-
-
-def test_linear_map_dual_does_not_copy_the_superoperator():
-    import tracemalloc
-
-    rng = np.random.default_rng(62)
-    lm = LinearMap(rng.standard_normal((576, 576)) + 1j * rng.standard_normal((576, 576)), 24, 24)
-    m = rng.standard_normal((24, 24)) + 0j
-    lm.dual_matrix(m)
-    tracemalloc.start()
-    try:
-        lm.dual_matrix(m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # the superoperator alone is 5.3 MB
 
 
 def _held_bytes(op: Operation) -> int:
@@ -435,7 +438,7 @@ def test_an_operation_holds_only_its_stack_and_gram_matrix():
     batch = Operation._checked(np.stack([op.kraus_stack] * 3), 1e-9)
     for each, lead in ((op, ()), (batch, (3,))):
         each.superoperator()
-        each._dual_identity()
+        each.is_trace_preserving()
         each.dual_matrix(np.eye(4))
         each.apply_matrix(np.eye(3))
         each.apply_matrix(np.zeros(lead + (2, 3, 3)))
@@ -445,15 +448,14 @@ def test_an_operation_holds_only_its_stack_and_gram_matrix():
         assert _held_bytes(each) == each.kraus_stack.nbytes + each._gram.nbytes
 
 
-def test_map_sum_promotes_mixed_representations():
-    rng = np.random.default_rng(20)
-    op = random_channel(2, 2, 1, rng).scaled(np.sqrt(0.5))
-    mixed = map_sum([op, LinearMap.of(op)])
-    assert isinstance(mixed, LinearMap)
-    assert mixed.is_trace_preserving(1e-9)
-    both_kraus = map_sum([op, op])
-    assert isinstance(both_kraus, Operation)
-    assert map_deviation(mixed, both_kraus) < 1e-13
+def test_map_sum_concatenates_kraus_lists():
+    op = random_channel(2, 2, 1, 20).scaled(np.sqrt(0.5))
+    total = map_sum([op, op])
+    assert type(total) is Operation
+    np.testing.assert_array_equal(total.kraus_stack, np.concatenate([op.kraus_stack] * 2))
+    assert total.is_trace_preserving(1e-9)
+    with pytest.raises(InvariantViolation, match="trace non-increasing"):
+        map_sum([op, op, op])
 
 
 def test_map_deviation_dimension_mismatch():
@@ -462,22 +464,23 @@ def test_map_deviation_dimension_mismatch():
 
 
 def test_map_deviation_propagates_nan():
-    class NaNMap(QuantumMap):
-        dim_in = dim_out = 2
-
-        def superoperator(self):
-            return np.full((4, 4), np.nan)
-
-    assert np.isnan(map_deviation(NaNMap(), Channel.identity(2)))
+    # map_deviation is _superoperator_deviation of the difference, which the
+    # checks also call directly: a NaN entry is a NaN deviation, never 0
+    diff = np.zeros((4, 4))
+    diff[1, 2] = np.nan
+    assert np.isnan(_superoperator_deviation(diff, 2))
+    batch = _superoperator_deviation(np.stack([np.zeros((4, 4)), diff]), 2)
+    assert np.isnan(batch).tolist() == [False, True]
 
 
 def test_conditioning_works_for_kraus_and_tabulated_maps_alike():
+    # conditioning depends on the map, not on its Kraus list
     rng = np.random.default_rng(60)
     ch = random_channel(2, 3, 2, rng)
     obs = random_observable(3, 3, rng)
     kraus = condition_observable(ch, obs)
-    tabulated = condition_observable(LinearMap.of(ch), obs)
-    assert observable_deviation(kraus, tabulated) < 1e-12
+    other = condition_observable(remixed(ch, rng), obs)
+    assert observable_deviation(kraus, other) < 1e-12
     for label, e in zip(obs.outcomes, obs.effects):
         np.testing.assert_allclose(kraus.effect(label).matrix, ch.dual_apply(e).matrix, atol=1e-13)
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -19,7 +19,7 @@ import qcond.linalg as linalg
 from qcond.channels import Channel, Operation, _completed, _require_trace_preserving
 from qcond.checks import (
     IdentityCheck,
-    REGISTRY,
+    _REGISTRY,
     _batches,
     _instance_deviations,
     registered_identities,
@@ -83,16 +83,16 @@ BATCHED = sorted(EXPECTED_IDENTITIES)
 
 def test_registry_is_complete_and_described():
     assert registered_identities() == EXPECTED_IDENTITIES
-    for check in REGISTRY.values():
+    for check in _REGISTRY.values():
         assert check.statement
         assert check.name == check.name.strip().lower()
 
 
 def test_resolve_suite():
-    assert resolve_suite("all") == list(REGISTRY)
-    assert resolve_suite("all,all") == list(REGISTRY)
-    assert resolve_suite("all,dual-map") == list(REGISTRY)
-    assert resolve_suite("dual-map,all") == list(REGISTRY)
+    assert resolve_suite("all") == list(_REGISTRY)
+    assert resolve_suite("all,all") == list(_REGISTRY)
+    assert resolve_suite("all,dual-map") == list(_REGISTRY)
+    assert resolve_suite("dual-map,all") == list(_REGISTRY)
     assert resolve_suite("dual-map,holevo-composition,dual-map") == [
         "dual-map",
         "holevo-composition",
@@ -105,17 +105,17 @@ def test_resolve_suite():
 
 
 def test_an_identity_name_registered_twice_raises(monkeypatch):
-    monkeypatch.setattr(checks, "REGISTRY", dict(REGISTRY))
+    monkeypatch.setattr(checks, "_REGISTRY", dict(_REGISTRY))
 
     def runner(rngs, dim):
         yield np.zeros(len(rngs))
 
     with pytest.raises(ValueError, match="'dual-map' is registered twice"):
         checks._identity("dual-map", "registered again")(runner)
-    assert checks.REGISTRY["dual-map"] == REGISTRY["dual-map"]
+    assert checks._REGISTRY["dual-map"] == _REGISTRY["dual-map"]
     assert checks._identity("fake-identity", "registered last")(runner) is runner
-    assert list(checks.REGISTRY)[-1] == "fake-identity"
-    assert checks.REGISTRY["fake-identity"] == IdentityCheck("fake-identity", "registered last", runner)
+    assert list(checks._REGISTRY)[-1] == "fake-identity"
+    assert checks._REGISTRY["fake-identity"] == IdentityCheck("fake-identity", "registered last", runner)
 
 
 @pytest.mark.parametrize("trials", [2.0, 1.5, True, "2", None])
@@ -144,8 +144,8 @@ def test_run_checks_takes_numpy_integers():
 def test_run_checks_all_pass_smoke():
     report = run_checks("all", trials=2, dims=[2], seed=123)
     assert report.passed
-    assert len(report.results) == len(REGISTRY)
-    assert [r.name for r in report.results] == sorted(REGISTRY)
+    assert len(report.results) == len(_REGISTRY)
+    assert [r.name for r in report.results] == sorted(_REGISTRY)
     for r in report.results:
         assert r.instances == 2
         assert r.max_deviation <= 1e-9
@@ -213,10 +213,10 @@ def test_canonical_instances_get_the_generators_of_their_seed_tuples(monkeypatch
     # every instance of the canonical run: 12 identities, dimensions 2..3,
     # 100 trials, seed 7
     recorded = {}
-    for name in REGISTRY:
+    for name in _REGISTRY:
         recorded[name] = []
         check = IdentityCheck(name, "records its generators", _recording(recorded[name]))
-        monkeypatch.setitem(REGISTRY, name, check)
+        monkeypatch.setitem(_REGISTRY, name, check)
     assert run_checks("all", trials=100, dims=[2, 3], seed=7).passed
     assert len(recorded) == 12
     for name, states in recorded.items():
@@ -231,7 +231,7 @@ def test_a_rerun_instance_gets_the_generator_of_its_seed_tuple_without_a_second_
     name = "rerun-identity"
     states = []
     check = IdentityCheck(name, "raises in a batch", _recording(states, fail_batches=True))
-    monkeypatch.setitem(REGISTRY, name, check)
+    monkeypatch.setitem(_REGISTRY, name, check)
     hashes = []
 
     def counted(prefix, trials):
@@ -274,7 +274,7 @@ def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
     name = "recording-identity"
     states = []
     check = IdentityCheck(name, "records its generators", _recording(states))
-    monkeypatch.setitem(REGISTRY, name, check)
+    monkeypatch.setitem(_REGISTRY, name, check)
     assert run_checks(name, trials=3, dims=[2, 3], seed=2**40).passed
     key = zlib.crc32(name.encode("utf-8"))
     seeds = [(2**40, key, dim, t) for dim in (2, 3) for t in range(3)]
@@ -312,7 +312,7 @@ def test_json_report_shape():
 def test_table_report_mentions_every_identity():
     report = run_checks("all", trials=1, dims=[2], seed=2)
     table = report.to_table()
-    for name in REGISTRY:
+    for name in _REGISTRY:
         assert name in table
     assert "all passed" in table
 
@@ -340,7 +340,7 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
         yield np.array([0.0 if rng.random() < threshold else math.nan for rng in rngs])
 
     check = IdentityCheck(name, "returns NaN for some instances", finite_then_nan)
-    monkeypatch.setitem(REGISTRY, check.name, check)
+    monkeypatch.setitem(_REGISTRY, check.name, check)
     report = run_checks(check.name, trials=3, dims=[2], seed=0)
     (result,) = report.results
     assert result.max_deviation == math.inf
@@ -371,7 +371,7 @@ def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys)
         yield np.zeros(len(rngs))
 
     check = IdentityCheck(name, "raises on one seed-determined instance", raise_once)
-    monkeypatch.setitem(REGISTRY, check.name, check)
+    monkeypatch.setitem(_REGISTRY, check.name, check)
     report = run_checks([check.name, "dual-map"], trials=3, dims=[2], seed=0)
     results = {r.name: r for r in report.results}
     assert results[check.name].max_deviation == math.inf
@@ -405,7 +405,7 @@ def test_a_raising_batch_fails_only_its_raising_instances():
 @pytest.mark.parametrize("name", BATCHED)
 def test_a_batch_of_one_gives_each_instance_the_full_batch_deviations(name):
     # bit for bit: the result of an instance does not depend on its batch
-    runner = REGISTRY[name].runner
+    runner = _REGISTRY[name].runner
     key = zlib.crc32(name.encode("utf-8"))
     for dim in (2, 3):
         seeds = [(7, key, dim, t) for t in range(5)]
@@ -440,7 +440,7 @@ def test_a_canonical_batch_of_the_heaviest_identities_stays_small(name, limit_mi
     # after its part: about 5.1 and 2.8 MiB. The runner is iterated
     # directly, so a batch that raises cannot pass as the smaller
     # instance-by-instance rerun.
-    runner = REGISTRY[name].runner
+    runner = _REGISTRY[name].runner
     key = zlib.crc32(name.encode("utf-8"))
     list(runner([np.random.default_rng((7, key, 3, 0))], 3))
     rngs = [np.random.default_rng((7, key, 3, t)) for t in range(100)]
@@ -633,7 +633,7 @@ def test_batched_readout_probe_rejects_only_a_bad_last_member():
 
 def _fake_check(monkeypatch, runner):
     check = IdentityCheck("fake-identity", "yields fixed deviations", runner)
-    monkeypatch.setitem(REGISTRY, check.name, check)
+    monkeypatch.setitem(_REGISTRY, check.name, check)
     (result,) = run_checks(check.name, trials=2, dims=[2], seed=0).results
     return result
 
@@ -757,7 +757,7 @@ def test_comparator_pins_fail_when_the_kernels_return_zeros(monkeypatch):
 def test_runners_compare_arrays_only_through_dev():
     # the runners' one array comparator is _dev, their map comparators the
     # map deviations; an inline np.abs comparison would be a third
-    sources = {name: inspect.getsource(check.runner) for name, check in REGISTRY.items()}
+    sources = {name: inspect.getsource(check.runner) for name, check in _REGISTRY.items()}
     sources["kraus-separable parts"] = inspect.getsource(checks._kraus_separable_parts)
     assert [name for name, source in sources.items() if "np.abs(" in source] == []
 

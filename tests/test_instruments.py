@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from qcond.channels import Channel, LinearMap, Operation, condition_observable, map_deviation
+from qcond.channels import (
+    Channel,
+    Operation,
+    _choi_kraus,
+    condition_observable,
+    map_deviation,
+    map_sum,
+)
 from qcond.effects import (
     Observable,
     State,
@@ -38,6 +45,8 @@ from qcond.rand import (
     random_surjection,
     random_unitary,
 )
+
+from map_oracles import deviation_from, remixed, tabulated
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -201,10 +210,11 @@ def test_condition_instrument_identity():
     assert instrument_deviation(out, jns) < 1e-14
 
 
-@pytest.mark.parametrize("tabulated", [False, True])
-def test_condition_instrument_rejects_a_map_that_is_not_trace_preserving(tabulated):
-    shrunk = random_channel(2, 2, 2, 14).scaled(0.9)
-    qmap = LinearMap.of(shrunk) if tabulated else shrunk
+@pytest.mark.parametrize("projective", [False, True])
+def test_condition_instrument_rejects_a_map_that_is_not_trace_preserving(projective):
+    # a uniformly shrunk channel, or a projection that preserves no trace
+    # but that of |0><0|
+    qmap = Operation((np.diag([1.0, 0.0]),)) if projective else random_channel(2, 2, 2, 14).scaled(0.9)
     with pytest.raises(InvariantViolation, match="channel"):
         condition_instrument(qmap, random_instrument(2, 2, 2, 15))
 
@@ -293,8 +303,8 @@ def test_holevo_operation_matches_formula():
         np.testing.assert_allclose(op.apply(rho), expected, atol=1e-12)
 
 
-def _measure_and_prepare(e: np.ndarray, sigma: np.ndarray) -> LinearMap:
-    return LinearMap.from_action(lambda m: np.trace(m @ e) * sigma, e.shape[0], sigma.shape[0])
+def _measure_and_prepare(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    return tabulated(lambda m: np.trace(m @ e) * sigma, e.shape[0], sigma.shape[0])
 
 
 def test_holevo_operation_zero_effect():
@@ -304,7 +314,7 @@ def test_holevo_operation_zero_effect():
     np.testing.assert_allclose(op.apply(rho), np.zeros((3, 3)), atol=1e-15)
     assert op.kraus_stack.shape == (1, 3, 2)
     assert not op.kraus_stack.any()
-    assert map_deviation(op, _measure_and_prepare(np.zeros((2, 2)), sigma.matrix)) == 0.0
+    assert deviation_from(op, _measure_and_prepare(np.zeros((2, 2)), sigma.matrix)) == 0.0
 
 
 def test_holevo_operation_reproduces_measure_and_prepare():
@@ -315,7 +325,7 @@ def test_holevo_operation_reproduces_measure_and_prepare():
     mixed = random_state(2, rng)
     for e, sigma in [(rank_two, mixed), (random_effect(3, rng).matrix, pure), (rank_two, pure)]:
         op = holevo_operation(e, sigma)
-        assert map_deviation(op, _measure_and_prepare(e, sigma.matrix)) <= 1e-12
+        assert deviation_from(op, _measure_and_prepare(e, sigma.matrix)) <= 1e-12
     assert holevo_operation(rank_two, pure).kraus_stack.shape == (2, 2, 3)
 
 
@@ -518,23 +528,6 @@ def test_family_total_must_lie_below_identity():
         BiInstrument(("x0",), ("y0", "y1"), ((a, b),), atol)
 
 
-def test_tabulated_family_total_must_lie_below_identity():
-    atol = 1e-9
-    a, b = _overfull_kraus_pair(atol)
-    for ops in [(LinearMap.of(a), LinearMap.of(b)), (a, LinearMap.of(b))]:
-        with pytest.raises(InvariantViolation, match="total channel"):
-            Instrument(("x0", "x1"), ops, atol)
-
-
-def test_mixed_kraus_and_tabulated_family_validates():
-    rng = np.random.default_rng(71)
-    ins = random_instrument(2, 3, 3, rng, kraus_per_outcome=2)
-    mixed = (ins.ops[0], LinearMap.of(ins.ops[1]), ins.ops[2])
-    assert instrument_deviation(Instrument(ins.outcomes, mixed), ins) < 1e-13
-    grid = BiInstrument(("x0",), ins.outcomes, (mixed,))
-    assert map_deviation(grid.total_channel(), ins.total_channel()) < 1e-13
-
-
 def _partial_transpose(m: np.ndarray) -> np.ndarray:
     """Transpose of the right factor of C² ⊗ C²."""
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -544,45 +537,63 @@ _Z = np.diag([1.0, -1.0])
 
 
 @pytest.mark.parametrize("qmap", [
-    LinearMap.from_action(_partial_transpose, 4, 4),
-    LinearMap.from_action(lambda m: m.T, 2, 2),
+    tabulated(_partial_transpose, 4, 4),
+    tabulated(lambda m: m.T, 2, 2),
     # The identity plus i·(a trace-annihilating map): the Hermitian part of
     # its Choi matrix is the identity channel's, the matrix is not Hermitian.
-    LinearMap.from_action(lambda m: m + 1j * np.trace(_Z @ m) * _Z, 2, 2),
+    tabulated(lambda m: m + 1j * np.trace(_Z @ m) * _Z, 2, 2),
 ])
 def test_trace_preserving_map_that_is_not_completely_positive_is_rejected(qmap):
-    # Every map is trace preserving, so only the Choi check can tell that
-    # it is not an operation.
-    assert qmap.is_trace_preserving()
+    # Every superoperator is trace preserving (the trace row maps onto the
+    # trace row), so only the Choi check, which guards compositions, can
+    # tell that it is not an operation's.
+    d = round(np.sqrt(np.sqrt(qmap.size)))
+    trace_row = np.eye(d).reshape(-1)
+    np.testing.assert_allclose(trace_row @ qmap, trace_row, rtol=0, atol=1e-15)
     with pytest.raises(InvariantViolation, match="completely positive"):
-        Instrument(("x",), (qmap,))
+        _choi_kraus(qmap, d, d, 1e-9)
     with pytest.raises(InvariantViolation, match="completely positive"):
-        BiInstrument(("x",), ("y",), ((qmap,),))
+        _choi_kraus(np.stack([tabulated(lambda m: m, d, d), qmap]), d, d, 1e-9)
 
 
 def test_zero_tabulated_member_is_admitted():
-    ch = random_channel(2, 3, 2, 72)
-    ins = Instrument(("x0", "x1"), (ch, LinearMap(np.zeros((9, 4)), 2, 3)))
-    zero = ins.op("x1")
-    assert isinstance(zero, Operation)
+    # the zero superoperator factors into one zero Kraus operator, which an
+    # instrument admits as a member
+    zero = Operation._checked(_choi_kraus(np.zeros((9, 4)), 3, 2, 1e-9), 1e-9)
     assert zero.kraus_stack.shape == (1, 3, 2)
     assert not zero.kraus_stack.any()
+    ins = Instrument(("x0", "x1"), (random_channel(2, 3, 2, 72), zero))
+    assert ins.op("x1") is zero
 
 
 def test_tabulated_members_are_stored_in_kraus_form():
-    ins = random_instrument(2, 3, 3, 73, kraus_per_outcome=2)
-    tabulated = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
-    assert all(isinstance(op, Operation) for op in tabulated.ops)
-    assert instrument_deviation(tabulated, ins) < 1e-12
-    assert map_deviation(tabulated.total_channel(), ins.total_channel()) < 1e-12
+    # members given by other Kraus lists of the same maps are kept as given
+    rng = np.random.default_rng(73)
+    ins = random_instrument(2, 3, 3, rng, kraus_per_outcome=2)
+    other = Instrument(ins.outcomes, tuple(remixed(op, rng) for op in ins.ops))
+    assert [op.kraus_stack.shape[0] for op in other.ops] == [3, 3, 3]
+    assert instrument_deviation(other, ins) < 1e-12
+    assert map_deviation(other.total_channel(), ins.total_channel()) < 1e-12
 
 
 def test_condition_instrument_by_tabulated_channel_matches_kraus_channel():
+    # conditioning depends on the channel, not on its Kraus list
     rng = np.random.default_rng(74)
     ch = random_channel(2, 3, 2, rng)
     ins = random_instrument(3, 2, 3, rng)
-    tabulated = condition_instrument(LinearMap.of(ch), ins)
-    assert instrument_deviation(tabulated, condition_instrument(ch, ins)) < 1e-12
+    other = condition_instrument(remixed(ch, rng), ins)
+    assert instrument_deviation(other, condition_instrument(ch, ins)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda ch: Instrument(("a",), (np.eye(2),)),
+    lambda ch: BiInstrument(("a",), ("b",), ((ch.kraus_stack,),)),
+    lambda ch: condition_instrument(ch.superoperator(), random_instrument(2, 2, 2, 76)),
+    lambda ch: map_sum([ch, ch.kraus_stack]),
+], ids=["instrument", "bi-instrument", "condition_instrument", "map_sum"])
+def test_maps_that_are_not_operations_are_rejected_with_type_error(make):
+    with pytest.raises(TypeError, match="Kraus-form operations"):
+        make(random_channel(2, 2, 2, 75))
 
 
 def test_composition_validates_at_the_callers_tolerance():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcond.channels import Channel, LinearMap, Operation, map_deviation
+from qcond.channels import Channel, Operation, map_deviation
 from qcond.effects import (
     Observable,
     State,
@@ -33,6 +33,8 @@ from qcond.rand import (
     random_observable,
     random_state,
 )
+
+from map_oracles import deviation_from, remixed, tabulated
 
 
 def random_model(dim_base, dim_probe, n_interaction, n_probe, rng) -> MeasurementModel:
@@ -87,13 +89,13 @@ def test_readout_of_tabulated_interaction_matches_kraus_form(dim_base, dim_probe
     rng = np.random.default_rng(51)
     model = random_model(dim_base, dim_probe, 2, 3, rng)
     ins = model.interaction
-    tabulated_ins = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
-    tabulated = MeasurementModel(dim_base, dim_probe, tabulated_ins, model.probe)
-    assert all(isinstance(op, Operation) for op in tabulated.interaction.ops)
-    bi = bi_instrument_deviation(tabulated.measured_bi_instrument(), model.measured_bi_instrument())
+    # the readouts depend on the interaction, not on its Kraus lists
+    other_ins = Instrument(ins.outcomes, tuple(remixed(op, rng) for op in ins.ops))
+    other = MeasurementModel(dim_base, dim_probe, other_ins, model.probe)
+    bi = bi_instrument_deviation(other.measured_bi_instrument(), model.measured_bi_instrument())
     assert bi < 1e-12
-    assert instrument_deviation(tabulated.measured_instrument(), model.measured_instrument()) < 1e-12
-    assert instrument_deviation(tabulated.reduced_instrument(), model.reduced_instrument()) < 1e-12
+    assert instrument_deviation(other.measured_instrument(), model.measured_instrument()) < 1e-12
+    assert instrument_deviation(other.reduced_instrument(), model.reduced_instrument()) < 1e-12
 
 
 def test_readout_memory_stays_near_one_superoperator(monkeypatch):
@@ -140,10 +142,8 @@ def test_measured_instrument_trivial_probe():
     meas = model.measured_instrument()
     assert meas.outcomes == ("y",)
     total = ins.total_channel()
-    expected = LinearMap.from_action(
-        lambda m: partial_trace_right(total.apply_matrix(m), 3, 2), 3, 3
-    )
-    assert map_deviation(meas.op("y"), expected) < 1e-12
+    expected = tabulated(lambda m: partial_trace_right(total.apply_matrix(m), 3, 2), 3, 3)
+    assert deviation_from(meas.op("y"), expected) < 1e-12
 
 
 def test_measured_instrument_outputs_normalize():
@@ -246,14 +246,14 @@ def test_kraus_separable_action_formula():
     rng = np.random.default_rng(17)
     base = random_channel(2, 2, 3, rng)
     ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(3)))
-    formula = LinearMap.from_action(
+    formula = tabulated(
         lambda m: sum(
             kron(k @ m @ k.conj().T, s.matrix) for k, s in zip(ks.factors, ks.probe_states)
         ),
         2,
         4,
     )
-    assert map_deviation(ks.total_channel(), formula) < 1e-12
+    assert deviation_from(ks.total_channel(), formula) < 1e-12
 
 
 def test_kraus_separable_dual_product_effects():

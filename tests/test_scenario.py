@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from qcond.channels import LinearMap, Operation
+from qcond.channels import Operation
 from qcond.effects import Effect, Observable, State
 from qcond.errors import ScenarioError
 from qcond.instruments import Instrument, instrument_deviation
 from qcond.measurement import MeasurementModel
 from qcond.rand import random_channel, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, matrix_from_json, matrix_to_json, save_scenario
+
+from map_oracles import remixed
 
 
 def build_scenario() -> Scenario:
@@ -75,12 +77,16 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_tabulated_instrument_round_trips(tmp_path):
+    # an instrument given by other Kraus lists of the same maps is saved
+    # and loaded as given
     scn = build_scenario()
     ins = scn.instruments["interact"]
-    scn.instruments["tabulated"] = Instrument(ins.outcomes, tuple(LinearMap.of(op) for op in ins.ops))
+    rng = np.random.default_rng(8)
+    scn.instruments["tabulated"] = Instrument(ins.outcomes, tuple(remixed(op, rng) for op in ins.ops))
     path = tmp_path / "scn.json"
     save_scenario(scn, path)
     loaded = load_scenario(path)
+    assert [len(op.kraus) for op in loaded.instruments["tabulated"].ops] == [2, 2]
     assert instrument_deviation(loaded.instruments["tabulated"], ins) < 1e-12
 
 
