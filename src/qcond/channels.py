@@ -202,6 +202,7 @@ class Operation:
         """Sequential product: apply ``self`` first, then ``other``; the
         composition is an operation (a channel when both are) validated at
         ``atol``."""
+        _require_operations((other,), "then")
         if self.dim_out != other.dim_in:
             raise ValueError(
                 f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
@@ -345,6 +346,7 @@ def map_deviation(p: Operation, q: Operation) -> float | np.ndarray:
     at a fraction of the cost for long Kraus lists. For batches
     of operations (see ``Operation._checked``), one deviation per member.
     """
+    _require_operations((p, q), "map_deviation")
     if (p.dim_in, p.dim_out) != (q.dim_in, q.dim_out):
         raise ValueError("maps must share dimensions")
     return _superoperator_deviation(p.superoperator() - q.superoperator(), p.dim_in)
@@ -372,6 +374,7 @@ def _basis_columns(dim: int) -> np.ndarray:
 def sequential_product(first: Operation, second: Operation) -> Operation:
     """Run ``first`` then ``second``; Kraus operations compose to at most
     ``d_out·d_in`` Kraus operators (see ``_composed_kraus``)."""
+    _require_operations((first, second), "sequential_product")
     return first.then(second)
 
 

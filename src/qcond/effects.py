@@ -453,16 +453,26 @@ class OutcomeMap:
 
 def born_probability(rho: State, a: Effect, atol: float = DEFAULT_ATOL) -> float:
     """The probability ``tr(rho a)`` that effect ``a`` occurs in state ``rho``."""
-    rm = as_complex_matrix(rho)
-    am = as_complex_matrix(a)
-    if rm.shape != am.shape:
-        raise ValueError(f"dimension mismatch: state {rm.shape} vs effect {am.shape}")
-    val = complex(np.trace(rm @ am))
-    if abs(val.imag) > atol:
-        raise InvariantViolation("born probability", "real value", f"imag {val.imag:.3e}")
-    if val.real < -atol or val.real > 1.0 + atol:
-        raise InvariantViolation("born probability", "range [0, 1]", f"value {val.real:.6g}")
-    return float(val.real)
+    return float(_born_probabilities(as_complex_matrix(rho), as_complex_matrix(a)[None], atol)[0])
+
+
+def _born_probabilities(rm: np.ndarray, stack: np.ndarray, atol: float) -> np.ndarray:
+    """``tr(rho A)`` for every effect ``A`` of a stack ``(n, d, d)``, from one
+    product and one batched trace, for a coerced state matrix ``rm``. Each
+    value must be real and in ``[0, 1]`` within ``atol``; the error names the
+    first outcome that is not, as a per-outcome check in label order would."""
+    if rm.shape != stack.shape[-2:]:
+        raise ValueError(f"dimension mismatch: state {rm.shape} vs effect {stack.shape[-2:]}")
+    vals = np.trace(rm @ stack, axis1=-2, axis2=-1)
+    p = vals.real
+    unreal = np.abs(vals.imag) > atol
+    bad = unreal | (p < -atol) | (p > 1.0 + atol)
+    if bad.any():
+        i = bad.argmax()
+        if unreal[i]:
+            raise InvariantViolation("born probability", "real value", f"imag {vals.imag[i]:.3e}")
+        raise InvariantViolation("born probability", "range [0, 1]", f"value {p[i]:.6g}")
+    return p
 
 
 def observable_distribution(
@@ -473,12 +483,15 @@ def observable_distribution(
     ``subset=None`` means the full outcome set (total probability 1).
     """
     labels = obs.outcomes if subset is None else tuple(dict.fromkeys(subset))
-    return float(sum(born_probability(rho, obs.effect(x), atol) for x in labels))
+    idx = [obs.index(x) for x in labels]
+    return float(sum(_born_probabilities(as_complex_matrix(rho), obs.effect_stack[idx], atol).tolist()))
 
 
 def outcome_probabilities(rho: State, obs: Observable, atol: float = DEFAULT_ATOL) -> dict[str, float]:
-    """Per-outcome probabilities of ``obs`` in state ``rho``, in label order."""
-    return {x: born_probability(rho, obs.effect(x), atol) for x in obs.outcomes}
+    """Per-outcome probabilities of ``obs`` in state ``rho``, in label order,
+    from one contraction of the state with the whole effect stack."""
+    p = _born_probabilities(as_complex_matrix(rho), obs.effect_stack, atol)
+    return dict(zip(obs.outcomes, p.tolist()))
 
 
 def post_process(obs: Observable, kernel: StochasticMatrix, atol: float = DEFAULT_ATOL) -> Observable:

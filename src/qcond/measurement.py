@@ -20,6 +20,11 @@ stack ``(b, m, dp, dp)`` are read out member by member, through the same
 kernels as one model (``_bi_readout``, ``_probe_readout``,
 ``_reduced_readout``, ``_pointer_grid``).
 
+The measured (pointer) observable ``P_y = sum_x I_x*(I ⊗ P_y)`` is the
+pointer grid summed over the interaction outcomes ``x`` and validated once,
+as the returned :class:`Observable`; no :class:`BiObservable` is built for
+it.
+
 The Kraus-separable and Holevo-separable classes provide closed-form
 shortcuts as *separate* code paths; their agreement with the generic
 pipeline is a test target, not an internal substitution. The closed forms
@@ -141,8 +146,11 @@ class MeasurementModel:
 
     def measured_pointer_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The probe-indexed observable the model measures on the base space
-        (second marginal of the measured bi-observable)."""
-        return self.measured_bi_observable(atol).marginal2(atol)
+        (second marginal of the measured bi-observable): the unvalidated
+        grid of :meth:`measured_bi_observable` summed over the interaction
+        outcomes ``x``, validated once as the returned observable."""
+        grid = _pointer_grid(self.interaction, self.probe.effect_stack)
+        return Observable(self.probe.outcomes, grid.sum(axis=-4), atol)
 
 
 # The model's quantities from an interaction instrument and a probe stack

@@ -473,7 +473,24 @@ def test_map_deviation_propagates_nan():
     assert np.isnan(batch).tolist() == [False, True]
 
 
-def test_conditioning_works_for_kraus_and_tabulated_maps_alike():
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda ch, m: ch.then(m), "then"),
+        (lambda ch, m: sequential_product(ch, m), "sequential_product"),
+        (lambda ch, m: sequential_product(m, ch), "sequential_product"),
+        (lambda ch, m: map_deviation(ch, m), "map_deviation"),
+        (lambda ch, m: map_deviation(m, ch), "map_deviation"),
+    ],
+    ids=["then", "sequential_product-second", "sequential_product-first", "map_deviation-second",
+         "map_deviation-first"],
+)
+def test_composition_and_deviation_take_only_operations(call, kind):
+    with pytest.raises(TypeError, match=f"^{kind} takes Kraus-form operations, got ndarray$"):
+        call(Channel.identity(2), np.eye(2))
+
+
+def test_conditioning_works_for_remixed_kraus_lists_alike():
     # conditioning depends on the map, not on its Kraus list
     rng = np.random.default_rng(60)
     ch = random_channel(2, 3, 2, rng)

@@ -161,6 +161,41 @@ def test_distribution_normalization_random():
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_outcome_probabilities_are_the_per_outcome_values_bit_for_bit(dim):
+    # the reference is the per-outcome formula tr(rho A_x), one matrix at a time
+    rng = np.random.default_rng(12 + dim)
+    for n in (1, 3, 7):
+        rho = random_state(dim, rng)
+        obs = random_observable(dim, n, rng)
+        per_outcome = [float(np.trace(rho.matrix @ e.matrix).real) for e in obs.effects]
+        assert [born_probability(rho, e) for e in obs.effects] == per_outcome
+        probs = outcome_probabilities(rho, obs)
+        assert list(probs) == list(obs.outcomes)
+        assert list(probs.values()) == per_outcome
+        subset = obs.outcomes[::-2]
+        assert observable_distribution(rho, obs, subset) == sum(probs[x] for x in subset)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (2 * np.eye(2), r"range \[0, 1\]' \(value 2\)"),
+    (np.diag([2.0, 0.5j]), r"range \[0, 1\]' \(value 2\)"),
+    (np.diag([0.5j, 2.0]), r"real value' \(imag 5\.000e-01\)"),
+], ids=["twice-identity", "range-then-imag", "imag-then-range"])
+def test_probabilities_of_a_non_state_raise_as_per_outcome_checks_do(rho, message):
+    # the first offending outcome in label order names the error, with the
+    # check a per-outcome loop makes first (real, then range)
+    obs = qubit_basis_observable()
+    with pytest.raises(InvariantViolation, match=message):
+        [born_probability(rho, e) for e in obs.effects]
+    with pytest.raises(InvariantViolation, match=message):
+        outcome_probabilities(rho, obs)
+    with pytest.raises(InvariantViolation, match=message):
+        observable_distribution(rho, obs)
+    # a subset checks only its own outcomes
+    assert observable_distribution(np.diag([2.0, 0.5]), obs, ("x1",)) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # post-processing, parts, marginals
 # ---------------------------------------------------------------------------

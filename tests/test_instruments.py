@@ -566,7 +566,7 @@ def test_zero_tabulated_member_is_admitted():
     assert ins.op("x1") is zero
 
 
-def test_tabulated_members_are_stored_in_kraus_form():
+def test_remixed_members_are_stored_as_given():
     # members given by other Kraus lists of the same maps are kept as given
     rng = np.random.default_rng(73)
     ins = random_instrument(2, 3, 3, rng, kraus_per_outcome=2)
@@ -576,7 +576,7 @@ def test_tabulated_members_are_stored_in_kraus_form():
     assert map_deviation(other.total_channel(), ins.total_channel()) < 1e-12
 
 
-def test_condition_instrument_by_tabulated_channel_matches_kraus_channel():
+def test_condition_instrument_by_remixed_channel_matches_original():
     # conditioning depends on the channel, not on its Kraus list
     rng = np.random.default_rng(74)
     ch = random_channel(2, 3, 2, rng)

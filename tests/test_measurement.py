@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qcond.measurement as measurement
 from qcond.channels import Channel, Operation, map_deviation
 from qcond.effects import (
     Observable,
@@ -85,7 +86,7 @@ def test_bi_instrument_against_partial_trace_oracle(dim_base, dim_probe):
 
 
 @pytest.mark.parametrize("dim_base,dim_probe", [(2, 2), (2, 3), (3, 2)])
-def test_readout_of_tabulated_interaction_matches_kraus_form(dim_base, dim_probe):
+def test_readout_of_remixed_interaction_matches_original(dim_base, dim_probe):
     rng = np.random.default_rng(51)
     model = random_model(dim_base, dim_probe, 2, 3, rng)
     ins = model.interaction
@@ -221,6 +222,46 @@ def test_pointer_observable_is_measured_effect_of_instrument():
         np.testing.assert_allclose(
             pointer.effect(y).matrix, meas.op(y).measured_effect().matrix, atol=1e-12
         )
+
+
+PROJECTIVE_QUBIT = Observable(("p0", "p1"), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_model(2, 2, 2, 2, rng),
+    lambda rng: random_model(2, 3, 2, 3, rng),
+    lambda rng: MeasurementModel(2, 2, random_instrument(2, 4, 2, rng), PROJECTIVE_QUBIT),
+    lambda rng: MeasurementModel(
+        3, 2, random_instrument(3, 6, 3, rng, kraus_per_outcome=3), random_observable(2, 2, rng)
+    ),
+    lambda rng: KrausSeparableChannel(
+        random_channel(2, 2, 2, rng).kraus, tuple(random_state(3, rng) for _ in range(2))
+    ).model(random_observable(3, 3, rng)),
+], ids=["2-outcome-probe", "3-outcome-probe", "zero-eigenvalue-probe", "several-kraus", "kraus-separable"])
+def test_pointer_observable_is_the_bi_observables_second_marginal_bit_for_bit(make):
+    model = make(np.random.default_rng(16))
+    pointer = model.measured_pointer_observable()
+    marginal = model.measured_bi_observable().marginal2()
+    assert pointer.outcomes == marginal.outcomes == model.probe.outcomes
+    assert pointer.effect_stack.tobytes() == marginal.effect_stack.tobytes()
+
+
+def test_pointer_observable_is_validated(monkeypatch):
+    # a planted defect in the grid the pointer observable sums: one entry
+    # scaled by 1.5 breaks the normalization, which the returned
+    # observable's construction must catch
+    grid_of = measurement._pointer_grid
+
+    def defective(interaction, probe):
+        grid = grid_of(interaction, probe)
+        grid[0, 0] *= 1.5
+        return grid
+
+    model = random_model(2, 2, 2, 2, np.random.default_rng(17))
+    model.measured_pointer_observable()
+    monkeypatch.setattr(measurement, "_pointer_grid", defective)
+    with pytest.raises(InvariantViolation, match="Observable"):
+        model.measured_pointer_observable()
 
 
 # ---------------------------------------------------------------------------

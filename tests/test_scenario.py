@@ -76,7 +76,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.seed == 7
 
 
-def test_tabulated_instrument_round_trips(tmp_path):
+def test_remixed_instrument_round_trips(tmp_path):
     # an instrument given by other Kraus lists of the same maps is saved
     # and loaded as given
     scn = build_scenario()
