@@ -6,9 +6,11 @@ Every map here is completely positive and kept in Kraus form, as an
 conversion step. Equality of maps is never decided by comparing Kraus lists
 (they are not canonical): use :func:`map_deviation`, which compares
 superoperators (row-major vectorization) on a Hermitian matrix-unit basis.
-A composition of operations has at most ``d_out·d_in`` Kraus operators:
-where the list of products would be longer, one eigendecomposition of the
-composed Choi matrix gives them.
+Operations compose one way, ``_composed`` (behind ``then``,
+``condition_instrument`` and ``given_instrument``), to at most
+``d_out·d_in`` Kraus operators, none exactly zero: where the list of
+products would be longer, one eigendecomposition of the composed Choi
+matrix gives them.
 
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
@@ -203,11 +205,9 @@ class Operation:
         composition is an operation (a channel when both are) validated at
         ``atol``."""
         _require_operations((other,), "then")
-        if self.dim_out != other.dim_in:
-            raise ValueError(
-                f"dimension mismatch in composition: {self.dim_out} -> {other.dim_in}"
-            )
-        return _composed_class(self, other)._checked(_composed_kraus(self, other, atol), atol)
+        op = _composed(self, other, atol, Operation.superoperator)
+        op._check(atol)
+        return op
 
 
 class Channel(Operation):
@@ -269,13 +269,13 @@ def _require_trace_preserving(gram: np.ndarray, atol: float, kind: str, invarian
 
 
 def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
-    """The one rule for exactly-zero Kraus operators, applied to the family
-    members that ``_from_kraus`` builds from arrays and to the Kraus lists
-    of ``_choi_kraus``, ``holevo_operation`` and ``lifted_kraus``: one Kraus
-    stack ``(n, d_out, d_in)`` leaves them out (one zero operator is kept
-    when all are zero); a batch, a stack with leading axes, keeps them, so
-    that every member has as many operators. A stack that loses nothing is
-    returned as is."""
+    """The one rule for exactly-zero Kraus operators, applied to every
+    composition (``_composed``, ``_choi_kraus``), to the family members that
+    ``_from_kraus`` builds and to the Kraus lists of ``holevo_operation``
+    and of a separable channel's lift: one Kraus stack ``(n, d_out, d_in)``
+    leaves them out (one zero operator is kept when all are zero); a batch,
+    a stack with leading axes, keeps them, so that every member has as many
+    operators. A stack that loses nothing is returned as is."""
     if stack.ndim > 3:
         return stack
     nonzero = stack.any(axis=(-2, -1))
@@ -284,27 +284,25 @@ def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
     return stack[nonzero] if nonzero.any() else np.zeros_like(stack[:1])
 
 
-def _composed_class(first: Operation, second: Operation) -> type:
-    """The class of ``first.then(second)`` for Kraus operations."""
-    return Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
-
-
-def _composed_kraus(
-    first: Operation, second: Operation, atol: float, superoperators: tuple[Callable, Callable] | None = None
-) -> np.ndarray:
-    """A Kraus stack of running ``first``, then ``second`` (member by member
-    for batches): the ``n1·n2`` products ``L_b K_a`` when they are no more
-    than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
+def _composed(first: Operation, second: Operation, atol: float, superoperator: Callable) -> Operation:
+    """Running ``first``, then ``second`` (member by member for batches),
+    unchecked: a :class:`Channel` when both are, else an :class:`Operation`.
+    Its Kraus stack is the ``n1·n2`` products ``L_b K_a`` when they are no
+    more than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
     operators that ``_choi_kraus`` factors from the product of the two
-    superoperators. ``superoperators`` gives them on that path (default: the
-    two ``superoperator`` methods), so that a caller composing each member
-    with several others can make each member's superoperator once."""
+    superoperators, each made by ``superoperator(op)`` (a caller composing
+    each member with several others passes one cache of it); either stack
+    under the rule of ``_without_zero_operators``."""
+    if first.dim_out != second.dim_in:
+        raise ValueError(f"dimension mismatch in composition: {first.dim_out} -> {second.dim_in}")
     d_out, d_in = second.dim_out, first.dim_in
     if first.kraus_stack.shape[-3] * second.kraus_stack.shape[-3] > d_out * d_in:
-        s1, s2 = superoperators or (first.superoperator, second.superoperator)
-        return _choi_kraus(s2() @ s1(), d_out, d_in, atol)
-    products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
-    return products.reshape(products.shape[:-4] + (-1, d_out, d_in))
+        stack = _choi_kraus(superoperator(second) @ superoperator(first), d_out, d_in, atol)
+    else:
+        products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
+        stack = _without_zero_operators(products.reshape(products.shape[:-4] + (-1, d_out, d_in)))
+    cls = Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
+    return cls._unchecked(stack)
 
 
 def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.ndarray:
@@ -373,7 +371,7 @@ def _basis_columns(dim: int) -> np.ndarray:
 
 def sequential_product(first: Operation, second: Operation) -> Operation:
     """Run ``first`` then ``second``; Kraus operations compose to at most
-    ``d_out·d_in`` Kraus operators (see ``_composed_kraus``)."""
+    ``d_out·d_in`` Kraus operators (see ``_composed``)."""
     _require_operations((first, second), "sequential_product")
     return first.then(second)
 

@@ -92,6 +92,7 @@ from .measurement import (
     _separable_instrument,
 )
 from .rand import (
+    _TRIAL_LIMIT,
     _draw_channels,
     _draw_effects,
     _draw_ginibre,
@@ -636,8 +637,8 @@ def run_checks(
     identity name; a repeated name or dimension counts once, at its first
     occurrence. ``trials=0`` gives an empty (vacuously passing) report; a
     ``trials``, ``seed`` or dimension that is not an integer (a boolean
-    included), a negative ``trials`` or ``seed`` and a dimension below 1
-    raise ``ValueError``.
+    included), a negative ``trials`` or ``seed``, ``trials >= 2**32`` and a
+    dimension below 1 raise ``ValueError``.
     An instance's deviation is the largest its runner yields. An instance
     that raises any ``Exception`` (a violated construction invariant
     included), yields a non-finite deviation or yields nothing counts as
@@ -648,6 +649,8 @@ def run_checks(
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials >= _TRIAL_LIMIT:
+        raise ValueError(f"trials must be below 2**32, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     names = resolve_suite(suite)

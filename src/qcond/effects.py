@@ -569,6 +569,8 @@ def observable_deviation(a: Observable, b: Observable) -> float:
     """Largest entrywise deviation between two observables on equal outcomes."""
     if a.outcomes != b.outcomes:
         raise ValueError("observables must share the same ordered outcome labels")
+    if a.dim != b.dim:
+        raise ValueError("observables must share the same dimension")
     return float(np.max(np.abs(a.effect_stack - b.effect_stack)))
 
 
@@ -576,4 +578,6 @@ def bi_observable_deviation(a: BiObservable, b: BiObservable) -> float:
     """Largest entrywise deviation between two bi-observables on equal grids."""
     if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
         raise ValueError("bi-observables must share the same ordered outcome labels")
+    if a.dim != b.dim:
+        raise ValueError("bi-observables must share the same dimension")
     return float(np.max(np.abs(a.effect_stack - b.effect_stack)))

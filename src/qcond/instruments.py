@@ -6,9 +6,10 @@ outcome-by-outcome. Every member of a family is a Kraus-form
 :class:`~qcond.channels.Operation`; anything else is rejected with
 ``TypeError``.
 
-A family's trace condition is checked once, on its total: with every Gram
-matrix positive, ``sum_x op_x*(I) = I`` gives each member's ``sum K†K <= I``,
-so the members that ``_from_kraus`` builds skip that check, and
+A family is admitted once, by ``_admit_family``: with every Gram matrix
+positive, its total's ``sum_x op_x*(I) = I`` gives each member's
+``sum K†K <= I``, so the members built for a family (``_from_kraus``,
+``condition_instrument``, ``given_instrument``) skip that check, and
 ``total_channel`` returns the total without checking it again.
 
 Batches: ``_from_kraus`` over Kraus stacks ``(..., n, d_out, d_in)`` with
@@ -31,10 +32,8 @@ import numpy as np
 from .channels import (
     Channel,
     Operation,
-    _composed_class,
-    _composed_kraus,
+    _composed,
     _joined,
-    _kraus_stack,
     _per_member,
     _require_channel,
     _require_operations,
@@ -73,36 +72,28 @@ def _admit_family(kind: str, ops: Iterable[Operation], atol: float) -> tuple[Ope
     condition: uniform dimensions, and the total's dual at the identity,
     ``sum_x op_x*(I)`` (the sum of the members' Gram matrices), below ``I``
     and equal to it entrywise, within ``atol``: the two trace rules of a
-    channel."""
+    channel. A ``Channel`` member is checked for ``sum K†K == I`` entrywise,
+    which the total does not give for one member of several."""
     ops = tuple(ops)
     _require_operations(ops, kind)
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
+    for op in ops:
+        if isinstance(op, Channel):
+            _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
     total = sum(op._gram for op in ops)
     _require_trace_non_increasing(total, atol, kind, "total channel")
     _require_trace_preserving(total, atol, kind, "total channel")
     return ops
 
 
-def _members(stacks: Sequence, atol: float, classes: Sequence[type] | None) -> tuple[Operation, ...]:
-    """One operation per Kraus stack, of class ``classes[i]`` (default
-    :class:`Operation`), built unchecked for a family whose total is
-    checked next. An array stack follows the rule of
-    ``_without_zero_operators``; a sequence of matrices (a list read from a
-    scenario file) is kept as given, under the rule of ``_kraus_stack``. A
-    ``Channel`` member is checked for ``sum K†K == I`` entrywise, which the
-    total does not give for one member of several. Array stacks ``(..., n,
-    d_out, d_in)`` may carry leading batch axes, which give a batch of
-    families."""
-    ops = []
-    for cls, stack in zip(classes or [Operation] * len(stacks), stacks):
-        array = isinstance(stack, np.ndarray)
-        op = cls._unchecked(_without_zero_operators(stack) if array else _kraus_stack(stack))
-        if isinstance(op, Channel):
-            _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
-        ops.append(op)
-    return tuple(ops)
+def _members(stacks: Sequence[np.ndarray]) -> tuple[Operation, ...]:
+    """One unchecked :class:`Operation` per library-made Kraus stack, under
+    the rule of ``_without_zero_operators``, for a family whose total is
+    checked next. Stacks ``(..., n, d_out, d_in)`` may carry leading batch
+    axes, which give a batch of families."""
+    return tuple(Operation._unchecked(_without_zero_operators(stack)) for stack in stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +105,9 @@ class Instrument:
     atol: InitVar[float] = DEFAULT_ATOL
 
     @classmethod
-    def _from_kraus(cls, outcomes, stacks, atol: float, classes=None) -> "Instrument":
-        """One operation per Kraus stack (of class ``classes[i]``), checked
-        once, from the total."""
-        return cls(outcomes, _members(stacks, atol, classes), atol)
+    def _from_kraus(cls, outcomes, stacks, atol: float) -> "Instrument":
+        """One operation per Kraus stack, checked once, from the total."""
+        return cls(outcomes, _members(stacks), atol)
 
     def __post_init__(self, atol: float):
         outcomes = _distinct_labels(self.outcomes, "Instrument")
@@ -183,10 +173,10 @@ class BiInstrument:
     atol: InitVar[float] = DEFAULT_ATOL
 
     @classmethod
-    def _from_kraus(cls, outcomes1, outcomes2, stacks, atol: float, classes=None) -> "BiInstrument":
-        """One grid operation per Kraus stack (row-major, of class
-        ``classes[i]``), checked once, from the total."""
-        ops = _members(stacks, atol, classes)
+    def _from_kraus(cls, outcomes1, outcomes2, stacks, atol: float) -> "BiInstrument":
+        """One grid operation per Kraus stack (row-major), checked once, from
+        the total."""
+        ops = _members(stacks)
         n = len(outcomes2)
         return cls(outcomes1, outcomes2, tuple(ops[i : i + n] for i in range(0, len(ops), n)), atol)
 
@@ -291,30 +281,21 @@ def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) ->
 
 
 def condition_instrument(ch: Operation, ins: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
-    """Pre-compose every operation of ``ins`` with the channel ``ch``; each
-    member is a composition of at most ``d_out·d_in`` Kraus operators (see
-    ``sequential_product``)."""
+    """Pre-compose every operation of ``ins`` with the channel ``ch``: member
+    ``x`` is ``ch.then(ins.op(x))`` (see ``channels._composed``), checked
+    once, from the family's total."""
     _require_channel(ch, atol)
-    if ch.dim_out != ins.dim_in:
-        raise ValueError(f"dimension mismatch: channel output {ch.dim_out} vs instrument input {ins.dim_in}")
-    first = cache(ch.superoperator)
-    stacks = [_composed_kraus(ch, op, atol, (first, op.superoperator)) for op in ins.ops]
-    classes = [_composed_class(ch, op) for op in ins.ops]
-    return Instrument._from_kraus(ins.outcomes, stacks, atol, classes)
+    superoperator = cache(Operation.superoperator)
+    return Instrument(ins.outcomes, tuple(_composed(ch, op, atol, superoperator) for op in ins.ops), atol)
 
 
 def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
     """The joint bi-instrument of running ``ins`` first, then ``jns``:
-    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``, of at most
-    ``d_out·d_in`` Kraus operators (see ``sequential_product``)."""
-    if ins.dim_out != jns.dim_in:
-        raise ValueError(f"dimension mismatch: {ins.dim_out} -> {jns.dim_in}")
-    pairs = [(iop, jop) for iop in ins.ops for jop in jns.ops]
-    # each member's superoperator is made once, by the first pair that needs it
-    made = {id(op): cache(op.superoperator) for op in ins.ops + jns.ops}
-    stacks = [_composed_kraus(iop, jop, atol, (made[id(iop)], made[id(jop)])) for iop, jop in pairs]
-    classes = [_composed_class(iop, jop) for iop, jop in pairs]
-    return BiInstrument._from_kraus(ins.outcomes, jns.outcomes, stacks, atol, classes)
+    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``, checked once, from
+    the family's total; each member's superoperator is made at most once."""
+    superoperator = cache(Operation.superoperator)
+    ops = tuple(tuple(_composed(iop, jop, atol, superoperator) for jop in jns.ops) for iop in ins.ops)
+    return BiInstrument(ins.outcomes, jns.outcomes, ops, atol)
 
 
 @dataclass(frozen=True, eq=False)

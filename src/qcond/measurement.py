@@ -193,10 +193,11 @@ def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:
 def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> np.ndarray:
     """The Kraus stack ``(..., n * dp, d * dp, d)`` of ``L_{ik} =
     sqrt(p_ik) (K_i ⊗ |v_ik>)`` over the spectral decompositions of the probe
-    states (one batched decomposition, ``p`` clipped)."""
+    states (one batched decomposition, ``p`` clipped), under the rule of
+    ``_without_zero_operators``."""
     pvals, pvecs = clipped_eigh(states, atol, "state")
     lifted = np.sqrt(pvals)[..., None, None] * kron(factors[..., None, :, :], pvecs.mT[..., None])
-    return lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:])
+    return _without_zero_operators(lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:]))
 
 
 def _dual_on_product(factors: np.ndarray, states: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,12 +292,11 @@ class KrausSeparableChannel:
         Spectral-decomposing each probe state (one batched decomposition of
         all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
         """
-        lifted = _lifted_kraus(self._factors, self._states, atol)
-        return tuple(_without_zero_operators(lifted))
+        return tuple(_lifted_kraus(self._factors, self._states, atol))
 
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
         """The separable channel as a Kraus-form channel into base ⊗ probe."""
-        return Channel._checked(_without_zero_operators(_lifted_kraus(self._factors, self._states, atol)), atol)
+        return Channel._checked(_lifted_kraus(self._factors, self._states, atol), atol)
 
     def dual_on_product(
         self, a: Effect | np.ndarray, b: Effect | np.ndarray, atol: float = DEFAULT_ATOL
@@ -331,8 +331,9 @@ class KrausSeparableChannel:
         return Observable(labels, _grams(self._factors), atol)
 
     def model(self, probe: Observable, atol: float = DEFAULT_ATOL) -> MeasurementModel:
-        """Wrap the separable channel as a single-outcome measurement model."""
-        ins = Instrument(("u",), (self.total_channel(atol),), atol)
+        """Wrap the separable channel as a single-outcome measurement model;
+        the channel is checked once, as the family's one member."""
+        ins = Instrument(("u",), (Channel._unchecked(_lifted_kraus(self._factors, self._states, atol)),), atol)
         return MeasurementModel(self.dim_base, self.dim_probe, ins, probe)
 
 

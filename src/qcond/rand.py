@@ -25,11 +25,12 @@ within ``atol`` draws again (at most ``_RETRIES`` times, then
 ``RuntimeError``), alone: the other generators' draws stand.
 
 The generators of a batch of seed tuples ``(*prefix, t)``, one per ``t`` in
-a range, are made in two steps. ``_trial_states`` hashes the tuples' entropy
-words (``SeedSequence``'s: each int as little-endian 32-bit words) as one
-uint32 array, with numpy's ``SeedSequence`` algorithm written over its rows
-(stable under NEP 19), into one PCG64 seed state per tuple. ``_generators``
-seeds one PCG64 ``Generator`` from each state. Each generator's state equals
+a range below ``2**32`` (so each ``t`` is one word), are made in two steps.
+``_trial_states`` hashes the tuples' entropy words (``SeedSequence``'s: each
+int as little-endian 32-bit words) as one uint32 array, with numpy's
+``SeedSequence`` algorithm written over its rows (stable under NEP 19),
+into one PCG64 seed state per tuple. ``_generators`` seeds one PCG64
+``Generator`` from each state. Each generator's state equals
 ``default_rng(seed tuple)``'s, and a state can seed any number of fresh
 generators without a second hash.
 """
@@ -72,6 +73,7 @@ def as_rng(seed: int | Sequence[int] | np.random.Generator) -> np.random.Generat
 
 # numpy's SeedSequence: a pool of 4 uint32 words, and its hash constants
 _MASK32 = 0xFFFFFFFF
+_TRIAL_LIMIT = 1 << 32  # a trial index is one entropy word
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -149,25 +151,15 @@ def _int_words(x: int) -> list[int]:
 
 def _trial_states(prefix: Sequence[int], trials: range) -> np.ndarray:
     """The PCG64 seed state of ``default_rng((*prefix, t))`` for each ``t``
-    in ``trials`` (a nonempty range of step 1), as an ``(len(trials), 4)``
-    uint64 array. The prefix's words are shared by every row; rows whose
-    trials have as many words are hashed as one array."""
+    in ``trials`` (a nonempty range of step 1 inside ``[0, _TRIAL_LIMIT)``),
+    as an ``(len(trials), 4)`` uint64 array: the rows share the prefix's
+    words, end in their trial's one word, and are hashed as one array."""
+    if trials.start < 0 or trials.stop > _TRIAL_LIMIT:
+        raise ValueError(f"trial indices must lie in [0, 2**32), got {trials}")
     head = [w for x in prefix for w in _int_words(x)]
-    groups = []
-    start, stop = trials.start, trials.stop
-    while start < stop:
-        n_words = len(_int_words(start))
-        end = min(stop, 1 << 32 * n_words)
-        if n_words == 1:
-            column = np.arange(start, end, dtype=np.uint32)[:, None]
-        else:
-            column = np.array([_int_words(t) for t in range(start, end)], dtype=np.uint32)
-        words = np.empty((end - start, len(head) + n_words), dtype=np.uint32)
-        words[:, : len(head)] = head
-        words[:, len(head) :] = column
-        groups.append(_seed_states(words))
-        start = end
-    return np.concatenate(groups)
+    words = np.full((len(trials), len(head) + 1), head + [0], dtype=np.uint32)
+    words[:, -1] = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    return _seed_states(words)
 
 
 class _SeedState(ISeedSequence):

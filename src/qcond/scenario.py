@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import Channel, Operation
+from .channels import Channel, Operation, _kraus_stack
 from .effects import Effect, Observable, State
 from .errors import ScenarioError
 from .instruments import Instrument
@@ -131,8 +131,8 @@ def _read_instrument(cls: type, payload: dict, scn: Scenario) -> Instrument:
     outcomes, operations = _labeled(payload, "instrument", "operations")
     if not all(isinstance(op_kraus, list) for op_kraus in operations):
         raise ScenarioError("each instrument operation must be a list of Kraus matrices")
-    stacks = [tuple(matrix_from_json(k) for k in op_kraus) for op_kraus in operations]
-    return cls._from_kraus(tuple(outcomes), stacks, scn.atol)
+    ops = tuple(Operation._unchecked(_kraus_stack([matrix_from_json(k) for k in kraus])) for kraus in operations)
+    return cls(tuple(outcomes), ops, scn.atol)
 
 
 def _read_model(cls: type, payload: dict, scn: Scenario) -> MeasurementModel:

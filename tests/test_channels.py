@@ -33,6 +33,7 @@ from qcond.rand import (
 from qcond.scenario import load_scenario
 
 from map_oracles import remixed, tabulated
+from pinned import assert_pinned
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 COLLAPSE = Operation([np.array([[1, 0], [0, 0]], complex), np.array([[0, 1], [0, 0]], complex)])
@@ -517,3 +518,21 @@ def test_operations_are_made_only_inside_operation():
         assert "._build(" not in text, path.name
         # the one other object.__new__ makes effect views (effects._Validated._view)
         assert text.count("object.__new__(") == (path.name == "effects.py"), path.name
+
+
+# a channel C² -> C³ and one on C²
+_WIDE = random_channel(2, 3, 1, 80)
+_SQUARE = Channel.identity(2)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: _WIDE.apply(np.eye(3)), ValueError("dimension mismatch: expected 2, got (3, 3)")),
+    (lambda: _WIDE.dual_apply(np.eye(2)), ValueError("dimension mismatch: expected 3, got (2, 2)")),
+    (lambda: map_sum([]), ValueError("cannot sum an empty list of maps")),
+    (lambda: map_sum([_SQUARE, _WIDE]), ValueError("summands must share dimensions, got [(2, 2), (2, 3)]")),
+    (lambda: complete_subnormalized(_SQUARE, []), ValueError("need at least one effect to complete")),
+    (lambda: complete_subnormalized(_SQUARE, [np.eye(3) / 2]),
+     ValueError("effects must live on the channel's output space")),
+], ids=["apply", "dual-apply", "empty-sum", "sum-dimensions", "no-effects", "effect-dimension"])
+def test_channel_argument_checks(call, expected):
+    assert_pinned(call, expected)

@@ -174,6 +174,18 @@ def test_run_checks_rejects_negative_trials():
             run_checks("all", trials=trials, dims=[2], seed=0)
 
 
+def test_run_checks_rejects_trial_counts_past_one_entropy_word(capsys):
+    # each trial index is one 32-bit word; a longer run would take days, so a
+    # typo in the count is refused up front instead of starting it
+    with pytest.raises(ValueError, match=r"^trials must be below 2\*\*32, got 4294967296$"):
+        run_checks("dual-map", trials=2**32, dims=[2], seed=0)
+    with pytest.raises(ValueError, match=r"^trials must be non-negative, got -1$"):
+        run_checks("dual-map", trials=-1, dims=[2], seed=0)
+    huge = "99999999999999999999999"
+    assert main(["check", "--suite", "dual-map", "--trials", huge, "--dims", "2"]) == 2
+    assert f"trials must be below 2**32, got {huge}" in capsys.readouterr().err
+
+
 def test_run_checks_rejects_a_negative_seed(capsys):
     # a negative seed has no generator: refused up front, as a negative
     # trial count is, not run as a report in which every instance fails
@@ -186,7 +198,7 @@ def test_run_checks_rejects_a_negative_seed(capsys):
 @pytest.mark.parametrize("seed", [
     (0, 0, 0, 0),
     (2**32, 1, 2, 3),
-    (2**64 + 5, 123, 3, 2**32 + 1),
+    (2**64 + 5, 123, 3, 2**32 - 1),
     (7, 2**32 - 1, 2, 99),
 ])
 def test_seed_words_give_the_generator_of_the_seed_tuple(seed):
@@ -845,3 +857,21 @@ def test_a_planted_defect_fails_its_identity(name, monkeypatch):
 @pytest.mark.parametrize("name, defect", ALSO_PLANTED)
 def test_a_further_planted_defect_fails_its_identity(name, defect, monkeypatch):
     _fails_under(name, defect, monkeypatch)
+
+
+def _three_entries(rngs, dim):
+    yield np.zeros(3)
+
+
+def _one_entry(rngs, dim):
+    # broadcasts against any batch, but is right only for a batch of one
+    yield np.full(1, 0.0 if len(rngs) == 1 else 0.5)
+
+
+@pytest.mark.parametrize("runner, expected", [(_three_entries, [math.inf, math.inf]), (_one_entry, [0.0, 0.0])],
+                         ids=["three", "one"])
+def test_a_part_of_the_wrong_length_fails_its_batch(runner, expected):
+    # a part must have one entry per instance: a batch that yields another
+    # length reruns instance by instance
+    states = _trial_states((1, 2, 3), range(2))
+    assert _instance_deviations(runner, states, 2).tolist() == expected

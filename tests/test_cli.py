@@ -298,3 +298,17 @@ def test_python_dash_m_runs_the_readme_scenario_commands():
         done = subprocess.run([sys.executable, "-m", "qcond", *argv], cwd=root, env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (argv, done.stderr)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_distribution_rejects_a_state_of_another_dimension(fmt, tmp_path, capsys):
+    scn = Scenario()
+    scn.observables["basis"] = Observable(("x0", "x1"), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    scn.states["wide"] = State.maximally_mixed(3)
+    path = tmp_path / "scenario.json"
+    save_scenario(scn, path)
+    args = ["distribution", "--scenario", str(path), "--observable", "basis", "--state", "wide", "--format", fmt]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: observable and state dimensions differ\n"
+    assert captured.out == ""

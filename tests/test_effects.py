@@ -11,6 +11,7 @@ from qcond.effects import (
     State,
     StochasticMatrix,
     affine_combination,
+    bi_observable_deviation,
     born_probability,
     certify_coexistence,
     marginals,
@@ -21,7 +22,10 @@ from qcond.effects import (
     post_process,
 )
 from qcond.errors import InvariantViolation
+from qcond.instruments import HolevoSpec
 from qcond.rand import random_observable, random_state, random_stochastic_matrix
+
+from pinned import assert_pinned
 
 PROJ0 = np.diag([1.0, 0.0])
 PROJ1 = np.diag([0.0, 1.0])
@@ -139,6 +143,17 @@ def test_born_probability_maximally_mixed():
 def test_born_probability_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         born_probability(State.maximally_mixed(2), Effect(np.eye(3) / 2))
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3)])
+def test_deviations_reject_observables_of_another_dimension(dims):
+    # the stacks of two dimensions must not broadcast against each other
+    small, large = (Observable.trivial(d, "u") for d in dims)
+    with pytest.raises(ValueError, match="^observables must share the same dimension$"):
+        observable_deviation(small, large)
+    grids = [BiObservable(("u",), ("v",), ((obs.effect_stack[0],),)) for obs in (small, large)]
+    with pytest.raises(ValueError, match="^bi-observables must share the same dimension$"):
+        bi_observable_deviation(*grids)
 
 
 def test_observable_distribution():
@@ -540,3 +555,42 @@ def test_affine_combination_rejects_nonfinite_weights():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvariantViolation, match="finite entries"):
             affine_combination([a, b], [bad, 1.0])
+
+
+# observables with two outcomes on C² and on C³, and one with other labels
+_BASIS = Observable(("x0", "x1"), (PROJ0, PROJ1))
+_WIDE = Observable(("x0", "x1"), (np.eye(3) / 2, np.eye(3) / 2))
+_RELABELED = Observable(("y0", "y1"), (PROJ0, PROJ1))
+_GRID = BiObservable(("x0", "x1"), ("y",), ((PROJ0,), (PROJ1,)))
+_MIXED = [State.maximally_mixed(d) for d in (2, 3)]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: State.pure([0.0, 0.0]), InvariantViolation("State", "nonzero vector")),
+    (lambda: Effect.identity(2).matrix.tolist(), [[1, 0], [0, 1]]),
+    (lambda: HolevoSpec(_BASIS, _MIXED[:1]), InvariantViolation("HolevoSpec", "state count", "expected 2, got 1")),
+    (lambda: HolevoSpec(_BASIS, _MIXED),
+     InvariantViolation("HolevoSpec", "uniform dimension", "shapes [(2, 2), (3, 3)]")),
+    (lambda: StochasticMatrix(("a", "b"), ("c",), np.full((2, 2), 0.5)),
+     InvariantViolation("StochasticMatrix", "shape", "expected (2, 1), got (2, 2)")),
+    (lambda: StochasticMatrix.identity(["a"]).then(StochasticMatrix.identity(["b"])),
+     ValueError("kernel composition requires matching intermediate outcomes")),
+    (lambda: OutcomeMap({}), InvariantViolation("OutcomeMap", "nonempty domain")),
+    (lambda: OutcomeMap({"a": "y"})("b"), ValueError("unknown outcome label 'b'")),
+    (lambda: OutcomeMap({"a": "y", "b": "z", "c": "y"}).preimage("y"), ("a", "c")),
+    (lambda: affine_combination([], []), ValueError("need one weight per observable")),
+    (lambda: affine_combination([_BASIS, _RELABELED], [0.5, 0.5]),
+     ValueError("observables must share the same ordered outcome labels")),
+    (lambda: affine_combination([_BASIS, _WIDE], [0.5, 0.5]),
+     ValueError("observables must share the same dimension")),
+    (lambda: certify_coexistence(_RELABELED, Observable.trivial(2, "y"), _GRID), False),
+    (lambda: certify_coexistence(_WIDE, Observable.trivial(2, "y"), _GRID), False),
+    (lambda: observable_deviation(_BASIS, _RELABELED),
+     ValueError("observables must share the same ordered outcome labels")),
+    (lambda: bi_observable_deviation(_GRID, BiObservable(("x0", "x1"), ("z",), ((PROJ0,), (PROJ1,)))),
+     ValueError("bi-observables must share the same ordered outcome labels")),
+], ids=["pure-zero", "identity-effect", "state-count", "state-dimensions", "kernel-shape", "kernel-composition",
+        "empty-map", "unknown-label", "preimage", "no-weights", "mixture-labels", "mixture-dimensions",
+        "certificate-labels", "certificate-dimensions", "deviation-labels", "bi-deviation-labels"])
+def test_effect_family_argument_checks(call, expected):
+    assert_pinned(call, expected)

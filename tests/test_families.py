@@ -132,10 +132,12 @@ def test_operation_family_rejects_an_over_scaled_member():
         Instrument._from_kraus(("a", "b"), [good, 1.5 * good], 1e-9)
     with pytest.raises(InvariantViolation, match="total channel"):
         BiInstrument._from_kraus(("x",), ("a", "b"), [good, 1.5 * good], 1e-9)
+    # a Channel member is checked for sum K†K == I when its family is admitted
+    channels = tuple(Channel._unchecked(k) for k in (good * np.sqrt(2), good))
     with pytest.raises(InvariantViolation, match="trace preservation"):
-        Instrument._from_kraus(("a", "b"), [good * np.sqrt(2), good], 1e-9, [Channel, Channel])
+        Instrument(("a", "b"), channels, 1e-9)
     with pytest.raises(InvariantViolation, match="trace preservation"):
-        BiInstrument._from_kraus(("x",), ("a", "b"), [good * np.sqrt(2), good], 1e-9, [Channel, Channel])
+        BiInstrument(("x",), ("a", "b"), (channels,), 1e-9)
 
 
 def test_holevo_family_rejects_an_over_scaled_member():

@@ -47,6 +47,7 @@ from qcond.rand import (
 )
 
 from map_oracles import deviation_from, remixed, tabulated
+from pinned import assert_pinned
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -266,7 +267,7 @@ def test_given_instrument_singleton_second_stage():
 
 def test_compositions_make_each_member_superoperator_once(monkeypatch):
     # Holevo members keep d_in·d_out Kraus operators, so every pair takes the
-    # Choi path of _composed_kraus
+    # Choi path of _composed
     rng = np.random.default_rng(19)
     ins = holevo_instrument(random_holevo_spec(4, 5, 3, rng))
     jns = holevo_instrument(random_holevo_spec(5, 4, 3, rng))
@@ -286,6 +287,48 @@ def test_compositions_make_each_member_superoperator_once(monkeypatch):
         assert grid.op(x, y).kraus_stack.tobytes() == stack.tobytes()
     for x, stack in conditioned.items():
         assert out.op(x).kraus_stack.tobytes() == stack.tobytes()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_given_instrument_entries_are_the_thens_of_their_pairs_bit_for_bit():
+    # dephasing members: two of the four products |i><i| |j><j| are exactly
+    # zero, and a single then leaves them out as the family's entries do
+    dephasing = Operation([np.sqrt(0.5) * PROJ0, np.sqrt(0.5) * PROJ1])
+    ins = Instrument(("a", "b"), (dephasing, dephasing))
+    grid = given_instrument(ins, ins)
+    for x in ins.outcomes:
+        for y in ins.outcomes:
+            expected = ins.op(x).then(ins.op(y)).kraus_stack
+            assert expected.shape == (2, 2, 2)
+            assert _same_bits(grid.op(x, y).kraus_stack, expected)
+
+
+@pytest.mark.parametrize("n_kraus, per_outcome", [(1, 1), (2, 2), (4, 3)])
+def test_conditioned_members_are_the_channels_thens_bit_for_bit(n_kraus, per_outcome):
+    # the product path, at its bound, and the Choi path
+    rng = np.random.default_rng(31)
+    ch = random_channel(2, 2, n_kraus, rng)
+    ins = random_instrument(2, 2, 3, rng, per_outcome)
+    out = condition_instrument(ch, ins)
+    for op, member in zip(ins.ops, out.ops, strict=True):
+        expected = ch.then(op)
+        assert type(member) is type(expected)
+        assert _same_bits(member.kraus_stack, expected.kraus_stack)
+
+
+def test_compositions_raise_one_dimension_mismatch_message():
+    ch = random_channel(2, 3, 2, 32)
+    ins = random_instrument(2, 2, 2, 33)
+    message = r"^dimension mismatch in composition: 3 -> 2$"
+    with pytest.raises(ValueError, match=message):
+        ch.then(ins.ops[0])
+    with pytest.raises(ValueError, match=message):
+        condition_instrument(ch, ins)
+    with pytest.raises(ValueError, match=message):
+        given_instrument(Instrument(("u",), (ch,)), ins)
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +659,28 @@ def test_deviation_helpers_propagate_nan(monkeypatch):
     assert np.isnan(instrument_deviation(ins, ins))
     devs = iter([0.0, 0.5, float("nan")] + [0.0] * 20)
     assert np.isnan(bi_instrument_deviation(grid, grid))
+
+
+# instruments C² -> C³ and C² -> C², and a Holevo spec C³ -> C²
+_WIDE = random_instrument(2, 3, 2, 81)
+_SQUARE = random_instrument(2, 2, 2, 82)
+_SPEC = random_holevo_spec(3, 2, 2, 83)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Instrument(("a", "b"), (_SQUARE.ops[0], _WIDE.ops[0])),
+     InvariantViolation("Instrument", "uniform dimensions", "got [(2, 2), (2, 3)]")),
+    (lambda: BiInstrument(("x",), ("a", "b"), ((Channel.identity(2),),)),
+     InvariantViolation("BiInstrument", "grid shape")),
+    (lambda: _holevo_family(PROJ0[None], PROJ0[None], [0], [0], np.array([-1.0]), 1e-9),
+     InvariantViolation("effect", "positive", "eigenvalue -1.000e+00")),
+    (lambda: holevo_compose(_SPEC, _SPEC), ValueError("dimension mismatch: 2 -> 3")),
+    (lambda: instrument_deviation(_SQUARE, Instrument(("y0", "y1"), _SQUARE.ops)),
+     ValueError("instruments must share the same ordered outcome labels")),
+    (lambda: bi_instrument_deviation(given_instrument(_SQUARE, _SQUARE),
+                                     given_instrument(_SQUARE, Instrument(("y0", "y1"), _SQUARE.ops))),
+     ValueError("bi-instruments must share the same ordered outcome labels")),
+], ids=["family-dimensions", "grid-shape", "negative-weight", "holevo-compose-dimensions", "deviation-labels",
+        "bi-deviation-labels"])
+def test_instrument_argument_checks(call, expected):
+    assert_pinned(call, expected)

@@ -8,6 +8,7 @@ from qcond.errors import InvariantViolation
 from qcond.linalg import (
     adjoint,
     as_complex_matrix,
+    hermitian_part,
     hermitized_matrix_units,
     is_effect_matrix,
     is_hermitian,
@@ -18,6 +19,8 @@ from qcond.linalg import (
     require_tolerance,
 )
 from qcond.rand import random_effect, random_state
+
+from pinned import assert_pinned
 
 
 def _rand(rng, rows, cols):
@@ -361,3 +364,11 @@ def test_positivity_rejection_messages():
     big = Operation(np.sqrt(1.1) * np.eye(2)[None], 0.5)
     assert message(Instrument, ("x",), (big,)) == (
         "Instrument: violated invariant 'total channel' (sum K†K must be <= I)")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: hermitian_part(np.ones(3)), InvariantViolation("matrix", "two-dimensional", "got ndim=1")),
+    (lambda: is_hermitian(np.zeros((2, 3))), False),
+], ids=["vector", "non-square"])
+def test_matrix_argument_checks(call, expected):
+    assert_pinned(call, expected)

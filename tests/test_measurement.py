@@ -36,6 +36,7 @@ from qcond.rand import (
 )
 
 from map_oracles import deviation_from, remixed, tabulated
+from pinned import assert_pinned
 
 
 def random_model(dim_base, dim_probe, n_interaction, n_probe, rng) -> MeasurementModel:
@@ -536,3 +537,44 @@ def test_separable_channel_drops_zero_kraus_operators_and_a_batch_keeps_them():
     assert len(lifted) == 1 and np.abs(lifted[0]).max() > 0
     batched = _lifted_kraus(np.stack([zero_factor] * 3), np.stack([states] * 3), 1e-9)
     assert batched.shape == (3, 4, 4, 2) and not batched[:, 2:].any()
+
+
+def test_separable_model_checks_its_channel_once(monkeypatch):
+    # the lifted channel is checked as the one member of the model's family,
+    # not also on its own: one positivity test of sum K†K <= I
+    import qcond.channels as channels
+
+    rng = np.random.default_rng(41)
+    base = random_channel(2, 2, 3, rng)
+    ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(3)))
+    probe = random_observable(2, 2, rng)
+    (member,) = ks.model(probe).interaction.ops
+    total = ks.total_channel().kraus_stack
+    assert type(member) is Channel
+    assert member.kraus_stack.shape == total.shape and member.kraus_stack.tobytes() == total.tobytes()
+    calls = []
+    is_psd = channels.is_psd
+    monkeypatch.setattr(channels, "is_psd", lambda *args: calls.append(args) or is_psd(*args))
+    ks.model(probe)
+    assert len(calls) == 1
+
+
+_INTERACTION = random_instrument(2, 4, 2, 85)
+_SEPARABLE = KrausSeparableChannel((np.eye(2),), (State.maximally_mixed(2),))
+_HOLEVO = HolevoSeparableSpec(Observable.trivial(2), (State.maximally_mixed(2),), (State.maximally_mixed(2),))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: MeasurementModel(3, 2, _INTERACTION, random_observable(2, 2, 86)),
+     InvariantViolation("MeasurementModel", "interaction input dimension")),
+    (lambda: KrausSeparableChannel((), ()), InvariantViolation("KrausSeparableChannel", "nonempty factor list")),
+    (lambda: KrausSeparableChannel((np.eye(2), np.eye(3)), (State.maximally_mixed(2),) * 2),
+     InvariantViolation("KrausSeparableChannel", "square factors of equal dimension")),
+    (lambda: KrausSeparableChannel.simple([np.eye(2)], [[1.0, 0.0], [0.0, 1.0]]),
+     InvariantViolation("KrausSeparableChannel", "one probe vector per operator")),
+    (lambda: _SEPARABLE.outcome_weights(Observable.trivial(3)), ValueError("probe observable dimension mismatch")),
+    (lambda: holevo_model_quantities(_HOLEVO, Observable.trivial(3)),
+     ValueError("probe observable dimension mismatch")),
+], ids=["interaction-input", "no-factors", "factor-shapes", "probe-vectors", "separable-probe", "holevo-probe"])
+def test_model_argument_checks(call, expected):
+    assert_pinned(call, expected)

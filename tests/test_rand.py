@@ -14,11 +14,14 @@ from qcond.rand import (
     random_effect,
     random_instrument,
     random_observable,
+    random_pure_state,
     random_state,
     random_stochastic_matrix,
     random_surjection,
     random_unitary,
 )
+
+from pinned import assert_pinned
 
 
 def test_random_state_dim_one_is_forced():
@@ -211,13 +214,14 @@ def test_seed_states_equal_the_seed_sequence_of_each_row(n_words):
 
 
 @pytest.mark.parametrize("prefix", [(7, 123, 2), (2**32 + 7, 123, 3)])
-def test_a_batch_across_a_word_boundary_gets_the_generators_of_its_seed_tuples(prefix):
-    # trials 2**32 - 1 and 2**32 have one and two words: two hashed groups
-    trials = range(2**32 - 2, 2**32 + 2)
+def test_trial_states_take_trial_indices_of_one_word_only(prefix):
+    # the last trials of one word get their generators; one more is refused
+    trials = range(2**32 - 3, 2**32)
     rngs = rand._generators(rand._trial_states(prefix, trials))
-    assert len(rngs) == len(trials)
-    for t, rng in zip(trials, rngs):
+    for t, rng in zip(trials, rngs, strict=True):
         assert rng.bit_generator.state == np.random.default_rng((*prefix, t)).bit_generator.state
+    with pytest.raises(ValueError, match=r"^trial indices must lie in \[0, 2\*\*32\)"):
+        rand._trial_states(prefix, range(2**32 - 1, 2**32 + 1))
 
 
 def test_pcg64_reads_a_contiguous_native_uint64_row(monkeypatch):
@@ -252,3 +256,18 @@ def test_pcg64_reads_a_contiguous_native_uint64_row(monkeypatch):
 def test_trial_states_reject_a_negative_seed_entry():
     with pytest.raises(ValueError, match="non-negative"):
         rand._trial_states((7, -1, 2), range(1))
+
+
+def _pure_state_of_seed(seed: int) -> np.ndarray:
+    """|v><v|/<v|v> for the complex Ginibre vector v of C³ drawn from ``seed``."""
+    re, im = np.random.default_rng(seed).standard_normal((2, 3))
+    v = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: random_observable(2, 0, 0), ValueError("need at least one outcome")),
+    (lambda: np.allclose(random_pure_state(3, 5).matrix, _pure_state_of_seed(5), rtol=0, atol=1e-15), True),
+], ids=["no-outcomes", "pure-state"])
+def test_random_object_arguments_and_values(call, expected):
+    assert_pinned(call, expected)

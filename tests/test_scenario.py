@@ -14,6 +14,7 @@ from qcond.rand import random_channel, random_instrument, random_observable, ran
 from qcond.scenario import Scenario, load_scenario, matrix_from_json, matrix_to_json, save_scenario
 
 from map_oracles import remixed
+from pinned import assert_pinned
 
 
 def build_scenario() -> Scenario:
@@ -279,3 +280,43 @@ def test_load_rejects_infinite_model_dimension(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioError, match="meter"):
         load_scenario(path)
+
+
+def _loaded(payload):
+    """A call that loads ``payload`` from a file in the directory it is given."""
+    def call(directory):
+        path = directory / "scenario.json"
+        path.write_text(json.dumps(payload))
+        return load_scenario(path)
+    return call
+
+
+def _saved_with_an_unnamed_probe(directory):
+    scn = Scenario()
+    scn.instruments["ins"] = Instrument(("u",), (Operation([np.eye(1)]),))
+    scn.models["m"] = MeasurementModel(1, 1, scn.instruments["ins"], Observable.trivial(1))
+    save_scenario(scn, directory / "scenario.json")
+
+
+# the one-outcome instrument of C¹, as saved
+_ONE = {"type": "instrument", "outcomes": ["u"], "operations": [[[[[1.0, 0.0]]]]]}
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda _: matrix_from_json([]), ScenarioError("malformed matrix payload: expected rows of [re, im] pairs")),
+    (_loaded({"objects": {"c": {"type": "channel", "kraus": []}}}),
+     ScenarioError("expected a nonempty 'kraus' list", obj="c")),
+    (_loaded({"objects": {"i": {"type": "instrument", "outcomes": ["u"]}}}),
+     ScenarioError("instrument needs 'outcomes' and 'operations' lists", obj="i")),
+    (_loaded({"objects": {"i": _ONE, "m": {"type": "measurement_model", "interaction": "i", "probe": "p",
+                                           "dim_base": 1, "dim_probe": 1}}}),
+     ScenarioError("references unknown observable 'p'", obj="m")),
+    (_saved_with_an_unnamed_probe, ScenarioError("probe observable is not a named object of this scenario", obj="m")),
+    (_loaded([]), ScenarioError("scenario file must hold a JSON object")),
+    (_loaded({"objects": []}), ScenarioError("'objects' must be a name-keyed map")),
+    (_loaded({"objects": {"x": {"matrix": []}}}),
+     ScenarioError("object payload needs a 'type' discriminator", obj="x")),
+], ids=["matrix-rows", "empty-kraus", "instrument-lists", "unknown-probe", "unnamed-probe", "not-an-object",
+        "objects-map", "no-type"])
+def test_scenario_file_checks(call, expected, tmp_path):
+    assert_pinned(lambda: call(tmp_path), expected)
