@@ -4,7 +4,9 @@ File format: one top-level JSON object with optional ``tolerance`` and
 ``seed`` metadata and an ``objects`` map keyed by name. Every object carries
 a ``type`` discriminator. Complex numbers are two-element arrays
 ``[re, im]`` and matrices are row-major nested arrays, so files are portable
-across languages.
+across languages. :func:`save_scenario` writes compact single-line JSON that
+never contains ``NaN`` or ``Infinity``; JSON whitespace carries no meaning,
+so :func:`load_scenario` reads any layout, hand-formatted files included.
 
 Supported types: ``state``, ``effect``, ``observable``, ``operation``,
 ``channel``, ``instrument``, ``measurement_model``. Measurement models
@@ -41,9 +43,11 @@ __all__ = [
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists with ``[re, im]`` entries."""
+    """Row-major nested lists of Python floats with ``[re, im]`` entries.
+
+    A stack of matrices, ``(..., n, m)``, gives one such list per matrix."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _is_real(kind: type) -> bool:
@@ -98,9 +102,17 @@ class Scenario:
 def _integer(value: Any, field: str) -> int:
     """``value`` as an ``int``, rejecting any value ``int()`` would change
     (a fraction, a boolean, a string, a non-finite number)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
+    if _is_real(type(value)) and value % 1 == 0:
         return int(value)
     raise ScenarioError(f"{field} must be an integer, got {value!r}")
+
+
+def _tolerance(value: Any) -> float:
+    """:func:`require_tolerance`, failing with :class:`ScenarioError`."""
+    try:
+        return require_tolerance(value)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _read_matrix(cls: type, payload: dict, scn: Scenario):
@@ -153,7 +165,7 @@ def _matrix_fields(value, *_) -> dict[str, Any]:
 
 
 def _kraus_fields(op: Operation, *_) -> dict[str, Any]:
-    return {"kraus": [matrix_to_json(k) for k in op.kraus]}
+    return {"kraus": matrix_to_json(op.kraus_stack)}
 
 
 def _model_fields(model: MeasurementModel, scn: Scenario, name: str) -> dict[str, Any]:
@@ -182,11 +194,11 @@ _TYPES: dict[str, tuple] = {
     "state": ("states", State, _read_matrix, _matrix_fields),
     "effect": ("effects", Effect, _read_matrix, _matrix_fields),
     "observable": ("observables", Observable, _read_observable, lambda obs, *_: {
-        "outcomes": list(obs.outcomes), "effects": [matrix_to_json(e) for e in obs.effect_stack]}),
+        "outcomes": list(obs.outcomes), "effects": matrix_to_json(obs.effect_stack)}),
     "operation": ("operations", Operation, _read_kraus, _kraus_fields),
     "channel": ("operations", Channel, _read_kraus, _kraus_fields),
     "instrument": ("instruments", Instrument, _read_instrument, lambda ins, *_: {
-        "outcomes": list(ins.outcomes), "operations": [[matrix_to_json(k) for k in op.kraus] for op in ins.ops]}),
+        "outcomes": list(ins.outcomes), "operations": [matrix_to_json(op.kraus_stack) for op in ins.ops]}),
     "measurement_model": ("models", MeasurementModel, _read_model, _model_fields),
 }
 _GROUPS = tuple(dict.fromkeys(group for group, *_ in _TYPES.values()))
@@ -211,10 +223,7 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
         # JSON's true and false are not numbers
         if isinstance(atol, bool) or not isinstance(atol, (int, float)):
             raise ScenarioError(f"tolerance must be a JSON number, got {atol!r}")
-    try:
-        tol = require_tolerance(atol)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    tol = _tolerance(atol)
     seed = payload.get("seed")
     if seed is not None:
         seed = _integer(seed, "seed")
@@ -246,16 +255,19 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     """Write a scenario back to JSON; inverse of :func:`load_scenario`.
 
     Every instrument member is a Kraus-form operation, so every instrument
-    serializes as one Kraus list per outcome.
+    serializes as one Kraus list per outcome. The file is one line of
+    compact JSON. A tolerance or seed that :func:`load_scenario` would
+    reject raises :class:`ScenarioError` before anything is written.
     """
+    payload: dict[str, Any] = {"tolerance": _tolerance(scn.atol)}
+    if scn.seed is not None:
+        payload["seed"] = _integer(scn.seed, "seed")
     objects: dict[str, Any] = {}
     for group in _GROUPS:
         for name, value in getattr(scn, group).items():
             kind = [k for k, (g, cls, *_) in _TYPES.items() if g == group and isinstance(value, cls)][-1]
             *_, fields = _TYPES[kind]
             objects[name] = {"type": kind, **fields(value, scn, name)}
-    payload: dict[str, Any] = {"tolerance": scn.atol}
-    if scn.seed is not None:
-        payload["seed"] = scn.seed
     payload["objects"] = objects
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # without ``indent`` json.dumps takes its C encoder
+    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")

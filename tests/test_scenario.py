@@ -32,9 +32,22 @@ def build_scenario() -> Scenario:
     return scn
 
 
+# a signed zero, the least subnormal, the largest double and two fractions
+# with no exact binary form
+_EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3)
+
+
 def test_matrix_json_round_trip():
     m = np.array([[1.0 + 2.0j, 0.5], [-1.0j, 0.25]])
     np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+    # bit for bit through JSON text, written as files are
+    m = np.array([[complex(x, y) for y in _EXTREMES] for x in _EXTREMES])
+    payload = matrix_to_json(m)
+    assert {type(leaf) for leaf in np.array(payload, dtype=object).flat} == {float}
+    assert matrix_from_json(json.loads(json.dumps(payload, allow_nan=False))).tobytes() == m.tobytes()
+    # a stack gives the list of its matrices' payloads
+    stack = np.stack([m, m.T])
+    assert json.dumps(matrix_to_json(stack)) == json.dumps([matrix_to_json(x) for x in stack])
 
 
 @pytest.mark.parametrize("payload", [
@@ -103,6 +116,62 @@ def test_instrument_round_trip_keeps_each_kraus_list_as_saved(tmp_path):
     assert [len(op.kraus) for op in loaded.ops] == [2, 1]
     for a, b in zip(loaded.ops, ins.ops):
         assert a.kraus_stack.tobytes() == b.kraus_stack.tobytes()
+
+
+def test_save_load_keeps_every_matrix_bit_for_bit(tmp_path):
+    # _EXTREMES but the largest double, which no object holds: its square overflows
+    k = np.array([[0.1, -0.0], [5e-324, 1 / 3]])
+    scn = Scenario()
+    scn.states["rho"] = State(np.array([[1 / 3, complex(5e-324, -0.0)], [complex(5e-324, 0.0), 2 / 3]]))
+    scn.effects["e"] = Effect(np.array([[0.1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1 / 3]]))
+    scn.observables["obs"] = Observable(("a", "b"), (np.diag([0.1, -0.0]), np.diag([0.9, 1.0])))
+    scn.operations["op"] = Operation([k, k.T])
+    scn.instruments["ins"] = Instrument(("a", "b"), (
+        Operation([np.diag([1.0, -0.0])]), Operation([np.array([[-0.0, 5e-324], [0.0, 1.0]])])))
+    path = tmp_path / "scn.json"
+    save_scenario(scn, path)
+    loaded = load_scenario(path)
+
+    def stacks(s):
+        return [s.states["rho"].matrix, s.effects["e"].matrix, s.observables["obs"].effect_stack,
+                s.operations["op"].kraus_stack, *(op.kraus_stack for op in s.instruments["ins"].ops)]
+
+    for a, b in zip(stacks(loaded), stacks(scn), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert np.signbit(loaded.operations["op"].kraus_stack.real).any()
+
+
+def test_save_writes_one_line_of_compact_json(tmp_path):
+    scn = Scenario()
+    scn.states["mixed"] = State.maximally_mixed(2)
+    path = tmp_path / "one.json"
+    save_scenario(scn, path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"tolerance": 1e-09, "objects": {"mixed": {"type": "state", '
+        '"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}}}\n'
+    )
+
+
+@pytest.mark.parametrize("scn, field", [
+    pytest.param(Scenario(atol=float("nan")), "tolerance", id="nan"),
+    pytest.param(Scenario(atol=float("inf")), "tolerance", id="inf"),
+    pytest.param(Scenario(atol=0.0), "tolerance", id="0.0"),
+    pytest.param(Scenario(atol=-1.0), "tolerance", id="-1.0"),
+    pytest.param(Scenario(seed=2.5), "seed", id="seed-2.5"),
+])
+def test_save_rejects_what_load_would_reject(tmp_path, scn, field):
+    scn.states["mixed"] = State.maximally_mixed(2)
+    path = tmp_path / "scn.json"
+    with pytest.raises(ScenarioError, match=field):
+        save_scenario(scn, path)
+    assert not path.exists()
+
+
+def test_save_writes_a_numpy_integer_seed_as_a_json_integer(tmp_path):
+    path = tmp_path / "scn.json"
+    save_scenario(Scenario(seed=np.int64(7)), path)
+    assert json.loads(path.read_text())["seed"] == 7
+    assert load_scenario(path).seed == 7
 
 
 def test_save_of_loaded_scenario_is_stable(tmp_path):
