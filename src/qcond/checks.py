@@ -9,11 +9,11 @@ evaluates the identity on a batch of seeded random instances, one generator
 per instance, and yields, for each part it compares, an array with one
 absolute deviation per instance. ``run_checks`` sweeps the registry over
 dimensions and trials, runs the trials of one identity at one dimension as
-near-equal batches of at most ``BATCH_SIZE`` instances, folds the yielded
-deviations once per instance (an instance that raises, yields a non-finite
-value or yields nothing fails) and assembles a deterministic report:
-identical inputs give byte-identical JSON (elapsed times are kept out of
-the JSON for that reason).
+consecutive batches of ``BATCH_SIZE`` instances, the last one shorter,
+folds the yielded deviations once per instance (an instance that raises,
+yields a non-finite value or yields nothing fails) and assembles a
+deterministic report: identical inputs give byte-identical JSON (elapsed
+times are kept out of the JSON for that reason).
 
 Each instance gets a generator whose state equals ``default_rng`` of its
 seed tuple ``(seed, crc32(name), dim, trial)``. The trials of a batch are a
@@ -120,12 +120,11 @@ Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 
 # Most instances one runner call holds: the memory of a batch is bounded
 # whatever the trial count. The trials of one identity at one dimension
-# split into ceil(trials / BATCH_SIZE) batches of near-equal size, so a
-# batch is no larger than it must be; the canonical 100 trials run as one
-# batch per identity and dimension. The largest batches are
-# holevo-separable's and holevo-composition's: under tracemalloc a
-# dimension-3 batch of 100 peaks at about 5.1 and 2.8 MiB, and
-# measurement-pointer's at 1.3 MiB.
+# split into consecutive batches of BATCH_SIZE, the last one shorter; the
+# canonical 100 trials run as one batch per identity and dimension. The
+# largest batches are holevo-separable's and holevo-composition's: under
+# tracemalloc a dimension-3 batch of 100 peaks at about 5.1 and 2.8 MiB,
+# and measurement-pointer's at 1.3 MiB.
 BATCH_SIZE = 100
 
 
@@ -575,15 +574,9 @@ def resolve_suite(names: str | Sequence[str]) -> list[str]:
 
 
 def _batches(trials: int, size: int) -> Iterator[range]:
-    """The trials ``0, ..., trials - 1`` as ``ceil(trials / size)``
-    consecutive ranges of near-equal length, the first ``trials % count``
-    one longer (``np.array_split``'s split), made one at a time."""
-    count = -(-trials // size)
-    base, longer = divmod(trials, max(count, 1))
-    stop = 0
-    for i in range(count):
-        start, stop = stop, stop + base + (i < longer)
-        yield range(start, stop)
+    """The trials ``0, ..., trials - 1`` as consecutive ranges of ``size``,
+    the last one shorter, made one at a time."""
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
 def _instance_deviations(runner: Runner, states: np.ndarray, dim: int) -> np.ndarray:

@@ -5,20 +5,22 @@ instrument into the tensor product (base left, probe right), then reads a
 probe observable. Everything measurable about the model is extracted by
 partial trace over the probe factor.
 
-The generic extraction stays in Kraus form. Each probe effect is factored
-as ``P = B B†`` (one batched eigendecomposition of the probe stack), and
+The generic extraction stays in Kraus form. One function,
+``MeasurementModel._readout``, builds the bi-, probe- and reduced readouts
+(the reduced one's probe is the identity): it factors each probe effect as
+``P = B B†`` (one batched eigendecomposition of the probe stack), contracts
+each interaction Kraus stack and admits the instrument family. Since
 ``tr_probe[X (I ⊗ P)] = sum_j (I ⊗ b_j†) X (I ⊗ b_j)`` over the columns
-``b_j`` of ``B``, so an interaction Kraus operator ``K`` yields the readout
-Kraus operators ``(I ⊗ b_j†) K``. They come from one contraction per
-probe effect and interaction Kraus stack, read as ``(n, db, dp, db)`` for
-base dimension ``db`` and probe dimension ``dp``, at O(n·db²·dp²) per probe
-effect; no superoperator is built.
+``b_j`` of ``B``, an interaction Kraus operator ``K`` yields the readout
+Kraus operators ``(I ⊗ b_j†) K``: one contraction per probe effect and
+Kraus stack, read as ``(n, db, dp, db)`` for base dimension ``db`` and probe
+dimension ``dp``, at O(n·db²·dp²) per probe effect; no superoperator is
+built.
 
 The readout takes leading batch axes: an interaction instrument whose
 members are batches of operations (see ``Operation._checked``) and a probe
 stack ``(b, m, dp, dp)`` are read out member by member, through the same
-kernels as one model (``_bi_readout``, ``_probe_readout``,
-``_reduced_readout``, ``_pointer_grid``).
+kernels as one model (``_readout`` and ``_pointer_grid``).
 
 The measured (pointer) observable ``P_y = sum_x I_x*(I ⊗ P_y)`` is the
 pointer grid summed over the interaction outcomes ``x`` and validated once,
@@ -34,7 +36,7 @@ are stack functions that the classes wrap and that take batch axes too.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,37 +92,38 @@ class MeasurementModel:
             raise InvariantViolation("MeasurementModel", "probe dimension")
 
     @staticmethod
-    def _probe_factors(probe: np.ndarray, atol: float) -> np.ndarray:
-        """A stack of ``B_y`` with ``P_y = B_y B_y†`` for a probe stack
-        ``(..., m, dp, dp)``: the eigenvectors scaled by the square roots of
-        the clipped eigenvalues."""
-        evals, evecs = clipped_eigh(probe, atol, "effect")
-        return evecs * np.sqrt(evals)[..., None, :]
+    def _readout(
+        family: type, labels: tuple, stacks: Iterable[np.ndarray], probe: np.ndarray, atol: float
+    ) -> Instrument | BiInstrument:
+        """The ``family`` (``Instrument`` or ``BiInstrument``), labeled by
+        ``labels``, of the operations ``rho -> tr_probe[K(rho) (I ⊗ P)]`` for
+        every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe) and
+        every effect ``P`` of the probe stack ``(..., m, dp, dp)``,
+        ``K``-major; leading axes of both are a batch.
 
-    @staticmethod
-    def _readout(stacks: Sequence[np.ndarray], factors: np.ndarray) -> list[np.ndarray]:
-        """Kraus stacks of the operations ``rho -> tr_probe[K(rho) (I ⊗ B B†)]``
-        for every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe)
-        and every ``B`` of the stack ``factors``, ``K``-major; leading axes
-        of both are a batch.
-
-        A Kraus operator ``K[a, w, b]``, with output index ``(a, w)`` of
-        base ⊗ probe, gives ``sum_w conj(B[w, j]) K[a, w, b]`` for each
-        column ``j`` of ``B``: one contraction per stack and factor, written
-        straight into the returned stack, so that no member is copied out of
-        a larger result.
+        ``P = B B†`` for ``B`` the eigenvectors scaled by the square roots of
+        the clipped eigenvalues. A Kraus operator ``K[a, w, b]``, with output
+        index ``(a, w)`` of base ⊗ probe, gives
+        ``sum_w conj(B[w, j]) K[a, w, b]`` for each column ``j`` of ``B``: one
+        contraction per stack and effect, written straight into its member's
+        Kraus stack, so that no member is copied out of a larger result. A
+        stack that only the iterator ``stacks`` holds is freed before the
+        family is built.
         """
-        db, dp = stacks[0].shape[-1], factors.shape[-1]
-        conj = factors.conj()
-        lead = np.broadcast_shapes(conj.shape[:-3], stacks[0].shape[:-3])
-        readout = []
+        evals, evecs = clipped_eigh(probe, atol, "effect")
+        conj = (evecs * np.sqrt(evals)[..., None, :]).conj()
+        dp = probe.shape[-1]
+        members = []
         for k in stacks:
+            db = k.shape[-1]
+            lead = np.broadcast_shapes(conj.shape[:-3], k.shape[:-3])
             kraus = k.reshape(k.shape[:-2] + (db, dp, db))
             for y in range(conj.shape[-3]):
                 out = np.empty(lead + (k.shape[-3], dp, db, db), dtype=complex)
                 np.einsum("...wj,...nawb->...njab", conj[..., y, :, :], kraus, out=out)
-                readout.append(out.reshape(lead + (-1, db, db)))
-        return readout
+                members.append(out.reshape(lead + (-1, db, db)))
+        del k, kraus
+        return family._from_kraus(*labels, members, atol)
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
         """Joint outcome grid: interact, project on a probe effect, trace out
@@ -160,23 +163,17 @@ class MeasurementModel:
 
 def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> BiInstrument:
     stacks = [op.kraus_stack for op in interaction.ops]
-    readout = MeasurementModel._readout(stacks, MeasurementModel._probe_factors(probe, atol))
-    return BiInstrument._from_kraus(interaction.outcomes, outcomes, readout, atol)
+    return MeasurementModel._readout(BiInstrument, (interaction.outcomes, outcomes), stacks, probe, atol)
 
 
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
-    # the total's Kraus stack is a temporary, freed before the members are built
-    readout = MeasurementModel._readout(
-        [_joined(interaction.ops)],
-        MeasurementModel._probe_factors(probe, atol),
-    )
-    return Instrument._from_kraus(outcomes, readout, atol)
+    # through an iterator, the total's Kraus stack is freed before the members are built
+    return MeasurementModel._readout(Instrument, (outcomes,), iter([_joined(interaction.ops)]), probe, atol)
 
 
 def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> Instrument:
     stacks = [op.kraus_stack for op in interaction.ops]
-    readout = MeasurementModel._readout(stacks, _identity(dim_probe)[None])
-    return Instrument._from_kraus(interaction.outcomes, readout, atol)
+    return MeasurementModel._readout(Instrument, (interaction.outcomes,), stacks, _identity(dim_probe)[None], atol)
 
 
 def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 File format: one top-level JSON object with optional ``tolerance`` and
 ``seed`` metadata and an ``objects`` map keyed by name. Every object carries
-a ``type`` discriminator. Complex numbers are two-element arrays
+a ``type`` discriminator; names are unique in a file and across the groups
+of a saved :class:`Scenario`. Complex numbers are two-element arrays
 ``[re, im]`` and matrices are row-major nested arrays, so files are portable
 across languages. :func:`save_scenario` writes compact single-line JSON that
 never contains ``NaN`` or ``Infinity``; JSON whitespace carries no meaning,
@@ -115,6 +116,16 @@ def _tolerance(value: Any) -> float:
         raise ScenarioError(str(exc)) from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a key given twice raises."""
+    members: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in members:
+            raise ScenarioError(f"key {key!r} appears twice in one JSON object")
+        members[key] = value
+    return members
+
+
 def _read_matrix(cls: type, payload: dict, scn: Scenario):
     return cls(matrix_from_json(payload.get("matrix")), scn.atol)
 
@@ -208,11 +219,12 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
     """Load and fully validate a scenario file.
 
     ``atol`` overrides the file's recorded tolerance; failures carry the
-    offending object's name and the violated invariant.
+    offending object's name and the violated invariant. A key repeated in
+    any JSON object of the file, an object name included, is an error.
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"could not read scenario file {path}: {exc}") from None
     if not isinstance(payload, dict):
@@ -257,7 +269,8 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     Every instrument member is a Kraus-form operation, so every instrument
     serializes as one Kraus list per outcome. The file is one line of
     compact JSON. A tolerance or seed that :func:`load_scenario` would
-    reject raises :class:`ScenarioError` before anything is written.
+    reject, a name used twice and an object that its group cannot hold
+    raise :class:`ScenarioError` before anything is written.
     """
     payload: dict[str, Any] = {"tolerance": _tolerance(scn.atol)}
     if scn.seed is not None:
@@ -265,9 +278,13 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     objects: dict[str, Any] = {}
     for group in _GROUPS:
         for name, value in getattr(scn, group).items():
-            kind = [k for k, (g, cls, *_) in _TYPES.items() if g == group and isinstance(value, cls)][-1]
-            *_, fields = _TYPES[kind]
-            objects[name] = {"type": kind, **fields(value, scn, name)}
+            kinds = [k for k, (g, cls, *_) in _TYPES.items() if g == group and isinstance(value, cls)]
+            if not kinds:
+                raise ScenarioError(f"the {group!r} group cannot hold type {type(value).__name__}", obj=name)
+            if name in objects:
+                raise ScenarioError("name used by another object of the scenario", obj=name)
+            *_, fields = _TYPES[kinds[-1]]
+            objects[name] = {"type": kinds[-1], **fields(value, scn, name)}
     payload["objects"] = objects
     # without ``indent`` json.dumps takes its C encoder
     Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")

@@ -55,11 +55,11 @@ from qcond.instruments import (
 )
 from qcond.measurement import (
     KrausSeparableChannel,
-    MeasurementModel,
     _grams,
+    _probe_readout,
     _pure_probe_states,
 )
-from qcond.rand import _generators, _trial_states, random_channel, random_observable, random_state
+from qcond.rand import _generators, _trial_states, random_channel, random_instrument, random_observable, random_state
 
 # in definition order, the order of the registry
 EXPECTED_IDENTITIES = (
@@ -259,14 +259,14 @@ def test_a_rerun_instance_gets_the_generator_of_its_seed_tuple_without_a_second_
 
 
 @pytest.mark.parametrize("size", [1, 3, 40, 100])
-def test_batches_split_the_trials_as_array_split_does(size):
+def test_batches_are_consecutive_runs_of_the_batch_size(size):
     for trials in range(251):
-        bounds = [(b.start, b.stop, b.step) for b in _batches(trials, size)]
-        expected = []
-        if trials:
-            split = np.array_split(range(trials), math.ceil(trials / size))
-            expected = [(int(b[0]), int(b[-1]) + 1, 1) for b in split]
-        assert bounds == expected
+        batches = list(_batches(trials, size))
+        assert [t for b in batches for t in b] == list(range(trials))
+        assert all(b.step == 1 for b in batches)
+        # every batch is full but the last, which is not empty
+        assert len(batches) == math.ceil(trials / size)
+        assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
 
 
 def test_the_first_batch_of_a_huge_trial_count_is_made_alone():
@@ -638,9 +638,11 @@ def test_readme_states_the_batch_size():
 def test_batched_readout_probe_rejects_only_a_bad_last_member():
     probe = random_observable(2, 2, 0).effect_stack
     bad = np.stack([probe[0], np.diag([1.2, -0.2]).astype(complex)])
-    single = _message(MeasurementModel._probe_factors, bad, ATOL)
-    assert _message(MeasurementModel._probe_factors, _last_bad(probe, bad), ATOL) == single
-    assert MeasurementModel._probe_factors(_last_bad(probe, probe), ATOL).shape == (4, 2, 2, 2)
+    interaction = random_instrument(2, 4, 2, 0)
+    single = _message(_probe_readout, interaction, ("a", "b"), bad, ATOL)
+    assert _message(_probe_readout, interaction, ("a", "b"), _last_bad(probe, bad), ATOL) == single
+    batch = _probe_readout(interaction, ("a", "b"), _last_bad(probe, probe), ATOL)
+    assert [op.kraus_stack.shape[0] for op in batch.ops] == [4, 4]
 
 
 def _fake_check(monkeypatch, runner):

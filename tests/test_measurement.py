@@ -1,12 +1,13 @@
 """Tests for measurement models and the separable fast paths."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import qcond.measurement as measurement
-from qcond.channels import Channel, Operation, map_deviation
+from qcond.channels import Channel, Operation, _joined, map_deviation
 from qcond.effects import (
     Observable,
     State,
@@ -16,14 +17,16 @@ from qcond.effects import (
     post_process,
 )
 from qcond.errors import InvariantViolation
-from qcond.instruments import Instrument, bi_instrument_deviation, instrument_deviation
-from qcond.linalg import kron, partial_trace_right
+from qcond.instruments import BiInstrument, Instrument, bi_instrument_deviation, instrument_deviation
+from qcond.linalg import clipped_eigh, kron, partial_trace_right
 from qcond.measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
     MeasurementModel,
     _bi_readout,
     _lifted_kraus,
+    _probe_readout,
+    _reduced_readout,
     _separable_instrument,
     holevo_model_quantities,
 )
@@ -517,6 +520,87 @@ def test_a_batched_readout_matches_each_model_and_keeps_its_zero_columns():
             for op, ref in zip(row, single_row):
                 assert op.kraus_stack.shape[1:] == (2 * len(ref.kraus_stack), 2, 2)
                 assert map_deviation(Operation(op.kraus_stack[i]), ref) <= 1e-12
+
+
+def _per_effect_readout(stacks, factors):
+    """The readout Kraus stacks as one contraction per interaction stack and
+    probe factor ``B`` (``P = B B†``), ``K``-major: the reference that the
+    readout must keep bit for bit."""
+    db, dp = stacks[0].shape[-1], factors.shape[-1]
+    conj = factors.conj()
+    lead = np.broadcast_shapes(conj.shape[:-3], stacks[0].shape[:-3])
+    readout = []
+    for k in stacks:
+        kraus = k.reshape(k.shape[:-2] + (db, dp, db))
+        for y in range(conj.shape[-3]):
+            out = np.empty(lead + (k.shape[-3], dp, db, db), dtype=complex)
+            np.einsum("...wj,...nawb->...njab", conj[..., y, :, :], kraus, out=out)
+            readout.append(out.reshape(lead + (-1, db, db)))
+    return readout
+
+
+def _members_of(family):
+    return [op for row in family.ops for op in (row if isinstance(family, BiInstrument) else (row,))]
+
+
+def _probe_effects(kind, dp, seed):
+    if kind == "random":
+        return random_observable(dp, 2, seed).effect_stack
+    # a rank-one projector and its complement, or the identity and zero
+    first = np.diag([1.0] + [0.0] * (dp - 1)) if kind == "projective" else np.eye(dp)
+    return np.stack([first, np.eye(dp) - first]).astype(complex)
+
+
+@pytest.mark.parametrize("kind", ["random", "projective", "zero"])
+@pytest.mark.parametrize("dp", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_every_readout_keeps_the_bits_of_the_per_effect_contraction(batch, dp, kind):
+    seeds = range(91, 91 + batch)
+    instruments = [random_instrument(2, 2 * dp, 2, s) for s in seeds]
+    probes = [_probe_effects(kind, dp, s) for s in seeds]
+    if batch == 1:
+        interaction, probe = instruments[0], probes[0]
+    else:
+        kraus = [np.stack([ins.ops[x].kraus_stack for ins in instruments]) for x in range(2)]
+        interaction, probe = Instrument._from_kraus(("x0", "x1"), kraus, 1e-9), np.stack(probes)
+    stacks = [op.kraus_stack for op in interaction.ops]
+    evals, evecs = clipped_eigh(probe, 1e-9, "effect")
+    factors = evecs * np.sqrt(evals)[..., None, :]
+    outcomes = ("p0", "p1")
+    readouts = [
+        (_bi_readout(interaction, outcomes, probe, 1e-9),
+         BiInstrument._from_kraus(interaction.outcomes, outcomes, _per_effect_readout(stacks, factors), 1e-9)),
+        (_probe_readout(interaction, outcomes, probe, 1e-9),
+         Instrument._from_kraus(outcomes, _per_effect_readout([_joined(interaction.ops)], factors), 1e-9)),
+        (_reduced_readout(interaction, dp, 1e-9),
+         Instrument._from_kraus(interaction.outcomes, _per_effect_readout(stacks, np.eye(dp)[None] + 0j), 1e-9)),
+    ]
+    for got, expected in readouts:
+        assert type(got) is type(expected)
+        for op, ref in zip(_members_of(got), _members_of(expected), strict=True):
+            assert op.kraus_stack.shape == ref.kraus_stack.shape
+            assert op.kraus_stack.tobytes() == ref.kraus_stack.tobytes()
+
+
+def test_the_probe_readout_frees_the_total_before_building_the_family(monkeypatch):
+    # a batch's total Kraus stack is as large as the whole readout
+    interaction, probe = random_instrument(2, 4, 2, 95), random_observable(2, 2, 96)
+    totals, alive = [], []
+    joined, from_kraus = measurement._joined, Instrument._from_kraus.__func__
+
+    def tracked(ops):
+        total = joined(ops)
+        totals.append(weakref.ref(total))
+        return total
+
+    def admitted(cls, *args):
+        alive.append(totals[0]() is not None)
+        return from_kraus(cls, *args)
+
+    monkeypatch.setattr(measurement, "_joined", tracked)
+    monkeypatch.setattr(Instrument, "_from_kraus", classmethod(admitted))
+    _probe_readout(interaction, probe.outcomes, probe.effect_stack, 1e-9)
+    assert alive == [False]
 
 
 def test_separable_channel_drops_zero_kraus_operators_and_a_batch_keeps_them():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcond.channels import Operation
+from qcond.cli import main
 from qcond.effects import Effect, Observable, State
 from qcond.errors import ScenarioError
 from qcond.instruments import Instrument, instrument_deviation
@@ -163,6 +164,38 @@ def test_save_rejects_what_load_would_reject(tmp_path, scn, field):
     scn.states["mixed"] = State.maximally_mixed(2)
     path = tmp_path / "scn.json"
     with pytest.raises(ScenarioError, match=field):
+        save_scenario(scn, path)
+    assert not path.exists()
+
+
+def test_load_rejects_an_object_name_given_twice(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys: the state would vanish
+    state = '{"type": "state", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}'
+    effect = '{"type": "effect", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+    path = tmp_path / "twice.json"
+    path.write_text(f'{{"objects": {{"a": {state}, "a": {effect}}}}}')
+    with pytest.raises(ScenarioError, match="key 'a' appears twice"):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == 1
+    assert "key 'a' appears twice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_rejects_a_name_used_in_two_groups(tmp_path):
+    scn = Scenario()
+    scn.states["a"] = State.maximally_mixed(2)
+    scn.effects["a"] = Effect(np.eye(2) / 2)
+    path = tmp_path / "scn.json"
+    with pytest.raises(ScenarioError, match="object 'a': name used by another object"):
+        save_scenario(scn, path)
+    assert not path.exists()
+
+
+def test_save_rejects_an_object_its_group_cannot_hold(tmp_path):
+    scn = Scenario()
+    scn.states["a"] = Effect(np.eye(2) / 2)
+    path = tmp_path / "scn.json"
+    with pytest.raises(ScenarioError, match="object 'a': the 'states' group cannot hold type Effect"):
         save_scenario(scn, path)
     assert not path.exists()
 
