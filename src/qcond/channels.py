@@ -40,7 +40,6 @@ from .linalg import (
     _near_identity,
     _require_finite,
     as_complex_matrix,
-    frozen_copy,
     hermitian_part,
     hermitized_matrix_units,
     is_effect_matrix,
@@ -166,10 +165,7 @@ class Operation:
 
     def apply(self, rho: State | np.ndarray) -> np.ndarray:
         """Apply the map to a state (or any matching square matrix)."""
-        m = as_complex_matrix(rho)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"dimension mismatch: expected {self.dim_in}, got {m.shape}")
-        return self.apply_matrix(m)
+        return self.apply_matrix(_square_input(rho, self.dim_in))
 
     def dual_apply(self, a: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
         """Apply the dual map to an effect; the result is again an effect.
@@ -177,10 +173,7 @@ class Operation:
         The raw output is symmetrized before validation to suppress rounding
         asymmetry.
         """
-        m = as_complex_matrix(a)
-        if m.shape != (self.dim_out, self.dim_out):
-            raise ValueError(f"dimension mismatch: expected {self.dim_out}, got {m.shape}")
-        return Effect._view(frozen_copy(self._dual_effects(m, atol)))
+        return Effect._view(self._dual_effects(_square_input(a, self.dim_out), atol))
 
     def _dual_images(self, mats: np.ndarray) -> np.ndarray:
         """Symmetrized, unvalidated dual images of one matrix or a stack
@@ -233,6 +226,17 @@ class Channel(Operation):
         if not _near_identity(u.conj().T @ u, atol):
             raise InvariantViolation("Channel", "unitary", "U†U must equal I")
         return cls((u,), atol)
+
+
+def _square_input(m: State | Effect | np.ndarray, dim: int) -> np.ndarray:
+    """The one input rule of the single-matrix queries: ``m`` read by
+    ``as_complex_matrix`` (a validated value as stored, a raw array coerced
+    and checked for finite entries), a ``ValueError`` unless ``dim``
+    square."""
+    m = as_complex_matrix(m)
+    if m.shape != (dim, dim):
+        raise ValueError(f"dimension mismatch: expected {dim}, got {m.shape}")
+    return m
 
 
 def _kraus_stack(kraus: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

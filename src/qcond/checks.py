@@ -123,8 +123,9 @@ Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 # split into consecutive batches of BATCH_SIZE, the last one shorter; the
 # canonical 100 trials run as one batch per identity and dimension. The
 # largest batches are holevo-separable's and holevo-composition's: under
-# tracemalloc a dimension-3 batch of 100 peaks at about 5.1 and 2.8 MiB,
-# and measurement-pointer's at 1.3 MiB.
+# tracemalloc, run_checks of one identity at dimension 3 with 100 trials
+# peaks at about 5.2 and 3.8 MiB, and measurement-pointer's at 1.4 MiB
+# (numpy 2.4).
 BATCH_SIZE = 100
 
 

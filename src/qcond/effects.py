@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
+    _Validated,
     _identity,
     _near_identity,
     _require_finite,
@@ -66,22 +67,6 @@ def _position(labels: tuple[str, ...], label: str, pair: tuple[str, str] | None 
     except ValueError:
         unknown = f"label {label!r}" if pair is None else f"pair {pair!r}"
         raise ValueError(f"unknown outcome {unknown}") from None
-
-
-class _Validated:
-    """What :class:`State` and :class:`Effect` share: a read-only ``matrix``."""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def _view(cls, matrix: np.ndarray):
-        """Wrap an already validated read-only matrix (a row of a family
-        stack, say) without checking it again."""
-        view = object.__new__(cls)
-        object.__setattr__(view, "matrix", matrix)
-        return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +130,7 @@ def _require_states(m: np.ndarray, atol: float) -> np.ndarray:
         raise InvariantViolation("State", "square", f"shape {m.shape[-2:]}")
     if not is_psd(m, atol):
         raise InvariantViolation("State", "positive")
-    _require_ones(np.trace(m, axis1=-2, axis2=-1), atol, "State", "unit trace", "trace")
+    _require_ones(m.trace(axis1=-2, axis2=-1), atol, "State", "unit trace", "trace")
     return m
 
 

@@ -39,10 +39,20 @@ from .channels import (
     _require_operations,
     _require_trace_non_increasing,
     _require_trace_preserving,
+    _square_input,
     _without_zero_operators,
     map_deviation,
 )
-from .effects import BiObservable, Effect, Observable, State, _distinct_labels, _position, _state_family
+from .effects import (
+    BiObservable,
+    Effect,
+    Observable,
+    State,
+    _distinct_labels,
+    _position,
+    _require_states,
+    _state_family,
+)
 from .errors import InvariantViolation, OutcomeNotObserved
 from .linalg import (
     DEFAULT_ATOL,
@@ -72,16 +82,18 @@ def _admit_family(kind: str, ops: Iterable[Operation], atol: float) -> tuple[Ope
     condition: uniform dimensions, and the total's dual at the identity,
     ``sum_x op_x*(I)`` (the sum of the members' Gram matrices), below ``I``
     and equal to it entrywise, within ``atol``: the two trace rules of a
-    channel. A ``Channel`` member is checked for ``sum K†K == I`` entrywise,
-    which the total does not give for one member of several."""
+    channel. In a family of several, a ``Channel`` member is checked for
+    ``sum K†K == I`` entrywise, which the total does not give; a lone
+    member is the total, so the total's check is its check."""
     ops = tuple(ops)
     _require_operations(ops, kind)
     dims = {(op.dim_in, op.dim_out) for op in ops}
     if len(dims) != 1:
         raise InvariantViolation(kind, "uniform dimensions", f"got {sorted(dims)}")
-    for op in ops:
-        if isinstance(op, Channel):
-            _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
+    if len(ops) > 1:
+        for op in ops:
+            if isinstance(op, Channel):
+                _require_trace_preserving(op._gram, atol, "Channel", "trace preservation")
     total = sum(op._gram for op in ops)
     _require_trace_non_increasing(total, atol, kind, "total channel")
     _require_trace_preserving(total, atol, kind, "total channel")
@@ -154,13 +166,17 @@ class Instrument:
         within ``atol`` of zero.
         """
         out = self.op(label).apply(rho)
-        prob = float(np.trace(out).real)
+        prob = float(out.trace().real)
         if prob <= atol:
             raise OutcomeNotObserved(f"outcome {label!r} has probability {prob:.3e}")
-        return State(out / prob, atol)
+        return State._view(_require_states(out / prob, atol))
 
     def subset_probability(self, labels: Iterable[str], rho: State | np.ndarray) -> float:
-        return float(sum(self.outcome_probability(x, rho) for x in dict.fromkeys(labels)))
+        """``sum_x tr[I_x(rho)]`` over the distinct labels; ``rho`` is read
+        and checked once, also for an empty subset."""
+        ops = [self.op(x) for x in dict.fromkeys(labels)]
+        m = _square_input(rho, self.dim_in)
+        return float(sum(float(np.trace(op.apply_matrix(m)).real) for op in ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,26 +270,35 @@ def given_distribution(
     Computes ``tr[I(subset1)(rho)]`` times the distribution of ``obs`` in the
     updated state; when the first factor is within ``atol`` of zero the
     factored form is bypassed and the value is 0. Equals the double sum
-    ``sum_{x, y} tr[I_x(rho) B_y]`` over the product set.
+    ``sum_{x, y} tr[I_x(rho) B_y]`` over the product set. ``rho`` is read
+    and checked once, also when a subset is empty.
     """
     _require_output_dimension(obs, ins)
-    labels1 = tuple(dict.fromkeys(subset1))
-    labels2 = tuple(dict.fromkeys(subset2))
-    for x in labels1:
-        ins.index(x)
-    for y in labels2:
-        obs.index(y)
-    if not labels1 or not labels2:
+    ops = [ins.op(x) for x in dict.fromkeys(subset1)]
+    idx = [obs.index(y) for y in dict.fromkeys(subset2)]
+    m = _square_input(rho, ins.dim_in)
+    if not ops or not idx:
         return 0.0
-    sigma = sum(ins.op(x).apply(rho) for x in labels1)
-    effect = sum(obs.effect(y).matrix for y in labels2)
-    return float(_factored_probability(sigma, effect, atol))
+    sigma = _summed([op.apply_matrix(m) for op in ops])
+    return _factored_probability(sigma, _summed([obs.effect_stack[i] for i in idx]), atol)
 
 
-def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) -> np.ndarray:
+def _summed(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum of a nonempty sequence of matrices, added left to right (a
+    single matrix is returned as is)."""
+    first, *rest = mats
+    return sum(rest, first)
+
+
+def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) -> float | np.ndarray:
     """``tr(sigma) tr(sigma / tr(sigma) b)`` for the summed branch ``sigma``
     and the effect ``b`` of the outcome subset (or stacks of both); 0 where
-    ``tr(sigma) <= atol``."""
+    ``tr(sigma) <= atol``. One matrix takes the same arithmetic on Python
+    floats, so it gives the same bits as a stack of one."""
+    if sigma.ndim == 2:
+        prob1 = float(sigma.trace().real)
+        observed = prob1 > atol
+        return observed * (prob1 * float((sigma / (prob1 if observed else 1.0) @ effect).trace().real))
     prob1 = np.trace(sigma, axis1=-2, axis2=-1).real
     observed = prob1 > atol
     updated = sigma / np.where(observed, prob1, 1.0)[..., None, None]

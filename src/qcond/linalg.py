@@ -11,6 +11,9 @@ Conventions fixed here and inherited everywhere else:
   entrywise on matrices, and on the spectrum in the positivity tests, where
   one batched Cholesky factorization certifies and the eigenvalue rule
   decides what it does not certify.
+* a validated value (``State``, ``Effect``) is read as its stored
+  read-only matrix and never checked again; a raw array is coerced and
+  checked once per call.
 """
 
 from __future__ import annotations
@@ -64,8 +67,32 @@ def coerce_matrix(m: Any) -> np.ndarray:
     return arr
 
 
+class _Validated:
+    """What the validated value types (``State``, ``Effect``) share: a
+    read-only ``matrix``, checked once, when the value was made."""
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray):
+        """Wrap an already validated matrix (a row of a family stack, or a
+        fresh array checked by the caller), made read-only, without checking
+        or copying it."""
+        matrix.setflags(write=False)
+        view = object.__new__(cls)
+        object.__setattr__(view, "matrix", matrix)
+        return view
+
+
 def as_complex_matrix(m: Any) -> np.ndarray:
-    """Coerce ``m`` to a finite 2-D complex array (construction boundary)."""
+    """Coerce ``m`` to a finite 2-D complex array (construction boundary).
+
+    A validated value is read as its stored read-only matrix and not checked
+    again; anything else is coerced and checked for finite entries."""
+    if isinstance(m, _Validated):
+        return m.matrix
     return _require_finite(coerce_matrix(m))
 
 
@@ -183,7 +210,8 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     np.add(m, adj, out=shifted[0])
     if upper:
         np.negative(shifted[0], out=shifted[1])
-    shifted.reshape(1 + upper, -1, d, d)[...] += _shifts(d, atol)[: 1 + upper]
+    flat = shifted.reshape(1 + upper, -1, d, d)
+    np.add(flat, _shifts(d, atol)[: 1 + upper], out=flat)
     try:
         np.linalg.cholesky(shifted)
         return True

@@ -516,8 +516,9 @@ def test_operations_are_made_only_inside_operation():
             assert text.count(inside) == 1
             text = text.replace(inside, "")
         assert "._build(" not in text, path.name
-        # the one other object.__new__ makes effect views (effects._Validated._view)
-        assert text.count("object.__new__(") == (path.name == "effects.py"), path.name
+        # the one other object.__new__ makes state and effect views
+        # (linalg._Validated._view)
+        assert text.count("object.__new__(") == (path.name == "linalg.py"), path.name
 
 
 # a channel C² -> C³ and one on C²

@@ -449,7 +449,7 @@ def test_a_canonical_batch_of_the_heaviest_identities_stays_small(name, limit_mi
     # One dimension-3 batch of 100 instances, as the canonical run makes it.
     # An operation holds only its Kraus stack and Gram matrix, readouts copy
     # no member out of a larger result, and the runners drop each family
-    # after its part: about 5.1 and 2.8 MiB. The runner is iterated
+    # after its part: about 5.1 and 3.7 MiB. The runner is iterated
     # directly, so a batch that raises cannot pass as the smaller
     # instance-by-instance rerun.
     runner = _REGISTRY[name].runner

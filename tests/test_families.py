@@ -37,6 +37,8 @@ from qcond.measurement import (
 from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, save_scenario
 
+from pinned import assert_pinned
+
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -138,6 +140,16 @@ def test_operation_family_rejects_an_over_scaled_member():
         Instrument(("a", "b"), channels, 1e-9)
     with pytest.raises(InvariantViolation, match="trace preservation"):
         BiInstrument(("x",), ("a", "b"), (channels,), 1e-9)
+
+
+def test_a_lone_channel_member_is_checked_once_as_the_total():
+    # a one-member family's total is its member: the total's check is the
+    # only one, and its error is the one raised
+    lone = Channel._unchecked(random_channel(2, 2, 2, 15).kraus_stack / np.sqrt(2))
+    total = InvariantViolation("Instrument", "total channel", "sum K†K must equal I")
+    assert_pinned(lambda: Instrument(("a",), (lone,), 1e-9), total)
+    bi_total = InvariantViolation("BiInstrument", "total channel", "sum K†K must equal I")
+    assert_pinned(lambda: BiInstrument(("x",), ("a",), ((lone,),), 1e-9), bi_total)
 
 
 def test_holevo_family_rejects_an_over_scaled_member():
