@@ -24,7 +24,7 @@ damp = Channel([
     np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
     np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
 ])
-print("damping channel, Kraus operators:", len(damp.kraus))
+print("damping channel, Kraus operators:", len(damp.kraus_stack))
 
 rho = random_state(2, seed=1)
 print("input state:\n", np.round(rho.matrix, 4))
@@ -49,7 +49,7 @@ leaky = damp.scaled(0.9)
 print("channel dual at identity == identity:",
       np.allclose(damp.dual_apply(np.eye(2)).matrix, np.eye(2)))
 print("leaky operation dual at identity:\n",
-      np.round(Operation(leaky.kraus).dual_matrix(np.eye(2)), 4))
+      np.round(Operation(leaky.kraus_stack).dual_matrix(np.eye(2)), 4))
 
 # Any family of effects with sum <= I completes to an observable by
 # spreading the residual evenly; conditioning the completed observable

@@ -44,7 +44,7 @@ print("interaction marginal is probe-independent:",
 # Separable route: couplings of the form sum_i K_i rho K_i† ⊗ rho_i admit
 # closed forms for everything, bypassing partial traces.
 base = random_channel(2, 2, 2, seed=15)
-ks = KrausSeparableChannel(base.kraus, (random_state(2, 16), random_state(2, 17)))
+ks = KrausSeparableChannel(base.kraus_stack, (random_state(2, 16), random_state(2, 17)))
 sep_model = ks.model(probe)
 
 fast = ks.measured_instrument(probe)

@@ -8,9 +8,8 @@ conversion step. Equality of maps is never decided by comparing Kraus lists
 superoperators (row-major vectorization) on a Hermitian matrix-unit basis.
 Operations compose one way, ``_composed`` (behind ``then``,
 ``condition_instrument`` and ``given_instrument``), to at most
-``d_out·d_in`` Kraus operators, none exactly zero: where the list of
-products would be longer, one eigendecomposition of the composed Choi
-matrix gives them.
+``d_out·d_in`` Kraus operators: where the list of products would be
+longer, one eigendecomposition of the composed Choi matrix gives them.
 
 Every map here is single and checked on its own; families of operations
 are built, and checked from their total, in :mod:`qcond.instruments`.
@@ -38,6 +37,7 @@ from .linalg import (
     DEFAULT_ATOL,
     _identity,
     _near_identity,
+    _require_atol,
     _require_finite,
     as_complex_matrix,
     hermitian_part,
@@ -63,9 +63,9 @@ class Operation:
     """Completely positive trace-non-increasing map in Kraus form, the one
     map type of the package.
 
-    ``kraus`` may be a sequence of matrices or one stacked 3-D array (copied);
-    the operators are kept stacked internally so applications are single
-    ``numpy`` contractions regardless of how long the list is.
+    ``kraus``, a sequence of matrices or one 3-D array, is copied into one
+    stack, ``kraus_stack``, without its exactly-zero operators (one stays when
+    all are zero), so applications are single ``numpy`` contractions.
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
@@ -95,15 +95,16 @@ class Operation:
 
     def _build(self, stack: np.ndarray) -> None:
         """Store the Kraus stack ``(..., n, d_out, d_in)`` (leading axes: the
-        batch) and its Gram matrix ``sum K†K``; checks that the operators
-        exist, act between nonzero dimensions and are finite, not the trace
-        condition. A contiguous complex stack is stored as given (made
-        read-only), not copied. These four fields are all an operation
-        holds: every kernel is a function of them."""
+        batch), under ``_without_zero_operators``, and its Gram matrix ``sum
+        K†K``; checks that the operators exist, act between nonzero dimensions
+        and are finite, not the trace condition. A contiguous complex stack
+        that loses nothing is stored as given (read-only), not copied. These
+        four fields are all an operation holds: every kernel uses only them."""
         stack = np.ascontiguousarray(stack, dtype=complex)
         if 0 in stack.shape[-3:]:
             raise InvariantViolation("Operation", "nonempty Kraus stack", f"shape {stack.shape[-3:]}")
         _require_finite(stack, "Operation")
+        stack = _without_zero_operators(stack)
         stack.setflags(write=False)
         flat = self._flat(stack)
         gram = flat.conj().mT @ flat
@@ -119,12 +120,8 @@ class Operation:
         return stack.reshape(stack.shape[:-3] + (n * d_out, d_in))
 
     @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._stack)
-
-    @property
     def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one read-only ``(n, dim_out, dim_in)`` array."""
+        """The Kraus list, one read-only ``(n, dim_out, dim_in)`` array."""
         return self._stack
 
     # ``m`` is ``batch + own + (d, d)``: the leading axes broadcast against
@@ -273,13 +270,12 @@ def _require_trace_preserving(gram: np.ndarray, atol: float, kind: str, invarian
 
 
 def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
-    """The one rule for exactly-zero Kraus operators, applied to every
-    composition (``_composed``, ``_choi_kraus``), to the family members that
-    ``_from_kraus`` builds and to the Kraus lists of ``holevo_operation``
-    and of a separable channel's lift: one Kraus stack ``(n, d_out, d_in)``
-    leaves them out (one zero operator is kept when all are zero); a batch,
-    a stack with leading axes, keeps them, so that every member has as many
-    operators. A stack that loses nothing is returned as is."""
+    """The one rule for exactly-zero Kraus operators (``-0.0`` is zero),
+    applied by ``Operation._build`` alone, so to every operation: one Kraus
+    stack ``(n, d_out, d_in)`` leaves them out (one zero operator is kept
+    when all are zero); a batch, a stack with leading axes, keeps them, so
+    that every member has as many operators. A stack that loses nothing is
+    returned as is."""
     if stack.ndim > 3:
         return stack
     nonzero = stack.any(axis=(-2, -1))
@@ -295,8 +291,7 @@ def _composed(first: Operation, second: Operation, atol: float, superoperator: C
     more than ``d_out·d_in``, else, with no product built, the ``d_out·d_in``
     operators that ``_choi_kraus`` factors from the product of the two
     superoperators, each made by ``superoperator(op)`` (a caller composing
-    each member with several others passes one cache of it); either stack
-    under the rule of ``_without_zero_operators``."""
+    each member with several others passes one cache of it)."""
     if first.dim_out != second.dim_in:
         raise ValueError(f"dimension mismatch in composition: {first.dim_out} -> {second.dim_in}")
     d_out, d_in = second.dim_out, first.dim_in
@@ -304,7 +299,7 @@ def _composed(first: Operation, second: Operation, atol: float, superoperator: C
         stack = _choi_kraus(superoperator(second) @ superoperator(first), d_out, d_in, atol)
     else:
         products = np.einsum("...mab,...nbc->...mnac", second.kraus_stack, first.kraus_stack)
-        stack = _without_zero_operators(products.reshape(products.shape[:-4] + (-1, d_out, d_in)))
+        stack = products.reshape(products.shape[:-4] + (-1, d_out, d_in))
     cls = Channel if isinstance(first, Channel) and isinstance(second, Channel) else Operation
     return cls._unchecked(stack)
 
@@ -315,8 +310,8 @@ def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.n
     Choi matrix ``C = sum_k vec(K_k) vec(K_k)†``, reshuffled from it, must
     be Hermitian and positive semidefinite within ``atol``, and
     ``C = sum_j l_j v_j v_j†`` (one batched ``eigh``) gives the operators
-    ``sqrt(l_j) v_j``, negative rounding noise in ``l`` clipped, under the
-    rule of ``_without_zero_operators``."""
+    ``sqrt(l_j) v_j``, negative rounding noise in ``l`` clipped."""
+    _require_atol(atol)
     lead = superop.shape[:-2]
     dim = d_out * d_in
     s = superop.reshape(lead + (d_out, d_out, d_in, d_in))
@@ -325,7 +320,7 @@ def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.n
     if max_abs_diff(choi, choi.conj().mT) > atol or evals.min() < -atol:
         raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
     stack = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]).mT
-    return _without_zero_operators(stack.reshape(lead + (dim, d_out, d_in)))
+    return stack.reshape(lead + (dim, d_out, d_in))
 
 
 def map_sum(maps: Sequence[Operation], atol: float = DEFAULT_ATOL) -> Operation:

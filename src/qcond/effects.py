@@ -21,6 +21,7 @@ from .linalg import (
     _Validated,
     _identity,
     _near_identity,
+    _require_atol,
     _require_finite,
     as_complex_matrix,
     coerce_matrix,
@@ -116,6 +117,7 @@ class Effect(_Validated):
 def _require_ones(values: np.ndarray, atol: float, kind: str, invariant: str, what: str) -> None:
     """Every entry of ``values`` (traces, row sums) within ``atol`` of 1; the
     error names the first that is not, as ``what``."""
+    _require_atol(atol)
     off = np.abs(values - 1.0)
     if off.max() > atol:
         first = np.argmax(np.ravel(off) > atol)
@@ -314,6 +316,7 @@ def _kernel_weights(
     ``[0, 1]`` and rows summing to 1 within ``atol``; the caller names the
     error's kind and invariants. Returns the entries clamped into ``[0, 1]``,
     read-only."""
+    _require_atol(atol)
     _require_finite(w, kind)
     if float(w.min()) < -atol or float(w.max()) > 1.0 + atol:
         raise InvariantViolation(kind, in_range)
@@ -446,6 +449,7 @@ def _born_probabilities(rm: np.ndarray, stack: np.ndarray, atol: float) -> np.nd
     product and one batched trace, for a coerced state matrix ``rm``. Each
     value must be real and in ``[0, 1]`` within ``atol``; the error names the
     first outcome that is not, as a per-outcome check in label order would."""
+    _require_atol(atol)
     if rm.shape != stack.shape[-2:]:
         raise ValueError(f"dimension mismatch: state {rm.shape} vs effect {stack.shape[-2:]}")
     vals = np.trace(rm @ stack, axis1=-2, axis2=-1)

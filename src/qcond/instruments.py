@@ -40,7 +40,6 @@ from .channels import (
     _require_trace_non_increasing,
     _require_trace_preserving,
     _square_input,
-    _without_zero_operators,
     map_deviation,
 )
 from .effects import (
@@ -56,6 +55,7 @@ from .effects import (
 from .errors import InvariantViolation, OutcomeNotObserved
 from .linalg import (
     DEFAULT_ATOL,
+    _require_atol,
     as_complex_matrix,
     clipped_eigh,
     hermitian_part,
@@ -100,14 +100,6 @@ def _admit_family(kind: str, ops: Iterable[Operation], atol: float) -> tuple[Ope
     return ops
 
 
-def _members(stacks: Sequence[np.ndarray]) -> tuple[Operation, ...]:
-    """One unchecked :class:`Operation` per library-made Kraus stack, under
-    the rule of ``_without_zero_operators``, for a family whose total is
-    checked next. Stacks ``(..., n, d_out, d_in)`` may carry leading batch
-    axes, which give a batch of families."""
-    return tuple(Operation._unchecked(_without_zero_operators(stack)) for stack in stacks)
-
-
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """Labeled family of operations summing to a channel."""
@@ -118,8 +110,9 @@ class Instrument:
 
     @classmethod
     def _from_kraus(cls, outcomes, stacks, atol: float) -> "Instrument":
-        """One operation per Kraus stack, checked once, from the total."""
-        return cls(outcomes, _members(stacks), atol)
+        """One operation per Kraus stack, checked once, from the total (stacks
+        with leading axes: a batch of families)."""
+        return cls(outcomes, tuple(map(Operation._unchecked, stacks)), atol)
 
     def __post_init__(self, atol: float):
         outcomes = _distinct_labels(self.outcomes, "Instrument")
@@ -157,7 +150,7 @@ class Instrument:
         return hermitian_part(np.stack([op._gram for op in self.ops], axis=-3))
 
     def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
-        return float(np.trace(self.op(label).apply(rho)).real)
+        return self.subset_probability((label,), rho)
 
     def updated_state(self, label: str, rho: State | np.ndarray, atol: float = DEFAULT_ATOL) -> State:
         """Post-measurement state for an observed outcome, renormalized.
@@ -165,6 +158,7 @@ class Instrument:
         Raises :class:`OutcomeNotObserved` when the outcome probability is
         within ``atol`` of zero.
         """
+        _require_atol(atol)
         out = self.op(label).apply(rho)
         prob = float(out.trace().real)
         if prob <= atol:
@@ -172,11 +166,13 @@ class Instrument:
         return State._view(_require_states(out / prob, atol))
 
     def subset_probability(self, labels: Iterable[str], rho: State | np.ndarray) -> float:
-        """``sum_x tr[I_x(rho)]`` over the distinct labels; ``rho`` is read
-        and checked once, also for an empty subset."""
+        """``sum_x tr[I_x(rho)]`` over the distinct labels, each term
+        ``tr(rho G_x)`` for the member's Gram matrix ``G_x = sum K†K`` (one
+        ``vdot``, no branch applied); ``rho`` is read and checked once, also
+        for an empty subset."""
         ops = [self.op(x) for x in dict.fromkeys(labels)]
         m = _square_input(rho, self.dim_in)
-        return float(sum(float(np.trace(op.apply_matrix(m)).real) for op in ops))
+        return float(sum(np.vdot(op._gram, m).real for op in ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +188,7 @@ class BiInstrument:
     def _from_kraus(cls, outcomes1, outcomes2, stacks, atol: float) -> "BiInstrument":
         """One grid operation per Kraus stack (row-major), checked once, from
         the total."""
-        ops = _members(stacks)
+        ops = tuple(map(Operation._unchecked, stacks))
         n = len(outcomes2)
         return cls(outcomes1, outcomes2, tuple(ops[i : i + n] for i in range(0, len(ops), n)), atol)
 
@@ -202,8 +198,7 @@ class BiInstrument:
         rows = tuple(tuple(row) for row in self.ops)
         if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
             raise InvariantViolation("BiInstrument", "grid shape")
-        admitted = iter(_admit_family("BiInstrument", [op for row in rows for op in row], atol))
-        rows = tuple(tuple(next(admitted) for _ in row) for row in rows)
+        _admit_family("BiInstrument", [op for row in rows for op in row], atol)
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "ops", rows)
@@ -295,6 +290,7 @@ def _factored_probability(sigma: np.ndarray, effect: np.ndarray, atol: float) ->
     and the effect ``b`` of the outcome subset (or stacks of both); 0 where
     ``tr(sigma) <= atol``. One matrix takes the same arithmetic on Python
     floats, so it gives the same bits as a stack of one."""
+    _require_atol(atol)
     if sigma.ndim == 2:
         prob1 = float(sigma.trace().real)
         observed = prob1 > atol
@@ -399,7 +395,7 @@ def holevo_operation(
     """
     pair = [as_complex_matrix(m)[None] for m in (effect, state)]
     (stack,) = _holevo_family(*pair, [0], [0], np.ones(1), atol)
-    return Operation._checked(_without_zero_operators(stack), atol)
+    return Operation._checked(stack, atol)
 
 
 def _holevo_instrument(outcomes, effects: np.ndarray, states: np.ndarray, atol: float) -> Instrument:

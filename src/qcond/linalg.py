@@ -19,6 +19,7 @@ Conventions fixed here and inherited everywhere else:
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Any
 
@@ -54,6 +55,13 @@ def require_tolerance(value: Any, what: str = "tolerance") -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
     return tol
+
+
+def _require_atol(atol: float) -> None:
+    """:func:`require_tolerance` for a kernel's ``atol``: one comparison (exact
+    on an integer too) when it holds."""
+    if not 0 < atol <= sys.float_info.max:
+        require_tolerance(atol)
 
 
 def coerce_matrix(m: Any) -> np.ndarray:
@@ -178,6 +186,7 @@ def hermitian_part(m: Any) -> np.ndarray:
 def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``max |m - m†| <= atol`` entrywise (never on NaN or infinite
     entries)."""
+    _require_atol(atol)
     m = coerce_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
@@ -199,6 +208,7 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     strictly inside it. The eigenvalue rule decides only when a
     factorization fails, so nothing the rule admits is rejected.
     """
+    _require_atol(atol)
     m = _matrix_stack(m)
     d = m.shape[-1]
     if m.shape[-2] != d:
@@ -302,6 +312,7 @@ def _near_identity(m: np.ndarray, atol: float) -> bool:
     """True iff ``m``, or every matrix of a stack ``(..., d, d)``, equals the
     identity entrywise within ``atol``: the one comparison of the rules
     ``sum K†K == I``, ``U†U == I`` and effects summing to ``I``."""
+    _require_atol(atol)
     return bool(np.abs(m - _identity(m.shape[-1])).max() <= atol)
 
 
@@ -312,6 +323,7 @@ def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):
     set to zero; anything below ``-atol`` raises. On a stack ``(..., d, d)``
     one batched decomposition covers every matrix.
     """
+    _require_atol(atol)
     evals, evecs = np.linalg.eigh(hermitian_part(m))
     if float(evals.min()) < -atol:
         raise InvariantViolation(kind, "positive", f"eigenvalue {evals.min():.3e}")

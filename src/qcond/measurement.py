@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, _joined, _require_trace_preserving, _without_zero_operators
+from .channels import Channel, _joined, _require_trace_preserving
 from .effects import BiObservable, Effect, Observable, State, _require_ones, _state_family
 from .errors import InvariantViolation
 from .instruments import (
@@ -190,11 +190,10 @@ def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:
 def _lifted_kraus(factors: np.ndarray, states: np.ndarray, atol: float) -> np.ndarray:
     """The Kraus stack ``(..., n * dp, d * dp, d)`` of ``L_{ik} =
     sqrt(p_ik) (K_i ⊗ |v_ik>)`` over the spectral decompositions of the probe
-    states (one batched decomposition, ``p`` clipped), under the rule of
-    ``_without_zero_operators``."""
+    states (one batched decomposition, ``p`` clipped)."""
     pvals, pvecs = clipped_eigh(states, atol, "state")
     lifted = np.sqrt(pvals)[..., None, None] * kron(factors[..., None, :, :], pvecs.mT[..., None])
-    return _without_zero_operators(lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:]))
+    return lifted.reshape(lifted.shape[:-4] + (-1,) + lifted.shape[-2:])
 
 
 def _dual_on_product(factors: np.ndarray, states: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,16 +282,10 @@ class KrausSeparableChannel:
             raise InvariantViolation("KrausSeparableChannel", "one probe vector per operator")
         return cls(tuple(ops), tuple(_pure_probe_states(v, atol) for v in vecs), atol)
 
-    def lifted_kraus(self, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, ...]:
-        """Kraus operators of the total channel on base ⊗ probe.
-
-        Spectral-decomposing each probe state (one batched decomposition of
-        all of them) gives ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)``.
-        """
-        return tuple(_lifted_kraus(self._factors, self._states, atol))
-
     def total_channel(self, atol: float = DEFAULT_ATOL) -> Channel:
-        """The separable channel as a Kraus-form channel into base ⊗ probe."""
+        """The separable channel as a Kraus-form channel into base ⊗ probe,
+        with the Kraus operators ``L_{ik} = sqrt(p_k) (K_i ⊗ |v_k>)`` of the
+        probe states' spectral decompositions (see ``_lifted_kraus``)."""
         return Channel._checked(_lifted_kraus(self._factors, self._states, atol), atol)
 
     def dual_on_product(

@@ -183,8 +183,7 @@ def _read_observable(cls: type, effects: tuple, payload: dict, scn: Scenario) ->
 
 
 def _read_instrument(cls: type, operations: tuple, payload: dict, scn: Scenario) -> Instrument:
-    ops = tuple(Operation._unchecked(_kraus_stack(kraus)) for kraus in operations)
-    return cls(tuple(payload["outcomes"]), ops, scn.atol)
+    return cls._from_kraus(tuple(payload["outcomes"]), map(_kraus_stack, operations), scn.atol)
 
 
 def _read_model(cls: type, _, payload: dict, scn: Scenario) -> MeasurementModel:

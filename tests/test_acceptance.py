@@ -121,7 +121,7 @@ def test_criterion_04_subnormalized_completion():
         dev = max(dev, max_abs_diff(sum(e.matrix for e in completed.effects), np.eye(dim + 1)))
         # engineered family whose residual has a vanishing dual image
         small = random_channel(dim, dim, 2, rng)
-        lifted = Channel(tuple(np.vstack([k, np.zeros((1, dim))]) for k in small.kraus))
+        lifted = Channel(tuple(np.vstack([k, np.zeros((1, dim))]) for k in small.kraus_stack))
         sub = random_observable(dim, 2, rng)
         bs = []
         for e in sub.effects:
@@ -226,7 +226,7 @@ def test_criterion_08_kraus_separable():
         rng = _rng(8, trial)
         n = 1 + trial % 3
         base = random_channel(2, 2, n, rng)
-        ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(n)))
+        ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(n)))
         total = ks.total_channel()
         a = random_effect(2, rng)
         b = random_effect(2, rng)

@@ -1,5 +1,6 @@
 """Tests for Kraus operations, channels, duals and conditioning."""
 
+import ast
 import inspect
 import json
 from pathlib import Path
@@ -95,7 +96,7 @@ def test_apply_collapse_channel():
     rng = np.random.default_rng(1)
     for _ in range(5):
         rho = random_state(2, rng)
-        expected = sum(k @ rho.matrix @ k.conj().T for k in COLLAPSE.kraus)
+        expected = sum(k @ rho.matrix @ k.conj().T for k in COLLAPSE.kraus_stack)
         out = COLLAPSE.apply(rho)
         np.testing.assert_allclose(out, expected, atol=1e-14)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
@@ -166,7 +167,7 @@ def test_long_compositions_keep_at_most_d_out_times_d_in_operators():
     second = random_channel(2, 3, 3, rng)
     seq = first.then(second)
     assert isinstance(seq, Channel)
-    assert len(seq.kraus) == 9 < 4 * 3
+    assert len(seq.kraus_stack) == 9 < 4 * 3
     assert map_deviation(seq, Operation(_products(first, second))) <= 1e-12
 
 
@@ -175,7 +176,7 @@ def test_short_compositions_are_the_products_bit_for_bit():
     first = random_channel(2, 3, 2, rng)
     second = random_channel(3, 2, 2, rng)
     seq = first.then(second)
-    assert len(seq.kraus) == 4 == 2 * 2
+    assert len(seq.kraus_stack) == 4 == 2 * 2
     assert seq.kraus_stack.tobytes() == _products(first, second).tobytes()
 
 
@@ -199,13 +200,56 @@ def test_a_rank_deficient_composition_drops_zero_operators_unless_batched():
     dephase = Channel([p0, np.sqrt(0.5) * p1, np.sqrt(0.5) * p1])
     reset = Channel([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])])
     single = dephase.then(reset)
-    assert len(single.kraus) == 2 and single.kraus_stack.any(axis=(1, 2)).all()
+    assert len(single.kraus_stack) == 2 and single.kraus_stack.any(axis=(1, 2)).all()
     assert map_deviation(single, reset) <= 1e-15
     batch = Channel._checked(dephase.kraus_stack[None], 1e-9).then(
         Channel._checked(reset.kraus_stack[None], 1e-9)
     )
     assert batch.kraus_stack.shape == (1, 4, 2, 2)
     assert batch.kraus_stack.any(axis=(2, 3)).sum() == 2
+
+
+def test_a_callers_kraus_list_loses_its_zero_operators():
+    k = np.diag([1.0, 0.0])
+    op = Operation([k, np.zeros((2, 2))])
+    assert op.kraus_stack.tobytes() == k.astype(complex)[None].tobytes()
+    ch = Channel(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])]))
+    assert ch.kraus_stack.shape == (2, 2, 2) and ch.kraus_stack.any(axis=(1, 2)).all()
+    # -0.0 is zero, in either part of an entry
+    signed = np.full((2, 2), complex(-0.0, -0.0))
+    assert len(Operation([k, signed, -np.zeros((2, 2))]).kraus_stack) == 1
+    # an all-zero list keeps exactly one operator
+    zero = Operation([np.zeros((3, 2)), np.full((3, 2), -0.0)])
+    assert zero.kraus_stack.shape == (1, 3, 2) and not zero.kraus_stack.any()
+    # a non-finite entry is still rejected, not counted as an operator
+    with pytest.raises(InvariantViolation, match="finite entries"):
+        Operation([k, np.zeros((2, 2)), np.diag([np.nan, 0.0])])
+
+
+def test_a_batch_keeps_its_zero_operators():
+    k = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    stack = np.stack([k, np.stack([k[0] + k[1], np.zeros((2, 2))])])
+    batch = Channel._checked(stack, 1e-9)
+    assert batch.kraus_stack.shape == (2, 2, 2, 2)
+    assert batch.kraus_stack.tobytes() == stack.tobytes()
+
+
+def test_the_zero_rule_runs_only_when_an_operation_is_built():
+    # _without_zero_operators is defined in channels.py and called once,
+    # from Operation._build: every operation, however made, passes there
+    calls = []
+    for path in sorted(Path(qcond.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "channels.py":
+            assert "_without_zero_operators" not in text, path.name
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_without_zero_operators":
+                        calls.append(node.name)
+    # each call is found in its function and in every class around it
+    assert sorted(calls) == ["Operation", "_build"]
 
 
 def test_dual_contravariance():
@@ -285,7 +329,7 @@ def test_condition_observable():
     out = condition_observable(ch, obs)
     assert out.dim == 2 and out.outcomes == obs.outcomes
     for label, e in zip(obs.outcomes, obs.effects):
-        expected = sum(k.conj().T @ e.matrix @ k for k in ch.kraus)
+        expected = sum(k.conj().T @ e.matrix @ k for k in ch.kraus_stack)
         np.testing.assert_allclose(out.effect(label).matrix, expected, atol=1e-12)
     # identity channel leaves the observable alone; trivial observable maps to itself
     assert observable_deviation(condition_observable(Channel.identity(3), obs), obs) < 1e-14
@@ -360,7 +404,7 @@ def test_linear_map_matches_operation(dim_in, dim_out, n_kraus):
     rng = np.random.default_rng(19)
     # the first n_kraus operators of a channel form an operation of any shape
     ch = random_channel(dim_in, dim_out, n_kraus + dim_in, rng)
-    op = Operation(ch.kraus[:n_kraus])
+    op = Operation(ch.kraus_stack[:n_kraus])
     s = op.superoperator()
     assert not s.flags.writeable
     table = tabulated(op.apply_matrix, dim_in, dim_out)

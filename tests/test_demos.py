@@ -1,5 +1,5 @@
-"""Smoke test: every demo script runs to completion and writes nothing into
-the repository."""
+"""Smoke test: every demo script runs to completion, with warnings as errors, and
+writes nothing into the repository."""
 
 import os
 import subprocess
@@ -26,7 +26,7 @@ def test_demo_runs(demo, tmp_path):
     before = repository_files()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -462,9 +462,9 @@ def test_holevo_given_instrument_members_have_d_squared_operators():
     grid = given_instrument(first, second)
     for x, iop in zip(first.outcomes, first.ops):
         for y, jop in zip(second.outcomes, second.ops):
-            assert len(iop.kraus) * len(jop.kraus) == 144
+            assert len(iop.kraus_stack) * len(jop.kraus_stack) == 144
             member = grid.op(x, y)
-            assert len(member.kraus) == 9
+            assert len(member.kraus_stack) == 9
             assert map_deviation(member, Operation(_products(iop, jop))) <= 1e-12
 
 
@@ -474,8 +474,8 @@ def test_condition_instrument_members_have_at_most_d_out_times_d_in_operators():
     ins = holevo_instrument(random_holevo_spec(3, 2, 2, rng))
     out = condition_instrument(ch, ins)
     for op, member in zip(ins.ops, out.ops):
-        assert len(ch.kraus) * len(op.kraus) == 24
-        assert len(member.kraus) == 4
+        assert len(ch.kraus_stack) * len(op.kraus_stack) == 24
+        assert len(member.kraus_stack) == 4
         assert map_deviation(member, Operation(_products(ch, op))) <= 1e-12
 
 

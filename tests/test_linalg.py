@@ -1,9 +1,24 @@
 """Kernel tests: adjoint, Kronecker products, partial trace, positivity."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qcond import Effect, Instrument, Observable, Operation, State
+from qcond import (
+    BiInstrument,
+    BiObservable,
+    Channel,
+    Effect,
+    HolevoSeparableSpec,
+    HolevoSpec,
+    Instrument,
+    KrausSeparableChannel,
+    Observable,
+    Operation,
+    State,
+    StochasticMatrix,
+)
 from qcond.errors import InvariantViolation
 from qcond.linalg import (
     adjoint,
@@ -18,7 +33,9 @@ from qcond.linalg import (
     partial_trace_right,
     require_tolerance,
 )
-from qcond.rand import random_effect, random_state
+from qcond.effects import born_probability
+from qcond.instruments import given_distribution, holevo_operation
+from qcond.rand import random_channel, random_effect, random_state
 
 from pinned import assert_pinned
 
@@ -373,3 +390,52 @@ def test_positivity_rejection_messages():
 ], ids=["vector", "non-square"])
 def test_matrix_argument_checks(call, expected):
     assert_pinned(call, expected)
+
+
+
+_HALF = np.eye(2) / 2
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_BASIS = Observable(("a", "b"), (_P0, _P1))
+_PURE = State(_P0)
+_FLIP = Instrument(("a", "b"), (Operation([_P0]), Operation([np.array([[0.0, 1.0], [0.0, 0.0]])])))
+
+
+# every public constructor that takes a tolerance, on valid data, the public
+# positivity tests, and the queries whose first comparison against atol is in
+# a shared kernel
+@pytest.mark.parametrize("make", [
+    lambda atol: State(_HALF, atol),
+    lambda atol: State.pure([1.0, 1.0j], atol),
+    lambda atol: Effect(_HALF, atol),
+    lambda atol: Observable(("a", "b"), (_P0, _P1), atol),
+    lambda atol: BiObservable(("a",), ("b", "c"), ((_P0, _P1),), atol),
+    lambda atol: StochasticMatrix(("a",), ("x", "y"), [[1.0, 0.0]], atol),
+    lambda atol: Operation([_P0], atol),
+    lambda atol: Channel([_P0, _P1], atol),
+    lambda atol: Channel.unitary(np.eye(2), atol),
+    lambda atol: Instrument(("a", "b"), (Operation([_P0]), Operation([_P1])), atol),
+    lambda atol: BiInstrument(("a",), ("b", "c"), ((Operation([_P0]), Operation([_P1])),), atol),
+    lambda atol: HolevoSpec(_BASIS, (_PURE, _PURE), atol),
+    lambda atol: KrausSeparableChannel((_P0, _P1), (_PURE, _PURE), atol),
+    lambda atol: KrausSeparableChannel.simple((_P0, _P1), ([1.0, 0.0], [0.0, 1.0]), atol),
+    lambda atol: HolevoSeparableSpec(_BASIS, (_PURE, _PURE), (_PURE, _PURE), atol),
+    lambda atol: is_psd(_HALF, atol),
+    lambda atol: is_effect_matrix(_HALF, atol),
+    lambda atol: is_hermitian(_HALF, atol),
+    lambda atol: _FLIP.updated_state("a", _HALF, atol),
+    lambda atol: given_distribution(_BASIS, _FLIP, _PURE, ("a",), ("a",), atol),
+    lambda atol: born_probability(_PURE, Effect(_P0), atol),
+    lambda atol: holevo_operation(_P0, _PURE, atol),
+    lambda atol: random_channel(2, 2, 3, 0).then(random_channel(2, 2, 3, 1), atol),
+], ids=["State", "State.pure", "Effect", "Observable", "BiObservable", "StochasticMatrix", "Operation",
+        "Channel", "Channel.unitary", "Instrument", "BiInstrument", "HolevoSpec", "KrausSeparableChannel",
+        "KrausSeparableChannel.simple", "HolevoSeparableSpec", "is_psd", "is_effect_matrix", "is_hermitian",
+        "updated_state", "given_distribution", "born_probability", "holevo_operation", "then-by-choi"])
+@pytest.mark.parametrize("atol", [math.inf, math.nan, 0.0, -1e-9, 10**400],
+                         ids=["inf", "nan", "zero", "negative", "huge-int"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_rejected(make, atol):
+    make(1e-9)
+    with pytest.raises(ValueError) as info:
+        make(atol)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"tolerance must be finite and positive, got {atol!r}"

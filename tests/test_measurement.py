@@ -213,7 +213,7 @@ def test_pointer_observable_kraus_sum_formula():
     total = model.interaction.total_channel()
     for y in model.probe.outcomes:
         lifted = kron(np.eye(2), model.probe.effect(y).matrix)
-        formula = sum(k.conj().T @ lifted @ k for k in total.kraus)
+        formula = sum(k.conj().T @ lifted @ k for k in total.kraus_stack)
         np.testing.assert_allclose(pointer.effect(y).matrix, formula, atol=1e-12)
 
 
@@ -239,7 +239,7 @@ PROJECTIVE_QUBIT = Observable(("p0", "p1"), [np.diag([1.0, 0.0]), np.diag([0.0, 
         3, 2, random_instrument(3, 6, 3, rng, kraus_per_outcome=3), random_observable(2, 2, rng)
     ),
     lambda rng: KrausSeparableChannel(
-        random_channel(2, 2, 2, rng).kraus, tuple(random_state(3, rng) for _ in range(2))
+        random_channel(2, 2, 2, rng).kraus_stack, tuple(random_state(3, rng) for _ in range(2))
     ).model(random_observable(3, 3, rng)),
 ], ids=["2-outcome-probe", "3-outcome-probe", "zero-eigenvalue-probe", "several-kraus", "kraus-separable"])
 def test_pointer_observable_is_the_bi_observables_second_marginal_bit_for_bit(make):
@@ -290,7 +290,7 @@ def test_kraus_separable_attach_ancilla():
 def test_kraus_separable_action_formula():
     rng = np.random.default_rng(17)
     base = random_channel(2, 2, 3, rng)
-    ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(3)))
+    ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(3)))
     formula = tabulated(
         lambda m: sum(
             kron(k @ m @ k.conj().T, s.matrix) for k, s in zip(ks.factors, ks.probe_states)
@@ -304,7 +304,7 @@ def test_kraus_separable_action_formula():
 def test_kraus_separable_dual_product_effects():
     rng = np.random.default_rng(18)
     base = random_channel(2, 2, 2, rng)
-    ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(2)))
+    ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(2)))
     total = ks.total_channel()
     np.testing.assert_allclose(
         ks.dual_on_product(np.eye(2), np.eye(2)).matrix, np.eye(2), atol=1e-12
@@ -321,7 +321,7 @@ def test_kraus_separable_instrument_and_pointer_match_pipeline():
     for _ in range(5):
         n = int(rng.integers(1, 4))
         base = random_channel(2, 2, n, rng)
-        ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(n)))
+        ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(n)))
         probe = random_observable(2, 2, rng)
         model = ks.model(probe)
         assert instrument_deviation(ks.measured_instrument(probe), model.measured_instrument()) < 1e-11
@@ -336,7 +336,7 @@ def test_kraus_separable_instrument_and_pointer_match_pipeline():
 def test_kraus_separable_pointer_is_post_processing():
     rng = np.random.default_rng(20)
     base = random_channel(2, 2, 2, rng)
-    ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(2)))
+    ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(2)))
     probe = random_observable(2, 3, rng)
     base_obs = ks.base_observable()
     kernel = StochasticMatrix(base_obs.outcomes, probe.outcomes, ks.outcome_weights(probe))
@@ -361,7 +361,7 @@ def test_simple_separable_adjoint_action():
         vecs.append(v / np.linalg.norm(v))
     phi1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     phi2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    for a, v in zip(base.kraus, vecs):
+    for a, v in zip(base.kraus_stack, vecs):
         lifted = kron(a, v.reshape(-1, 1))
         lhs = lifted.conj().T @ np.kron(phi1, phi2)
         rhs = np.vdot(v, phi2) * (a.conj().T @ phi1)
@@ -375,21 +375,21 @@ def test_simple_separable_equals_lifted_channel():
     for _ in range(2):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         vecs.append(v / np.linalg.norm(v))
-    ks = KrausSeparableChannel.simple(base.kraus, vecs)
-    lifted = Channel(tuple(kron(a, v.reshape(-1, 1)) for a, v in zip(base.kraus, vecs)))
+    ks = KrausSeparableChannel.simple(base.kraus_stack, vecs)
+    lifted = Channel(tuple(kron(a, v.reshape(-1, 1)) for a, v in zip(base.kraus_stack, vecs)))
     assert map_deviation(ks.total_channel(), lifted) < 1e-12
 
 
 def test_simple_separable_rejects_unnormalized_vectors():
     base = random_channel(2, 2, 1, 24)
     with pytest.raises(InvariantViolation, match="unit probe"):
-        KrausSeparableChannel.simple(base.kraus, [[2.0, 0.0]])
+        KrausSeparableChannel.simple(base.kraus_stack, [[2.0, 0.0]])
 
 
 def test_unnormalized_probe_vector_error_names_its_norm():
     base = random_channel(2, 2, 2, 25)
     with pytest.raises(InvariantViolation, match=r"'unit probe vectors' \(norm 1\.5\)$"):
-        KrausSeparableChannel.simple(base.kraus, [[1.0, 0.0], [0.0, 1.5j]])
+        KrausSeparableChannel.simple(base.kraus_stack, [[1.0, 0.0], [0.0, 1.5j]])
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +617,7 @@ def test_separable_channel_drops_zero_kraus_operators_and_a_batch_keeps_them():
         assert op.kraus_stack.shape == (3, 2, 2, 2) and zero.sum(axis=1).tolist() == [1, 1, 1]
     # a zero factor lifts to zero operators at every positive probe weight
     zero_factor = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
-    lifted = KrausSeparableChannel(tuple(zero_factor), tuple(states)).lifted_kraus()
+    lifted = KrausSeparableChannel(tuple(zero_factor), tuple(states)).total_channel().kraus_stack
     assert len(lifted) == 1 and np.abs(lifted[0]).max() > 0
     batched = _lifted_kraus(np.stack([zero_factor] * 3), np.stack([states] * 3), 1e-9)
     assert batched.shape == (3, 4, 4, 2) and not batched[:, 2:].any()
@@ -630,7 +630,7 @@ def test_separable_model_checks_its_channel_once(monkeypatch):
 
     rng = np.random.default_rng(41)
     base = random_channel(2, 2, 3, rng)
-    ks = KrausSeparableChannel(base.kraus, tuple(random_state(2, rng) for _ in range(3)))
+    ks = KrausSeparableChannel(base.kraus_stack, tuple(random_state(2, rng) for _ in range(3)))
     probe = random_observable(2, 2, rng)
     (member,) = ks.model(probe).interaction.ops
     total = ks.total_channel().kraus_stack

@@ -70,13 +70,13 @@ def test_random_observable_reproducible():
 
 def test_random_channel_phase_case():
     ch = random_channel(1, 1, 1, 6)
-    assert abs(abs(ch.kraus[0][0, 0]) - 1.0) < 1e-12
+    assert abs(abs(ch.kraus_stack[0][0, 0]) - 1.0) < 1e-12
 
 
 def test_random_channel_reproducible_and_valid():
     a = random_channel(2, 3, 2, 7)
     b = random_channel(2, 3, 2, 7)
-    for x, y in zip(a.kraus, b.kraus):
+    for x, y in zip(a.kraus_stack, b.kraus_stack):
         np.testing.assert_array_equal(x, y)
     assert a.is_trace_preserving(1e-11)
 
@@ -104,7 +104,7 @@ def test_random_instrument_total_is_channel():
     assert ins.total_channel().is_trace_preserving(1e-11)
     again = random_instrument(2, 3, 3, 9)
     for x, y in zip(ins.ops, again.ops):
-        for k, l in zip(x.kraus, y.kraus):
+        for k, l in zip(x.kraus_stack, y.kraus_stack):
             np.testing.assert_array_equal(k, l)
 
 

@@ -86,7 +86,7 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.effects["half"].matrix, scn.effects["half"].matrix)
     for a, b in zip(loaded.observables["probe"].effects, scn.observables["probe"].effects):
         np.testing.assert_array_equal(a.matrix, b.matrix)
-    for a, b in zip(loaded.operations["damp"].kraus, scn.operations["damp"].kraus):
+    for a, b in zip(loaded.operations["damp"].kraus_stack, scn.operations["damp"].kraus_stack):
         np.testing.assert_array_equal(a, b)
     assert loaded.models["meter"].dim_base == 2
     assert loaded.seed == 7
@@ -102,22 +102,56 @@ def test_remixed_instrument_round_trips(tmp_path):
     path = tmp_path / "scn.json"
     save_scenario(scn, path)
     loaded = load_scenario(path)
-    assert [len(op.kraus) for op in loaded.instruments["tabulated"].ops] == [2, 2]
+    assert [len(op.kraus_stack) for op in loaded.instruments["tabulated"].ops] == [2, 2]
     assert instrument_deviation(loaded.instruments["tabulated"], ins) < 1e-12
 
 
-def test_instrument_round_trip_keeps_each_kraus_list_as_saved(tmp_path):
-    # exactly-zero operators included: the loaded lists keep them
+def test_round_trip_keeps_every_kraus_list_bit_for_bit(tmp_path):
+    # exactly-zero operators are left out when an operation is made, so the
+    # lists saved are the lists loaded, every operation's alike
+    scn = build_scenario()
+    scn.operations["padded"] = Operation([np.diag([1.0, 0.0]), np.zeros((2, 2))])
     first = Operation([np.diag([1.0, 0.0]), np.zeros((2, 2))])
-    ins = Instrument(("a", "b"), (first, Operation([np.diag([0.0, 1.0])])))
-    scn = Scenario()
-    scn.instruments["ins"] = ins
+    scn.instruments["ins"] = Instrument(("a", "b"), (first, Operation([np.diag([0.0, 1.0])])))
     path = tmp_path / "scn.json"
     save_scenario(scn, path)
-    loaded = load_scenario(path).instruments["ins"]
-    assert [len(op.kraus) for op in loaded.ops] == [2, 1]
-    for a, b in zip(loaded.ops, ins.ops):
-        assert a.kraus_stack.tobytes() == b.kraus_stack.tobytes()
+    loaded = load_scenario(path)
+
+    def stacks(s):
+        return [*(op.kraus_stack for op in s.operations.values()),
+                *(op.kraus_stack for ins in s.instruments.values() for op in ins.ops)]
+
+    assert [len(k) for k in stacks(scn)][-3:] == [1, 1, 1]
+    for a, b in zip(stacks(loaded), stacks(scn), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_zero_kraus_operators_in_a_file_load_left_out_and_save_byte_stably(tmp_path):
+    one, zero, minus_zero = np.diag([1.0, 0.0]), np.zeros((2, 2)), -np.zeros((2, 2))
+    lower = np.diag([0.0, 1.0])
+    objects = {
+        "op": {"type": "operation", "kraus": [matrix_to_json(m) for m in (zero, one, minus_zero)]},
+        "flip": {"type": "channel", "kraus": [matrix_to_json(m) for m in (one, zero, lower)]},
+        "ins": {"type": "instrument", "outcomes": ["a", "b", "c"], "operations": [
+            [matrix_to_json(m) for m in (one, zero)],
+            [matrix_to_json(lower)],
+            [matrix_to_json(zero), matrix_to_json(minus_zero)],
+        ]},
+    }
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps({"objects": objects}))
+    scn = load_scenario(path)
+    assert scn.operations["op"].kraus_stack.tobytes() == one.astype(complex)[None].tobytes()
+    assert len(scn.operations["flip"].kraus_stack) == 2
+    assert [len(op.kraus_stack) for op in scn.instruments["ins"].ops] == [1, 1, 1]
+    assert not scn.instruments["ins"].op("c").kraus_stack.any()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_scenario(scn, first)
+    save_scenario(load_scenario(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    saved = json.loads(first.read_text())["objects"]
+    assert [len(saved[name]["kraus"]) for name in ("op", "flip")] == [1, 2]
+    assert [len(kraus) for kraus in saved["ins"]["operations"]] == [1, 1, 1]
 
 
 def test_save_load_keeps_every_matrix_bit_for_bit(tmp_path):
