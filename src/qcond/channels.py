@@ -35,6 +35,7 @@ from .effects import Effect, Observable, State, _require_effects
 from .errors import InvariantViolation
 from .linalg import (
     DEFAULT_ATOL,
+    _eigen,
     _identity,
     _near_identity,
     _require_atol,
@@ -316,7 +317,7 @@ def _choi_kraus(superop: np.ndarray, d_out: int, d_in: int, atol: float) -> np.n
     dim = d_out * d_in
     s = superop.reshape(lead + (d_out, d_out, d_in, d_in))
     choi = s.swapaxes(-3, -2).reshape(lead + (dim, dim))
-    evals, evecs = np.linalg.eigh(hermitian_part(choi))
+    evals, evecs = _eigen("eigh", hermitian_part(choi))
     if max_abs_diff(choi, choi.conj().mT) > atol or evals.min() < -atol:
         raise InvariantViolation("Operation", "completely positive", "Choi matrix must be PSD")
     stack = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]).mT

@@ -10,7 +10,10 @@ Conventions fixed here and inherited everywhere else:
 * tolerances are absolute, a single ``atol`` with default ``1e-9``:
   entrywise on matrices, and on the spectrum in the positivity tests, where
   one batched Cholesky factorization certifies and the eigenvalue rule
-  decides what it does not certify.
+  decides what it does not certify;
+* every Cholesky factorization and Hermitian eigendecomposition of the
+  package goes through one kernel, ``_factorized``: the gufuncs behind
+  ``numpy.linalg``'s functions, with their bits, without their wrappers;
 * a validated value (``State``, ``Effect``) is read as its stored
   read-only matrix and never checked again; a raw array is coerced and
   checked once per call.
@@ -18,12 +21,14 @@ Conventions fixed here and inherited everywhere else:
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from functools import lru_cache
 from typing import Any
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvariantViolation
 
@@ -200,13 +205,15 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     entries), and its symmetrization ``h = (m + m†)/2`` has its spectrum at
     or above ``-atol`` (and, with ``upper``, at or below ``1 + atol``).
 
-    The shared kernel of ``is_psd`` and ``is_effect_matrix``, which silence
-    the invalid-value warning of its Hermiticity pass (``inf - inf``) on
-    non-finite input. One coercion, one Hermiticity pass and one batched
-    Cholesky factorization of the shifted stack ``h + atol·I`` (and
-    ``(1 + atol)·I - h``, in the same buffer), which certifies every bound
-    strictly inside it. The eigenvalue rule decides only when a
-    factorization fails, so nothing the rule admits is rejected.
+    The shared kernel of ``is_psd`` and ``is_effect_matrix``, which hold
+    every floating-point warning off around it: the invalid value of its
+    Hermiticity pass (``inf - inf``) on non-finite input, and the flags of a
+    failed factorization. One coercion, one Hermiticity pass and one batched
+    Cholesky factorization (``_factorized``) of the shifted stack
+    ``h + atol·I`` (and ``(1 + atol)·I - h``, in the same buffer), which
+    certifies every bound strictly inside it. A matrix whose factorization
+    fails comes out NaN, and then the eigenvalue rule decides, so nothing
+    the rule admits is rejected.
     """
     _require_atol(atol)
     m = _matrix_stack(m)
@@ -224,11 +231,10 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
         np.negative(shifted[0], out=shifted[1])
     flat = shifted.reshape(1 + upper, -1, d, d)
     np.add(flat, _shifts(d, atol)[: 1 + upper], out=flat)
-    try:
-        np.linalg.cholesky(shifted)
+    # a matrix whose factorization fails is NaN, and so is the sum
+    if not cmath.isnan(_factorized("cholesky", shifted).sum()):
         return True
-    except np.linalg.LinAlgError:
-        evals = np.linalg.eigvalsh((m + adj) / 2.0)
+    evals = _eigen("eigvalsh", (m + adj) / 2.0)
     return bool(evals.min() >= -atol and (not upper or evals.max() <= 1.0 + atol))
 
 
@@ -241,6 +247,7 @@ def _shifts(dim: int, atol: float) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")
 def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``m`` is Hermitian within ``atol`` and its spectrum is ≥ -atol.
 
@@ -250,10 +257,10 @@ def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     ``(m + m†)/2 + atol·I`` certifies them all, and the eigenvalue rule
     decides what it does not certify. NaN or infinite entries give False.
     """
-    with np.errstate(invalid="ignore"):
-        return _certified_positive(m, atol, upper=False)
+    return _certified_positive(m, atol, upper=False)
 
 
+@np.errstate(all="ignore")
 def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     """True iff ``0 <= m <= I`` within ``atol`` (both ``m`` and ``I - m`` PSD).
 
@@ -263,8 +270,7 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     both bounds of them all, and the eigenvalue rule decides what it does
     not certify. NaN or infinite entries give False.
     """
-    with np.errstate(invalid="ignore"):
-        return _certified_positive(m, atol, upper=True)
+    return _certified_positive(m, atol, upper=True)
 
 
 def max_abs_diff(a: Any, b: Any) -> float:
@@ -321,10 +327,45 @@ def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):
 
     Eigenvalues in ``[-atol, 0)`` are rounding noise on PSD inputs and are
     set to zero; anything below ``-atol`` raises. On a stack ``(..., d, d)``
-    one batched decomposition covers every matrix.
+    one batched decomposition (``_eigen``, ``numpy.linalg.eigh``'s results
+    and errors) covers every matrix.
     """
     _require_atol(atol)
-    evals, evecs = np.linalg.eigh(hermitian_part(m))
+    evals, evecs = _eigen("eigh", hermitian_part(m))
     if float(evals.min()) < -atol:
         raise InvariantViolation(kind, "positive", f"eigenvalue {evals.min():.3e}")
     return np.maximum(evals, 0.0), evecs
+
+
+# The gufuncs that numpy.linalg's cholesky, eigh and eigvalsh call on a
+# complex stack, reading its lower triangle; the one use of numpy's private
+# linalg module.
+_GUFUNCS = {
+    "cholesky": (_umath_linalg.cholesky_lo, "D->D"),
+    "eigh": (_umath_linalg.eigh_lo, "D->dD"),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "D->d"),
+}
+
+
+def _factorized(name: str, m: np.ndarray):
+    """``numpy.linalg.<name>`` (``cholesky``, ``eigh`` or ``eigvalsh``) of a
+    complex matrix or stack ``(..., d, d)``: the gufunc it calls, so the
+    same bits, without its Python wrapper, the library's one factorization
+    kernel. A matrix whose factorization fails comes out NaN and raises
+    numpy's invalid-value flag, which the caller's ``np.errstate`` handles
+    (``_eigen`` makes it ``LinAlgError``)."""
+    gufunc, signature = _GUFUNCS[name]
+    return gufunc(m, signature=signature)
+
+
+def _not_converged(*_) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# as a decorator, an error state costs half what a with-block does
+@np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore")
+def _eigen(name: str, m: np.ndarray):
+    """``numpy.linalg.eigh`` or ``eigvalsh`` (``name``) of a complex matrix or
+    stack, results and errors: ``_factorized`` under the error state numpy
+    sets, where a failed decomposition raises ``LinAlgError``."""
+    return _factorized(name, m)

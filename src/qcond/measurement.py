@@ -12,10 +12,10 @@ The generic extraction stays in Kraus form. One function,
 each interaction Kraus stack and admits the instrument family. Since
 ``tr_probe[X (I ⊗ P)] = sum_j (I ⊗ b_j†) X (I ⊗ b_j)`` over the columns
 ``b_j`` of ``B``, an interaction Kraus operator ``K`` yields the readout
-Kraus operators ``(I ⊗ b_j†) K``: one contraction per probe effect and
-Kraus stack, read as ``(n, db, dp, db)`` for base dimension ``db`` and probe
-dimension ``dp``, at O(n·db²·dp²) per probe effect; no superoperator is
-built.
+Kraus operators ``(I ⊗ b_j†) K``: one contraction per Kraus stack, read as
+``(n, db, dp, db)`` for base dimension ``db`` and probe dimension ``dp``,
+over every probe effect at once, at O(n·db²·dp²) per probe effect; no
+superoperator is built.
 
 The readout takes leading batch axes: an interaction instrument whose
 members are batches of operations (see ``Operation._checked``) and a probe
@@ -25,7 +25,8 @@ kernels as one model (``_readout`` and ``_pointer_grid``).
 The measured (pointer) observable ``P_y = sum_x I_x*(I ⊗ P_y)`` is the
 pointer grid summed over the interaction outcomes ``x`` and validated once,
 as the returned :class:`Observable`; no :class:`BiObservable` is built for
-it.
+it. No lifted effect ``I ⊗ P_y`` is built either: ``(I ⊗ P_y) K`` is ``P_y``
+applied to each ``(dp, db)`` block of ``K``.
 
 The Kraus-separable and Holevo-separable classes provide closed-form
 shortcuts as *separate* code paths; their agreement with the generic
@@ -35,19 +36,19 @@ are stack functions that the classes wrap and that take batch axes too.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, _joined, _require_trace_preserving
+from .channels import Channel, Operation, _joined, _require_trace_preserving
 from .effects import BiObservable, Effect, Observable, State, _require_ones, _state_family
 from .errors import InvariantViolation
 from .instruments import (
     BiInstrument,
     HolevoSpec,
     Instrument,
-    _given_grid,
     _holevo_family,
     holevo_instrument,
 )
@@ -57,6 +58,7 @@ from .linalg import (
     as_complex_matrix,
     clipped_eigh,
     frozen_copy,
+    hermitian_part,
     kron,
     weighted_sum,
 )
@@ -70,6 +72,16 @@ __all__ = [
 ]
 
 
+# each part of a measurement model: its field, its type (numpy integers are
+# integers) and its name in a TypeError
+_PARTS = (
+    ("dim_base", numbers.Integral, "an integer"),
+    ("dim_probe", numbers.Integral, "an integer"),
+    ("interaction", Instrument, "an Instrument"),
+    ("probe", Observable, "an Observable"),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Base dimension, probe dimension, interaction instrument into
@@ -81,6 +93,12 @@ class MeasurementModel:
     probe: Observable
 
     def __post_init__(self):
+        # every readout would fail on a part of another type, or read a float
+        # dimension as a size
+        for name, kind, what in _PARTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"MeasurementModel takes {what} as its {name}, got {type(value).__name__}")
         if self.interaction.dim_in != self.dim_base:
             raise InvariantViolation("MeasurementModel", "interaction input dimension")
         if self.interaction.dim_out != self.dim_base * self.dim_probe:
@@ -105,24 +123,21 @@ class MeasurementModel:
         the clipped eigenvalues. A Kraus operator ``K[a, w, b]``, with output
         index ``(a, w)`` of base ⊗ probe, gives
         ``sum_w conj(B[w, j]) K[a, w, b]`` for each column ``j`` of ``B``: one
-        contraction per stack and effect, written straight into its member's
-        Kraus stack, so that no member is copied out of a larger result. A
+        contraction per stack over every effect, into a C-ordered output
+        with the effect axis first, so that each member's Kraus stack is a
+        contiguous slice of it, written in place and never copied out. A
         stack that only the iterator ``stacks`` holds is freed before the
         family is built.
         """
         evals, evecs = clipped_eigh(probe, atol, "effect")
         conj = (evecs * np.sqrt(evals)[..., None, :]).conj()
-        dp = probe.shape[-1]
+        m, dp = probe.shape[-3], probe.shape[-1]
         members = []
         for k in stacks:
             db = k.shape[-1]
-            lead = np.broadcast_shapes(conj.shape[:-3], k.shape[:-3])
-            kraus = k.reshape(k.shape[:-2] + (db, dp, db))
-            for y in range(conj.shape[-3]):
-                out = np.empty(lead + (k.shape[-3], dp, db, db), dtype=complex)
-                np.einsum("...wj,...nawb->...njab", conj[..., y, :, :], kraus, out=out)
-                members.append(out.reshape(lead + (-1, db, db)))
-        del k, kraus
+            out = np.einsum("...ywj,...nawb->y...njab", conj, k.reshape(k.shape[:-2] + (db, dp, db)), order="C")
+            members.extend(out[y].reshape(out.shape[1:-4] + (-1, db, db)) for y in range(m))
+        del k, out
         return family._from_kraus(*labels, members, atol)
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -177,9 +192,21 @@ def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> In
 
 
 def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:
-    """The grid ``(..., n_x, m, db, db)`` of duals of ``I ⊗ P_y``, unvalidated;
-    the lifted effects are one broadcast product."""
-    return _given_grid(interaction, kron(_identity(interaction.dim_in), probe))
+    """The grid ``(..., n_x, m, db, db)`` of symmetrized duals
+    ``sum_k K_k† (I ⊗ P_y) K_k``, unvalidated, with no lifted effect built:
+    ``(I ⊗ P_y) K`` is ``P_y`` times each ``(dp, db)`` block of ``K`` read as
+    ``(..., n·db, dp, db)`` (one broadcast product per operation), then one
+    product with the flattened adjoint, as in ``Operation.dual_matrix``.
+    The bits are those of the dual at ``kron(I, P_y)``."""
+    db, dp = interaction.dim_in, probe.shape[-1]
+    duals = []
+    for op in interaction.ops:
+        # each operation's duals with a unit outcome axis, ``(..., 1, m, db, db)``
+        k = op.kraus_stack
+        lifted = probe[..., None, :, None, :, :] @ k.reshape(k.shape[:-3] + (1, 1, -1, dp, db))
+        flat = lifted.reshape(lifted.shape[:-3] + (-1, db))
+        duals.append(Operation._flat(k.conj()).mT[..., None, None, :, :] @ flat)
+    return hermitian_part(np.concatenate(duals, axis=-4))
 
 
 # The closed forms of a Kraus-separable channel, from its factor stack

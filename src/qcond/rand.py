@@ -45,7 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .channels import Channel
 from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix, _distinct_labels
 from .instruments import HolevoSpec, Instrument
-from .linalg import DEFAULT_ATOL
+from .linalg import DEFAULT_ATOL, _eigen
 
 __all__ = [
     "as_rng",
@@ -205,7 +205,7 @@ def _draw_effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     g = _draw_ginibre(rngs, 1, dim, dim)[:, 0]
     u = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
     pos = g @ g.conj().swapaxes(-1, -2)
-    return (u / np.linalg.eigvalsh(pos).max(axis=-1))[:, None, None] * pos
+    return (u / _eigen("eigvalsh", pos).max(axis=-1))[:, None, None] * pos
 
 
 def _draw_observables(
@@ -217,7 +217,7 @@ def _draw_observables(
     def draw(rngs):
         g = _draw_ginibre(rngs, n_outcomes, dim, dim)
         gs = g @ g.conj().swapaxes(-1, -2)
-        return (gs, *np.linalg.eigh(gs.sum(axis=1)))
+        return (gs, *_eigen("eigh", gs.sum(axis=1)))
 
     gs, evals, evecs = draw(rngs)
     pending = np.flatnonzero(~(evals.min(axis=-1) > atol))

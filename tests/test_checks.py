@@ -63,6 +63,8 @@ from qcond.measurement import (
 )
 from qcond.rand import _generators, _trial_states, random_channel, random_instrument, random_observable, random_state
 
+from factorizations import watch_factorizations
+
 # in definition order, the order of the registry
 EXPECTED_IDENTITIES = (
     "postprocess-part-compose",
@@ -500,18 +502,12 @@ def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, 
         finally:
             inside.pop()
 
-    def counted(fn_name):
-        fn = getattr(np.linalg, fn_name)
-
-        def wrapper(*args, **kwargs):
-            calls[fn_name] += bool(inside)
-            return fn(*args, **kwargs)
-
-        return wrapper
+    def counted(name, m, out):
+        if name in calls:
+            calls[name] += bool(inside)
 
     monkeypatch.setattr(linalg, "_certified_positive", counted_kernel)
-    for fn_name in ("cholesky", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
+    watch_factorizations(monkeypatch, counted)
     # Both runs fit in one batch. At seed 3 the first three instances of
     # kraus-separable already draw all three Kraus counts, so both runs of
     # it make the same three sub-batches.

@@ -25,6 +25,7 @@ from qcond.errors import InvariantViolation
 from qcond.instruments import HolevoSpec
 from qcond.rand import random_observable, random_state, random_stochastic_matrix
 
+from factorizations import watch_factorizations
 from pinned import assert_pinned
 
 PROJ0 = np.diag([1.0, 0.0])
@@ -534,9 +535,7 @@ def test_effect_objects_raw_matrices_and_arrays_give_equal_stacks():
 
 def test_family_validation_is_one_batched_factorization(monkeypatch):
     shapes = {"cholesky": [], "eigvalsh": []}
-    for name, calls in shapes.items():
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda m, _fn=fn, _calls=calls: _calls.append(m.shape) or _fn(m))
+    watch_factorizations(monkeypatch, lambda name, m, out: shapes.get(name, []).append(m.shape))
     obs = Observable(("a", "b", "c"), (PROJ0 / 2, PROJ1, PROJ0 / 2))
     obs.effects, obs.effect("b"), obs.effect_stack
     # both bounds of all three effects in one call, and no eigenvalue fallback

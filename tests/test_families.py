@@ -37,6 +37,7 @@ from qcond.measurement import (
 from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, save_scenario
 
+from factorizations import watch_factorizations
 from pinned import assert_pinned
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -190,17 +191,10 @@ def test_total_keeps_the_family_tolerance():
 
 @pytest.fixture()
 def spectral_calls(monkeypatch):
-    """Counts of ``np.linalg.eigh``, ``np.linalg.eigvalsh`` and
-    ``np.linalg.cholesky`` calls."""
+    """Counts of the ``eigh``, ``eigvalsh`` and ``cholesky`` calls of the
+    factorization kernel."""
     counts = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    watch_factorizations(monkeypatch, lambda name, m, out: counts.__setitem__(name, counts[name] + 1))
     return counts
 
 

@@ -1,10 +1,12 @@
 """Kernel tests: adjoint, Kronecker products, partial trace, positivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import qcond.linalg as linalg
 from qcond import (
     BiInstrument,
     BiObservable,
@@ -23,6 +25,7 @@ from qcond.errors import InvariantViolation
 from qcond.linalg import (
     adjoint,
     as_complex_matrix,
+    clipped_eigh,
     hermitian_part,
     hermitized_matrix_units,
     is_effect_matrix,
@@ -37,6 +40,7 @@ from qcond.effects import born_probability
 from qcond.instruments import given_distribution, holevo_operation
 from qcond.rand import random_channel, random_effect, random_state
 
+from factorizations import watch_factorizations
 from pinned import assert_pinned
 
 
@@ -285,27 +289,22 @@ def _placed(rng, dim, value, rotated):
     return m[perm][:, perm]
 
 
+def failed(factor: np.ndarray) -> bool:
+    """True iff a Cholesky factorization failed: its output holds NaN."""
+    return bool(np.isnan(factor).any())
+
+
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counts of ``np.linalg.cholesky`` calls, of those that raised, and of
-    ``np.linalg.eigvalsh`` calls."""
-    counts = {"cholesky": 0, "failed": 0, "eigvalsh": 0}
-    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+    """Counts of the kernel's Cholesky factorizations, of those that failed
+    (NaN output), and of its ``eigvalsh`` and ``eigh`` calls."""
+    counts = {"cholesky": 0, "failed": 0, "eigvalsh": 0, "eigh": 0}
 
-    def counted_cholesky(m):
-        counts["cholesky"] += 1
-        try:
-            return cholesky(m)
-        except np.linalg.LinAlgError:
-            counts["failed"] += 1
-            raise
+    def counted(name, m, out):
+        counts[name] += 1
+        counts["failed"] += name == "cholesky" and failed(out)
 
-    def counted_eigvalsh(m):
-        counts["eigvalsh"] += 1
-        return eigvalsh(m)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    watch_factorizations(monkeypatch, counted)
     return counts
 
 
@@ -320,12 +319,13 @@ def test_positivity_verdicts_equal_the_eigenvalue_rule(dim, rotated, factorizati
         stack = np.stack([_placed(rng, dim, 0.5, True) for _ in range(5)] + [m])[rng.permutation(6)]
         for probe in (m, stack):
             expected = {upper: _eigenvalue_rule(probe, upper) for upper in (False, True)}
-            factorizations.update(cholesky=0, failed=0, eigvalsh=0)
+            factorizations.update(cholesky=0, failed=0, eigvalsh=0, eigh=0)
             assert is_psd(probe, ATOL) == expected[False]
             assert is_effect_matrix(probe, ATOL) == expected[True]
             # one factorization per test; eigenvalues only where it failed
             assert factorizations["cholesky"] == 2
             assert factorizations["eigvalsh"] == factorizations["failed"]
+            assert factorizations["eigh"] == 0
 
 
 def test_positivity_at_the_exact_bounds():
@@ -366,6 +366,95 @@ def test_positivity_of_nan_or_non_hermitian_input_is_false():
     for check in (is_psd, is_effect_matrix):
         assert check(skew) is False
         assert check(near) is True
+
+
+def _shifted(m: np.ndarray, upper: bool) -> np.ndarray:
+    """The stack that ``is_psd`` (``upper`` False) or ``is_effect_matrix``
+    factorizes: ``2h + 2·atol·I`` and ``(2 + 2·atol)·I - 2h`` for ``h``
+    the symmetrization of ``m``."""
+    twice = m + m.conj().swapaxes(-1, -2)
+    eye = np.eye(m.shape[-1])
+    lower = twice + 2.0 * ATOL * eye
+    return np.stack([lower, (2.0 + 2.0 * ATOL) * eye - twice]) if upper else lower[None]
+
+
+def _spectral_stack(rng, dim, kind):
+    """Five Hermitian matrices: spectra in [0.05, 0.95] ("positive definite"),
+    with an exact 0 and 1 rotated ("singular psd"), with -0.3 ("indefinite"),
+    or four of the first and one of the third ("mixed")."""
+    values = {"positive definite": [], "singular psd": [0.0, 1.0], "indefinite": [-0.3]}
+    kinds = ["positive definite"] * 4 + ["indefinite"] if kind == "mixed" else [kind] * 5
+    mats = []
+    for k in kinds:
+        evals = rng.uniform(0.05, 0.95, dim)
+        evals[: len(values[k])] = values[k]
+        u = _unitary(rng, dim)
+        mats.append((u * evals) @ u.conj().T)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("kind", ["positive definite", "singular psd", "indefinite", "mixed"])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_positivity_certificates_are_what_numpys_cholesky_factors(kind, dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    m = _spectral_stack(rng, dim, kind)
+    for upper, check in ((False, is_psd), (True, is_effect_matrix)):
+        try:
+            reference = np.linalg.cholesky(_shifted(m, upper))
+        except np.linalg.LinAlgError:
+            reference = None
+        # the atol shift makes a singular positive stack definite
+        assert (reference is not None) == (kind in ("positive definite", "singular psd"))
+        seen = []
+        with monkeypatch.context() as patch:
+            watch_factorizations(patch, lambda name, a, out: seen.append((name, out)))
+            verdict = check(m, ATOL)
+        assert seen[0][0] == "cholesky"
+        assert failed(seen[0][1]) == (reference is None)
+        if reference is None:
+            # one eigenvalue fallback decides, as the rule does
+            assert [name for name, _ in seen] == ["cholesky", "eigvalsh"]
+            assert verdict is _eigenvalue_rule(m, upper) is False
+        else:
+            assert len(seen) == 1 and verdict is True
+            assert seen[0][1].tobytes() == reference.tobytes()
+
+
+def test_a_failing_factorization_lets_no_warning_escape():
+    # indefinite stacks, one whose factorization also overflows, and one
+    # whose symmetrization overflows
+    huge = np.array([[1e200, 1e300], [1e300, 1e200]], dtype=complex)
+    overflowing = np.array([[1e308, 0.0], [0.0, -1e308]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (np.diag([1.0, -1.0]), huge, overflowing, np.stack([np.eye(2) / 2, huge])):
+            assert is_psd(m) is False
+            assert is_effect_matrix(m) is False
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 5, 5), (2, 3, 4, 4)])
+def test_clipped_eigh_keeps_numpys_eigh_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = g + g.conj().swapaxes(-1, -2)
+    evals, evecs = np.linalg.eigh(hermitian_part(m))
+    # a tolerance wider than the spectrum: nothing raises, negatives clip
+    got_vals, got_vecs = clipped_eigh(m, float(np.abs(evals).max()) + 1.0)
+    assert got_vals.tobytes() == np.maximum(evals, 0.0).tobytes()
+    assert got_vecs.tobytes() == evecs.tobytes()
+    assert got_vals.dtype == float and got_vecs.dtype == complex
+
+
+def test_a_failed_eigendecomposition_raises_as_numpys_does(monkeypatch):
+    # a stand-in gufunc that fails as numpy's does: NaN output and the
+    # invalid-value flag raised
+    def failing(m, *, signature):
+        np.sqrt(np.array(-1.0))
+        return np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan + 0j)
+
+    monkeypatch.setitem(linalg._GUFUNCS, "eigh", (failing, "D->dD"))
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        clipped_eigh(np.eye(2))
 
 
 def test_positivity_rejection_messages():

@@ -582,6 +582,33 @@ def test_every_readout_keeps_the_bits_of_the_per_effect_contraction(batch, dp, k
             assert op.kraus_stack.tobytes() == ref.kraus_stack.tobytes()
 
 
+def _kron_lifted_grid(interaction, probe):
+    """The pointer grid as the dual of each operation at the lifted effects
+    ``kron(I, P_y)``: the reference that ``_pointer_grid`` must keep bit for
+    bit."""
+    lifted = kron(np.eye(interaction.dim_in, dtype=complex), probe)
+    return np.stack([op._dual_images(lifted) for op in interaction.ops], axis=-4)
+
+
+@pytest.mark.parametrize("kind", ["random", "zero-eigenvalue"])
+@pytest.mark.parametrize("kraus_per_outcome", [1, 3])
+@pytest.mark.parametrize("dp", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_the_pointer_grid_keeps_the_bits_of_the_kron_lifted_duals(batch, dp, kraus_per_outcome, kind):
+    seeds = range(71, 71 + batch)
+    instruments = [random_instrument(3, 3 * dp, 2, s, kraus_per_outcome=kraus_per_outcome) for s in seeds]
+    probes = [_probe_effects("random" if kind == "random" else "projective", dp, s) for s in seeds]
+    if batch == 1:
+        interaction, probe = instruments[0], probes[0]
+    else:
+        kraus = [np.stack([ins.ops[x].kraus_stack for ins in instruments]) for x in range(2)]
+        interaction, probe = Instrument._from_kraus(("x0", "x1"), kraus, 1e-9), np.stack(probes)
+    got = measurement._pointer_grid(interaction, probe)
+    expected = _kron_lifted_grid(interaction, probe)
+    assert got.shape == expected.shape == probe.shape[:-3] + (2, 2, 3, 3)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_the_probe_readout_frees_the_total_before_building_the_family(monkeypatch):
     # a batch's total Kraus stack is as large as the whole readout
     interaction, probe = random_instrument(2, 4, 2, 95), random_observable(2, 2, 96)
@@ -644,6 +671,7 @@ def test_separable_model_checks_its_channel_once(monkeypatch):
 
 
 _INTERACTION = random_instrument(2, 4, 2, 85)
+_PROBE = random_observable(2, 2, 87)
 _SEPARABLE = KrausSeparableChannel((np.eye(2),), (State.maximally_mixed(2),))
 _HOLEVO = HolevoSeparableSpec(Observable.trivial(2), (State.maximally_mixed(2),), (State.maximally_mixed(2),))
 
@@ -659,6 +687,22 @@ _HOLEVO = HolevoSeparableSpec(Observable.trivial(2), (State.maximally_mixed(2),)
     (lambda: _SEPARABLE.outcome_weights(Observable.trivial(3)), ValueError("probe observable dimension mismatch")),
     (lambda: holevo_model_quantities(_HOLEVO, Observable.trivial(3)),
      ValueError("probe observable dimension mismatch")),
-], ids=["interaction-input", "no-factors", "factor-shapes", "probe-vectors", "separable-probe", "holevo-probe"])
+    (lambda: MeasurementModel(2, 2, _INTERACTION.total_channel(), _PROBE),
+     TypeError("MeasurementModel takes an Instrument as its interaction, got Channel")),
+    (lambda: MeasurementModel(2, 2, _INTERACTION, _PROBE.effect_stack),
+     TypeError("MeasurementModel takes an Observable as its probe, got ndarray")),
+    (lambda: MeasurementModel(2.0, 2, _INTERACTION, _PROBE),
+     TypeError("MeasurementModel takes an integer as its dim_base, got float")),
+    (lambda: MeasurementModel(2, True, _INTERACTION, _PROBE),
+     TypeError("MeasurementModel takes an integer as its dim_probe, got bool")),
+], ids=["interaction-input", "no-factors", "factor-shapes", "probe-vectors", "separable-probe", "holevo-probe",
+        "channel-interaction", "array-probe", "float-dimension", "bool-dimension"])
 def test_model_argument_checks(call, expected):
     assert_pinned(call, expected)
+
+
+def test_a_model_takes_numpy_integer_dimensions():
+    model = MeasurementModel(np.int64(2), np.int32(2), _INTERACTION, _PROBE)
+    reference = MeasurementModel(2, 2, _INTERACTION, _PROBE)
+    for got, expected in zip(model.reduced_instrument().ops, reference.reduced_instrument().ops):
+        assert got.kraus_stack.tobytes() == expected.kraus_stack.tobytes()
