@@ -135,8 +135,19 @@ class Operation:
         return self._stack[(slice(None),) * batch + (None,) * (m.ndim - 2 - batch)]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        # sum_k (K_k m) K_k†. With leading axes (a batch, or m's own stack),
+        # the first product takes the flattened stack, (n·d_out, d_in) @ m:
+        # one BLAS product per matrix instead of one per operator, with the
+        # same bits. One operation on one matrix keeps the cheaper call, and
+        # so does d_out = 1, where numpy takes each row times m as a
+        # vector-matrix product, whose bits differ.
         stack = self._unit_stack(m)
-        return np.matmul(stack @ (m if m.ndim == 2 else m[..., None, :, :]), stack.conj().mT).sum(axis=-3)
+        if stack.ndim > 3 and self.dim_out > 1:
+            first = self._flat(stack) @ m
+            first = first.reshape(first.shape[:-2] + stack.shape[-3:])
+        else:
+            first = stack @ (m if m.ndim == 2 else m[..., None, :, :])
+        return np.matmul(first, stack.conj().mT).sum(axis=-3)
 
     def dual_matrix(self, m: np.ndarray) -> np.ndarray:
         # sum_k K_k† x_k as one product with the flattened adjoint (d_in, n·d_out)

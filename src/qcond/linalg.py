@@ -13,7 +13,9 @@ Conventions fixed here and inherited everywhere else:
   decides what it does not certify;
 * every Cholesky factorization and Hermitian eigendecomposition of the
   package goes through one kernel, ``_factorized``: the gufuncs behind
-  ``numpy.linalg``'s functions, with their bits, without their wrappers;
+  ``numpy.linalg``'s functions, with their bits, without their wrappers
+  (the functions themselves, where numpy's private module cannot be
+  imported);
 * a validated value (``State``, ``Effect``) is read as its stored
   read-only matrix and never checked again; a raw array is coerced and
   checked once per call.
@@ -28,7 +30,11 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved its private module: see _GUFUNCS
+    _umath_linalg = None
 
 from .errors import InvariantViolation
 
@@ -43,7 +49,6 @@ __all__ = [
     "is_psd",
     "kron",
     "max_abs_diff",
-    "partial_trace_right",
 ]
 
 DEFAULT_ATOL = 1e-9
@@ -156,22 +161,6 @@ def weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     lead = w.ndim - 1
     out = np.swapaxes(w, -1, -2) @ stack.reshape(stack.shape[:lead] + (-1,))
     return out.reshape(w.shape[:-2] + w.shape[-1:] + stack.shape[lead:])
-
-
-def partial_trace_right(m: Any, dim_left: int, dim_right: int) -> np.ndarray:
-    """Trace out the right tensor factor of a square matrix on left ⊗ right.
-
-    ``m`` must be ``(dim_left * dim_right)`` square; the result is
-    ``dim_left`` square with entries ``out[i, j] = sum_k m[(i, k), (j, k)]``.
-    The map is linear and preserves the trace.
-    """
-    m = coerce_matrix(m)
-    d = dim_left * dim_right
-    if m.shape != (d, d):
-        raise InvariantViolation(
-            "partial trace", "dimension product", f"expected shape {(d, d)}, got {m.shape}"
-        )
-    return np.einsum("ikjk->ij", m.reshape(dim_left, dim_right, dim_left, dim_right))
 
 
 def _matrix_stack(m: Any) -> np.ndarray:
@@ -337,10 +326,29 @@ def clipped_eigh(m: Any, atol: float = DEFAULT_ATOL, kind: str = "operator"):
     return np.maximum(evals, 0.0), evecs
 
 
+def _public_cholesky(m: np.ndarray, signature: str) -> np.ndarray:
+    """``np.linalg.cholesky``, NaN where it raises, as the gufunc behind it
+    fails (here, the whole stack)."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return np.full(m.shape, np.nan, dtype=complex)
+
+
+# numpy.linalg's public cholesky, eigh and eigvalsh, called as the gufuncs
+# are: the same results and errors, at the cost of their Python wrappers,
+# except that a failed Cholesky factorization makes the whole stack NaN,
+# which the positivity tests read alike
+_PUBLIC = {
+    "cholesky": (_public_cholesky, "D->D"),
+    "eigh": (lambda m, signature: np.linalg.eigh(m), "D->dD"),
+    "eigvalsh": (lambda m, signature: np.linalg.eigvalsh(m), "D->d"),
+}
+
 # The gufuncs that numpy.linalg's cholesky, eigh and eigvalsh call on a
 # complex stack, reading its lower triangle; the one use of numpy's private
-# linalg module.
-_GUFUNCS = {
+# linalg module, and the public functions where it cannot be imported.
+_GUFUNCS = _PUBLIC if _umath_linalg is None else {
     "cholesky": (_umath_linalg.cholesky_lo, "D->D"),
     "eigh": (_umath_linalg.eigh_lo, "D->dD"),
     "eigvalsh": (_umath_linalg.eigvalsh_lo, "D->d"),
@@ -353,7 +361,8 @@ def _factorized(name: str, m: np.ndarray):
     same bits, without its Python wrapper, the library's one factorization
     kernel. A matrix whose factorization fails comes out NaN and raises
     numpy's invalid-value flag, which the caller's ``np.errstate`` handles
-    (``_eigen`` makes it ``LinAlgError``)."""
+    (``_eigen`` makes it ``LinAlgError``; without the gufuncs, see
+    ``_PUBLIC``)."""
     gufunc, signature = _GUFUNCS[name]
     return gufunc(m, signature=signature)
 

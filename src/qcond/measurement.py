@@ -20,7 +20,9 @@ superoperator is built.
 The readout takes leading batch axes: an interaction instrument whose
 members are batches of operations (see ``Operation._checked``) and a probe
 stack ``(b, m, dp, dp)`` are read out member by member, through the same
-kernels as one model (``_readout`` and ``_pointer_grid``).
+kernels as one model (``_readout`` and ``_pointer_grid``). Only the layout
+of the contraction depends on the batch axes (``_contracted``): a batch's
+stacks are copied probe axis first, with the same bits.
 
 The measured (pointer) observable ``P_y = sum_x I_x*(I ⊗ P_y)`` is the
 pointer grid summed over the interaction outcomes ``x`` and validated once,
@@ -111,33 +113,28 @@ class MeasurementModel:
 
     @staticmethod
     def _readout(
-        family: type, labels: tuple, stacks: Iterable[np.ndarray], probe: np.ndarray, atol: float
+        family: type, labels: tuple, groups: Iterable[Sequence[Operation]], probe: np.ndarray, atol: float
     ) -> Instrument | BiInstrument:
         """The ``family`` (``Instrument`` or ``BiInstrument``), labeled by
         ``labels``, of the operations ``rho -> tr_probe[K(rho) (I ⊗ P)]`` for
-        every Kraus stack ``K`` of ``stacks`` (maps into base ⊗ probe) and
-        every effect ``P`` of the probe stack ``(..., m, dp, dp)``,
-        ``K``-major; leading axes of both are a batch.
+        the sum ``K`` of every group of ``groups`` (operations into
+        base ⊗ probe) and every effect ``P`` of the probe stack
+        ``(..., m, dp, dp)``, group-major; leading axes of both are a batch.
 
         ``P = B B†`` for ``B`` the eigenvectors scaled by the square roots of
         the clipped eigenvalues. A Kraus operator ``K[a, w, b]``, with output
         index ``(a, w)`` of base ⊗ probe, gives
-        ``sum_w conj(B[w, j]) K[a, w, b]`` for each column ``j`` of ``B``: one
-        contraction per stack over every effect, into a C-ordered output
-        with the effect axis first, so that each member's Kraus stack is a
-        contiguous slice of it, written in place and never copied out. A
-        stack that only the iterator ``stacks`` holds is freed before the
-        family is built.
+        ``sum_w conj(B[w, j]) K[a, w, b]`` for each column ``j`` of ``B``,
+        into an output with the effect axis first, C-ordered, so that each
+        member's Kraus stack is a contiguous slice of it, never copied out
+        (``_contracted``, whose joined stacks are freed when it returns).
         """
         evals, evecs = clipped_eigh(probe, atol, "effect")
         conj = (evecs * np.sqrt(evals)[..., None, :]).conj()
-        m, dp = probe.shape[-3], probe.shape[-1]
         members = []
-        for k in stacks:
-            db = k.shape[-1]
-            out = np.einsum("...ywj,...nawb->y...njab", conj, k.reshape(k.shape[:-2] + (db, dp, db)), order="C")
-            members.extend(out[y].reshape(out.shape[1:-4] + (-1, db, db)) for y in range(m))
-        del k, out
+        for ops in groups:
+            out = _contracted(conj, ops)
+            members.extend(out[y].reshape(out.shape[1:-4] + (-1,) + out.shape[-2:]) for y in range(len(out)))
         return family._from_kraus(*labels, members, atol)
 
     def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
@@ -177,18 +174,48 @@ class MeasurementModel:
 
 
 def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> BiInstrument:
-    stacks = [op.kraus_stack for op in interaction.ops]
-    return MeasurementModel._readout(BiInstrument, (interaction.outcomes, outcomes), stacks, probe, atol)
+    groups = [(op,) for op in interaction.ops]
+    return MeasurementModel._readout(BiInstrument, (interaction.outcomes, outcomes), groups, probe, atol)
 
 
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
-    # through an iterator, the total's Kraus stack is freed before the members are built
-    return MeasurementModel._readout(Instrument, (outcomes,), iter([_joined(interaction.ops)]), probe, atol)
+    return MeasurementModel._readout(Instrument, (outcomes,), [interaction.ops], probe, atol)
 
 
 def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> Instrument:
-    stacks = [op.kraus_stack for op in interaction.ops]
-    return MeasurementModel._readout(Instrument, (interaction.outcomes,), stacks, _identity(dim_probe)[None], atol)
+    groups = [(op,) for op in interaction.ops]
+    return MeasurementModel._readout(Instrument, (interaction.outcomes,), groups, _identity(dim_probe)[None], atol)
+
+
+def _contracted(conj: np.ndarray, ops: Sequence[Operation]) -> np.ndarray:
+    """The readout Kraus operators ``(m, ..., n, dp, db, db)`` of the sum of
+    ``ops`` for the conjugated probe factors ``conj`` ``(..., m, dp, dp)``:
+    ``out[y, ..., k, j] = sum_w conj[..., y, w, j] K_k[:, w, :]``, C-ordered.
+
+    One model's joined Kraus stack is contracted once, read in place as
+    ``(n, a, w, b)``. For a batch, that read makes the contraction's inner
+    loops run over two or three entries; so each operation's stack is copied
+    probe axis first, as ``(..., w, n, a, b)``, and contracted once per
+    effect into its slice of the output, with no joined stack. Both give the
+    same bits: each entry is the same sum over ``w``, in the same order.
+    """
+    dp = conj.shape[-1]
+    if conj.ndim == 3 and ops[0].kraus_stack.ndim == 3:
+        k = ops[0].kraus_stack if len(ops) == 1 else _joined(ops)
+        db = k.shape[-1]
+        return np.einsum("...ywj,...nawb->y...njab", conj, k.reshape(k.shape[:-2] + (db, dp, db)), order="C")
+    stacks = [op.kraus_stack for op in ops]
+    db = stacks[0].shape[-1]
+    lead = np.broadcast_shapes(conj.shape[:-3], stacks[0].shape[:-3])
+    out = np.empty((conj.shape[-3],) + lead + (sum(k.shape[-3] for k in stacks), dp, db, db), dtype=complex)
+    start = 0
+    for k in stacks:
+        probe_first = np.ascontiguousarray(np.moveaxis(k.reshape(k.shape[:-2] + (db, dp, db)), -2, -4))
+        part = out[..., start : start + k.shape[-3], :, :, :]
+        for y in range(len(out)):
+            np.einsum("...wj,...wnab->...njab", conj[..., y, :, :], probe_first, out=part[y])
+        start += k.shape[-3]
+    return out
 
 
 def _pointer_grid(interaction: Instrument, probe: np.ndarray) -> np.ndarray:

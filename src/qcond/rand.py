@@ -203,7 +203,7 @@ def _draw_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
 
 def _draw_effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     g = _draw_ginibre(rngs, 1, dim, dim)[:, 0]
-    u = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+    u = np.array([rng.random() for rng in rngs])
     pos = g @ g.conj().swapaxes(-1, -2)
     return (u / _eigen("eigvalsh", pos).max(axis=-1))[:, None, None] * pos
 

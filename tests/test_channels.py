@@ -459,6 +459,31 @@ def test_batch_kernels_broadcast_one_matrix_and_map_member_stacks():
             np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-13)
 
 
+def _per_operator_apply(op: Operation, m: np.ndarray) -> np.ndarray:
+    """``sum_k K_k m K_k†`` with one product per Kraus operator and matrix:
+    the reference that ``apply_matrix`` keeps bit for bit."""
+    stack = op.kraus_stack
+    stack = stack[(slice(None),) * (stack.ndim - 3) + (None,) * (m.ndim - stack.ndim + 1)]
+    return np.matmul(stack @ m[..., None, :, :], stack.conj().mT).sum(-3)
+
+
+@pytest.mark.parametrize("dim_in, dim_out", [(2, 2), (3, 3), (2, 3), (3, 1)])
+@pytest.mark.parametrize("n_kraus", [1, 3])
+@pytest.mark.parametrize("batch, own", [((), ()), ((4,), ()), ((), (2, 3)), ((4,), (2, 3))],
+                         ids=["one", "batch", "own", "batch-own"])
+def test_apply_keeps_the_bits_of_one_product_per_operator(batch, own, n_kraus, dim_in, dim_out):
+    # with leading axes, the first product folds the Kraus axis into one BLAS
+    # product per matrix, except for dim_out = 1 (a row times m); every
+    # layout keeps the bits
+    rng = np.random.default_rng(65 + n_kraus)
+    shape = batch + (n_kraus, dim_out, dim_in)
+    op = Operation._unchecked(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    m = _complex_stack(rng, batch + own, dim_in)
+    got, expected = op.apply_matrix(m), _per_operator_apply(op, m)
+    assert got.shape == expected.shape == batch + own + (dim_out, dim_out)
+    assert got.tobytes() == expected.tobytes()
+
+
 def _held_bytes(op: Operation) -> int:
     """Bytes of the distinct arrays an operation's attributes hold (views
     counted once, with the array they view)."""

@@ -198,14 +198,18 @@ def spectral_calls(monkeypatch):
     return counts
 
 
-def test_holevo_compose_decomposes_each_effect_and_state_at_most_once(spectral_calls):
+def test_holevo_compose_decomposes_each_effect_and_state_at_most_once(monkeypatch):
     rng = np.random.default_rng(16)
     first = random_holevo_spec(2, 3, 2, rng)
     second = random_holevo_spec(3, 2, 3, rng)
-    spectral_calls["eigh"] = 0
+    decomposed = []
+    watch_factorizations(monkeypatch, lambda name, m, out: name == "eigh" and decomposed.append(m.shape))
     composed = holevo_compose(second, first)
     assert (len(composed.outcomes1), len(composed.outcomes2)) == (2, 3)
-    assert spectral_calls["eigh"] <= 2 + 3
+    # one batched eigh of the first stage's two effects and one of the second
+    # stage's three states, both on the qubit: counted through the kernel, so
+    # a decomposition made outside it fails here
+    assert decomposed == [(2, 2, 2), (3, 2, 2)]
 
 
 def test_random_instrument_spectral_checks_do_not_grow_with_outcomes(spectral_calls):

@@ -1,6 +1,8 @@
 """Kernel tests: adjoint, Kronecker products, partial trace, positivity."""
 
+import importlib.util
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -33,7 +35,6 @@ from qcond.linalg import (
     is_psd,
     kron,
     max_abs_diff,
-    partial_trace_right,
     require_tolerance,
 )
 from qcond.effects import born_probability
@@ -41,6 +42,7 @@ from qcond.instruments import given_distribution, holevo_operation
 from qcond.rand import random_channel, random_effect, random_state
 
 from factorizations import watch_factorizations
+from map_oracles import partial_trace_right
 from pinned import assert_pinned
 
 
@@ -455,6 +457,39 @@ def test_a_failed_eigendecomposition_raises_as_numpys_does(monkeypatch):
     monkeypatch.setitem(linalg._GUFUNCS, "eigh", (failing, "D->dD"))
     with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
         clipped_eigh(np.eye(2))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s result as bytes, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except (InvariantViolation, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return [np.asarray(r).tobytes() for r in result] if isinstance(result, tuple) else result
+
+
+def test_without_numpys_private_linalg_module_the_public_functions_decide(monkeypatch):
+    # qcond.linalg executed afresh where numpy.linalg._umath_linalg cannot be
+    # imported
+    monkeypatch.delattr(np.linalg, "_umath_linalg")
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    spec = importlib.util.find_spec("qcond.linalg")
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback._umath_linalg is None and fallback._GUFUNCS is fallback._PUBLIC
+    rng = np.random.default_rng(41)
+    below, above = np.nextafter(-ATOL, -1.0), np.nextafter(1.0 + ATOL, 2.0)
+    nan = np.eye(3, dtype=complex) / 2
+    nan[1, 1] = np.nan
+    stacks = [_spectral_stack(rng, 3, kind) for kind in ("positive definite", "singular psd", "indefinite", "mixed")]
+    stacks += [np.diag(d).astype(complex) for d in ([1.0, -ATOL], [1.0 + ATOL, -ATOL], [1.0, below], [above, 0.0])]
+    stacks += [nan, np.stack([np.eye(3) / 2, nan])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in stacks:
+            for name in ("is_psd", "is_effect_matrix"):
+                assert getattr(fallback, name)(m, ATOL) is getattr(linalg, name)(m, ATOL)
+            assert _outcome(fallback.clipped_eigh, m, ATOL) == _outcome(clipped_eigh, m, ATOL)
 
 
 def test_positivity_rejection_messages():

@@ -18,7 +18,7 @@ from qcond.effects import (
 )
 from qcond.errors import InvariantViolation
 from qcond.instruments import BiInstrument, Instrument, bi_instrument_deviation, instrument_deviation
-from qcond.linalg import clipped_eigh, kron, partial_trace_right
+from qcond.linalg import clipped_eigh, kron
 from qcond.measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
@@ -38,7 +38,7 @@ from qcond.rand import (
     random_state,
 )
 
-from map_oracles import deviation_from, remixed, tabulated
+from map_oracles import deviation_from, partial_trace_right, remixed, tabulated
 from pinned import assert_pinned
 
 
@@ -553,10 +553,13 @@ def _probe_effects(kind, dp, seed):
 
 @pytest.mark.parametrize("kind", ["random", "projective", "zero"])
 @pytest.mark.parametrize("dp", [2, 3])
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("batch", [1, 3, 100])
 def test_every_readout_keeps_the_bits_of_the_per_effect_contraction(batch, dp, kind):
+    # the batch of 100 has holevo-separable's canonical shape at dimension 3:
+    # 18 Kraus operators per outcome, 36 in the total
+    db, kraus_per_outcome = (3, 18) if batch == 100 else (2, 1)
     seeds = range(91, 91 + batch)
-    instruments = [random_instrument(2, 2 * dp, 2, s) for s in seeds]
+    instruments = [random_instrument(db, db * dp, 2, s, kraus_per_outcome=kraus_per_outcome) for s in seeds]
     probes = [_probe_effects(kind, dp, s) for s in seeds]
     if batch == 1:
         interaction, probe = instruments[0], probes[0]
