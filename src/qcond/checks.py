@@ -72,6 +72,7 @@ from .instruments import (
     _given_grid,
     _holevo_composed,
     _holevo_instrument,
+    _outcome_weights,
     bi_instrument_deviation,
     given_instrument,
     instrument_deviation,
@@ -84,7 +85,6 @@ from .measurement import (
     _holevo_dual_effects,
     _holevo_model,
     _lifted_kraus,
-    _outcome_weights,
     _pointer_grid,
     _probe_readout,
     _pure_probe_states,
@@ -148,6 +148,13 @@ class IdentityResult:
     elapsed_seconds: float
 
 
+def _json_result(r: IdentityResult) -> dict:
+    fields = {k: v for k, v in asdict(r).items() if k != "elapsed_seconds"}
+    if not math.isfinite(r.max_deviation):
+        fields["max_deviation"] = None
+    return fields
+
+
 @dataclass
 class CheckReport:
     suite: list[str]
@@ -163,7 +170,8 @@ class CheckReport:
 
     def to_json(self) -> str:
         """Machine-readable report; deterministic for identical inputs
-        (elapsed times are excluded on purpose)."""
+        (elapsed times are excluded on purpose). Strict JSON: a non-finite
+        ``max_deviation`` (a failed instance) is written as ``null``."""
         payload = {
             "suite": self.suite,
             "trials": self.trials,
@@ -171,12 +179,9 @@ class CheckReport:
             "seed": self.seed,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "results": [
-                {k: v for k, v in asdict(r).items() if k != "elapsed_seconds"}
-                for r in self.results
-            ],
+            "results": [_json_result(r) for r in self.results],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines = [
@@ -632,8 +637,8 @@ def run_checks(
     identity name; a repeated name or dimension counts once, at its first
     occurrence. ``trials=0`` gives an empty (vacuously passing) report; a
     ``trials``, ``seed`` or dimension that is not an integer (a boolean
-    included), a negative ``trials`` or ``seed``, ``trials >= 2**32`` and a
-    dimension below 1 raise ``ValueError``.
+    included), a negative ``trials`` or ``seed``, ``trials >= 2**32``, no
+    dimension at all and a dimension below 1 raise ``ValueError``.
     An instance's deviation is the largest its runner yields. An instance
     that raises any ``Exception`` (a violated construction invariant
     included), yields a non-finite deviation or yields nothing counts as
@@ -650,6 +655,8 @@ def run_checks(
         raise ValueError(f"seed must be non-negative, got {seed}")
     names = resolve_suite(suite)
     dims = list(dict.fromkeys(_integer(d, "dimension") for d in dims))
+    if not dims:
+        raise ValueError("dims must name at least one dimension")
     if any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive")
     results: list[IdentityResult] = []

@@ -12,7 +12,8 @@ Verbs:
   measured-instrument action summary of a measurement model.
 
 The environment variable ``QCOND_TOL`` overrides the default tolerance
-whenever ``--tol`` is not given.
+whenever ``--tol`` is not given. A bad ``--tol`` or ``QCOND_TOL`` is a bad
+argument for every verb: an ``error:`` line and exit code 2.
 """
 
 from __future__ import annotations
@@ -34,20 +35,14 @@ from .scenario import load_scenario, matrix_to_json
 ENV_TOL = "QCOND_TOL"
 
 
-def _tolerance_or_exit(value: object, what: str) -> float:
-    try:
-        return require_tolerance(value, what)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _resolve_tol(arg: str | None, fallback: float | None = None) -> float | None:
     """Explicit ``--tol`` wins, then ``QCOND_TOL``, then the fallback; each
-    must be finite and positive."""
+    must be finite and positive (``ValueError`` naming ``--tol`` or
+    ``QCOND_TOL`` otherwise)."""
     if arg is not None:
-        return _tolerance_or_exit(arg, "--tol")
+        return require_tolerance(arg, "--tol")
     raw = os.environ.get(ENV_TOL)
-    return fallback if raw is None else _tolerance_or_exit(raw, ENV_TOL)
+    return fallback if raw is None else require_tolerance(raw, ENV_TOL)
 
 
 def _parse_dims(spec: str) -> list[int]:
@@ -80,8 +75,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol, DEFAULT_ATOL)
     try:
+        tol = _resolve_tol(args.tol, DEFAULT_ATOL)
         report = run_checks(args.suite, args.trials, _parse_dims(args.dims), args.seed, tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,7 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     if "scenario" in args:
         # the one loading path of the verbs that read a scenario file
         try:
-            args.loaded = load_scenario(args.scenario, atol=_resolve_tol(args.tol))
+            atol = _resolve_tol(args.tol)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            args.loaded = load_scenario(args.scenario, atol=atol)
         except ScenarioError as exc:
             print(f"invalid scenario: {exc}", file=sys.stderr)
             return 1

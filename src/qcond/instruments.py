@@ -412,13 +412,20 @@ def holevo_instrument(spec: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrumen
     return _holevo_instrument(spec.observable.outcomes, spec.observable.effect_stack, spec._states, atol)
 
 
+def _outcome_weights(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """``w[..., i, y] = tr(rho_i E_y)`` for states ``(..., n, d, d)`` and an
+    effect stack ``(..., m, d, d)``."""
+    products = states[..., :, None, :, :] @ effects[..., None, :, :, :]
+    return np.trace(products, axis1=-2, axis2=-1).real
+
+
 def _holevo_composed(
     outcomes1, outcomes2, a: np.ndarray, alphas: np.ndarray, b: np.ndarray, betas: np.ndarray, atol: float
 ) -> BiInstrument:
     """The closed form of :func:`holevo_compose` from stacks: effects ``a``
     and states ``alphas`` of the first stage, ``b`` and ``betas`` of the
     second (leading axes: a batch)."""
-    coeff = np.trace(alphas[..., :, None, :, :] @ b[..., None, :, :, :], axis1=-2, axis2=-1).real
+    coeff = _outcome_weights(alphas, b)
     n1, n2 = coeff.shape[-2:]
     rows, cols = np.divmod(np.arange(n1 * n2), n2)
     stacks = _holevo_family(a, betas, rows, cols, coeff.reshape(coeff.shape[:-2] + (-1,)), atol)

@@ -40,12 +40,10 @@ from .errors import InvariantViolation
 
 __all__ = [
     "DEFAULT_ATOL",
-    "adjoint",
     "as_complex_matrix",
     "hermitian_part",
     "hermitized_matrix_units",
     "is_effect_matrix",
-    "is_hermitian",
     "is_psd",
     "kron",
     "max_abs_diff",
@@ -55,7 +53,10 @@ DEFAULT_ATOL = 1e-9
 
 
 def require_tolerance(value: Any, what: str = "tolerance") -> float:
-    """``value`` as a float tolerance; ``ValueError`` unless finite and positive."""
+    """``value`` as a float tolerance; ``ValueError`` unless finite and
+    positive, and for a boolean, which is not a number here."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         tol = float(value)
     except OverflowError:  # an integer beyond the largest double
@@ -131,11 +132,6 @@ def frozen_copy(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint(m: Any) -> np.ndarray:
-    """Conjugate transpose. An exact involution: ``adjoint(adjoint(m)) == m``."""
-    return coerce_matrix(m).conj().T
-
-
 def kron(a: Any, b: Any) -> np.ndarray:
     """Kronecker product, left factor major (row-major block convention).
 
@@ -175,17 +171,6 @@ def hermitian_part(m: Any) -> np.ndarray:
     """The symmetrization ``(m + m†)/2``, matrix-wise on a stack."""
     m = _matrix_stack(m)
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def is_hermitian(m: Any, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff ``max |m - m†| <= atol`` entrywise (never on NaN or infinite
-    entries)."""
-    _require_atol(atol)
-    m = coerce_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(m - m.conj().T))) <= atol
 
 
 def _certified_positive(m: Any, atol: float, upper: bool) -> bool:

@@ -52,6 +52,7 @@ from .instruments import (
     HolevoSpec,
     Instrument,
     _holevo_family,
+    _outcome_weights,
     holevo_instrument,
 )
 from .linalg import (
@@ -254,13 +255,6 @@ def _dual_on_product(factors: np.ndarray, states: np.ndarray, a: np.ndarray, b: 
     """``sum_i tr(rho_i b) K_i† a K_i``, unvalidated."""
     w = np.trace(states @ b[..., None, :, :], axis1=-2, axis2=-1).real
     return (w[..., None, None] * (factors.conj().mT @ a[..., None, :, :] @ factors)).sum(axis=-3)
-
-
-def _outcome_weights(states: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """``w[..., i, y] = tr(rho_i P_y)`` for states ``(..., n, dp, dp)`` and a
-    probe stack ``(..., m, dp, dp)``."""
-    products = states[..., :, None, :, :] @ probe[..., None, :, :, :]
-    return np.trace(products, axis1=-2, axis2=-1).real
 
 
 def _separable_instrument(outcomes, factors: np.ndarray, w: np.ndarray, atol: float) -> Instrument:

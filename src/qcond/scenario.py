@@ -17,7 +17,8 @@ once, in the table ``_TYPES`` (type -> scenario group, class, matrix field,
 converter, reader, saved fields), which :func:`load_scenario` and
 :func:`save_scenario` both follow. Both hold at most one object's nested
 lists at a time: saving encodes the objects one by one from their arrays,
-and loading converts each object's matrices to arrays as it is parsed.
+and loading converts each object's matrices to arrays once, as it is
+parsed.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
     Runs as each JSON object of a file closes, innermost first. An object
     payload of a known type gets its matrix field converted to arrays here,
-    so the parse tree never holds more than one object's nested lists. A
-    field that fails to convert stays as parsed: its reader converts it
-    again and raises the error, naming the object."""
+    once, so the parse tree never holds more than one object's nested lists.
+    A field that fails to convert holds its :class:`ScenarioError` instead,
+    which :func:`load_scenario` raises, naming the object."""
     members: dict[str, Any] = {}
     for key, value in pairs:
         if key in members:
@@ -139,8 +140,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         if key is not None:
             try:
                 members[key] = convert(members)
-            except ScenarioError:
-                pass
+            except ScenarioError as exc:
+                members[key] = exc
     return members
 
 
@@ -251,7 +252,8 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
     ``atol`` overrides the file's recorded tolerance; failures carry the
     offending object's name and the violated invariant. A key repeated in
     any JSON object of the file, an object name included, is an error.
-    Each object's matrices become arrays as soon as the object is parsed.
+    Each object's matrices become arrays once, as soon as the object is
+    parsed.
     """
     path = Path(path)
     try:
@@ -290,11 +292,11 @@ def load_scenario(path: str | Path, atol: float | None = None) -> Scenario:
         kind = obj["type"]
         if not isinstance(kind, str) or kind not in _TYPES:
             raise ScenarioError(f"unknown object type {kind!r}", obj=name)
-        group, cls, key, convert, read, _ = _TYPES[kind]
+        group, cls, key, _, read, _ = _TYPES[kind]
         try:
             matrices = obj.get(key)
-            if key is not None and not isinstance(matrices, (tuple, np.ndarray)):
-                matrices = convert(obj)  # failed as the file was parsed: raises again here
+            if isinstance(matrices, ScenarioError):  # failed as the file was parsed
+                raise matrices
             getattr(scn, group)[name] = read(cls, matrices, obj, scn)
         except ValueError as exc:  # InvariantViolation and ScenarioError included
             raise ScenarioError(str(exc), obj=name) from None

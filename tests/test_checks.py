@@ -302,6 +302,11 @@ def test_run_checks_rejects_bad_inputs():
         run_checks("all", trials=1, dims=[2], seed=0, tol=-1.0)
     with pytest.raises(ValueError):
         run_checks("all", trials=1, dims=[0], seed=0)
+    # no dimension is no instance: refused, not a report that passes with
+    # zero instances per identity
+    for trials in (5, 0):
+        with pytest.raises(ValueError, match=r"^dims must name at least one dimension$"):
+            run_checks("dual-map", trials, [], 7)
     with pytest.raises(ValueError):
         run_checks("bogus-name", trials=1, dims=[2], seed=0)
 
@@ -333,7 +338,9 @@ def test_table_report_mentions_every_identity():
     assert "all passed" in table
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, "abc", pytest.param(10**400, id="10**400")])
+# float(True) is 1.0: a boolean must not reach the gate as tolerance 1
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, "abc", pytest.param(10**400, id="10**400"),
+                                 True, pytest.param(np.True_, id="numpy-True"), False])
 def test_run_checks_rejects_nonfinite_or_nonpositive_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         run_checks("dual-map", trials=1, dims=[2], seed=0, tol=tol)
@@ -383,6 +390,10 @@ def test_nan_deviation_fails_the_gate(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 @pytest.mark.parametrize("exc", [
     OutcomeNotObserved("outcome 'y' has probability 0"),
     np.linalg.LinAlgError("eigenvalues did not converge"),
@@ -407,6 +418,12 @@ def test_raising_instance_fails_without_ending_the_run(exc, monkeypatch, capsys)
     assert results[check.name].max_deviation == math.inf
     assert not results[check.name].passed and not report.passed
     assert results["dual-map"].passed
+    # the JSON report is strict (no Infinity), so a strict parser reads a failure too
+    payload = json.loads(report.to_json(), parse_constant=_no_constant)
+    entries = {r["name"]: r for r in payload["results"]}
+    assert payload["passed"] is False
+    assert entries[check.name]["max_deviation"] is None and entries[check.name]["passed"] is False
+    assert 0.0 <= entries["dual-map"]["max_deviation"] <= 1e-9
     states = _trial_states((0, zlib.crc32(name.encode()), 2), range(3))
     devs = _instance_deviations(raise_once, states, 2)
     assert devs.tolist() == [math.inf if d > threshold else 0.0 for d in draws]

@@ -168,30 +168,37 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     assert main(["validate", str(path), "--tol", "1e-3"]) == 0
 
 
-def test_env_tolerance_rejects_garbage(monkeypatch):
+def _bad_argument(argv, name, capsys):
+    """``main(argv)`` exits 2 with one ``error:`` line naming ``name``."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+
+def test_env_tolerance_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("QCOND_TOL", "banana")
-    with pytest.raises(SystemExit):
-        main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--seed", "0"])
+    _bad_argument(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--seed", "0"],
+                  "QCOND_TOL", capsys)
 
 
 BAD_TOLERANCES = ["inf", "nan", "0", "abc"]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_tol_flag_must_be_finite_and_positive(tol):
-    # one rule for every bad value, unparsable ones included: exit with a
-    # message naming the flag
-    with pytest.raises(SystemExit, match="--tol"):
-        main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--tol", tol])
+def test_tol_flag_must_be_finite_and_positive(tol, scenario_file, capsys):
+    # one rule for every bad value, unparsable ones included: a bad argument,
+    # exit code 2, with a message naming the flag
+    _bad_argument(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2", "--tol", tol],
+                  "--tol", capsys)
+    _bad_argument(["validate", str(scenario_file), "--tol", tol], "--tol", capsys)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_env_tolerance_must_be_finite_and_positive(tol, monkeypatch, scenario_file):
+def test_env_tolerance_must_be_finite_and_positive(tol, monkeypatch, scenario_file, capsys):
     monkeypatch.setenv("QCOND_TOL", tol)
-    with pytest.raises(SystemExit, match="QCOND_TOL"):
-        main(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2"])
-    with pytest.raises(SystemExit, match="QCOND_TOL"):
-        main(["validate", str(scenario_file)])
+    _bad_argument(["check", "--suite", "dual-map", "--trials", "1", "--dims", "2"], "QCOND_TOL", capsys)
+    _bad_argument(["validate", str(scenario_file)], "QCOND_TOL", capsys)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1,4 +1,4 @@
-"""Kernel tests: adjoint, Kronecker products, partial trace, positivity."""
+"""Kernel tests: Kronecker products, partial trace, positivity."""
 
 import importlib.util
 import math
@@ -25,13 +25,11 @@ from qcond import (
 )
 from qcond.errors import InvariantViolation
 from qcond.linalg import (
-    adjoint,
     as_complex_matrix,
     clipped_eigh,
     hermitian_part,
     hermitized_matrix_units,
     is_effect_matrix,
-    is_hermitian,
     is_psd,
     kron,
     max_abs_diff,
@@ -48,25 +46,6 @@ from pinned import assert_pinned
 
 def _rand(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def test_adjoint_nilpotent():
-    np.testing.assert_array_equal(adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
-
-
-def test_adjoint_identity():
-    np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3))
-
-
-def test_adjoint_conjugates():
-    np.testing.assert_array_equal(adjoint([[1j]]), [[-1j]])
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m = _rand(rng, 3, 4)
-        np.testing.assert_array_equal(adjoint(adjoint(m)), m)
 
 
 def test_kron_identities():
@@ -197,12 +176,6 @@ def test_effect_complement_closure():
             e = pos / (np.linalg.eigvalsh(pos).max() * rng.uniform(1.0, 3.0))
             assert is_effect_matrix(e)
             assert is_effect_matrix(np.eye(dim) - e)
-
-
-def test_is_hermitian_tolerance():
-    m = np.array([[1.0, 1e-12j], [0.0, 1.0]])
-    assert is_hermitian(m, atol=1e-9)
-    assert not is_hermitian(m, atol=1e-15)
 
 
 def test_hermitized_basis():
@@ -361,9 +334,8 @@ def test_positivity_of_nan_or_non_hermitian_input_is_false():
             m = np.eye(2, dtype=complex) / 2
             for i, j in cells:
                 m[i, j] = bad if i <= j else np.conj(bad)
-            for check in (is_psd, is_effect_matrix, is_hermitian):
-                assert check(m) is False
             for check in (is_psd, is_effect_matrix):
+                assert check(m) is False
                 assert check(np.stack([np.eye(2) / 2, m])) is False
     for check in (is_psd, is_effect_matrix):
         assert check(skew) is False
@@ -510,7 +482,7 @@ def test_positivity_rejection_messages():
 
 @pytest.mark.parametrize("call, expected", [
     (lambda: hermitian_part(np.ones(3)), InvariantViolation("matrix", "two-dimensional", "got ndim=1")),
-    (lambda: is_hermitian(np.zeros((2, 3))), False),
+    (lambda: is_psd(np.zeros((2, 3))), False),
 ], ids=["vector", "non-square"])
 def test_matrix_argument_checks(call, expected):
     assert_pinned(call, expected)
@@ -545,7 +517,6 @@ _FLIP = Instrument(("a", "b"), (Operation([_P0]), Operation([np.array([[0.0, 1.0
     lambda atol: HolevoSeparableSpec(_BASIS, (_PURE, _PURE), (_PURE, _PURE), atol),
     lambda atol: is_psd(_HALF, atol),
     lambda atol: is_effect_matrix(_HALF, atol),
-    lambda atol: is_hermitian(_HALF, atol),
     lambda atol: _FLIP.updated_state("a", _HALF, atol),
     lambda atol: given_distribution(_BASIS, _FLIP, _PURE, ("a",), ("a",), atol),
     lambda atol: born_probability(_PURE, Effect(_P0), atol),
@@ -553,7 +524,7 @@ _FLIP = Instrument(("a", "b"), (Operation([_P0]), Operation([np.array([[0.0, 1.0
     lambda atol: random_channel(2, 2, 3, 0).then(random_channel(2, 2, 3, 1), atol),
 ], ids=["State", "State.pure", "Effect", "Observable", "BiObservable", "StochasticMatrix", "Operation",
         "Channel", "Channel.unitary", "Instrument", "BiInstrument", "HolevoSpec", "KrausSeparableChannel",
-        "KrausSeparableChannel.simple", "HolevoSeparableSpec", "is_psd", "is_effect_matrix", "is_hermitian",
+        "KrausSeparableChannel.simple", "HolevoSeparableSpec", "is_psd", "is_effect_matrix",
         "updated_state", "given_distribution", "born_probability", "holevo_operation", "then-by-choi"])
 @pytest.mark.parametrize("atol", [math.inf, math.nan, 0.0, -1e-9, 10**400],
                          ids=["inf", "nan", "zero", "negative", "huge-int"])

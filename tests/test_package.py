@@ -7,8 +7,8 @@ import qcond
 EXPORTED = {
     "__version__",
     # linalg
-    "DEFAULT_ATOL", "adjoint", "as_complex_matrix", "hermitian_part", "hermitized_matrix_units",
-    "is_effect_matrix", "is_hermitian", "is_psd", "kron", "max_abs_diff",
+    "DEFAULT_ATOL", "as_complex_matrix", "hermitian_part", "hermitized_matrix_units",
+    "is_effect_matrix", "is_psd", "kron", "max_abs_diff",
     # errors
     "InvariantViolation", "OutcomeNotObserved", "ScenarioError",
     # effects
@@ -42,7 +42,7 @@ SUBMODULES = ("linalg", "errors", "effects", "channels", "instruments", "measure
 
 
 def test_exported_names_are_pinned():
-    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 77
+    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 75
     assert set(qcond.__all__) == EXPORTED
 
 

@@ -459,6 +459,30 @@ def test_scenario_file_checks(call, expected, tmp_path):
     assert_pinned(lambda: call(tmp_path), expected)
 
 
+def test_an_object_that_fails_to_convert_is_converted_once(tmp_path, monkeypatch):
+    # the parse converts each object's matrices once; a failure is raised
+    # from there, naming the object, not converted a second time to raise it
+    import qcond.scenario as scenario
+
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return matrix_from_json(data)
+
+    monkeypatch.setattr(scenario, "matrix_from_json", counted)
+    good = matrix_to_json(np.eye(2) / 2)
+    bad = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"objects": {"r": {"type": "state", "matrix": bad},
+                                            "s": {"type": "state", "matrix": good}}}))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == "object 'r': malformed matrix payload: entries must hold real numbers, got ['bool']"
+    assert err.value.obj == "r"
+    assert calls == [bad, good]
+
+
 def _whole_payload(scn: Scenario) -> dict:
     """A scenario's file content as one tree of lists, the reference for the saved bytes."""
     payload = {"tolerance": scn.atol}
