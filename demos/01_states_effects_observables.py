@@ -16,7 +16,6 @@ from qcond import (
     StochasticMatrix,
     born_probability,
     certify_coexistence,
-    marginals,
     outcome_probabilities,
     part,
     post_process,
@@ -55,7 +54,6 @@ grid = BiObservable(
     basis.outcomes,
     tuple(tuple(a.matrix @ b.matrix for b in basis.effects) for a in basis.effects),
 )
-m1, m2 = marginals(grid)
 print("grid marginals reproduce the basis observable:",
       certify_coexistence(basis, basis, grid))
 print("(the diagonal grid is a certificate for the basis with itself;",

@@ -14,7 +14,6 @@ from qcond import (
     condition_instrument,
     given_distribution,
     given_observable,
-    marginals,
     outcome_probabilities,
     random_instrument,
     random_observable,
@@ -36,21 +35,21 @@ print("updated state after outcome 'zero':\n",
 ins = random_instrument(2, 3, 2, seed=4)
 rho = random_state(2, seed=5)
 print("outcome probabilities:",
-      {x: round(ins.outcome_probability(x, rho), 6) for x in ins.outcomes})
+      {x: round(ins.subset_probability((x,), rho), 6) for x in ins.outcomes})
 
 # Measuring B after the instrument gives a joint bi-observable whose
 # marginals are exactly the instrument's observable and B conditioned by
 # the total channel.
 b_obs = random_observable(3, 2, seed=6)
 joint = given_observable(b_obs, ins)
-m1, m2 = marginals(joint)
+m1 = joint.marginal1()
 print("first marginal == measured observable:",
       np.allclose(m1.effect("x0").matrix, ins.measured_observable().effect("x0").matrix))
 
 # Joint probabilities factor through the renormalized post-measurement state.
 p = given_distribution(b_obs, ins, rho, ("x0",), b_obs.outcomes)
 print("P(first outcome x0, any B outcome) =", round(p, 6),
-      "= P(x0) =", round(ins.outcome_probability("x0", rho), 6))
+      "= P(x0) =", round(ins.subset_probability(("x0",), rho), 6))
 
 # Conditioning an instrument by a channel just runs the channel first.
 pre = condition_instrument(ins.total_channel(), random_instrument(3, 2, 2, seed=7))

@@ -53,7 +53,6 @@ __all__ = [
     "Channel",
     "map_sum",
     "map_deviation",
-    "sequential_product",
     "condition_effect",
     "condition_observable",
     "complete_subnormalized",
@@ -378,13 +377,6 @@ def _basis_columns(dim: int) -> np.ndarray:
     basis = np.stack([b.reshape(-1) for b in hermitized_matrix_units(dim)], axis=1)
     basis.setflags(write=False)
     return basis
-
-
-def sequential_product(first: Operation, second: Operation) -> Operation:
-    """Run ``first`` then ``second``; Kraus operations compose to at most
-    ``d_out·d_in`` Kraus operators (see ``_composed``)."""
-    _require_operations((first, second), "sequential_product")
-    return first.then(second)
 
 
 def _require_operations(maps: Iterable, kind: str) -> None:

@@ -381,7 +381,7 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ins = _instruments(rngs, dim, dim + 1, 3)
     b_obs = _random_observables(rngs, dim + 1, 2)
-    grid = _effect_family("BiObservable", _given_grid(ins, b_obs), (3, 2), DEFAULT_ATOL, (len(rngs),))
+    grid = _bi_observables(_given_grid(ins, b_obs))
     m1, m2 = _observables(grid.sum(axis=2)), _observables(grid.sum(axis=1))
     yield _dev(m1, _observables(ins._measured_stack()))
     yield _dev(m2, _conditioned_observables(ins.total_channel(), b_obs))
@@ -570,13 +570,15 @@ def resolve_suite(names: str | Sequence[str]) -> list[str]:
     """Expand a suite spec: identity names and the keyword ``all``, which
     stands for the whole registry wherever it appears (a repeated name is
     kept at its first occurrence only; an empty spec means ``all``). An
-    unknown name raises ``ValueError``, beside ``all`` too."""
+    unknown name raises ``ValueError``, beside ``all`` too, and so does an
+    entry that is not a string."""
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
-    names = list(dict.fromkeys(names or ["all"]))
-    unknown = [n for n in names if n not in _REGISTRY and n != "all"]
+    names = list(names or ["all"])
+    unknown = {str(n) for n in names if not isinstance(n, str) or (n not in _REGISTRY and n != "all")}
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(sorted(unknown))}")
+    names = list(dict.fromkeys(names))
     return list(_REGISTRY) if "all" in names else names
 
 

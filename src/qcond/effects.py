@@ -28,6 +28,7 @@ from .linalg import (
     frozen_copy,
     is_effect_matrix,
     is_psd,
+    max_abs_diff,
     weighted_sum,
 )
 
@@ -43,7 +44,6 @@ __all__ = [
     "outcome_probabilities",
     "post_process",
     "part",
-    "marginals",
     "affine_combination",
     "certify_coexistence",
     "observable_deviation",
@@ -504,11 +504,6 @@ def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observab
     return post_process(obs, f.to_stochastic(obs.outcomes), atol)
 
 
-def marginals(grid: BiObservable, atol: float = DEFAULT_ATOL) -> tuple[Observable, Observable]:
-    """Both marginals of a bi-observable (sum out the other index)."""
-    return grid.marginal1(atol), grid.marginal2(atol)
-
-
 # the kind and invariants of the probability-row rule for mixture weights
 _MIXTURE_RULE = ("affine combination", "weights in [0, 1]", "weights sum to 1")
 
@@ -550,8 +545,8 @@ def certify_coexistence(
         return False
     if joint.dim != a.dim or joint.dim != b.dim:
         return False
-    m1, m2 = marginals(joint, atol)
-    return observable_deviation(m1, a) <= atol and observable_deviation(m2, b) <= atol
+    return (observable_deviation(joint.marginal1(atol), a) <= atol
+            and observable_deviation(joint.marginal2(atol), b) <= atol)
 
 
 def observable_deviation(a: Observable, b: Observable) -> float:
@@ -560,7 +555,7 @@ def observable_deviation(a: Observable, b: Observable) -> float:
         raise ValueError("observables must share the same ordered outcome labels")
     if a.dim != b.dim:
         raise ValueError("observables must share the same dimension")
-    return float(np.max(np.abs(a.effect_stack - b.effect_stack)))
+    return max_abs_diff(a.effect_stack, b.effect_stack)
 
 
 def bi_observable_deviation(a: BiObservable, b: BiObservable) -> float:
@@ -569,4 +564,4 @@ def bi_observable_deviation(a: BiObservable, b: BiObservable) -> float:
         raise ValueError("bi-observables must share the same ordered outcome labels")
     if a.dim != b.dim:
         raise ValueError("bi-observables must share the same dimension")
-    return float(np.max(np.abs(a.effect_stack - b.effect_stack)))
+    return max_abs_diff(a.effect_stack, b.effect_stack)

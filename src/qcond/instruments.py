@@ -149,9 +149,6 @@ class Instrument:
         """The measured effects ``(..., n, d_in, d_in)``, unvalidated."""
         return hermitian_part(np.stack([op._gram for op in self.ops], axis=-3))
 
-    def outcome_probability(self, label: str, rho: State | np.ndarray) -> float:
-        return self.subset_probability((label,), rho)
-
     def updated_state(self, label: str, rho: State | np.ndarray, atol: float = DEFAULT_ATOL) -> State:
         """Post-measurement state for an observed outcome, renormalized.
 

@@ -81,8 +81,7 @@ def coerce_matrix(m: Any) -> np.ndarray:
     Accepts anything ``numpy`` can convert plus the wrapper types of this
     package (objects exposing a ``matrix`` attribute).
     """
-    m = getattr(m, "matrix", m)
-    arr = np.asarray(m, dtype=complex)
+    arr = _matrix_stack(m)
     if arr.ndim != 2:
         raise InvariantViolation("matrix", "two-dimensional", f"got ndim={arr.ndim}")
     return arr
@@ -194,6 +193,8 @@ def _certified_positive(m: Any, atol: float, upper: bool) -> bool:
     d = m.shape[-1]
     if m.shape[-2] != d:
         return False
+    if m.size == 0:  # no matrix, or matrices with no entries: nothing to violate
+        return True
     adj = m.conj().swapaxes(-1, -2)
     if not np.abs(m - adj).max() <= atol:
         return False
@@ -229,7 +230,8 @@ def is_psd(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     cannot flip the verdict on exact inputs. On a stack ``(..., d, d)``
     every matrix must pass: one batched Cholesky factorization of
     ``(m + m†)/2 + atol·I`` certifies them all, and the eigenvalue rule
-    decides what it does not certify. NaN or infinite entries give False.
+    decides what it does not certify. NaN or infinite entries give False;
+    input with no entries gives True.
     """
     return _certified_positive(m, atol, upper=False)
 
@@ -242,7 +244,8 @@ def is_effect_matrix(m: Any, atol: float = DEFAULT_ATOL) -> bool:
     spectrum lying in ``[-atol, 1 + atol]``. On a stack ``(..., d, d)``
     every matrix must pass: one batched Cholesky factorization certifies
     both bounds of them all, and the eigenvalue rule decides what it does
-    not certify. NaN or infinite entries give False.
+    not certify. NaN or infinite entries give False;
+    input with no entries gives True.
     """
     return _certified_positive(m, atol, upper=True)
 

@@ -102,6 +102,9 @@ class MeasurementModel:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"MeasurementModel takes {what} as its {name}, got {type(value).__name__}")
+        # stored as int, so that a numpy integer is written to a scenario file
+        object.__setattr__(self, "dim_base", int(self.dim_base))
+        object.__setattr__(self, "dim_probe", int(self.dim_probe))
         if self.interaction.dim_in != self.dim_base:
             raise InvariantViolation("MeasurementModel", "interaction input dimension")
         if self.interaction.dim_out != self.dim_base * self.dim_probe:
@@ -412,11 +415,9 @@ class HolevoSeparableSpec:
         """The underlying measure-and-prepare data with product states."""
         return HolevoSpec(self.observable, kron(self._base, self._probe), atol)
 
-    def interaction(self, atol: float = DEFAULT_ATOL) -> Instrument:
-        return holevo_instrument(self.to_holevo(atol), atol)
-
     def model(self, probe: Observable, atol: float = DEFAULT_ATOL) -> MeasurementModel:
-        return MeasurementModel(self.dim_base, self.dim_probe, self.interaction(atol), probe)
+        interaction = holevo_instrument(self.to_holevo(atol), atol)
+        return MeasurementModel(self.dim_base, self.dim_probe, interaction, probe)
 
 
 @dataclass(frozen=True, eq=False)

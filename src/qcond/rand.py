@@ -48,7 +48,6 @@ from .instruments import HolevoSpec, Instrument
 from .linalg import DEFAULT_ATOL, _eigen
 
 __all__ = [
-    "as_rng",
     "random_state",
     "random_pure_state",
     "random_effect",
@@ -62,13 +61,6 @@ __all__ = [
 ]
 
 _RETRIES = 3
-
-
-def as_rng(seed: int | Sequence[int] | np.random.Generator) -> np.random.Generator:
-    """Coerce a seed (or pass through a generator)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # numpy's SeedSequence: a pool of 4 uint32 words, and its hash constants
@@ -271,21 +263,21 @@ def _draw_surjections(rngs: Sequence[np.random.Generator], n_sources: int, n_tar
 
 def random_state(dim: int, seed: int | np.random.Generator) -> State:
     """Ginibre-ensemble density operator: ``G G† / tr(G G†)``."""
-    return State(_draw_states([as_rng(seed)], dim)[0])
+    return State(_draw_states([np.random.default_rng(seed)], dim)[0])
 
 
 def random_pure_state(dim: int, seed: int | np.random.Generator) -> State:
-    return State.pure(_draw_ginibre([as_rng(seed)], 1, dim, 1).reshape(-1))
+    return State.pure(_draw_ginibre([np.random.default_rng(seed)], 1, dim, 1).reshape(-1))
 
 
 def random_effect(dim: int, seed: int | np.random.Generator) -> Effect:
     """Random effect: a Ginibre PSD matrix scaled into ``[0, I]``."""
-    return Effect(_draw_effects([as_rng(seed)], dim)[0])
+    return Effect(_draw_effects([np.random.default_rng(seed)], dim)[0])
 
 
 def random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-ish unitary via QR of a Ginibre matrix with phase fixing."""
-    q, r = np.linalg.qr(_draw_ginibre([as_rng(seed)], 1, dim, dim)[0, 0])
+    q, r = np.linalg.qr(_draw_ginibre([np.random.default_rng(seed)], 1, dim, dim)[0, 0])
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
 
@@ -295,7 +287,7 @@ def random_observable(
 ) -> Observable:
     """Random POVM: draw PSD ``G_x`` and whiten by the inverse square root
     of their sum, ``A_x = S^{-1/2} G_x S^{-1/2}``."""
-    effects = _draw_observables([as_rng(seed)], dim, n_outcomes, atol)[0]
+    effects = _draw_observables([np.random.default_rng(seed)], dim, n_outcomes, atol)[0]
     return Observable(tuple(f"x{i}" for i in range(n_outcomes)), effects, atol)
 
 
@@ -308,7 +300,7 @@ def random_channel(
 ) -> Channel:
     """Random channel: orthonormalize a stacked Ginibre matrix and slice it
     into ``n_kraus`` blocks of shape ``dim_out × dim_in``."""
-    return Channel._checked(_draw_channels([as_rng(seed)], dim_in, dim_out, n_kraus)[0], atol)
+    return Channel._checked(_draw_channels([np.random.default_rng(seed)], dim_in, dim_out, n_kraus)[0], atol)
 
 
 def random_instrument(
@@ -322,7 +314,7 @@ def random_instrument(
     """Random instrument: a random channel with ``n_outcomes * kraus_per_outcome``
     Kraus operators, partitioned evenly into the outcome operations (checked
     once, as a family)."""
-    stacks = _draw_instruments([as_rng(seed)], dim_in, dim_out, n_outcomes, kraus_per_outcome)
+    stacks = _draw_instruments([np.random.default_rng(seed)], dim_in, dim_out, n_outcomes, kraus_per_outcome)
     return Instrument._from_kraus(tuple(f"x{i}" for i in range(n_outcomes)), [s[0] for s in stacks], atol)
 
 
@@ -335,7 +327,7 @@ def random_holevo_spec(
 ) -> HolevoSpec:
     """Random measure-and-prepare data: a random observable and one random
     state per outcome, checked once, as a family."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     obs = random_observable(dim_in, n_outcomes, rng, atol)
     states = [_draw_states([rng], dim_out)[0] for _ in range(n_outcomes)]
     return HolevoSpec(obs, states, atol)
@@ -345,7 +337,7 @@ def random_stochastic_matrix(
     sources: Sequence[str], targets: Sequence[str], seed: int | np.random.Generator
 ) -> StochasticMatrix:
     """Row-stochastic kernel with Dirichlet-uniform rows."""
-    w = _draw_stochastic([as_rng(seed)], len(sources), len(targets))[0]
+    w = _draw_stochastic([np.random.default_rng(seed)], len(sources), len(targets))[0]
     return StochasticMatrix(tuple(sources), tuple(targets), w)
 
 
@@ -356,5 +348,5 @@ def random_surjection(
     sources = tuple(sources)
     _distinct_labels(sources, "OutcomeMap")
     targets = tuple(targets)
-    picks = _draw_surjections([as_rng(seed)], len(sources), len(targets))[0]
+    picks = _draw_surjections([np.random.default_rng(seed)], len(sources), len(targets))[0]
     return OutcomeMap({s: targets[p] for s, p in zip(sources, picks)}, targets)

@@ -17,7 +17,6 @@ from qcond.channels import (
     complete_subnormalized,
 )
 from qcond.effects import (
-    marginals,
     observable_deviation,
     part,
     post_process,
@@ -146,7 +145,7 @@ def test_criterion_05_given_observable_marginals():
         ins = random_instrument(dim, dim + 1, n_i, rng)
         obs = random_observable(dim + 1, n_b, rng)
         grid = given_observable(obs, ins)
-        m1, m2 = marginals(grid)
+        m1, m2 = grid.marginal1(), grid.marginal2()
         dev = max(dev, observable_deviation(m1, ins.measured_observable()))
         dev = max(dev, observable_deviation(m2, condition_observable(ins.total_channel(), obs)))
         rho = random_state(dim, rng)

@@ -18,7 +18,6 @@ from qcond.channels import (
     condition_observable,
     map_deviation,
     map_sum,
-    sequential_product,
 )
 from qcond.checks import run_checks
 from qcond.effects import Effect, Observable, State, observable_deviation
@@ -150,7 +149,7 @@ def test_sequential_unitaries_compose():
     rng = np.random.default_rng(6)
     u = random_unitary(3, rng)
     v = random_unitary(3, rng)
-    seq = sequential_product(Channel.unitary(u), Channel.unitary(v))
+    seq = Channel.unitary(u).then(Channel.unitary(v))
     assert isinstance(seq, Channel)
     assert map_deviation(seq, Channel.unitary(v @ u)) < 1e-13
 
@@ -547,13 +546,10 @@ def test_map_deviation_propagates_nan():
     "call, kind",
     [
         (lambda ch, m: ch.then(m), "then"),
-        (lambda ch, m: sequential_product(ch, m), "sequential_product"),
-        (lambda ch, m: sequential_product(m, ch), "sequential_product"),
         (lambda ch, m: map_deviation(ch, m), "map_deviation"),
         (lambda ch, m: map_deviation(m, ch), "map_deviation"),
     ],
-    ids=["then", "sequential_product-second", "sequential_product-first", "map_deviation-second",
-         "map_deviation-first"],
+    ids=["then", "map_deviation-second", "map_deviation-first"],
 )
 def test_composition_and_deviation_take_only_operations(call, kind):
     with pytest.raises(TypeError, match=f"^{kind} takes Kraus-form operations, got ndarray$"):

@@ -108,6 +108,15 @@ def test_resolve_suite():
             resolve_suite(spec)
 
 
+@pytest.mark.parametrize("suite, named", [([5], "5"), ([None], "None"), (["dual-map", 5], "5")],
+                         ids=["int", "none", "known-and-int"])
+def test_a_suite_entry_that_is_not_a_string_is_an_unknown_name(suite, named):
+    with pytest.raises(ValueError, match=rf"^unknown identity name\(s\): {named}$"):
+        resolve_suite(suite)
+    with pytest.raises(ValueError, match=rf"^unknown identity name\(s\): {named}$"):
+        run_checks(suite, 1, [2], 7)
+
+
 def test_an_identity_name_registered_twice_raises(monkeypatch):
     monkeypatch.setattr(checks, "_REGISTRY", dict(_REGISTRY))
 

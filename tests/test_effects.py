@@ -14,7 +14,6 @@ from qcond.effects import (
     bi_observable_deviation,
     born_probability,
     certify_coexistence,
-    marginals,
     observable_deviation,
     observable_distribution,
     outcome_probabilities,
@@ -324,7 +323,7 @@ def test_marginals_product_grid():
         ("y0", "y1", "y2"),
         tuple(tuple(w[j] * e.matrix for j in range(3)) for e in a.effects),
     )
-    m1, m2 = marginals(grid)
+    m1, m2 = grid.marginal1(), grid.marginal2()
     assert observable_deviation(m1, a) < 1e-12
     for j, y in enumerate(("y0", "y1", "y2")):
         np.testing.assert_allclose(m2.effect(y).matrix, w[j] * np.eye(3), atol=1e-12)
@@ -333,7 +332,7 @@ def test_marginals_product_grid():
 def test_marginals_degenerate_axis():
     b = random_observable(2, 3, 16)
     grid = BiObservable(("only",), b.outcomes, (tuple(b.effects),))
-    m1, m2 = marginals(grid)
+    m1, m2 = grid.marginal1(), grid.marginal2()
     assert m1.n_outcomes == 1
     np.testing.assert_allclose(m1.effects[0].matrix, np.eye(2), atol=1e-12)
     assert observable_deviation(m2, b) < 1e-12
@@ -348,7 +347,7 @@ def test_marginals_are_valid_observables():
         ("y0", "y1"),
         tuple(tuple(lam.weights[i, j] * a.effects[i].matrix for j in range(2)) for i in range(2)),
     )
-    m1, m2 = marginals(grid)  # constructors validate normalization
+    m1, m2 = grid.marginal1(), grid.marginal2()  # constructors validate normalization
     assert m1.n_outcomes == 2 and m2.n_outcomes == 2
 
 

@@ -227,6 +227,13 @@ def test_is_psd_on_a_stack():
     assert not is_psd(np.ones((2, 2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (3, 0, 0)], ids=["0x0", "no-matrix", "three-0x0"])
+def test_positivity_of_input_with_no_entries_is_true(shape):
+    # no matrix, or matrices with no entries: nothing to violate
+    assert is_psd(np.zeros(shape))
+    assert is_effect_matrix(np.zeros(shape))
+
+
 # Verdicts of the factorization certificate against the eigenvalue rule.
 
 ATOL = 1e-9

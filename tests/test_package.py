@@ -14,11 +14,11 @@ EXPORTED = {
     # effects
     "BiObservable", "Effect", "Observable", "OutcomeMap", "State", "StochasticMatrix",
     "affine_combination", "bi_observable_deviation", "born_probability", "certify_coexistence",
-    "marginals", "observable_deviation", "observable_distribution", "outcome_probabilities",
+    "observable_deviation", "observable_distribution", "outcome_probabilities",
     "part", "post_process",
     # channels
     "Channel", "Operation", "complete_subnormalized",
-    "condition_effect", "condition_observable", "map_deviation", "map_sum", "sequential_product",
+    "condition_effect", "condition_observable", "map_deviation", "map_sum",
     # instruments
     "BiInstrument", "HolevoSpec", "Instrument", "bi_instrument_deviation", "condition_instrument",
     "given_distribution", "given_instrument", "given_observable", "holevo_compose",
@@ -27,7 +27,7 @@ EXPORTED = {
     "HolevoModelQuantities", "HolevoSeparableSpec", "KrausSeparableChannel", "MeasurementModel",
     "holevo_model_quantities",
     # rand
-    "as_rng", "random_channel", "random_effect", "random_holevo_spec", "random_instrument",
+    "random_channel", "random_effect", "random_holevo_spec", "random_instrument",
     "random_observable", "random_pure_state", "random_state", "random_stochastic_matrix",
     "random_surjection", "random_unitary",
     # scenario
@@ -42,7 +42,7 @@ SUBMODULES = ("linalg", "errors", "effects", "channels", "instruments", "measure
 
 
 def test_exported_names_are_pinned():
-    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 75
+    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 72
     assert set(qcond.__all__) == EXPORTED
 
 

@@ -27,7 +27,6 @@ EFFECT_IN = random_effect(2, _RNG)
 QUERIES = {
     "apply": lambda rho, e_in, e_out: CH.apply(rho),
     "dual-apply": lambda rho, e_in, e_out: CH.dual_apply(e_out).matrix,
-    "outcome-probability": lambda rho, e_in, e_out: INS.outcome_probability("x1", rho),
     "subset-probability": lambda rho, e_in, e_out: INS.subset_probability(["x0", "x2"], rho),
     "updated-state": lambda rho, e_in, e_out: INS.updated_state("x1", rho).matrix,
     "given-distribution": lambda rho, e_in, e_out: given_distribution(OBS, INS, rho, ["x0", "x2"], ["x1", "x2"]),

@@ -92,6 +92,16 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.seed == 7
 
 
+def test_a_model_with_numpy_integer_dimensions_saves_and_loads(tmp_path):
+    scn = build_scenario()
+    scn.models["meter"] = MeasurementModel(np.int64(2), np.int64(2), scn.instruments["interact"],
+                                           scn.observables["probe"])
+    assert type(scn.models["meter"].dim_base) is int and type(scn.models["meter"].dim_probe) is int
+    save_scenario(scn, tmp_path / "scn.json")
+    loaded = load_scenario(tmp_path / "scn.json").models["meter"]
+    assert (loaded.dim_base, loaded.dim_probe) == (2, 2)
+
+
 def test_remixed_instrument_round_trips(tmp_path):
     # an instrument given by other Kraus lists of the same maps is saved
     # and loaded as given
