@@ -15,6 +15,18 @@ yields a non-finite value or yields nothing fails) and assembles a
 deterministic report: identical inputs give byte-identical JSON (elapsed
 times are kept out of the JSON for that reason).
 
+Each batch of one identity at one dimension is a task. The tasks, in a
+fixed order (by dimension, then identity name, then batch), are dealt out
+round-robin to the CPUs the process may run on: task ``i`` to worker
+``i mod W``. Worker 0 is the calling process; the others are children
+forked for the run, each folding its tasks per identity into a maximum
+deviation, an instance count and seconds, which it sends back through a
+pipe. The parent merges the folds by an exact maximum and integer sums, so
+the report has the same bytes whatever ``W``. ``W`` is 1, and the same loop
+runs in process, on one CPU, without ``os.fork`` and in a process that
+already runs a second OS thread (a multi-threaded BLAS included), where
+forking is unsafe.
+
 Each instance gets a generator whose state equals ``default_rng`` of its
 seed tuple ``(seed, crc32(name), dim, trial)``. The trials of a batch are a
 range whose bounds are computed one batch at a time (``_batches``), and
@@ -41,11 +53,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import signal
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, combinations, islice
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -121,7 +136,9 @@ Runner = Callable[[Sequence[np.random.Generator], int], Iterator[np.ndarray]]
 # Most instances one runner call holds: the memory of a batch is bounded
 # whatever the trial count. The trials of one identity at one dimension
 # split into consecutive batches of BATCH_SIZE, the last one shorter; the
-# canonical 100 trials run as one batch per identity and dimension. The
+# canonical 100 trials run as one batch per identity and dimension. Each
+# worker process runs one batch at a time, so a run holds at most one
+# batch per worker. The
 # largest batches are holevo-separable's and holevo-composition's: under
 # tracemalloc, run_checks of one identity at dimension 3 with 100 trials
 # peaks at about 5.2 and 3.8 MiB, and measurement-pointer's at 1.4 MiB
@@ -566,15 +583,16 @@ def registered_identities() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def resolve_suite(names: str | Sequence[str]) -> list[str]:
+def resolve_suite(names: str | Sequence[str] | None) -> list[str]:
     """Expand a suite spec: identity names and the keyword ``all``, which
     stands for the whole registry wherever it appears (a repeated name is
-    kept at its first occurrence only; an empty spec means ``all``). An
+    kept at its first occurrence only; an empty spec or ``None`` means
+    ``all``). Any iterable of names is a spec, a numpy array included. An
     unknown name raises ``ValueError``, beside ``all`` too, and so does an
     entry that is not a string."""
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
-    names = list(names or ["all"])
+    names = list(() if names is None else names) or ["all"]
     unknown = {str(n) for n in names if not isinstance(n, str) or (n not in _REGISTRY and n != "all")}
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(sorted(unknown))}")
@@ -625,8 +643,156 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _tasks(names: Sequence[str], dims: Sequence[int], trials: int) -> Iterator[tuple[str, int, range]]:
+    """Every ``(identity, dimension, batch)`` of a run, in the fixed order
+    that assigns them to workers: by dimension, then by identity name, then
+    by batch; made one at a time."""
+    return (
+        (name, dim, batch)
+        for dim in dims
+        for name in sorted(names)
+        for batch in _batches(trials, BATCH_SIZE)
+    )
+
+
+def _merge(folded: dict[str, list], name: str, max_dev: float, count: int, seconds: float) -> None:
+    """Fold one identity's share into ``folded[name]`` = ``[max deviation,
+    instances, seconds]``: an exact ``max`` and an integer sum, so the order
+    of the shares changes no reported bit."""
+    acc = folded.setdefault(name, [0.0, 0, 0.0])
+    acc[0] = max(acc[0], max_dev)
+    acc[1] += count
+    acc[2] += seconds
+
+
+def _fold(tasks: Iterable[tuple[str, int, range]], seed: int) -> tuple[int, dict[str, list]]:
+    """Run ``tasks`` and fold them per identity (``_merge``): the number of
+    tasks run and the folded shares."""
+    folded: dict[str, list] = {}
+    done = 0
+    for name, dim, batch in tasks:
+        start = time.perf_counter()
+        states = _trial_states((seed, zlib.crc32(name.encode("utf-8")), dim), batch)
+        devs = _instance_deviations(_REGISTRY[name].runner, states, dim)
+        _merge(folded, name, float(devs.max()), len(devs), time.perf_counter() - start)
+        done += 1
+    return done, folded
+
+
+def _worker_count() -> int:
+    """The processes a check run spreads over: the CPUs this process may
+    run on, or 1 without ``os.fork`` or where forking is unsafe, i.e. where
+    the process runs a second OS thread (a multi-threaded BLAS, a
+    ``threading.Thread``) or its threads cannot be counted."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+@contextmanager
+def _interrupts_held():
+    """Hold ``SIGINT`` back for the block, so that a child is never forked
+    or reaped without the parent's record of it changing too; an interrupt
+    that arrives meanwhile is raised when the block ends."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _child(read: int, write: int, mask, tasks: Iterable[tuple[str, int, range]], seed: int) -> NoReturn:
+    """A forked worker: run ``tasks``, send the fold to the parent as JSON
+    through the pipe's ``write`` end and end with ``os._exit``, with status
+    0 only when all of it was written. A child never returns into its
+    caller, flushes the parent's stdio buffers or runs ``atexit`` handlers."""
+    status = 1
+    try:
+        os.close(read)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        payload = memoryview(json.dumps(_fold(tasks, seed)).encode("ascii"))
+        while payload:
+            payload = payload[os.write(write, payload):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(read: int) -> bytes:
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _share(pid: int, status: int, payload: bytes, expected: int) -> dict[str, list]:
+    """The fold a child sent, if it exited with status 0 after sending all
+    of its ``expected`` tasks; ``RuntimeError`` naming its status otherwise."""
+    if status != 0:
+        raise RuntimeError(f"check worker {pid} exited with status {status}")
+    try:
+        done, folded = json.loads(payload)
+    except (TypeError, ValueError):
+        done, folded = None, {}
+    if done != expected:
+        raise RuntimeError(f"check worker {pid} exited with status 0 but sent incomplete results")
+    return folded
+
+
+def _spread(names: Sequence[str], dims: Sequence[int], trials: int, seed: int) -> dict[str, list]:
+    """Run every task of ``_tasks`` and fold them per identity.
+
+    Task ``i`` goes to worker ``i mod W``, where ``W = _worker_count()``
+    (at most one worker per task): worker 0 is this process, and each other
+    worker is a child forked for this run, which sends its fold back
+    through a pipe. Every batch runs as it would in one process, so the
+    merged fold has the same bits whatever ``W``; with ``W = 1`` the loop
+    runs in process. A child that exits with another status than 0 or sends
+    incomplete results raises ``RuntimeError``. On any exception, an
+    interrupt included, the children not yet reaped are killed and reaped
+    before it propagates, so no process outlives the call.
+    """
+    tasks = len(dims) * len(names) * -(-trials // BATCH_SIZE)
+    workers = min(_worker_count(), tasks)
+    reads: list[int] = []  # the read end of each child's pipe, in worker order
+    unreaped: dict[int, int] = {}  # child pid -> its worker index
+    try:
+        for worker in range(1, workers):
+            with _interrupts_held() as mask:
+                read, write = os.pipe()
+                reads.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        share = islice(_tasks(names, dims, trials), worker, None, workers)
+                        _child(read, write, mask, share, seed)
+                    unreaped[pid] = worker
+                finally:
+                    os.close(write)
+        _, folded = _fold(islice(_tasks(names, dims, trials), 0, None, workers), seed)
+        for pid, worker in list(unreaped.items()):
+            payload = _read_to_end(reads[worker - 1])
+            with _interrupts_held():
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del unreaped[pid]
+            expected = len(range(worker, tasks, workers))
+            for name, share in _share(pid, status, payload, expected).items():
+                _merge(folded, name, *share)
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in unreaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return folded
+
+
 def run_checks(
-    suite: str | Sequence[str],
+    suite: str | Sequence[str] | None,
     trials: int,
     dims: Iterable[int],
     seed: int,
@@ -646,6 +812,12 @@ def run_checks(
     included), yields a non-finite deviation or yields nothing counts as
     failed, with deviation ``inf``, and the run continues; ``tol`` must be
     finite and positive.
+
+    The batches run spread over the CPUs the process may use, in forked
+    worker processes (``_spread``), with the same report bytes as in one
+    process. A worker that dies or sends incomplete results raises
+    ``RuntimeError``; no worker outlives the call. An identity's
+    ``elapsed_seconds`` is the summed time of its batches, not wall time.
     """
     tol = require_tolerance(tol)
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
@@ -663,23 +835,13 @@ def run_checks(
         raise ValueError("dimensions must be positive")
     results: list[IdentityResult] = []
     if trials > 0:
+        folded = _spread(names, dims, trials, seed)
         for name in sorted(names):
-            check = _REGISTRY[name]
-            key = zlib.crc32(name.encode("utf-8"))
-            start = time.perf_counter()
-            max_dev = 0.0
-            count = 0
-            for dim in dims:
-                for batch in _batches(trials, BATCH_SIZE):
-                    states = _trial_states((seed, key, dim), batch)
-                    devs = _instance_deviations(check.runner, states, dim)
-                    max_dev = max(max_dev, float(devs.max()))
-                    count += len(devs)
-            elapsed = time.perf_counter() - start
+            max_dev, count, elapsed = folded[name]
             results.append(
                 IdentityResult(
                     name=name,
-                    statement=check.statement,
+                    statement=_REGISTRY[name].statement,
                     dims=dims,
                     instances=count,
                     max_deviation=max_dev,

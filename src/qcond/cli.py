@@ -5,7 +5,8 @@ Verbs:
 * ``validate <file>`` — load a scenario file, report its contents.
 * ``check --suite <names> --trials N --dims A..B --seed S [--tol T]`` — run
   registered identity checks; exit code 0 iff every check passes, 1 if one
-  fails, 2 on bad arguments or an unwritable ``--out`` path.
+  fails or a check worker process dies (an ``error:`` line, no report), 2
+  on bad arguments or an unwritable ``--out`` path.
 * ``distribution --scenario <file> --observable <name> --state <name>`` —
   outcome probabilities of an observable in a state.
 * ``measure --scenario <file> --model <name>`` — pointer observable and
@@ -81,6 +82,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a check worker that died: no report
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rendered = report.to_json() if args.format == "json" else report.to_table()
     sys.stdout.write(rendered)
     if args.out:

@@ -7,7 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import zlib
 from functools import partial
 from pathlib import Path
@@ -106,6 +109,18 @@ def test_resolve_suite():
     for spec in ("dual-map,dual-mpa", "all,dual-mpa", "dual-mpa,all", ["all", "dual-mpa"]):
         with pytest.raises(ValueError, match=r"unknown identity name\(s\): dual-mpa"):
             resolve_suite(spec)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (np.array(["dual-map"]), ["dual-map"]),
+    (np.array(["dual-map", "holevo-composition", "dual-map"]), ["dual-map", "holevo-composition"]),
+    (None, list(_REGISTRY)),
+    (np.array([], dtype=str), list(_REGISTRY)),
+], ids=["array-of-one", "array-of-three", "none", "empty-array"])
+def test_any_iterable_of_names_is_a_suite(spec, expected):
+    # an array of two or more names has no truth value: the spec is read as
+    # a list before an empty one stands for ``all``
+    assert resolve_suite(spec) == expected
 
 
 @pytest.mark.parametrize("suite, named", [([5], "5"), ([None], "None"), (["dual-map", 5], "5")],
@@ -236,7 +251,9 @@ def _recording(states, fail_batches=False):
 
 def test_canonical_instances_get_the_generators_of_their_seed_tuples(monkeypatch):
     # every instance of the canonical run: 12 identities, dimensions 2..3,
-    # 100 trials, seed 7
+    # 100 trials, seed 7; on one worker, so that every runner records into
+    # this process's lists
+    monkeypatch.setattr(checks, "_worker_count", lambda: 1)
     recorded = {}
     for name in _REGISTRY:
         recorded[name] = []
@@ -296,6 +313,8 @@ def test_the_first_batch_of_a_huge_trial_count_is_made_alone():
 
 def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
     # a seed of two words: each instance's generator is default_rng(tuple)'s
+    # (on one worker, which records into this process's list)
+    monkeypatch.setattr(checks, "_worker_count", lambda: 1)
     name = "recording-identity"
     states = []
     check = IdentityCheck(name, "records its generators", _recording(states))
@@ -357,9 +376,11 @@ def test_run_checks_rejects_nonfinite_or_nonpositive_tolerance(tol):
 
 def test_a_check_run_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, a cost a check run need not
-    # pay; where importing numpy imports numpy.ma too, there is none to avoid
+    # pay; where importing numpy imports numpy.ma too, there is none to avoid.
+    # One worker runs every task, so that this process sees all of them.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import os, sys; from qcond.cli import main; before = 'numpy.ma' in sys.modules; "
+    code = ("import os, sys; from qcond.cli import main; import qcond.checks as checks; "
+            "checks._worker_count = lambda: 1; before = 'numpy.ma' in sys.modules; "
             "main(['check', '--suite', 'all', '--trials', '1', '--dims', '2', '--out', os.devnull]); "
             "print(before, 'numpy.ma' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
@@ -486,6 +507,180 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
         monkeypatch.setattr(checks, "BATCH_SIZE", size)
         reports.add(run_checks(BATCHED, trials=7, dims=[2, 3, 4], seed=3).to_json())
     assert len(reports) == 1
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Force the worker count of the next ``run_checks``: ``workers(n)``.
+
+    Forcing it forks even where ``_worker_count`` would not, in a process
+    that runs a multi-threaded BLAS, where Python 3.12+ warns that the
+    process is multi-threaded; that warning, about the forced fork only, is
+    not an error here."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        yield lambda n: monkeypatch.setattr(checks, "_worker_count", lambda: n)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_reports_do_not_depend_on_the_worker_count(workers, count):
+    # 150 trials are two batches per identity and dimension, so some tasks
+    # are second batches: 2 dims x 5 identities x 2 batches = 20 tasks
+    suite = "dual-map,holevo-composition,given-observable-marginals,kraus-separable,subnormalized-completion"
+    workers(1)
+    alone = run_checks(suite, trials=150, dims=[2, 3], seed=11)
+    workers(count)
+    spread = run_checks(suite, trials=150, dims=[2, 3], seed=11)
+    assert spread.to_json() == alone.to_json()
+    assert [r.instances for r in spread.results] == [300] * 5
+    _no_child_left()
+
+
+def _parent_only(runner):
+    """A runner that runs ``runner`` in this process and in a child instead
+    (a forked worker) ends the child with status 3."""
+    parent = os.getpid()
+
+    def run(rngs, dim):
+        if os.getpid() != parent:
+            os._exit(3)
+        return runner(rngs, dim)
+
+    return run
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch, workers, capsys):
+    # two tasks (one per dimension): the parent runs the first, a child dies
+    # on the second; the run raises, never passes, and leaves no process
+    name = "dying-identity"
+    runner = _parent_only(lambda rngs, dim: iter([np.zeros(len(rngs))]))
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "dies in a child", runner))
+    workers(2)
+    with pytest.raises(RuntimeError, match=r"^check worker \d+ exited with status 3$"):
+        run_checks(name, trials=1, dims=[2, 3], seed=0)
+    _no_child_left()
+    # the command prints it as one error: line and exits 1, with no report
+    assert main(["check", "--suite", name, "--trials", "1", "--dims", "2..3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: check worker \d+ exited with status 3\n", err)
+    _no_child_left()
+
+
+def test_a_worker_that_sends_incomplete_results_fails_the_run(monkeypatch, workers):
+    parent = os.getpid()
+    fold = checks._fold
+
+    def short(tasks, seed):
+        done, folded = fold(tasks, seed)
+        return (done - 1 if os.getpid() != parent else done), folded
+
+    monkeypatch.setattr(checks, "_fold", short)
+    workers(2)
+    with pytest.raises(RuntimeError, match=r"^check worker \d+ exited with status 0 but sent incomplete results$"):
+        run_checks("dual-map", trials=1, dims=[2, 3], seed=0)
+    _no_child_left()
+
+
+class _Stop(BaseException):
+    """Raised by a runner in the parent: propagates out of ``run_checks``."""
+
+
+def test_children_are_reaped_before_an_exception_in_the_parent_propagates(monkeypatch, workers):
+    # the parent's task raises at once while the child's would run for a
+    # minute: the child is killed and reaped before the exception leaves
+    name = "stopping-identity"
+    parent = os.getpid()
+
+    def runner(rngs, dim):
+        if os.getpid() == parent:
+            raise _Stop
+        time.sleep(60)
+        yield np.zeros(len(rngs))
+
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "stops the parent", runner))
+    workers(2)
+    start = time.perf_counter()
+    with pytest.raises(_Stop):
+        run_checks(name, trials=1, dims=[2, 3], seed=0)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_the_tasks_of_a_huge_trial_count_are_made_one_at_a_time(monkeypatch, workers):
+    # 2**32 - 1 trials at two dimensions are 85,899,346 tasks: the split is
+    # arithmetic, so nothing the size of the run is allocated before the
+    # parent's first task (which stops the run)
+    name = "stopping-identity"
+
+    def runner(rngs, dim):
+        raise _Stop
+        yield
+
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "stops the run", runner))
+    workers(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            run_checks(name, trials=2**32 - 1, dims=[2, 3], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    _no_child_left()
+
+
+def test_a_process_with_a_second_thread_runs_the_checks_in_process(monkeypatch):
+    # forking a multi-threaded process is unsafe (and warned about from
+    # Python 3.12): with a live threading.Thread every runner runs here
+    name = "recording-identity"
+    states = []
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "records", _recording(states)))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert checks._worker_count() == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_checks(name, trials=150, dims=[2, 3], seed=5).passed
+    finally:
+        release.set()
+        thread.join()
+    assert len(states) == 300
+
+
+def _single_threaded(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter with one
+    BLAS thread, in which nothing else starts a thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_a_single_threaded_process_runs_one_worker_per_cpu():
+    # every CPU of the process's affinity is a worker
+    code = "import os, qcond.checks as c; print(c._worker_count(), len(os.sched_getaffinity(0)))"
+    workers, cpus = _single_threaded(code).split()
+    assert workers == cpus
+
+
+def test_a_worker_flushes_no_buffer_and_runs_no_exit_handler():
+    # standard output is a pipe, so the parent's first print waits in its
+    # buffer while the workers are forked; a worker that ended through the
+    # interpreter's exit would print it, and the atexit handler, again
+    code = ("import atexit, qcond.checks as c; c._worker_count = lambda: 3; "
+            "atexit.register(print, 'at exit'); print('buffered', end=' '); "
+            "c.run_checks('dual-map,conditioning-affine', 1, [2, 3], 0); print('done')")
+    assert _single_threaded(code) == "buffered done\nat exit\n"
 
 
 @pytest.mark.parametrize("name, limit_mib", [("holevo-separable", 5.2), ("holevo-composition", 5)])
