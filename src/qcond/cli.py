@@ -15,6 +15,10 @@ Verbs:
 The environment variable ``QCOND_TOL`` overrides the default tolerance
 whenever ``--tol`` is not given. A bad ``--tol`` or ``QCOND_TOL`` is a bad
 argument for every verb: an ``error:`` line and exit code 2.
+
+Importing this module compiles nothing of ``qcond.checks``. The module is
+imported on first use: by ``build_parser``, whose ``--suite`` help names
+every registered identity, and by the ``check`` verb, which runs them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import registered_identities, run_checks
 from .effects import State, outcome_probabilities
 from .errors import ScenarioError
 from .linalg import DEFAULT_ATOL, require_tolerance
@@ -76,6 +79,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checks import run_checks
+
     try:
         tol = _resolve_tol(args.tol, DEFAULT_ATOL)
         report = run_checks(args.suite, args.trials, _parse_dims(args.dims), args.seed, tol)
@@ -173,6 +178,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .checks import registered_identities
+
     parser = argparse.ArgumentParser(
         prog="qcond",
         description="Quantum effects, channels, instruments and measurement models "
