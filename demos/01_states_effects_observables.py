@@ -8,7 +8,6 @@ and certify that two observables admit a joint one.
 import numpy as np
 
 from qcond import (
-    BiObservable,
     Effect,
     Observable,
     OutcomeMap,
@@ -46,12 +45,12 @@ print("noisy readout distribution:", outcome_probabilities(rho, noisy))
 merged = part(noisy, OutcomeMap({"click0": "any", "click1": "any"}, ("any",)))
 print("merged observable effects:", [e.matrix.real.tolist() for e in merged.effects])
 
-# Two observables coexist when some bi-observable has them as marginals.
-# For commuting projective observables the product grid is such a witness.
+# Two observables coexist when some observable on the product of their
+# outcome sets (one label tuple per axis) has them as marginals. For
+# commuting projective observables the product grid is such a witness.
 other = Observable(("plus", "minus"), (np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])))
-grid = BiObservable(
-    basis.outcomes,
-    basis.outcomes,
+grid = Observable(
+    (basis.outcomes, basis.outcomes),
     tuple(tuple(a.matrix @ b.matrix for b in basis.effects) for a in basis.effects),
 )
 print("grid marginals reproduce the basis observable:",

@@ -2,7 +2,8 @@
 
 Builds a projective (Lüders) instrument and a generic random one, reads off
 the measured observable, updates states on observed outcomes, and forms the
-joint bi-observable of "measure the instrument, then measure B".
+joint observable of "measure the instrument, then measure B", on the
+product of the two outcome sets.
 """
 
 import numpy as np
@@ -37,12 +38,12 @@ rho = random_state(2, seed=5)
 print("outcome probabilities:",
       {x: round(ins.subset_probability((x,), rho), 6) for x in ins.outcomes})
 
-# Measuring B after the instrument gives a joint bi-observable whose
-# marginals are exactly the instrument's observable and B conditioned by
-# the total channel.
+# Measuring B after the instrument gives a joint observable, with one
+# outcome axis per measurement, whose marginals are exactly the
+# instrument's observable and B conditioned by the total channel.
 b_obs = random_observable(3, 2, seed=6)
 joint = given_observable(b_obs, ins)
-m1 = joint.marginal1()
+m1 = joint.marginal(0)
 print("first marginal == measured observable:",
       np.allclose(m1.effect("x0").matrix, ins.measured_observable().effect("x0").matrix))
 

@@ -9,10 +9,10 @@ second stage's observable.
 import numpy as np
 
 from qcond import (
-    bi_instrument_deviation,
     given_instrument,
     holevo_compose,
     holevo_instrument,
+    instrument_deviation,
     random_holevo_spec,
     random_state,
 )
@@ -35,7 +35,7 @@ print("whatever came in, outcome x0 prepares the stored state:",
 closed = holevo_compose(second, first)
 generic = given_instrument(ins_first, holevo_instrument(second))
 print("closed-form composition equals generic composition, deviation:",
-      f"{bi_instrument_deviation(closed, generic):.2e}")
+      f"{instrument_deviation(closed, generic):.2e}")
 
 # The composed grid is itself measure-and-prepare: its joint effect for
 # outcomes (x, y) is tr(alpha_x B_y) * A_x and it prepares beta_y.

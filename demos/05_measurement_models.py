@@ -39,7 +39,7 @@ other_probe = random_observable(2, 3, seed=14)
 bi_a = model.measured_bi_observable()
 bi_b = MeasurementModel(2, 2, interaction, other_probe).measured_bi_observable()
 print("interaction marginal is probe-independent:",
-      observable_deviation(bi_a.marginal1(), bi_b.marginal1()) < 1e-10)
+      observable_deviation(bi_a.marginal(0), bi_b.marginal(0)) < 1e-10)
 
 # Separable route: couplings of the form sum_i K_i rho K_i† ⊗ rho_i admit
 # closed forms for everything, bypassing partial traces.

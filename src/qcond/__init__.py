@@ -7,7 +7,7 @@ The package namespace re-exports each submodule's ``__all__``.
 ``qcond.cli`` and not ``qcond.checks``, the identity-check suite. That module
 is imported, and so compiled, on first use: when a program reads
 ``qcond.checks`` or one of its names (``qcond.run_checks``, ...), imports it
-itself, or builds the command-line parser of ``qcond.cli``. Its names are
+itself, or formats the ``check`` help of ``qcond.cli``. Its names are
 looked up on the module at every access, never stored here.
 """
 

@@ -44,8 +44,8 @@ alone. Every registered identity runs this way.
 
 Runners compare through two comparators only: ``_dev`` for arrays (each
 instance's largest entrywise deviation) and the map deviations
-(``map_deviation``, ``instrument_deviation``, ``bi_instrument_deviation``)
-for maps.
+(``map_deviation``, ``instrument_deviation``, on one axis or a grid) for
+maps.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .instruments import (
     _holevo_composed,
     _holevo_instrument,
     _outcome_weights,
-    bi_instrument_deviation,
     given_instrument,
     instrument_deviation,
 )
@@ -273,13 +272,9 @@ def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
 
 
 def _observables(stack: np.ndarray) -> np.ndarray:
-    """A batch ``(b, n, d, d)`` of observables, checked as ``Observable``s."""
-    return _effect_family("Observable", stack, stack.shape[1:2], DEFAULT_ATOL, stack.shape[:1])
-
-
-def _bi_observables(grid: np.ndarray) -> np.ndarray:
-    """A batch ``(b, n1, n2, d, d)`` of grids, checked as ``BiObservable``s."""
-    return _effect_family("BiObservable", grid, grid.shape[1:3], DEFAULT_ATOL, grid.shape[:1])
+    """A batch ``(b, n, d, d)`` of observables, or ``(b, n1, n2, d, d)`` of
+    grids, checked as ``Observable``s."""
+    return _effect_family("Observable", stack, stack.shape[1:-2], DEFAULT_ATOL, stack.shape[:1])
 
 
 def _random_observables(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
@@ -398,7 +393,7 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     ins = _instruments(rngs, dim, dim + 1, 3)
     b_obs = _random_observables(rngs, dim + 1, 2)
-    grid = _bi_observables(_given_grid(ins, b_obs))
+    grid = _observables(_given_grid(ins, b_obs))
     m1, m2 = _observables(grid.sum(axis=2)), _observables(grid.sum(axis=1))
     yield _dev(m1, _observables(ins._measured_stack()))
     yield _dev(m2, _conditioned_observables(ins.total_channel(), b_obs))
@@ -445,16 +440,16 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
     for x, op in enumerate(first.ops):
         yield _dev(op.dual_matrix(e), coeff[:, x, None, None] * a[:, x])
     del first
-    yield bi_instrument_deviation(composed, given)
+    yield instrument_deviation(composed, given)
     del given
     rho = _states(rngs, dim)
     px = _trace(rho[:, None] @ a).real
     overlaps = _trace(alphas[:, :, None] @ b[:, None]).real
-    for x, op in enumerate(composed.marginal1().ops):
+    for x, op in enumerate(composed.marginal(0).ops):
         expected = px[:, x, None, None] * (overlaps[:, x, :, None, None] * betas).sum(axis=1)
         yield _dev(op.apply_matrix(rho), expected)
     weights = (px[:, :, None] * overlaps).sum(axis=1)
-    for y, op in enumerate(composed.marginal2().ops):
+    for y, op in enumerate(composed.marginal(1).ops):
         yield _dev(op.apply_matrix(rho), weights[:, y, None, None] * betas[:, y])
 
 
@@ -465,7 +460,7 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     probe = _random_observables(rngs, 2, 2)
     probe3 = _random_observables(rngs, 2, 3)
     rho = _states(rngs, dim)
-    grid = _bi_observables(_pointer_grid(ins, probe))
+    grid = _observables(_pointer_grid(ins, probe))
     pointer = _observables(grid.sum(axis=1))
     measured = _probe_readout(ins, _LABELS, probe, DEFAULT_ATOL)
     yield _dev(pointer, _require_effects(measured._measured_stack(), DEFAULT_ATOL))
@@ -474,14 +469,14 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     yield _dev(pointer, (kraus.conj().mT @ lifted @ kraus).sum(axis=2))
     marginal = _observables(grid.sum(axis=2))
     yield _dev(marginal, _observables(ins._measured_stack()))
-    grid3 = _bi_observables(_pointer_grid(ins, probe3))
+    grid3 = _observables(_pointer_grid(ins, probe3))
     yield _dev(_observables(grid3.sum(axis=2)), marginal)
     bi_ins = _bi_readout(ins, _LABELS, probe, DEFAULT_ATOL)
     for x, row in enumerate(bi_ins.ops):
         for y, op in enumerate(row):
             lhs = _trace(rho @ grid[:, x, y]).real
             yield _dev(lhs, _trace(op.apply_matrix(rho)).real)
-    yield instrument_deviation(measured, bi_ins.marginal2())
+    yield instrument_deviation(measured, bi_ins.marginal(1))
 
 
 @_identity("kraus-separable", "separable-channel shortcuts (dual on product effects, measured instrument, "
@@ -520,7 +515,7 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     closed_ins = _separable_instrument(_LABELS, factors, w, DEFAULT_ATOL)
     yield instrument_deviation(closed_ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
     pointer = _observables(weighted_sum(w, _grams(factors)))
-    yield _dev(pointer, _observables(_bi_observables(_pointer_grid(interaction, probe)).sum(axis=1)))
+    yield _dev(pointer, _observables(_observables(_pointer_grid(interaction, probe)).sum(axis=1)))
     yield _dev(w.sum(axis=-1), 1.0)
     yield _dev(pointer, _post_processed(_observables(_grams(factors)), _kernels(w)))
 
@@ -565,16 +560,16 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
     yield instrument_deviation(reduced, _reduced_readout(interaction, dim_probe, DEFAULT_ATOL))
     del reduced
-    yield bi_instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
-    ins = bi_ins.marginal2(DEFAULT_ATOL)
+    yield instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    ins = bi_ins.marginal(1, DEFAULT_ATOL)
     del bi_ins
     yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
     del ins
     closed = _require_effects(_holevo_dual_effects(a, products, e[:, None]), DEFAULT_ATOL)
     generic = [op._dual_effects(e, DEFAULT_ATOL) for op in interaction.ops]
     yield _dev(closed, np.stack(generic, axis=1))
-    model_grid = _bi_observables(_pointer_grid(interaction, probe))
-    yield _dev(_bi_observables(grid), model_grid)
+    model_grid = _observables(_pointer_grid(interaction, probe))
+    yield _dev(_observables(grid), model_grid)
     yield _dev(_observables(pointer), _observables(model_grid.sum(axis=1)))
     yield _dev(w.sum(axis=-1), 1.0)
 

@@ -16,9 +16,10 @@ The environment variable ``QCOND_TOL`` overrides the default tolerance
 whenever ``--tol`` is not given. A bad ``--tol`` or ``QCOND_TOL`` is a bad
 argument for every verb: an ``error:`` line and exit code 2.
 
-Importing this module compiles nothing of ``qcond.checks``. The module is
-imported on first use: by ``build_parser``, whose ``--suite`` help names
-every registered identity, and by the ``check`` verb, which runs them.
+Importing this module, building the parser and running a scenario verb
+compile nothing of ``qcond.checks``. The module is imported on first use:
+when the ``check`` help, whose ``--suite`` line names every registered
+identity, is formatted, and by the ``check`` verb, which runs them.
 """
 
 from __future__ import annotations
@@ -177,9 +178,19 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .checks import registered_identities
+class _CheckHelp(argparse.HelpFormatter):
+    """The ``check`` help, whose ``--suite`` line lists the registered
+    identities, read from ``qcond.checks`` only as that line is formatted."""
 
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if "--suite" not in action.option_strings:
+            return action.help
+        from .checks import registered_identities
+
+        return f"{action.help} (known: {', '.join(registered_identities())})"
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcond",
         description="Quantum effects, channels, instruments and measurement models "
@@ -192,12 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--tol", default=None, help="override the tolerance")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_check = sub.add_parser("check", help="run registered identity checks")
-    p_check.add_argument(
-        "--suite",
-        default="all",
-        help=f"comma-separated identity names or 'all' (known: {', '.join(registered_identities())})",
-    )
+    p_check = sub.add_parser("check", help="run registered identity checks", formatter_class=_CheckHelp)
+    p_check.add_argument("--suite", default="all", help="comma-separated identity names or 'all'")
     p_check.add_argument("--trials", type=int, default=100, help="random instances per dimension")
     p_check.add_argument("--dims", default="2..3", help="dimension range 'A..B' or a single integer")
     p_check.add_argument("--seed", type=int, default=0, help="master seed")

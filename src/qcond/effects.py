@@ -5,11 +5,16 @@ are immutable afterwards; operations are pure functions, safe for
 unrestricted concurrent use. Outcome labels are strings and their ordering
 is fixed by declaration order, so grids and stochastic kernels index
 deterministically.
+
+A labeled family (:class:`Observable`, ``qcond.instruments.Instrument``)
+has one label tuple, or one per axis of a product outcome set (a grid, whose
+members nest row-major); a grid's lookups take one label per axis. A
+function that reads one outcome axis (``index``, ``post_process``, ...)
+rejects a grid with ``ValueError``, through the one guard ``_one_axis``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +41,6 @@ __all__ = [
     "State",
     "Effect",
     "Observable",
-    "BiObservable",
     "StochasticMatrix",
     "OutcomeMap",
     "born_probability",
@@ -47,12 +51,11 @@ __all__ = [
     "affine_combination",
     "certify_coexistence",
     "observable_deviation",
-    "bi_observable_deviation",
 ]
 
 
 def _distinct_labels(labels: Sequence[str], kind: str) -> tuple[str, ...]:
-    out = tuple(str(x) for x in labels)
+    out = tuple(map(str, labels))
     if not out:
         raise InvariantViolation(kind, "nonempty outcome set")
     if len(set(out)) != len(out):
@@ -60,7 +63,16 @@ def _distinct_labels(labels: Sequence[str], kind: str) -> tuple[str, ...]:
     return out
 
 
-def _position(labels: tuple[str, ...], label: str, pair: tuple[str, str] | None = None) -> int:
+def _outcome_axes(labels: Sequence, kind: str) -> tuple[tuple[str, ...], ...]:
+    """The outcome axes of a labeled family: one label tuple (one axis), or
+    one label tuple per axis of a grid, given as tuples or lists."""
+    labels = tuple(labels)
+    if labels and not isinstance(labels[0], str) and all(isinstance(axis, (tuple, list)) for axis in labels):
+        return tuple(_distinct_labels(axis, kind) for axis in labels)
+    return (_distinct_labels(labels, kind),)
+
+
+def _position(labels: tuple[str, ...], label: str, pair: tuple[str, ...] | None = None) -> int:
     """The one outcome lookup of the labeled families: the position of
     ``label`` in ``labels``; the error names ``pair`` for a grid's lookup."""
     try:
@@ -68,6 +80,58 @@ def _position(labels: tuple[str, ...], label: str, pair: tuple[str, str] | None 
     except ValueError:
         unknown = f"label {label!r}" if pair is None else f"pair {pair!r}"
         raise ValueError(f"unknown outcome {unknown}") from None
+
+
+def _flattened(kind: str, nested, grid: tuple[int, ...], member: str) -> list:
+    """The members of ``nested``, sequences nested to the shape ``grid``, in
+    row-major order: the one shape rule of the labeled families."""
+    flat = [nested]
+    for n in grid:
+        flat = [tuple(x) for x in flat]
+        if any(len(x) != n for x in flat):
+            invariant = f"one {member} per outcome" if len(grid) == 1 else "grid shape"
+            raise InvariantViolation(kind, invariant, f"expected grid {grid}")
+        flat = [m for x in flat for m in x]
+    return flat
+
+
+def _nested(flat: Sequence, grid: tuple[int, ...]) -> tuple:
+    """``flat`` as tuples nested to the shape ``grid``, row-major."""
+    for n in reversed(grid[1:]):
+        flat = [tuple(flat[i : i + n]) for i in range(0, len(flat), n)]
+    return tuple(flat)
+
+
+def _one_axis(family) -> tuple[str, ...]:
+    """The one guard of the functions that read one outcome axis: the labels
+    of a one-axis family; ``ValueError`` for a grid."""
+    if len(family.axes) > 1:
+        raise ValueError(f"{type(family).__name__} on {len(family.axes)} outcome axes: expected one axis")
+    return family.outcomes
+
+
+class _Labeled:
+    """What the labeled families (``Observable``, ``Instrument``) share: the
+    outcome axes, ``axes`` (one label tuple per axis), and the lookups."""
+
+    def _admit_outcomes(self, kind: str) -> tuple[int, ...]:
+        """Check ``outcomes`` and store them with their ``axes``; returns the
+        grid's shape, one length per axis."""
+        axes = _outcome_axes(self.outcomes, kind)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "outcomes", axes[0] if len(axes) == 1 else axes)
+        return tuple(map(len, axes))
+
+    def index(self, label: str) -> int:
+        return _position(_one_axis(self), label)
+
+    def _member(self, members: tuple, labels: tuple[str, ...]):
+        """The member of ``members`` at one label per axis."""
+        if len(labels) != len(self.axes):
+            raise ValueError(f"expected one label per outcome axis ({len(self.axes)}), got {len(labels)}")
+        for axis, label in zip(self.axes, labels):
+            members = members[_position(axis, label, labels if len(labels) > 1 else None)]
+        return members
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +238,15 @@ def _effect_family(
     batched factorization) and each family's elements summing to the
     identity.
     """
-    invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
     lead = batch + grid
     if isinstance(family, np.ndarray):
         stack = np.array(family, dtype=complex)
         if stack.shape[: len(lead)] != lead:
+            invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
             raise InvariantViolation(kind, invariant, f"expected grid {grid}, got shape {stack.shape}")
     else:
-        rows = [tuple(family)] if len(grid) == 1 else [tuple(row) for row in family]
-        if len(rows) != math.prod(grid[:-1]) or any(len(r) != grid[-1] for r in rows):
-            raise InvariantViolation(kind, invariant, f"expected grid {grid}")
-        mats = [np.asarray(getattr(m, "matrix", m), dtype=complex) for r in rows for m in r]
+        members = _flattened(kind, family, grid, "effect")
+        mats = [np.asarray(getattr(m, "matrix", m), dtype=complex) for m in members]
         shapes = {m.shape for m in mats}
         if len(shapes) != 1:
             raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
@@ -205,13 +267,17 @@ def _effect_family(
 
 
 @dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(_Labeled):
     """Labeled family of effects summing to the identity (a POVM).
 
     ``effects`` may be given as :class:`Effect` objects, raw matrices or one
     ``(n, d, d)`` array. The family is stored as one read-only stack,
     :attr:`effect_stack`, validated once; ``effects`` holds read-only
     :class:`Effect` views of its rows.
+
+    On a product outcome set ``outcomes`` holds one label tuple per axis:
+    ``effects[i][j]`` is the effect of ``(outcomes[0][i], outcomes[1][j])``
+    and the stack is the grid ``(n1, n2, d, d)``.
     """
 
     outcomes: tuple[str, ...]
@@ -219,15 +285,14 @@ class Observable:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        outcomes = _distinct_labels(self.outcomes, "Observable")
-        stack = _effect_family("Observable", self.effects, (len(outcomes),), atol)
-        object.__setattr__(self, "outcomes", outcomes)
+        stack = _effect_family("Observable", self.effects, self._admit_outcomes("Observable"), atol)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "effects", tuple(map(Effect._view, stack)))
+        views = tuple(map(Effect._view, stack.reshape((-1,) + stack.shape[-2:])))
+        object.__setattr__(self, "effects", _nested(views, stack.shape[:-2]))
 
     @property
     def effect_stack(self) -> np.ndarray:
-        """All effects as one read-only ``(n, d, d)`` array."""
+        """All effects as one read-only ``(n, d, d)`` array (a grid: ``(n1, n2, d, d)``)."""
         return self._stack
 
     @property
@@ -236,72 +301,28 @@ class Observable:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return len(_one_axis(self))
 
-    def index(self, label: str) -> int:
-        return _position(self.outcomes, label)
-
-    def effect(self, label: str) -> Effect:
-        return self.effects[self.index(label)]
+    def effect(self, *labels: str) -> Effect:
+        """The effect of one label per outcome axis."""
+        return self._member(self.effects, labels)
 
     def effect_over(self, subset: Iterable[str], atol: float = DEFAULT_ATOL) -> Effect:
         """The effect of an outcome subset, ``sum_{x in subset} A_x``."""
-        idx = sorted({self.index(x) for x in subset})
+        labels = _one_axis(self)
+        idx = sorted({_position(labels, x) for x in subset})
         return Effect(self._stack[idx].sum(axis=0), atol)
+
+    def marginal(self, axis: int, atol: float = DEFAULT_ATOL) -> "Observable":
+        """The one-axis observable on ``axes[axis]``: the grid summed over
+        every other axis."""
+        others = tuple(np.delete(np.arange(len(self.axes)), axis))
+        return Observable(self.axes[axis], self._stack.sum(axis=others), atol)
 
     @classmethod
     def trivial(cls, dim: int, label: str = "x0") -> "Observable":
         """Single-outcome observable {I}."""
         return cls((label,), np.eye(dim)[None])
-
-
-@dataclass(frozen=True, eq=False)
-class BiObservable:
-    """Observable on a product outcome set, stored as an effects grid.
-
-    ``effects[i][j]`` is the effect for ``(outcomes1[i], outcomes2[j])``;
-    the grid is one read-only ``(n1, n2, d, d)`` array, :attr:`effect_stack`,
-    validated once like an :class:`Observable`.
-    """
-
-    outcomes1: tuple[str, ...]
-    outcomes2: tuple[str, ...]
-    effects: tuple[tuple[Effect, ...], ...]
-    atol: InitVar[float] = DEFAULT_ATOL
-
-    def __post_init__(self, atol: float):
-        o1 = _distinct_labels(self.outcomes1, "BiObservable")
-        o2 = _distinct_labels(self.outcomes2, "BiObservable")
-        stack = _effect_family("BiObservable", self.effects, (len(o1), len(o2)), atol)
-        object.__setattr__(self, "outcomes1", o1)
-        object.__setattr__(self, "outcomes2", o2)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "effects", tuple(tuple(map(Effect._view, row)) for row in stack))
-
-    @property
-    def effect_stack(self) -> np.ndarray:
-        """The effects grid as one read-only ``(n1, n2, d, d)`` array."""
-        return self._stack
-
-    @property
-    def dim(self) -> int:
-        return self._stack.shape[-1]
-
-    def effect(self, x: str, y: str) -> Effect:
-        return self.effects[_position(self.outcomes1, x, (x, y))][_position(self.outcomes2, y, (x, y))]
-
-    def flatten(self, atol: float = DEFAULT_ATOL) -> Observable:
-        """The same observable on flat labels ``"x⊗y"`` in grid order."""
-        labels = tuple(f"{x}⊗{y}" for x in self.outcomes1 for y in self.outcomes2)
-        return Observable(labels, self._stack.reshape(-1, self.dim, self.dim), atol)
-
-    def marginal1(self, atol: float = DEFAULT_ATOL) -> Observable:
-        """Sum out the second outcome index."""
-        return Observable(self.outcomes1, self._stack.sum(axis=1), atol)
-
-    def marginal2(self, atol: float = DEFAULT_ATOL) -> Observable:
-        """Sum out the first outcome index."""
-        return Observable(self.outcomes2, self._stack.sum(axis=0), atol)
 
 
 def _kernel_weights(
@@ -479,13 +500,14 @@ def observable_distribution(
 def outcome_probabilities(rho: State, obs: Observable, atol: float = DEFAULT_ATOL) -> dict[str, float]:
     """Per-outcome probabilities of ``obs`` in state ``rho``, in label order,
     from one contraction of the state with the whole effect stack."""
+    labels = _one_axis(obs)
     p = _born_probabilities(as_complex_matrix(rho), obs.effect_stack, atol)
-    return dict(zip(obs.outcomes, p.tolist()))
+    return dict(zip(labels, p.tolist()))
 
 
 def post_process(obs: Observable, kernel: StochasticMatrix, atol: float = DEFAULT_ATOL) -> Observable:
     """Classically randomize outcomes: ``B_y = sum_x w[x, y] A_x``."""
-    if kernel.sources != obs.outcomes:
+    if kernel.sources != _one_axis(obs):
         raise ValueError("kernel rows must be indexed by the observable's outcomes")
     return Observable(kernel.targets, weighted_sum(kernel.weights, obs.effect_stack), atol)
 
@@ -498,10 +520,11 @@ def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observab
     outcomes; a non-surjective map is rejected at :class:`OutcomeMap`
     construction since it would create an unhit (zero-padded) label.
     """
-    if set(f.domain) != set(obs.outcomes):
-        missing = sorted(set(obs.outcomes) ^ set(f.domain))
+    labels = _one_axis(obs)
+    if set(f.domain) != set(labels):
+        missing = sorted(set(labels) ^ set(f.domain))
         raise ValueError(f"outcome map must be total on the observable's outcomes (mismatch: {missing})")
-    return post_process(obs, f.to_stochastic(obs.outcomes), atol)
+    return post_process(obs, f.to_stochastic(labels), atol)
 
 
 # the kind and invariants of the probability-row rule for mixture weights
@@ -515,6 +538,7 @@ def affine_combination(
     if len(observables) != len(weights) or not observables:
         raise ValueError("need one weight per observable")
     first = observables[0]
+    _one_axis(first)
     for obs in observables[1:]:
         if obs.outcomes != first.outcomes:
             raise ValueError("observables must share the same ordered outcome labels")
@@ -533,35 +557,27 @@ def _mixture(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
 
 
 def certify_coexistence(
-    a: Observable, b: Observable, joint: BiObservable, atol: float = DEFAULT_ATOL
+    a: Observable, b: Observable, joint: Observable, atol: float = DEFAULT_ATOL
 ) -> bool:
-    """Check a joint bi-observable certificate for the coexistence of ``a`` and ``b``.
+    """Check a joint observable certificate for the coexistence of ``a`` and ``b``.
 
-    True iff the marginals of ``joint`` equal ``a`` and ``b`` — outcome label
-    tuples included — entrywise within ``atol``. This validates a supplied
-    certificate; it does not search for one.
+    True iff ``joint`` has the axes ``(a.outcomes, b.outcomes)`` and its
+    marginals equal ``a`` and ``b`` entrywise within ``atol``. This
+    validates a supplied certificate; it does not search for one.
     """
-    if joint.outcomes1 != a.outcomes or joint.outcomes2 != b.outcomes:
+    if joint.axes != (a.outcomes, b.outcomes):
         return False
     if joint.dim != a.dim or joint.dim != b.dim:
         return False
-    return (observable_deviation(joint.marginal1(atol), a) <= atol
-            and observable_deviation(joint.marginal2(atol), b) <= atol)
+    return (observable_deviation(joint.marginal(0, atol), a) <= atol
+            and observable_deviation(joint.marginal(1, atol), b) <= atol)
 
 
 def observable_deviation(a: Observable, b: Observable) -> float:
-    """Largest entrywise deviation between two observables on equal outcomes."""
+    """Largest entrywise deviation between two observables on equal outcome
+    axes (one axis or a grid)."""
     if a.outcomes != b.outcomes:
         raise ValueError("observables must share the same ordered outcome labels")
     if a.dim != b.dim:
         raise ValueError("observables must share the same dimension")
-    return max_abs_diff(a.effect_stack, b.effect_stack)
-
-
-def bi_observable_deviation(a: BiObservable, b: BiObservable) -> float:
-    """Largest entrywise deviation between two bi-observables on equal grids."""
-    if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
-        raise ValueError("bi-observables must share the same ordered outcome labels")
-    if a.dim != b.dim:
-        raise ValueError("bi-observables must share the same dimension")
     return max_abs_diff(a.effect_stack, b.effect_stack)

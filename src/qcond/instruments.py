@@ -1,10 +1,13 @@
-"""Instruments, bi-instruments, state updating and Holevo instruments.
+"""Instruments, state updating and Holevo instruments.
 
 An instrument is a labeled family of operations whose sum is a channel; it
 measures an observable (duals applied to the identity) and updates states
-outcome-by-outcome. Every member of a family is a Kraus-form
-:class:`~qcond.channels.Operation`; anything else is rejected with
-``TypeError``.
+outcome-by-outcome. Like an observable, it has one outcome axis or, on a
+product outcome set, one per axis of a grid (see ``qcond.effects``):
+``given_instrument`` and ``holevo_compose`` return such grids, and
+``marginal(axis)`` sums one back to an axis. Every member of a family is a
+Kraus-form :class:`~qcond.channels.Operation`; anything else is rejected
+with ``TypeError``.
 
 A family is admitted once, by ``_admit_family``: with every Gram matrix
 positive, its total's ``sum_x op_x*(I) = I`` gives each member's
@@ -15,8 +18,8 @@ positive, its total's ``sum_x op_x*(I) = I`` gives each member's
 Batches: ``_from_kraus`` over Kraus stacks ``(..., n, d_out, d_in)`` with
 leading axes builds a batch of families whose members are batches of
 operations (see ``Operation._checked``), each family's total checked.
-``marginal1``/``marginal2``, ``given_instrument`` and the deviations act on
-them member by member, and the Holevo kernels (``_holevo_family``,
+``marginal``, ``given_instrument`` and the deviation act on them member by
+member, and the Holevo kernels (``_holevo_family``,
 ``_holevo_instrument``, ``_holevo_composed``) take leading batch axes on
 their effect, state and coefficient stacks.
 """
@@ -43,11 +46,14 @@ from .channels import (
     map_deviation,
 )
 from .effects import (
-    BiObservable,
     Effect,
     Observable,
     State,
-    _distinct_labels,
+    _flattened,
+    _Labeled,
+    _nested,
+    _one_axis,
+    _outcome_axes,
     _position,
     _require_states,
     _state_family,
@@ -63,7 +69,6 @@ from .linalg import (
 
 __all__ = [
     "Instrument",
-    "BiInstrument",
     "HolevoSpec",
     "given_observable",
     "given_distribution",
@@ -73,7 +78,6 @@ __all__ = [
     "holevo_instrument",
     "holevo_compose",
     "instrument_deviation",
-    "bi_instrument_deviation",
 ]
 
 
@@ -101,8 +105,12 @@ def _admit_family(kind: str, ops: Iterable[Operation], atol: float) -> tuple[Ope
 
 
 @dataclass(frozen=True, eq=False)
-class Instrument:
-    """Labeled family of operations summing to a channel."""
+class Instrument(_Labeled):
+    """Labeled family of operations summing to a channel.
+
+    On a product outcome set ``outcomes`` holds one label tuple per axis and
+    ``ops[i][j]`` is the operation of ``(outcomes[0][i], outcomes[1][j])``.
+    """
 
     outcomes: tuple[str, ...]
     ops: tuple[Operation, ...]
@@ -110,44 +118,53 @@ class Instrument:
 
     @classmethod
     def _from_kraus(cls, outcomes, stacks, atol: float) -> "Instrument":
-        """One operation per Kraus stack, checked once, from the total (stacks
-        with leading axes: a batch of families)."""
-        return cls(outcomes, tuple(map(Operation._unchecked, stacks)), atol)
+        """One operation per Kraus stack (row-major on a grid), checked once,
+        from the total (stacks with leading axes: a batch of families)."""
+        grid = tuple(map(len, _outcome_axes(outcomes, "Instrument")))
+        return cls(outcomes, _nested(tuple(map(Operation._unchecked, stacks)), grid), atol)
 
     def __post_init__(self, atol: float):
-        outcomes = _distinct_labels(self.outcomes, "Instrument")
-        if len(self.ops) != len(outcomes):
-            raise InvariantViolation("Instrument", "one operation per outcome")
-        ops = _admit_family("Instrument", self.ops, atol)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "ops", ops)
+        grid = self._admit_outcomes("Instrument")
+        ops = _admit_family("Instrument", _flattened("Instrument", self.ops, grid, "operation"), atol)
+        object.__setattr__(self, "ops", _nested(ops, grid))
+        # the members in row-major order
+        object.__setattr__(self, "_ops", ops)
 
     @property
     def dim_in(self) -> int:
-        return self.ops[0].dim_in
+        return self._ops[0].dim_in
 
     @property
     def dim_out(self) -> int:
-        return self.ops[0].dim_out
+        return self._ops[0].dim_out
 
-    def index(self, label: str) -> int:
-        return _position(self.outcomes, label)
+    def op(self, *labels: str) -> Operation:
+        """The operation of one label per outcome axis."""
+        return self._member(self.ops, labels)
 
-    def op(self, label: str) -> Operation:
-        return self.ops[self.index(label)]
+    def marginal(self, axis: int, atol: float = DEFAULT_ATOL) -> "Instrument":
+        """The one-axis instrument on ``axes[axis]``: each member joins the
+        Kraus stacks of the grid's members at its label, in row-major
+        order."""
+        grid = tuple(map(len, self.axes))
+        groups = np.moveaxis(np.arange(len(self._ops)).reshape(grid), axis, 0).reshape(grid[axis], -1)
+        stacks = [_joined(self._ops[i] for i in group) for group in groups]
+        return Instrument._from_kraus(self.axes[axis], stacks, atol)
 
     def total_channel(self) -> Channel:
         """The summed channel, with concatenated Kraus lists; not checked
         again, since the family was checked as a whole."""
-        return Channel._unchecked(_joined(self.ops))
+        return Channel._unchecked(_joined(self._ops))
 
     def measured_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The observable this instrument measures (duals at the identity)."""
         return Observable(self.outcomes, self._measured_stack(), atol)
 
     def _measured_stack(self) -> np.ndarray:
-        """The measured effects ``(..., n, d_in, d_in)``, unvalidated."""
-        return hermitian_part(np.stack([op._gram for op in self.ops], axis=-3))
+        """The measured effects ``(..., n, d_in, d_in)`` (a grid:
+        ``(..., n1, n2, d_in, d_in)``), unvalidated."""
+        stack = hermitian_part(np.stack([op._gram for op in self._ops], axis=-3))
+        return stack.reshape(stack.shape[:-3] + tuple(map(len, self.axes)) + stack.shape[-2:])
 
     def updated_state(self, label: str, rho: State | np.ndarray, atol: float = DEFAULT_ATOL) -> State:
         """Post-measurement state for an observed outcome, renormalized.
@@ -156,7 +173,7 @@ class Instrument:
         within ``atol`` of zero.
         """
         _require_atol(atol)
-        out = self.op(label).apply(rho)
+        out = self.ops[self.index(label)].apply(rho)
         prob = float(out.trace().real)
         if prob <= atol:
             raise OutcomeNotObserved(f"outcome {label!r} has probability {prob:.3e}")
@@ -167,81 +184,30 @@ class Instrument:
         ``tr(rho G_x)`` for the member's Gram matrix ``G_x = sum K†K`` (one
         ``vdot``, no branch applied); ``rho`` is read and checked once, also
         for an empty subset."""
-        ops = [self.op(x) for x in dict.fromkeys(labels)]
+        outcomes = _one_axis(self)
+        ops = [self.ops[_position(outcomes, x)] for x in dict.fromkeys(labels)]
         m = _square_input(rho, self.dim_in)
         return float(sum(np.vdot(op._gram, m).real for op in ops))
 
 
-@dataclass(frozen=True, eq=False)
-class BiInstrument:
-    """Instrument on a product outcome set, stored as an operations grid."""
-
-    outcomes1: tuple[str, ...]
-    outcomes2: tuple[str, ...]
-    ops: tuple[tuple[Operation, ...], ...]
-    atol: InitVar[float] = DEFAULT_ATOL
-
-    @classmethod
-    def _from_kraus(cls, outcomes1, outcomes2, stacks, atol: float) -> "BiInstrument":
-        """One grid operation per Kraus stack (row-major), checked once, from
-        the total."""
-        ops = tuple(map(Operation._unchecked, stacks))
-        n = len(outcomes2)
-        return cls(outcomes1, outcomes2, tuple(ops[i : i + n] for i in range(0, len(ops), n)), atol)
-
-    def __post_init__(self, atol: float):
-        o1 = _distinct_labels(self.outcomes1, "BiInstrument")
-        o2 = _distinct_labels(self.outcomes2, "BiInstrument")
-        rows = tuple(tuple(row) for row in self.ops)
-        if len(rows) != len(o1) or any(len(r) != len(o2) for r in rows):
-            raise InvariantViolation("BiInstrument", "grid shape")
-        _admit_family("BiInstrument", [op for row in rows for op in row], atol)
-        object.__setattr__(self, "outcomes1", o1)
-        object.__setattr__(self, "outcomes2", o2)
-        object.__setattr__(self, "ops", rows)
-
-    @property
-    def dim_in(self) -> int:
-        return self.ops[0][0].dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self.ops[0][0].dim_out
-
-    def op(self, x: str, y: str) -> Operation:
-        return self.ops[_position(self.outcomes1, x, (x, y))][_position(self.outcomes2, y, (x, y))]
-
-    def total_channel(self) -> Channel:
-        """The summed channel, with concatenated Kraus lists; not checked
-        again, since the family was checked as a whole."""
-        return Channel._unchecked(_joined(op for row in self.ops for op in row))
-
-    def _marginal(self, outcomes: tuple[str, ...], groups, atol: float) -> Instrument:
-        return Instrument._from_kraus(outcomes, [_joined(group) for group in groups], atol)
-
-    def marginal1(self, atol: float = DEFAULT_ATOL) -> Instrument:
-        """Sum out the second outcome index."""
-        return self._marginal(self.outcomes1, self.ops, atol)
-
-    def marginal2(self, atol: float = DEFAULT_ATOL) -> Instrument:
-        """Sum out the first outcome index."""
-        return self._marginal(self.outcomes2, zip(*self.ops), atol)
-
-
-def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATOL) -> BiObservable:
-    """The joint bi-observable of measuring ``ins`` and then ``obs``.
+def given_observable(obs: Observable, ins: Instrument, atol: float = DEFAULT_ATOL) -> Observable:
+    """The joint observable of measuring ``ins`` and then ``obs``, on the
+    axes ``(ins.outcomes, obs.outcomes)``.
 
     Grid entry ``(x, y)`` is the dual of the ``x``-operation applied to the
     ``y``-effect. Its first marginal is the observable measured by ``ins``
     and its second is ``obs`` conditioned by the total channel.
     """
-    _require_output_dimension(obs, ins)
-    return BiObservable(ins.outcomes, obs.outcomes, _given_grid(ins, obs.effect_stack), atol)
+    return Observable(_chained(obs, ins), _given_grid(ins, obs.effect_stack), atol)
 
 
-def _require_output_dimension(obs: Observable, ins: Instrument) -> None:
+def _chained(obs: Observable, ins: Instrument) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The outcome labels of the one-axis ``ins`` and ``obs``, which must
+    take the instrument's output."""
+    axes = (_one_axis(ins), _one_axis(obs))
     if obs.dim != ins.dim_out:
         raise ValueError(f"dimension mismatch: observable {obs.dim} vs instrument output {ins.dim_out}")
+    return axes
 
 
 def _given_grid(ins: Instrument, stack: np.ndarray) -> np.ndarray:
@@ -265,7 +231,7 @@ def given_distribution(
     ``sum_{x, y} tr[I_x(rho) B_y]`` over the product set. ``rho`` is read
     and checked once, also when a subset is empty.
     """
-    _require_output_dimension(obs, ins)
+    _chained(obs, ins)
     ops = [ins.op(x) for x in dict.fromkeys(subset1)]
     idx = [obs.index(y) for y in dict.fromkeys(subset2)]
     m = _square_input(rho, ins.dim_in)
@@ -304,16 +270,18 @@ def condition_instrument(ch: Operation, ins: Instrument, atol: float = DEFAULT_A
     once, from the family's total."""
     _require_channel(ch, atol)
     superoperator = cache(Operation.superoperator)
-    return Instrument(ins.outcomes, tuple(_composed(ch, op, atol, superoperator) for op in ins.ops), atol)
+    return Instrument(_one_axis(ins), tuple(_composed(ch, op, atol, superoperator) for op in ins.ops), atol)
 
 
-def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> BiInstrument:
-    """The joint bi-instrument of running ``ins`` first, then ``jns``:
-    entry ``(x, y)`` is ``ins.op(x).then(jns.op(y))``, checked once, from
-    the family's total; each member's superoperator is made at most once."""
+def given_instrument(ins: Instrument, jns: Instrument, atol: float = DEFAULT_ATOL) -> Instrument:
+    """The joint instrument of running ``ins`` first, then ``jns``, on the
+    axes ``(ins.outcomes, jns.outcomes)``: entry ``(x, y)`` is
+    ``ins.op(x).then(jns.op(y))``, checked once, from the family's total;
+    each member's superoperator is made at most once."""
+    axes = (_one_axis(ins), _one_axis(jns))
     superoperator = cache(Operation.superoperator)
     ops = tuple(tuple(_composed(iop, jop, atol, superoperator) for jop in jns.ops) for iop in ins.ops)
-    return BiInstrument(ins.outcomes, jns.outcomes, ops, atol)
+    return Instrument(axes, ops, atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +386,7 @@ def _outcome_weights(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 def _holevo_composed(
     outcomes1, outcomes2, a: np.ndarray, alphas: np.ndarray, b: np.ndarray, betas: np.ndarray, atol: float
-) -> BiInstrument:
+) -> Instrument:
     """The closed form of :func:`holevo_compose` from stacks: effects ``a``
     and states ``alphas`` of the first stage, ``b`` and ``betas`` of the
     second (leading axes: a batch)."""
@@ -426,11 +394,12 @@ def _holevo_composed(
     n1, n2 = coeff.shape[-2:]
     rows, cols = np.divmod(np.arange(n1 * n2), n2)
     stacks = _holevo_family(a, betas, rows, cols, coeff.reshape(coeff.shape[:-2] + (-1,)), atol)
-    return BiInstrument._from_kraus(outcomes1, outcomes2, stacks, atol)
+    return Instrument._from_kraus((outcomes1, outcomes2), stacks, atol)
 
 
-def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_ATOL) -> BiInstrument:
-    """Joint bi-instrument of two measure-and-prepare stages, in closed form.
+def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_ATOL) -> Instrument:
+    """Joint instrument of two measure-and-prepare stages, in closed form, on
+    the axes of the stages' observables.
 
     ``first`` runs first. The grid entry ``(x, y)`` is again a
     measure-and-prepare map with effect ``tr(alpha_x B_y) A_x`` and prepared
@@ -448,17 +417,8 @@ def holevo_compose(second: HolevoSpec, first: HolevoSpec, atol: float = DEFAULT_
 
 
 def instrument_deviation(a: Instrument, b: Instrument) -> float | np.ndarray:
-    """Largest map deviation between two instruments on equal outcomes (for
-    batches of instruments, one per member)."""
+    """Largest map deviation between two instruments on equal outcome axes
+    (one axis or a grid; for batches of instruments, one per member)."""
     if a.outcomes != b.outcomes:
         raise ValueError("instruments must share the same ordered outcome labels")
-    return _per_member(np.max([map_deviation(x, y) for x, y in zip(a.ops, b.ops)], axis=0))
-
-
-def bi_instrument_deviation(a: BiInstrument, b: BiInstrument) -> float | np.ndarray:
-    """Largest map deviation between two bi-instruments on equal grids (for
-    batches, one per member)."""
-    if a.outcomes1 != b.outcomes1 or a.outcomes2 != b.outcomes2:
-        raise ValueError("bi-instruments must share the same ordered outcome labels")
-    devs = [map_deviation(x, y) for row_a, row_b in zip(a.ops, b.ops) for x, y in zip(row_a, row_b)]
-    return _per_member(np.max(devs, axis=0))
+    return _per_member(np.max([map_deviation(x, y) for x, y in zip(a._ops, b._ops)], axis=0))

@@ -6,8 +6,9 @@ probe observable. Everything measurable about the model is extracted by
 partial trace over the probe factor.
 
 The generic extraction stays in Kraus form. One function,
-``MeasurementModel._readout``, builds the bi-, probe- and reduced readouts
-(the reduced one's probe is the identity): it factors each probe effect as
+``MeasurementModel._readout``, builds the two-axis, probe and reduced
+readouts, each an :class:`Instrument` (the reduced one's probe is the
+identity): it factors each probe effect as
 ``P = B B†`` (one batched eigendecomposition of the probe stack), contracts
 each interaction Kraus stack and admits the instrument family. Since
 ``tr_probe[X (I ⊗ P)] = sum_j (I ⊗ b_j†) X (I ⊗ b_j)`` over the columns
@@ -26,7 +27,7 @@ stacks are copied probe axis first, with the same bits.
 
 The measured (pointer) observable ``P_y = sum_x I_x*(I ⊗ P_y)`` is the
 pointer grid summed over the interaction outcomes ``x`` and validated once,
-as the returned :class:`Observable`; no :class:`BiObservable` is built for
+as the returned :class:`Observable`; no two-axis observable is built for
 it. No lifted effect ``I ⊗ P_y`` is built either: ``(I ⊗ P_y) K`` is ``P_y``
 applied to each ``(dp, db)`` block of ``K``.
 
@@ -45,10 +46,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import Channel, Operation, _joined, _require_trace_preserving
-from .effects import BiObservable, Effect, Observable, State, _require_ones, _state_family
+from .effects import Effect, Observable, State, _one_axis, _require_ones, _state_family
 from .errors import InvariantViolation
 from .instruments import (
-    BiInstrument,
     HolevoSpec,
     Instrument,
     _holevo_family,
@@ -114,16 +114,18 @@ class MeasurementModel:
             )
         if self.probe.dim != self.dim_probe:
             raise InvariantViolation("MeasurementModel", "probe dimension")
+        _one_axis(self.interaction)
+        _one_axis(self.probe)
 
     @staticmethod
     def _readout(
-        family: type, labels: tuple, groups: Iterable[Sequence[Operation]], probe: np.ndarray, atol: float
-    ) -> Instrument | BiInstrument:
-        """The ``family`` (``Instrument`` or ``BiInstrument``), labeled by
-        ``labels``, of the operations ``rho -> tr_probe[K(rho) (I ⊗ P)]`` for
-        the sum ``K`` of every group of ``groups`` (operations into
-        base ⊗ probe) and every effect ``P`` of the probe stack
-        ``(..., m, dp, dp)``, group-major; leading axes of both are a batch.
+        outcomes: tuple, groups: Iterable[Sequence[Operation]], probe: np.ndarray, atol: float
+    ) -> Instrument:
+        """The instrument on ``outcomes`` (one axis or a grid's axes) of the
+        operations ``rho -> tr_probe[K(rho) (I ⊗ P)]`` for the sum ``K`` of
+        every group of ``groups`` (operations into base ⊗ probe) and every
+        effect ``P`` of the probe stack ``(..., m, dp, dp)``, group-major;
+        leading axes of both are a batch.
 
         ``P = B B†`` for ``B`` the eigenvectors scaled by the square roots of
         the clipped eigenvalues. A Kraus operator ``K[a, w, b]``, with output
@@ -139,17 +141,17 @@ class MeasurementModel:
         for ops in groups:
             out = _contracted(conj, ops)
             members.extend(out[y].reshape(out.shape[1:-4] + (-1,) + out.shape[-2:]) for y in range(len(out)))
-        return family._from_kraus(*labels, members, atol)
+        return Instrument._from_kraus(outcomes, members, atol)
 
-    def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> BiInstrument:
-        """Joint outcome grid: interact, project on a probe effect, trace out
-        the probe. Entry ``(x, y)`` maps ``rho`` to
-        ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
+    def measured_bi_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
+        """Joint instrument on the axes (interaction outcome, probe outcome):
+        interact, project on a probe effect, trace out the probe. Entry
+        ``(x, y)`` maps ``rho`` to ``tr_probe[I_x(rho) (I ⊗ P_y)]``."""
         return _bi_readout(self.interaction, self.probe.outcomes, self.probe.effect_stack, atol)
 
     def measured_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
         """The probe-indexed instrument the model realizes on the base space
-        (the second marginal of the measured bi-instrument)."""
+        (the second marginal of the measured two-axis instrument)."""
         return _probe_readout(self.interaction, self.probe.outcomes, self.probe.effect_stack, atol)
 
     def reduced_instrument(self, atol: float = DEFAULT_ATOL) -> Instrument:
@@ -157,15 +159,15 @@ class MeasurementModel:
         independent of the probe observable."""
         return _reduced_readout(self.interaction, self.dim_probe, atol)
 
-    def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> BiObservable:
-        """Joint observable of interaction outcome and probe outcome: entry
-        ``(x, y)`` is the dual of the ``x``-operation at ``I ⊗ P_y``."""
+    def measured_bi_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
+        """Joint observable on the axes (interaction outcome, probe outcome):
+        entry ``(x, y)`` is the dual of the ``x``-operation at ``I ⊗ P_y``."""
         grid = _pointer_grid(self.interaction, self.probe.effect_stack)
-        return BiObservable(self.interaction.outcomes, self.probe.outcomes, grid, atol)
+        return Observable((self.interaction.outcomes, self.probe.outcomes), grid, atol)
 
     def measured_pointer_observable(self, atol: float = DEFAULT_ATOL) -> Observable:
         """The probe-indexed observable the model measures on the base space
-        (second marginal of the measured bi-observable): the unvalidated
+        (second marginal of the measured two-axis observable): the unvalidated
         grid of :meth:`measured_bi_observable` summed over the interaction
         outcomes ``x``, validated once as the returned observable."""
         grid = _pointer_grid(self.interaction, self.probe.effect_stack)
@@ -177,18 +179,18 @@ class MeasurementModel:
 # checks a batch of interactions (see ``Operation._checked``) and of probes.
 
 
-def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> BiInstrument:
+def _bi_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
     groups = [(op,) for op in interaction.ops]
-    return MeasurementModel._readout(BiInstrument, (interaction.outcomes, outcomes), groups, probe, atol)
+    return MeasurementModel._readout((interaction.outcomes, outcomes), groups, probe, atol)
 
 
 def _probe_readout(interaction: Instrument, outcomes, probe: np.ndarray, atol: float) -> Instrument:
-    return MeasurementModel._readout(Instrument, (outcomes,), [interaction.ops], probe, atol)
+    return MeasurementModel._readout(outcomes, [interaction.ops], probe, atol)
 
 
 def _reduced_readout(interaction: Instrument, dim_probe: int, atol: float) -> Instrument:
     groups = [(op,) for op in interaction.ops]
-    return MeasurementModel._readout(Instrument, (interaction.outcomes,), groups, _identity(dim_probe)[None], atol)
+    return MeasurementModel._readout(interaction.outcomes, groups, _identity(dim_probe)[None], atol)
 
 
 def _contracted(conj: np.ndarray, ops: Sequence[Operation]) -> np.ndarray:
@@ -349,6 +351,7 @@ class KrausSeparableChannel:
 
     def outcome_weights(self, probe: Observable) -> np.ndarray:
         """Matrix ``w[i, y] = tr(rho_i P_y)``; each row sums to 1."""
+        _one_axis(probe)
         if probe.dim != self.dim_probe:
             raise ValueError("probe observable dimension mismatch")
         return _outcome_weights(self._states, probe.effect_stack)
@@ -426,16 +429,17 @@ class HolevoModelQuantities:
 
     ``outcome_weights[x, y] = tr(gamma_x P_y)`` is row-stochastic; the
     pointer observable is the post-processing of the interaction observable
-    by exactly that kernel.
+    by exactly that kernel. ``bi_instrument`` and ``bi_observable`` are on
+    the axes (interaction outcome, probe outcome).
     """
 
     spec: HolevoSeparableSpec
     probe: Observable
     outcome_weights: np.ndarray
-    bi_instrument: BiInstrument
+    bi_instrument: Instrument
     instrument: Instrument
     reduced_instrument: Instrument
-    bi_observable: BiObservable
+    bi_observable: Observable
     pointer_observable: Observable
 
     def dual_effect(self, label: str, a: Effect | np.ndarray, atol: float = DEFAULT_ATOL) -> Effect:
@@ -457,10 +461,10 @@ def _holevo_model(outcomes1, outcomes2, a, betas, gammas, probe, atol: float) ->
     """The closed forms of :func:`holevo_model_quantities` from stacks: the
     effects ``a``, base states ``betas`` and probe states ``gammas`` of the
     spec and the probe stack (leading axes: a batch). Returns the outcome
-    weights, the bi-instrument and the reduced instrument, and the
-    bi-observable grid and pointer effects unvalidated; the probe-indexed
-    instrument is the bi-instrument's ``marginal2``, which the caller makes
-    when it needs it."""
+    weights, the two-axis instrument and the reduced instrument, and the
+    two-axis observable's grid and pointer effects unvalidated; the
+    probe-indexed instrument is the two-axis instrument's ``marginal(1)``,
+    which the caller makes when it needs it."""
     w = _outcome_weights(gammas, probe)
     # One decomposition of A and beta for two families: grid entries (x, y)
     # with effect w[x, y] A_x and state beta_x, then reduced entries x.
@@ -468,7 +472,7 @@ def _holevo_model(outcomes1, outcomes2, a, betas, gammas, probe, atol: float) ->
     rows = np.concatenate([np.repeat(np.arange(n1), n2), np.arange(n1)])
     coeffs = np.concatenate([w.reshape(w.shape[:-2] + (-1,)), np.ones(w.shape[:-2] + (n1,))], axis=-1)
     stacks = _holevo_family(a, betas, rows, rows, coeffs, atol)
-    bi_ins = BiInstrument._from_kraus(outcomes1, outcomes2, stacks[: n1 * n2], atol)
+    bi_ins = Instrument._from_kraus((outcomes1, outcomes2), stacks[: n1 * n2], atol)
     reduced = Instrument._from_kraus(outcomes1, stacks[n1 * n2 :], atol)
     grid = w[..., None, None] * a[..., :, None, :, :]
     return w, bi_ins, reduced, grid, weighted_sum(w, a)
@@ -488,6 +492,7 @@ def holevo_model_quantities(
     * the joint observable entry is ``w[x, y] A_x`` and the pointer
       observable is ``sum_x w[x, y] A_x``.
     """
+    _one_axis(probe)
     if probe.dim != spec.dim_probe:
         raise ValueError("probe observable dimension mismatch")
     a_obs = spec.observable
@@ -499,8 +504,8 @@ def holevo_model_quantities(
         probe=probe,
         outcome_weights=w,
         bi_instrument=bi_ins,
-        instrument=bi_ins.marginal2(atol),
+        instrument=bi_ins.marginal(1, atol),
         reduced_instrument=reduced,
-        bi_observable=BiObservable(a_obs.outcomes, probe.outcomes, grid, atol),
+        bi_observable=Observable((a_obs.outcomes, probe.outcomes), grid, atol),
         pointer_observable=Observable(probe.outcomes, pointer, atol),
     )

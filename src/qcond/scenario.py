@@ -10,7 +10,10 @@ never contains ``NaN`` or ``Infinity``; JSON whitespace carries no meaning,
 so :func:`load_scenario` reads any layout, hand-formatted files included.
 
 Supported types: ``state``, ``effect``, ``observable``, ``operation``,
-``channel``, ``instrument``, ``measurement_model``. Measurement models
+``channel``, ``instrument``, ``measurement_model``; observables and
+instruments on one outcome axis only, so a family on a grid of outcome axes
+is refused by :func:`save_scenario`, and nested outcome lists by
+:func:`load_scenario`. Measurement models
 reference their interaction instrument and probe observable by name; every
 reference must resolve inside the same file. Each type's format is written
 once, in the table ``_TYPES`` (type -> scenario group, class, matrix field,
@@ -157,10 +160,14 @@ def _kraus(payload: dict) -> tuple[np.ndarray, ...]:
 
 
 def _labeled(payload: dict, kind: str, key: str) -> list:
-    """The member list ``key`` of a labeled family, which needs an ``outcomes`` list too."""
+    """The member list ``key`` of a labeled family, which needs an
+    ``outcomes`` list too: one outcome axis, so labels and no nested lists."""
     members = payload.get(key)
-    if not isinstance(payload.get("outcomes"), list) or not isinstance(members, list):
+    outcomes = payload.get("outcomes")
+    if not isinstance(outcomes, list) or not isinstance(members, list):
         raise ScenarioError(f"{kind} needs 'outcomes' and {key!r} lists")
+    if any(isinstance(label, list) for label in outcomes):
+        raise ScenarioError(f"{kind} 'outcomes' must be a list of labels, not of lists")
     return members
 
 
@@ -323,8 +330,9 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     compact JSON, the bytes of ``json.dumps`` on the whole payload, but each
     object is encoded on its own, so only one object's nested lists exist
     at a time. A tolerance or seed that :func:`load_scenario` would reject,
-    a name used twice, an object that its group cannot hold and a
-    measurement model whose parts are not named objects raise
+    a name used twice, an object that its group cannot hold, a family on a
+    grid of outcome axes and a measurement model whose parts are not named
+    objects raise
     :class:`ScenarioError`; every object is encoded before the file is
     opened, so a failing save writes nothing.
     """
@@ -339,6 +347,8 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
                 raise ScenarioError(f"the {group!r} group cannot hold type {type(value).__name__}", obj=name)
             if name in entries:
                 raise ScenarioError("name used by another object of the scenario", obj=name)
+            if len(getattr(value, "axes", ())) > 1:  # the file format has one outcome axis
+                raise ScenarioError(f"{kinds[-1]} on a grid of outcome axes: a file holds one axis", obj=name)
             *_, fields = _TYPES[kinds[-1]]
             entries[name] = {"type": kinds[-1], **fields(value, scn, name)}
     # '{"tolerance": ..., "objects": {', then '"name": {...}' for each object:

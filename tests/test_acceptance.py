@@ -22,7 +22,6 @@ from qcond.effects import (
     post_process,
 )
 from qcond.instruments import (
-    bi_instrument_deviation,
     given_distribution,
     given_instrument,
     given_observable,
@@ -31,7 +30,6 @@ from qcond.instruments import (
     instrument_deviation,
 )
 from qcond.checks import registered_identities
-from qcond.effects import bi_observable_deviation
 from qcond.linalg import max_abs_diff
 from qcond.measurement import (
     HolevoSeparableSpec,
@@ -145,7 +143,7 @@ def test_criterion_05_given_observable_marginals():
         ins = random_instrument(dim, dim + 1, n_i, rng)
         obs = random_observable(dim + 1, n_b, rng)
         grid = given_observable(obs, ins)
-        m1, m2 = grid.marginal1(), grid.marginal2()
+        m1, m2 = grid.marginal(0), grid.marginal(1)
         dev = max(dev, observable_deviation(m1, ins.measured_observable()))
         dev = max(dev, observable_deviation(m2, condition_observable(ins.total_channel(), obs)))
         rho = random_state(dim, rng)
@@ -197,9 +195,9 @@ def test_criterion_07_holevo_composition():
         second = random_holevo_spec(dim + 1, dim, 2, rng)
         closed = holevo_compose(second, first)
         generic = given_instrument(holevo_instrument(first), holevo_instrument(second))
-        dev = max(dev, bi_instrument_deviation(closed, generic))
+        dev = max(dev, instrument_deviation(closed, generic))
         rho = random_state(dim, rng)
-        m1, m2 = closed.marginal1(), closed.marginal2()
+        m1, m2 = closed.marginal(0), closed.marginal(1)
         b_obs = second.observable
         for x in first.observable.outcomes:
             px = np.trace(rho.matrix @ first.observable.effect(x).matrix).real
@@ -263,10 +261,10 @@ def test_criterion_09_holevo_separable():
                 q.dual_effect(x, a).matrix,
                 model.interaction.op(x).dual_apply(a).matrix,
             ))
-        dev = max(dev, bi_instrument_deviation(q.bi_instrument, model.measured_bi_instrument()))
+        dev = max(dev, instrument_deviation(q.bi_instrument, model.measured_bi_instrument()))
         dev = max(dev, instrument_deviation(q.instrument, model.measured_instrument()))
         dev = max(dev, instrument_deviation(q.reduced_instrument, model.reduced_instrument()))
-        dev = max(dev, bi_observable_deviation(q.bi_observable, model.measured_bi_observable()))
+        dev = max(dev, observable_deviation(q.bi_observable, model.measured_bi_observable()))
         dev = max(dev, observable_deviation(
             q.pointer_observable, model.measured_pointer_observable()))
         dev = max(dev, float(np.max(np.abs(q.outcome_weights.sum(axis=1) - 1.0))))

@@ -33,7 +33,6 @@ from qcond.checks import (
 )
 from qcond.cli import main
 from qcond.effects import (
-    BiObservable,
     Effect,
     Observable,
     OutcomeMap,
@@ -45,16 +44,13 @@ from qcond.effects import (
     _require_states,
     _require_surjective,
     affine_combination,
-    bi_observable_deviation,
     observable_deviation,
 )
 from qcond.errors import InvariantViolation, OutcomeNotObserved
 from qcond.channels import map_deviation
 from qcond.instruments import (
-    BiInstrument,
     Instrument,
     _holevo_family,
-    bi_instrument_deviation,
     holevo_operation,
     instrument_deviation,
 )
@@ -783,8 +779,8 @@ def test_batched_family_rules_reject_only_a_bad_last_member():
         assert batched == _message(Observable, ("a", "b", "c"), bad)
     _effect_family("Observable", _last_bad(obs, obs), (3,), ATOL, (4,))
     bad_grid = grid * 1.1
-    batched = _message(_effect_family, "BiObservable", _last_bad(grid, bad_grid), (3, 2), ATOL, (4,))
-    assert batched == _message(BiObservable, ("a", "b", "c"), ("p", "q"), bad_grid)
+    batched = _message(_effect_family, "Observable", _last_bad(grid, bad_grid), (3, 2), ATOL, (4,))
+    assert batched == _message(Observable, (("a", "b", "c"), ("p", "q")), bad_grid)
 
 
 def test_batched_weight_rules_reject_only_a_bad_last_member():
@@ -965,10 +961,11 @@ COMPARATOR_PINS = {
         ),
         1.0,
     ),
+    # the two-axis cases keep the names of the deviations they were pinned on
     "bi_instrument_deviation": (
-        lambda: bi_instrument_deviation(
-            BiInstrument(("r",), ("0", "1"), ((_halves(I2), _halves(X2)),)),
-            BiInstrument(("r",), ("0", "1"), ((_halves(X2), _halves(I2)),)),
+        lambda: instrument_deviation(
+            Instrument((("r",), ("0", "1")), ((_halves(I2), _halves(X2)),)),
+            Instrument((("r",), ("0", "1")), ((_halves(X2), _halves(I2)),)),
         ),
         1.0,
     ),
@@ -977,8 +974,8 @@ COMPARATOR_PINS = {
         0.5,
     ),
     "bi_observable_deviation": (
-        lambda: bi_observable_deviation(
-            BiObservable(("r",), ("0", "1"), ((P0, P1),)), BiObservable(("r",), ("0", "1"), ((I2 / 2, I2 / 2),))
+        lambda: observable_deviation(
+            Observable((("r",), ("0", "1")), ((P0, P1),)), Observable((("r",), ("0", "1")), ((I2 / 2, I2 / 2),))
         ),
         0.5,
     ),

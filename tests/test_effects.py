@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from qcond.effects import (
-    BiObservable,
     Effect,
     Observable,
     OutcomeMap,
     State,
     StochasticMatrix,
     affine_combination,
-    bi_observable_deviation,
     born_probability,
     certify_coexistence,
     observable_deviation,
@@ -97,11 +95,11 @@ def test_observable_effect_over_subset():
 
 def test_bi_observable_validation_and_lookup():
     half = np.eye(2) / 4
-    grid = BiObservable(("x0", "x1"), ("y0", "y1"), ((half, half), (half, half)))
+    grid = Observable((("x0", "x1"), ("y0", "y1")), ((half, half), (half, half)))
     assert grid.dim == 2
     np.testing.assert_allclose(grid.effect("x1", "y0").matrix, half)
     with pytest.raises(InvariantViolation, match="normalization"):
-        BiObservable(("x0",), ("y0",), ((Effect(np.eye(2) / 2),),))
+        Observable((("x0",), ("y0",)), ((Effect(np.eye(2) / 2),),))
 
 
 def test_bi_observable_flatten_is_part_preimage():
@@ -110,15 +108,15 @@ def test_bi_observable_flatten_is_part_preimage():
     lam = random_stochastic_matrix(("y0", "y1"), ("y0", "y1"), rng)
     # commuting construction: C_xy = A_x * w_y with sum_y w_y = 1
     w = np.array([0.3, 0.7])
-    grid = BiObservable(
-        a.outcomes,
-        ("y0", "y1"),
+    grid = Observable(
+        (a.outcomes, ("y0", "y1")),
         tuple(tuple(w[j] * e.matrix for j in range(2)) for e in a.effects),
     )
-    flat = grid.flatten()
+    labels = tuple(f"{x}⊗{y}" for x in a.outcomes for y in ("y0", "y1"))
+    flat = Observable(labels, grid.effect_stack.reshape(-1, 2, 2))
     assert flat.outcomes == ("x0⊗y0", "x0⊗y1", "x1⊗y0", "x1⊗y1")
     back1 = part(flat, OutcomeMap({f"{x}⊗{y}": x for x in a.outcomes for y in ("y0", "y1")}, a.outcomes))
-    assert observable_deviation(back1, grid.marginal1()) < 1e-12
+    assert observable_deviation(back1, grid.marginal(0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +149,9 @@ def test_deviations_reject_observables_of_another_dimension(dims):
     small, large = (Observable.trivial(d, "u") for d in dims)
     with pytest.raises(ValueError, match="^observables must share the same dimension$"):
         observable_deviation(small, large)
-    grids = [BiObservable(("u",), ("v",), ((obs.effect_stack[0],),)) for obs in (small, large)]
-    with pytest.raises(ValueError, match="^bi-observables must share the same dimension$"):
-        bi_observable_deviation(*grids)
+    grids = [Observable((("u",), ("v",)), ((obs.effect_stack[0],),)) for obs in (small, large)]
+    with pytest.raises(ValueError, match="^observables must share the same dimension$"):
+        observable_deviation(*grids)
 
 
 def test_observable_distribution():
@@ -318,12 +316,11 @@ def test_marginals_product_grid():
     rng = np.random.default_rng(15)
     a = random_observable(3, 2, rng)
     w = np.array([0.25, 0.35, 0.40])
-    grid = BiObservable(
-        a.outcomes,
-        ("y0", "y1", "y2"),
+    grid = Observable(
+        (a.outcomes, ("y0", "y1", "y2")),
         tuple(tuple(w[j] * e.matrix for j in range(3)) for e in a.effects),
     )
-    m1, m2 = grid.marginal1(), grid.marginal2()
+    m1, m2 = grid.marginal(0), grid.marginal(1)
     assert observable_deviation(m1, a) < 1e-12
     for j, y in enumerate(("y0", "y1", "y2")):
         np.testing.assert_allclose(m2.effect(y).matrix, w[j] * np.eye(3), atol=1e-12)
@@ -331,8 +328,8 @@ def test_marginals_product_grid():
 
 def test_marginals_degenerate_axis():
     b = random_observable(2, 3, 16)
-    grid = BiObservable(("only",), b.outcomes, (tuple(b.effects),))
-    m1, m2 = grid.marginal1(), grid.marginal2()
+    grid = Observable((("only",), b.outcomes), (tuple(b.effects),))
+    m1, m2 = grid.marginal(0), grid.marginal(1)
     assert m1.n_outcomes == 1
     np.testing.assert_allclose(m1.effects[0].matrix, np.eye(2), atol=1e-12)
     assert observable_deviation(m2, b) < 1e-12
@@ -342,12 +339,11 @@ def test_marginals_are_valid_observables():
     rng = np.random.default_rng(17)
     a = random_observable(2, 2, rng)
     lam = random_stochastic_matrix(a.outcomes, ("y0", "y1"), rng)
-    grid = BiObservable(
-        a.outcomes,
-        ("y0", "y1"),
+    grid = Observable(
+        (a.outcomes, ("y0", "y1")),
         tuple(tuple(lam.weights[i, j] * a.effects[i].matrix for j in range(2)) for i in range(2)),
     )
-    m1, m2 = grid.marginal1(), grid.marginal2()  # constructors validate normalization
+    m1, m2 = grid.marginal(0), grid.marginal(1)  # constructors validate normalization
     assert m1.n_outcomes == 2 and m2.n_outcomes == 2
 
 
@@ -387,9 +383,8 @@ def test_affine_combination_rejects_bad_weights():
 def test_certify_coexistence_commuting_projectors():
     a = qubit_basis_observable()
     b = Observable(("y0", "y1"), (PROJ0, PROJ1))
-    grid = BiObservable(
-        a.outcomes,
-        b.outcomes,
+    grid = Observable(
+        (a.outcomes, b.outcomes),
         tuple(tuple(ax.matrix @ by.matrix for by in b.effects) for ax in a.effects),
     )
     assert certify_coexistence(a, b, grid)
@@ -398,9 +393,8 @@ def test_certify_coexistence_commuting_projectors():
 def test_certify_coexistence_rejects_perturbed_marginal():
     a = qubit_basis_observable()
     b = Observable(("y0", "y1"), (PROJ0, PROJ1))
-    grid = BiObservable(
-        a.outcomes,
-        b.outcomes,
+    grid = Observable(
+        (a.outcomes, b.outcomes),
         tuple(tuple(ax.matrix @ by.matrix for by in b.effects) for ax in a.effects),
     )
     a_shifted = Observable(
@@ -412,7 +406,7 @@ def test_certify_coexistence_rejects_perturbed_marginal():
 def test_certify_coexistence_trivial():
     a = Observable.trivial(2, "x")
     b = Observable.trivial(2, "y")
-    grid = BiObservable(("x",), ("y",), ((np.eye(2),),))
+    grid = Observable((("x",), ("y",)), ((np.eye(2),),))
     assert certify_coexistence(a, b, grid)
 
 
@@ -436,8 +430,9 @@ def _as_observable(labels, effects):
 
 
 def _as_bi_observable(labels, effects):
-    # the whole family as the one row of a grid
-    return BiObservable(("r",), labels, (tuple(effects),))
+    # the whole family as the one row of a grid (the id "BiObservable" names
+    # the two-axis case)
+    return Observable((("r",), labels), (tuple(effects),))
 
 
 NAN_PROJ0 = np.array([[1.0, np.nan], [0.0, 0.0]])
@@ -488,7 +483,7 @@ def test_family_constructors_reject_stacked_arrays(case):
     with pytest.raises(InvariantViolation, match=invariant):
         Observable(labels, stack)
     with pytest.raises(InvariantViolation, match=invariant):
-        BiObservable(("r",), labels, stack[None])
+        Observable((("r",), labels), stack[None])
 
 
 def test_family_constructors_reject_a_wrong_outcome_count():
@@ -497,9 +492,9 @@ def test_family_constructors_reject_a_wrong_outcome_count():
     with pytest.raises(InvariantViolation, match="one effect per outcome"):
         Observable(("a", "b", "c"), np.stack([PROJ0, PROJ1]))
     with pytest.raises(InvariantViolation, match="grid shape"):
-        BiObservable(("r", "s"), ("a", "b"), ((PROJ0, PROJ1),))
+        Observable((("r", "s"), ("a", "b")), ((PROJ0, PROJ1),))
     with pytest.raises(InvariantViolation, match="grid shape"):
-        BiObservable(("r",), ("a", "b"), ((PROJ0,),))
+        Observable((("r",), ("a", "b")), ((PROJ0,),))
 
 
 def test_effects_are_read_only_views_of_the_stack():
@@ -514,7 +509,7 @@ def test_effects_are_read_only_views_of_the_stack():
             e.matrix[0, 0] = 0.5
     assert obs.effect("x2") is obs.effects[2]
     halves = np.stack([stack[:2], stack[2:]], axis=1)
-    grid = BiObservable(obs.outcomes[:2], ("y0", "y1"), halves)
+    grid = Observable((obs.outcomes[:2], ("y0", "y1")), halves)
     assert grid.effect_stack.shape == (2, 2, 3, 3) and not grid.effect_stack.flags.writeable
     assert np.shares_memory(grid.effect("x1", "y0").matrix, grid.effect_stack[1, 0])
 
@@ -559,7 +554,7 @@ def test_affine_combination_rejects_nonfinite_weights():
 _BASIS = Observable(("x0", "x1"), (PROJ0, PROJ1))
 _WIDE = Observable(("x0", "x1"), (np.eye(3) / 2, np.eye(3) / 2))
 _RELABELED = Observable(("y0", "y1"), (PROJ0, PROJ1))
-_GRID = BiObservable(("x0", "x1"), ("y",), ((PROJ0,), (PROJ1,)))
+_GRID = Observable((("x0", "x1"), ("y",)), ((PROJ0,), (PROJ1,)))
 _MIXED = [State.maximally_mixed(d) for d in (2, 3)]
 
 
@@ -585,8 +580,8 @@ _MIXED = [State.maximally_mixed(d) for d in (2, 3)]
     (lambda: certify_coexistence(_WIDE, Observable.trivial(2, "y"), _GRID), False),
     (lambda: observable_deviation(_BASIS, _RELABELED),
      ValueError("observables must share the same ordered outcome labels")),
-    (lambda: bi_observable_deviation(_GRID, BiObservable(("x0", "x1"), ("z",), ((PROJ0,), (PROJ1,)))),
-     ValueError("bi-observables must share the same ordered outcome labels")),
+    (lambda: observable_deviation(_GRID, Observable((("x0", "x1"), ("z",)), ((PROJ0,), (PROJ1,)))),
+     ValueError("observables must share the same ordered outcome labels")),
 ], ids=["pure-zero", "identity-effect", "state-count", "state-dimensions", "kernel-shape", "kernel-composition",
         "empty-map", "unknown-label", "preimage", "no-weights", "mixture-labels", "mixture-dimensions",
         "certificate-labels", "certificate-dimensions", "deviation-labels", "bi-deviation-labels"])

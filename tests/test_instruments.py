@@ -1,4 +1,4 @@
-"""Tests for instruments, bi-instruments and Holevo constructions."""
+"""Tests for instruments, two-axis instruments and Holevo constructions."""
 
 import numpy as np
 import pytest
@@ -13,18 +13,21 @@ from qcond.channels import (
 )
 from qcond.effects import (
     Observable,
+    OutcomeMap,
     State,
+    StochasticMatrix,
+    affine_combination,
     observable_deviation,
+    observable_distribution,
+    outcome_probabilities,
     part,
     post_process,
 )
 from qcond.errors import InvariantViolation, OutcomeNotObserved
 from qcond.instruments import (
-    BiInstrument,
     HolevoSpec,
     Instrument,
     _holevo_family,
-    bi_instrument_deviation,
     condition_instrument,
     given_distribution,
     given_instrument,
@@ -33,6 +36,12 @@ from qcond.instruments import (
     holevo_instrument,
     holevo_operation,
     instrument_deviation,
+)
+from qcond.measurement import (
+    HolevoSeparableSpec,
+    KrausSeparableChannel,
+    MeasurementModel,
+    holevo_model_quantities,
 )
 from qcond.rand import (
     random_channel,
@@ -135,7 +144,7 @@ def test_instrument_distribution_sums_to_one():
 
 
 # ---------------------------------------------------------------------------
-# (B given I) bi-observables
+# (B given I): observables on two outcome axes
 # ---------------------------------------------------------------------------
 
 def test_given_observable_marginals():
@@ -143,9 +152,9 @@ def test_given_observable_marginals():
     ins = random_instrument(2, 3, 3, rng)
     obs = random_observable(3, 2, rng)
     grid = given_observable(obs, ins)
-    assert observable_deviation(grid.marginal1(), ins.measured_observable()) < 1e-12
+    assert observable_deviation(grid.marginal(0), ins.measured_observable()) < 1e-12
     assert (
-        observable_deviation(grid.marginal2(), condition_observable(ins.total_channel(), obs))
+        observable_deviation(grid.marginal(1), condition_observable(ins.total_channel(), obs))
         < 1e-12
     )
 
@@ -246,10 +255,10 @@ def test_given_instrument_marginals():
     ins = random_instrument(2, 3, 2, rng)
     jns = random_instrument(3, 2, 2, rng)
     grid = given_instrument(ins, jns)
-    m2 = grid.marginal2()
+    m2 = grid.marginal(1)
     conditioned = condition_instrument(ins.total_channel(), jns)
     assert instrument_deviation(m2, conditioned) < 1e-12
-    m1 = grid.marginal1()
+    m1 = grid.marginal(0)
     jtotal = jns.total_channel()
     for x in ins.outcomes:
         assert map_deviation(m1.op(x), ins.op(x).then(jtotal)) < 1e-12
@@ -446,7 +455,7 @@ def test_holevo_compose_equals_generic():
     second = random_holevo_spec(3, 2, 2, rng)
     closed = holevo_compose(second, first)
     generic = given_instrument(holevo_instrument(first), holevo_instrument(second))
-    assert bi_instrument_deviation(closed, generic) < 1e-11
+    assert instrument_deviation(closed, generic) < 1e-11
 
 
 def _products(first: Operation, second: Operation) -> np.ndarray:
@@ -537,14 +546,14 @@ def test_bi_instrument_validation():
     rng = np.random.default_rng(27)
     ch = random_channel(2, 2, 2, rng)
     half = ch.scaled(np.sqrt(0.5))
-    BiInstrument(("x0",), ("y0", "y1"), ((half, half),))
+    Instrument((("x0",), ("y0", "y1")), ((half, half),))
     with pytest.raises(InvariantViolation, match="total channel"):
-        BiInstrument(("x0",), ("y0", "y1"), ((half, half.scaled(0.5)),))
+        Instrument((("x0",), ("y0", "y1")), ((half, half.scaled(0.5)),))
 
 
 def test_bi_instrument_dimensions_are_those_of_its_operations():
     half = random_channel(2, 3, 2, 28).scaled(np.sqrt(0.5))
-    grid = BiInstrument(("x0",), ("y0", "y1"), ((half, half),))
+    grid = Instrument((("x0",), ("y0", "y1")), ((half, half),))
     assert (grid.dim_in, grid.dim_out) == (2, 3)
 
 
@@ -568,7 +577,7 @@ def test_family_total_must_lie_below_identity():
     with pytest.raises(InvariantViolation, match="total channel"):
         Instrument(("x0", "x1"), (a, b), atol)
     with pytest.raises(InvariantViolation, match="total channel"):
-        BiInstrument(("x0",), ("y0", "y1"), ((a, b),), atol)
+        Instrument((("x0",), ("y0", "y1")), ((a, b),), atol)
 
 
 def _partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -630,7 +639,7 @@ def test_condition_instrument_by_remixed_channel_matches_original():
 
 @pytest.mark.parametrize("make", [
     lambda ch: Instrument(("a",), (np.eye(2),)),
-    lambda ch: BiInstrument(("a",), ("b",), ((ch.kraus_stack,),)),
+    lambda ch: Instrument((("a",), ("b",)), ((ch.kraus_stack,),)),
     lambda ch: condition_instrument(ch.superoperator(), random_instrument(2, 2, 2, 76)),
     lambda ch: map_sum([ch, ch.kraus_stack]),
 ], ids=["instrument", "bi-instrument", "condition_instrument", "map_sum"])
@@ -658,7 +667,7 @@ def test_deviation_helpers_propagate_nan(monkeypatch):
     monkeypatch.setattr(instruments, "map_deviation", lambda p, q: next(devs))
     assert np.isnan(instrument_deviation(ins, ins))
     devs = iter([0.0, 0.5, float("nan")] + [0.0] * 20)
-    assert np.isnan(bi_instrument_deviation(grid, grid))
+    assert np.isnan(instrument_deviation(grid, grid))
 
 
 # instruments C² -> C³ and C² -> C², and a Holevo spec C³ -> C²
@@ -670,17 +679,116 @@ _SPEC = random_holevo_spec(3, 2, 2, 83)
 @pytest.mark.parametrize("call, expected", [
     (lambda: Instrument(("a", "b"), (_SQUARE.ops[0], _WIDE.ops[0])),
      InvariantViolation("Instrument", "uniform dimensions", "got [(2, 2), (2, 3)]")),
-    (lambda: BiInstrument(("x",), ("a", "b"), ((Channel.identity(2),),)),
-     InvariantViolation("BiInstrument", "grid shape")),
+    (lambda: Instrument((("x",), ("a", "b")), ((Channel.identity(2),),)),
+     InvariantViolation("Instrument", "grid shape", "expected grid (1, 2)")),
     (lambda: _holevo_family(PROJ0[None], PROJ0[None], [0], [0], np.array([-1.0]), 1e-9),
      InvariantViolation("effect", "positive", "eigenvalue -1.000e+00")),
     (lambda: holevo_compose(_SPEC, _SPEC), ValueError("dimension mismatch: 2 -> 3")),
     (lambda: instrument_deviation(_SQUARE, Instrument(("y0", "y1"), _SQUARE.ops)),
      ValueError("instruments must share the same ordered outcome labels")),
-    (lambda: bi_instrument_deviation(given_instrument(_SQUARE, _SQUARE),
-                                     given_instrument(_SQUARE, Instrument(("y0", "y1"), _SQUARE.ops))),
-     ValueError("bi-instruments must share the same ordered outcome labels")),
+    (lambda: instrument_deviation(given_instrument(_SQUARE, _SQUARE),
+                                  given_instrument(_SQUARE, Instrument(("y0", "y1"), _SQUARE.ops))),
+     ValueError("instruments must share the same ordered outcome labels")),
 ], ids=["family-dimensions", "grid-shape", "negative-weight", "holevo-compose-dimensions", "deviation-labels",
         "bi-deviation-labels"])
 def test_instrument_argument_checks(call, expected):
     assert_pinned(call, expected)
+
+
+# ---------------------------------------------------------------------------
+# families on two outcome axes
+# ---------------------------------------------------------------------------
+
+# an instrument C² -> C² and an observable on C², each on two outcome axes,
+# and a two-axis instrument C² -> C⁴ (an interaction's dimensions)
+_INS_GRID = given_instrument(_SQUARE, _SQUARE)
+_OBS_GRID = _INS_GRID.measured_observable()
+_WIDE_GRID = given_instrument(_SQUARE, random_instrument(2, 4, 2, 84))
+_RHO = State.maximally_mixed(2)
+_KERNEL = StochasticMatrix(("x0", "x1"), ("y",), np.ones((2, 1)))
+
+# every public function that reads one outcome axis, given a two-axis family
+ONE_AXIS_READERS = {
+    "Observable.index": lambda: _OBS_GRID.index("x0"),
+    "Instrument.index": lambda: _INS_GRID.index("x0"),
+    "n_outcomes": lambda: _OBS_GRID.n_outcomes,
+    "effect_over": lambda: _OBS_GRID.effect_over(()),
+    "outcome_probabilities": lambda: outcome_probabilities(_RHO, _OBS_GRID),
+    "observable_distribution": lambda: observable_distribution(_RHO, _OBS_GRID),
+    "post_process": lambda: post_process(_OBS_GRID, _KERNEL),
+    "part": lambda: part(_OBS_GRID, OutcomeMap({"x0": "y", "x1": "y"})),
+    "affine_combination": lambda: affine_combination([_OBS_GRID, _OBS_GRID], [0.5, 0.5]),
+    "updated_state": lambda: _INS_GRID.updated_state("x0", _RHO),
+    "subset_probability": lambda: _INS_GRID.subset_probability((), _RHO),
+    "given_observable(observable)": lambda: given_observable(_OBS_GRID, _SQUARE),
+    "given_observable(instrument)": lambda: given_observable(_SQUARE.measured_observable(), _INS_GRID),
+    "given_distribution(observable)": lambda: given_distribution(_OBS_GRID, _SQUARE, _RHO, (), ()),
+    "given_distribution(instrument)": lambda: given_distribution(
+        _SQUARE.measured_observable(), _INS_GRID, _RHO, (), ()),
+    "given_instrument(first)": lambda: given_instrument(_INS_GRID, _SQUARE),
+    "given_instrument(second)": lambda: given_instrument(_SQUARE, _INS_GRID),
+    "condition_instrument": lambda: condition_instrument(Channel.identity(2), _INS_GRID),
+    "MeasurementModel(interaction)": lambda: MeasurementModel(2, 2, _WIDE_GRID, _SQUARE.measured_observable()),
+    "MeasurementModel(probe)": lambda: MeasurementModel(2, 1, _SQUARE, Observable(
+        (("a",), ("b",)), np.ones((1, 1, 1, 1)))),
+    "HolevoSpec": lambda: HolevoSpec(_OBS_GRID, [_RHO] * 4),
+    "HolevoSeparableSpec": lambda: HolevoSeparableSpec(_OBS_GRID, [_RHO] * 4, [_RHO] * 4),
+    "KrausSeparableChannel.outcome_weights": lambda: KrausSeparableChannel(
+        (np.eye(2),), (_RHO,)).outcome_weights(_OBS_GRID),
+    "holevo_model_quantities": lambda: holevo_model_quantities(
+        HolevoSeparableSpec(_SQUARE.measured_observable(), [_RHO] * 2, [_RHO] * 2), _OBS_GRID),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_AXIS_READERS))
+def test_a_one_axis_reader_rejects_a_grid_with_value_error(name):
+    # through the one guard, before any label logic could fail otherwise or
+    # return a dict keyed by label tuples
+    with pytest.raises(Exception) as info:
+        ONE_AXIS_READERS[name]()
+    assert type(info.value) is ValueError
+    assert str(info.value).endswith("on 2 outcome axes: expected one axis")
+
+
+def test_a_grid_keeps_one_label_tuple_per_axis_and_looks_up_one_label_per_axis():
+    assert _INS_GRID.outcomes == _INS_GRID.axes == (("x0", "x1"), ("x0", "x1"))
+    assert _SQUARE.axes == (_SQUARE.outcomes,)
+    assert _INS_GRID.op("x1", "x0") is _INS_GRID.ops[1][0]
+    assert _OBS_GRID.effect("x1", "x0") is _OBS_GRID.effects[1][0]
+    # one label tuple given as the one axis of a grid is that axis
+    assert Observable((("a", "b"),), (PROJ0, PROJ1)).outcomes == ("a", "b")
+    for call, message in [(lambda: _OBS_GRID.effect("x0", "z"), "unknown outcome pair ('x0', 'z')"),
+                          (lambda: _INS_GRID.op("x0"), "expected one label per outcome axis (2), got 1")]:
+        assert_pinned(call, ValueError(message))
+
+
+def test_marginals_sum_the_other_axis_with_the_bits_of_the_grid():
+    stack = _OBS_GRID.effect_stack
+    assert _OBS_GRID.marginal(0).effect_stack.tobytes() == stack.sum(axis=1).tobytes()
+    assert _OBS_GRID.marginal(-1).effect_stack.tobytes() == stack.sum(axis=0).tobytes()
+    for axis, rows in [(0, _INS_GRID.ops), (1, tuple(zip(*_INS_GRID.ops)))]:
+        marginal = _INS_GRID.marginal(axis)
+        assert marginal.outcomes == _INS_GRID.axes[axis]
+        for op, row in zip(marginal.ops, rows):
+            expected = np.concatenate([member.kraus_stack for member in row])
+            assert op.kraus_stack.tobytes() == expected.tobytes()
+    with pytest.raises(IndexError):
+        _INS_GRID.marginal(2)
+
+
+def test_functions_of_any_stack_take_a_grid():
+    ch = random_channel(2, 2, 2, 85)
+    conditioned = condition_observable(ch, _OBS_GRID)
+    assert conditioned.axes == _OBS_GRID.axes
+    assert observable_deviation(conditioned.marginal(1), condition_observable(ch, _OBS_GRID.marginal(1))) < 1e-12
+    total = _SQUARE.total_channel()
+    assert map_deviation(_INS_GRID.total_channel(), total.then(total)) < 1e-12
+    joint = given_observable(_SQUARE.measured_observable(), _SQUARE)
+    assert observable_deviation(_OBS_GRID, joint) < 1e-12
+
+
+def test_a_grid_may_have_more_than_two_axes():
+    quarter = np.eye(2) / 8
+    cube = Observable((("a", "b"), ("c", "d"), ("e", "f")), np.broadcast_to(quarter, (2, 2, 2, 2, 2)))
+    assert cube.effect("b", "c", "f").matrix.tolist() == quarter.tolist()
+    assert cube.marginal(1).effect_stack.tobytes() == cube.effect_stack.sum(axis=(0, 2)).tobytes()

@@ -10,8 +10,6 @@ import pytest
 
 import qcond.linalg as linalg
 from qcond import (
-    BiInstrument,
-    BiObservable,
     Channel,
     Effect,
     HolevoSeparableSpec,
@@ -511,17 +509,18 @@ _FLIP = Instrument(("a", "b"), (Operation([_P0]), Operation([np.array([[0.0, 1.0
     lambda atol: State.pure([1.0, 1.0j], atol),
     lambda atol: Effect(_HALF, atol),
     lambda atol: Observable(("a", "b"), (_P0, _P1), atol),
-    lambda atol: BiObservable(("a",), ("b", "c"), ((_P0, _P1),), atol),
+    lambda atol: Observable((("a",), ("b", "c")), ((_P0, _P1),), atol),
     lambda atol: StochasticMatrix(("a",), ("x", "y"), [[1.0, 0.0]], atol),
     lambda atol: Operation([_P0], atol),
     lambda atol: Channel([_P0, _P1], atol),
     lambda atol: Channel.unitary(np.eye(2), atol),
     lambda atol: Instrument(("a", "b"), (Operation([_P0]), Operation([_P1])), atol),
-    lambda atol: BiInstrument(("a",), ("b", "c"), ((Operation([_P0]), Operation([_P1])),), atol),
+    lambda atol: Instrument((("a",), ("b", "c")), ((Operation([_P0]), Operation([_P1])),), atol),
     lambda atol: HolevoSpec(_BASIS, (_PURE, _PURE), atol),
     lambda atol: KrausSeparableChannel((_P0, _P1), (_PURE, _PURE), atol),
     lambda atol: KrausSeparableChannel.simple((_P0, _P1), ([1.0, 0.0], [0.0, 1.0]), atol),
     lambda atol: HolevoSeparableSpec(_BASIS, (_PURE, _PURE), (_PURE, _PURE), atol),
+    # (the ids "BiObservable" and "BiInstrument" name the two-axis families)
     lambda atol: is_psd(_HALF, atol),
     lambda atol: is_effect_matrix(_HALF, atol),
     lambda atol: _FLIP.updated_state("a", _HALF, atol),

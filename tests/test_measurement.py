@@ -12,12 +12,11 @@ from qcond.effects import (
     Observable,
     State,
     StochasticMatrix,
-    bi_observable_deviation,
     observable_deviation,
     post_process,
 )
 from qcond.errors import InvariantViolation
-from qcond.instruments import BiInstrument, Instrument, bi_instrument_deviation, instrument_deviation
+from qcond.instruments import Instrument, instrument_deviation
 from qcond.linalg import clipped_eigh, kron
 from qcond.measurement import (
     HolevoSeparableSpec,
@@ -97,7 +96,7 @@ def test_readout_of_remixed_interaction_matches_original(dim_base, dim_probe):
     # the readouts depend on the interaction, not on its Kraus lists
     other_ins = Instrument(ins.outcomes, tuple(remixed(op, rng) for op in ins.ops))
     other = MeasurementModel(dim_base, dim_probe, other_ins, model.probe)
-    bi = bi_instrument_deviation(other.measured_bi_instrument(), model.measured_bi_instrument())
+    bi = instrument_deviation(other.measured_bi_instrument(), model.measured_bi_instrument())
     assert bi < 1e-12
     assert instrument_deviation(other.measured_instrument(), model.measured_instrument()) < 1e-12
     assert instrument_deviation(other.reduced_instrument(), model.reduced_instrument()) < 1e-12
@@ -131,13 +130,13 @@ def test_readout_memory_stays_near_one_superoperator(monkeypatch):
 def test_bi_instrument_first_marginal_is_reduced_instrument():
     rng = np.random.default_rng(6)
     model = random_model(2, 2, 2, 2, rng)
-    assert instrument_deviation(model.measured_bi_instrument().marginal1(), model.reduced_instrument()) < 1e-12
+    assert instrument_deviation(model.measured_bi_instrument().marginal(0), model.reduced_instrument()) < 1e-12
 
 
 def test_measured_instrument_is_second_marginal():
     rng = np.random.default_rng(7)
     model = random_model(2, 2, 2, 2, rng)
-    assert instrument_deviation(model.measured_instrument(), model.measured_bi_instrument().marginal2()) < 1e-12
+    assert instrument_deviation(model.measured_instrument(), model.measured_bi_instrument().marginal(1)) < 1e-12
 
 
 def test_measured_instrument_trivial_probe():
@@ -168,8 +167,8 @@ def test_bi_observable_marginal_and_probe_independence():
     bi_a = MeasurementModel(2, 2, ins, probe_a).measured_bi_observable()
     bi_b = MeasurementModel(2, 2, ins, probe_b).measured_bi_observable()
     measured = ins.measured_observable()
-    assert observable_deviation(bi_a.marginal1(), measured) < 1e-12
-    assert observable_deviation(bi_b.marginal1(), measured) < 1e-12
+    assert observable_deviation(bi_a.marginal(0), measured) < 1e-12
+    assert observable_deviation(bi_b.marginal(0), measured) < 1e-12
 
 
 def test_bi_observable_trivial_probe_rows():
@@ -245,7 +244,7 @@ PROJECTIVE_QUBIT = Observable(("p0", "p1"), [np.diag([1.0, 0.0]), np.diag([0.0, 
 def test_pointer_observable_is_the_bi_observables_second_marginal_bit_for_bit(make):
     model = make(np.random.default_rng(16))
     pointer = model.measured_pointer_observable()
-    marginal = model.measured_bi_observable().marginal2()
+    marginal = model.measured_bi_observable().marginal(1)
     assert pointer.outcomes == marginal.outcomes == model.probe.outcomes
     assert pointer.effect_stack.tobytes() == marginal.effect_stack.tobytes()
 
@@ -452,10 +451,10 @@ def test_holevo_separable_matches_generic_pipeline():
                 model.interaction.op(x).dual_apply(a).matrix,
                 atol=1e-11,
             )
-        assert bi_instrument_deviation(q.bi_instrument, model.measured_bi_instrument()) < 1e-11
+        assert instrument_deviation(q.bi_instrument, model.measured_bi_instrument()) < 1e-11
         assert instrument_deviation(q.instrument, model.measured_instrument()) < 1e-11
         assert instrument_deviation(q.reduced_instrument, model.reduced_instrument()) < 1e-11
-        assert bi_observable_deviation(q.bi_observable, model.measured_bi_observable()) < 1e-11
+        assert observable_deviation(q.bi_observable, model.measured_bi_observable()) < 1e-11
         assert (
             observable_deviation(q.pointer_observable, model.measured_pointer_observable())
             < 1e-11
@@ -540,7 +539,7 @@ def _per_effect_readout(stacks, factors):
 
 
 def _members_of(family):
-    return [op for row in family.ops for op in (row if isinstance(family, BiInstrument) else (row,))]
+    return [op for row in family.ops for op in (row if len(family.axes) > 1 else (row,))]
 
 
 def _probe_effects(kind, dp, seed):
@@ -572,7 +571,7 @@ def test_every_readout_keeps_the_bits_of_the_per_effect_contraction(batch, dp, k
     outcomes = ("p0", "p1")
     readouts = [
         (_bi_readout(interaction, outcomes, probe, 1e-9),
-         BiInstrument._from_kraus(interaction.outcomes, outcomes, _per_effect_readout(stacks, factors), 1e-9)),
+         Instrument._from_kraus((interaction.outcomes, outcomes), _per_effect_readout(stacks, factors), 1e-9)),
         (_probe_readout(interaction, outcomes, probe, 1e-9),
          Instrument._from_kraus(outcomes, _per_effect_readout([_joined(interaction.ops)], factors), 1e-9)),
         (_reduced_readout(interaction, dp, 1e-9),

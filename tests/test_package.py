@@ -18,17 +18,16 @@ EXPORTED = (
     # errors
     "InvariantViolation", "OutcomeNotObserved", "ScenarioError",
     # effects
-    "State", "Effect", "Observable", "BiObservable", "StochasticMatrix", "OutcomeMap",
+    "State", "Effect", "Observable", "StochasticMatrix", "OutcomeMap",
     "born_probability", "observable_distribution", "outcome_probabilities", "post_process",
     "part", "affine_combination", "certify_coexistence", "observable_deviation",
-    "bi_observable_deviation",
     # channels
     "Operation", "Channel", "map_sum", "map_deviation", "condition_effect",
     "condition_observable", "complete_subnormalized",
     # instruments
-    "Instrument", "BiInstrument", "HolevoSpec", "given_observable", "given_distribution",
+    "Instrument", "HolevoSpec", "given_observable", "given_distribution",
     "condition_instrument", "given_instrument", "holevo_operation", "holevo_instrument",
-    "holevo_compose", "instrument_deviation", "bi_instrument_deviation",
+    "holevo_compose", "instrument_deviation",
     # measurement
     "MeasurementModel", "KrausSeparableChannel", "HolevoSeparableSpec", "HolevoModelQuantities",
     "holevo_model_quantities",
@@ -48,7 +47,7 @@ SUBMODULES = ("linalg", "errors", "effects", "channels", "instruments", "measure
 
 
 def test_exported_names_are_pinned():
-    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 72
+    assert len(qcond.__all__) == len(set(qcond.__all__)) == len(EXPORTED) == 68
     assert qcond.__all__ == list(EXPORTED)
 
 
@@ -81,7 +80,7 @@ def test_a_check_name_is_read_from_the_suite_at_every_access(monkeypatch):
 
 
 LAZY_IMPORT = """
-import sys
+import contextlib, io, sys
 import numpy as np
 import qcond, qcond.cli, qcond.measurement, qcond.scenario
 from qcond.rand import random_instrument, random_observable
@@ -91,6 +90,12 @@ model = qcond.measurement.MeasurementModel(
     2, 2, random_instrument(2, 4, 2, rng), random_observable(2, 2, rng))
 model.measured_instrument(), model.measured_pointer_observable()
 assert "qcond.checks" not in sys.modules, "a readout loaded qcond.checks"
+
+scenario = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qcond.cli.main(["measure", "--scenario", scenario, "--model", "meter"]) == 0
+    assert qcond.cli.main(["validate", scenario]) == 0
+assert "qcond.checks" not in sys.modules, "a scenario verb loaded qcond.checks"
 
 names = dir(qcond)
 for name in ("checks",) + qcond._CHECKS_NAMES:
@@ -107,15 +112,16 @@ assert qcond.run_checks is qcond.checks.run_checks
 namespace = {}
 exec("from qcond import *", namespace)
 assert all(name in namespace for name in qcond.__all__)
-assert len(qcond.__all__) == 72
+assert len(qcond.__all__) == 68
 print("ok")
 """
 
 
 def test_import_qcond_leaves_the_check_suite_unloaded_until_first_use():
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-W", "error", "-c", LAZY_IMPORT],
-                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+    root = Path(__file__).resolve().parents[1]
+    scenario = root / "demos" / "scenario.example.json"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", LAZY_IMPORT, str(scenario)],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ok"]

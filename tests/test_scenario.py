@@ -469,6 +469,37 @@ def test_scenario_file_checks(call, expected, tmp_path):
     assert_pinned(lambda: call(tmp_path), expected)
 
 
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("group, family, kind", [
+    ("observables", Observable((("a", "b"), ("c",)), ((_P0,), (_P1,))), "observable"),
+    ("instruments", Instrument((("a",), ("b", "c")), ((Operation([_P0]), Operation([_P1])),)), "instrument"),
+], ids=["observable", "instrument"])
+def test_save_refuses_a_family_on_two_outcome_axes_and_writes_nothing(tmp_path, group, family, kind):
+    # the file format has one outcome axis: a grid saved as nested labels
+    # would not load back
+    scn = Scenario()
+    getattr(scn, group)["g"] = family
+    path = tmp_path / "scn.json"
+    expected = ScenarioError(f"{kind} on a grid of outcome axes: a file holds one axis", obj="g")
+    assert_pinned(lambda: save_scenario(scn, path), expected)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("payload, kind", [
+    ({"type": "observable", "outcomes": [["a"], ["b"]],
+      "effects": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                  [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}, "observable"),
+    ({**_ONE, "outcomes": [["u"]]}, "instrument"),
+], ids=["observable", "instrument"])
+def test_load_refuses_nested_outcome_lists(tmp_path, payload, kind):
+    # a nested list is not a label: read with str(), [["a"], ["b"]] would
+    # give the labels "['a']" and "['b']"
+    expected = ScenarioError(f"{kind} 'outcomes' must be a list of labels, not of lists", obj="g")
+    assert_pinned(lambda: _loaded({"objects": {"g": payload}})(tmp_path), expected)
+
+
 def test_an_object_that_fails_to_convert_is_converted_once(tmp_path, monkeypatch):
     # the parse converts each object's matrices once; a failure is raised
     # from there, naming the object, not converted a second time to raise it
