@@ -11,14 +11,15 @@ Operations compose one way, ``_composed`` (behind ``then``,
 ``d_out·d_in`` Kraus operators: where the list of products would be
 longer, one eigendecomposition of the composed Choi matrix gives them.
 
-Every map here is single and checked on its own; families of operations
-are built, and checked from their total, in :mod:`qcond.instruments`.
+Every map here is checked on its own; families of operations are built,
+and checked from their total, in :mod:`qcond.instruments`.
 
 The Kraus kernels broadcast over leading batch axes, which is how the
-identity checks run their trials: a private ``Operation._checked`` over a
-stack ``(..., n, d_out, d_in)`` holds a batch of operations, each checked by
-the rule its class's constructor applies; ``then``, ``superoperator`` and
-:func:`map_deviation` act member by member. ``apply_matrix`` and
+identity checks run their trials: an ``Operation`` (or ``Channel``) made
+from a stack ``batch + (n, d_out, d_in)`` holds a batch of operations, each
+checked by the rule of its class; the kernels, ``then``,
+:func:`map_deviation` and :func:`condition_observable` act member by
+member. ``apply_matrix`` and
 ``dual_matrix`` take ``m`` as ``batch + own + (d, d)``: the leading axes
 broadcast against the batch, any further axes are ``m``'s own stack, and
 each matrix maps to its own image.
@@ -38,6 +39,7 @@ from .linalg import (
     _eigen,
     _identity,
     _near_identity,
+    _per_member,
     _require_atol,
     _require_finite,
     as_complex_matrix,
@@ -65,7 +67,9 @@ class Operation:
 
     ``kraus``, a sequence of matrices or one 3-D array, is copied into one
     stack, ``kraus_stack``, without its exactly-zero operators (one stays when
-    all are zero), so applications are single ``numpy`` contractions.
+    all are zero), so applications are single ``numpy`` contractions. An
+    array ``batch + (n, d_out, d_in)`` with leading axes is a batch of
+    operations, each checked, which keep their zero operators.
     """
 
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, atol: float = DEFAULT_ATOL):
@@ -123,6 +127,10 @@ class Operation:
     def kraus_stack(self) -> np.ndarray:
         """The Kraus list, one read-only ``(n, dim_out, dim_in)`` array."""
         return self._stack
+
+    @property
+    def _batch(self) -> tuple[int, ...]:
+        return self._stack.shape[:-3]
 
     # ``m`` is ``batch + own + (d, d)``: the leading axes broadcast against
     # the batch of ``_checked``, any further axes are ``m``'s own stack, and
@@ -248,11 +256,11 @@ def _square_input(m: State | Effect | np.ndarray, dim: int) -> np.ndarray:
 
 
 def _kraus_stack(kraus: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """A caller's Kraus operators as a new ``(n, d_out, d_in)`` stack: a 3-D
-    array is copied; anything else must be a nonempty sequence of finite
-    2-D matrices of one shape."""
-    if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
-        return np.array(kraus, dtype=complex)
+    """A caller's Kraus operators as a new ``(n, d_out, d_in)`` stack: an
+    array of three axes or more (more: a batch) is copied; anything else must
+    be a nonempty sequence of finite 2-D matrices of one shape."""
+    if isinstance(kraus, np.ndarray) and kraus.ndim >= 3:
+        return np.array(kraus, dtype=complex, order="C")
     mats = [as_complex_matrix(k) for k in kraus]
     if not mats:
         raise InvariantViolation("Operation", "nonempty Kraus list")
@@ -366,11 +374,6 @@ def _superoperator_deviation(diff: np.ndarray, dim_in: int) -> float | np.ndarra
     return _per_member(np.abs(diff @ _basis_columns(dim_in)).max(axis=(-2, -1)))
 
 
-def _per_member(dev: np.ndarray) -> float | np.ndarray:
-    """A float for one map's deviation, the array for a batch's."""
-    return float(dev) if dev.ndim == 0 else dev
-
-
 @lru_cache(maxsize=None)
 def _basis_columns(dim: int) -> np.ndarray:
     """The Hermitian matrix-unit basis flattened into read-only columns."""
@@ -402,17 +405,18 @@ def condition_effect(ch: Operation, b: Effect | np.ndarray, atol: float = DEFAUL
 
 
 def condition_observable(ch: Operation, obs: Observable, atol: float = DEFAULT_ATOL) -> Observable:
-    """Condition every effect of an observable by a channel."""
-    return Observable(obs.outcomes, _conditioned(ch, obs.effect_stack, atol), atol)
-
-
-def _conditioned(ch: Operation, stack: np.ndarray, atol: float) -> np.ndarray:
-    """The dual images of an effect stack ``(..., n, d, d)`` under a checked
-    channel (or a batch of them), unvalidated."""
+    """Condition every effect of an observable by a channel: member by
+    member for a batch of channels, of observables or of both (equal batch
+    shapes, or one of them a single object)."""
     _require_channel(ch, atol)
+    stack = obs.effect_stack
     if stack.shape[-1] != ch.dim_out:
         raise ValueError(f"dimension mismatch: expected {ch.dim_out}, got {stack.shape[-1]}")
-    return ch._dual_images(stack)
+    # ``dual_matrix`` reads the first axes of ``stack`` as the channel's batch
+    extra = len(ch._batch) - len(obs._batch)
+    if extra > 0:
+        stack = stack.reshape((1,) * extra + stack.shape)
+    return Observable(obs.outcomes, ch._dual_images(stack), atol)
 
 
 def complete_subnormalized(

@@ -33,19 +33,40 @@ range whose bounds are computed one batch at a time (``_batches``), and
 ``rand._trial_states`` hashes all the batch's tuples at once into one seed
 state per instance, from which ``rand._generators`` makes the generators.
 A batched runner draws each object of a batch through ``qcond.rand``'s raw
-``_draw_*`` functions, from the same stream as the public constructors,
-checks each stack with the library's own validators (every member, at the
-library's default tolerance, with the constructors' messages) and computes
-through the library's own kernels, which broadcast over the batch axis. An
+``_draw_*`` functions, from the same stream as the public ``random_*``
+constructors, and makes one labelled public object of the batch (a
+``State``, ``Effect``, ``Observable``, ``StochasticMatrix``, ``Channel``,
+``Instrument`` or ``MeasurementModel`` holding it, checked member by member
+by its constructor). Its outcome labels are fixed per identity and not in
+sorted order. It calls the public functions on the whole batch
+(``post_process``, ``StochasticMatrix.then``, ``OutcomeMap.to_stochastic``
+and ``OutcomeMap.then``, ``condition_observable``, ``affine_combination``,
+``given_observable``, ``Instrument.measured_observable`` and the
+``MeasurementModel`` readouts), so the gate runs the label logic users
+call; an ``OutcomeMap`` is made once per distinct surjection drawn (a
+composition once per distinct pair of them). An
 instance's deviations do not depend on its batch: a batch of one gives the
 same bits. A batch that raises is rerun instance by instance, on fresh
 generators from the states already hashed, so one bad instance fails
 alone. Every registered identity runs this way.
 
-Runners compare through two comparators only: ``_dev`` for arrays (each
-instance's largest entrywise deviation) and the map deviations
-(``map_deviation``, ``instrument_deviation``, on one axis or a grid) for
-maps.
+These stay on private kernels, each for one reason: the separable closed
+forms (``qcond.measurement``'s ``_lifted_kraus``, ``_dual_on_product``,
+``_separable_instrument``, ``_pure_probe_states``, ``_grams``,
+``_holevo_model`` and ``_holevo_dual_effects``, and the weights
+``instruments._outcome_weights``),
+because their agreement with the generic pipeline is what the separable
+identities check; the Holevo instruments (``_holevo_instrument``,
+``_holevo_composed``), because ``HolevoSpec`` holds one spec;
+``_factored_probability``, because ``given_distribution`` reads one state;
+``_completed``, because ``complete_subnormalized`` takes one family of
+single effects; and ``_superoperator_deviation``, because a superoperator's
+formula is no map.
+
+Runners compare through three comparators only: ``_dev`` for arrays (each
+instance's largest entrywise deviation), ``observable_deviation`` for
+observables and the map deviations (``map_deviation``,
+``instrument_deviation``, on one axis or a grid) for maps.
 """
 
 from __future__ import annotations
@@ -64,60 +85,19 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    _completed,
-    _conditioned,
-    _superoperator_deviation,
-    map_deviation,
-)
-from .effects import (
-    _MIXTURE_RULE,
-    _effect_family,
-    _indicator,
-    _kernel_weights,
-    _mixture,
-    _require_effects,
-    _require_states,
-    _require_surjective,
-)
-from .instruments import (
-    Instrument,
-    _factored_probability,
-    _given_grid,
-    _holevo_composed,
-    _holevo_instrument,
-    _outcome_weights,
-    given_instrument,
-    instrument_deviation,
-)
+# each private name below stays on its kernel for the reason the module
+# docstring gives; the rand ones seed and draw a batch of the random_* streams
+from .channels import Channel, _completed, _superoperator_deviation, condition_observable, map_deviation
+from .effects import (Effect, Observable, OutcomeMap, State, StochasticMatrix, affine_combination,
+                      observable_deviation, post_process)
+from .instruments import (Instrument, _factored_probability, _holevo_composed, _holevo_instrument,
+                          _outcome_weights, given_instrument, given_observable, instrument_deviation)
 from .linalg import DEFAULT_ATOL, kron, require_tolerance, weighted_sum
-from .measurement import (
-    _bi_readout,
-    _dual_on_product,
-    _grams,
-    _holevo_dual_effects,
-    _holevo_model,
-    _lifted_kraus,
-    _pointer_grid,
-    _probe_readout,
-    _pure_probe_states,
-    _reduced_readout,
-    _separable_instrument,
-)
-from .rand import (
-    _TRIAL_LIMIT,
-    _draw_channels,
-    _draw_effects,
-    _draw_ginibre,
-    _draw_instruments,
-    _draw_observables,
-    _draw_states,
-    _draw_stochastic,
-    _draw_surjections,
-    _generators,
-    _trial_states,
-)
+from .measurement import (MeasurementModel, _dual_on_product, _grams, _holevo_dual_effects, _holevo_model,
+                          _lifted_kraus, _pure_probe_states, _separable_instrument)
+from .rand import (_TRIAL_LIMIT, _draw_channels, _draw_effects, _draw_ginibre, _draw_instruments,
+                   _draw_observables, _draw_states, _draw_stochastic, _draw_surjections, _generators,
+                   _trial_states)
 
 __all__ = [
     "IdentityCheck",
@@ -237,10 +217,12 @@ def _subsets(labels: Sequence) -> list[tuple]:
 
 
 # The batched runners below evaluate one identity on a batch of instances:
-# each draw takes one object per generator, each stack is checked by the
-# rule of the object it stands for (through the library's own validators,
-# at the library's default tolerance, as the objects would be), and each
-# part yields one deviation per instance.
+# each draw takes one object per generator, and each batch of draws becomes
+# one batched public object (State, Effect, Observable, StochasticMatrix,
+# Channel, Instrument, MeasurementModel), checked by its constructor at the
+# library's default tolerance. Each runner fixes its outcome labels, not in
+# sorted order, so that the label logic runs too. Each part yields one
+# deviation per instance.
 
 
 def _dev(a: np.ndarray, b: np.ndarray | float) -> np.ndarray:
@@ -259,7 +241,7 @@ def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> n
 
 
 def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    return _require_states(_draw_states(rngs, dim), DEFAULT_ATOL)
+    return State(_draw_states(rngs, dim)).matrix
 
 
 def _state_stack(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
@@ -268,65 +250,70 @@ def _state_stack(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.nd
 
 
 def _effects(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    return _require_effects(_draw_effects(rngs, dim), DEFAULT_ATOL)
+    return Effect(_draw_effects(rngs, dim)).matrix
 
 
-def _observables(stack: np.ndarray) -> np.ndarray:
-    """A batch ``(b, n, d, d)`` of observables, or ``(b, n1, n2, d, d)`` of
-    grids, checked as ``Observable``s."""
-    return _effect_family("Observable", stack, stack.shape[1:-2], DEFAULT_ATOL, stack.shape[:1])
-
-
-def _random_observables(rngs: Sequence[np.random.Generator], dim: int, n: int) -> np.ndarray:
-    return _observables(_draw_observables(rngs, dim, n))
+def _observable_batch(rngs: Sequence[np.random.Generator], labels: tuple[str, ...], dim: int) -> Observable:
+    """A batch of ``random_observable``s on ``labels``."""
+    return Observable(labels, _draw_observables(rngs, dim, len(labels)))
 
 
 def _channels(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Channel:
-    return Channel._checked(_draw_channels(rngs, dim_in, dim_out, n), DEFAULT_ATOL)
+    return Channel(_draw_channels(rngs, dim_in, dim_out, n))
 
 
-# the outcome labels of ``random_observable`` and ``random_instrument``
-_LABELS = ("x0", "x1")
+def _instruments(
+    rngs: Sequence[np.random.Generator], labels: tuple[str, ...], dim_in: int, dim_out: int
+) -> Instrument:
+    """A batch of ``random_instrument``s on ``labels``, one Kraus operator per
+    outcome, made as ``random_instrument`` makes one: by ``_from_kraus``,
+    checked once, from the family's total."""
+    return Instrument._from_kraus(labels, _draw_instruments(rngs, dim_in, dim_out, len(labels)), DEFAULT_ATOL)
 
 
-def _instruments(rngs: Sequence[np.random.Generator], dim_in: int, dim_out: int, n: int) -> Instrument:
-    """A batch of ``random_instrument``s with one Kraus operator per outcome."""
-    stacks = _draw_instruments(rngs, dim_in, dim_out, n)
-    return Instrument._from_kraus(tuple(f"x{i}" for i in range(n)), stacks, DEFAULT_ATOL)
+def _shared(items: list, make: Callable, key: Callable = lambda item: item) -> list:
+    """``make(item)`` for each of ``items``, made once per distinct
+    ``key(item)``: the items of one key share one object."""
+    made: dict = {}
+    out = []
+    for item in items:
+        k = key(item)
+        if k not in made:
+            made[k] = make(item)
+        out.append(made[k])
+    return out
 
 
-def _kernels(w: np.ndarray) -> np.ndarray:
-    return _kernel_weights(w, DEFAULT_ATOL)
+def _surjections(
+    rngs: Sequence[np.random.Generator], sources: tuple[str, ...], targets: tuple[str, ...]
+) -> list[OutcomeMap]:
+    """A batch of ``random_surjection``s: one ``OutcomeMap`` per instance,
+    one object per distinct surjection drawn."""
+    picks = _draw_surjections(rngs, len(sources), len(targets))
+    return _shared(list(map(tuple, picks.tolist())),
+                   lambda row: OutcomeMap(dict(zip(sources, (targets[i] for i in row))), targets))
 
 
-def _post_processed(obs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _observables(weighted_sum(w, obs))
-
-
-def _parted(obs: np.ndarray, f: np.ndarray, targets: tuple[str, ...]) -> np.ndarray:
-    """Coarse-graining along surjections given by target positions ``f``."""
-    _require_surjective(f, targets)
-    return _post_processed(obs, _kernels(_indicator(f, len(targets))))
-
-
-def _conditioned_observables(ch: Channel, obs: np.ndarray) -> np.ndarray:
-    return _observables(_conditioned(ch, obs, DEFAULT_ATOL))
+def _stochastic(maps: list[OutcomeMap], sources: tuple[str, ...]) -> StochasticMatrix:
+    """The batch of kernels ``f.to_stochastic(sources)``, one per instance's
+    map ``f``, made once per distinct surjection."""
+    kernels = _shared(maps, lambda f: f.to_stochastic(sources), lambda f: tuple(f.mapping.items()))
+    return StochasticMatrix(sources, maps[0].targets, np.stack([k.weights for k in kernels]))
 
 
 @_identity("postprocess-part-compose", "post-processing twice equals one post-processing by the composed "
            "kernel; coarse-graining twice equals the composed surjection")
 def _run_postprocess_part_compose(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-    obs = _random_observables(rngs, dim, 4)
-    lam = _kernels(_draw_stochastic(rngs, 4, 3))
-    mu = _kernels(_draw_stochastic(rngs, 3, 2))
-    yield _dev(
-        _post_processed(_post_processed(obs, lam), mu), _post_processed(obs, _kernels(lam @ mu))
-    )
-    u_labels, v_labels = ("u0", "u1", "u2"), ("v0", "v1")
-    f = _draw_surjections(rngs, 4, 3)
-    g = _draw_surjections(rngs, 3, 2)
-    f_then_g = np.take_along_axis(g, f, axis=-1)
-    yield _dev(_parted(_parted(obs, f, u_labels), g, v_labels), _parted(obs, f_then_g, v_labels))
+    a, u, v = ("a2", "a0", "a3", "a1"), ("u1", "u2", "u0"), ("v1", "v0")
+    obs = _observable_batch(rngs, a, dim)
+    lam = StochasticMatrix(a, u, _draw_stochastic(rngs, 4, 3))
+    mu = StochasticMatrix(u, v, _draw_stochastic(rngs, 3, 2))
+    yield observable_deviation(post_process(post_process(obs, lam), mu), post_process(obs, lam.then(mu)))
+    f = _surjections(rngs, a, u)
+    g = _surjections(rngs, u, v)
+    f_then_g = _shared(list(zip(f, g)), lambda fg: fg[0].then(fg[1]))
+    twice = post_process(post_process(obs, _stochastic(f, a)), _stochastic(g, u))
+    yield observable_deviation(twice, post_process(obs, _stochastic(f_then_g, a)))
 
 
 @_identity("dual-map", "tr[rho I*(a)] == tr[I(rho) a]; the dual adds over summable effects and fixes the "
@@ -337,7 +324,7 @@ def _run_dual_map(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.
     a = _effects(rngs, dim + 1)
     image = ch._dual_effects(a, DEFAULT_ATOL)
     yield _dev(_trace(rho @ image), _trace(ch.apply_matrix(rho) @ a))
-    b_obs = _random_observables(rngs, dim + 1, 3)
+    b_obs = _observable_batch(rngs, ("b2", "b0", "b1"), dim + 1).effect_stack
     e0, e1 = b_obs[:, 0], b_obs[:, 1]
     yield _dev(ch.dual_matrix(e0 + e1), ch.dual_matrix(e0) + ch.dual_matrix(e1))
     yield _dev(ch.dual_matrix(np.eye(dim + 1)), np.eye(dim))
@@ -353,37 +340,38 @@ def _run_contravariance(rngs: Sequence[np.random.Generator], dim: int) -> Iterat
 
 @_identity("conditioning-affine", "conditioning commutes with affine combinations of observables")
 def _run_conditioning_affine(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    labels = ("c1", "c2", "c0")
     ch = _channels(rngs, dim, dim + 1, 2)
-    a1 = _random_observables(rngs, dim + 1, 3)
-    a2 = _random_observables(rngs, dim + 1, 3)
+    a1 = _observable_batch(rngs, labels, dim + 1)
+    a2 = _observable_batch(rngs, labels, dim + 1)
     w = _uniforms(rngs, 0.0, 1.0)
-    weights = _kernel_weights(np.stack([w, 1.0 - w], axis=-1), DEFAULT_ATOL, *_MIXTURE_RULE)
-    lhs = _conditioned_observables(ch, _observables(_mixture(weights, np.stack([a1, a2], axis=1))))
-    conditioned = [_conditioned_observables(ch, a) for a in (a1, a2)]
-    rhs = _observables(_mixture(weights, np.stack(conditioned, axis=1)))
-    yield _dev(lhs, rhs)
+    weights = np.stack([w, 1.0 - w], axis=-1)
+    lhs = condition_observable(ch, affine_combination([a1, a2], weights))
+    rhs = affine_combination([condition_observable(ch, a) for a in (a1, a2)], weights)
+    yield observable_deviation(lhs, rhs)
 
 
 @_identity("subnormalized-completion", "B_x = b_x + (I - sum b)/n is an observable; conditioning B "
            "reproduces the conditioned b_x whenever the residual's dual vanishes")
 def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
     dim2 = dim + 1
+    labels = ("t1", "t0")
     # the channel complete_subnormalized takes, drawn (and checked as a
     # channel) to keep each instance's stream; the completion does not read it
     _channels(rngs, dim, dim2, 2)
-    family = _random_observables(rngs, dim2, 3)[:, :2]
-    completed = _observables(_completed(family, DEFAULT_ATOL))
+    family = _observable_batch(rngs, ("s2", "s0", "s1"), dim2).effect_stack[:, :2]
+    completed = Observable(labels, _completed(family, DEFAULT_ATOL)).effect_stack
     yield _dev(completed, family + (np.eye(dim2) - family.sum(axis=1))[:, None] / family.shape[1])
     yield _dev(completed.sum(axis=1), np.eye(dim2))
     # engineered instance: channel range inside a proper subspace, residual
     # supported on its complement, so the residual's dual vanishes exactly
     small = _channels(rngs, dim, dim, 2).kraus_stack
     zero_row = np.zeros(small.shape[:2] + (1, dim))
-    lifted = Channel._checked(np.concatenate([small, zero_row], axis=-2), DEFAULT_ATOL)
-    sub = _random_observables(rngs, dim, 2)
+    lifted = Channel(np.concatenate([small, zero_row], axis=-2))
+    sub = _observable_batch(rngs, labels, dim).effect_stack
     bs = np.zeros(sub.shape[:2] + (dim2, dim2), dtype=complex)
     bs[..., :dim, :dim] = sub
-    conditioned = _conditioned_observables(lifted, _observables(_completed(bs, DEFAULT_ATOL)))
+    conditioned = condition_observable(lifted, Observable(labels, _completed(bs, DEFAULT_ATOL))).effect_stack
     for i in range(bs.shape[1]):
         yield _dev(conditioned[:, i], lifted._dual_effects(bs[:, i], DEFAULT_ATOL))
 
@@ -391,46 +379,48 @@ def _run_subnormalized_completion(rngs: Sequence[np.random.Generator], dim: int)
 @_identity("given-observable-marginals", "marginals of (B given I) are the measured observable and B "
            "conditioned by the total channel; product-set probabilities factor through the updated state")
 def _run_given_marginals(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-    ins = _instruments(rngs, dim, dim + 1, 3)
-    b_obs = _random_observables(rngs, dim + 1, 2)
-    grid = _observables(_given_grid(ins, b_obs))
-    m1, m2 = _observables(grid.sum(axis=2)), _observables(grid.sum(axis=1))
-    yield _dev(m1, _observables(ins._measured_stack()))
-    yield _dev(m2, _conditioned_observables(ins.total_channel(), b_obs))
+    ins = _instruments(rngs, ("i2", "i0", "i1"), dim, dim + 1)
+    b_obs = _observable_batch(rngs, ("b1", "b0"), dim + 1)
+    grid = given_observable(b_obs, ins)
+    yield observable_deviation(grid.marginal(0), ins.measured_observable())
+    yield observable_deviation(grid.marginal(1), condition_observable(ins.total_channel(), b_obs))
     rho = _states(rngs, dim)
+    b = b_obs.effect_stack
     branch = np.stack([op.apply_matrix(rho) for op in ins.ops], axis=1)
-    overlaps = _trace(branch[:, :, None] @ b_obs[:, None]).real
+    overlaps = _trace(branch[:, :, None] @ b[:, None]).real
     # every pair of nonempty outcome subsets (an empty one has probability 0)
     for s1 in _subsets(range(3))[1:]:
         for s2 in _subsets(range(2))[1:]:
             sigma = branch[:, list(s1)].sum(axis=1)
-            factored = _factored_probability(sigma, b_obs[:, list(s2)].sum(axis=1), DEFAULT_ATOL)
+            factored = _factored_probability(sigma, b[:, list(s2)].sum(axis=1), DEFAULT_ATOL)
             double = overlaps[:, list(s1)][:, :, list(s2)].reshape(len(rngs), -1).sum(axis=1)
             yield _dev(factored, double)
 
 
 @_identity("conditioned-set-closure", "conditioning commutes with post-processing and with taking parts")
 def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
+    a, u = ("a1", "a2", "a0"), ("u1", "u0")
     ch = _channels(rngs, dim, dim + 1, 2)
-    a_obs = _random_observables(rngs, dim + 1, 3)
-    lam = _kernels(_draw_stochastic(rngs, 3, 2))
-    conditioned = _conditioned_observables(ch, a_obs)
-    yield _dev(
-        _conditioned_observables(ch, _post_processed(a_obs, lam)), _post_processed(conditioned, lam)
-    )
-    u_labels = ("u0", "u1")
-    f = _draw_surjections(rngs, 3, 2)
-    yield _dev(_parted(conditioned, f, u_labels), _conditioned_observables(ch, _parted(a_obs, f, u_labels)))
+    a_obs = _observable_batch(rngs, a, dim + 1)
+    lam = StochasticMatrix(a, u, _draw_stochastic(rngs, 3, 2))
+    conditioned = condition_observable(ch, a_obs)
+    yield observable_deviation(condition_observable(ch, post_process(a_obs, lam)), post_process(conditioned, lam))
+    f = _stochastic(_surjections(rngs, a, u), a)
+    yield observable_deviation(post_process(conditioned, f), condition_observable(ch, post_process(a_obs, f)))
+
+
+# the outcome labels of both stages of holevo-composition
+_LABELS = ("x0", "x1")
 
 
 @_identity("holevo-composition", "two measure-and-prepare stages compose to a measure-and-prepare grid with "
            "effects tr(alpha_x B_y) A_x and prepared states beta_y")
 def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-    a, alphas = _random_observables(rngs, dim, 2), _state_stack(rngs, dim + 1, 2)
-    b, betas = _random_observables(rngs, dim + 1, 2), _state_stack(rngs, dim, 2)
+    a, alphas = _observable_batch(rngs, _LABELS, dim).effect_stack, _state_stack(rngs, dim + 1, 2)
+    b, betas = _observable_batch(rngs, _LABELS, dim + 1).effect_stack, _state_stack(rngs, dim, 2)
     first = _holevo_instrument(_LABELS, a, alphas, DEFAULT_ATOL)
     second = _holevo_instrument(_LABELS, b, betas, DEFAULT_ATOL)
-    yield _dev(_observables(first._measured_stack()), a)
+    yield _dev(first.measured_observable().effect_stack, a)
     # the stages are dropped as soon as they are read
     composed = _holevo_composed(_LABELS, _LABELS, a, alphas, b, betas, DEFAULT_ATOL)
     given = given_instrument(first, second)
@@ -456,25 +446,26 @@ def _run_holevo_composition(rngs: Sequence[np.random.Generator], dim: int) -> It
 @_identity("measurement-pointer", "the pointer observable equals the outcome-wise measured effect of the "
            "measured instrument and sum_i K_i†(I⊗P_y)K_i; the interaction marginal is probe-independent")
 def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.ndarray]:
-    ins = _instruments(rngs, dim, 2 * dim, 2)
-    probe = _random_observables(rngs, 2, 2)
-    probe3 = _random_observables(rngs, 2, 3)
+    ins = _instruments(rngs, ("m1", "m0"), dim, 2 * dim)
+    probe = _observable_batch(rngs, ("p1", "p0"), 2)
+    probe3 = _observable_batch(rngs, ("q2", "q0", "q1"), 2)
     rho = _states(rngs, dim)
-    grid = _observables(_pointer_grid(ins, probe))
-    pointer = _observables(grid.sum(axis=1))
-    measured = _probe_readout(ins, _LABELS, probe, DEFAULT_ATOL)
-    yield _dev(pointer, _require_effects(measured._measured_stack(), DEFAULT_ATOL))
+    model = MeasurementModel(dim, 2, ins, probe)
+    grid = model.measured_bi_observable()
+    pointer = model.measured_pointer_observable()
+    measured = model.measured_instrument()
+    yield observable_deviation(pointer, measured.measured_observable())
     kraus = ins.total_channel().kraus_stack[:, None]
-    lifted = kron(np.eye(dim), probe)[:, :, None]
-    yield _dev(pointer, (kraus.conj().mT @ lifted @ kraus).sum(axis=2))
-    marginal = _observables(grid.sum(axis=2))
-    yield _dev(marginal, _observables(ins._measured_stack()))
-    grid3 = _observables(_pointer_grid(ins, probe3))
-    yield _dev(_observables(grid3.sum(axis=2)), marginal)
-    bi_ins = _bi_readout(ins, _LABELS, probe, DEFAULT_ATOL)
+    lifted = kron(np.eye(dim), probe.effect_stack)[:, :, None]
+    yield _dev(pointer.effect_stack, (kraus.conj().mT @ lifted @ kraus).sum(axis=2))
+    marginal = grid.marginal(0)
+    yield observable_deviation(marginal, ins.measured_observable())
+    grid3 = MeasurementModel(dim, 2, ins, probe3).measured_bi_observable()
+    yield observable_deviation(grid3.marginal(0), marginal)
+    bi_ins = model.measured_bi_instrument()
     for x, row in enumerate(bi_ins.ops):
         for y, op in enumerate(row):
-            lhs = _trace(rho @ grid[:, x, y]).real
+            lhs = _trace(rho @ grid.effect_stack[:, x, y]).real
             yield _dev(lhs, _trace(op.apply_matrix(rho)).real)
     yield instrument_deviation(measured, bi_ins.marginal(1))
 
@@ -500,24 +491,26 @@ def _kraus_separable_parts(rngs: Sequence[np.random.Generator], dim: int, n: int
     dim_probe = 2
     factors = _channels(rngs, dim, dim, n).kraus_stack
     states = _state_stack(rngs, dim_probe, n)
-    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
+    total = Channel(_lifted_kraus(factors, states, DEFAULT_ATOL))
     # the superoperator of rho -> sum_i K_i rho K_i† ⊗ rho_i, entry by entry
     formula = np.einsum("...iab,...icd,...ipq->...apcqbd", factors, factors.conj(), states)
     superop = total.superoperator()
     yield _superoperator_deviation(superop - formula.reshape(superop.shape), dim)
     a = _effects(rngs, dim)
     b = _effects(rngs, dim_probe)
-    closed = _require_effects(_dual_on_product(factors, states, a, b), DEFAULT_ATOL)
+    closed = Effect(_dual_on_product(factors, states, a, b)).matrix
     yield _dev(closed, total._dual_effects(kron(a, b), DEFAULT_ATOL))
-    probe = _random_observables(rngs, dim_probe, 2)
-    interaction = Instrument(("u",), (total,))
-    w = _outcome_weights(states, probe)
-    closed_ins = _separable_instrument(_LABELS, factors, w, DEFAULT_ATOL)
-    yield instrument_deviation(closed_ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
-    pointer = _observables(weighted_sum(w, _grams(factors)))
-    yield _dev(pointer, _observables(_observables(_pointer_grid(interaction, probe)).sum(axis=1)))
+    probe = _observable_batch(rngs, ("p1", "p0"), dim_probe)
+    model = MeasurementModel(dim, dim_probe, Instrument(("u",), (total,)), probe)
+    w = _outcome_weights(states, probe.effect_stack)
+    closed_ins = _separable_instrument(probe.outcomes, factors, w, DEFAULT_ATOL)
+    yield instrument_deviation(closed_ins, model.measured_instrument())
+    pointer = Observable(probe.outcomes, weighted_sum(w, _grams(factors)))
+    yield observable_deviation(pointer, model.measured_pointer_observable())
     yield _dev(w.sum(axis=-1), 1.0)
-    yield _dev(pointer, _post_processed(_observables(_grams(factors)), _kernels(w)))
+    k = ("k2", "k0", "k1")[:n]
+    base = Observable(k, _grams(factors))
+    yield observable_deviation(pointer, post_process(base, StochasticMatrix(k, probe.outcomes, w)))
 
 
 @_identity("simple-kraus-separable", "lifted operators phi -> A_i phi ⊗ psi_i realize the separable channel "
@@ -528,9 +521,9 @@ def _run_simple_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     # one norm per vector: a batched norm rounds differently
     pairs = _draw_ginibre(rngs, 2, dim_probe, 1)[..., 0]
     vecs = np.array([[v / np.linalg.norm(v) for v in pair] for pair in pairs])
-    states = _require_states(_pure_probe_states(vecs, DEFAULT_ATOL), DEFAULT_ATOL)
-    total = Channel._checked(_lifted_kraus(factors, states, DEFAULT_ATOL), DEFAULT_ATOL)
-    lifted = Channel._checked(kron(factors, vecs[..., None]), DEFAULT_ATOL)
+    states = State(_pure_probe_states(vecs, DEFAULT_ATOL)).matrix
+    total = Channel(_lifted_kraus(factors, states, DEFAULT_ATOL))
+    lifted = Channel(kron(factors, vecs[..., None]))
     yield map_deviation(total, lifted)
     phi1 = _draw_ginibre(rngs, 1, dim, 1)[:, 0, :, 0]
     phi2 = _draw_ginibre(rngs, 1, dim_probe, 1)[:, 0, :, 0]
@@ -548,29 +541,29 @@ def _run_holevo_separable(rngs: Sequence[np.random.Generator], dim: int) -> Iter
     part): a batch holds one generic readout at a time beside what is still
     to be compared."""
     dim_probe = 2
-    a = _random_observables(rngs, dim, 2)
+    x, y = ("x1", "x0"), ("y1", "y0")
+    a = _observable_batch(rngs, x, dim).effect_stack
     betas = _state_stack(rngs, dim, 2)
     gammas = _state_stack(rngs, dim_probe, 2)
-    probe = _random_observables(rngs, dim_probe, 2)
+    probe = _observable_batch(rngs, y, dim_probe)
     e = _effects(rngs, dim * dim_probe)
-    w, bi_ins, reduced, grid, pointer = _holevo_model(
-        _LABELS, _LABELS, a, betas, gammas, probe, DEFAULT_ATOL
-    )
-    products = _require_states(kron(betas, gammas), DEFAULT_ATOL)
-    interaction = _holevo_instrument(_LABELS, a, products, DEFAULT_ATOL)
-    yield instrument_deviation(reduced, _reduced_readout(interaction, dim_probe, DEFAULT_ATOL))
+    w, bi_ins, reduced, grid, pointer = _holevo_model(x, y, a, betas, gammas, probe.effect_stack, DEFAULT_ATOL)
+    products = State(kron(betas, gammas)).matrix
+    interaction = _holevo_instrument(x, a, products, DEFAULT_ATOL)
+    model = MeasurementModel(dim, dim_probe, interaction, probe)
+    yield instrument_deviation(reduced, model.reduced_instrument())
     del reduced
-    yield instrument_deviation(bi_ins, _bi_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    yield instrument_deviation(bi_ins, model.measured_bi_instrument())
     ins = bi_ins.marginal(1, DEFAULT_ATOL)
     del bi_ins
-    yield instrument_deviation(ins, _probe_readout(interaction, _LABELS, probe, DEFAULT_ATOL))
+    yield instrument_deviation(ins, model.measured_instrument())
     del ins
-    closed = _require_effects(_holevo_dual_effects(a, products, e[:, None]), DEFAULT_ATOL)
+    closed = Effect(_holevo_dual_effects(a, products, e[:, None])).matrix
     generic = [op._dual_effects(e, DEFAULT_ATOL) for op in interaction.ops]
     yield _dev(closed, np.stack(generic, axis=1))
-    model_grid = _observables(_pointer_grid(interaction, probe))
-    yield _dev(_observables(grid), model_grid)
-    yield _dev(_observables(pointer), _observables(model_grid.sum(axis=1)))
+    generic_grid = model.measured_bi_observable()
+    yield observable_deviation(Observable((x, y), grid), generic_grid)
+    yield observable_deviation(Observable(y, pointer), generic_grid.marginal(1))
     yield _dev(w.sum(axis=-1), 1.0)
 
 

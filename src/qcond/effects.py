@@ -11,6 +11,13 @@ has one label tuple, or one per axis of a product outcome set (a grid, whose
 members nest row-major); a grid's lookups take one label per axis. A
 function that reads one outcome axis (``index``, ``post_process``, ...)
 rejects a grid with ``ValueError``, through the one guard ``_one_axis``.
+
+Batches: the axes left of a value's own form a batch (``State``, ``Effect``:
+``batch + (d, d)``; ``Observable``: ``batch + grid + (d, d)``, the grid fixed
+by its labels; ``StochasticMatrix``: ``batch + (n_sources, n_targets)``),
+checked member by member in one call of its type's rule, and a batched
+family holds one view per label. The functions that read one object reject
+a batch through the one guard ``linalg._one_object``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from .linalg import (
     DEFAULT_ATOL,
     _Validated,
     _identity,
+    _matrix_stack,
     _near_identity,
+    _one_object,
+    _per_member,
     _require_atol,
     _require_finite,
     as_complex_matrix,
@@ -33,7 +43,6 @@ from .linalg import (
     frozen_copy,
     is_effect_matrix,
     is_psd,
-    max_abs_diff,
     weighted_sum,
 )
 
@@ -117,7 +126,11 @@ class _Labeled:
     def _admit_outcomes(self, kind: str) -> tuple[int, ...]:
         """Check ``outcomes`` and store them with their ``axes``; returns the
         grid's shape, one length per axis."""
-        axes = _outcome_axes(self.outcomes, kind)
+        return self._set_axes(_outcome_axes(self.outcomes, kind))
+
+    def _set_axes(self, axes: tuple[tuple[str, ...], ...]) -> tuple[int, ...]:
+        """Store parsed outcome ``axes`` and the ``outcomes`` they stand for;
+        returns the grid's shape."""
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "outcomes", axes[0] if len(axes) == 1 else axes)
         return tuple(map(len, axes))
@@ -127,6 +140,8 @@ class _Labeled:
 
     def _member(self, members: tuple, labels: tuple[str, ...]):
         """The member of ``members`` at one label per axis."""
+        if len(labels) == len(self.axes) == 1:
+            return members[_position(self.outcomes, labels[0])]
         if len(labels) != len(self.axes):
             raise ValueError(f"expected one label per outcome axis ({len(self.axes)}), got {len(labels)}")
         for axis, label in zip(self.axes, labels):
@@ -136,13 +151,14 @@ class _Labeled:
 
 @dataclass(frozen=True, eq=False)
 class State(_Validated):
-    """Unit-trace positive operator (density operator)."""
+    """Unit-trace positive operator (density operator); a stack
+    ``batch + (d, d)`` is a batch of states."""
 
     matrix: np.ndarray
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        object.__setattr__(self, "matrix", frozen_copy(_require_states(coerce_matrix(self.matrix), atol)))
+        object.__setattr__(self, "matrix", frozen_copy(_require_states(_matrix_stack(self.matrix), atol)))
 
     @classmethod
     def pure(cls, vector: Sequence[complex], atol: float = DEFAULT_ATOL) -> "State":
@@ -161,13 +177,14 @@ class State(_Validated):
 
 @dataclass(frozen=True, eq=False)
 class Effect(_Validated):
-    """Operator ``a`` with ``0 <= a <= I``; a yes-no measurement element."""
+    """Operator ``a`` with ``0 <= a <= I``; a yes-no measurement element. A
+    stack ``batch + (d, d)`` is a batch of effects."""
 
     matrix: np.ndarray
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        object.__setattr__(self, "matrix", frozen_copy(_require_effects(coerce_matrix(self.matrix), atol)))
+        object.__setattr__(self, "matrix", frozen_copy(_require_effects(_matrix_stack(self.matrix), atol)))
 
     @classmethod
     def identity(cls, dim: int) -> "Effect":
@@ -226,22 +243,21 @@ def _require_effects(m: np.ndarray, atol: float) -> np.ndarray:
     return m
 
 
-def _effect_family(
-    kind: str, family, grid: tuple[int, ...], atol: float, batch: tuple[int, ...] = ()
-) -> np.ndarray:
+def _effect_family(kind: str, family, grid: tuple[int, ...], atol: float) -> np.ndarray:
     """The one validator of effect families; returns a read-only stack.
 
-    ``family`` is an array of shape ``batch + grid + (d, d)`` or nested
-    sequences of shape ``grid`` holding matrices or :class:`Effect` objects.
-    Checked once for all the families of a batch: finite square entries of
-    one dimension ``d >= 1``, every element between zero and identity (one
-    batched factorization) and each family's elements summing to the
-    identity.
+    ``family`` is an array of shape ``batch + grid + (d, d)`` (any axes left
+    of the grid's are a batch of families) or nested sequences of shape
+    ``grid`` holding matrices or :class:`Effect` objects. Checked once for
+    all the families of a batch: finite square entries of one dimension
+    ``d >= 1``, every element between zero and identity (one batched
+    factorization) and each family's elements summing to the identity.
     """
-    lead = batch + grid
+    batch: tuple[int, ...] = ()
     if isinstance(family, np.ndarray):
         stack = np.array(family, dtype=complex)
-        if stack.shape[: len(lead)] != lead:
+        batch = stack.shape[: max(0, stack.ndim - len(grid) - 2)]
+        if stack.shape[len(batch) : len(batch) + len(grid)] != grid:
             invariant = "one effect per outcome" if len(grid) == 1 else "grid shape"
             raise InvariantViolation(kind, invariant, f"expected grid {grid}, got shape {stack.shape}")
     else:
@@ -251,6 +267,7 @@ def _effect_family(
         if len(shapes) != 1:
             raise InvariantViolation(kind, "uniform dimension", f"shapes {sorted(shapes)}")
         stack = np.stack(mats).reshape(grid + mats[0].shape)
+    lead = batch + grid
     if stack.ndim != len(lead) + 2:
         raise InvariantViolation(kind, "two-dimensional")
     dim = stack.shape[-1]
@@ -277,7 +294,9 @@ class Observable(_Labeled):
 
     On a product outcome set ``outcomes`` holds one label tuple per axis:
     ``effects[i][j]`` is the effect of ``(outcomes[0][i], outcomes[1][j])``
-    and the stack is the grid ``(n1, n2, d, d)``.
+    and the stack is the grid ``(n1, n2, d, d)``. An array with axes left of
+    the grid's, ``batch + grid + (d, d)``, is a batch of observables: each
+    view of ``effects`` is then the batch of one label's effects.
     """
 
     outcomes: tuple[str, ...]
@@ -285,14 +304,21 @@ class Observable(_Labeled):
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
-        stack = _effect_family("Observable", self.effects, self._admit_outcomes("Observable"), atol)
+        grid = self._admit_outcomes("Observable")
+        stack = _effect_family("Observable", self.effects, grid, atol)
+        batch = stack.shape[: stack.ndim - len(grid) - 2]
         object.__setattr__(self, "_stack", stack)
-        views = tuple(map(Effect._view, stack.reshape((-1,) + stack.shape[-2:])))
-        object.__setattr__(self, "effects", _nested(views, stack.shape[:-2]))
+        object.__setattr__(self, "_batch", batch)
+        rows = stack.reshape(batch + (-1,) + stack.shape[-2:])
+        if batch:  # the label axis first: one view per label
+            k = len(batch)
+            rows = rows.transpose((k, *range(k), k + 1, k + 2))
+        object.__setattr__(self, "effects", _nested(tuple(map(Effect._view, rows)), grid))
 
     @property
     def effect_stack(self) -> np.ndarray:
-        """All effects as one read-only ``(n, d, d)`` array (a grid: ``(n1, n2, d, d)``)."""
+        """All effects as one read-only ``(n, d, d)`` array (a grid: ``(n1, n2, d, d)``;
+        a batch: ``batch + grid + (d, d)``)."""
         return self._stack
 
     @property
@@ -308,15 +334,17 @@ class Observable(_Labeled):
         return self._member(self.effects, labels)
 
     def effect_over(self, subset: Iterable[str], atol: float = DEFAULT_ATOL) -> Effect:
-        """The effect of an outcome subset, ``sum_{x in subset} A_x``."""
+        """The effect of an outcome subset, ``sum_{x in subset} A_x`` (a batch
+        of them for a batch)."""
         labels = _one_axis(self)
         idx = sorted({_position(labels, x) for x in subset})
-        return Effect(self._stack[idx].sum(axis=0), atol)
+        return Effect(self._stack[..., idx, :, :].sum(axis=-3), atol)
 
     def marginal(self, axis: int, atol: float = DEFAULT_ATOL) -> "Observable":
         """The one-axis observable on ``axes[axis]``: the grid summed over
-        every other axis."""
-        others = tuple(np.delete(np.arange(len(self.axes)), axis))
+        every other axis (member by member for a batch)."""
+        lead = len(self._batch)
+        others = tuple(lead + i for i in range(len(self.axes)) if i != axis % len(self.axes))
         return Observable(self.axes[axis], self._stack.sum(axis=others), atol)
 
     @classmethod
@@ -353,7 +381,8 @@ class StochasticMatrix:
 
     Entries may arrive within ``atol`` outside ``[0, 1]`` (rounding noise);
     they are clamped into ``[0, 1]`` on construction. Rows must sum to 1
-    within ``atol``.
+    within ``atol``. Weights ``batch + (n_sources, n_targets)`` with leading
+    axes are a batch of kernels on the same labels.
     """
 
     sources: tuple[str, ...]
@@ -365,13 +394,17 @@ class StochasticMatrix:
         sources = _distinct_labels(self.sources, "StochasticMatrix")
         targets = _distinct_labels(self.targets, "StochasticMatrix")
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(sources), len(targets)):
+        if w.shape[-2:] != (len(sources), len(targets)):
             raise InvariantViolation(
                 "StochasticMatrix", "shape", f"expected {(len(sources), len(targets))}, got {w.shape}"
             )
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "weights", _kernel_weights(w, atol))
+
+    @property
+    def _batch(self) -> tuple[int, ...]:
+        return self.weights.shape[:-2]
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "StochasticMatrix":
@@ -384,27 +417,11 @@ class StochasticMatrix:
         return cls(tuple(sources), (target,), np.ones((len(sources), 1)))
 
     def then(self, other: "StochasticMatrix", atol: float = DEFAULT_ATOL) -> "StochasticMatrix":
-        """Compose two kernels: apply ``self`` first, then ``other``."""
+        """Compose two kernels: apply ``self`` first, then ``other`` (member by
+        member for batches)."""
         if self.targets != other.sources:
             raise ValueError("kernel composition requires matching intermediate outcomes")
         return StochasticMatrix(self.sources, other.targets, self.weights @ other.weights, atol)
-
-
-def _indicator(index: np.ndarray, n_targets: int) -> np.ndarray:
-    """0/1 weights ``w[..., i, j] = [index[..., i] == j]`` of the maps that
-    send source ``i`` to target position ``index[..., i]``."""
-    return (index[..., :, None] == np.arange(n_targets)).astype(float)
-
-
-def _require_surjective(index: np.ndarray, targets: tuple[str, ...]) -> None:
-    """The surjection rule, for one map or a stack of maps given by target
-    positions ``index[..., i]`` (−1 for a value outside ``targets``): every
-    value is a target and every target is hit."""
-    hit = _indicator(index, len(targets)).any(axis=-2).reshape(-1, len(targets))
-    if (index < 0).any() or not hit.all():
-        first = hit[np.argmin(hit.all(axis=-1))]
-        missing = sorted(t for t, h in zip(targets, first) if not h)
-        raise InvariantViolation("OutcomeMap", "surjective", f"targets {missing} never hit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,7 +449,9 @@ class OutcomeMap:
         outside = [v for v in dict.fromkeys(mapping.values()) if v not in targets]
         if outside:
             raise InvariantViolation("OutcomeMap", "values in targets", f"values {outside} outside {targets}")
-        _require_surjective(np.array([targets.index(v) for v in mapping.values()]), targets)
+        missing = sorted(set(targets).difference(mapping.values()))
+        if missing:
+            raise InvariantViolation("OutcomeMap", "surjective", f"targets {missing} never hit")
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "targets", targets)
 
@@ -457,7 +476,8 @@ class OutcomeMap:
         """The 0/1 kernel with ``w[x, y] = 1`` iff ``f(x) == y``."""
         sources = tuple(sources)
         index = np.array([self.targets.index(self(x)) for x in sources])
-        return StochasticMatrix(sources, self.targets, _indicator(index, len(self.targets)))
+        weights = (index[:, None] == np.arange(len(self.targets))).astype(float)
+        return StochasticMatrix(sources, self.targets, weights)
 
 
 def born_probability(rho: State, a: Effect, atol: float = DEFAULT_ATOL) -> float:
@@ -492,6 +512,7 @@ def observable_distribution(
 
     ``subset=None`` means the full outcome set (total probability 1).
     """
+    _one_object(obs)
     labels = obs.outcomes if subset is None else tuple(dict.fromkeys(subset))
     idx = [obs.index(x) for x in labels]
     return float(sum(_born_probabilities(as_complex_matrix(rho), obs.effect_stack[idx], atol).tolist()))
@@ -500,16 +521,30 @@ def observable_distribution(
 def outcome_probabilities(rho: State, obs: Observable, atol: float = DEFAULT_ATOL) -> dict[str, float]:
     """Per-outcome probabilities of ``obs`` in state ``rho``, in label order,
     from one contraction of the state with the whole effect stack."""
+    _one_object(obs)
     labels = _one_axis(obs)
     p = _born_probabilities(as_complex_matrix(rho), obs.effect_stack, atol)
     return dict(zip(labels, p.tolist()))
 
 
 def post_process(obs: Observable, kernel: StochasticMatrix, atol: float = DEFAULT_ATOL) -> Observable:
-    """Classically randomize outcomes: ``B_y = sum_x w[x, y] A_x``."""
+    """Classically randomize outcomes: ``B_y = sum_x w[x, y] A_x`` (member by
+    member for a batch of observables, of kernels or of both)."""
     if kernel.sources != _one_axis(obs):
         raise ValueError("kernel rows must be indexed by the observable's outcomes")
-    return Observable(kernel.targets, weighted_sum(kernel.weights, obs.effect_stack), atol)
+    w, stack = _common_batch((kernel.weights, 2), (obs.effect_stack, 3))
+    return Observable(kernel.targets, weighted_sum(w, stack), atol)
+
+
+def _common_batch(*parts: tuple[np.ndarray, int]) -> list[np.ndarray]:
+    """The arrays of ``parts``, pairs ``(array, own)`` of an array and the
+    number of its own trailing axes, each broadcast to one batch shape (their
+    leading axes broadcast together); an array already of that shape is
+    returned as is."""
+    shapes = [a.shape[: a.ndim - own] for a, own in parts]
+    batch = np.broadcast_shapes(*shapes)
+    return [a if shape == batch else np.broadcast_to(a, batch + a.shape[a.ndim - own :])
+            for (a, own), shape in zip(parts, shapes)]
 
 
 def part(obs: Observable, f: OutcomeMap, atol: float = DEFAULT_ATOL) -> Observable:
@@ -532,10 +567,13 @@ _MIXTURE_RULE = ("affine combination", "weights in [0, 1]", "weights sum to 1")
 
 
 def affine_combination(
-    observables: Sequence[Observable], weights: Sequence[float], atol: float = DEFAULT_ATOL
+    observables: Sequence[Observable], weights: Sequence[float] | np.ndarray, atol: float = DEFAULT_ATOL
 ) -> Observable:
-    """Outcome-wise convex mixture of observables on a common outcome set."""
-    if len(observables) != len(weights) or not observables:
+    """Outcome-wise convex mixture of observables on a common outcome set,
+    with the weights clamped into ``[0, 1]`` as a kernel's are. Weights
+    ``batch + (k,)`` mix batches of observables member by member."""
+    w = np.asarray(weights, dtype=float)
+    if not observables or w.ndim == 0 or len(observables) != w.shape[-1]:
         raise ValueError("need one weight per observable")
     first = observables[0]
     _one_axis(first)
@@ -544,10 +582,9 @@ def affine_combination(
             raise ValueError("observables must share the same ordered outcome labels")
         if obs.dim != first.dim:
             raise ValueError("observables must share the same dimension")
-    w = np.asarray(weights, dtype=float)
-    _kernel_weights(w, atol, *_MIXTURE_RULE)
-    stacks = np.stack([obs.effect_stack for obs in observables])
-    return Observable(first.outcomes, _mixture(w, stacks), atol)
+    w = _kernel_weights(w, atol, *_MIXTURE_RULE)
+    w, *stacks = _common_batch((w, 1), *((obs.effect_stack, 3) for obs in observables))
+    return Observable(first.outcomes, _mixture(w, np.stack(stacks, axis=-4)), atol)
 
 
 def _mixture(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -565,6 +602,7 @@ def certify_coexistence(
     marginals equal ``a`` and ``b`` entrywise within ``atol``. This
     validates a supplied certificate; it does not search for one.
     """
+    _one_object(a, b, joint)
     if joint.axes != (a.outcomes, b.outcomes):
         return False
     if joint.dim != a.dim or joint.dim != b.dim:
@@ -573,11 +611,13 @@ def certify_coexistence(
             and observable_deviation(joint.marginal(1, atol), b) <= atol)
 
 
-def observable_deviation(a: Observable, b: Observable) -> float:
+def observable_deviation(a: Observable, b: Observable) -> float | np.ndarray:
     """Largest entrywise deviation between two observables on equal outcome
-    axes (one axis or a grid)."""
+    axes (one axis or a grid); for batches of observables, one per member."""
     if a.outcomes != b.outcomes:
         raise ValueError("observables must share the same ordered outcome labels")
     if a.dim != b.dim:
         raise ValueError("observables must share the same dimension")
-    return max_abs_diff(a.effect_stack, b.effect_stack)
+    diff = np.abs(a.effect_stack - b.effect_stack)
+    lead = max(len(a._batch), len(b._batch))
+    return _per_member(diff.reshape(diff.shape[:lead] + (-1,)).max(axis=-1))

@@ -15,17 +15,21 @@ positive, its total's ``sum_x op_x*(I) = I`` gives each member's
 ``condition_instrument``, ``given_instrument``) skip that check, and
 ``total_channel`` returns the total without checking it again.
 
-Batches: ``_from_kraus`` over Kraus stacks ``(..., n, d_out, d_in)`` with
-leading axes builds a batch of families whose members are batches of
-operations (see ``Operation._checked``), each family's total checked.
-``marginal``, ``given_instrument`` and the deviation act on them member by
-member, and the Holevo kernels (``_holevo_family``,
-``_holevo_instrument``, ``_holevo_composed``) take leading batch axes on
-their effect, state and coefficient stacks.
+Batches: an instrument whose members are batches of operations (Kraus
+stacks ``batch + (n, d_out, d_in)``, as ``_from_kraus`` takes them) is a
+batch of families, each family's total checked. ``marginal``,
+``total_channel``, ``measured_observable``, :func:`given_observable`,
+:func:`given_instrument` and the deviation act on them member by member; the
+queries of one instrument (``updated_state``, ``subset_probability``,
+:func:`given_distribution`) and :class:`HolevoSpec` reject a batch with
+``ValueError`` (``linalg._one_object``). The Holevo kernels
+(``_holevo_family``, ``_holevo_instrument``, ``_holevo_composed``) take
+leading batch axes on their effect, state and coefficient stacks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -37,7 +41,6 @@ from .channels import (
     Operation,
     _composed,
     _joined,
-    _per_member,
     _require_channel,
     _require_operations,
     _require_trace_non_increasing,
@@ -61,6 +64,8 @@ from .effects import (
 from .errors import InvariantViolation, OutcomeNotObserved
 from .linalg import (
     DEFAULT_ATOL,
+    _one_object,
+    _per_member,
     _require_atol,
     as_complex_matrix,
     clipped_eigh,
@@ -119,16 +124,28 @@ class Instrument(_Labeled):
     @classmethod
     def _from_kraus(cls, outcomes, stacks, atol: float) -> "Instrument":
         """One operation per Kraus stack (row-major on a grid), checked once,
-        from the total (stacks with leading axes: a batch of families)."""
-        grid = tuple(map(len, _outcome_axes(outcomes, "Instrument")))
-        return cls(outcomes, _nested(tuple(map(Operation._unchecked, stacks)), grid), atol)
+        from the total (stacks with leading axes: a batch of families); the
+        labels are parsed once."""
+        ins = object.__new__(cls)
+        ins._admit(_outcome_axes(outcomes, "Instrument"), tuple(map(Operation._unchecked, stacks)), atol)
+        return ins
 
     def __post_init__(self, atol: float):
-        grid = self._admit_outcomes("Instrument")
-        ops = _admit_family("Instrument", _flattened("Instrument", self.ops, grid, "operation"), atol)
+        axes = _outcome_axes(self.outcomes, "Instrument")
+        self._admit(axes, _flattened("Instrument", self.ops, tuple(map(len, axes)), "operation"), atol)
+
+    def _admit(self, axes: tuple[tuple[str, ...], ...], ops: Sequence[Operation], atol: float) -> None:
+        """Store the parsed ``axes`` and the members ``ops``, row-major, after
+        the family's one check."""
+        grid = self._set_axes(axes)
+        if len(ops) != math.prod(grid):
+            invariant = "one operation per outcome" if len(grid) == 1 else "grid shape"
+            raise InvariantViolation("Instrument", invariant, f"expected grid {grid}")
+        ops = _admit_family("Instrument", ops, atol)
         object.__setattr__(self, "ops", _nested(ops, grid))
-        # the members in row-major order
+        # the members in row-major order, and their batch shape
         object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_batch", ops[0]._batch)
 
     @property
     def dim_in(self) -> int:
@@ -172,6 +189,7 @@ class Instrument(_Labeled):
         Raises :class:`OutcomeNotObserved` when the outcome probability is
         within ``atol`` of zero.
         """
+        _one_object(self)
         _require_atol(atol)
         out = self.ops[self.index(label)].apply(rho)
         prob = float(out.trace().real)
@@ -186,6 +204,7 @@ class Instrument(_Labeled):
         for an empty subset."""
         outcomes = _one_axis(self)
         ops = [self.ops[_position(outcomes, x)] for x in dict.fromkeys(labels)]
+        _one_object(self)
         m = _square_input(rho, self.dim_in)
         return float(sum(np.vdot(op._gram, m).real for op in ops))
 
@@ -234,6 +253,7 @@ def given_distribution(
     _chained(obs, ins)
     ops = [ins.op(x) for x in dict.fromkeys(subset1)]
     idx = [obs.index(y) for y in dict.fromkeys(subset2)]
+    _one_object(obs, ins)
     m = _square_input(rho, ins.dim_in)
     if not ops or not idx:
         return 0.0
@@ -296,6 +316,7 @@ class HolevoSpec:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
+        _one_object(self.observable)
         stack = _state_family("HolevoSpec", self.states, self.observable.n_outcomes, atol)
         object.__setattr__(self, "_states", stack)
         object.__setattr__(self, "states", tuple(map(State._view, stack)))

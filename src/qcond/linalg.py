@@ -18,7 +18,11 @@ Conventions fixed here and inherited everywhere else:
   imported);
 * a validated value (``State``, ``Effect``) is read as its stored
   read-only matrix and never checked again; a raw array is coerced and
-  checked once per call.
+  checked once per call;
+* a value type may hold a batch: the axes to the left of its own (a
+  matrix's two; a family's label axes and two) form the batch, and every
+  function that reads one object rejects a batch through one guard,
+  ``_one_object``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ def coerce_matrix(m: Any) -> np.ndarray:
     Accepts anything ``numpy`` can convert plus the wrapper types of this
     package (objects exposing a ``matrix`` attribute).
     """
+    if isinstance(m, _Validated) and m.matrix.ndim > 2:
+        _one_object(m)
     arr = _matrix_stack(m)
     if arr.ndim != 2:
         raise InvariantViolation("matrix", "two-dimensional", f"got ndim={arr.ndim}")
@@ -93,7 +99,11 @@ class _Validated:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    @property
+    def _batch(self) -> tuple[int, ...]:
+        return self.matrix.shape[:-2]
 
     @classmethod
     def _view(cls, matrix: np.ndarray):
@@ -110,10 +120,26 @@ def as_complex_matrix(m: Any) -> np.ndarray:
     """Coerce ``m`` to a finite 2-D complex array (construction boundary).
 
     A validated value is read as its stored read-only matrix and not checked
-    again; anything else is coerced and checked for finite entries."""
+    again (one value: a batch is rejected by ``_one_object``); anything else
+    is coerced and checked for finite entries."""
     if isinstance(m, _Validated):
+        if m.matrix.ndim > 2:
+            _one_object(m)
         return m.matrix
     return _require_finite(coerce_matrix(m))
+
+
+def _one_object(*values) -> None:
+    """The one guard of the functions that read one object: ``ValueError``
+    for a value that holds a batch (a nonempty ``_batch``)."""
+    for value in values:
+        if value._batch:
+            raise ValueError(f"{type(value).__name__} holds a batch of shape {value._batch}: expected one object")
+
+
+def _per_member(dev: np.ndarray) -> float | np.ndarray:
+    """A float for one object's deviation, the array for a batch's."""
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def _require_finite(m: np.ndarray, kind: str = "matrix") -> np.ndarray:

@@ -18,10 +18,11 @@ Kraus operators ``(I ⊗ b_j†) K``: one contraction per Kraus stack, read as
 over every probe effect at once, at O(n·db²·dp²) per probe effect; no
 superoperator is built.
 
-The readout takes leading batch axes: an interaction instrument whose
-members are batches of operations (see ``Operation._checked``) and a probe
-stack ``(b, m, dp, dp)`` are read out member by member, through the same
-kernels as one model (``_readout`` and ``_pointer_grid``). Only the layout
+The readout takes leading batch axes: a model whose interaction instrument
+and probe observable are batches (see ``qcond.effects``) is a batch of
+models, and every ``measured_*`` method and ``reduced_instrument`` read it
+out member by member, through the same kernels as one model (``_readout``
+and ``_pointer_grid``). Only the layout
 of the contraction depends on the batch axes (``_contracted``): a batch's
 stacks are copied probe axis first, with the same bits.
 
@@ -58,6 +59,7 @@ from .instruments import (
 from .linalg import (
     DEFAULT_ATOL,
     _identity,
+    _one_object,
     as_complex_matrix,
     clipped_eigh,
     frozen_copy,
@@ -351,6 +353,7 @@ class KrausSeparableChannel:
 
     def outcome_weights(self, probe: Observable) -> np.ndarray:
         """Matrix ``w[i, y] = tr(rho_i P_y)``; each row sums to 1."""
+        _one_object(probe)
         _one_axis(probe)
         if probe.dim != self.dim_probe:
             raise ValueError("probe observable dimension mismatch")
@@ -394,6 +397,7 @@ class HolevoSeparableSpec:
     atol: InitVar[float] = DEFAULT_ATOL
 
     def __post_init__(self, atol: float):
+        _one_object(self.observable)
         n = self.observable.n_outcomes
         base = _state_family("HolevoSeparableSpec", self.base_states, n, atol)
         probe = _state_family("HolevoSeparableSpec", self.probe_states, n, atol)
@@ -492,6 +496,7 @@ def holevo_model_quantities(
     * the joint observable entry is ``w[x, y] A_x`` and the pointer
       observable is ``sum_x w[x, y] A_x``.
     """
+    _one_object(probe)
     _one_axis(probe)
     if probe.dim != spec.dim_probe:
         raise ValueError("probe observable dimension mismatch")

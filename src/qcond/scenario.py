@@ -331,7 +331,7 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
     object is encoded on its own, so only one object's nested lists exist
     at a time. A tolerance or seed that :func:`load_scenario` would reject,
     a name used twice, an object that its group cannot hold, a family on a
-    grid of outcome axes and a measurement model whose parts are not named
+    grid of outcome axes, a batch and a measurement model whose parts are not named
     objects raise
     :class:`ScenarioError`; every object is encoded before the file is
     opened, so a failing save writes nothing.
@@ -349,6 +349,8 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
                 raise ScenarioError("name used by another object of the scenario", obj=name)
             if len(getattr(value, "axes", ())) > 1:  # the file format has one outcome axis
                 raise ScenarioError(f"{kinds[-1]} on a grid of outcome axes: a file holds one axis", obj=name)
+            if getattr(value, "_batch", ()):  # and one object per entry
+                raise ScenarioError(f"{kinds[-1]} holding a batch: a file holds single objects", obj=name)
             *_, fields = _TYPES[kinds[-1]]
             entries[name] = {"type": kinds[-1], **fields(value, scn, name)}
     # '{"tolerance": ..., "objects": {', then '"name": {...}' for each object:

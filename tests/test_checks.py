@@ -38,24 +38,27 @@ from qcond.effects import (
     OutcomeMap,
     State,
     StochasticMatrix,
-    _effect_family,
-    _kernel_weights,
-    _require_effects,
-    _require_states,
-    _require_surjective,
     affine_combination,
+    born_probability,
+    certify_coexistence,
+    observable_distribution,
+    outcome_probabilities,
     observable_deviation,
 )
 from qcond.errors import InvariantViolation, OutcomeNotObserved
 from qcond.channels import map_deviation
 from qcond.instruments import (
+    HolevoSpec,
     Instrument,
     _holevo_family,
+    given_distribution,
     holevo_operation,
     instrument_deviation,
 )
 from qcond.measurement import (
+    HolevoSeparableSpec,
     KrausSeparableChannel,
+    holevo_model_quantities,
     _grams,
     _probe_readout,
     _pure_probe_states,
@@ -755,57 +758,58 @@ def _last_bad(good: np.ndarray, bad: np.ndarray, n: int = 4) -> np.ndarray:
 ATOL = 1e-9
 
 
+# The public constructors take a batch: each member is checked by the rule
+# of one object, in one call, and a bad last member fails with the message
+# of that member alone.
+
+
 def test_batched_state_and_effect_rules_reject_only_a_bad_last_member():
     rho = random_state(2, 0).matrix
     not_psd = np.diag([1.5, -0.5]).astype(complex)
     half = rho / 2
-    for bad, single in [(not_psd, State), (half, State)]:
-        assert _message(_require_states, _last_bad(rho, bad), ATOL) == _message(single, bad)
-    _require_states(_last_bad(rho, rho), ATOL)
+    for bad in (not_psd, half):
+        assert _message(State, _last_bad(rho, bad)) == _message(State, bad)
+    assert State(_last_bad(rho, rho)).matrix.shape == (4, 2, 2)
     a = np.diag([0.3, 0.6]).astype(complex)
     for bad in (np.diag([1.2, 0.0]), np.diag([np.nan, 0.0])):
         bad = bad.astype(complex)
-        assert _message(_require_effects, _last_bad(a, bad), ATOL) == _message(Effect, bad)
-    _require_effects(_last_bad(a, a), ATOL)
+        assert _message(Effect, _last_bad(a, bad)) == _message(Effect, bad)
+    assert Effect(_last_bad(a, a)).matrix.shape == (4, 2, 2)
 
 
 def test_batched_family_rules_reject_only_a_bad_last_member():
     obs = random_observable(2, 3, 0).effect_stack
+    labels = ("a", "c", "b")
     scaled = obs * 0.9
     grid = obs[:, None] * np.array([0.5, 0.5])[:, None, None]
     for bad in (scaled, np.stack([obs[0] + obs[1], obs[2] - 0.2 * np.eye(2), 0.2 * np.eye(2)])):
-        stack = _last_bad(obs, bad)
-        batched = _message(_effect_family, "Observable", stack, (3,), ATOL, (4,))
-        assert batched == _message(Observable, ("a", "b", "c"), bad)
-    _effect_family("Observable", _last_bad(obs, obs), (3,), ATOL, (4,))
+        assert _message(Observable, labels, _last_bad(obs, bad)) == _message(Observable, labels, bad)
+    Observable(labels, _last_bad(obs, obs))
+    axes = (labels, ("q", "p"))
     bad_grid = grid * 1.1
-    batched = _message(_effect_family, "Observable", _last_bad(grid, bad_grid), (3, 2), ATOL, (4,))
-    assert batched == _message(Observable, (("a", "b", "c"), ("p", "q")), bad_grid)
+    assert _message(Observable, axes, _last_bad(grid, bad_grid)) == _message(Observable, axes, bad_grid)
+    Observable(axes, _last_bad(grid, grid))
 
 
 def test_batched_weight_rules_reject_only_a_bad_last_member():
     w = np.array([[0.25, 0.75], [1.0, 0.0]])
     for bad in (np.array([[0.5, 0.6], [1.0, 0.0]]), np.array([[1.2, -0.2], [1.0, 0.0]])):
         single = _message(StochasticMatrix, ("a", "b"), ("p", "q"), bad)
-        assert _message(_kernel_weights, _last_bad(w, bad), ATOL) == single
+        assert _message(StochasticMatrix, ("a", "b"), ("p", "q"), _last_bad(w, bad)) == single
+    assert StochasticMatrix(("a", "b"), ("p", "q"), _last_bad(w, w)).weights.shape == (4, 2, 2)
     mix = np.array([0.3, 0.7])
     bad = np.array([0.3, 0.6])
     observables = [random_observable(2, 2, s) for s in (1, 2)]
     single = _message(affine_combination, observables, bad)
-    mixture_rule = ("affine combination", "weights in [0, 1]", "weights sum to 1")
-    assert _message(_kernel_weights, _last_bad(mix, bad), ATOL, *mixture_rule) == single
-    f = np.array([0, 1, 1])
-    bad_f = np.array([0, 0, 0])
-    single = _message(OutcomeMap, {"x": "u", "y": "u", "z": "u"}, ("u", "v"))
-    assert _message(_require_surjective, _last_bad(f, bad_f), ("u", "v")) == single
+    assert _message(affine_combination, observables, _last_bad(mix, bad)) == single
+    assert affine_combination(observables, _last_bad(mix, mix)).effect_stack.shape == (4, 2, 2, 2)
 
 
 def test_batched_operation_rules_reject_only_a_bad_last_member():
     kraus = random_channel(2, 3, 2, 0).kraus_stack
     for cls, bad in [(Channel, 0.9 * kraus), (Operation, 1.1 * kraus)]:
-        stack = _last_bad(kraus, bad)
-        assert _message(cls._checked, stack, ATOL) == _message(cls, bad)
-    Channel._checked(_last_bad(kraus, kraus), ATOL)
+        assert _message(cls, _last_bad(kraus, bad)) == _message(cls, bad)
+    assert Channel(_last_bad(kraus, kraus)).kraus_stack.shape == (4, 2, 3, 2)
     # an instrument batch checks the total of every member family
     first, second = kraus[:1], kraus[1:]
     members = [_last_bad(first, first), _last_bad(second, 1.2 * second)]
@@ -814,6 +818,83 @@ def test_batched_operation_rules_reject_only_a_bad_last_member():
     Instrument._from_kraus(("a", "b"), [_last_bad(first, first), _last_bad(second, second)], ATOL)
     family = random_observable(3, 3, 0).effect_stack[:2]
     assert _message(_completed, _last_bad(family, family * 2.0), ATOL).startswith("completion")
+
+
+def test_a_batch_and_a_grid_are_told_apart_by_their_labels():
+    obs = random_observable(2, 2, 0).effect_stack
+    stack = np.stack([obs, obs[::-1]])  # (2, 2, d, d)
+    batch = Observable(("b", "a"), stack)
+    grid = Observable((("r", "s"), ("b", "a")), stack / 2)
+    assert batch.axes == (("b", "a"),) and grid.axes == (("r", "s"), ("b", "a"))
+    assert batch.effect_stack.shape == grid.effect_stack.shape == (2, 2, 2, 2)
+    # the batch's views are per label, each the batch of that label's effects
+    np.testing.assert_array_equal(batch.effect("a").matrix, stack[:, 1])
+    # the grid's lookup takes one label per axis; its marginal sums the other axis
+    np.testing.assert_array_equal(grid.effect("s", "a").matrix, stack[1, 1] / 2)
+    np.testing.assert_array_equal(grid.marginal(1).effect_stack, stack.sum(axis=0) / 2)
+    # a batch's marginal is member by member: a batch of grids
+    grids = Observable((("r", "s"), ("b", "a")), np.stack([stack / 2] * 3))
+    assert grids.marginal(0).effect_stack.shape == (3, 2, 2, 2)
+    np.testing.assert_array_equal(grids.marginal(0).effect_stack[2], grid.marginal(0).effect_stack)
+
+
+def test_a_batched_observable_holds_one_view_per_label():
+    obs = random_observable(2, 3, 0)
+    batch = Observable(("c", "a", "b"), np.stack([obs.effect_stack] * 50))
+    assert len(batch.effects) == 3
+    assert [e.matrix.shape for e in batch.effects] == [(50, 2, 2)] * 3
+    grid = Observable((("r", "s"), ("c", "a", "b")), np.stack([np.stack([obs.effect_stack / 2] * 2)] * 50))
+    assert [len(row) for row in grid.effects] == [3, 3]
+    assert grid.effects[1][2].matrix.shape == (50, 2, 2)
+
+
+def _batches_of_one_object():
+    """One object of each kind and a batch of two of it."""
+    rho = random_state(2, 0)
+    obs = random_observable(2, 2, 1)
+    ins = random_instrument(2, 2, 2, 2)
+    return {
+        "state": (rho, State(np.stack([rho.matrix] * 2))),
+        "effect": (Effect(rho.matrix), Effect(np.stack([rho.matrix] * 2))),
+        "observable": (obs, Observable(obs.outcomes, np.stack([obs.effect_stack] * 2))),
+        "instrument": (ins, Instrument._from_kraus(
+            ins.outcomes, [np.stack([op.kraus_stack] * 2) for op in ins.ops], ATOL)),
+    }
+
+
+# query -> (the kinds of object it reads one of, the query)
+SINGLE_OBJECT_QUERIES = {
+    "born_probability": (("state", "effect"), lambda o: born_probability(o["state"], o["effect"])),
+    "observable_distribution": (("state", "observable"),
+                                lambda o: observable_distribution(o["state"], o["observable"])),
+    "outcome_probabilities": (("state", "observable"),
+                              lambda o: outcome_probabilities(o["state"], o["observable"])),
+    "certify_coexistence": (("observable",), lambda o: certify_coexistence(*[o["observable"]] * 3)),
+    "updated_state": (("state", "instrument"), lambda o: o["instrument"].updated_state("x0", o["state"])),
+    "subset_probability": (("state", "instrument"),
+                           lambda o: o["instrument"].subset_probability(("x0",), o["state"])),
+    "given_distribution": (("state", "observable", "instrument"), lambda o: given_distribution(
+        o["observable"], o["instrument"], o["state"], ("x0",), ("x1",))),
+    "apply": (("state",), lambda o: random_channel(2, 2, 2, 4).apply(o["state"])),
+    "dual_apply": (("effect",), lambda o: random_channel(2, 2, 2, 4).dual_apply(o["effect"])),
+    "HolevoSpec": (("observable",),
+                   lambda o: HolevoSpec(o["observable"], [random_state(2, 5), random_state(2, 6)])),
+    "outcome_weights": (("observable",), lambda o: KrausSeparableChannel(
+        (np.eye(2),), (random_state(2, 7),)).outcome_weights(o["observable"])),
+    "holevo_model_quantities": (("observable",), lambda o: holevo_model_quantities(HolevoSeparableSpec(
+        random_observable(2, 2, 8), [random_state(2, 9)] * 2, [random_state(2, 10)] * 2), o["observable"])),
+}
+
+
+@pytest.mark.parametrize("query", list(SINGLE_OBJECT_QUERIES))
+def test_each_single_object_query_rejects_a_batch(query):
+    kinds, call = SINGLE_OBJECT_QUERIES[query]
+    objects = _batches_of_one_object()
+    call({kind: one for kind, (one, _) in objects.items()})
+    for kind in kinds:
+        with pytest.raises(ValueError, match=r"holds a batch of shape \(2,\): expected one object") as info:
+            call({k: (batch if k == kind else one) for k, (one, batch) in objects.items()})
+        assert not isinstance(info.value, InvariantViolation), kind
 
 
 def test_batched_holevo_family_rejects_only_a_bad_last_member():
@@ -1030,6 +1111,16 @@ def _first_outcome_completion(stack, atol):
     return completed
 
 
+def _sorted_rows(to_stochastic):
+    # the kernel's rows built in sorted label order but labelled in the
+    # order given: part() of an observable on ("b", "a") swaps its effects
+    def broken(self, sources):
+        sources = tuple(sources)
+        kernel = to_stochastic(self, sorted(sources))
+        return StochasticMatrix(sources, kernel.targets, kernel.weights)
+    return broken
+
+
 # defect -> (owner, kernel name, replacement built from the original)
 DEFECTS = {
     "conjugated dual": (Operation, "dual_matrix", lambda f: lambda self, m: np.conj(f(self, m))),
@@ -1039,6 +1130,7 @@ DEFECTS = {
     "unconjugated superoperator": (Operation, "superoperator", lambda f: _unconjugated_superoperator),
     "undivided completion residual": (channels, "_completed", lambda f: _undivided_completion),
     "residual to the first outcome": (channels, "_completed", lambda f: _first_outcome_completion),
+    "outcome-map rows in sorted order": (OutcomeMap, "to_stochastic", _sorted_rows),
 }
 
 PLANTED = {
@@ -1057,7 +1149,11 @@ PLANTED = {
 }
 
 # further (identity, defect) pairs: each identity fails under its defect too
-ALSO_PLANTED = [("subnormalized-completion", "residual to the first outcome")]
+ALSO_PLANTED = [
+    ("subnormalized-completion", "residual to the first outcome"),
+    # a label defect: the runners build labelled observables and kernels
+    ("postprocess-part-compose", "outcome-map rows in sorted order"),
+]
 
 
 def _plant(monkeypatch, owner, name, defect):

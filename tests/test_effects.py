@@ -18,9 +18,10 @@ from qcond.effects import (
     part,
     post_process,
 )
+from qcond.channels import Channel, condition_observable
 from qcond.errors import InvariantViolation
 from qcond.instruments import HolevoSpec
-from qcond.rand import random_observable, random_state, random_stochastic_matrix
+from qcond.rand import random_channel, random_observable, random_state, random_stochastic_matrix, random_surjection
 
 from factorizations import watch_factorizations
 from pinned import assert_pinned
@@ -359,6 +360,18 @@ def test_affine_combination_extreme_weights():
     assert observable_deviation(affine_combination([a, a], [0.5, 0.5]), a) < 1e-15
 
 
+def test_affine_combination_mixes_with_the_clamped_weights():
+    # weights within atol outside [0, 1] are clamped, as a kernel's are, and
+    # the mixture takes the clamped ones: exactly the first observable here
+    # (the raw weights gave a deviation of about 1.2e-10)
+    rng = np.random.default_rng(18)
+    a = random_observable(2, 2, rng)
+    b = random_observable(2, 2, rng)
+    mixed = affine_combination([a, b], [1 + 5e-10, -5e-10])
+    assert mixed.effect_stack.tobytes() == affine_combination([a, b], [1.0, 0.0]).effect_stack.tobytes()
+    assert observable_deviation(mixed, a) == 0.0
+
+
 def test_affine_combination_entrywise():
     rng = np.random.default_rng(19)
     a = random_observable(2, 2, rng)
@@ -587,3 +600,40 @@ _MIXED = [State.maximally_mixed(d) for d in (2, 3)]
         "certificate-labels", "certificate-dimensions", "deviation-labels", "bi-deviation-labels"])
 def test_effect_family_argument_checks(call, expected):
     assert_pinned(call, expected)
+
+
+# ---------------------------------------------------------------------------
+# batches: each function that takes one acts member by member
+# ---------------------------------------------------------------------------
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+
+def test_batched_functions_act_member_by_member():
+    labels, targets = ("c", "a", "b"), ("v", "u")
+    singles = [Observable(labels, random_observable(2, 3, s).effect_stack) for s in range(3)]
+    batch = Observable(labels, np.stack([o.effect_stack for o in singles]))
+    kernels = [random_stochastic_matrix(labels, targets, 10 + s) for s in range(3)]
+    kernel = StochasticMatrix(labels, targets, np.stack([k.weights for k in kernels]))
+    channels = [random_channel(3, 2, 2, 20 + s) for s in range(3)]
+    channel = Channel(np.stack([c.kraus_stack for c in channels]))
+    f = random_surjection(labels, targets, 30)
+    weights = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])
+    for i, one in enumerate(singles):
+        # a batch with a batch, and a batch with one object
+        _close(post_process(batch, kernel).effect_stack[i], post_process(one, kernels[i]).effect_stack)
+        _close(post_process(batch, kernels[0]).effect_stack[i], post_process(one, kernels[0]).effect_stack)
+        _close(part(batch, f).effect_stack[i], part(one, f).effect_stack)
+        _close(kernel.then(StochasticMatrix.coarse_graining(targets)).weights[i], np.ones((3, 1)))
+        _close(affine_combination([batch, singles[0]], weights).effect_stack[i],
+               affine_combination([one, singles[0]], weights[i]).effect_stack)
+        _close(condition_observable(channel, batch).effect_stack[i],
+               condition_observable(channels[i], one).effect_stack)
+        _close(condition_observable(channel, singles[0]).effect_stack[i],
+               condition_observable(channels[i], singles[0]).effect_stack)
+        _close(batch.effect_over(("c", "b")).matrix[i], one.effect_over(("c", "b")).matrix)
+        _close(batch.effect("a").complement().matrix[i], one.effect("a").complement().matrix)
+    assert observable_deviation(batch, batch).tolist() == [0.0] * 3
+    assert observable_deviation(batch, singles[1]).tolist()[1] == 0.0
+    assert isinstance(observable_deviation(singles[0], singles[1]), float)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import qcond.effects as effects
+import qcond.instruments as instruments
 from qcond.channels import (
     Channel,
     Operation,
@@ -792,3 +794,33 @@ def test_a_grid_may_have_more_than_two_axes():
     cube = Observable((("a", "b"), ("c", "d"), ("e", "f")), np.broadcast_to(quarter, (2, 2, 2, 2, 2)))
     assert cube.effect("b", "c", "f").matrix.tolist() == quarter.tolist()
     assert cube.marginal(1).effect_stack.tobytes() == cube.effect_stack.sum(axis=(0, 2)).tobytes()
+
+
+def test_an_instrument_parses_its_labels_once(monkeypatch):
+    # _from_kraus (every library-made instrument) and the constructor parse
+    # the outcome labels once per construction, for one axis and for a grid
+    calls = []
+    parse = effects._outcome_axes
+
+    def counted(labels, kind):
+        calls.append(kind)
+        return parse(labels, kind)
+
+    monkeypatch.setattr(effects, "_outcome_axes", counted)
+    monkeypatch.setattr(instruments, "_outcome_axes", counted)
+    ins = random_instrument(2, 2, 2, 0)
+    stacks = [op.kraus_stack for op in ins.ops]
+    for make in (
+        lambda: Instrument._from_kraus(("b", "a"), stacks, 1e-9),
+        lambda: Instrument._from_kraus((("r",), ("b", "a")), stacks, 1e-9),
+        lambda: Instrument(("b", "a"), ins.ops),
+        lambda: Instrument((("r",), ("b", "a")), (ins.ops,)),
+    ):
+        calls.clear()
+        made = make()
+        assert calls == ["Instrument"]
+        assert made.op(*(axis[0] for axis in made.axes)) is made._ops[0]
+    with pytest.raises(InvariantViolation, match="one operation per outcome"):
+        Instrument._from_kraus(("a", "b", "c"), stacks, 1e-9)
+    with pytest.raises(InvariantViolation, match="grid shape"):
+        Instrument._from_kraus((("r", "s"), ("b", "a")), stacks, 1e-9)

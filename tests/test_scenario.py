@@ -487,6 +487,20 @@ def test_save_refuses_a_family_on_two_outcome_axes_and_writes_nothing(tmp_path, 
     assert not path.exists()
 
 
+@pytest.mark.parametrize("group, batch, kind", [
+    ("states", State(np.stack([_P0, _P1])), "state"),
+    ("observables", Observable(("a", "b"), np.stack([np.stack([_P0, _P1])] * 2)), "observable"),
+    ("operations", Channel(np.stack([np.eye(2)[None]] * 2)), "channel"),
+], ids=["state", "observable", "channel"])
+def test_save_refuses_a_batch_and_writes_nothing(tmp_path, group, batch, kind):
+    scn = Scenario()
+    getattr(scn, group)["g"] = batch
+    path = tmp_path / "scn.json"
+    expected = ScenarioError(f"{kind} holding a batch: a file holds single objects", obj="g")
+    assert_pinned(lambda: save_scenario(scn, path), expected)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("payload, kind", [
     ({"type": "observable", "outcomes": [["a"], ["b"]],
       "effects": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
