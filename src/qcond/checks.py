@@ -43,11 +43,9 @@ sorted order. It calls the public functions on the whole batch
 and ``OutcomeMap.then``, ``condition_observable``, ``affine_combination``,
 ``given_observable``, ``Instrument.measured_observable`` and the
 ``MeasurementModel`` readouts), so the gate runs the label logic users
-call; an ``OutcomeMap`` is made once per distinct surjection drawn (a
-composition once per distinct pair of them). An
-instance's deviations do not depend on its batch: a batch of one gives the
-same bits. A batch that raises is rerun instance by instance, on fresh
-generators from the states already hashed, so one bad instance fails
+call. An instance's deviations do not depend on its batch: a batch of one
+gives the same bits. A batch that raises is rerun instance by instance, on
+fresh generators from the states already hashed, so one bad instance fails
 alone. Every registered identity runs this way.
 
 These stay on private kernels, each for one reason: the separable closed
@@ -237,7 +235,8 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float) -> np.ndarray:
-    return np.array([rng.uniform(low, high) for rng in rngs])
+    """One ``rng.uniform(low, high)`` per generator, with its bits."""
+    return low + (high - low) * np.array([rng.random() for rng in rngs])
 
 
 def _states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
@@ -271,34 +270,12 @@ def _instruments(
     return Instrument._from_kraus(labels, _draw_instruments(rngs, dim_in, dim_out, len(labels)), DEFAULT_ATOL)
 
 
-def _shared(items: list, make: Callable, key: Callable = lambda item: item) -> list:
-    """``make(item)`` for each of ``items``, made once per distinct
-    ``key(item)``: the items of one key share one object."""
-    made: dict = {}
-    out = []
-    for item in items:
-        k = key(item)
-        if k not in made:
-            made[k] = make(item)
-        out.append(made[k])
-    return out
-
-
 def _surjections(
     rngs: Sequence[np.random.Generator], sources: tuple[str, ...], targets: tuple[str, ...]
-) -> list[OutcomeMap]:
-    """A batch of ``random_surjection``s: one ``OutcomeMap`` per instance,
-    one object per distinct surjection drawn."""
-    picks = _draw_surjections(rngs, len(sources), len(targets))
-    return _shared(list(map(tuple, picks.tolist())),
-                   lambda row: OutcomeMap(dict(zip(sources, (targets[i] for i in row))), targets))
-
-
-def _stochastic(maps: list[OutcomeMap], sources: tuple[str, ...]) -> StochasticMatrix:
-    """The batch of kernels ``f.to_stochastic(sources)``, one per instance's
-    map ``f``, made once per distinct surjection."""
-    kernels = _shared(maps, lambda f: f.to_stochastic(sources), lambda f: tuple(f.mapping.items()))
-    return StochasticMatrix(sources, maps[0].targets, np.stack([k.weights for k in kernels]))
+) -> OutcomeMap:
+    """A batch of ``random_surjection``s from ``sources`` onto ``targets``."""
+    labels = np.array(targets)[_draw_surjections(rngs, len(sources), len(targets))]
+    return OutcomeMap(dict(zip(sources, labels.T)), targets)
 
 
 @_identity("postprocess-part-compose", "post-processing twice equals one post-processing by the composed "
@@ -309,11 +286,9 @@ def _run_postprocess_part_compose(rngs: Sequence[np.random.Generator], dim: int)
     lam = StochasticMatrix(a, u, _draw_stochastic(rngs, 4, 3))
     mu = StochasticMatrix(u, v, _draw_stochastic(rngs, 3, 2))
     yield observable_deviation(post_process(post_process(obs, lam), mu), post_process(obs, lam.then(mu)))
-    f = _surjections(rngs, a, u)
-    g = _surjections(rngs, u, v)
-    f_then_g = _shared(list(zip(f, g)), lambda fg: fg[0].then(fg[1]))
-    twice = post_process(post_process(obs, _stochastic(f, a)), _stochastic(g, u))
-    yield observable_deviation(twice, post_process(obs, _stochastic(f_then_g, a)))
+    f, g = _surjections(rngs, a, u), _surjections(rngs, u, v)
+    twice = post_process(post_process(obs, f.to_stochastic(a)), g.to_stochastic(u))
+    yield observable_deviation(twice, post_process(obs, f.then(g).to_stochastic(a)))
 
 
 @_identity("dual-map", "tr[rho I*(a)] == tr[I(rho) a]; the dual adds over summable effects and fixes the "
@@ -405,7 +380,7 @@ def _run_closure(rngs: Sequence[np.random.Generator], dim: int) -> Iterator[np.n
     lam = StochasticMatrix(a, u, _draw_stochastic(rngs, 3, 2))
     conditioned = condition_observable(ch, a_obs)
     yield observable_deviation(condition_observable(ch, post_process(a_obs, lam)), post_process(conditioned, lam))
-    f = _stochastic(_surjections(rngs, a, u), a)
+    f = _surjections(rngs, a, u).to_stochastic(a)
     yield observable_deviation(post_process(conditioned, f), condition_observable(ch, post_process(a_obs, f)))
 
 
@@ -452,7 +427,7 @@ def _run_measurement_pointer(rngs: Sequence[np.random.Generator], dim: int) -> I
     rho = _states(rngs, dim)
     model = MeasurementModel(dim, 2, ins, probe)
     grid = model.measured_bi_observable()
-    pointer = model.measured_pointer_observable()
+    pointer = grid.marginal(1)
     measured = model.measured_instrument()
     yield observable_deviation(pointer, measured.measured_observable())
     kraus = ins.total_channel().kraus_stack[:, None]

@@ -14,7 +14,8 @@ rejects a grid with ``ValueError``, through the one guard ``_one_axis``.
 
 Batches: the axes left of a value's own form a batch (``State``, ``Effect``:
 ``batch + (d, d)``; ``Observable``: ``batch + grid + (d, d)``, the grid fixed
-by its labels; ``StochasticMatrix``: ``batch + (n_sources, n_targets)``),
+by its labels; ``StochasticMatrix``: ``batch + (n_sources, n_targets)``;
+``OutcomeMap``: positions ``batch + (n_sources,)``, from arrays of labels),
 checked member by member in one call of its type's rule, and a batched
 family holds one view per label. The functions that read one object reject
 a batch through the one guard ``linalg._one_object``.
@@ -424,60 +425,82 @@ class StochasticMatrix:
         return StochasticMatrix(self.sources, other.targets, self.weights @ other.weights, atol)
 
 
-@dataclass(frozen=True, eq=False)
+def _surjective(positions: np.ndarray, n_targets: int) -> np.ndarray:
+    """The surjection rule, for target positions ``batch + (n_sources,)``:
+    whether each member hits all ``n_targets`` targets, one bool per member."""
+    return (positions[..., None] == np.arange(n_targets)).any(axis=-2).all(axis=-1)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class OutcomeMap:
-    """Total surjection from source outcome labels onto target labels.
+    """Total surjection from source outcome labels onto target labels, held
+    as ``positions``: the position in ``targets`` of each source's image, in
+    ``domain`` order (the one-hot rows of its 0/1 kernel).
 
     ``targets`` fixes the target label order; when omitted it is inferred
-    from first appearance in the mapping's iteration order. Keys, values and
-    targets are labels, converted with ``str``.
+    from first appearance in the mapping's values. Keys, values and targets
+    are labels, converted with ``str``. Values that are arrays of labels of
+    one shape ``batch`` make a batch of maps: ``positions`` is then
+    ``batch + (n_sources,)``, and every member must be surjective.
     """
 
-    mapping: Mapping[str, str]
-    targets: tuple[str, ...] | None = None
+    domain: tuple[str, ...]
+    targets: tuple[str, ...]
+    positions: np.ndarray
 
-    def __post_init__(self):
-        mapping = dict(self.mapping)
+    def __init__(self, mapping: Mapping[str, str], targets: Sequence[str] | None = None):
+        mapping = dict(mapping)
         if not mapping:
             raise InvariantViolation("OutcomeMap", "nonempty domain")
-        mapping = dict(zip(_distinct_labels(mapping, "OutcomeMap"), map(str, mapping.values())))
-        targets = self.targets
+        domain = _distinct_labels(mapping, "OutcomeMap")
+        values = np.stack([np.asarray(v, dtype=str) for v in mapping.values()], axis=-1)
         if targets is None:
-            targets = tuple(dict.fromkeys(mapping.values()))
-        else:
-            targets = _distinct_labels(targets, "OutcomeMap")
-        outside = [v for v in dict.fromkeys(mapping.values()) if v not in targets]
+            targets = tuple(dict.fromkeys(values.ravel().tolist()))
+        targets = _distinct_labels(targets, "OutcomeMap")
+        hits = values[..., None] == np.array(targets)
+        outside = list(dict.fromkeys(values[~hits.any(axis=-1)].tolist()))
         if outside:
             raise InvariantViolation("OutcomeMap", "values in targets", f"values {outside} outside {targets}")
-        missing = sorted(set(targets).difference(mapping.values()))
-        if missing:
-            raise InvariantViolation("OutcomeMap", "surjective", f"targets {missing} never hit")
-        object.__setattr__(self, "mapping", mapping)
+        positions = hits.argmax(axis=-1)
+        onto = _surjective(positions, len(targets))
+        if not onto.all():
+            missing = set(targets).difference(values.reshape(-1, len(domain))[np.argmin(onto.ravel())].tolist())
+            raise InvariantViolation("OutcomeMap", "surjective", f"targets {sorted(missing)} never hit")
+        positions.setflags(write=False)
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "positions", positions)
 
     @property
-    def domain(self) -> tuple[str, ...]:
-        return tuple(self.mapping)
+    def _batch(self) -> tuple[int, ...]:
+        return self.positions.shape[:-1]
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        """Each source label's target label (one map only)."""
+        _one_object(self)
+        return {x: self.targets[i] for x, i in zip(self.domain, self.positions.tolist())}
 
     def __call__(self, x: str) -> str:
-        try:
-            return self.mapping[x]
-        except KeyError:
-            raise ValueError(f"unknown outcome label {x!r}") from None
+        _one_object(self)
+        return self.targets[self.positions[_position(self.domain, x)]]
 
     def preimage(self, y: str) -> tuple[str, ...]:
         return tuple(x for x, v in self.mapping.items() if v == y)
 
     def then(self, other: "OutcomeMap") -> "OutcomeMap":
-        """Compose surjections: apply ``self`` first, then ``other``."""
-        return OutcomeMap({x: other(y) for x, y in self.mapping.items()}, other.targets)
+        """Compose surjections: ``self`` first, then ``other`` (member by member)."""
+        step = np.array([_position(other.domain, y) for y in self.targets])
+        first, second = _common_batch((self.positions, 1), (other.positions, 1))
+        labels = np.array(other.targets)[np.take_along_axis(second, step[first], axis=-1)]
+        return OutcomeMap(dict(zip(self.domain, np.moveaxis(labels, -1, 0))), other.targets)
 
     def to_stochastic(self, sources: Sequence[str]) -> StochasticMatrix:
-        """The 0/1 kernel with ``w[x, y] = 1`` iff ``f(x) == y``."""
+        """The 0/1 kernel with ``w[x, y] = 1`` iff ``f(x) == y``, rows in the
+        order of ``sources`` (a batch of kernels for a batch of maps)."""
         sources = tuple(sources)
-        index = np.array([self.targets.index(self(x)) for x in sources])
-        weights = (index[:, None] == np.arange(len(self.targets))).astype(float)
-        return StochasticMatrix(sources, self.targets, weights)
+        rows = self.positions[..., [_position(self.domain, x) for x in sources]]
+        return StochasticMatrix(sources, self.targets, np.eye(len(self.targets))[rows])
 
 
 def born_probability(rho: State, a: Effect, atol: float = DEFAULT_ATOL) -> float:

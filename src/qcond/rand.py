@@ -43,7 +43,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channels import Channel
-from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix, _distinct_labels
+from .effects import Effect, Observable, OutcomeMap, State, StochasticMatrix, _distinct_labels, _surjective
 from .instruments import HolevoSpec, Instrument
 from .linalg import DEFAULT_ATOL, _eigen
 
@@ -244,21 +244,24 @@ def _draw_instruments(
 
 
 def _draw_stochastic(rngs: Sequence[np.random.Generator], n_sources: int, n_targets: int) -> np.ndarray:
-    return np.stack([rng.dirichlet(np.ones(n_targets), size=n_sources) for rng in rngs])
+    """``dirichlet(np.ones(n_targets), size=n_sources)`` per generator, with its
+    bits: at ``alpha = 1`` that is standard exponentials, each row scaled by
+    the reciprocal of its left-to-right sum (the built-in ``sum``)."""
+    e = np.stack([rng.standard_exponential((n_sources, n_targets)) for rng in rngs])
+    return e * (1.0 / sum(np.moveaxis(e, -1, 0)))[..., None]
 
 
 def _draw_surjections(rngs: Sequence[np.random.Generator], n_sources: int, n_targets: int) -> np.ndarray:
-    """Target positions ``(len(rngs), n_sources)`` of uniform random surjections."""
+    """Target positions ``(len(rngs), n_sources)`` of uniform random
+    surjections: a generator whose draw misses a target draws again, alone."""
     if n_sources < n_targets:
         raise ValueError("a surjection needs at least as many sources as targets")
-    out = []
-    for rng in rngs:
-        while True:
-            picks = rng.integers(0, n_targets, size=n_sources)
-            if set(picks.tolist()) == set(range(n_targets)):
-                out.append(picks)
-                break
-    return np.stack(out)
+    picks = np.stack([rng.integers(0, n_targets, size=n_sources) for rng in rngs])
+    pending = np.flatnonzero(~_surjective(picks, n_targets))
+    while len(pending):
+        picks[pending] = [rngs[i].integers(0, n_targets, size=n_sources) for i in pending]
+        pending = pending[~_surjective(picks[pending], n_targets)]
+    return picks
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> State:
@@ -345,8 +348,6 @@ def random_surjection(
     sources: Sequence[str], targets: Sequence[str], seed: int | np.random.Generator
 ) -> OutcomeMap:
     """Uniform random surjection from distinct sources onto targets."""
-    sources = tuple(sources)
-    _distinct_labels(sources, "OutcomeMap")
-    targets = tuple(targets)
+    sources, targets = _distinct_labels(sources, "OutcomeMap"), tuple(targets)
     picks = _draw_surjections([np.random.default_rng(seed)], len(sources), len(targets))[0]
     return OutcomeMap({s: targets[p] for s, p in zip(sources, picks)}, targets)

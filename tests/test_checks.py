@@ -58,6 +58,7 @@ from qcond.instruments import (
 from qcond.measurement import (
     HolevoSeparableSpec,
     KrausSeparableChannel,
+    MeasurementModel,
     holevo_model_quantities,
     _grams,
     _probe_readout,
@@ -744,6 +745,33 @@ def test_batched_identity_construction_does_not_grow_with_the_trial_count(name, 
     assert counts[0]["eigvalsh"] == 0
 
 
+# identity -> OutcomeMaps made per batch: drawn batches of surjections, and compositions
+OUTCOME_MAPS = {"postprocess-part-compose": (2, 1), "conditioned-set-closure": (1, 0)}
+
+
+@pytest.mark.parametrize("name", list(OUTCOME_MAPS))
+def test_a_batch_makes_one_outcome_map_per_draw_and_per_composition(name, monkeypatch):
+    made, composed = [], []
+    init, then = OutcomeMap.__init__, OutcomeMap.then
+    monkeypatch.setattr(OutcomeMap, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(OutcomeMap, "then", lambda self, other: composed.append(1) or then(self, other))
+    monkeypatch.setattr(checks, "_worker_count", lambda: 1)
+    monkeypatch.setattr(checks, "BATCH_SIZE", 4)
+    # batches of 4, 4 and 2 instances
+    assert run_checks(name, trials=10, dims=[2], seed=0).passed
+    draws, compositions = OUTCOME_MAPS[name]
+    assert (len(made), len(composed)) == (3 * (draws + compositions), 3 * compositions)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.7, 1.0), (-2.5, 3.25)])
+@pytest.mark.parametrize("n", [1, 7])
+def test_uniform_draws_have_the_bits_of_generator_uniform(low, high, n):
+    rngs = [np.random.default_rng(s) for s in range(n)]
+    refs = [np.random.default_rng(s) for s in range(n)]
+    assert checks._uniforms(rngs, low, high).tolist() == [r.uniform(low, high) for r in refs]
+    assert [r.random() for r in rngs] == [r.random() for r in refs]
+
+
 def _message(fn, *args):
     with pytest.raises(InvariantViolation) as info:
         fn(*args)
@@ -1121,6 +1149,14 @@ def _sorted_rows(to_stochastic):
     return broken
 
 
+def _reversed_pointer(measured_pointer_observable):
+    # the pointer's effects labelled in reverse probe order
+    def broken(self, atol=ATOL):
+        pointer = measured_pointer_observable(self, atol)
+        return Observable(pointer.outcomes, pointer.effect_stack[..., ::-1, :, :], atol)
+    return broken
+
+
 # defect -> (owner, kernel name, replacement built from the original)
 DEFECTS = {
     "conjugated dual": (Operation, "dual_matrix", lambda f: lambda self, m: np.conj(f(self, m))),
@@ -1131,6 +1167,8 @@ DEFECTS = {
     "undivided completion residual": (channels, "_completed", lambda f: _undivided_completion),
     "residual to the first outcome": (channels, "_completed", lambda f: _first_outcome_completion),
     "outcome-map rows in sorted order": (OutcomeMap, "to_stochastic", _sorted_rows),
+    "outcome maps composed in the wrong order": (OutcomeMap, "then", lambda f: lambda self, other: f(other, self)),
+    "pointer in reverse probe order": (MeasurementModel, "measured_pointer_observable", _reversed_pointer),
 }
 
 PLANTED = {
@@ -1153,6 +1191,10 @@ ALSO_PLANTED = [
     ("subnormalized-completion", "residual to the first outcome"),
     # a label defect: the runners build labelled observables and kernels
     ("postprocess-part-compose", "outcome-map rows in sorted order"),
+    ("postprocess-part-compose", "outcome maps composed in the wrong order"),
+    # measurement-pointer reads its pointer off the grid; kraus-separable
+    # compares the generic pointer with the closed form
+    ("kraus-separable", "pointer in reverse probe order"),
 ]
 
 

@@ -307,6 +307,57 @@ def test_outcome_map_labels_are_strings_whether_targets_are_inferred_or_given():
         OutcomeMap({1: "u", "1": "u"})
 
 
+def _surjection_batch(seeds, sources, targets):
+    """``random_surjection`` for each seed, and the batch of those maps."""
+    singles = [random_surjection(sources, targets, s) for s in seeds]
+    labels = np.array([[f(x) for x in sources] for f in singles])
+    return singles, OutcomeMap(dict(zip(sources, labels.T)), targets)
+
+
+def test_a_batch_of_outcome_maps_acts_member_by_member():
+    a, u, v = ("a2", "a0", "a3", "a1"), ("u1", "u2", "u0"), ("v1", "v0")
+    fs, f = _surjection_batch(range(5), a, u)
+    gs, g = _surjection_batch(range(5, 10), u, v)
+    obs = Observable(a, random_observable(2, 4, 0).effect_stack)
+    assert f.positions.shape == (5, 4) and f.then(g).positions.shape == (5, 4)
+    for i, (fi, gi) in enumerate(zip(fs, gs)):
+        assert f.positions[i].tolist() == fi.positions.tolist()
+        assert f.then(g).positions[i].tolist() == fi.then(gi).positions.tolist()
+        # a batch composed with one map, and one map with a batch
+        assert f.then(gs[0]).positions[i].tolist() == fi.then(gs[0]).positions.tolist()
+        assert fs[0].then(g).positions[i].tolist() == fs[0].then(gi).positions.tolist()
+        kernel = f.to_stochastic(a[::-1])
+        assert kernel.sources == a[::-1] and kernel.targets == u
+        np.testing.assert_array_equal(kernel.weights[i], fi.to_stochastic(a[::-1]).weights)
+        np.testing.assert_array_equal(part(obs, f).effect_stack[i], part(obs, fi).effect_stack)
+    # batch axes broadcast: a (5, 1) batch then a (5,) batch is every pair
+    labels = np.array([[fi(x) for x in a] for fi in fs])
+    column = OutcomeMap(dict(zip(a, labels.T[:, :, None])), u)
+    pairs = column.then(g).positions
+    assert column.positions.shape == (5, 1, 4) and pairs.shape == (5, 5, 4)
+    for i, j in np.ndindex(5, 5):
+        assert pairs[i, j].tolist() == fs[i].then(gs[j]).positions.tolist()
+
+
+@pytest.mark.parametrize("bad", [("u", "u", "u"), ("u", "w", "v")], ids=["not-surjective", "outside-targets"])
+def test_a_batch_of_outcome_maps_rejects_a_bad_member_as_one_map(bad):
+    with pytest.raises(InvariantViolation) as single:
+        OutcomeMap(dict(zip("abc", bad)), ("u", "v"))
+    for members in ([("u", "v", "u")] * 3 + [bad], [bad] + [("v", "v", "u")] * 2):
+        with pytest.raises(InvariantViolation) as batch:
+            OutcomeMap(dict(zip("abc", np.array(members).T)), ("u", "v"))
+        assert str(batch.value) == str(single.value)
+
+
+def test_a_batch_of_outcome_maps_rejects_the_single_map_readers():
+    _, f = _surjection_batch(range(3), ("a", "b", "c"), ("u", "v"))
+    message = r"OutcomeMap holds a batch of shape \(3,\): expected one object"
+    for read in (lambda: f.mapping, lambda: f("a"), lambda: f.preimage("u")):
+        with pytest.raises(ValueError, match=message) as info:
+            read()
+        assert not isinstance(info.value, InvariantViolation)
+
+
 def test_part_requires_total_map():
     obs = qubit_basis_observable()
     with pytest.raises(ValueError, match="total"):

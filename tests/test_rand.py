@@ -198,6 +198,37 @@ def test_batched_draws_retry_per_generator():
         _draw_observables([np.random.default_rng(0)], 2, 2, atol=1e6)
 
 
+@pytest.mark.parametrize("n_sources, n_targets", [(1, 1), (3, 2), (4, 3), (2, 9), (5, 17)])
+def test_stochastic_draws_have_the_bits_of_dirichlet(n_sources, n_targets):
+    # each generator's rows and its next draw equal Generator.dirichlet's at
+    # alpha = 1, also past 8 targets, where numpy's own row sums reorder
+    seeds = range(6)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    batch = rand._draw_stochastic(rngs, n_sources, n_targets)
+    assert batch.shape == (6, n_sources, n_targets)
+    for s, rng, member in zip(seeds, rngs, batch):
+        ref = np.random.default_rng(s)
+        assert member.tobytes() == ref.dirichlet(np.ones(n_targets), size=n_sources).tobytes()
+        assert rng.random() == ref.random()
+
+
+def test_batched_surjections_redraw_per_generator():
+    # about half of the first draws of 4 -> 3 miss a target; each member
+    # still equals its generator's own draw, redrawn alone
+    seeds = range(20)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    batch = rand._draw_surjections(rngs, 4, 3)
+    redrawn = 0
+    for s, rng, member in zip(seeds, rngs, batch):
+        ref = np.random.default_rng(s)
+        picks = ref.integers(0, 3, size=4)
+        while set(picks.tolist()) != {0, 1, 2}:
+            picks, redrawn = ref.integers(0, 3, size=4), redrawn + 1
+        assert member.tolist() == picks.tolist()
+        assert rng.random() == ref.random()
+    assert redrawn > 0
+
+
 @pytest.mark.parametrize("n_words", range(4, 10))
 def test_seed_states_equal_the_seed_sequence_of_each_row(n_words):
     # numpy's SeedSequence is the reference: each word past the fourth is
