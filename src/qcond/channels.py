@@ -288,6 +288,50 @@ def _require_trace_preserving(gram: np.ndarray, atol: float, kind: str, invarian
         raise InvariantViolation(kind, invariant, "sum K†K must equal I")
 
 
+def _require_trace_rules(gram: np.ndarray, atol: float, kind: str, invariant: str) -> None:
+    """Both rules above, ``sum K†K <= I`` and then ``sum K†K == I`` entrywise,
+    with their errors, for one Gram matrix or every matrix of a stack: the
+    check of a family's total. The entrywise deviation ``eps = max |gram -
+    I|`` (over the whole stack) is computed once; when it is finite and
+    ``(d + 2)·eps <= atol/2`` it decides both rules, with no factorization,
+    else the two rules run in order, the second reading ``eps``.
+
+    The margin is derived, not tuned: a total it certifies passes, member by
+    member, the three tests the two rules compute. In IEEE double
+    arithmetic (unit roundoff ``u = 2**-53``) each rounded quantity below is
+    within a factor ``1 + 4u`` of the exact one, which the margin's factor
+    of 2 absorbs; ``eps <= atol/6`` keeps everything far from overflow.
+
+    * ``_near_identity(gram, atol)`` computes this ``eps``, and
+      ``eps <= atol/(2(d + 2)) < atol``.
+    * The Hermiticity test of ``_certified_positive`` on ``m = I - gram``:
+      every entry of ``m`` is within ``eps`` of zero, so every entry of
+      ``m - m†`` within ``2·eps <= atol/3``.
+    * Its Cholesky factorization of ``S = (m + m†) + 2·atol·I``, which is
+      Hermitian, rounded as it is: ``S`` has diagonal entries at least
+      ``2·atol - 2·eps`` and off-diagonal moduli at most ``2·eps``. By
+      Gershgorin's theorem the unit-diagonal ``H = D^-1/2 S D^-1/2`` (``D =
+      diag S``) has every eigenvalue within ``(d - 1)·eps/(atol - eps) <=
+      (d - 1)/(2d + 3) < 1/2`` of 1. A factorization of such an ``S`` runs
+      to completion in floating point once ``lambda_min(H) > d·g/(1 - (d +
+      1)·g)`` with ``g = (d + 1)·u/(1 - (d + 1)·u)`` (Demmel; Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2002, Theorem
+      10.7), a bound below ``10**-3`` for every ``d`` up to ``10**6``.
+
+    So a certified total gets the verdict of the two rules, and the rules
+    run, with their errors, exactly on what it does not certify (a NaN or
+    infinite ``eps`` included).
+    """
+    _require_atol(atol)
+    d = gram.shape[-1]
+    dev = float(np.abs(gram - _identity(d)).max())
+    if (d + 2) * dev <= atol / 2:
+        return
+    _require_trace_non_increasing(gram, atol, kind, invariant)
+    if not dev <= atol:
+        raise InvariantViolation(kind, invariant, "sum K†K must equal I")
+
+
 def _without_zero_operators(stack: np.ndarray) -> np.ndarray:
     """The one rule for exactly-zero Kraus operators (``-0.0`` is zero),
     applied by ``Operation._build`` alone, so to every operation: one Kraus

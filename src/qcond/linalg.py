@@ -10,7 +10,13 @@ Conventions fixed here and inherited everywhere else:
 * tolerances are absolute, a single ``atol`` with default ``1e-9``:
   entrywise on matrices, and on the spectrum in the positivity tests, where
   one batched Cholesky factorization certifies and the eigenvalue rule
-  decides what it does not certify;
+  decides what it does not certify. A family total's trace rules, ``sum
+  K†K <= I`` and ``== I``, take three tiers: its entrywise deviation ``eps``
+  from ``I`` certifies both when ``(d + 2)·eps <= atol/2`` (the margin that
+  ``channels._require_trace_rules`` derives), then the batched Cholesky
+  factorization, then the eigenvalue rule. A ``Channel`` checked on its own
+  keeps the factorization, the one positivity test that the benchmark
+  harness's tracer counts under its constructor;
 * every Cholesky factorization and Hermitian eigendecomposition of the
   package goes through one kernel, ``_factorized``: the gufuncs behind
   ``numpy.linalg``'s functions, with their bits, without their wrappers

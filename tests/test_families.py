@@ -35,7 +35,7 @@ from qcond.measurement import (
 from qcond.rand import random_channel, random_holevo_spec, random_instrument, random_observable, random_state
 from qcond.scenario import Scenario, load_scenario, save_scenario
 
-from factorizations import watch_factorizations
+from factorizations import watch_factorizations, watch_trace_rules
 from pinned import assert_pinned
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -300,20 +300,46 @@ FAMILY_PATHS = {
 }
 
 
+@pytest.fixture()
+def trace_rules(monkeypatch):
+    """The family totals whose trace rules were decided, in order."""
+    totals = []
+    watch_trace_rules(monkeypatch, totals.append)
+    return totals
+
+
 @pytest.mark.parametrize("path_name", FAMILY_PATHS)
-def test_each_family_checks_its_trace_condition_with_one_eigvalsh(path_name, spectral_calls, tmp_path):
+def test_each_family_checks_its_trace_condition_with_one_eigvalsh(path_name, spectral_calls, trace_rules, tmp_path):
     dim_out, prepare = FAMILY_PATHS[path_name]
     ins = random_instrument(2, dim_out, 2, 18, kraus_per_outcome=2)
     build = prepare(ins, tmp_path / "good.json")
     spectral_calls.update(eigvalsh=0, cholesky=0)
+    trace_rules.clear()
     build()
-    # one factorization of the family total; no eigenvalue fallback
-    assert (spectral_calls["cholesky"], spectral_calls["eigvalsh"]) == (1, 0)
+    # one decision of the family total's trace rules, which its entrywise
+    # deviation certifies: no factorization, no eigenvalue fallback
+    assert len(trace_rules) == 1
+    assert (spectral_calls["cholesky"], spectral_calls["eigvalsh"]) == (0, 0)
     # every operation scaled by 1.1, admitted at a loose tolerance: the
     # family built from it at the default tolerance rejects it
     big = Instrument(ins.outcomes, tuple(op.scaled(1.1, LOOSE) for op in ins.ops), LOOSE)
     with pytest.raises(ValueError, match="total channel"):
         prepare(big, tmp_path / "big.json")()
+
+
+def test_a_family_total_beyond_the_margin_is_decided_by_one_cholesky(spectral_calls, trace_rules):
+    atol = 1e-9
+    ins = random_instrument(2, 2, 2, 18, kraus_per_outcome=2)
+    # the total, (1 - atol/4)·I up to rounding, deviates from I by more than
+    # the margin, atol/(2(d + 2)) = atol/8, and by less than atol
+    ops = tuple(op.scaled(np.sqrt(1 - atol / 4)) for op in ins.ops)
+    spectral_calls.update(eigvalsh=0, cholesky=0)
+    trace_rules.clear()
+    Instrument(ins.outcomes, ops, atol)
+    (total,) = trace_rules
+    assert atol / 8 < np.abs(total - np.eye(2)).max() < atol
+    # one factorization certifies sum K†K <= I; no eigenvalue fallback
+    assert (spectral_calls["cholesky"], spectral_calls["eigvalsh"]) == (1, 0)
 
 
 def test_batched_superoperators_and_map_deviations_are_per_member():

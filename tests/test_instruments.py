@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcond.channels as channels
 import qcond.effects as effects
 import qcond.instruments as instruments
+import qcond.linalg as linalg
 from qcond.channels import (
     Channel,
     Operation,
     _choi_kraus,
+    _require_trace_non_increasing,
+    _require_trace_preserving,
     condition_observable,
     map_deviation,
     map_sum,
@@ -57,6 +63,7 @@ from qcond.rand import (
     random_unitary,
 )
 
+from factorizations import watch_factorizations
 from map_oracles import deviation_from, remixed, tabulated
 from pinned import assert_pinned
 
@@ -559,12 +566,12 @@ def test_bi_instrument_dimensions_are_those_of_its_operations():
     assert (grid.dim_in, grid.dim_out) == (2, 3)
 
 
-def _overfull_kraus_pair(atol: float = 1e-9) -> tuple[Operation, Operation]:
+def _overfull_kraus_pair(atol: float = 1e-9, dim: int = 2) -> tuple[Operation, Operation]:
     """Two operations, each trace non-increasing, whose Gram matrices sum to
     ``I + eps J`` (``J`` all ones, ``eps = 0.9 atol``): within ``atol`` of
-    ``I`` entrywise, but with top eigenvalue ``1 + 2 eps > 1 + atol``."""
+    ``I`` entrywise, but with top eigenvalue ``1 + dim eps > 1 + atol``."""
     eps = 0.9 * atol
-    half = (np.eye(2) + eps * np.ones((2, 2))) / 2
+    half = (np.eye(dim) + eps * np.ones((dim, dim))) / 2
     evals, evecs = np.linalg.eigh(half)
     root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
     return Operation([root]), Operation([root])
@@ -580,6 +587,146 @@ def test_family_total_must_lie_below_identity():
         Instrument(("x0", "x1"), (a, b), atol)
     with pytest.raises(InvariantViolation, match="total channel"):
         Instrument((("x0",), ("y0", "y1")), ((a, b),), atol)
+
+
+def _with_gram(total: np.ndarray) -> Operation:
+    """A zero operation (a batch, for a stack) whose cached Gram matrix is
+    replaced by ``total``: a lone member, whose Gram matrix is the total of
+    its family, which need not be Hermitian or finite here."""
+    op = Operation._unchecked(np.zeros(total.shape[:-2] + (1,) + total.shape[-2:]))
+    op._gram = total
+    return op
+
+
+def _outcome(call):
+    """The type and message of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as error:
+        return type(error), str(error)
+    return None
+
+
+def _two_step(total: np.ndarray, atol: float) -> None:
+    """The trace rules of a family total as two steps, positivity and then
+    the entrywise rule, each run on its own."""
+    _require_trace_non_increasing(total, atol, "Instrument", "total channel")
+    _require_trace_preserving(total, atol, "Instrument", "total channel")
+
+
+def _admitted(total: np.ndarray, atol: float = 1e-9):
+    """What admitting a lone member of Gram matrix ``total`` raises (or
+    None), and whether the trace rules ran a positivity test: whether they
+    declined the certificate."""
+    tested = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "is_psd", lambda m, tol: tested.append(m) or linalg.is_psd(m, tol))
+        outcome = _outcome(lambda: instruments._admit_family("Instrument", (_with_gram(total),), atol))
+    return outcome, bool(tested)
+
+
+def _certified_is_sound(total: np.ndarray, atol: float = 1e-9) -> bool:
+    """Admit a lone member of Gram matrix ``total``: True when its trace
+    rules were certified, after checking that both rules then hold, its
+    Cholesky factorization certifying positivity for every member; False
+    when they were declined, after checking that the outcome is the two-step
+    rule's."""
+    outcome, declined = _admitted(total, atol)
+    if declined:
+        assert outcome == _outcome(lambda: _two_step(total, atol))
+        return False
+    assert outcome is None
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        watch_factorizations(patch, lambda name, m, out: name == "eigvalsh" and fallbacks.append(m))
+        assert linalg.is_psd(np.eye(total.shape[-1]) - total, atol)
+    assert fallbacks == []
+    assert linalg._near_identity(total, atol)
+    return True
+
+
+@st.composite
+def _perturbed_identities(draw):
+    """``I + e`` for one matrix or a batch, at ``d = 1..8``: ``e`` dense,
+    diagonal or one entry, Hermitian or not, each member's largest entry
+    modulus drawn from ``[0, 2·atol]``."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (d, d) if n is None else (n, d, d)
+    pattern = draw(st.sampled_from(["dense", "diagonal", "entry"]))
+    hermitian = draw(st.booleans())
+    scales = np.array(draw(st.lists(st.floats(0.0, 2e-9), min_size=n or 1, max_size=n or 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    if pattern == "diagonal":
+        e = e * np.eye(d)
+    elif pattern == "entry":
+        e = e * (np.arange(d * d) == rng.integers(d * d)).reshape(d, d)
+    if hermitian:
+        e = e + e.conj().swapaxes(-1, -2)
+    peak = np.abs(e).max(axis=(-2, -1), keepdims=True)
+    e = e * (scales.reshape(peak.shape) / np.where(peak > 0, peak, 1.0))
+    return np.eye(d) + e
+
+
+@settings(max_examples=400, deadline=None)
+@given(_perturbed_identities())
+def test_certified_trace_rules_hold_and_declined_ones_are_the_two_step_rule(total):
+    _certified_is_sound(total)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_an_overfull_total_within_atol_entrywise_is_declined_and_rejected(dim):
+    a, b = _overfull_kraus_pair(1e-9, dim)
+    total = a._gram + b._gram
+    outcome, declined = _admitted(total)
+    assert declined and outcome[0] is InvariantViolation and "sum K†K must be <= I" in outcome[1]
+    assert not _certified_is_sound(total)
+    with pytest.raises(InvariantViolation, match=r"sum K†K must be <= I"):
+        Instrument(("x0", "x1"), (a, b))
+
+
+def test_a_one_dimensional_imaginary_deviation_at_the_margin():
+    atol = 1e-9
+    # the largest eps with (d + 2)·eps <= atol/2 at d = 1
+    eps = atol / 6
+    while 3 * eps > atol / 2:
+        eps = np.nextafter(eps, 0.0)
+    while 3 * np.nextafter(eps, 1.0) <= atol / 2:
+        eps = np.nextafter(eps, 1.0)
+    at, above = (np.array([[1 + 1j * e]]) for e in (eps, np.nextafter(eps, 1.0)))
+    assert _certified_is_sound(at, atol)
+    # declined just above the margin, and admitted by the two rules: the
+    # Hermiticity test of 1 - total reads 2·eps
+    assert not _certified_is_sound(above, atol)
+    assert _admitted(above, atol) == (None, True)
+    # an imaginary deviation above atol/2, entrywise within atol, fails the
+    # Hermiticity test
+    outcome, declined = _admitted(np.array([[1 + 0.6j * atol]]), atol)
+    assert declined and "sum K†K must be <= I" in outcome[1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_non_finite_totals_are_declined_and_rejected(bad, batch):
+    total = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2)).copy()
+    total[..., 0, 1] = bad
+    outcome, declined = _admitted(total)
+    assert declined and outcome[0] is InvariantViolation and "sum K†K must be <= I" in outcome[1]
+    assert not _certified_is_sound(total)
+
+
+@pytest.mark.parametrize("last, message", [
+    (np.eye(3) + 0.9e-9 * np.ones((3, 3)), "sum K†K must be <= I"),
+    ((1 - 2e-9) * np.eye(3), "sum K†K must equal I"),
+])
+def test_a_batch_whose_last_member_alone_is_off(last, message):
+    total = np.stack([np.eye(3), np.eye(3) + 1e-12, (1 - 1e-11) * np.eye(3), last]).astype(complex)
+    outcome, declined = _admitted(total)
+    assert declined and message in outcome[1]
+    assert not _certified_is_sound(total)
+    # the first three members alone are certified
+    assert _certified_is_sound(total[:3])
 
 
 def _partial_transpose(m: np.ndarray) -> np.ndarray:

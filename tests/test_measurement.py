@@ -37,6 +37,7 @@ from qcond.rand import (
     random_state,
 )
 
+from factorizations import watch_trace_rules
 from map_oracles import deviation_from, partial_trace_right, remixed, tabulated
 from pinned import assert_pinned
 
@@ -654,7 +655,8 @@ def test_separable_channel_drops_zero_kraus_operators_and_a_batch_keeps_them():
 
 def test_separable_model_checks_its_channel_once(monkeypatch):
     # the lifted channel is checked as the one member of the model's family,
-    # not also on its own: one positivity test of sum K†K <= I
+    # not also on its own: one decision of the family total's trace rules,
+    # which its entrywise deviation certifies, with no positivity test
     import qcond.channels as channels
 
     rng = np.random.default_rng(41)
@@ -665,11 +667,12 @@ def test_separable_model_checks_its_channel_once(monkeypatch):
     total = ks.total_channel().kraus_stack
     assert type(member) is Channel
     assert member.kraus_stack.shape == total.shape and member.kraus_stack.tobytes() == total.tobytes()
-    calls = []
+    calls, decided = [], []
     is_psd = channels.is_psd
     monkeypatch.setattr(channels, "is_psd", lambda *args: calls.append(args) or is_psd(*args))
+    watch_trace_rules(monkeypatch, decided.append)
     ks.model(probe)
-    assert len(calls) == 1
+    assert len(decided) == 1 and len(calls) == 0
 
 
 _INTERACTION = random_instrument(2, 4, 2, 85)
