@@ -15,21 +15,24 @@ yields a non-finite value or yields nothing fails) and assembles a
 deterministic report: identical inputs give byte-identical JSON (elapsed
 times are kept out of the JSON for that reason).
 
-Each batch of one identity at one dimension is a task. The tasks, in a
-fixed order (by dimension, then identity name, then batch), are dealt out
-round-robin to the CPUs the process may run on: task ``i`` to worker
-``i mod W``. Worker 0 is the calling process; the others are children
-forked for the run, each folding its tasks per identity into a maximum
-deviation, an instance count and seconds, which it sends back through a
-pipe. The parent merges the folds by an exact maximum and integer sums, so
-the report has the same bytes whatever ``W``. ``W`` is 1, and the same loop
-runs in process, on one CPU, without ``os.fork`` and in a process that
-already runs a second OS thread (a multi-threaded BLAS included), where
-forking is unsafe.
+Each batch of one identity at one dimension is a task. The tasks are
+numbered largest dimension first, then by identity name, then by batch,
+and run on ``W`` workers, one per CPU the process may run on. Each worker
+claims the next unclaimed task number from one counter shared by the run's
+workers, runs that batch and claims again, so a worker that is free takes
+the next task, the largest dimensions first. Worker 0 is the calling
+process; the others are children forked for the run, each folding its
+tasks per identity into a maximum deviation, an instance count and seconds,
+which it sends back through a pipe. The parent merges the folds by an exact
+maximum and integer sums, so the report has the same bytes whatever ``W``
+and whichever worker ran a task. ``W`` is 1, and the same loop runs in
+process, in task order, on one CPU, without ``os.fork`` and in a process
+that already runs a second OS thread (a multi-threaded BLAS included),
+where forking is unsafe.
 
 Each instance gets a generator whose state equals ``default_rng`` of its
 seed tuple ``(seed, crc32(name), dim, trial)``. The trials of a batch are a
-range whose bounds are computed one batch at a time (``_batches``), and
+range whose bounds are computed from its task number alone (``_tasks``), and
 ``rand._trial_states`` hashes all the batch's tuples at once into one seed
 state per instance, from which ``rand._generators`` makes the generators.
 A batched runner draws each object of a batch through ``qcond.rand``'s raw
@@ -78,7 +81,7 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -563,12 +566,6 @@ def resolve_suite(names: str | Sequence[str] | None) -> list[str]:
     return list(_REGISTRY) if "all" in names else names
 
 
-def _batches(trials: int, size: int) -> Iterator[range]:
-    """The trials ``0, ..., trials - 1`` as consecutive ranges of ``size``,
-    the last one shorter, made one at a time."""
-    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
-
-
 def _instance_deviations(runner: Runner, states: np.ndarray, dim: int) -> np.ndarray:
     """Each instance's deviation: the largest of its parts, ``inf`` when one
     is not finite or there are none.
@@ -606,16 +603,47 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _tasks(names: Sequence[str], dims: Sequence[int], trials: int) -> Iterator[tuple[str, int, range]]:
-    """Every ``(identity, dimension, batch)`` of a run, in the fixed order
-    that assigns them to workers: by dimension, then by identity name, then
-    by batch; made one at a time."""
-    return (
-        (name, dim, batch)
-        for dim in dims
-        for name in sorted(names)
-        for batch in _batches(trials, BATCH_SIZE)
-    )
+def _tasks(
+    names: Sequence[str], dims: Sequence[int], trials: int, numbers: Iterable[int]
+) -> Iterator[tuple[str, int, range]]:
+    """The ``(identity, dimension, batch)`` of each task number in
+    ``numbers``, made one at a time. Task numbers order a run's tasks
+    largest dimension first, then by identity name, then by batch, where
+    the batches are the trials ``0, ..., trials - 1`` as consecutive ranges
+    of ``BATCH_SIZE``, the last one shorter. A task is computed from its
+    number alone, so nothing the size of the run is made."""
+    names, dims = sorted(names), sorted(dims, reverse=True)
+    batches = -(-trials // BATCH_SIZE)
+    for number in numbers:
+        block, batch = divmod(number, batches)
+        dim, name = divmod(block, len(names))
+        start = batch * BATCH_SIZE
+        yield names[name], dims[dim], range(start, min(start + BATCH_SIZE, trials))
+
+
+def _claims(counter: int, worker: int, tasks: int) -> Iterator[int]:
+    """The task numbers below ``tasks`` that ``worker`` claims, one at a
+    time, each when the previous one is done, from ``counter``: a file
+    shared by a run's workers, whose bytes 0-7 hold the next unclaimed
+    number and bytes ``8 * (worker + 1)`` onwards how many tasks ``worker``
+    has claimed. A claim reads and advances the next number under an
+    exclusive ``fcntl.lockf`` lock, which the kernel drops when its holder
+    dies, so a worker killed while it claims holds up no other."""
+    import fcntl  # POSIX only; only a run that forks claims
+
+    claimed = 0
+    while True:
+        fcntl.lockf(counter, fcntl.LOCK_EX)
+        try:
+            number = int.from_bytes(os.pread(counter, 8, 0), "little")
+            os.pwrite(counter, (number + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(counter, fcntl.LOCK_UN)
+        if number >= tasks:
+            return
+        claimed += 1
+        os.pwrite(counter, claimed.to_bytes(8, "little"), 8 * (worker + 1))
+        yield number
 
 
 def _merge(folded: dict[str, list], name: str, max_dev: float, count: int, seconds: float) -> None:
@@ -644,10 +672,11 @@ def _fold(tasks: Iterable[tuple[str, int, range]], seed: int) -> tuple[int, dict
 
 def _worker_count() -> int:
     """The processes a check run spreads over: the CPUs this process may
-    run on, or 1 without ``os.fork`` or where forking is unsafe, i.e. where
-    the process runs a second OS thread (a multi-threaded BLAS, a
+    run on, or 1 without ``os.fork`` (or the ``os.memfd_create`` that holds
+    the workers' task counter) or where forking is unsafe, i.e. where the
+    process runs a second OS thread (a multi-threaded BLAS, a
     ``threading.Thread``) or its threads cannot be counted."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not all(hasattr(os, call) for call in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     try:
         threads = len(os.listdir("/proc/self/task"))
@@ -693,8 +722,9 @@ def _read_to_end(read: int) -> bytes:
 
 
 def _share(pid: int, status: int, payload: bytes, expected: int) -> dict[str, list]:
-    """The fold a child sent, if it exited with status 0 after sending all
-    of its ``expected`` tasks; ``RuntimeError`` naming its status otherwise."""
+    """The fold a child sent, if it exited with status 0 after sending the
+    ``expected`` number of tasks, those it claimed; ``RuntimeError`` naming
+    its status otherwise."""
     if status != 0:
         raise RuntimeError(f"check worker {pid} exited with status {status}")
     try:
@@ -707,20 +737,28 @@ def _share(pid: int, status: int, payload: bytes, expected: int) -> dict[str, li
 
 
 def _spread(names: Sequence[str], dims: Sequence[int], trials: int, seed: int) -> dict[str, list]:
-    """Run every task of ``_tasks`` and fold them per identity.
+    """Run every task of a run and fold them per identity.
 
-    Task ``i`` goes to worker ``i mod W``, where ``W = _worker_count()``
-    (at most one worker per task): worker 0 is this process, and each other
-    worker is a child forked for this run, which sends its fold back
-    through a pipe. Every batch runs as it would in one process, so the
-    merged fold has the same bits whatever ``W``; with ``W = 1`` the loop
-    runs in process. A child that exits with another status than 0 or sends
-    incomplete results raises ``RuntimeError``. On any exception, an
-    interrupt included, the children not yet reaped are killed and reaped
-    before it propagates, so no process outlives the call.
+    ``W = _worker_count()`` workers run the tasks (at most one worker per
+    task): worker 0 is this process, and each other worker is a child
+    forked for this run, which sends the number of tasks it ran and its
+    fold back through a pipe. With ``W = 1`` the tasks run in process in
+    task-number order; otherwise each worker claims the next task number
+    whenever it is free (``_claims``), so the tasks start in number order
+    and a worker that its batches or the host slow down runs fewer of them.
+    Every batch runs as it would in one process, so the merged fold has the
+    same bits whatever ``W`` and whichever worker ran which task. A child
+    that exits with another status than 0 or sends another count than the
+    tasks it claimed, and workers that ran another total than the run's
+    tasks, raise ``RuntimeError``. On any exception, an interrupt included,
+    the children not yet reaped are killed and reaped before it propagates,
+    so no process outlives the call.
     """
     tasks = len(dims) * len(names) * -(-trials // BATCH_SIZE)
     workers = min(_worker_count(), tasks)
+    if workers == 1:
+        return _fold(_tasks(names, dims, trials, range(tasks)), seed)[1]
+    counter = os.memfd_create("qcond-task-counter")
     reads: list[int] = []  # the read end of each child's pipe, in worker order
     unreaped: dict[int, int] = {}  # child pid -> its worker index
     try:
@@ -731,21 +769,25 @@ def _spread(names: Sequence[str], dims: Sequence[int], trials: int, seed: int) -
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        share = islice(_tasks(names, dims, trials), worker, None, workers)
+                        share = _tasks(names, dims, trials, _claims(counter, worker, tasks))
                         _child(read, write, mask, share, seed)
                     unreaped[pid] = worker
                 finally:
                     os.close(write)
-        _, folded = _fold(islice(_tasks(names, dims, trials), 0, None, workers), seed)
+        done, folded = _fold(_tasks(names, dims, trials, _claims(counter, 0, tasks)), seed)
         for pid, worker in list(unreaped.items()):
             payload = _read_to_end(reads[worker - 1])
             with _interrupts_held():
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del unreaped[pid]
-            expected = len(range(worker, tasks, workers))
-            for name, share in _share(pid, status, payload, expected).items():
+            claimed = int.from_bytes(os.pread(counter, 8, 8 * (worker + 1)), "little")
+            for name, share in _share(pid, status, payload, claimed).items():
                 _merge(folded, name, *share)
+            done += claimed
+        if done != tasks:
+            raise RuntimeError(f"check workers ran {done} of {tasks} tasks")
     finally:
+        os.close(counter)
         for read in reads:
             os.close(read)
         for pid in unreaped:

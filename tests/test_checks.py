@@ -1,10 +1,12 @@
 """Tests for the identity registry and the batch check runner."""
 
+import fcntl
 import inspect
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -25,8 +27,8 @@ from qcond.channels import Channel, Operation, _completed, _require_trace_preser
 from qcond.checks import (
     IdentityCheck,
     _REGISTRY,
-    _batches,
     _instance_deviations,
+    _tasks,
     registered_identities,
     resolve_suite,
     run_checks,
@@ -252,7 +254,7 @@ def _recording(states, fail_batches=False):
 def test_canonical_instances_get_the_generators_of_their_seed_tuples(monkeypatch):
     # every instance of the canonical run: 12 identities, dimensions 2..3,
     # 100 trials, seed 7; on one worker, so that every runner records into
-    # this process's lists
+    # this process's lists, in task order: the largest dimension first
     monkeypatch.setattr(checks, "_worker_count", lambda: 1)
     recorded = {}
     for name in _REGISTRY:
@@ -263,7 +265,7 @@ def test_canonical_instances_get_the_generators_of_their_seed_tuples(monkeypatch
     assert len(recorded) == 12
     for name, states in recorded.items():
         key = zlib.crc32(name.encode("utf-8"))
-        seeds = [(7, key, dim, t) for dim in (2, 3) for t in range(100)]
+        seeds = [(7, key, dim, t) for dim in (3, 2) for t in range(100)]
         assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
 
 
@@ -289,9 +291,11 @@ def test_a_rerun_instance_gets_the_generator_of_its_seed_tuple_without_a_second_
 
 
 @pytest.mark.parametrize("size", [1, 3, 40, 100])
-def test_batches_are_consecutive_runs_of_the_batch_size(size):
+def test_batches_are_consecutive_runs_of_the_batch_size(size, monkeypatch):
+    # the batches of one identity at one dimension, in task order
+    monkeypatch.setattr(checks, "BATCH_SIZE", size)
     for trials in range(251):
-        batches = list(_batches(trials, size))
+        batches = [batch for _, _, batch in _tasks(["x"], [2], trials, range(-(-trials // size)))]
         assert [t for b in batches for t in b] == list(range(trials))
         assert all(b.step == 1 for b in batches)
         # every batch is full but the last, which is not empty
@@ -300,20 +304,33 @@ def test_batches_are_consecutive_runs_of_the_batch_size(size):
 
 
 def test_the_first_batch_of_a_huge_trial_count_is_made_alone():
-    # the bounds are arithmetic: nothing the size of the run is allocated
+    # the bounds are arithmetic: nothing the size of the run is allocated,
+    # for the first task or for the last
     tracemalloc.start()
     try:
-        first = next(_batches(2**70, 100))
+        # 2**70 = ...424: the last batch holds the last 24 trials
+        first, last = _tasks(["x"], [2], 2**70, [0, 2**70 // 100])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == range(100)
+    assert first == ("x", 2, range(100))
+    assert last == ("x", 2, range(2**70 - 24, 2**70))
     assert peak < 64 * 1024
+
+
+def test_task_numbers_run_largest_dimension_first_then_by_name_then_by_batch():
+    # 250 trials are batches of 100, 100 and 50
+    names, dims = ["b-identity", "a-identity"], [2, 5, 3]
+    expected = [(name, dim, range(start, min(start + 100, 250)))
+                for dim in (5, 3, 2) for name in sorted(names) for start in (0, 100, 200)]
+    assert list(_tasks(names, dims, 250, range(18))) == expected
+    assert list(_tasks(names, dims, 250, [17, 4, 9])) == [expected[17], expected[4], expected[9]]
 
 
 def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
     # a seed of two words: each instance's generator is default_rng(tuple)'s
-    # (on one worker, which records into this process's list)
+    # (on one worker, which records into this process's list in task order,
+    # the largest dimension first)
     monkeypatch.setattr(checks, "_worker_count", lambda: 1)
     name = "recording-identity"
     states = []
@@ -321,7 +338,7 @@ def test_instances_run_on_the_generators_of_their_seed_tuples(monkeypatch):
     monkeypatch.setitem(_REGISTRY, name, check)
     assert run_checks(name, trials=3, dims=[2, 3], seed=2**40).passed
     key = zlib.crc32(name.encode("utf-8"))
-    seeds = [(2**40, key, dim, t) for dim in (2, 3) for t in range(3)]
+    seeds = [(2**40, key, dim, t) for dim in (3, 2) for t in range(3)]
     assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
 
 
@@ -543,24 +560,40 @@ def test_reports_do_not_depend_on_the_worker_count(workers, count):
     _no_child_left()
 
 
-def _parent_only(runner):
-    """A runner that runs ``runner`` in this process and in a child instead
-    (a forked worker) ends the child with status 3."""
+def _after_a_child_exits(runner, child_status=None):
+    """A runner that, in this process, first waits (up to 30 s) until a
+    forked worker has exited, without reaping it, and then runs ``runner``;
+    in a child it runs ``runner`` too, or with ``child_status`` ends the
+    child with that status instead. With two workers and two tasks, the
+    parent holds the first task it claims until the child has claimed the
+    other, run it and exited."""
     parent = os.getpid()
 
     def run(rngs, dim):
         if os.getpid() != parent:
-            os._exit(3)
+            if child_status is not None:
+                os._exit(child_status)
+            return runner(rngs, dim)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG) is not None:
+                break
+            time.sleep(0.001)
         return runner(rngs, dim)
 
     return run
 
 
+def _zeros(rngs, dim):
+    yield np.zeros(len(rngs))
+
+
 def test_a_worker_that_dies_fails_the_run(monkeypatch, workers, capsys):
-    # two tasks (one per dimension): the parent runs the first, a child dies
-    # on the second; the run raises, never passes, and leaves no process
+    # two tasks (one per dimension): the parent holds the one it claims
+    # until the child has died on the other; the run raises, never passes,
+    # and leaves no process
     name = "dying-identity"
-    runner = _parent_only(lambda rngs, dim: iter([np.zeros(len(rngs))]))
+    runner = _after_a_child_exits(_zeros, child_status=3)
     monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "dies in a child", runner))
     workers(2)
     with pytest.raises(RuntimeError, match=r"^check worker \d+ exited with status 3$"):
@@ -575,6 +608,10 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch, workers, capsys):
 
 
 def test_a_worker_that_sends_incomplete_results_fails_the_run(monkeypatch, workers):
+    # the child runs one of the two tasks and sends a count one short
+    name = "short-identity"
+    runner = _after_a_child_exits(_zeros)
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "runs in both", runner))
     parent = os.getpid()
     fold = checks._fold
 
@@ -585,7 +622,87 @@ def test_a_worker_that_sends_incomplete_results_fails_the_run(monkeypatch, worke
     monkeypatch.setattr(checks, "_fold", short)
     workers(2)
     with pytest.raises(RuntimeError, match=r"^check worker \d+ exited with status 0 but sent incomplete results$"):
+        run_checks(name, trials=1, dims=[2, 3], seed=0)
+    _no_child_left()
+
+
+def test_workers_that_ran_another_total_than_the_tasks_fail_the_run(monkeypatch, workers):
+    # every child's count matches its claims, but this process counts one
+    # task short: the total no longer covers the run
+    parent = os.getpid()
+    fold = checks._fold
+
+    def short_here(tasks, seed):
+        done, folded = fold(tasks, seed)
+        return (done - 1 if os.getpid() == parent else done), folded
+
+    monkeypatch.setattr(checks, "_fold", short_here)
+    workers(2)
+    with pytest.raises(RuntimeError, match=r"^check workers ran 1 of 2 tasks$"):
         run_checks("dual-map", trials=1, dims=[2, 3], seed=0)
+    _no_child_left()
+
+
+def test_a_free_worker_claims_the_tasks_a_slow_one_leaves(monkeypatch, workers, tmp_path):
+    # 20 tasks (batches of one, 10 trials, two dimensions) on two workers:
+    # the parent sleeps 50 ms on each task it runs, so the child, free
+    # sooner, claims most of them, and the report has the bytes of one worker's
+    name = "dual-map"
+    check = _REGISTRY[name]
+    ran = tmp_path / "ran"
+    parent = os.getpid()
+
+    def slow_here(rngs, dim):
+        with open(ran, "a") as log:
+            log.write("p" if os.getpid() == parent else "c")
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return check.runner(rngs, dim)
+
+    monkeypatch.setattr(checks, "BATCH_SIZE", 1)
+    workers(1)
+    alone = run_checks(name, trials=10, dims=[2, 3], seed=4).to_json()
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, check.statement, slow_here))
+    workers(2)
+    spread = run_checks(name, trials=10, dims=[2, 3], seed=4)
+    _no_child_left()
+    assert spread.to_json() == alone
+    assert spread.results[0].instances == 20
+    runs = ran.read_text()
+    assert len(runs) == 20
+    assert runs.count("c") > 10
+
+
+def test_a_worker_killed_while_it_holds_the_claim_lock_fails_the_run(monkeypatch, workers):
+    # the child is killed as soon as it holds the lock on the task counter;
+    # the kernel drops the lock, so the parent, whose runner waits for the
+    # child's death, claims the tasks left and the run fails on the child's
+    # status instead of waiting for the lock forever
+    name = "holding-identity"
+    monkeypatch.setitem(_REGISTRY, name, IdentityCheck(name, "waits", _after_a_child_exits(_zeros)))
+    parent = os.getpid()
+    lockf = fcntl.lockf
+
+    def killed_holding(fd, cmd, *args):
+        lockf(fd, cmd, *args)
+        if os.getpid() != parent and cmd == fcntl.LOCK_EX:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def hung(signum, frame):
+        raise _Stop
+
+    monkeypatch.setattr(fcntl, "lockf", killed_holding)
+    workers(2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)  # a run that waits for the dead child's lock stops here
+    start = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match=r"^check worker \d+ exited with status -9$"):
+            run_checks(name, trials=1, dims=[2, 3], seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 20
     _no_child_left()
 
 
